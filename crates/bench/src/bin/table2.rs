@@ -128,6 +128,10 @@ fn main() {
         ("join_ms", 8),
         ("size", 10),
         ("compression", 12),
+        ("centers", 9),
+        ("evals", 9),
+        ("reinsert", 9),
+        ("peeled/offered", 22),
     ]);
     for (name, cfg) in rows {
         let (index, report) = build_index(&collection, &cfg);
@@ -140,6 +144,13 @@ fn main() {
             report.join_ms.to_string(),
             report.cover_size.to_string(),
             format!("{:.1}", report.compression_vs(connections)),
+            report.greedy.centers.to_string(),
+            report.greedy.densest_evals.to_string(),
+            report.greedy.reinsertions.to_string(),
+            format!(
+                "{}/{}",
+                report.greedy.peel_removed, report.greedy.peel_offered
+            ),
         ]);
         drop(index);
     }

@@ -627,12 +627,7 @@ impl Hopi {
 
     /// Deletes an inter-document link (§6.2's single-edge deletion).
     pub fn delete_link(&mut self, from: ElemId, to: ElemId) -> Result<DeletionOutcome, HopiError> {
-        if !self
-            .collection
-            .links()
-            .iter()
-            .any(|l| l.from == from && l.to == to)
-        {
+        if !self.collection.has_link(from, to) {
             return Err(HopiError::UnknownLink { from, to });
         }
         let outcome = delete_link(&mut self.collection, &mut self.index, from, to);

@@ -13,7 +13,7 @@
 
 use crate::error::HopiError;
 use crate::facade::QueryOptions;
-use hopi_core::{DistanceCover, FrozenCover};
+use hopi_core::{BuildStats, DistanceCover, FrozenCover};
 use hopi_obs::Stopwatch;
 use hopi_partition::BuildReport;
 use hopi_query::{
@@ -95,6 +95,9 @@ pub struct SnapshotStats {
     /// Per-phase wall times of the build that produced this snapshot's
     /// index (partition / covers / join / freeze).
     pub build: BuildPhaseTimings,
+    /// Greedy-kernel counters of that build (centers committed, center
+    /// graphs evaluated, vertices offered to / removed by the peels).
+    pub greedy: BuildStats,
 }
 
 /// A point-in-time, immutable serving view of an engine: frozen cover +
@@ -138,6 +141,8 @@ pub struct HopiSnapshot {
     /// Phase timings of the build behind this snapshot (see
     /// [`BuildPhaseTimings`]).
     build: BuildPhaseTimings,
+    /// Greedy-kernel counters of that build.
+    greedy: BuildStats,
 }
 
 impl HopiSnapshot {
@@ -170,6 +175,7 @@ impl HopiSnapshot {
             epoch,
             plan_counters,
             build: BuildPhaseTimings::from_report(report, freeze_ms),
+            greedy: report.greedy,
         }
     }
 
@@ -322,6 +328,7 @@ impl HopiSnapshot {
             text_postings_bytes: self.text.postings_bytes(),
             text_indexed_elements: self.text.indexed_elements(),
             build: self.build,
+            greedy: self.greedy,
         }
     }
 

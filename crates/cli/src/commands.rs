@@ -277,6 +277,16 @@ pub fn build(args: &[String]) -> Result<(), String> {
         hopi.report().cover_size,
         t.elapsed()
     );
+    let greedy = &hopi.report().greedy;
+    println!(
+        "greedy kernel: {} centers from {} center-graph evaluations ({} reinserted), \
+         peels removed {} of {} offered vertices",
+        greedy.centers,
+        greedy.densest_evals,
+        greedy.reinsertions,
+        greedy.peel_removed,
+        greedy.peel_offered
+    );
     if frozen {
         hopi.save_frozen(Path::new(&out))
             .map_err(|e| format!("save failed: {e}"))?;

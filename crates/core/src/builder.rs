@@ -21,9 +21,15 @@
 //!    (targets of cross-partition links) are committed *first*, covering all
 //!    connections through them, before the greedy loop starts — reducing
 //!    redundant entries that the later cover join would otherwise duplicate.
+//!
+//! Beyond the paper, an evaluation never materializes its center graph: the
+//! peel reads the edges off the uncovered-connection rows and stops as soon
+//! as no remaining subgraph can beat the best one seen (see
+//! [`crate::densest`]). The covers are those of peeling a materialized copy
+//! to the last vertex, bit for bit.
 
 use crate::cover::TwoHopCover;
-use crate::densest::{complete_bipartite_density, densest_subgraph, BipartiteCenterGraph};
+use crate::densest::{complete_bipartite_density, Peeled, Peeler};
 use hopi_graph::{FixedBitSet, TransitiveClosure};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -54,7 +60,7 @@ impl Ord for HeapEntry {
 }
 
 /// Statistics of one cover construction, reported by the benchmarks.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BuildStats {
     /// Number of centers committed.
     pub centers: usize,
@@ -64,6 +70,23 @@ pub struct BuildStats {
     pub reinsertions: usize,
     /// Connections covered by preselected centers (paper §4.2).
     pub preselected_covered: usize,
+    /// Vertices of all evaluated center graphs.
+    pub peel_offered: usize,
+    /// Vertices the peels removed before their density bound ended them;
+    /// `peel_removed / peel_offered` is the share of the classic
+    /// peel-to-the-last-vertex work that was actually needed.
+    pub peel_removed: usize,
+}
+
+impl std::ops::AddAssign<&BuildStats> for BuildStats {
+    fn add_assign(&mut self, other: &BuildStats) {
+        self.centers += other.centers;
+        self.densest_evals += other.densest_evals;
+        self.reinsertions += other.reinsertions;
+        self.preselected_covered += other.preselected_covered;
+        self.peel_offered += other.peel_offered;
+        self.peel_removed += other.peel_removed;
+    }
 }
 
 /// Greedy 2-hop cover builder over a reflexive-transitive closure.
@@ -101,19 +124,21 @@ impl<'a> CoverBuilder<'a> {
     /// Creates a builder; `T'` starts as all non-reflexive connections.
     pub fn new(tc: &'a TransitiveClosure) -> Self {
         let n = tc.num_nodes();
-        let mut unc_out = Vec::with_capacity(n);
-        let mut unc_in = vec![FixedBitSet::new(n); n];
-        let mut remaining = 0usize;
-        for u in 0..n as u32 {
-            let mut row = tc.descendants(u).clone();
+        // The closure keeps both directions, so both uncovered-row tables
+        // are word copies of its rows minus the reflexive pair.
+        let without_self = |row: &FixedBitSet, u: u32| {
+            let mut row = row.clone();
             row.grow(n);
             row.remove(u);
-            remaining += row.count();
-            for v in row.iter() {
-                unc_in[v as usize].insert(u);
-            }
-            unc_out.push(row);
-        }
+            row
+        };
+        let unc_out: Vec<FixedBitSet> = (0..n as u32)
+            .map(|u| without_self(tc.descendants(u), u))
+            .collect();
+        let unc_in: Vec<FixedBitSet> = (0..n as u32)
+            .map(|v| without_self(tc.ancestors(v), v))
+            .collect();
+        let remaining = unc_out.iter().map(FixedBitSet::count).sum();
         CoverBuilder {
             tc,
             unc_out,
@@ -149,9 +174,8 @@ impl<'a> CoverBuilder<'a> {
             if (t as usize) >= self.tc.num_nodes() || !self.tc.is_alive(t) {
                 continue;
             }
-            let cin = self.tc.ancestors(t).to_vec();
-            let cout = self.tc.descendants(t).to_vec();
-            let covered = self.commit_center(t, &cin, &cout);
+            let tc = self.tc;
+            let covered = self.commit_center(t, tc.ancestors(t), tc.descendants(t));
             self.stats.preselected_covered += covered;
         }
         self.run();
@@ -159,6 +183,16 @@ impl<'a> CoverBuilder<'a> {
     }
 
     fn run(&mut self) {
+        let mut heap = self.seed_heap();
+        let n = self.tc.num_nodes();
+        let mut peeler = Peeler::new(n, n);
+        while self.remaining > 0 {
+            self.step(&mut heap, &mut peeler);
+        }
+    }
+
+    /// Every live node under the density of its complete center graph.
+    fn seed_heap(&self) -> BinaryHeap<HeapEntry> {
         let n = self.tc.num_nodes();
         let mut heap = BinaryHeap::with_capacity(n);
         for w in 0..n as u32 {
@@ -172,104 +206,59 @@ impl<'a> CoverBuilder<'a> {
                 heap.push(HeapEntry { node: w, density });
             }
         }
-        while self.remaining > 0 {
-            let entry = heap
-                .pop()
-                .expect("connections uncovered but candidate heap exhausted");
-            let w = entry.node;
-            let Some(cg) = self.center_graph(w) else {
-                continue; // no uncovered connection runs through w anymore
-            };
-            self.stats.densest_evals += 1;
-            let Some(result) = densest_subgraph(&cg) else {
-                continue;
-            };
-            let next_best = heap.peek().map_or(0.0, |e| e.density);
-            if result.density + 1e-9 >= next_best {
-                self.commit_center(w, &result.left, &result.right);
-                // w may still be useful for other connections later.
-                if !self.unc_in[w as usize].is_empty() || !self.unc_out[w as usize].is_empty() {
-                    heap.push(HeapEntry {
-                        node: w,
-                        density: result.density,
-                    });
-                }
-            } else {
-                self.stats.reinsertions += 1;
-                heap.push(HeapEntry {
-                    node: w,
-                    density: result.density,
-                });
-            }
-        }
+        heap
     }
 
-    /// Materializes the center graph of `w` restricted to uncovered
-    /// connections. Returns `None` when empty.
-    fn center_graph(&self, w: u32) -> Option<BipartiteCenterGraph> {
-        let cin = self.tc.ancestors(w);
-        let cout = self.tc.descendants(w);
-        let right: Vec<u32> = cout.to_vec();
-        if right.is_empty() {
-            return None;
-        }
-        // Map right node ids to side indices.
-        let mut right_pos = vec![u32::MAX; self.tc.num_nodes()];
-        for (j, &v) in right.iter().enumerate() {
-            right_pos[v as usize] = j as u32;
-        }
-        let mut left = Vec::new();
-        let mut adj = Vec::new();
-        let mut edges = 0usize;
-        for u in cin.iter() {
-            let mut row = self.unc_out[u as usize].clone();
-            row.intersect_with(cout);
-            let cnt = row.count();
-            if cnt == 0 {
-                continue;
+    /// One heap pop: evaluates the popped center `w` and commits or
+    /// reinserts it. Returns the evaluation, `None` when no uncovered
+    /// connection runs through `w` anymore. The center graph is never
+    /// materialized — its edges are `unc_out[u] ∧ Cout(w)` for `u ∈ Cin(w)`.
+    fn step(&mut self, heap: &mut BinaryHeap<HeapEntry>, peeler: &mut Peeler) -> Option<Peeled> {
+        let w = heap
+            .pop()
+            .expect("connections uncovered but candidate heap exhausted")
+            .node;
+        let tc = self.tc;
+        let peeled = peeler.peel_center(
+            &self.unc_out,
+            &self.unc_in,
+            tc.ancestors(w),
+            tc.descendants(w),
+        )?;
+        self.stats.densest_evals += 1;
+        self.stats.peel_offered += peeled.offered;
+        self.stats.peel_removed += peeled.removed;
+        let density = peeled.density;
+        let next_best = heap.peek().map_or(0.0, |e| e.density);
+        if density + 1e-9 >= next_best {
+            self.commit_center(w, peeler.left(), peeler.right());
+            // w may still be useful for other connections later.
+            if !self.unc_in[w as usize].is_empty() || !self.unc_out[w as usize].is_empty() {
+                heap.push(HeapEntry { node: w, density });
             }
-            edges += cnt;
-            let mut side_row = FixedBitSet::new(right.len());
-            for v in row.iter() {
-                side_row.insert(right_pos[v as usize]);
-            }
-            left.push(u);
-            adj.push(side_row);
+        } else {
+            self.stats.reinsertions += 1;
+            heap.push(HeapEntry { node: w, density });
         }
-        if edges == 0 {
-            return None;
-        }
-        Some(BipartiteCenterGraph { left, right, adj })
+        Some(peeled)
     }
 
     /// Adds `w` to the labels of `cin`/`cout` and removes the covered
     /// connections from `T'`. Returns the number of newly covered
     /// connections.
-    fn commit_center(&mut self, w: u32, cin: &[u32], cout: &[u32]) -> usize {
-        let n = self.tc.num_nodes();
-        let mut cout_set = FixedBitSet::new(n);
-        for &v in cout {
-            cout_set.insert(v);
-        }
-        let mut cin_set = FixedBitSet::new(n);
-        for &u in cin {
-            cin_set.insert(u);
-        }
+    fn commit_center(&mut self, w: u32, cin: &FixedBitSet, cout: &FixedBitSet) -> usize {
         let mut covered = 0usize;
-        for &u in cin {
-            covered += self.unc_out[u as usize].intersection_count(&cout_set);
-            self.unc_out[u as usize].difference_with(&cout_set);
-        }
-        for &v in cout {
-            self.unc_in[v as usize].difference_with(&cin_set);
-        }
-        self.remaining -= covered;
-        for &u in cin {
+        for u in cin.iter() {
+            let row = &mut self.unc_out[u as usize];
+            covered += row.intersection_count(cout);
+            row.difference_with(cout);
             self.cover.add_out(u, w);
         }
-        for &v in cout {
+        for v in cout.iter() {
+            self.unc_in[v as usize].difference_with(cin);
             self.cover.add_in(v, w);
         }
+        self.remaining -= covered;
         self.stats.centers += 1;
         covered
     }
@@ -426,5 +415,300 @@ mod tests {
             cover.size(),
             closure_conns
         );
+    }
+
+    /// The new kernel against the original one, step by step.
+    mod golden {
+        use super::*;
+        use crate::densest::{reference, BipartiteCenterGraph, DensestResult};
+        use hopi_graph::traversal::reachable_from;
+        use proptest::prelude::*;
+
+        /// The original evaluation path, verbatim: `center_graph`, the body
+        /// of the old `run` loop and the slice-based `commit_center`.
+        impl CoverBuilder<'_> {
+            /// Materializes the center graph of `w` restricted to uncovered
+            /// connections. Returns `None` when empty.
+            fn center_graph(&self, w: u32) -> Option<BipartiteCenterGraph> {
+                let cin = self.tc.ancestors(w);
+                let cout = self.tc.descendants(w);
+                let right: Vec<u32> = cout.to_vec();
+                if right.is_empty() {
+                    return None;
+                }
+                // Map right node ids to side indices.
+                let mut right_pos = vec![u32::MAX; self.tc.num_nodes()];
+                for (j, &v) in right.iter().enumerate() {
+                    right_pos[v as usize] = j as u32;
+                }
+                let mut left = Vec::new();
+                let mut adj = Vec::new();
+                let mut edges = 0usize;
+                for u in cin.iter() {
+                    let mut row = self.unc_out[u as usize].clone();
+                    row.intersect_with(cout);
+                    let cnt = row.count();
+                    if cnt == 0 {
+                        continue;
+                    }
+                    edges += cnt;
+                    let mut side_row = FixedBitSet::new(right.len());
+                    for v in row.iter() {
+                        side_row.insert(right_pos[v as usize]);
+                    }
+                    left.push(u);
+                    adj.push(side_row);
+                }
+                if edges == 0 {
+                    return None;
+                }
+                Some(BipartiteCenterGraph { left, right, adj })
+            }
+
+            fn step_reference(
+                &mut self,
+                heap: &mut BinaryHeap<HeapEntry>,
+            ) -> Option<DensestResult> {
+                let entry = heap
+                    .pop()
+                    .expect("connections uncovered but candidate heap exhausted");
+                let w = entry.node;
+                let cg = self.center_graph(w)?; // no uncovered connection runs through w anymore
+                self.stats.densest_evals += 1;
+                self.stats.peel_offered += cg.left.len() + cg.right.len();
+                let result = reference::densest_subgraph(&cg)?;
+                let next_best = heap.peek().map_or(0.0, |e| e.density);
+                if result.density + 1e-9 >= next_best {
+                    self.commit_center_reference(w, &result.left, &result.right);
+                    // w may still be useful for other connections later.
+                    if !self.unc_in[w as usize].is_empty() || !self.unc_out[w as usize].is_empty() {
+                        heap.push(HeapEntry {
+                            node: w,
+                            density: result.density,
+                        });
+                    }
+                } else {
+                    self.stats.reinsertions += 1;
+                    heap.push(HeapEntry {
+                        node: w,
+                        density: result.density,
+                    });
+                }
+                Some(result)
+            }
+
+            fn commit_center_reference(&mut self, w: u32, cin: &[u32], cout: &[u32]) -> usize {
+                let n = self.tc.num_nodes();
+                let mut cout_set = FixedBitSet::new(n);
+                for &v in cout {
+                    cout_set.insert(v);
+                }
+                let mut cin_set = FixedBitSet::new(n);
+                for &u in cin {
+                    cin_set.insert(u);
+                }
+                let mut covered = 0usize;
+                for &u in cin {
+                    covered += self.unc_out[u as usize].intersection_count(&cout_set);
+                    self.unc_out[u as usize].difference_with(&cout_set);
+                }
+                for &v in cout {
+                    self.unc_in[v as usize].difference_with(&cin_set);
+                }
+                self.remaining -= covered;
+                for &u in cin {
+                    self.cover.add_out(u, w);
+                }
+                for &v in cout {
+                    self.cover.add_in(v, w);
+                }
+                self.stats.centers += 1;
+                covered
+            }
+        }
+
+        /// Steps the reference and the new kernel side by side over `tc` and
+        /// asserts equality on every pop and of everything they produce.
+        fn assert_golden(tc: &TransitiveClosure, preselected: &[u32]) {
+            let n = tc.num_nodes();
+            let mut old = CoverBuilder::new(tc);
+            let mut new = CoverBuilder::new(tc);
+            // `new` fills `unc_in` by word copy; the original transposed
+            // `unc_out` one connection at a time.
+            for (u, row) in new.unc_out.iter().enumerate() {
+                for v in 0..n as u32 {
+                    assert_eq!(row.contains(v), new.unc_in[v as usize].contains(u as u32));
+                }
+            }
+            for &t in preselected {
+                if (t as usize) >= n || !tc.is_alive(t) {
+                    continue;
+                }
+                let (cin, cout) = (tc.ancestors(t).to_vec(), tc.descendants(t).to_vec());
+                old.stats.preselected_covered += old.commit_center_reference(t, &cin, &cout);
+                new.stats.preselected_covered +=
+                    new.commit_center(t, tc.ancestors(t), tc.descendants(t));
+            }
+            let (mut old_heap, mut new_heap) = (old.seed_heap(), new.seed_heap());
+            let mut peeler = Peeler::new(n, n);
+            while old.remaining > 0 {
+                let want = old.step_reference(&mut old_heap);
+                let got = new.step(&mut new_heap, &mut peeler);
+                assert_eq!(want.is_some(), got.is_some());
+                if let (Some(want), Some(got)) = (want, got) {
+                    assert_eq!(peeler.left().to_vec(), want.left);
+                    assert_eq!(peeler.right().to_vec(), want.right);
+                    assert_eq!(got.density.to_bits(), want.density.to_bits());
+                    assert_eq!(got.edges, want.edges);
+                    // The bound may not fire before the best prefix is
+                    // reached (and never peels more than there is).
+                    let best_prefix = got.offered - want.left.len() - want.right.len();
+                    assert!(best_prefix <= got.removed && got.removed <= got.offered);
+                }
+                assert_eq!(new.remaining, old.remaining);
+                assert_eq!(new.unc_out, old.unc_out);
+                assert_eq!(new.unc_in, old.unc_in);
+            }
+            for u in 0..n as u32 {
+                assert_eq!(new.cover.lin(u), old.cover.lin(u), "lin({u})");
+                assert_eq!(new.cover.lout(u), old.cover.lout(u), "lout({u})");
+                // Holder lists are in insertion order: same commits, same order.
+                assert_eq!(new.cover.holders_in(u), old.cover.holders_in(u));
+                assert_eq!(new.cover.holders_out(u), old.cover.holders_out(u));
+            }
+            assert!(new.stats.peel_removed <= new.stats.peel_offered);
+            let peel_removed = new.stats.peel_removed;
+            new.stats.peel_removed = 0; // the reference has no early exit to count
+            assert_eq!(new.stats, old.stats);
+
+            // The public entry point is the same loop.
+            let (cover, mut stats) = CoverBuilder::new(tc).build_with_preselected(preselected);
+            assert_eq!(stats.peel_removed, peel_removed);
+            stats.peel_removed = 0;
+            assert_eq!(stats, old.stats);
+            for u in 0..n as u32 {
+                assert_eq!(cover.lin(u), old.cover.lin(u));
+                assert_eq!(cover.lout(u), old.cover.lout(u));
+            }
+        }
+
+        /// One closure of the given family, drawn from `seed`. Sizes straddle
+        /// 64 and 128 nodes so that one-, two- and three-word rows — and with
+        /// them the small-side rule's both branches and its fallback — occur.
+        fn closure_family(family: u8, seed: u64) -> TransitiveClosure {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut edges: Vec<(u32, u32)> = Vec::new();
+            let n: u32 = match family {
+                // Random cyclic digraphs.
+                0 => {
+                    let n = rng.gen_range(2..150);
+                    let m = rng.gen_range(0..3 * n);
+                    edges.extend((0..m).map(|_| (rng.gen_range(0..n), rng.gen_range(0..n))));
+                    n
+                }
+                // Layered DAGs, sparse to complete between layers.
+                1 => {
+                    let (k, w) = (rng.gen_range(2..7u32), rng.gen_range(1..22u32));
+                    let p = rng.gen_range(1..=10u32);
+                    for layer in 0..k - 1 {
+                        for i in 0..w {
+                            for j in 0..w {
+                                if rng.gen_range(0..10u32) < p {
+                                    edges.push((layer * w + i, (layer + 1) * w + j));
+                                }
+                            }
+                        }
+                    }
+                    k * w
+                }
+                // Complete-bipartite hubs, chained: sources → hub → sinks.
+                2 => {
+                    let mut n = 0u32;
+                    for _ in 0..rng.gen_range(1..4) {
+                        let (a, b) = (rng.gen_range(1..30u32), rng.gen_range(1..30u32));
+                        let hub = n + a;
+                        edges.extend((n..hub).map(|u| (u, hub)));
+                        edges.extend((hub + 1..=hub + b).map(|v| (hub, v)));
+                        n = hub + b; // the last sink is the next hub's first source
+                    }
+                    n + 1
+                }
+                // Stars: out-star, in-star, or both through one center.
+                3 => {
+                    let leaves = rng.gen_range(1..140u32);
+                    let shape = rng.gen_range(0..3);
+                    for leaf in 1..=leaves {
+                        match shape {
+                            0 => edges.push((0, leaf)),
+                            1 => edges.push((leaf, 0)),
+                            _ if leaf % 2 == 0 => edges.push((0, leaf)),
+                            _ => edges.push((leaf, 0)),
+                        }
+                    }
+                    leaves + 1
+                }
+                // Edgeless.
+                _ => rng.gen_range(1..70),
+            };
+            closure_of(&edges, n).1
+        }
+
+        /// The Theorem-3 shape (`hopi_maintenance::delete`): full rows for a
+        /// seed subset, reflexive-only rows elsewhere, some slots dead.
+        fn partial_closure_of(seed: u64) -> TransitiveClosure {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(2..150u32);
+            let mut g = DiGraph::new();
+            g.ensure_node(n - 1);
+            for _ in 0..rng.gen_range(0..3 * n) {
+                g.add_edge(rng.gen_range(0..n), rng.gen_range(0..n));
+            }
+            for _ in 0..rng.gen_range(0..n / 4 + 1) {
+                g.remove_node(rng.gen_range(0..n));
+            }
+            let alive: Vec<bool> = (0..n).map(|u| g.is_alive(u)).collect();
+            let rows = (0..n)
+                .map(|u| {
+                    if g.is_alive(u) && rng.gen_range(0..3) == 0 {
+                        reachable_from(&g, u)
+                    } else {
+                        FixedBitSet::new(n as usize)
+                    }
+                })
+                .collect();
+            TransitiveClosure::from_desc_rows(rows, alive)
+        }
+
+        /// A closure grown edge by edge: its rows are as long as its
+        /// capacity, longer than `num_nodes()` and so than the scratch sets.
+        fn incremental_closure(seed: u64) -> TransitiveClosure {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(2..100u32);
+            let mut tc = TransitiveClosure::new();
+            tc.ensure_node(n - 1);
+            for _ in 0..rng.gen_range(0..2 * n) {
+                tc.insert_edge(rng.gen_range(0..n), rng.gen_range(0..n));
+            }
+            tc
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(24))]
+
+            #[test]
+            fn same_pops_same_cover(seed in 0u64..u64::MAX) {
+                for family in 0..7u8 {
+                    let tc = match family {
+                        5 => partial_closure_of(seed),
+                        6 => incremental_closure(seed),
+                        f => closure_family(f, seed),
+                    };
+                    let n = tc.num_nodes() as u32;
+                    assert_golden(&tc, &[]);
+                    // §4.2 preselection, including a dead or out-of-range id.
+                    assert_golden(&tc, &[seed as u32 % n, n / 2, n + 3]);
+                }
+            }
+        }
     }
 }

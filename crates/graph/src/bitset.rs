@@ -143,6 +143,20 @@ impl FixedBitSet {
             .sum()
     }
 
+    /// Iterates over `self ∩ other` in ascending order without
+    /// materializing it (words beyond the shorter set count as empty).
+    pub fn intersection_iter<'a>(&'a self, other: &'a FixedBitSet) -> Intersection<'a> {
+        Intersection {
+            a: &self.words,
+            b: &other.words,
+            word_idx: 0,
+            current: match (self.words.first(), other.words.first()) {
+                (Some(&a), Some(&b)) => a & b,
+                _ => 0,
+            },
+        }
+    }
+
     /// Iterates over set bits in ascending order.
     pub fn iter(&self) -> Iter<'_> {
         Iter {
@@ -189,6 +203,29 @@ impl Iterator for Iter<'_> {
                 return None;
             }
             self.current = self.words[self.word_idx];
+        }
+        let bit = self.current.trailing_zeros();
+        self.current &= self.current - 1;
+        Some((self.word_idx * 64) as u32 + bit)
+    }
+}
+
+/// Iterator over the bits set in both of two [`FixedBitSet`]s.
+pub struct Intersection<'a> {
+    a: &'a [u64],
+    b: &'a [u64],
+    word_idx: usize,
+    current: u64,
+}
+
+impl Iterator for Intersection<'_> {
+    type Item = u32;
+
+    #[inline]
+    fn next(&mut self) -> Option<u32> {
+        while self.current == 0 {
+            self.word_idx += 1;
+            self.current = self.a.get(self.word_idx)? & self.b.get(self.word_idx)?;
         }
         let bit = self.current.trailing_zeros();
         self.current &= self.current - 1;
@@ -249,6 +286,27 @@ mod tests {
         assert_eq!(c.to_vec(), vec![2, 64]);
         a.difference_with(&b);
         assert_eq!(a.to_vec(), vec![1, 3]);
+    }
+
+    #[test]
+    fn intersection_iter_matches_materialized() {
+        let a: FixedBitSet = [0u32, 5, 63, 64, 130, 199, 300].into_iter().collect();
+        let b: FixedBitSet = [5u32, 64, 65, 199].into_iter().collect();
+        // `b` is two words shorter than `a`: its missing words are empty.
+        assert_eq!(
+            a.intersection_iter(&b).collect::<Vec<_>>(),
+            vec![5, 64, 199]
+        );
+        assert_eq!(
+            b.intersection_iter(&a).collect::<Vec<_>>(),
+            vec![5, 64, 199]
+        );
+        let mut c = a.clone();
+        c.intersect_with(&b);
+        assert_eq!(a.intersection_iter(&b).collect::<Vec<_>>(), c.to_vec());
+        let empty = FixedBitSet::new(0);
+        assert_eq!(a.intersection_iter(&empty).count(), 0);
+        assert_eq!(empty.intersection_iter(&a).count(), 0);
     }
 
     #[test]

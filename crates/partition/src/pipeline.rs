@@ -23,7 +23,7 @@ use crate::partitioning::Partitioning;
 use crate::psg::PartitionSkeletonGraph;
 use crate::tc_partitioner;
 use crate::{OldPartitionerConfig, TcPartitionerConfig};
-use hopi_core::{old_join, CoverBuilder, HopiIndex, TwoHopCover};
+use hopi_core::{old_join, BuildStats, CoverBuilder, HopiIndex, TwoHopCover};
 use hopi_graph::{traversal, FixedBitSet, TransitiveClosure};
 use hopi_xml::{Collection, ElemId};
 use rustc_hash::FxHashMap;
@@ -119,6 +119,9 @@ pub struct BuildReport {
     pub total_ms: u64,
     /// PSG-join shape, when the PSG join ran.
     pub psg: Option<PsgJoinReport>,
+    /// Greedy-kernel counters (§3.2) summed over every cover the build
+    /// constructed: the partition covers and the PSG skeleton cover.
+    pub greedy: BuildStats,
 }
 
 impl BuildReport {
@@ -156,8 +159,10 @@ pub fn build_index(collection: &Collection, config: &BuildConfig) -> (HopiIndex,
     if collection.elem_id_bound() > 0 {
         cover.ensure_node(collection.elem_id_bound() as u32 - 1);
     }
-    for (local_cover, map) in &partition_covers {
+    let mut greedy = BuildStats::default();
+    for (local_cover, map, stats) in &partition_covers {
         cover.merge_remapped(local_cover, map);
+        greedy += stats;
     }
     let covers_ms = t_covers.elapsed().as_millis() as u64;
 
@@ -172,7 +177,7 @@ pub fn build_index(collection: &Collection, config: &BuildConfig) -> (HopiIndex,
                 }
             }
             JoinAlgorithm::Psg => {
-                let (entries, report) = psg_join(
+                let (entries, report, skeleton_stats) = psg_join(
                     collection,
                     &partitioning,
                     &mut cover,
@@ -180,6 +185,7 @@ pub fn build_index(collection: &Collection, config: &BuildConfig) -> (HopiIndex,
                 );
                 join_entries = entries;
                 psg_report = Some(report);
+                greedy += &skeleton_stats;
             }
         }
     }
@@ -195,12 +201,14 @@ pub fn build_index(collection: &Collection, config: &BuildConfig) -> (HopiIndex,
         join_ms,
         total_ms: t_total.elapsed().as_millis() as u64,
         psg: psg_report,
+        greedy,
     };
     (HopiIndex::from_cover(cover), report)
 }
 
-/// One partition's cover plus its local → global id map.
-type PartitionCover = (TwoHopCover, Vec<ElemId>);
+/// One partition's cover, its local → global id map and the greedy
+/// kernel's counters.
+type PartitionCover = (TwoHopCover, Vec<ElemId>, BuildStats);
 
 /// Computes all per-partition covers (possibly concurrently) together with
 /// their local → global id maps, in partition order.
@@ -222,17 +230,17 @@ fn build_partition_covers(
             partitioning.partition_element_graph(collection, p as u32);
         let tc = TransitiveClosure::from_graph(&graph);
         let builder = CoverBuilder::new(&tc);
-        let cover = match preselect.get(&(p as u32)) {
+        let (cover, stats) = match preselect.get(&(p as u32)) {
             Some(targets) => {
                 let locals: Vec<u32> = targets
                     .iter()
                     .filter_map(|t| global_to_local.get(t).copied())
                     .collect();
-                builder.build_with_preselected(&locals).0
+                builder.build_with_preselected(&locals)
             }
-            None => builder.build(),
+            None => builder.build_with_stats(),
         };
-        (cover, local_to_global)
+        (cover, local_to_global, stats)
     };
 
     if workers <= 1 || m <= 1 {
@@ -286,7 +294,7 @@ fn psg_join(
     partitioning: &Partitioning,
     cover: &mut TwoHopCover,
     direct_threshold: usize,
-) -> (usize, PsgJoinReport) {
+) -> (usize, PsgJoinReport, BuildStats) {
     // All skeleton inputs are computed against the pre-join cover, which is
     // exact for intra-partition connections and empty across partitions.
     let psg = PartitionSkeletonGraph::build(collection, partitioning, |_, from, to| {
@@ -324,7 +332,7 @@ fn psg_join(
     // needs `y` present on the Lin side too, and vice versa). Connections
     // whose source and target skeleton node coincide are already covered
     // by that partition's own cover and need no join entries at all.
-    let skeleton_cover = CoverBuilder::new(&skeleton_tc).build();
+    let (skeleton_cover, skeleton_stats) = CoverBuilder::new(&skeleton_tc).build_with_stats();
     let mut entries = 0usize;
     for x in 0..n as u32 {
         for &w in skeleton_cover.lout(x) {
@@ -360,7 +368,7 @@ fn psg_join(
         edges: psg.graph.edge_count(),
         chunks,
     };
-    (entries, report)
+    (entries, report, skeleton_stats)
 }
 
 #[cfg(test)]
@@ -436,6 +444,35 @@ mod tests {
         assert_eq!(report.join_entries, 0);
         assert!(report.psg.is_none());
         assert_exact(&c, &index);
+    }
+
+    #[test]
+    fn greedy_counters_are_summed_over_all_covers() {
+        let c = linked_collection();
+        let flat = BuildConfig {
+            partitioner: PartitionerChoice::Flat,
+            ..Default::default()
+        };
+        let tc = TransitiveClosure::from_graph(&c.element_graph());
+        let (_, direct) = CoverBuilder::new(&tc).build_with_stats();
+        assert_eq!(build_index(&c, &flat).1.greedy, direct);
+
+        // Three one-document covers plus the skeleton cover of the join.
+        let per_document = BuildConfig {
+            partitioner: PartitionerChoice::PerDocument,
+            join: JoinAlgorithm::Psg,
+            ..Default::default()
+        };
+        let greedy = build_index(&c, &per_document).1.greedy;
+        let one_document = {
+            let (graph, ..) = Partitioning::per_document(&c).partition_element_graph(&c, 0);
+            let tc = TransitiveClosure::from_graph(&graph);
+            CoverBuilder::new(&tc).build_with_stats().1
+        };
+        assert!(greedy.centers > 3 * one_document.centers);
+        assert!(greedy.densest_evals > 3 * one_document.densest_evals);
+        assert!(greedy.peel_offered > 3 * one_document.peel_offered);
+        assert!(greedy.peel_removed <= greedy.peel_offered);
     }
 
     #[test]

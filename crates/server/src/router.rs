@@ -213,6 +213,15 @@ fn stats(state: &AppState) -> Response {
     w.field_u64("freeze", s.build.freeze_ms);
     w.field_u64("total", s.build.total_ms);
     w.close_obj();
+    // What the greedy kernel did in that build; `peel_removed` over
+    // `peel_offered` is the share of peel work the early exit left.
+    w.field_obj("build");
+    w.field_u64("centers", s.greedy.centers as u64);
+    w.field_u64("densest_evals", s.greedy.densest_evals as u64);
+    w.field_u64("reinsertions", s.greedy.reinsertions as u64);
+    w.field_u64("peel_offered", s.greedy.peel_offered as u64);
+    w.field_u64("peel_removed", s.greedy.peel_removed as u64);
+    w.close_obj();
     // Per-endpoint latency digests from the histogram registry —
     // p50/p95/p99 without waiting for a Prometheus scrape.
     w.field_arr("latency");

@@ -65,6 +65,12 @@ fn read_endpoints_answer_from_one_snapshot() {
         Some(true)
     );
     assert!(stats.get("cover_entries").and_then(Json::as_u64).unwrap() > 0);
+    // The greedy kernel's counters of the build behind the snapshot.
+    let build = stats.get("build").expect("build object in /stats");
+    let counter = |name: &str| build.get(name).and_then(Json::as_u64).expect(name);
+    assert!(counter("centers") > 0 && counter("densest_evals") > 0);
+    assert!(counter("peel_offered") > 0 && counter("peel_removed") <= counter("peel_offered"));
+    counter("reinsertions");
 
     // a's root (0) reaches b's sec (3) across the citation link.
     let conn = get_json(&mut c, "/connected?u=0&v=3");
