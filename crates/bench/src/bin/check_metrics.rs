@@ -18,7 +18,9 @@
 //!   within each label set;
 //! * the required families for the serving path are present:
 //!   `hopi_build_info`, `hopi_request_duration_seconds`,
-//!   `hopi_requests_total`.
+//!   `hopi_requests_total`, and the publish cost:
+//!   `hopi_publish_duration_seconds`, `hopi_publish_total`,
+//!   `hopi_publish_rows_patched_total`.
 //!
 //! ```sh
 //! cargo run -p hopi-bench --bin check_metrics -- metrics.prom
@@ -32,6 +34,9 @@ const REQUIRED_FAMILIES: &[&str] = &[
     "hopi_build_info",
     "hopi_requests_total",
     "hopi_request_duration_seconds",
+    "hopi_publish_duration_seconds",
+    "hopi_publish_total",
+    "hopi_publish_rows_patched_total",
 ];
 
 fn main() -> ExitCode {
@@ -300,11 +305,30 @@ hopi_request_duration_seconds_bucket{endpoint=\"query\",le=\"0.001\"} 3
 hopi_request_duration_seconds_bucket{endpoint=\"query\",le=\"+Inf\"} 7
 hopi_request_duration_seconds_sum{endpoint=\"query\"} 0.5
 hopi_request_duration_seconds_count{endpoint=\"query\"} 7
+# TYPE hopi_publish_duration_seconds histogram
+hopi_publish_duration_seconds_bucket{le=\"0.000192\"} 2
+hopi_publish_duration_seconds_bucket{le=\"+Inf\"} 3
+hopi_publish_duration_seconds_sum 0.0034
+hopi_publish_duration_seconds_count 3
+# TYPE hopi_publish_total counter
+hopi_publish_total{kind=\"patched\"} 2
+hopi_publish_total{kind=\"full\"} 1
+# TYPE hopi_publish_rows_patched_total counter
+hopi_publish_rows_patched_total 12
 ";
 
     #[test]
     fn accepts_a_well_formed_scrape() {
         assert!(check(GOOD).is_ok());
+    }
+
+    #[test]
+    fn requires_the_publish_families() {
+        let without = GOOD.replace("# TYPE hopi_publish_total counter\n", "");
+        assert!(check(&without)
+            .unwrap_err()
+            .iter()
+            .any(|e| e.contains("`hopi_publish_total` missing")));
     }
 
     #[test]
@@ -343,6 +367,9 @@ hopi_build_info 1
 hopi_requests_total 1
 # TYPE hopi_request_duration_seconds histogram
 hopi_request_duration_seconds_count 1
+# TYPE hopi_publish_duration_seconds histogram
+# TYPE hopi_publish_total counter
+# TYPE hopi_publish_rows_patched_total counter
 ";
         assert!(check(no_buckets)
             .unwrap_err()

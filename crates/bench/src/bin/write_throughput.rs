@@ -17,12 +17,21 @@
 //! (CI runs this), and the group-vs-per-op speedup at N threads is
 //! reported — the durability design target is ≥ 5×.
 //!
+//! The default collection is 32 single-element documents: an index so
+//! small that publishing a snapshot is free, which isolates the WAL.
+//! `--collection inex:<scale>` adds `none` and `group` rows on the
+//! INEX-like collection of the serving benches (two cross links per
+//! document) under leaf links, where every acknowledged write publishes a
+//! snapshot of a real index; `per_op` is left out there — it measures the
+//! disk, which the default rows already do.
+//!
 //! ```sh
 //! cargo run -p hopi-bench --release --bin write_throughput \
-//!     [--threads N] [--ops N] [--smoke] [--out BENCH_write.json]
+//!     [--threads N] [--ops N] [--collection inex:0.001] [--smoke] \
+//!     [--out BENCH_write.json]
 //! ```
 
-use hopi_bench::{flag_arg, TablePrinter};
+use hopi_bench::{add_cross_links, flag_arg, inex_collection, leaf_links, TablePrinter};
 use hopi_build::{DurableConfig, Hopi, OnlineHopi, SyncPolicy};
 use hopi_obs::{Histogram, HistogramSnapshot, Stopwatch};
 use hopi_xml::{Collection, XmlDocument};
@@ -36,6 +45,8 @@ const SMOKE_GROUP_FLOOR_OPS_PER_S: f64 = 300.0;
 
 /// One measured cell.
 struct Sample {
+    /// `docs:<n>` or `inex:<scale>`.
+    collection: String,
     config: &'static str,
     threads: usize,
     ops: usize,
@@ -77,31 +88,30 @@ fn link_plan(docs: u32, ops: usize) -> Vec<(u32, u32)> {
     plan
 }
 
-/// Runs `ops` link insertions split across `threads` writers against a
-/// fresh engine of the given durability configuration.
+/// Inserts the links of `plan`, split across `threads` writers, into a
+/// copy of `engine` served under the given durability configuration.
 fn run(
+    collection: &str,
+    engine: &Hopi,
+    plan: &[(u32, u32)],
     config: &'static str,
     policy: Option<SyncPolicy>,
-    docs: u32,
     threads: usize,
-    ops: usize,
 ) -> Sample {
-    let collection = doc_collection(docs);
     let state_dir = std::env::temp_dir().join(format!(
         "hopi_write_bench_{config}_{threads}_{}",
         std::process::id()
     ));
     std::fs::remove_dir_all(&state_dir).ok();
     let online = match policy {
-        None => OnlineHopi::new(Hopi::build(collection).expect("valid collection")),
-        Some(policy) => OnlineHopi::open_durable(
+        None => OnlineHopi::new(engine.clone()),
+        Some(policy) => OnlineHopi::bootstrap_durable(
             &DurableConfig::new(&state_dir).policy(policy),
-            Hopi::builder(),
-            Some(collection),
+            engine.clone(),
         )
         .expect("durable open"),
     };
-    let plan = link_plan(docs, ops);
+    let ops = plan.len();
     let chunk = ops.div_ceil(threads);
     let latency = Histogram::new();
     let t0 = Instant::now();
@@ -122,6 +132,7 @@ fn run(
     drop(online);
     std::fs::remove_dir_all(&state_dir).ok();
     Sample {
+        collection: collection.to_string(),
         config,
         threads,
         ops,
@@ -140,9 +151,10 @@ fn render_json(docs: u32, smoke: bool, samples: &[Sample], speedup: f64) -> Stri
     ));
     for (i, r) in samples.iter().enumerate() {
         s.push_str(&format!(
-            "    {{\"config\": \"{}\", \"threads\": {}, \"ops\": {}, \
+            "    {{\"collection\": \"{}\", \"config\": \"{}\", \"threads\": {}, \"ops\": {}, \
              \"elapsed_ms\": {:.3}, \"ops_per_s\": {:.1}, \
              \"p50_us\": {}, \"p95_us\": {}, \"p99_us\": {}}}{}\n",
+            r.collection,
             r.config,
             r.threads,
             r.ops,
@@ -182,6 +194,11 @@ fn main() {
         ops <= docs as usize * (docs as usize - 1),
         "need docs*(docs-1) >= ops so every measured insert is a distinct link"
     );
+    let inex_scale = flag_arg(&args, "--collection").map(|c| {
+        c.strip_prefix("inex:")
+            .and_then(|scale| scale.parse::<f64>().ok())
+            .unwrap_or_else(|| panic!("--collection takes inex:<scale>, got {c}"))
+    });
 
     eprintln!(
         "write_throughput — {docs} docs, {ops} link inserts per cell, \
@@ -189,17 +206,38 @@ fn main() {
     );
 
     let mut samples = Vec::new();
+    let name = format!("docs:{docs}");
+    let engine = Hopi::build(doc_collection(docs)).expect("valid collection");
+    let plan = link_plan(docs, ops);
     for (config, policy) in [
         ("none", None),
         ("per_op", Some(SyncPolicy::PerOp)),
         ("group", Some(SyncPolicy::GroupCommit)),
     ] {
         for &t in &[1, threads] {
-            samples.push(run(config, policy, docs, t, ops));
+            samples.push(run(&name, &engine, &plan, config, policy, t));
+        }
+    }
+    if let Some(scale) = inex_scale {
+        let name = format!("inex:{scale}");
+        let mut collection = inex_collection(scale);
+        add_cross_links(&mut collection);
+        let plan = leaf_links(&collection, ops);
+        let engine = Hopi::build(collection).expect("valid collection");
+        let stats = engine.stats();
+        eprintln!(
+            "{name} + 2 cross links/doc — {} docs, {} elements, {} cover entries",
+            stats.documents, stats.elements, stats.cover_entries
+        );
+        for (config, policy) in [("none", None), ("group", Some(SyncPolicy::GroupCommit))] {
+            for &t in &[1, threads] {
+                samples.push(run(&name, &engine, &plan, config, policy, t));
+            }
         }
     }
 
     let t = TablePrinter::new(&[
+        ("collection", 12),
         ("config", 8),
         ("threads", 7),
         ("ops", 8),
@@ -210,6 +248,7 @@ fn main() {
     ]);
     for r in &samples {
         t.row(&[
+            r.collection.clone(),
             r.config.into(),
             r.threads.to_string(),
             r.ops.to_string(),
@@ -223,7 +262,7 @@ fn main() {
     let find = |config: &str, t: usize| {
         samples
             .iter()
-            .find(|s| s.config == config && s.threads == t)
+            .find(|s| s.collection == name && s.config == config && s.threads == t)
             .map(Sample::ops_per_s)
             .unwrap_or(0.0)
     };

@@ -131,6 +131,52 @@ pub fn add_cross_links(collection: &mut Collection) {
     }
 }
 
+/// `n` distinct, deterministic cross-document links that each touch a
+/// handful of labels: from an element of a document nothing links into
+/// (its ancestors are its tree ancestors) to a childless, linkless element
+/// of a document that is linked into (its only descendant is itself). A
+/// write bench over a linked collection inserts these, so that it measures
+/// the write path — maintenance, WAL, publish — and not cover growth: a
+/// link between arbitrary elements of a cross-linked INEX collection joins
+/// its giant strongly connected component and adds thousands of entries.
+pub fn leaf_links(collection: &Collection, n: usize) -> Vec<(u32, u32)> {
+    use rand::prelude::*;
+    use std::collections::HashSet;
+    let c = collection;
+    let linked_into: HashSet<u32> = c.links().iter().filter_map(|l| c.doc_of(l.to)).collect();
+    let links_out: HashSet<u32> = c.links().iter().map(|l| l.from).collect();
+    let (targets, sources): (Vec<u32>, Vec<u32>) =
+        c.doc_ids().partition(|d| linked_into.contains(d));
+    assert!(
+        !sources.is_empty() && !targets.is_empty(),
+        "leaf links need a document nothing links into and one something does"
+    );
+    let mut rng = StdRng::seed_from_u64(0x1eaf);
+    let mut pick = |among: &[u32]| {
+        let d = among[rng.gen_range(0..among.len())];
+        let doc = c.document(d).expect("live document");
+        (doc, c.global_id(d, rng.gen_range(0..doc.len() as u32)))
+    };
+    let mut seen = HashSet::new();
+    let mut out = Vec::with_capacity(n);
+    for _ in 0..n * 64 {
+        if out.len() == n {
+            break;
+        }
+        let (_, from) = pick(&sources);
+        let (target, to) = pick(&targets);
+        let local = c.to_local(to).expect("live element").1;
+        let is_leaf = target.element(local).children.is_empty()
+            && !links_out.contains(&to)
+            && target.intra_links().iter().all(|&(f, _)| f != local);
+        if is_leaf && seen.insert((from, to)) {
+            out.push((from, to));
+        }
+    }
+    assert_eq!(out.len(), n, "collection too small for {n} leaf links");
+    out
+}
+
 /// Scales a paper `Px` node cap (`x·10⁴` of 168,991 elements) to a
 /// collection with `elements` elements.
 pub fn scaled_px_cap(x: f64, elements: usize) -> u64 {

@@ -8,23 +8,24 @@
 //! inherent methods, with [`HopiError`] as the single error type.
 
 use crate::error::HopiError;
-use hopi_core::{DistanceCover, DistanceCoverBuilder, HopiIndex};
+use hopi_core::{DistanceCover, DistanceCoverBuilder, FrozenCover, HopiIndex};
 use hopi_graph::DistanceClosure;
 use hopi_maintenance::{
     degradation, delete_document, delete_link, insert_document, insert_link, modify_document,
     should_rebuild, Degradation, DeletionOutcome, DocumentLinks, RebuildPolicy,
 };
+use hopi_obs::Stopwatch;
 use hopi_partition::{build_index, BuildConfig, BuildReport, JoinAlgorithm, PartitionerChoice};
 use hopi_query::{
     evaluate_ranked_with_text, parse_path, with_thread_evaluator, EvalOptions, PlanCounters,
     QueryPlanReport, RankedMatch, TagIndex,
 };
 use hopi_store::{load_index, save_frozen, save_store, LinLoutStore, StoredIndex};
-use hopi_text::{TextIndex, TextSource, TextStats};
+use hopi_text::{FrozenTextIndex, TextIndex, TextSource, TextStats};
 use hopi_xml::parser::{parse_collection, parse_document};
 use hopi_xml::{Collection, DocId, ElemId, XmlDocument};
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Tunables of the facade's query methods.
 #[derive(Clone, Copy, Debug)]
@@ -196,9 +197,10 @@ impl HopiBuilder {
         Ok(Hopi {
             collection,
             index,
-            tags,
+            tags: Arc::new(tags),
             distance,
             text,
+            frozen_text: OnceLock::new(),
             config: self.config,
             options: self.options,
             report,
@@ -283,9 +285,10 @@ impl HopiBuilder {
         Ok(Hopi {
             collection,
             index,
-            tags,
+            tags: Arc::new(tags),
             distance,
             text,
+            frozen_text: OnceLock::new(),
             config: self.config,
             options: self.options,
             report,
@@ -335,11 +338,16 @@ impl HopiBuilder {
 pub struct Hopi {
     collection: Collection,
     index: HopiIndex,
-    tags: TagIndex,
+    /// Shared with the snapshots captured since a document last came or
+    /// went; such a change copies it first (`Arc::make_mut`).
+    tags: Arc<TagIndex>,
     distance: Option<DistanceCover>,
     /// Term-level inverted index over element text, kept in lockstep with
     /// the collection (content predicates consult it).
     text: TextIndex,
+    /// The frozen form of `text`: built by the first capture that needs
+    /// it, shared by every snapshot until a mutation changes text.
+    frozen_text: OnceLock<Arc<FrozenTextIndex>>,
     config: BuildConfig,
     options: QueryOptions,
     report: BuildReport,
@@ -425,10 +433,10 @@ impl Hopi {
     /// annotations included for a distance-aware engine) — what
     /// [`Hopi::save_frozen`] persists and what a durable checkpoint
     /// stores.
-    pub(crate) fn freeze(&self) -> hopi_core::FrozenCover {
+    pub(crate) fn freeze(&self) -> FrozenCover {
         match &self.distance {
-            Some(cover) => hopi_core::FrozenCover::from_distance_cover(cover),
-            None => hopi_core::FrozenCover::from_cover(self.index.cover()),
+            Some(cover) => FrozenCover::from_distance_cover(cover),
+            None => FrozenCover::from_cover(self.index.cover()),
         }
     }
 
@@ -544,13 +552,7 @@ impl Hopi {
     ) -> Result<DocId, HopiError> {
         self.validate_document_links(&doc, links)?;
         let d = insert_document(&mut self.collection, &mut self.index, doc, links);
-        self.tags = TagIndex::build(&self.collection);
-        // Insertions extend the term index incrementally; the fresh
-        // document occupies a fresh global-id range.
-        if let Some(inserted) = self.collection.document(d) {
-            self.text
-                .index_document(self.collection.global_id(d, 0), inserted);
-        }
+        self.index_document(d);
         if let Some(cover) = self.distance.as_mut() {
             // Insertions update the distance cover incrementally (§6); only
             // deletions fall back to a recompute.
@@ -617,11 +619,9 @@ impl Hopi {
     /// Deletes a document (Theorem 2 fast path when it separates the
     /// document graph, Theorem 3 otherwise — paper §6.2).
     pub fn delete_document(&mut self, d: DocId) -> Result<DeletionOutcome, HopiError> {
-        if self.collection.document(d).is_none() {
-            return Err(HopiError::UnknownDocument(d));
-        }
+        self.unindex_document(d)?;
         let outcome = delete_document(&mut self.collection, &mut self.index, d);
-        self.after_structural_change();
+        self.refresh_distance();
         Ok(outcome)
     }
 
@@ -647,8 +647,10 @@ impl Hopi {
             return Err(HopiError::UnknownDocument(d));
         }
         self.validate_modify_links(d, &new_doc, links)?;
+        self.unindex_document(d)?;
         let new_id = modify_document(&mut self.collection, &mut self.index, d, new_doc, links);
-        self.after_structural_change();
+        self.index_document(new_id);
+        self.refresh_distance();
         Ok(new_id)
     }
 
@@ -683,24 +685,74 @@ impl Hopi {
     /// [`HopiSnapshot`](crate::HopiSnapshot)). The snapshot answers
     /// queries identically to this engine at capture time and is unaffected
     /// by later mutations.
-    pub fn snapshot(&self) -> std::sync::Arc<crate::HopiSnapshot> {
-        self.snapshot_at_epoch(0)
+    pub fn snapshot(&self) -> Arc<crate::HopiSnapshot> {
+        let sw = Stopwatch::start();
+        let frozen = FrozenCover::from_cover(self.index.cover());
+        Arc::new(self.capture(frozen, None, 0, sw))
     }
 
-    /// Captures a snapshot stamped with a serving epoch (what
-    /// [`crate::OnlineHopi`] publishes; plain [`Hopi::snapshot`] stamps 0).
-    pub(crate) fn snapshot_at_epoch(&self, epoch: u64) -> std::sync::Arc<crate::HopiSnapshot> {
-        std::sync::Arc::new(crate::HopiSnapshot::capture(
-            &self.collection,
-            self.index.cover(),
-            self.distance.as_ref(),
-            &self.tags,
-            std::sync::Arc::new(hopi_text::FrozenTextIndex::from_index(&self.text)),
-            self.options,
+    /// Captures the snapshot that succeeds `prev` at serving epoch `epoch`
+    /// (what [`crate::OnlineHopi`] publishes): takes the cover's journal
+    /// and patches `prev`'s frozen cover with it, so the capture costs what
+    /// the mutations since `prev` touched. A journal that is not relative
+    /// to `prev` — the first capture of an engine, a rebuilt or thawed
+    /// cover, an overflow — freezes in full.
+    pub(crate) fn snapshot_after(
+        &mut self,
+        prev: Option<&crate::HopiSnapshot>,
+        epoch: u64,
+    ) -> Arc<crate::HopiSnapshot> {
+        let sw = Stopwatch::start();
+        let dirty = self.index.cover_mut().take_journal();
+        let unstamped = FrozenCover::default();
+        let base = prev.map_or(&unstamped, |p| p.frozen());
+        let frozen = FrozenCover::patched(base, self.index.cover(), &dirty);
+        debug_assert!(
+            frozen == FrozenCover::from_cover(self.index.cover()),
+            "a patched cover equals a full freeze"
+        );
+        let patch = prev.filter(|_| dirty.applies_to(base));
+        Arc::new(self.capture(frozen, patch.map(|p| (p, dirty.len())), epoch, sw))
+    }
+
+    /// Assembles a snapshot around an already frozen cover. `patched`
+    /// names the snapshot the cover was patched from and the rows the
+    /// patch took from the mutable cover; `None` is a full freeze.
+    fn capture(
+        &self,
+        frozen: FrozenCover,
+        patched: Option<(&crate::HopiSnapshot, usize)>,
+        epoch: u64,
+        sw: Stopwatch,
+    ) -> crate::HopiSnapshot {
+        let frozen_distance = self.distance.as_ref().map(FrozenCover::from_distance_cover);
+        // Of interest beside the build phases is what a *full* freeze
+        // costs; a patch keeps the last one's reading.
+        let freeze_ms = match patched {
+            Some((prev, _)) => prev.build.freeze_ms,
+            None => sw.elapsed().as_millis() as u64,
+        };
+        let text = self
+            .frozen_text
+            .get_or_init(|| Arc::new(FrozenTextIndex::from_index(&self.text)));
+        crate::HopiSnapshot {
+            collection: self.collection.clone(),
+            frozen,
+            frozen_distance,
+            ranked: self.distance.clone(),
+            tags: self.tags.clone(),
+            text: text.clone(),
+            options: self.options,
             epoch,
-            self.plan_counters.clone(),
-            &self.report,
-        ))
+            plan_counters: self.plan_counters.clone(),
+            build: crate::BuildPhaseTimings::from_report(&self.report, freeze_ms),
+            greedy: self.report.greedy,
+            publish: crate::PublishStats {
+                micros: sw.elapsed_micros(),
+                patched: patched.is_some(),
+                rows_patched: patched.map_or(0, |(_, rows)| rows),
+            },
+        }
     }
 
     // ------------------------------------------------------------------
@@ -782,15 +834,39 @@ impl Hopi {
         self.distance.as_ref().ok_or(HopiError::DistanceDisabled)
     }
 
-    /// Re-derives the structures deletions do not update incrementally
-    /// (tag index and term index; distance cover when enabled — the paper
-    /// gives incremental distance maintenance for insertions only).
-    fn after_structural_change(&mut self) {
-        self.tags = TagIndex::build(&self.collection);
-        self.text = TextIndex::build(&self.collection);
-        self.refresh_distance();
+    /// Adds document `d`, just inserted into the collection, to the tag
+    /// and term indexes. Its ids exceed all indexed ones, so both append.
+    fn index_document(&mut self, d: DocId) {
+        let Some(doc) = self.collection.document(d) else {
+            return;
+        };
+        let base = self.collection.global_id(d, 0);
+        Arc::make_mut(&mut self.tags).index_document(base, doc);
+        if doc.texts().next().is_some() {
+            self.text.index_document(base, doc);
+            self.frozen_text.take();
+        }
     }
 
+    /// Drops document `d` from the tag and term indexes. Runs **before**
+    /// the document leaves the collection: its tags and text say which
+    /// rows to drain.
+    fn unindex_document(&mut self, d: DocId) -> Result<(), HopiError> {
+        let doc = self
+            .collection
+            .document(d)
+            .ok_or(HopiError::UnknownDocument(d))?;
+        let base = self.collection.global_id(d, 0);
+        Arc::make_mut(&mut self.tags).remove_document(base, doc);
+        if doc.texts().next().is_some() {
+            self.text.remove_document(base, doc);
+            self.frozen_text.take();
+        }
+        Ok(())
+    }
+
+    /// Recomputes the distance cover, when enabled, after a deletion (the
+    /// paper gives incremental distance maintenance for insertions only).
     fn refresh_distance(&mut self) {
         if self.distance.is_some() {
             self.distance = Some(build_distance_cover(&self.collection));

@@ -65,8 +65,8 @@ pub use durable::{
 };
 pub use error::HopiError;
 pub use facade::{Hopi, HopiBuilder, QueryOptions, Stats};
-pub use online::OnlineHopi;
-pub use snapshot::{BuildPhaseTimings, HopiSnapshot, SnapshotStats};
+pub use online::{OnlineHopi, PublishTotals};
+pub use snapshot::{BuildPhaseTimings, HopiSnapshot, PublishStats, SnapshotStats};
 
 // The WAL sync policy, on-disk format version, and the pluggable I/O
 // backend (StdVfs in production, FaultVfs under fault injection) are

@@ -7,7 +7,11 @@
 //! clone in O(1). Mutations take the write lock briefly, apply the
 //! incremental §6 algorithms, and publish a fresh snapshot before
 //! releasing it (epoch style: in-flight queries finish on the epoch they
-//! started with; new queries see the new one). Background rebuilds
+//! started with; new queries see the new one). A published snapshot is
+//! captured as the *successor* of the one it replaces — frozen cover
+//! patched from the cover's row journal, unchanged documents and derived
+//! indexes shared — so a publish costs what the mutation touched, not
+//! what the index holds. Background rebuilds
 //! ([`OnlineHopi::rebuild_in_background`]) build on a collection snapshot
 //! outside any lock, replay the updates that arrived mid-build, swap the
 //! fresh engine in atomically, and publish its snapshot.
@@ -24,11 +28,12 @@
 use crate::durable::{recover_dir, DirLock, Durability, DurableConfig};
 use crate::error::HopiError;
 use crate::facade::{Hopi, HopiBuilder};
-use crate::snapshot::{HopiSnapshot, SnapshotStats};
+use crate::snapshot::{HopiSnapshot, PublishStats, SnapshotStats};
 use crate::{CheckpointStats, WalStats};
 use hopi_maintenance::{
     collection_delta, delta_replays_exactly, CollectionUpdate, DeletionOutcome, DocumentLinks,
 };
+use hopi_obs::{Histogram, HistogramSnapshot};
 use hopi_partition::BuildReport;
 use hopi_query::RankedMatch;
 use hopi_store::WalRecord;
@@ -37,6 +42,45 @@ use parking_lot::RwLock;
 use rustc_hash::FxHashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// What publishing has cost since the engine was wrapped: one histogram
+/// sample and one counter tick per published snapshot (see
+/// [`OnlineHopi::publish_totals`]).
+#[derive(Debug, Default)]
+struct PublishMetrics {
+    duration: Histogram,
+    patched: AtomicU64,
+    full: AtomicU64,
+    rows_patched: AtomicU64,
+}
+
+impl PublishMetrics {
+    fn record(&self, publish: &PublishStats) {
+        self.duration.record_micros(publish.micros);
+        let kind = if publish.patched {
+            &self.patched
+        } else {
+            &self.full
+        };
+        kind.fetch_add(1, Ordering::Relaxed);
+        self.rows_patched
+            .fetch_add(publish.rows_patched as u64, Ordering::Relaxed);
+    }
+}
+
+/// Point-in-time copy of an engine's publish metrics (surfaced at
+/// `/metrics`; the last publish alone is [`SnapshotStats::publish`]).
+#[derive(Clone, Debug)]
+pub struct PublishTotals {
+    /// Capture wall time of every published snapshot, microsecond buckets.
+    pub duration: HistogramSnapshot,
+    /// Snapshots whose frozen cover was patched from the previous epoch's.
+    pub patched: u64,
+    /// Snapshots frozen in full.
+    pub full: u64,
+    /// Rows the patches took from the mutable cover, in total.
+    pub rows_patched: u64,
+}
 
 /// A concurrently queryable HOPI engine: lock-free snapshot reads,
 /// non-blocking rebuilds.
@@ -68,18 +112,23 @@ pub struct OnlineHopi {
     /// Durable mode (write-ahead log + checkpoints); `None` for plain
     /// in-memory serving.
     durability: Option<Arc<Durability>>,
+    publishes: Arc<PublishMetrics>,
 }
 
 impl OnlineHopi {
     /// Wraps a built engine for concurrent use, publishing its first
-    /// snapshot.
-    pub fn new(hopi: Hopi) -> Self {
-        let snapshot = hopi.snapshot();
+    /// snapshot (a full freeze; it starts the cover's journal, so later
+    /// publishes patch).
+    pub fn new(mut hopi: Hopi) -> Self {
+        let snapshot = hopi.snapshot_after(None, 0);
+        let publishes = PublishMetrics::default();
+        publishes.record(&snapshot.publish);
         OnlineHopi {
             engine: Arc::new(RwLock::new(hopi)),
             serving: Arc::new(RwLock::new(snapshot)),
             epoch: Arc::new(AtomicU64::new(0)),
             durability: None,
+            publishes: Arc::new(publishes),
         }
     }
 
@@ -180,6 +229,18 @@ impl OnlineHopi {
     /// batch-size histograms; `None` for a non-durable engine.
     pub fn wal_histograms(&self) -> Option<crate::durable::WalHistograms> {
         self.durability.as_ref().map(|d| d.histograms())
+    }
+
+    /// What publishing snapshots has cost so far: the capture-time
+    /// distribution, how many covers were patched and how many frozen in
+    /// full, and the rows the patches rewrote.
+    pub fn publish_totals(&self) -> PublishTotals {
+        PublishTotals {
+            duration: self.publishes.duration.snapshot(),
+            patched: self.publishes.patched.load(Ordering::Relaxed),
+            full: self.publishes.full.load(Ordering::Relaxed),
+            rows_patched: self.publishes.rows_patched.load(Ordering::Relaxed),
+        }
     }
 
     /// Atomically persists the current state (collection + frozen cover +
@@ -285,7 +346,7 @@ impl OnlineHopi {
                 .map(|_| ()),
             None => Ok(()),
         };
-        self.publish(&guard);
+        self.publish(&mut guard);
         checkpointed.map(|()| out)
     }
 
@@ -468,7 +529,7 @@ impl OnlineHopi {
             }
         }
         *guard = fresh;
-        self.publish(&guard);
+        self.publish(&mut guard);
         report
     }
 
@@ -522,7 +583,7 @@ impl OnlineHopi {
                         // logged; publish (readers may as well see it) and
                         // report the durability failure. `append` poisoned
                         // the layer, so no later ack can outrun this hole.
-                        self.publish(&guard);
+                        self.publish(&mut guard);
                         return Err(e);
                     }
                 };
@@ -530,7 +591,7 @@ impl OnlineHopi {
             }
             _ => None,
         };
-        self.publish(&guard);
+        self.publish(&mut guard);
         drop(guard);
         if let (Some(d), Some(seq)) = (&self.durability, committed_seq) {
             d.commit(seq)?;
@@ -538,13 +599,19 @@ impl OnlineHopi {
         Ok(out)
     }
 
-    /// Publishes the engine's current state as the serving epoch. Caller
-    /// holds the engine write lock, so the capture is consistent and epoch
-    /// numbers are published in order; lock order is always engine →
-    /// serving.
-    fn publish(&self, engine: &Hopi) {
+    /// Publishes the engine's current state as the serving epoch, captured
+    /// as the successor of the epoch it replaces. Caller holds the engine
+    /// write lock, so the capture is consistent, the journal it takes is
+    /// the one the serving snapshot started, and epoch numbers are
+    /// published in order; lock order is always engine → serving.
+    fn publish(&self, engine: &mut Hopi) {
         let epoch = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
-        let snapshot = engine.snapshot_at_epoch(epoch);
-        *self.serving.write() = snapshot;
+        let prev = self.snapshot();
+        let snapshot = engine.snapshot_after(Some(&prev), epoch);
+        self.publishes.record(&snapshot.publish);
+        // Readers queue on `serving` for their `Arc` clone: swap under
+        // the lock, run the replaced snapshot's destructor after it.
+        let replaced = std::mem::replace(&mut *self.serving.write(), snapshot);
+        drop((prev, replaced));
     }
 }

@@ -10,11 +10,15 @@
 //! [`crate::OnlineHopi`] swaps a fresh snapshot in after each mutation
 //! batch or background rebuild (epoch style): in-flight readers keep the
 //! epoch they started with, new readers pick up the new one.
+//!
+//! Consecutive epochs share what the mutation between them left alone:
+//! the documents (each behind an `Arc` inside [`Collection`]), the tag
+//! index and the frozen term index; and the frozen cover of an epoch is
+//! patched from its predecessor's (see [`FrozenCover::patched`]).
 
 use crate::error::HopiError;
 use crate::facade::QueryOptions;
 use hopi_core::{BuildStats, DistanceCover, FrozenCover};
-use hopi_obs::Stopwatch;
 use hopi_partition::BuildReport;
 use hopi_query::{
     evaluate_ranked_with_text, parse_path, PlanCounters, PlanCounts, QueryPlanReport, RankedMatch,
@@ -38,7 +42,9 @@ pub struct BuildPhaseTimings {
     pub covers_ms: u64,
     /// Joining covers across partitions (§4.1).
     pub join_ms: u64,
-    /// Freezing the cover into serving CSR form at capture.
+    /// Freezing the cover into serving CSR form — the last *full* freeze;
+    /// the patches that publish most epochs leave it standing (their cost
+    /// is [`SnapshotStats::publish`]).
     pub freeze_ms: u64,
     /// Build total (partition + covers + join) plus the freeze.
     pub total_ms: u64,
@@ -52,6 +58,32 @@ impl BuildPhaseTimings {
             join_ms: report.join_ms,
             freeze_ms,
             total_ms: report.total_ms + freeze_ms,
+        }
+    }
+}
+
+/// How a snapshot came to be (see [`SnapshotStats::publish`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PublishStats {
+    /// Wall time of the capture, microseconds.
+    pub micros: u64,
+    /// Was the frozen cover patched from the previous epoch's (`true`) or
+    /// frozen in full (`false`: first capture of an engine, after a
+    /// rebuild, or a mutation that touched more rows than the cover has)?
+    pub patched: bool,
+    /// Label and holder rows the patch took from the mutable cover (0 for
+    /// a full freeze).
+    pub rows_patched: usize,
+}
+
+impl PublishStats {
+    /// `"patched"` or `"full"` — the `kind` label of
+    /// `hopi_publish_total`.
+    pub fn kind(&self) -> &'static str {
+        if self.patched {
+            "patched"
+        } else {
+            "full"
         }
     }
 }
@@ -98,6 +130,8 @@ pub struct SnapshotStats {
     /// Greedy-kernel counters of that build (centers committed, center
     /// graphs evaluated, vertices offered to / removed by the peels).
     pub greedy: BuildStats,
+    /// What capturing this snapshot cost, and how its cover was frozen.
+    pub publish: PublishStats,
 }
 
 /// A point-in-time, immutable serving view of an engine: frozen cover +
@@ -121,64 +155,35 @@ pub struct SnapshotStats {
 /// ```
 #[derive(Clone, Debug)]
 pub struct HopiSnapshot {
-    collection: Collection,
-    frozen: FrozenCover,
+    pub(crate) collection: Collection,
+    pub(crate) frozen: FrozenCover,
     /// Distance-annotated frozen cover, when the engine is distance-aware.
-    frozen_distance: Option<FrozenCover>,
+    pub(crate) frozen_distance: Option<FrozenCover>,
     /// The mutable-form distance cover, kept for ranked evaluation.
-    ranked: Option<DistanceCover>,
-    tags: TagIndex,
-    /// Frozen term-level inverted index behind an `Arc`, swapped in with
-    /// each published epoch (content predicates consult it).
-    text: Arc<FrozenTextIndex>,
-    options: QueryOptions,
+    pub(crate) ranked: Option<DistanceCover>,
+    /// Shared with the engine and the neighbouring epochs until a
+    /// document comes or goes.
+    pub(crate) tags: Arc<TagIndex>,
+    /// Frozen term-level inverted index, shared likewise until a mutation
+    /// changes text (content predicates consult it).
+    pub(crate) text: Arc<FrozenTextIndex>,
+    pub(crate) options: QueryOptions,
     /// The serving epoch this snapshot was published at (see
     /// [`SnapshotStats::epoch`]).
-    epoch: u64,
+    pub(crate) epoch: u64,
     /// Engine-shared per-strategy execution counters (every query against
     /// this snapshot tallies its `//`-step plans here).
-    plan_counters: Arc<PlanCounters>,
+    pub(crate) plan_counters: Arc<PlanCounters>,
     /// Phase timings of the build behind this snapshot (see
     /// [`BuildPhaseTimings`]).
-    build: BuildPhaseTimings,
+    pub(crate) build: BuildPhaseTimings,
     /// Greedy-kernel counters of that build.
-    greedy: BuildStats,
+    pub(crate) greedy: BuildStats,
+    /// How this snapshot was captured (see [`PublishStats`]).
+    pub(crate) publish: PublishStats,
 }
 
 impl HopiSnapshot {
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn capture(
-        collection: &Collection,
-        cover: &hopi_core::TwoHopCover,
-        distance: Option<&DistanceCover>,
-        tags: &TagIndex,
-        text: Arc<FrozenTextIndex>,
-        options: QueryOptions,
-        epoch: u64,
-        plan_counters: Arc<PlanCounters>,
-        report: &BuildReport,
-    ) -> Self {
-        // The freeze is itself a build phase worth watching: CSR packing
-        // is linear but runs on every publish.
-        let sw = Stopwatch::start();
-        let frozen = FrozenCover::from_cover(cover);
-        let frozen_distance = distance.map(FrozenCover::from_distance_cover);
-        let freeze_ms = sw.elapsed().as_millis() as u64;
-        HopiSnapshot {
-            collection: collection.clone(),
-            frozen,
-            frozen_distance,
-            ranked: distance.cloned(),
-            tags: tags.clone(),
-            text,
-            options,
-            epoch,
-            plan_counters,
-            build: BuildPhaseTimings::from_report(report, freeze_ms),
-            greedy: report.greedy,
-        }
-    }
-
     /// The connection test `u →* v` (reflexive), allocation-free.
     pub fn connected(&self, u: ElemId, v: ElemId) -> bool {
         self.frozen.connected(u, v)
@@ -329,6 +334,7 @@ impl HopiSnapshot {
             text_indexed_elements: self.text.indexed_elements(),
             build: self.build,
             greedy: self.greedy,
+            publish: self.publish,
         }
     }
 

@@ -13,9 +13,109 @@
 //! the index is maintained eagerly on every label edit.
 
 use rustc_hash::FxHashSet;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Node identifier (matches `hopi_graph::NodeId`).
 pub type NodeId = u32;
+
+/// Source of journal stamps. Process-wide, so that clones of one cover —
+/// which copy its journal — can never hand out the same stamp for two
+/// different states. Relaxed: a stamp only has to be unique.
+static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
+
+/// The rows of a [`TwoHopCover`] edited since its journal was last taken.
+///
+/// Invariant: while `since != 0`, every `Lin`/`Lout` row and every inverted
+/// holder row that differs from the cover's state at take `since` is in
+/// the matching list (possibly more than once). `since == 0` means no such
+/// take exists — a fresh, thawed or rebuilt cover, or a journal that
+/// outgrew its bound — and reads "everything".
+#[derive(Clone, Debug, Default)]
+struct Journal {
+    since: u64,
+    lin: Vec<NodeId>,
+    lout: Vec<NodeId>,
+    inv_in: Vec<NodeId>,
+    inv_out: Vec<NodeId>,
+}
+
+impl Journal {
+    /// The entry `(node, center)` of `Lout` was added or removed: row
+    /// `Lout(node)` and holder row `inv_out(center)` changed.
+    fn touch_out(&mut self, node: NodeId, center: NodeId, n: usize) {
+        if self.since != 0 {
+            push_row(&mut self.lout, node);
+            push_row(&mut self.inv_out, center);
+            self.bound(n);
+        }
+    }
+
+    /// The entry `(node, center)` of `Lin` was added or removed.
+    fn touch_in(&mut self, node: NodeId, center: NodeId, n: usize) {
+        if self.since != 0 {
+            push_row(&mut self.lin, node);
+            push_row(&mut self.inv_in, center);
+            self.bound(n);
+        }
+    }
+
+    /// A list longer than the cover has rows is no cheaper to apply than a
+    /// full freeze: forget it and read "everything".
+    fn bound(&mut self, n: usize) {
+        let lists = [&self.lin, &self.lout, &self.inv_in, &self.inv_out];
+        if lists.iter().any(|list| list.len() > n) {
+            *self = Journal::default();
+        }
+    }
+}
+
+fn push_row(list: &mut Vec<NodeId>, row: NodeId) {
+    if list.last() != Some(&row) {
+        list.push(row);
+    }
+}
+
+/// A taken journal (see [`TwoHopCover::take_journal`]): which rows of the
+/// cover differ from the frozen cover stamped `base`, each list sorted and
+/// free of duplicates. Consumed by [`crate::FrozenCover::patched`].
+#[derive(Clone, Debug)]
+pub struct DirtyRows {
+    /// Stamp of the frozen cover the lists are relative to; 0 = none
+    /// (everything is dirty).
+    pub(crate) base: u64,
+    /// Stamp of the frozen cover produced from this take.
+    pub(crate) stamp: u64,
+    pub(crate) lin: Vec<NodeId>,
+    pub(crate) lout: Vec<NodeId>,
+    pub(crate) inv_in: Vec<NodeId>,
+    pub(crate) inv_out: Vec<NodeId>,
+}
+
+impl DirtyRows {
+    /// No earlier take to be relative to: every row counts as dirty.
+    pub fn is_everything(&self) -> bool {
+        self.base == 0
+    }
+
+    /// Can `prev` be patched with these rows? Only the frozen cover
+    /// produced from the previous take of the same journal qualifies:
+    /// a matching stamp. Anything else — a cover frozen outside the
+    /// journal (distance-annotated ones always are), another lineage's, a
+    /// stale one — costs a full freeze, never a wrong cover.
+    pub fn applies_to(&self, prev: &crate::FrozenCover) -> bool {
+        self.base != 0 && self.base == prev.stamp()
+    }
+
+    /// Dirty rows over all four sections (0 when everything is dirty).
+    pub fn len(&self) -> usize {
+        self.lin.len() + self.lout.len() + self.inv_in.len() + self.inv_out.len()
+    }
+
+    /// True when no row is listed.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
 
 /// A 2-hop cover over nodes `0..len`.
 ///
@@ -46,6 +146,8 @@ pub struct TwoHopCover {
     lin_entries: usize,
     /// Stored `Lout` entries.
     lout_entries: usize,
+    /// Rows edited since the last [`TwoHopCover::take_journal`].
+    journal: Journal,
 }
 
 impl TwoHopCover {
@@ -61,8 +163,7 @@ impl TwoHopCover {
             lout: vec![Vec::new(); n],
             inv_out: vec![Vec::new(); n],
             inv_in: vec![Vec::new(); n],
-            lin_entries: 0,
-            lout_entries: 0,
+            ..Self::default()
         }
     }
 
@@ -78,8 +179,7 @@ impl TwoHopCover {
             lout,
             inv_out: vec![Vec::new(); n],
             inv_in: vec![Vec::new(); n],
-            lin_entries: 0,
-            lout_entries: 0,
+            ..Self::default()
         };
         cover.lin.resize_with(n, Vec::new);
         cover.lout.resize_with(n, Vec::new);
@@ -165,6 +265,7 @@ impl TwoHopCover {
             return false;
         }
         self.ensure_node(node.max(center));
+        let n = self.lin.len();
         let row = &mut self.lout[node as usize];
         match row.binary_search(&center) {
             Ok(_) => false,
@@ -172,6 +273,7 @@ impl TwoHopCover {
                 row.insert(pos, center);
                 self.inv_out[center as usize].push(node);
                 self.lout_entries += 1;
+                self.journal.touch_out(node, center, n);
                 true
             }
         }
@@ -184,6 +286,7 @@ impl TwoHopCover {
             return false;
         }
         self.ensure_node(node.max(center));
+        let n = self.lin.len();
         let row = &mut self.lin[node as usize];
         match row.binary_search(&center) {
             Ok(_) => false,
@@ -191,6 +294,7 @@ impl TwoHopCover {
                 row.insert(pos, center);
                 self.inv_in[center as usize].push(node);
                 self.lin_entries += 1;
+                self.journal.touch_in(node, center, n);
                 true
             }
         }
@@ -298,6 +402,7 @@ impl TwoHopCover {
         let p = inv.iter().position(|&x| x == node).expect("inv_out sync");
         inv.swap_remove(p);
         self.lout_entries -= 1;
+        self.journal.touch_out(node, center, self.lin.len());
         true
     }
 
@@ -314,6 +419,7 @@ impl TwoHopCover {
         let p = inv.iter().position(|&x| x == node).expect("inv_in sync");
         inv.swap_remove(p);
         self.lin_entries -= 1;
+        self.journal.touch_in(node, center, self.lin.len());
         true
     }
 
@@ -371,11 +477,13 @@ impl TwoHopCover {
         }
         self.set_lout(u, &[]);
         self.set_lin(u, &[]);
+        let n = self.lin.len();
         for holder in std::mem::take(&mut self.inv_out[u as usize]) {
             let row = &mut self.lout[holder as usize];
             if let Ok(pos) = row.binary_search(&u) {
                 row.remove(pos);
                 self.lout_entries -= 1;
+                self.journal.touch_out(holder, u, n);
             }
         }
         for holder in std::mem::take(&mut self.inv_in[u as usize]) {
@@ -383,7 +491,43 @@ impl TwoHopCover {
             if let Ok(pos) = row.binary_search(&u) {
                 row.remove(pos);
                 self.lin_entries -= 1;
+                self.journal.touch_in(holder, u, n);
             }
+        }
+    }
+
+    /// Takes the journal of rows edited since the previous take and starts
+    /// a new one. The returned [`DirtyRows`] pairs with the
+    /// [`crate::FrozenCover`] produced from that previous take, by stamp;
+    /// the frozen cover [`crate::FrozenCover::patched`] builds from it
+    /// carries the new stamp, so consecutive takes chain.
+    ///
+    /// A cover that was never taken from — freshly constructed, thawed,
+    /// rebuilt — or whose journal outgrew [`TwoHopCover::num_nodes`]
+    /// entries yields [`DirtyRows::is_everything`]. Clones copy the
+    /// journal: each is relative to the same frozen cover and records its
+    /// own edits from there on.
+    pub fn take_journal(&mut self) -> DirtyRows {
+        let stamp = NEXT_STAMP.fetch_add(1, Ordering::Relaxed);
+        let taken = std::mem::replace(
+            &mut self.journal,
+            Journal {
+                since: stamp,
+                ..Journal::default()
+            },
+        );
+        let sorted = |mut rows: Vec<NodeId>| {
+            rows.sort_unstable();
+            rows.dedup();
+            rows
+        };
+        DirtyRows {
+            base: taken.since,
+            stamp,
+            lin: sorted(taken.lin),
+            lout: sorted(taken.lout),
+            inv_in: sorted(taken.inv_in),
+            inv_out: sorted(taken.inv_out),
         }
     }
 

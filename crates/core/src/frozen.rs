@@ -16,17 +16,20 @@
 //!
 //! A frozen cover optionally carries the distance annotations of a
 //! [`DistanceCover`] (paper §5), answering `distance` from the same layout.
-//! Freezing is one-way by construction, but [`FrozenCover::thaw`] /
+//! A serving engine freezes once and then *patches*: [`FrozenCover::patched`]
+//! assembles the successor of a frozen cover from the rows the mutable
+//! cover's journal lists as edited, field for field what a full freeze
+//! would build. Freezing is one-way by construction, but [`FrozenCover::thaw`] /
 //! [`FrozenCover::thaw_distance`] rebuild the mutable forms without any
 //! re-sorting — rows are stored sorted — which is how a persisted frozen
 //! blob is reopened for maintenance.
 
-use crate::cover::{sorted_intersects, NodeId, TwoHopCover};
+use crate::cover::{sorted_intersects, DirtyRows, NodeId, TwoHopCover};
 use crate::distance::DistanceCover;
 use crate::source::{CoverStats, LabelSource};
 
 /// Section boundaries of one node's rows inside the shared data buffer.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 struct Offsets {
     /// `len n + 1`, absolute indices into the shared buffer.
     off: Vec<u32>,
@@ -78,12 +81,103 @@ pub struct FrozenCover {
     /// Per-node signature of `Lin(v) ∪ {v}`.
     sig_in: Vec<u64>,
     n: usize,
+    /// Stamp of the journal take this cover was frozen at (see
+    /// [`TwoHopCover::take_journal`]); 0 when frozen outside the journal.
+    /// Identifies a state, not content: ignored by `==`.
+    stamp: u64,
+}
+
+/// Equality of the frozen *content* — every buffer, offset table and
+/// signature — which is what [`FrozenCover::patched`] guarantees against
+/// [`FrozenCover::from_cover`].
+impl PartialEq for FrozenCover {
+    fn eq(&self, other: &Self) -> bool {
+        self.n == other.n
+            && self.data == other.data
+            && self.lin == other.lin
+            && self.lout == other.lout
+            && self.inv_in == other.inv_in
+            && self.inv_out == other.inv_out
+            && self.dist == other.dist
+            && self.sig_out == other.sig_out
+            && self.sig_in == other.sig_in
+    }
 }
 
 /// One bit of the 64-bit center signature (multiplicative hash).
 #[inline]
 fn sig_bit(x: NodeId) -> u64 {
     1u64 << ((x as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58)
+}
+
+/// Signature of a label row of node `v`: its centers plus `v` itself.
+fn row_signature(v: NodeId, row: &[NodeId]) -> u64 {
+    row.iter().fold(sig_bit(v), |sig, &c| sig | sig_bit(c))
+}
+
+/// Appends one section of a patched cover to `data` and returns its `n + 1`
+/// absolute offsets. Rows listed in `dirty` (sorted, deduplicated) are read
+/// through `row` and sorted; the runs between them are copied from the
+/// previous cover's buffer, offsets shifted by how far the run moved. Rows
+/// past the previous cover's last are new node slots: empty unless dirty.
+fn patch_section<'a>(
+    data: &mut Vec<NodeId>,
+    prev_data: &[NodeId],
+    prev: &Offsets,
+    n: usize,
+    dirty: &[NodeId],
+    row: impl Fn(NodeId) -> &'a [NodeId],
+) -> Offsets {
+    let prev_n = prev.off.len().saturating_sub(1);
+    let mut off = Vec::with_capacity(n + 1);
+    off.push(data.len() as u32);
+    let mut next = 0usize;
+    let stops = dirty.iter().map(|&d| d as usize).filter(|&d| d < n);
+    for stop in stops.chain(std::iter::once(n)) {
+        // The clean run `next..stop`: first the rows `prev` has…
+        let shared = stop.min(prev_n);
+        let run = if next < shared {
+            prev.off.get(next..=shared).unwrap_or(&[])
+        } else {
+            &[]
+        };
+        if let (Some(&lo), Some(&hi)) = (run.first(), run.last()) {
+            let start = data.len() as u32;
+            data.extend_from_slice(prev_data.get(lo as usize..hi as usize).unwrap_or(&[]));
+            off.extend(run.iter().skip(1).map(|&o| start + (o - lo)));
+        }
+        // …then node slots it never had.
+        off.resize(stop + 1, data.len() as u32);
+        if stop < n {
+            let start = data.len();
+            data.extend_from_slice(row(stop as NodeId));
+            if let Some(copied) = data.get_mut(start..) {
+                copied.sort_unstable();
+            }
+            off.push(data.len() as u32);
+        }
+        next = stop + 1;
+    }
+    Offsets { off }
+}
+
+/// The previous cover's signatures extended to `n` nodes, recomputed for
+/// the `dirty` label rows.
+fn patch_signatures<'a>(
+    prev: &[u64],
+    n: usize,
+    dirty: &[NodeId],
+    row: impl Fn(NodeId) -> &'a [NodeId],
+) -> Vec<u64> {
+    let mut sigs = Vec::with_capacity(n);
+    sigs.extend_from_slice(prev);
+    sigs.extend((prev.len()..n).map(|v| sig_bit(v as NodeId)));
+    for &v in dirty {
+        if let Some(sig) = sigs.get_mut(v as usize) {
+            *sig = row_signature(v, row(v));
+        }
+    }
+    sigs
 }
 
 impl FrozenCover {
@@ -151,9 +245,59 @@ impl FrozenCover {
             sig_out: Vec::new(),
             sig_in: Vec::new(),
             n,
+            stamp: 0,
         };
         frozen.build_inverted();
         frozen
+    }
+
+    /// Freezes `cover` as the successor of `prev`: the result equals
+    /// [`FrozenCover::from_cover`]`(cover)` field for field, but is
+    /// assembled from `prev`'s buffer wherever `dirty` — the journal taken
+    /// from `cover` — lists no edit. Clean rows are copied in runs with
+    /// their offsets shifted; dirty rows come from the mutable cover
+    /// (holder rows sorted on the way, since the mutable cover keeps them
+    /// in edit order); signatures are recomputed for dirty label rows only.
+    ///
+    /// Falls back to a full freeze when `dirty` is not relative to `prev`
+    /// ([`DirtyRows::applies_to`]). Either way the result carries the
+    /// take's stamp, so the next take from `cover` can patch it.
+    pub fn patched(prev: &FrozenCover, cover: &TwoHopCover, dirty: &DirtyRows) -> Self {
+        if !dirty.applies_to(prev) {
+            let mut frozen = Self::from_cover(cover);
+            frozen.stamp = dirty.stamp;
+            return frozen;
+        }
+        let n = cover.num_nodes();
+        debug_assert!(n >= prev.n, "covers never lose node slots");
+        assert!(
+            cover.size() <= Self::MAX_LABEL_ENTRIES,
+            "cover has {} label entries; FrozenCover supports at most {}",
+            cover.size(),
+            Self::MAX_LABEL_ENTRIES
+        );
+        let mut data: Vec<NodeId> = Vec::with_capacity(2 * cover.size());
+        let (old, d) = (&prev.data, &mut data);
+        let lin = patch_section(d, old, &prev.lin, n, &dirty.lin, |v| cover.lin(v));
+        let lout = patch_section(d, old, &prev.lout, n, &dirty.lout, |v| cover.lout(v));
+        let inv_in = patch_section(d, old, &prev.inv_in, n, &dirty.inv_in, |c| {
+            cover.holders_in(c)
+        });
+        let inv_out = patch_section(d, old, &prev.inv_out, n, &dirty.inv_out, |c| {
+            cover.holders_out(c)
+        });
+        FrozenCover {
+            data,
+            lin,
+            lout,
+            inv_in,
+            inv_out,
+            dist: None,
+            sig_out: patch_signatures(&prev.sig_out, n, &dirty.lout, |v| cover.lout(v)),
+            sig_in: patch_signatures(&prev.sig_in, n, &dirty.lin, |v| cover.lin(v)),
+            n,
+            stamp: dirty.stamp,
+        }
     }
 
     /// Reconstructs a frozen cover from its raw label sections (e.g. a
@@ -212,6 +356,7 @@ impl FrozenCover {
             sig_out: Vec::new(),
             sig_in: Vec::new(),
             n,
+            stamp: 0,
         };
         frozen.build_inverted();
         Ok(frozen)
@@ -264,24 +409,21 @@ impl FrozenCover {
         // Lout(u)` or `u ∈ Lin(v)`), so disjoint signatures prove
         // unreachability.
         self.sig_out = (0..n as NodeId)
-            .map(|u| {
-                self.data[self.lout.row(u)]
-                    .iter()
-                    .fold(sig_bit(u), |sig, &c| sig | sig_bit(c))
-            })
+            .map(|u| row_signature(u, &self.data[self.lout.row(u)]))
             .collect();
         self.sig_in = (0..n as NodeId)
-            .map(|v| {
-                self.data[self.lin.row(v)]
-                    .iter()
-                    .fold(sig_bit(v), |sig, &c| sig | sig_bit(c))
-            })
+            .map(|v| row_signature(v, &self.data[self.lin.row(v)]))
             .collect();
     }
 
     /// Number of node slots.
     pub fn num_nodes(&self) -> usize {
         self.n
+    }
+
+    /// Stamp of the journal take this cover was frozen at (0 = none).
+    pub(crate) fn stamp(&self) -> u64 {
+        self.stamp
     }
 
     /// Cover size `|L|` (stored label entries), matching

@@ -48,7 +48,7 @@ pub mod old_join;
 pub mod source;
 
 pub use builder::{BuildStats, CoverBuilder};
-pub use cover::TwoHopCover;
+pub use cover::{DirtyRows, TwoHopCover};
 pub use densest::{densest_subgraph, BipartiteCenterGraph, DensestResult};
 pub use distance::{DistanceCover, DistanceCoverBuilder};
 pub use frozen::FrozenCover;

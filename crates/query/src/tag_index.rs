@@ -4,11 +4,11 @@
 //! and to filter step results — the element-name index every XML engine
 //! pairs with a connection index.
 
-use hopi_xml::{Collection, ElemId};
+use hopi_xml::{Collection, ElemId, XmlDocument};
 use rustc_hash::FxHashMap;
 
 /// Maps tag names to sorted lists of global element ids.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TagIndex {
     by_tag: FxHashMap<String, Vec<ElemId>>,
     total: usize,
@@ -17,22 +17,53 @@ pub struct TagIndex {
 impl TagIndex {
     /// Builds the index over all live documents of a collection.
     pub fn build(collection: &Collection) -> Self {
-        let mut by_tag: FxHashMap<String, Vec<ElemId>> = FxHashMap::default();
-        let mut total = 0usize;
+        let mut index = TagIndex::default();
+        // Ascending document ids are ascending id ranges, so every row
+        // comes out sorted.
         for d in collection.doc_ids() {
-            let Some(doc) = collection.document(d) else {
-                continue;
-            };
-            let base = collection.global_id(d, 0);
-            for (local, e) in doc.elements() {
-                by_tag.entry(e.tag.clone()).or_default().push(base + local);
-                total += 1;
+            if let Some(doc) = collection.document(d) {
+                index.index_document(collection.global_id(d, 0), doc);
             }
         }
-        for v in by_tag.values_mut() {
-            v.sort_unstable();
+        index
+    }
+
+    /// Indexes one **new** document whose elements start at global id
+    /// `base`. Ids are never reused, so a new document's ids exceed every
+    /// indexed one and a push keeps the rows sorted.
+    pub fn index_document(&mut self, base: ElemId, doc: &XmlDocument) {
+        for (local, e) in doc.elements() {
+            let id = base + local;
+            match self.by_tag.get_mut(&e.tag) {
+                Some(row) => {
+                    debug_assert!(row.last().is_none_or(|&last| last < id));
+                    row.push(id);
+                }
+                None => {
+                    self.by_tag.insert(e.tag.clone(), vec![id]);
+                }
+            }
         }
-        TagIndex { by_tag, total }
+        self.total += doc.len();
+    }
+
+    /// Drops the elements of a document indexed at `base`: its id range is
+    /// drained from the row of each of its tags, and a tag left without
+    /// elements disappears — the index equals a fresh
+    /// [`TagIndex::build`] of the collection without the document.
+    pub fn remove_document(&mut self, base: ElemId, doc: &XmlDocument) {
+        let end = base + doc.len() as ElemId;
+        for (_, e) in doc.elements() {
+            let Some(row) = self.by_tag.get_mut(&e.tag) else {
+                continue; // emptied by an earlier element of the same tag
+            };
+            let lo = row.partition_point(|&x| x < base);
+            let hi = row.partition_point(|&x| x < end);
+            self.total -= row.drain(lo..hi).len();
+            if row.is_empty() {
+                self.by_tag.remove(&e.tag);
+            }
+        }
     }
 
     /// Elements with the given tag (sorted; empty for unknown tags).
@@ -95,6 +126,24 @@ mod tests {
         assert!(idx.has_tag(0, "book"));
         assert!(!idx.has_tag(0, "author"));
         assert!(idx.contains_tag("title"));
+    }
+
+    #[test]
+    fn in_place_maintenance_equals_a_rebuild() {
+        let mut c = collection();
+        let mut idx = TagIndex::build(&c);
+        let mut d = XmlDocument::new("c", "note");
+        d.add_element(0, "author");
+        let id = c.add_document(d);
+        idx.index_document(c.global_id(id, 0), c.document(id).unwrap());
+        assert_eq!(idx, TagIndex::build(&c));
+        assert_eq!(idx.elements("author"), &[2, 4, 6]);
+        // Removing the only document with a `title` drops the tag.
+        idx.remove_document(c.global_id(0, 0), c.document(0).unwrap());
+        c.remove_document(0);
+        assert_eq!(idx, TagIndex::build(&c));
+        assert!(!idx.contains_tag("title"));
+        assert_eq!(idx.element_count(), 4);
     }
 
     #[test]

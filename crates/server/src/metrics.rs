@@ -11,7 +11,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use hopi_build::WalHistograms;
+use hopi_build::{PublishTotals, WalHistograms};
 use hopi_obs::{Histogram, StageRegistry};
 
 /// The fixed endpoint universe (one counter cell each; unknown paths land
@@ -289,6 +289,19 @@ impl Metrics {
             wal.batch
                 .render_prometheus_raw("hopi_wal_group_commit_batch_records", "", &mut out);
         }
+        out.push_str("# TYPE hopi_publish_duration_seconds histogram\n");
+        ctx.publish
+            .duration
+            .render_prometheus("hopi_publish_duration_seconds", "", &mut out);
+        out.push_str("# TYPE hopi_publish_total counter\n");
+        for (kind, count) in [("patched", ctx.publish.patched), ("full", ctx.publish.full)] {
+            out.push_str(&format!("hopi_publish_total{{kind=\"{kind}\"}} {count}\n"));
+        }
+        out.push_str("# TYPE hopi_publish_rows_patched_total counter\n");
+        out.push_str(&format!(
+            "hopi_publish_rows_patched_total {}\n",
+            ctx.publish.rows_patched
+        ));
         out.push_str("# TYPE hopi_connections_total counter\n");
         out.push_str(&format!(
             "hopi_connections_total {}\n",
@@ -358,6 +371,9 @@ pub struct RenderContext<'a> {
     pub build_phases: &'a [(&'static str, u64)],
     /// WAL durability distributions (durable mode only).
     pub wal: Option<WalHistograms>,
+    /// Snapshot-publish cost: capture-time distribution, patched vs full
+    /// freezes, rows patched.
+    pub publish: PublishTotals,
     /// Server crate version for `hopi_build_info`.
     pub version: &'a str,
     /// On-disk store format version for `hopi_build_info`.
@@ -417,6 +433,16 @@ mod tests {
             },
             build_phases: &[("partition", 3), ("freeze", 1)],
             wal: None,
+            publish: PublishTotals {
+                duration: {
+                    let h = Histogram::default();
+                    h.record_micros(180);
+                    h.snapshot()
+                },
+                patched: 5,
+                full: 1,
+                rows_patched: 40,
+            },
             version: "0.2.0",
             store_format: 3,
         });
@@ -437,6 +463,10 @@ mod tests {
         assert!(text.contains("hopi_text_postings_bytes 240"));
         assert!(text.contains("hopi_text_bytes_per_posting 8.00"));
         assert!(text.contains("hopi_requests_shed_total 0"));
+        assert!(text.contains("hopi_publish_duration_seconds_count 1"));
+        assert!(text.contains("hopi_publish_total{kind=\"patched\"} 5"));
+        assert!(text.contains("hopi_publish_total{kind=\"full\"} 1"));
+        assert!(text.contains("hopi_publish_rows_patched_total 40"));
         assert!(text.contains("hopi_snapshot_epoch 7"));
         assert!(text.contains("hopi_worker_threads 4"));
         assert!(

@@ -222,6 +222,13 @@ fn stats(state: &AppState) -> Response {
     w.field_u64("peel_offered", s.greedy.peel_offered as u64);
     w.field_u64("peel_removed", s.greedy.peel_removed as u64);
     w.close_obj();
+    // What publishing the current snapshot cost, and whether its cover
+    // was patched from the previous epoch's or frozen in full.
+    w.field_obj("publish");
+    w.field_u64("last_micros", s.publish.micros);
+    w.field_str("kind", s.publish.kind());
+    w.field_u64("rows_patched", s.publish.rows_patched as u64);
+    w.close_obj();
     // Per-endpoint latency digests from the histogram registry —
     // p50/p95/p99 without waiting for a Prometheus scrape.
     w.field_arr("latency");
@@ -267,6 +274,7 @@ fn metrics(state: &AppState) -> Response {
         },
         build_phases: &build_phases,
         wal: state.engine.wal_histograms(),
+        publish: state.engine.publish_totals(),
         version: env!("CARGO_PKG_VERSION"),
         store_format: hopi_build::STORE_FORMAT_VERSION,
     };

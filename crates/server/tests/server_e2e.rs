@@ -256,6 +256,28 @@ fn mutations_publish_fresh_epochs_visible_to_reads() {
         .contains("hopi_requests_total{endpoint=\"insert_document\"} 1"));
     assert!(resp.body.contains("hopi_snapshot_epoch"));
 
+    // Publish cost: one sample per published snapshot (the first epoch
+    // included), each either a patch of its predecessor or a full freeze;
+    // /stats describes the last one.
+    let stats = get_json(&mut c, "/stats");
+    let publishes = epoch_of(&stats) + 1;
+    let count_of = |series: &str| -> u64 {
+        let line = resp.body.lines().find(|l| l.starts_with(series));
+        let value = line.and_then(|l| l.rsplit(' ').next()).expect(series);
+        value.parse().expect(series)
+    };
+    assert_eq!(count_of("hopi_publish_duration_seconds_count"), publishes);
+    let patched = count_of("hopi_publish_total{kind=\"patched\"}");
+    let full = count_of("hopi_publish_total{kind=\"full\"}");
+    assert_eq!(patched + full, publishes);
+    assert!(full >= 2, "the first epoch and the rebuild freeze in full");
+    count_of("hopi_publish_rows_patched_total");
+    let publish = stats.get("publish").expect("publish object in /stats");
+    assert!(publish.get("last_micros").and_then(Json::as_u64).is_some());
+    assert!(publish.get("rows_patched").and_then(Json::as_u64).is_some());
+    let kind = publish.get("kind").and_then(Json::as_str).expect("kind");
+    assert!(kind == "patched" || kind == "full", "{kind}");
+
     handle.shutdown();
 }
 

@@ -12,7 +12,7 @@ use crate::{PostingsRef, TextIndex, TextSource, TextStats};
 use hopi_xml::collection::ElemId;
 
 /// An immutable term index over contiguous buffers.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FrozenTextIndex {
     /// Terms, sorted lexicographically.
     terms: Vec<String>,
@@ -31,12 +31,17 @@ pub struct FrozenTextIndex {
 }
 
 impl FrozenTextIndex {
-    /// Freezes a mutable [`TextIndex`] into contiguous buffers.
+    /// Freezes a mutable [`TextIndex`] into contiguous buffers. Terms whose
+    /// postings were all removed ([`TextIndex::remove_document`]) are left
+    /// out, so the frozen form of a maintained index equals that of a
+    /// fresh build.
     pub fn from_index(index: &TextIndex) -> Self {
         let vocab = index.vocabulary();
-        let mut order: Vec<u32> = (0..vocab.len() as u32).collect();
-        order.sort_unstable_by(|&a, &b| vocab.term(a).cmp(vocab.term(b)));
         let lists = index.posting_lists();
+        let mut order: Vec<u32> = (0..vocab.len() as u32)
+            .filter(|&t| lists.get(t as usize).is_some_and(|p| !p.elems.is_empty()))
+            .collect();
+        order.sort_unstable_by(|&a, &b| vocab.term(a).cmp(vocab.term(b)));
         let total: usize = lists.iter().map(|p| p.elems.len()).sum();
         let mut terms = Vec::with_capacity(order.len());
         let mut offsets = Vec::with_capacity(order.len() + 1);

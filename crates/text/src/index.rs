@@ -84,16 +84,24 @@ impl PostingList {
             },
         }
     }
+
+    /// Drops the postings of elements `base..end`.
+    fn remove_range(&mut self, base: ElemId, end: ElemId) {
+        let lo = self.elems.partition_point(|&e| e < base);
+        let hi = self.elems.partition_point(|&e| e < end);
+        self.elems.drain(lo..hi);
+        self.tfs.drain(lo..hi);
+    }
 }
 
 /// A term-level inverted index over a collection's element text.
 ///
-/// Grows with the collection: [`TextIndex::index_document`] appends one
-/// document's text, [`TextIndex::build`] indexes a whole collection.
-/// Document removal is handled by rebuilding — posting lists speak
-/// global element ids and those are never reused, so a stale posting
-/// for a tombstoned element would never be wrong, just wasted space;
-/// callers that care rebuild via [`TextIndex::build`].
+/// Follows the collection in place: [`TextIndex::index_document`] appends
+/// one document's text, [`TextIndex::remove_document`] drains it again,
+/// [`TextIndex::build`] indexes a whole collection. A term whose last
+/// posting was removed stays interned (term ids are positions) but is
+/// invisible: lookups miss it, the statistics and the frozen form skip it,
+/// so a maintained index answers and counts like a fresh build.
 #[derive(Clone, Debug, Default)]
 pub struct TextIndex {
     vocab: Vocabulary,
@@ -147,6 +155,24 @@ impl TextIndex {
         }
     }
 
+    /// Removes one document indexed at global id `base`: drains its id
+    /// range from the posting list of each of its terms and forgets its
+    /// element lengths.
+    pub fn remove_document(&mut self, base: ElemId, doc: &XmlDocument) {
+        let end = base + doc.len() as ElemId;
+        for (local, text) in doc.texts() {
+            for token in tokenize(text) {
+                let list = self.vocab.get(&token);
+                if let Some(list) = list.and_then(|t| self.postings.get_mut(t as usize)) {
+                    list.remove_range(base, end);
+                }
+            }
+            if let Some(len) = self.elem_lens.remove(&(base + local)) {
+                self.total_tokens -= u64::from(len);
+            }
+        }
+    }
+
     /// The vocabulary.
     pub fn vocabulary(&self) -> &Vocabulary {
         &self.vocab
@@ -172,7 +198,8 @@ impl TextIndex {
 
 impl TextSource for TextIndex {
     fn lookup(&self, term: &str) -> Option<PostingsRef<'_>> {
-        self.vocab.get(term).map(|id| self.postings(id))
+        let postings = self.postings(self.vocab.get(term)?);
+        (!postings.is_empty()).then_some(postings)
     }
 
     fn elem_len(&self, elem: ElemId) -> u32 {
@@ -190,7 +217,7 @@ impl TextSource for TextIndex {
     fn stats(&self) -> TextStats {
         let postings: usize = self.postings.iter().map(|p| p.elems.len()).sum();
         TextStats {
-            vocabulary: self.vocab.len(),
+            vocabulary: self.postings.iter().filter(|p| !p.elems.is_empty()).count(),
             postings,
             postings_bytes: postings * (std::mem::size_of::<ElemId>() + std::mem::size_of::<u32>()),
             indexed_elements: self.elem_lens.len(),

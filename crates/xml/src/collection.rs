@@ -11,6 +11,7 @@
 use crate::model::{LocalElemId, XmlDocument};
 use hopi_graph::DiGraph;
 use rustc_hash::{FxHashMap, FxHashSet};
+use std::sync::Arc;
 
 /// Document identifier (index into the collection's document table).
 pub type DocId = u32;
@@ -29,12 +30,18 @@ pub struct Link {
 
 #[derive(Clone, Debug)]
 struct DocEntry {
-    doc: XmlDocument,
+    /// Shared, because a document never changes once added (modification
+    /// is delete + insert, §6.3): clones of a collection — every serving
+    /// snapshot is one — point at the same documents.
+    doc: Arc<XmlDocument>,
     /// First global element id of this document.
     base: ElemId,
 }
 
 /// A collection `X = (D, L)` of XML documents.
+///
+/// Cloning copies the document table, the links and the id ranges, not
+/// the documents: O(documents + links).
 #[derive(Clone, Debug, Default)]
 pub struct Collection {
     docs: Vec<Option<DocEntry>>,
@@ -58,7 +65,10 @@ impl Collection {
         let base = self.next_elem;
         self.next_elem += doc.len() as ElemId;
         self.ranges.push((base, self.next_elem, id));
-        self.docs.push(Some(DocEntry { doc, base }));
+        self.docs.push(Some(DocEntry {
+            doc: Arc::new(doc),
+            base,
+        }));
         id
     }
 
@@ -106,7 +116,7 @@ impl Collection {
 
     /// The document with id `d`, if live.
     pub fn document(&self, d: DocId) -> Option<&XmlDocument> {
-        self.docs.get(d as usize)?.as_ref().map(|e| &e.doc)
+        self.docs.get(d as usize)?.as_ref().map(|e| &*e.doc)
     }
 
     /// Total number of elements in live documents.
@@ -364,7 +374,10 @@ impl Collection {
                 }
             }
             ranges.push((base, end, i as DocId));
-            docs.push(slot.map(|doc| DocEntry { doc, base }));
+            docs.push(slot.map(|doc| DocEntry {
+                doc: Arc::new(doc),
+                base,
+            }));
             next_elem = end;
         }
         let mut out = Collection {
@@ -545,6 +558,28 @@ mod tests {
         let mut c2 = c.clone();
         c2.remove_document(0);
         assert_eq!(c2.element_text(1), None);
+    }
+
+    #[test]
+    fn clones_share_documents_and_diverge_independently() {
+        let original = two_doc_collection();
+        let mut clone = original.clone();
+        assert!(std::ptr::eq(
+            original.document(0).unwrap(),
+            clone.document(0).unwrap()
+        ));
+        // Mutating the clone leaves the original as it was.
+        clone.remove_document(0);
+        clone.add_document(XmlDocument::new("c", "r"));
+        assert_eq!(original.doc_count(), 2);
+        assert_eq!(original.links().len(), 1);
+        assert_eq!(original.document(0).unwrap().name, "a");
+        assert_eq!(original.elem_id_bound(), 5);
+        assert!(clone.document(0).is_none() && clone.links().is_empty());
+        assert!(std::ptr::eq(
+            original.document(1).unwrap(),
+            clone.document(1).unwrap()
+        ));
     }
 
     #[test]

@@ -509,6 +509,82 @@ fn online_reads_are_served_from_refreshed_snapshots() {
 }
 
 #[test]
+fn publish_patches_the_previous_epoch_and_shares_what_did_not_change() {
+    // Twelve chains of eight elements with text, each citing the next.
+    let docs: Vec<(String, String)> = (0..12)
+        .map(|i| {
+            let cite = format!(r#"<cite xlink:href="d{}"/>"#, (i + 1) % 12);
+            let cite = if i == 11 { String::new() } else { cite };
+            (
+                format!("d{i}"),
+                format!("<r><a><b><c><d><e><f>hop cover {i}</f></e></d></c></b></a>{cite}</r>"),
+            )
+        })
+        .collect();
+    let engine = Hopi::builder()
+        .parse(docs.iter().map(|(n, x)| (n.as_str(), x.as_str())))
+        .unwrap();
+    let online = OnlineHopi::new(engine);
+    let first = online.snapshot();
+    assert!(
+        !first.stats().publish.patched,
+        "the first capture freezes in full"
+    );
+
+    // A link into a leaf touches a handful of rows: the next epoch is a
+    // patch of this one, byte for byte what a full freeze would build…
+    let (from, to) = (
+        first.resolve("d11", "").unwrap(),
+        first.query("//f").unwrap()[3],
+    );
+    online.insert_link(from, to).unwrap();
+    let second = online.snapshot();
+    let publish = second.stats().publish;
+    assert!(publish.patched && publish.rows_patched > 0, "{publish:?}");
+    assert_eq!(publish.kind(), "patched");
+    online.read(|h| assert_eq!(second.frozen(), &FrozenCover::from_cover(h.index().cover())));
+    assert!(second.connected(from, to) && !first.connected(from, to));
+    assert_eq!(
+        second.stats().build.freeze_ms,
+        first.stats().build.freeze_ms
+    );
+    // …and shares documents, tag index and frozen term index with it.
+    let doc = |s: &HopiSnapshot| s.collection().document(3).unwrap() as *const XmlDocument;
+    assert_eq!(doc(&first), doc(&second));
+    assert!(std::ptr::eq(first.tags(), second.tags()));
+    assert!(std::sync::Arc::ptr_eq(first.text(), second.text()));
+
+    // A document with text moves the tag and term indexes on; the old
+    // epochs keep theirs.
+    online
+        .insert_xml("note", r#"<note>zig <cite xlink:href="d0"/></note>"#)
+        .unwrap();
+    let third = online.snapshot();
+    assert!(!std::ptr::eq(second.tags(), third.tags()));
+    assert!(!std::sync::Arc::ptr_eq(second.text(), third.text()));
+    assert_eq!(
+        third.query(r#"//note[contains(., "zig")]"#).unwrap().len(),
+        1
+    );
+    assert!(second
+        .query(r#"//note[contains(., "zig")]"#)
+        .unwrap()
+        .is_empty());
+    assert_eq!(doc(&first), doc(&third));
+
+    // A rebuilt cover has no journal: full freeze, then patches again.
+    online.rebuild_blocking();
+    assert!(!online.snapshot_stats().publish.patched);
+    online.insert_link(to, from).unwrap();
+    assert!(online.snapshot_stats().publish.patched);
+    let totals = online.publish_totals();
+    assert_eq!((totals.patched, totals.full), (3, 2));
+    assert_eq!(totals.duration.count(), online.epoch() + 1);
+    assert!(totals.rows_patched >= publish.rows_patched as u64);
+    online.read(oracle_check);
+}
+
+#[test]
 fn save_frozen_open_round_trips() {
     let hopi = library();
     let path = std::env::temp_dir().join(format!("hopi_facade_frozen_{}.idx", std::process::id()));

@@ -4,7 +4,10 @@
 
 use hopi::graph::TransitiveClosure;
 use hopi::prelude::*;
+use hopi::query::TagIndex;
+use hopi_text::{FrozenTextIndex, TextIndex};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Strategy: a random collection blueprint.
 #[derive(Debug, Clone)]
@@ -61,8 +64,213 @@ fn oracle_check(hopi: &Hopi) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// [`realize`], with a few words of text on every element (the lifecycle
+/// test watches the term index too).
+fn realize_with_text(plan: &CollectionPlan) -> Collection {
+    let bare = realize(plan);
+    let mut c = Collection::new();
+    for d in bare.doc_ids() {
+        let mut doc = bare.document(d).unwrap().clone();
+        for k in 0..doc.len() as u32 {
+            doc.set_text(k, ["hop cover", "xml index", "hop"][(d + k) as usize % 3]);
+        }
+        c.add_document(doc);
+    }
+    for l in bare.links() {
+        c.add_link(l.from, l.to);
+    }
+    c
+}
+
+/// What one epoch answers: per live element the elements it is connected
+/// to and its descendants, and the rows of `//r//e`.
+#[derive(Debug, PartialEq)]
+struct Answers {
+    connected: Vec<Vec<ElemId>>,
+    descendants: Vec<Vec<ElemId>>,
+    path: Vec<ElemId>,
+}
+
+fn live_elements(c: &Collection) -> Vec<ElemId> {
+    (0..c.elem_id_bound() as ElemId)
+        .filter(|&e| c.doc_of(e).is_some())
+        .collect()
+}
+
+/// The answers of a BFS closure over the collection alone.
+fn oracle_answers(c: &Collection) -> Answers {
+    let tc = TransitiveClosure::from_graph(&c.element_graph());
+    let live = live_elements(c);
+    let tag = |e: ElemId| {
+        let (d, local) = c.to_local(e).unwrap();
+        c.document(d).unwrap().element(local).tag.as_str()
+    };
+    let descendants: Vec<Vec<ElemId>> = live.iter().map(|&u| tc.descendants(u).to_vec()).collect();
+    let path = live
+        .iter()
+        .copied()
+        .filter(|&v| tag(v) == "e" && live.iter().any(|&u| tag(u) == "r" && tc.contains(u, v)))
+        .collect();
+    Answers {
+        connected: descendants.clone(),
+        descendants,
+        path,
+    }
+}
+
+/// The answers of a snapshot's index.
+fn snapshot_answers(snap: &HopiSnapshot) -> Answers {
+    let live = live_elements(snap.collection());
+    Answers {
+        connected: live
+            .iter()
+            .map(|&u| {
+                live.iter()
+                    .copied()
+                    .filter(|&v| snap.connected(u, v))
+                    .collect()
+            })
+            .collect(),
+        descendants: live.iter().map(|&u| snap.descendants(u)).collect(),
+        path: snap.query("//r//e").unwrap(),
+    }
+}
+
+/// The published snapshot of `online` is exactly what a from-scratch
+/// capture of its engine would be: frozen cover, tag index, term index.
+fn published_equals_engine(online: &OnlineHopi) -> Result<(), TestCaseError> {
+    let snap = online.snapshot();
+    online.read(|h| {
+        prop_assert_eq!(snap.frozen(), &FrozenCover::from_cover(h.index().cover()));
+        let tags = TagIndex::build(h.collection());
+        prop_assert_eq!(h.tags(), &tags);
+        prop_assert_eq!(snap.tags(), &tags);
+        let text = FrozenTextIndex::from_index(&TextIndex::build(h.collection()));
+        prop_assert_eq!(&FrozenTextIndex::from_index(h.text()), &text);
+        prop_assert_eq!(snap.text().as_ref(), &text);
+        Ok(())
+    })
+}
+
+/// Element `raw` (modulo its length) of the `pick`-th live document.
+fn pick_element(c: &Collection, pick: usize, raw: u32) -> (DocId, ElemId) {
+    let docs: Vec<DocId> = c.doc_ids().collect();
+    let d = docs[pick % docs.len()];
+    (d, c.global_id(d, raw % c.document(d).unwrap().len() as u32))
+}
+
+/// Applies one step of a lifecycle program to `engines[a % len]`; returns
+/// the engine it touched.
+fn lifecycle_step(
+    engines: &mut Vec<OnlineHopi>,
+    step: usize,
+    (op, a, b, raw): (u32, usize, usize, u32),
+) -> usize {
+    let at = a % engines.len();
+    let online = engines[at].clone();
+    let c = online.snapshot().collection().clone();
+    let ((da, ea), (db, eb)) = (pick_element(&c, a, raw), pick_element(&c, b, raw / 2));
+    let fresh_doc = |name: String| {
+        let mut d = XmlDocument::new(name, "r");
+        let e = d.add_element(0, "e");
+        d.set_text(e, "fresh hop");
+        d
+    };
+    match op {
+        0 | 1 if da != db => {
+            online.insert_link(ea, eb).unwrap();
+        }
+        2 => {
+            let target = &c.document(db).unwrap().name;
+            let xml = format!(r#"<r><e>zig cover</e><cite xlink:href="{target}"/></r>"#);
+            online.insert_xml(&format!("x{step}"), &xml).unwrap();
+        }
+        3 if !c.links().is_empty() => {
+            let l = c.links()[a % c.links().len()];
+            online.delete_link(l.from, l.to).unwrap();
+        }
+        4 if c.doc_count() > 2 => {
+            online.delete_document(da).unwrap();
+        }
+        5 if da != db => {
+            let links = DocumentLinks {
+                outgoing: vec![(1, eb)],
+                incoming: vec![],
+            };
+            online
+                .modify_document(da, fresh_doc(format!("m{step}")), &links)
+                .unwrap();
+        }
+        6 => {
+            online
+                .update_batch(|h| {
+                    if da != db {
+                        h.insert_link(ea, eb).unwrap();
+                        h.insert_link(eb, ea).unwrap();
+                    }
+                    let links = DocumentLinks {
+                        outgoing: vec![],
+                        incoming: vec![(ea, 0)],
+                    };
+                    h.insert_document(fresh_doc(format!("b{step}")), &links)
+                        .unwrap();
+                })
+                .unwrap();
+        }
+        7 => {
+            online.rebuild_blocking();
+        }
+        8 if engines.len() < 3 => {
+            // A second wrapper around a clone of the engine: both lineages
+            // go on publishing from the same journal state.
+            engines.push(OnlineHopi::new(online.read(|h| h.clone())));
+            return engines.len() - 1;
+        }
+        9 => {
+            // Another engine's state moves in wholesale: its journal
+            // belongs to a snapshot this wrapper never served.
+            let other = engines[b % engines.len()].read(|h| h.clone());
+            online.update_batch(|h| *h = other).unwrap();
+        }
+        _ => {}
+    }
+    at
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Random lifecycles over `OnlineHopi`: every published snapshot
+    /// equals a from-scratch capture of its engine, and every snapshot
+    /// retained from an earlier epoch keeps answering like the oracle of
+    /// its own collection — what consecutive epochs share must never leak
+    /// a later mutation into an older one.
+    #[test]
+    fn online_lifecycle_publishes_exact_successors(
+        plan in arb_plan(),
+        program in proptest::collection::vec((0u32..10, 0usize..100, 0usize..100, 0u32..8), 1..14),
+    ) {
+        let mut engines = vec![OnlineHopi::new(Hopi::build(realize_with_text(&plan)).unwrap())];
+        published_equals_engine(&engines[0])?;
+        let mut retained: Vec<(Arc<HopiSnapshot>, Answers)> = Vec::new();
+        for (step, op) in program.into_iter().enumerate() {
+            let before = engines[0].snapshot();
+            retained.push((before.clone(), oracle_answers(before.collection())));
+            let touched = lifecycle_step(&mut engines, step, op);
+            published_equals_engine(&engines[touched])?;
+            retained.push({
+                let snap = engines[touched].snapshot();
+                let answers = oracle_answers(snap.collection());
+                (snap, answers)
+            });
+            for (snap, at_capture) in &retained {
+                prop_assert_eq!(&oracle_answers(snap.collection()), at_capture,
+                    "epoch {}: the collection changed under the snapshot", snap.epoch());
+                prop_assert_eq!(&snapshot_answers(snap), at_capture,
+                    "epoch {} after step {}", snap.epoch(), step);
+            }
+        }
+    }
 
     #[test]
     fn arbitrary_collection_psg_join(plan in arb_plan()) {
