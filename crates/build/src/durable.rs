@@ -7,19 +7,19 @@
 //! machinery [`crate::OnlineHopi`] uses in durable mode:
 //!
 //! * every mutation is appended to a [`Wal`] (as a
-//!   [`hopi_store::WalRecord`], the persisted twin of
-//!   `hopi_maintenance::CollectionUpdate`) **while the engine write lock
-//!   is held**, so log order always equals apply order, and is
-//!   acknowledged only after the record is fsynced — by default through
-//!   the WAL's *group commit*, where one fsync covers every record queued
-//!   behind it;
+//!   [`hopi_store::WalRecord`], the engine's one mutation vocabulary)
+//!   **while the engine write lock is held**, so log order always equals
+//!   apply order, and is acknowledged only after the record is fsynced —
+//!   by default through the WAL's *group commit*, where one fsync covers
+//!   every record queued behind it;
 //! * a **checkpoint** atomically persists collection + frozen cover +
 //!   the covered WAL sequence number in one file
 //!   ([`hopi_store::save_checkpoint`]) and rotates the log;
 //! * **recovery** ([`recover_dir`]) loads the last checkpoint and
-//!   replays the WAL tail past it, tolerating a torn final record (the
-//!   WAL truncates it — such a record was never durable, hence never
-//!   acknowledged).
+//!   replays the WAL tail past it through `Hopi::replay_record` — the
+//!   same dispatcher a background rebuild's catch-up uses — tolerating a
+//!   torn final record (the WAL truncates it — such a record was never
+//!   durable, hence never acknowledged).
 //!
 //! Crash-ordering argument: a mutation is acknowledged only after its
 //! record is durable, records are applied at recovery in log order, and
@@ -31,11 +31,8 @@
 
 use crate::error::HopiError;
 use crate::facade::{Hopi, HopiBuilder};
-use hopi_maintenance::DocumentLinks;
-use hopi_store::{
-    load_checkpoint_in, save_checkpoint_in, PersistError, StoredIndex, SyncPolicy, Wal,
-};
-use hopi_store::{sync_parent_dir_in, StdVfs, Vfs, VfsFile, WalRecord};
+use hopi_store::{load_checkpoint, save_checkpoint, PersistError, StoredIndex, SyncPolicy, Wal};
+use hopi_store::{StdVfs, Vfs, VfsFile, WalRecord};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -281,7 +278,7 @@ impl Durability {
         let seq = self.wal.appended_seq();
         let bytes_before = self.wal.len_bytes();
         // lint: allow(blocking-under-lock): sanctioned — the checkpoint write is exactly what checkpoint_lock serializes
-        let result = save_checkpoint_in(
+        let result = save_checkpoint(
             &*self.vfs,
             &self.checkpoint_path,
             engine.collection(),
@@ -327,31 +324,6 @@ impl Durability {
     }
 }
 
-/// Applies one recovered WAL record to an engine. Replay runs the same
-/// §6 incremental algorithms the original mutation ran.
-fn apply_record(engine: &mut Hopi, rec: WalRecord) -> Result<(), HopiError> {
-    match rec {
-        WalRecord::InsertLink { from, to } => engine.insert_link(from, to).map(|_| ()),
-        WalRecord::DeleteLink { from, to } => engine.delete_link(from, to).map(|_| ()),
-        WalRecord::InsertDocument {
-            doc,
-            outgoing,
-            incoming,
-        } => engine
-            .insert_document(doc, &DocumentLinks { outgoing, incoming })
-            .map(|_| ()),
-        WalRecord::DeleteDocument { doc } => engine.delete_document(doc).map(|_| ()),
-        WalRecord::ModifyDocument {
-            doc,
-            new_doc,
-            outgoing,
-            incoming,
-        } => engine
-            .modify_document(doc, new_doc, &DocumentLinks { outgoing, incoming })
-            .map(|_| ()),
-    }
-}
-
 /// Recovers an engine from a durable directory: loads the last
 /// checkpoint, replays the WAL tail past its sequence number (a torn
 /// final record is truncated, not an error), and returns the engine, the
@@ -363,7 +335,7 @@ pub(crate) fn recover_dir(
     config: &DurableConfig,
     builder: HopiBuilder,
 ) -> Result<(Hopi, Wal, u64), HopiError> {
-    let ckpt = load_checkpoint_in(&*config.vfs, &config.checkpoint_path())?;
+    let ckpt = load_checkpoint(&*config.vfs, &config.checkpoint_path())?;
     let mut engine = builder.open_stored(ckpt.collection, StoredIndex::Frozen(ckpt.frozen))?;
     // A missing log (e.g. a checkpoint-only restore from backup) is
     // recreated at the *checkpoint's* sequence — a base of 0 would make
@@ -371,10 +343,10 @@ pub(crate) fn recover_dir(
     // checkpoint" and silently drop acknowledged mutations.
     let wal_path = config.wal_path();
     let (wal, records) = if config.vfs.exists(&wal_path) {
-        Wal::open_in(config.vfs.clone(), &wal_path)?
+        Wal::open(config.vfs.clone(), &wal_path)?
     } else {
         (
-            Wal::create_in(config.vfs.clone(), &wal_path, ckpt.seq)?,
+            Wal::create(config.vfs.clone(), &wal_path, ckpt.seq)?,
             Vec::new(),
         )
     };
@@ -389,7 +361,7 @@ pub(crate) fn recover_dir(
         if seq <= ckpt.seq {
             continue; // already inside the checkpoint
         }
-        apply_record(&mut engine, rec).map_err(|e| {
+        engine.replay_record(rec).map_err(|e| {
             HopiError::Persist(PersistError::Format(format!(
                 "WAL record {seq} does not apply to the recovered state: {e}"
             )))
@@ -414,15 +386,15 @@ pub(crate) fn init_dir(config: &DurableConfig, engine: &Hopi) -> Result<(Wal, u6
             "found a WAL without a checkpoint; remove wal.log to re-initialize".into(),
         )));
     }
-    save_checkpoint_in(
+    save_checkpoint(
         &*config.vfs,
         &config.checkpoint_path(),
         engine.collection(),
         &engine.freeze(),
         0,
     )?;
-    let wal = Wal::create_in(config.vfs.clone(), &wal_path, 0)?;
-    sync_parent_dir_in(&*config.vfs, &wal_path).map_err(PersistError::Io)?;
+    let wal = Wal::create(config.vfs.clone(), &wal_path, 0)?;
+    wal.sync_dir().map_err(PersistError::Io)?;
     Ok((wal, 0))
 }
 

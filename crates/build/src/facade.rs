@@ -20,7 +20,9 @@ use hopi_query::{
     evaluate_ranked_with_text, parse_path, with_thread_evaluator, EvalOptions, PlanCounters,
     QueryPlanReport, RankedMatch, TagIndex,
 };
-use hopi_store::{load_index, save_frozen, save_store, LinLoutStore, StoredIndex};
+use hopi_store::{
+    load_index, save_frozen, save_store, LinLoutStore, StdVfs, StoredIndex, WalRecord,
+};
 use hopi_text::{FrozenTextIndex, TextIndex, TextSource, TextStats};
 use hopi_xml::parser::{parse_collection, parse_document};
 use hopi_xml::{Collection, DocId, ElemId, XmlDocument};
@@ -226,7 +228,7 @@ impl HopiBuilder {
     /// file thaws with no re-sorting — rows are stored sorted — so opening
     /// for serving is cheap.
     pub fn open(self, collection: Collection, path: &Path) -> Result<Hopi, HopiError> {
-        let stored = load_index(path)?;
+        let stored = load_index(&StdVfs, path)?;
         self.open_stored(collection, stored)
     }
 
@@ -414,7 +416,7 @@ impl Hopi {
             Some(cover) => LinLoutStore::from_distance_cover(cover),
             None => LinLoutStore::from_cover(self.index.cover()),
         };
-        save_store(&store, path)?;
+        save_store(&StdVfs, &store, path)?;
         Ok(())
     }
 
@@ -425,7 +427,7 @@ impl Hopi {
     /// distance-aware engine freezes the distance cover (annotations
     /// included), so distance queries survive the round trip.
     pub fn save_frozen(&self, path: &Path) -> Result<(), HopiError> {
-        save_frozen(&self.freeze(), path)?;
+        save_frozen(&StdVfs, &self.freeze(), path)?;
         Ok(())
     }
 
@@ -652,6 +654,35 @@ impl Hopi {
         self.index_document(new_id);
         self.refresh_distance();
         Ok(new_id)
+    }
+
+    /// Applies one mutation record through the same method the original
+    /// mutation ran — the one replay path, shared by WAL recovery and a
+    /// background rebuild's catch-up. Replaying the records of a
+    /// collection's mutations in order onto a copy of that collection
+    /// reproduces it exactly: tombstoned slots are kept, so every inserted
+    /// document gets the document and element ids it got the first time.
+    pub(crate) fn replay_record(&mut self, rec: WalRecord) -> Result<(), HopiError> {
+        match rec {
+            WalRecord::InsertLink { from, to } => self.insert_link(from, to).map(|_| ()),
+            WalRecord::DeleteLink { from, to } => self.delete_link(from, to).map(|_| ()),
+            WalRecord::InsertDocument {
+                doc,
+                outgoing,
+                incoming,
+            } => self
+                .insert_document(doc, &DocumentLinks { outgoing, incoming })
+                .map(|_| ()),
+            WalRecord::DeleteDocument { doc } => self.delete_document(doc).map(|_| ()),
+            WalRecord::ModifyDocument {
+                doc,
+                new_doc,
+                outgoing,
+                incoming,
+            } => self
+                .modify_document(doc, new_doc, &DocumentLinks { outgoing, incoming })
+                .map(|_| ()),
+        }
     }
 
     /// Rebuilds the index from scratch with the configured §4 pipeline

@@ -202,6 +202,40 @@ mod tests {
     }
 
     #[test]
+    fn churn_degrades_the_cover_and_rebuild_shrinks_it() {
+        use hopi_xml::generator::{dblp, DblpConfig};
+        let mut hopi = Hopi::build(dblp(&DblpConfig::scaled(0.003))).unwrap();
+        let fresh = hopi.degradation().entries;
+        // Greedy §6.1 insertions pick fixed centers, so the cover drifts.
+        let docs: Vec<u32> = hopi.collection().doc_ids().collect();
+        for i in 0..40 {
+            let (a, b) = (docs[(i * 3) % docs.len()], docs[(i * 11 + 2) % docs.len()]);
+            if a != b {
+                let from = hopi.collection().global_id(a, 0);
+                let to = hopi.collection().global_id(b, 0);
+                hopi.insert_link(from, to).unwrap();
+            }
+        }
+        let churned = hopi.degradation();
+        assert!(churned.entries > fresh, "churn grows the cover");
+        assert_eq!(churned.live_elements, hopi.collection().element_count());
+        hopi.rebuild();
+        let rebuilt = hopi.degradation().entries;
+        assert!(
+            rebuilt < churned.entries,
+            "{rebuilt} !< {}",
+            churned.entries
+        );
+        let (index, _) = build_index(hopi.collection(), &BuildConfig::default());
+        let n = hopi.collection().elem_id_bound() as u32;
+        for u in (0..n).step_by(5) {
+            for v in (0..n).step_by(5) {
+                assert_eq!(hopi.connected(u, v), index.connected(u, v));
+            }
+        }
+    }
+
+    #[test]
     fn errors_are_typed() {
         let mut hopi = engine();
         assert!(matches!(hopi.query("not-a-path"), Err(HopiError::Path(_))));

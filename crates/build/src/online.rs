@@ -12,9 +12,10 @@
 //! patched from the cover's row journal, unchanged documents and derived
 //! indexes shared — so a publish costs what the mutation touched, not
 //! what the index holds. Background rebuilds
-//! ([`OnlineHopi::rebuild_in_background`]) build on a collection snapshot
-//! outside any lock, replay the updates that arrived mid-build, swap the
-//! fresh engine in atomically, and publish its snapshot.
+//! ([`OnlineHopi::rebuild_in_background`]) build on a copy of the
+//! collection outside any lock, replay the records of the mutations
+//! applied mid-build, swap the fresh engine in atomically, and publish its
+//! snapshot.
 //!
 //! Consequences:
 //!
@@ -30,16 +31,13 @@ use crate::error::HopiError;
 use crate::facade::{Hopi, HopiBuilder};
 use crate::snapshot::{HopiSnapshot, PublishStats, SnapshotStats};
 use crate::{CheckpointStats, WalStats};
-use hopi_maintenance::{
-    collection_delta, delta_replays_exactly, CollectionUpdate, DeletionOutcome, DocumentLinks,
-};
+use hopi_maintenance::{DeletionOutcome, DocumentLinks};
 use hopi_obs::{Histogram, HistogramSnapshot};
 use hopi_partition::BuildReport;
 use hopi_query::RankedMatch;
 use hopi_store::WalRecord;
 use hopi_xml::{Collection, DocId, ElemId, XmlDocument};
 use parking_lot::RwLock;
-use rustc_hash::FxHashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -82,6 +80,114 @@ pub struct PublishTotals {
     pub rows_patched: u64,
 }
 
+/// What the engine lock guards: the engine, and beside it the catch-up
+/// log of the rebuilds in flight — beside, not inside, so a clone of the
+/// engine never inherits an open window.
+struct Engine {
+    hopi: Hopi,
+    catch_up: CatchUp,
+}
+
+/// The records a background rebuild replays at its swap. Capturing the
+/// rebuild's collection opens a *window*; every mutation applied while a
+/// window is open pushes its record, in apply order, onto one shared log,
+/// and each window replays the log from its own start. Replaying a
+/// collection's mutations in order onto a copy of it reproduces it
+/// exactly (the copy keeps tombstoned slots, so inserted documents get
+/// the same ids) — the argument WAL recovery rests on too.
+#[derive(Default)]
+struct CatchUp {
+    /// Records since the oldest open window's capture; empty when no
+    /// rebuild is in flight.
+    log: Vec<WalRecord>,
+    /// The open windows.
+    windows: Vec<Window>,
+    next_id: u64,
+}
+
+struct Window {
+    id: u64,
+    /// Index into [`CatchUp::log`] of the first record its rebuild did not
+    /// see.
+    start: usize,
+    /// Cleared by `update_batch`, whose closure leaves no record.
+    replayable: bool,
+}
+
+impl CatchUp {
+    fn open_window(&mut self) -> u64 {
+        let id = self.next_id;
+        self.next_id += 1;
+        self.windows.push(Window {
+            id,
+            start: self.log.len(),
+            replayable: true,
+        });
+        id
+    }
+
+    fn is_recording(&self) -> bool {
+        !self.windows.is_empty()
+    }
+
+    fn push(&mut self, rec: WalRecord) {
+        if self.is_recording() {
+            self.log.push(rec);
+        }
+    }
+
+    fn mark_unreplayable(&mut self) {
+        for w in &mut self.windows {
+            w.replayable = false;
+        }
+    }
+
+    /// Closes window `id`: the records its rebuild must replay, or `None`
+    /// when it cannot catch up by replay. Drops the records no open window
+    /// needs any more.
+    fn close_window(&mut self, id: u64) -> Option<Vec<WalRecord>> {
+        let at = self.windows.iter().position(|w| w.id == id)?;
+        let window = self.windows.remove(at);
+        let seen = window
+            .replayable
+            .then(|| self.log.get(window.start..).unwrap_or_default().to_vec());
+        let needed = self.windows.iter().map(|w| w.start).min();
+        let needed = needed.unwrap_or(self.log.len());
+        self.log.drain(..needed);
+        for w in &mut self.windows {
+            w.start -= needed;
+        }
+        seen
+    }
+}
+
+/// A rebuild's capture: the collection to build from, how to build it,
+/// and the catch-up window the capture opened.
+struct Capture {
+    collection: Collection,
+    builder: HopiBuilder,
+    window: u64,
+}
+
+/// The record of a document insertion (also what the WAL logs).
+fn insert_record(doc: &XmlDocument, links: &DocumentLinks) -> WalRecord {
+    WalRecord::InsertDocument {
+        doc: doc.clone(),
+        outgoing: links.outgoing.clone(),
+        incoming: links.incoming.clone(),
+    }
+}
+
+/// The record of a document modification (also what the WAL logs).
+fn modify_record(d: DocId, new_doc: &XmlDocument, links: &DocumentLinks) -> WalRecord {
+    WalRecord::ModifyDocument {
+        doc: d,
+        new_doc: new_doc.clone(),
+        outgoing: links.outgoing.clone(),
+        incoming: links.incoming.clone(),
+    }
+}
+
 /// A concurrently queryable HOPI engine: lock-free snapshot reads,
 /// non-blocking rebuilds.
 ///
@@ -100,8 +206,9 @@ pub struct PublishTotals {
 /// ```
 #[derive(Clone)]
 pub struct OnlineHopi {
-    /// The mutable engine; only maintenance takes this lock.
-    engine: Arc<RwLock<Hopi>>,
+    /// The mutable engine and its rebuild catch-up log; only maintenance
+    /// takes this lock.
+    engine: Arc<RwLock<Engine>>,
     /// The published serving epoch. Readers hold this lock only long
     /// enough to clone the `Arc`; query evaluation runs lock-free.
     serving: Arc<RwLock<Arc<HopiSnapshot>>>,
@@ -124,7 +231,10 @@ impl OnlineHopi {
         let publishes = PublishMetrics::default();
         publishes.record(&snapshot.publish);
         OnlineHopi {
-            engine: Arc::new(RwLock::new(hopi)),
+            engine: Arc::new(RwLock::new(Engine {
+                hopi,
+                catch_up: CatchUp::default(),
+            })),
             serving: Arc::new(RwLock::new(snapshot)),
             epoch: Arc::new(AtomicU64::new(0)),
             durability: None,
@@ -256,7 +366,7 @@ impl OnlineHopi {
         // lock), freezing engine state and WAL sequence together.
         let guard = self.engine.read();
         // lint: allow(blocking-under-lock): sanctioned — an explicit checkpoint must write under the read lock to freeze state + WAL seq together
-        durability.checkpoint(&guard, self.epoch.load(Ordering::Relaxed))
+        durability.checkpoint(&guard.hopi, self.epoch.load(Ordering::Relaxed))
     }
 
     /// The current serving snapshot (O(1): one `Arc` clone under a
@@ -320,7 +430,7 @@ impl OnlineHopi {
     /// reports, degradation, expert accessors). Plain queries should
     /// prefer [`OnlineHopi::snapshot`], which never blocks on writers.
     pub fn read<R>(&self, f: impl FnOnce(&Hopi) -> R) -> R {
-        f(&self.engine.read())
+        f(&self.engine.read().hopi)
     }
 
     /// Applies a batch of mutations under one write lock and publishes
@@ -336,17 +446,21 @@ impl OnlineHopi {
     /// — and leaves the durability layer poisoned, so subsequent
     /// mutations are refused until a checkpoint succeeds. On a
     /// non-durable engine this never errors.
+    ///
+    /// For the same reason a rebuild in flight cannot replay the batch: it
+    /// catches up by rebuilding from the live collection instead.
     pub fn update_batch<R>(&self, f: impl FnOnce(&mut Hopi) -> R) -> Result<R, HopiError> {
         let mut guard = self.engine.write();
-        let out = f(&mut guard);
+        let out = f(&mut guard.hopi);
+        guard.catch_up.mark_unreplayable();
         let checkpointed = match &self.durability {
             Some(d) => d
                 // lint: allow(blocking-under-lock): sanctioned — a batch is durable-by-checkpoint, which must capture the engine it just mutated
-                .checkpoint(&guard, self.epoch.load(Ordering::Relaxed))
+                .checkpoint(&guard.hopi, self.epoch.load(Ordering::Relaxed))
                 .map(|_| ()),
             None => Ok(()),
         };
-        self.publish(&mut guard);
+        self.publish(&mut guard.hopi);
         checkpointed.map(|()| out)
     }
 
@@ -357,17 +471,14 @@ impl OnlineHopi {
         doc: XmlDocument,
         links: &DocumentLinks,
     ) -> Result<DocId, HopiError> {
-        // Record built from the caller's inputs *before* taking the write
+        // A durable engine builds its record *before* taking the write
         // lock, so the clone does not lengthen the critical section.
-        let rec = self
+        let logged = self
             .durability
             .is_some()
-            .then(|| WalRecord::InsertDocument {
-                doc: doc.clone(),
-                outgoing: links.outgoing.clone(),
-                incoming: links.incoming.clone(),
-            });
-        self.mutate(|h| {
+            .then(|| insert_record(&doc, links));
+        self.mutate(|h, recording| {
+            let rec = logged.or_else(|| recording.then(|| insert_record(&doc, links)));
             let id = h.insert_document(doc, links)?;
             Ok((id, rec))
         })
@@ -376,14 +487,10 @@ impl OnlineHopi {
     /// Parses and inserts one XML document (brief write lock + snapshot
     /// refresh).
     pub fn insert_xml(&self, name: &str, xml: &str) -> Result<DocId, HopiError> {
-        let log = self.durability.is_some();
-        self.mutate(|h| {
+        let durable = self.durability.is_some();
+        self.mutate(|h, recording| {
             let (doc, links) = h.prepare_xml(name, xml)?;
-            let rec = log.then(|| WalRecord::InsertDocument {
-                doc: doc.clone(),
-                outgoing: links.outgoing.clone(),
-                incoming: links.incoming.clone(),
-            });
+            let rec = (durable || recording).then(|| insert_record(&doc, &links));
             let id = h.insert_document(doc, &links)?;
             Ok((id, rec))
         })
@@ -393,7 +500,7 @@ impl OnlineHopi {
     /// Duplicates are a no-op returning `Ok(0)` — and append no WAL
     /// record, so a durable engine pays no fsync for them.
     pub fn insert_link(&self, from: ElemId, to: ElemId) -> Result<usize, HopiError> {
-        self.mutate(|h| {
+        self.mutate(|h, _| {
             let duplicate = h.collection().has_link(from, to);
             let out = h.insert_link(from, to)?;
             Ok((
@@ -406,7 +513,7 @@ impl OnlineHopi {
     /// Incremental document deletion (brief write lock + snapshot
     /// refresh).
     pub fn delete_document(&self, d: DocId) -> Result<DeletionOutcome, HopiError> {
-        self.mutate(|h| {
+        self.mutate(|h, _| {
             let out = h.delete_document(d)?;
             Ok((out, Some(WalRecord::DeleteDocument { doc: d })))
         })
@@ -414,7 +521,7 @@ impl OnlineHopi {
 
     /// Incremental link deletion (brief write lock + snapshot refresh).
     pub fn delete_link(&self, from: ElemId, to: ElemId) -> Result<DeletionOutcome, HopiError> {
-        self.mutate(|h| {
+        self.mutate(|h, _| {
             let out = h.delete_link(from, to)?;
             Ok((out, Some(WalRecord::DeleteLink { from, to })))
         })
@@ -430,170 +537,142 @@ impl OnlineHopi {
         links: &DocumentLinks,
     ) -> Result<DocId, HopiError> {
         // Clone outside the write lock, as in `insert_document`.
-        let rec = self
+        let logged = self
             .durability
             .is_some()
-            .then(|| WalRecord::ModifyDocument {
-                doc: d,
-                new_doc: new_doc.clone(),
-                outgoing: links.outgoing.clone(),
-                incoming: links.incoming.clone(),
-            });
-        self.mutate(|h| {
+            .then(|| modify_record(d, &new_doc, links));
+        self.mutate(|h, recording| {
+            let rec = logged.or_else(|| recording.then(|| modify_record(d, &new_doc, links)));
             let id = h.modify_document(d, new_doc, links)?;
             Ok((id, rec))
         })
     }
 
-    /// Rebuilds in a background thread from a snapshot, then swaps the
-    /// fresh engine in atomically. Queries are served from the old
-    /// snapshot for the entire build; updates arriving mid-build are
-    /// replayed onto the fresh engine before the swap. Returns a handle
+    /// Rebuilds in a background thread from a copy of the collection,
+    /// then swaps the fresh engine in atomically. Queries are served from
+    /// the old snapshot for the entire build; mutations applied mid-build
+    /// are replayed onto the fresh engine before the swap. Returns a handle
     /// yielding the fresh build's report.
     pub fn rebuild_in_background(&self) -> std::thread::JoinHandle<BuildReport> {
         let this = self.clone();
         std::thread::spawn(move || this.rebuild_blocking())
     }
 
-    /// The rebuild body (also callable synchronously): snapshot → build
-    /// outside the lock → catch up on concurrent updates → swap + publish.
+    /// The rebuild body (also callable synchronously): capture → build
+    /// outside the lock → catch up on concurrent mutations → swap +
+    /// publish.
     pub fn rebuild_blocking(&self) -> BuildReport {
-        // 1. Snapshot under the read lock.
-        let (snapshot, builder) = {
-            let guard = self.engine.read();
-            let builder = Hopi::builder()
-                .config(guard.config().clone())
-                .query_options(*guard.query_options())
-                .distance_aware(guard.stats().distance_entries.is_some());
-            (guard.collection().clone(), builder)
-        };
-        let snapshot_docs: Vec<DocId> = snapshot.doc_ids().collect();
-        let snapshot_links: FxHashSet<(ElemId, ElemId)> =
-            snapshot.links().iter().map(|l| (l.from, l.to)).collect();
-
-        // 2. Build outside any lock. A failed build of the snapshot (it
-        // was valid when captured) falls back to rebuilding from the
-        // live collection under the lock rather than panicking the
-        // rebuild thread.
-        let mut fresh = match builder.clone().build(snapshot.clone()) {
-            Ok(fresh) => fresh,
-            Err(_) => {
-                let mut guard = self.engine.write();
-                return self.swap_fallback_rebuild(&mut guard, builder);
-            }
-        };
-
-        // 3. Swap under the write lock, replaying the delta between the
-        // snapshot and the live collection onto the fresh engine. The
-        // plan-strategy counters survive the swap: a rebuild changes the
-        // cover, not the observability history.
-        let mut guard = self.engine.write();
-        let delta = collection_delta(&snapshot_docs, &snapshot_links, guard.collection());
-        if !delta_replays_exactly(&snapshot, guard.collection(), &delta) {
-            // Rare: the window contained updates whose replay would not
-            // reproduce the live id assignment (a document created *and*
-            // deleted mid-build, or a link between two mid-build
-            // documents). Rebuild from the live collection — still a
-            // consistent swap, just under the lock.
-            return self.swap_fallback_rebuild(&mut guard, builder);
-        }
-        fresh.plan_counters = guard.plan_counters.clone();
-        let report = fresh.report().clone();
-        for update in delta {
-            // The replay target `fresh` is the in-memory `Hopi` being
-            // built — it has no durability layer and no locks. The
-            // name-approximate call graph aliases these methods with the
-            // `OnlineHopi` wrappers of the same name, so each arm is
-            // individually sanctioned.
-            let replayed = match update {
-                // lint: allow(blocking-under-lock, lock-order): replay onto the detached in-memory engine, not the online wrapper
-                CollectionUpdate::InsertLink(f, t) => fresh.insert_link(f, t).map(|_| ()),
-                // lint: allow(blocking-under-lock): replay onto the detached in-memory engine, not the online wrapper
-                CollectionUpdate::DeleteLink(f, t) => fresh.delete_link(f, t).map(|_| ()),
-                CollectionUpdate::InsertDocument(doc, links) => {
-                    // lint: allow(blocking-under-lock): replay onto the detached in-memory engine, not the online wrapper
-                    fresh.insert_document(doc, &links).map(|_| ())
-                }
-                // lint: allow(blocking-under-lock): replay onto the detached in-memory engine, not the online wrapper
-                CollectionUpdate::DeleteDocument(d) => fresh.delete_document(d).map(|_| ()),
-                CollectionUpdate::ModifyDocument(d, doc, links) => {
-                    // lint: allow(blocking-under-lock): replay onto the detached in-memory engine, not the online wrapper
-                    fresh.modify_document(d, doc, &links).map(|_| ())
-                }
-            };
-            if replayed.is_err() {
-                // A surprising delta must never panic the rebuild thread:
-                // fall back to rebuilding from the live collection under
-                // the lock (always consistent, just slower).
-                return self.swap_fallback_rebuild(&mut guard, builder);
-            }
-        }
-        *guard = fresh;
-        self.publish(&mut guard);
-        report
+        let Capture {
+            collection,
+            builder,
+            window,
+        } = self.begin_rebuild();
+        let built = builder.clone().build(collection);
+        self.finish_rebuild(window, builder, built).0
     }
 
-    /// The in-lock fallback rebuild: build from the live collection,
-    /// carry the plan counters over, swap, publish. If even the live
-    /// collection fails to build, the engine keeps serving its current
-    /// (consistent) index and the stale report says so — a rebuild is an
-    /// optimization, never worth a panic.
-    fn swap_fallback_rebuild(
+    /// Copies the collection and build settings under the write lock and
+    /// opens the rebuild's catch-up window.
+    fn begin_rebuild(&self) -> Capture {
+        let mut guard = self.engine.write();
+        let hopi = &guard.hopi;
+        let builder = Hopi::builder()
+            .config(hopi.config().clone())
+            .query_options(*hopi.query_options())
+            .distance_aware(hopi.stats().distance_entries.is_some());
+        let collection = hopi.collection().clone();
+        Capture {
+            collection,
+            builder,
+            window: guard.catch_up.open_window(),
+        }
+    }
+
+    /// Closes the rebuild's window and swaps the fresh engine in under the
+    /// write lock, after replaying the window's records onto it; also
+    /// returns how many it replayed. The one fallback (`None`) — a failed
+    /// build, a window `update_batch` made unreplayable, a replay error —
+    /// rebuilds from the live collection under the lock. If even that
+    /// fails, the engine keeps serving its current (consistent) index and
+    /// the stale report says so: a rebuild is an optimization, never worth
+    /// a panic.
+    fn finish_rebuild(
         &self,
-        guard: &mut parking_lot::RwLockWriteGuard<'_, Hopi>,
+        window: u64,
         builder: HopiBuilder,
-    ) -> BuildReport {
-        let Ok(mut fallback) = builder.build(guard.collection().clone()) else {
-            return guard.report().clone();
+        built: Result<Hopi, HopiError>,
+    ) -> (BuildReport, Option<usize>) {
+        let mut guard = self.engine.write();
+        let Engine { hopi, catch_up } = &mut *guard;
+        let caught_up = match (built, catch_up.close_window(window)) {
+            (Ok(mut fresh), Some(records)) => {
+                let n = records.len();
+                let replay = records
+                    .into_iter()
+                    // lint: allow(blocking-under-lock, lock-order): `fresh` is the detached in-memory engine, not the online wrapper whose same-named methods the call graph aliases
+                    .try_for_each(|rec| fresh.replay_record(rec));
+                replay.is_ok().then_some((fresh, Some(n)))
+            }
+            _ => None,
         };
-        fallback.plan_counters = guard.plan_counters.clone();
-        let report = fallback.report().clone();
-        **guard = fallback;
-        self.publish(guard);
-        report
+        let fresh = match caught_up {
+            Some(fresh) => Some(fresh),
+            None => builder
+                .build(hopi.collection().clone())
+                .ok()
+                .map(|f| (f, None)),
+        };
+        let Some((mut fresh, replayed)) = fresh else {
+            return (hopi.report().clone(), None);
+        };
+        // The plan-strategy counters survive the swap: a rebuild changes
+        // the cover, not the observability history.
+        fresh.plan_counters = hopi.plan_counters.clone();
+        let report = fresh.report().clone();
+        *hopi = fresh;
+        self.publish(hopi);
+        (report, replayed)
     }
 
     /// Runs one mutation under the write lock; on success publishes a
     /// fresh snapshot before releasing it (so no query epoch can observe
     /// the mutation without its index updates).
     ///
-    /// The durable write path threads through here: the closure returns
-    /// the WAL record describing the mutation it applied, the record is
-    /// appended **while the write lock is held** (log order = apply
-    /// order), and after the lock is released the record is
+    /// The closure is told whether a rebuild is in flight and returns the
+    /// record of the mutation it applied — required then and in durable
+    /// mode, optional otherwise. While a rebuild is in flight the record
+    /// joins its catch-up log. The durable write path threads through
+    /// here too: the record is appended **while the write lock is held**
+    /// (log order = apply order), and after the lock is released it is
     /// group-committed — this call does not return success until the
-    /// mutation is durable, but the fsync it waits on is shared with
-    /// every mutation queued behind it.
+    /// mutation is durable, but the fsync it waits on is shared with every
+    /// mutation queued behind it.
     fn mutate<R>(
         &self,
-        f: impl FnOnce(&mut Hopi) -> Result<(R, Option<WalRecord>), HopiError>,
+        f: impl FnOnce(&mut Hopi, bool) -> Result<(R, Option<WalRecord>), HopiError>,
     ) -> Result<R, HopiError> {
         let mut guard = self.engine.write();
         if let Some(d) = &self.durability {
             d.check_healthy()?;
         }
-        let (out, rec) = f(&mut guard)?;
-        let committed_seq = match (&self.durability, rec) {
-            (Some(d), Some(rec)) => {
-                // lint: allow(blocking-under-lock): sanctioned — the WAL append must happen under the write lock so log order equals apply order; the fsync waits outside it
-                let seq = match d.append(&rec) {
-                    Ok(seq) => seq,
-                    Err(e) => {
-                        // The mutation is applied in memory but not
-                        // logged; publish (readers may as well see it) and
-                        // report the durability failure. `append` poisoned
-                        // the layer, so no later ack can outrun this hole.
-                        self.publish(&mut guard);
-                        return Err(e);
-                    }
-                };
-                Some(seq)
-            }
+        let recording = guard.catch_up.is_recording();
+        let (out, rec) = f(&mut guard.hopi, recording)?;
+        let appended = match (&self.durability, &rec) {
+            // lint: allow(blocking-under-lock): sanctioned — the WAL append must happen under the write lock so log order equals apply order; the fsync waits outside it
+            (Some(d), Some(rec)) => Some(d.append(rec)),
             _ => None,
         };
-        self.publish(&mut guard);
+        // The mutation is applied in memory even when its append failed,
+        // so a rebuild in flight must replay it either way.
+        if let Some(rec) = rec {
+            guard.catch_up.push(rec);
+        }
+        // A failed append still publishes (readers may as well see the
+        // mutation) and then reports the durability failure. `append`
+        // poisoned the layer, so no later ack can outrun this hole.
+        self.publish(&mut guard.hopi);
         drop(guard);
-        if let (Some(d), Some(seq)) = (&self.durability, committed_seq) {
+        if let (Some(d), Some(seq)) = (&self.durability, appended.transpose()?) {
             d.commit(seq)?;
         }
         Ok(out)
@@ -613,5 +692,307 @@ impl OnlineHopi {
         // the lock, run the replaced snapshot's destructor after it.
         let replaced = std::mem::replace(&mut *self.serving.write(), snapshot);
         drop((prev, replaced));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The rebuild's capture and swap phases driven directly, so each test
+    //! places its mutations inside the catch-up window deterministically.
+
+    use super::*;
+    use crate::durable::DurableConfig;
+    use hopi_core::FrozenCover;
+    use hopi_graph::TransitiveClosure;
+    use hopi_query::TagIndex;
+    use hopi_store::{FaultKind, FaultOpKind, FaultVfs};
+    use hopi_text::{FrozenTextIndex, TextIndex};
+
+    fn fixture() -> Hopi {
+        Hopi::builder()
+            .parse([
+                ("a", r#"<r><s>hop cover</s><cite xlink:href="b"/></r>"#),
+                (
+                    "b",
+                    r#"<r><sec id="x"><p>xml index</p></sec><cite xlink:href="c"/></r>"#,
+                ),
+                ("c", "<r><t>two hop</t></r>"),
+                ("d", r#"<r><u/><cite xlink:href="a"/></r>"#),
+            ])
+            .expect("valid fixture")
+    }
+
+    fn doc_id(online: &OnlineHopi, name: &str) -> DocId {
+        online.read(|h| {
+            let c = h.collection();
+            c.doc_ids()
+                .find(|&d| c.document(d).is_some_and(|doc| doc.name == name))
+                .expect("live document")
+        })
+    }
+
+    /// Element `local` of the live document `name`.
+    fn elem(online: &OnlineHopi, name: &str, local: u32) -> ElemId {
+        let d = doc_id(online, name);
+        online.read(|h| h.collection().global_id(d, local))
+    }
+
+    /// `(records, open windows)` of the catch-up log.
+    fn catch_up_len(online: &OnlineHopi) -> (usize, usize) {
+        let guard = online.engine.read();
+        (guard.catch_up.log.len(), guard.catch_up.windows.len())
+    }
+
+    /// Builds from `capture`, swaps, and checks the swapped engine against
+    /// the live engine it replaced. Returns the records replayed (`None`:
+    /// the fallback ran).
+    fn swap_checked(online: &OnlineHopi, capture: Capture) -> Option<usize> {
+        let built = capture.builder.clone().build(capture.collection);
+        swap_checked_with(online, capture.window, capture.builder, built)
+    }
+
+    fn swap_checked_with(
+        online: &OnlineHopi,
+        window: u64,
+        builder: HopiBuilder,
+        built: Result<Hopi, HopiError>,
+    ) -> Option<usize> {
+        let live = online.read(|h| h.collection().clone());
+        let (_, replayed) = online.finish_rebuild(window, builder, built);
+        assert_exact(online, &live);
+        replayed
+    }
+
+    /// Runs `mid` inside a rebuild's catch-up window, then swaps.
+    fn rebuild_around(online: &OnlineHopi, mid: impl FnOnce(&OnlineHopi)) -> Option<usize> {
+        let capture = online.begin_rebuild();
+        mid(online);
+        swap_checked(online, capture)
+    }
+
+    /// The engine holds exactly the collection `live` (id bounds, links,
+    /// documents), answers `connected` like a BFS closure, and publishes
+    /// what a from-scratch capture would.
+    fn assert_exact(online: &OnlineHopi, live: &Collection) {
+        online.read(|h| {
+            let c = h.collection();
+            assert_eq!(c.doc_id_bound(), live.doc_id_bound());
+            assert_eq!(c.elem_id_bound(), live.elem_id_bound());
+            assert_eq!(c.links(), live.links());
+            for d in 0..live.doc_id_bound() as DocId {
+                assert_eq!(c.document(d), live.document(d), "document {d}");
+                if live.document(d).is_some() {
+                    assert_eq!(c.global_id(d, 0), live.global_id(d, 0), "base of {d}");
+                }
+            }
+            let tc = TransitiveClosure::from_graph(&c.element_graph());
+            let alive: Vec<ElemId> = (0..c.elem_id_bound() as ElemId)
+                .filter(|&e| c.doc_of(e).is_some())
+                .collect();
+            for &u in &alive {
+                for &v in &alive {
+                    assert_eq!(h.connected(u, v), tc.contains(u, v), "({u},{v})");
+                }
+            }
+            let snap = online.snapshot();
+            assert_eq!(snap.frozen(), &FrozenCover::from_cover(h.index().cover()));
+            assert_eq!(snap.tags(), &TagIndex::build(c));
+            let text = FrozenTextIndex::from_index(&TextIndex::build(c));
+            assert_eq!(snap.text().as_ref(), &text);
+        });
+    }
+
+    #[test]
+    fn every_mutation_kind_replays() {
+        let online = OnlineHopi::new(fixture());
+        let replayed = rebuild_around(&online, |o| {
+            o.insert_link(elem(o, "c", 1), elem(o, "d", 0)).unwrap();
+            let l = o.read(|h| h.collection().links()[0]);
+            o.delete_link(l.from, l.to).unwrap();
+            o.insert_xml("e", r#"<r><v>fresh hop</v><cite xlink:href="a"/></r>"#)
+                .unwrap();
+            let mut doc = XmlDocument::new("f", "r");
+            let w = doc.add_element(0, "w");
+            doc.set_text(w, "xml cover");
+            let links = DocumentLinks {
+                outgoing: vec![(w, elem(o, "b", 1))],
+                incoming: vec![(elem(o, "c", 0), 0)],
+            };
+            o.insert_document(doc, &links).unwrap();
+            o.delete_document(doc_id(o, "d")).unwrap();
+            let links = DocumentLinks {
+                outgoing: vec![(0, elem(o, "a", 1))],
+                incoming: vec![],
+            };
+            o.modify_document(doc_id(o, "e"), XmlDocument::new("e2", "r"), &links)
+                .unwrap();
+        });
+        assert_eq!(replayed, Some(6));
+        assert_eq!(catch_up_len(&online), (0, 0));
+    }
+
+    #[test]
+    fn document_inserted_and_deleted_mid_build_replays() {
+        // The id hole a diff of two collections cannot reproduce.
+        let online = OnlineHopi::new(fixture());
+        let replayed = rebuild_around(&online, |o| {
+            let ghost = o.insert_xml("ghost", "<r><g/></r>").unwrap();
+            o.insert_xml("keeper", r#"<r><k/><cite xlink:href="a"/></r>"#)
+                .unwrap();
+            o.delete_document(ghost).unwrap();
+        });
+        assert_eq!(replayed, Some(3));
+    }
+
+    #[test]
+    fn link_from_a_new_document_to_a_later_one_replays() {
+        let online = OnlineHopi::new(fixture());
+        let replayed = rebuild_around(&online, |o| {
+            o.insert_xml("x", "<r><s/></r>").unwrap();
+            o.insert_xml("y", "<r><s>late hop</s></r>").unwrap();
+            o.insert_link(elem(o, "x", 1), elem(o, "y", 1)).unwrap();
+        });
+        assert_eq!(replayed, Some(3));
+    }
+
+    #[test]
+    fn modified_documents_replay_with_links_both_ways() {
+        let online = OnlineHopi::new(fixture());
+        let replayed = rebuild_around(&online, |o| {
+            let mut doc = XmlDocument::new("b2", "r");
+            let s = doc.add_element(0, "sec");
+            doc.set_text(s, "modified hop");
+            let links = DocumentLinks {
+                outgoing: vec![(s, elem(o, "c", 1))],
+                incoming: vec![(elem(o, "a", 1), 0)],
+            };
+            o.modify_document(doc_id(o, "b"), doc, &links).unwrap();
+            // A replacement of the replacement: its id came from the window.
+            let links = DocumentLinks {
+                outgoing: vec![],
+                incoming: vec![(elem(o, "d", 1), 0)],
+            };
+            o.modify_document(doc_id(o, "b2"), XmlDocument::new("b3", "r"), &links)
+                .unwrap();
+        });
+        assert_eq!(replayed, Some(2));
+    }
+
+    #[test]
+    fn rejected_mutations_are_not_replayed() {
+        let online = OnlineHopi::new(fixture());
+        let replayed = rebuild_around(&online, |o| {
+            assert!(o.delete_link(elem(o, "a", 0), elem(o, "c", 0)).is_err());
+            assert!(o.delete_document(99).is_err());
+            assert!(o.insert_xml("a", "<r/>").is_err(), "duplicate name");
+            let dead = XmlDocument::new("z", "r");
+            assert!(o
+                .modify_document(99, dead, &DocumentLinks::default())
+                .is_err());
+            // A duplicate link is a no-op that leaves no record.
+            let l = o.read(|h| h.collection().links()[0]);
+            assert_eq!(o.insert_link(l.from, l.to).unwrap(), 0);
+            o.insert_link(elem(o, "c", 1), elem(o, "a", 0)).unwrap();
+        });
+        assert_eq!(replayed, Some(1));
+    }
+
+    #[test]
+    fn update_batch_falls_back_and_stays_exact() {
+        let online = OnlineHopi::new(fixture());
+        let replayed = rebuild_around(&online, |o| {
+            o.insert_link(elem(o, "c", 1), elem(o, "a", 0)).unwrap();
+            o.update_batch(|h| {
+                h.insert_xml("batched", r#"<r><cite xlink:href="c"/></r>"#)
+                    .unwrap();
+            })
+            .unwrap();
+            o.insert_xml("after", "<r><s/></r>").unwrap();
+        });
+        assert_eq!(replayed, None);
+        assert_eq!(catch_up_len(&online), (0, 0));
+    }
+
+    #[test]
+    fn overlapping_windows_each_replay_their_own_records() {
+        let online = OnlineHopi::new(fixture());
+        let first = online.begin_rebuild();
+        online
+            .insert_xml("one", r#"<r><cite xlink:href="a"/></r>"#)
+            .unwrap();
+        let second = online.begin_rebuild();
+        online
+            .insert_xml("two", r#"<r><cite xlink:href="one"/></r>"#)
+            .unwrap();
+        // The first rebuild swaps while the second is still building.
+        assert_eq!(swap_checked(&online, first), Some(2));
+        assert_eq!(catch_up_len(&online), (1, 1));
+        let (from, to) = (elem(&online, "c", 1), elem(&online, "two", 0));
+        online.insert_link(from, to).unwrap();
+        assert_eq!(swap_checked(&online, second), Some(2));
+        assert_eq!(catch_up_len(&online), (0, 0));
+    }
+
+    #[test]
+    fn overlapping_windows_may_swap_out_of_order() {
+        let online = OnlineHopi::new(fixture());
+        let first = online.begin_rebuild();
+        online
+            .insert_xml("one", r#"<r><cite xlink:href="a"/></r>"#)
+            .unwrap();
+        let second = online.begin_rebuild();
+        online
+            .insert_xml("two", r#"<r><cite xlink:href="one"/></r>"#)
+            .unwrap();
+        assert_eq!(swap_checked(&online, second), Some(1));
+        assert_eq!(catch_up_len(&online), (2, 1));
+        online.delete_document(doc_id(&online, "one")).unwrap();
+        assert_eq!(swap_checked(&online, first), Some(3));
+        assert_eq!(catch_up_len(&online), (0, 0));
+    }
+
+    #[test]
+    fn failed_build_falls_back_and_empties_the_log() {
+        let online = OnlineHopi::new(fixture());
+        let Capture {
+            builder, window, ..
+        } = online.begin_rebuild();
+        online
+            .insert_xml("late", r#"<r><cite xlink:href="b"/></r>"#)
+            .unwrap();
+        let failed = Err(HopiError::DistanceDisabled);
+        let replayed = swap_checked_with(&online, window, builder, failed);
+        assert_eq!(replayed, None);
+        assert_eq!(catch_up_len(&online), (0, 0));
+    }
+
+    #[test]
+    fn mutation_whose_append_failed_is_replayed() {
+        let dir =
+            std::env::temp_dir().join(format!("hopi_online_failed_append_{}", std::process::id()));
+        let bootstrap = |vfs: &FaultVfs| {
+            std::fs::remove_dir_all(&dir).ok();
+            let config = DurableConfig::new(&dir).vfs(Arc::new(vfs.clone()));
+            OnlineHopi::bootstrap_durable(&config, fixture()).unwrap()
+        };
+        // The op after a bootstrap's last one is the first WAL append.
+        let counting = FaultVfs::counting();
+        drop(bootstrap(&counting));
+        let vfs = FaultVfs::failing(counting.op_count() + 1, FaultKind::Eio);
+        let online = bootstrap(&vfs);
+        let (from, to) = (elem(&online, "c", 1), elem(&online, "a", 0));
+        let replayed = rebuild_around(&online, |o| {
+            let err = o.insert_link(from, to).unwrap_err();
+            assert!(matches!(err, HopiError::Persist(_)), "{err}");
+            let failed = vfs.ops().pop().expect("the failed op");
+            assert!(vfs.fired() && failed.op == FaultOpKind::Write);
+            assert!(failed.path.ends_with(crate::WAL_FILE));
+            assert!(o.read(|h| h.collection().has_link(from, to)));
+        });
+        assert_eq!(replayed, Some(1));
+        assert!(online.read(|h| h.collection().has_link(from, to)));
+        assert!(online.connected(from, to));
+        drop(online);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

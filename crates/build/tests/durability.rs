@@ -6,7 +6,7 @@
 use hopi_build::{DurableConfig, Hopi, HopiError, OnlineHopi, SyncPolicy};
 use hopi_graph::TransitiveClosure;
 use hopi_maintenance::DocumentLinks;
-use hopi_store::{Wal, WalRecord};
+use hopi_store::{StdVfs, Wal, WalRecord};
 use hopi_xml::{Collection, XmlDocument};
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -412,7 +412,7 @@ proptest! {
 
         let wal_path = dir.join(hopi_build::WAL_FILE);
         let full = std::fs::read(&wal_path).unwrap();
-        let (_, all_records) = Wal::open(&wal_path).unwrap();
+        let (_, all_records) = Wal::open(StdVfs::arc(), &wal_path).unwrap();
 
         // Frame boundaries → how many records survive a cut at byte `cut`.
         let mut boundaries = vec![16usize];

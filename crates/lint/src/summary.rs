@@ -58,14 +58,7 @@ const BLOCKING_METHODS: &[&str] = &[
 /// Free or path-qualified functions that block (`thread::sleep`, the
 /// VFS fsync helpers). Any call under an `fs::` path qualifier is also
 /// blocking regardless of name.
-const BLOCKING_BARE: &[&str] = &[
-    "atomic_write_file",
-    "atomic_write_file_in",
-    "fsync",
-    "sleep",
-    "sync_parent_dir",
-    "sync_parent_dir_in",
-];
+const BLOCKING_BARE: &[&str] = &["atomic_write_file", "fsync", "sleep", "sync_parent_dir"];
 
 /// Method names so common on std containers/iterators that resolving
 /// them by name would alias unrelated workspace functions (e.g. a JSON

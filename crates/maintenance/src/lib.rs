@@ -19,12 +19,14 @@
 //!
 //!   Single-edge deletion uses the same partial-recomputation scheme.
 //! * [`modify`] — document modification = drop + reinsert (paper §6.3).
-//! * [`rebuild`] — degradation tracking and occasional full rebuilds with
-//!   the efficient §4 pipeline ("over time, the space efficiency … may
-//!   degrade").
-//! * [`online`] — 24×7 operation (paper §1.1): concurrent queries, brief
-//!   write-locked incremental updates, and background rebuilds with atomic
-//!   swap that never interrupt query service.
+//! * [`rebuild`] — degradation tracking and the policy deciding when an
+//!   occasional full rebuild with the efficient §4 pipeline pays off
+//!   ("over time, the space efficiency … may degrade").
+//!
+//! 24×7 operation (paper §1.1) — concurrent queries, write-locked
+//! incremental updates, background rebuilds with an atomic swap — lives in
+//! `hopi_build::OnlineHopi`, which drives these algorithms through the
+//! `hopi_build::Hopi` engine.
 //!
 //! All operations keep the [`hopi_xml::Collection`] and the
 //! [`hopi_core::HopiIndex`] in sync and preserve the exactness invariant
@@ -37,7 +39,6 @@
 pub mod delete;
 pub mod insert;
 pub mod modify;
-pub mod online;
 pub mod rebuild;
 
 pub use delete::{delete_document, delete_link, separates, DeletionAlgorithm, DeletionOutcome};
@@ -46,7 +47,4 @@ pub use insert::{
     integrate_document_distance, DocumentLinks, LinkError,
 };
 pub use modify::modify_document;
-pub use online::{
-    apply_update, collection_delta, delta_replays_exactly, CollectionUpdate, OnlineIndex,
-};
-pub use rebuild::{degradation, rebuild, should_rebuild, Degradation, RebuildPolicy};
+pub use rebuild::{degradation, should_rebuild, Degradation, RebuildPolicy};

@@ -6,10 +6,11 @@
 //! integration (§6.1) and the Theorem 3 splice both add entries greedily —
 //! each insertion picks a fixed center instead of the globally densest one
 //! — so the cover drifts away from what a fresh build would produce. This
-//! module quantifies that drift and performs in-place rebuilds.
+//! module quantifies that drift and decides when a rebuild pays off; the
+//! rebuild itself is `hopi_build::Hopi::rebuild` (in place) or
+//! `hopi_build::OnlineHopi::rebuild_in_background` (while serving).
 
 use hopi_core::HopiIndex;
-use hopi_partition::{build_index, BuildConfig};
 use hopi_xml::Collection;
 
 /// Degradation snapshot of a maintained index.
@@ -56,68 +57,11 @@ pub fn should_rebuild(collection: &Collection, index: &HopiIndex, policy: &Rebui
     degradation(collection, index).entries_per_element > policy.max_entries_per_element
 }
 
-/// Rebuilds the index from scratch with the efficient §4 pipeline,
-/// replacing the maintained cover in place. Returns `(entries_before,
-/// entries_after)`.
-pub fn rebuild(
-    collection: &Collection,
-    index: &mut HopiIndex,
-    config: &BuildConfig,
-) -> (usize, usize) {
-    let before = index.size();
-    let (fresh, _) = build_index(collection, config);
-    *index = fresh;
-    (before, index.size())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::insert::insert_link;
-    use hopi_graph::TransitiveClosure;
+    use hopi_partition::{build_index, BuildConfig};
     use hopi_xml::generator::{dblp, DblpConfig};
-    use rand::prelude::*;
-
-    #[test]
-    fn churn_degrades_then_rebuild_recovers() {
-        let mut rng = StdRng::seed_from_u64(8);
-        let mut c = dblp(&DblpConfig::scaled(0.004));
-        let (mut index, report) = build_index(&c, &BuildConfig::default());
-        let fresh_size = report.cover_size;
-
-        // Heavy link churn through the greedy §6.1 insertion.
-        let docs: Vec<u32> = c.doc_ids().collect();
-        for _ in 0..80 {
-            let a = docs[rng.gen_range(0..docs.len())];
-            let b = docs[rng.gen_range(0..docs.len())];
-            if a != b {
-                let (from, to) = (c.global_id(a, 0), c.global_id(b, 0));
-                insert_link(&mut c, &mut index, from, to).unwrap();
-            }
-        }
-        let degraded = degradation(&c, &index);
-        assert!(
-            degraded.entries > fresh_size,
-            "churn should grow the cover ({} vs fresh {fresh_size})",
-            degraded.entries
-        );
-
-        let (before, after) = rebuild(&c, &mut index, &BuildConfig::default());
-        assert_eq!(before, degraded.entries);
-        assert!(
-            after < before,
-            "rebuild should shrink a churned cover ({after} !< {before})"
-        );
-
-        // Exactness after rebuild.
-        let g = c.element_graph();
-        let tc = TransitiveClosure::from_graph(&g);
-        for u in (0..g.id_bound() as u32).step_by(7) {
-            for v in (0..g.id_bound() as u32).step_by(7) {
-                assert_eq!(index.connected(u, v), tc.contains(u, v));
-            }
-        }
-    }
 
     #[test]
     fn policy_threshold() {

@@ -31,10 +31,10 @@
 //! fsync). [`wal`] adds the durable write path: a length-prefixed,
 //! checksummed write-ahead log of collection mutations with group commit,
 //! paired with atomic checkpoints ([`save_checkpoint`]) that snapshot
-//! collection + frozen cover at a WAL sequence number. Every durability
-//! syscall goes through [`vfs`]: a pluggable backend that is [`StdVfs`]
-//! in production and [`FaultVfs`] — deterministic fault injection with
-//! op counting — under the chaos test suites.
+//! collection + frozen cover at a WAL sequence number. Every file
+//! operation takes its [`vfs`] backend as an argument: [`StdVfs`] in
+//! production and [`FaultVfs`] — deterministic fault injection with op
+//! counting — under the chaos test suites.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -47,10 +47,9 @@ pub mod wal;
 
 pub use engine::LinLoutStore;
 pub use persist::{
-    atomic_write_file, atomic_write_file_in, load_checkpoint, load_checkpoint_in, load_frozen,
-    load_index, load_index_in, load_store, save_checkpoint, save_checkpoint_in, save_frozen,
-    save_frozen_in, save_store, save_store_in, sync_parent_dir, sync_parent_dir_in, Checkpoint,
-    PersistError, StoredIndex, STORE_FORMAT_VERSION,
+    atomic_write_file, load_checkpoint, load_frozen, load_index, load_store, save_checkpoint,
+    save_frozen, save_store, sync_parent_dir, Checkpoint, PersistError, StoredIndex,
+    STORE_FORMAT_VERSION,
 };
 pub use table::IndexOrganizedTable;
 pub use vfs::{FaultKind, FaultOp, FaultOpKind, FaultVfs, StdVfs, Vfs, VfsFile};

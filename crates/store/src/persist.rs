@@ -33,7 +33,7 @@
 
 use crate::engine::LinLoutStore;
 use crate::table::{IndexOrganizedTable, Row};
-use crate::vfs::{StdVfs, Vfs};
+use crate::vfs::Vfs;
 use hopi_core::FrozenCover;
 use std::path::Path;
 
@@ -92,14 +92,9 @@ const FLAG_CHECKPOINT: u32 = 4;
 /// file in the same directory, are fsynced, renamed over the target, and
 /// the directory is fsynced — at every instant `path` holds either the
 /// old complete file or the new complete file, never a torn mix.
-pub fn atomic_write_file(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    atomic_write_file_in(&StdVfs, path, bytes)
-}
-
-/// [`atomic_write_file`] through an explicit VFS backend — the variant
-/// the durable layer uses so fault injection covers every step (temp
-/// write, fsync, rename, directory fsync).
-pub fn atomic_write_file_in(vfs: &dyn Vfs, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+/// Every step (temp write, fsync, rename, directory fsync) goes through
+/// `vfs`, so fault injection covers all of them.
+pub fn atomic_write_file(vfs: &dyn Vfs, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     // Unique per call, not just per process: two threads writing the same
     // target concurrently must not truncate each other's temp file.
     static WRITE_COUNTER: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
@@ -129,18 +124,13 @@ pub fn atomic_write_file_in(vfs: &dyn Vfs, path: &Path, bytes: &[u8]) -> std::io
         vfs.remove_file(&tmp).ok();
         return Err(e);
     }
-    sync_parent_dir_in(vfs, path)
+    sync_parent_dir(vfs, path)
 }
 
 /// Fsyncs the directory containing `path`, making a just-completed rename
 /// or create durable. A no-op error-swallow is deliberate on platforms
 /// where directories cannot be opened for sync.
-pub fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
-    sync_parent_dir_in(&StdVfs, path)
-}
-
-/// [`sync_parent_dir`] through an explicit VFS backend.
-pub fn sync_parent_dir_in(vfs: &dyn Vfs, path: &Path) -> std::io::Result<()> {
+pub fn sync_parent_dir(vfs: &dyn Vfs, path: &Path) -> std::io::Result<()> {
     let dir = match path.parent() {
         Some(d) if !d.as_os_str().is_empty() => d,
         _ => Path::new("."),
@@ -178,12 +168,7 @@ impl From<std::io::Error> for PersistError {
 }
 
 /// Serializes a store to `path`.
-pub fn save_store(store: &LinLoutStore, path: &Path) -> Result<(), PersistError> {
-    save_store_in(&StdVfs, store, path)
-}
-
-/// [`save_store`] through an explicit VFS backend.
-pub fn save_store_in(vfs: &dyn Vfs, store: &LinLoutStore, path: &Path) -> Result<(), PersistError> {
+pub fn save_store(vfs: &dyn Vfs, store: &LinLoutStore, path: &Path) -> Result<(), PersistError> {
     let with_dist = store.lin().with_dist() || store.lout().with_dist();
     let per_row = if with_dist { 12 } else { 8 };
     let mut buf: Vec<u8> = Vec::with_capacity(28 + per_row * store.entry_count());
@@ -201,7 +186,7 @@ pub fn save_store_in(vfs: &dyn Vfs, store: &LinLoutStore, path: &Path) -> Result
             }
         }
     }
-    atomic_write_file_in(vfs, path, &buf)?;
+    atomic_write_file(vfs, path, &buf)?;
     Ok(())
 }
 
@@ -216,12 +201,7 @@ pub enum StoredIndex {
 
 /// Loads either index layout, detecting the format from the header. Use
 /// this when the caller accepts both (e.g. `Hopi::open`).
-pub fn load_index(path: &Path) -> Result<StoredIndex, PersistError> {
-    load_index_in(&StdVfs, path)
-}
-
-/// [`load_index`] through an explicit VFS backend.
-pub fn load_index_in(vfs: &dyn Vfs, path: &Path) -> Result<StoredIndex, PersistError> {
+pub fn load_index(vfs: &dyn Vfs, path: &Path) -> Result<StoredIndex, PersistError> {
     let raw = vfs.read(path)?;
     if raw.len() >= 12 && &raw[..4] == MAGIC {
         let flags = u32::from_le_bytes([raw[8], raw[9], raw[10], raw[11]]);
@@ -238,8 +218,8 @@ pub fn load_index_in(vfs: &dyn Vfs, path: &Path) -> Result<StoredIndex, PersistE
 }
 
 /// Loads a store from `path`, rebuilding the backward indexes.
-pub fn load_store(path: &Path) -> Result<LinLoutStore, PersistError> {
-    decode_store(&StdVfs.read(path)?)
+pub fn load_store(vfs: &dyn Vfs, path: &Path) -> Result<LinLoutStore, PersistError> {
+    decode_store(&vfs.read(path)?)
 }
 
 fn decode_store(raw: &[u8]) -> Result<LinLoutStore, PersistError> {
@@ -301,16 +281,7 @@ fn decode_store(raw: &[u8]) -> Result<LinLoutStore, PersistError> {
 /// Serializes a frozen cover to `path` as a single length-prefixed CSR
 /// blob (header flags bit 1 set; bit 0 when distance annotations are
 /// stored). Loading it back with [`load_frozen`] involves no sorting.
-pub fn save_frozen(frozen: &FrozenCover, path: &Path) -> Result<(), PersistError> {
-    save_frozen_in(&StdVfs, frozen, path)
-}
-
-/// [`save_frozen`] through an explicit VFS backend.
-pub fn save_frozen_in(
-    vfs: &dyn Vfs,
-    frozen: &FrozenCover,
-    path: &Path,
-) -> Result<(), PersistError> {
+pub fn save_frozen(vfs: &dyn Vfs, frozen: &FrozenCover, path: &Path) -> Result<(), PersistError> {
     let dists = frozen.label_dists();
     let flags = FLAG_FROZEN | if dists.is_some() { FLAG_DIST } else { 0 };
     let mut buf: Vec<u8> = Vec::with_capacity(28);
@@ -318,7 +289,7 @@ pub fn save_frozen_in(
     buf.extend_from_slice(&VERSION.to_le_bytes());
     buf.extend_from_slice(&flags.to_le_bytes());
     encode_frozen_payload(frozen, &mut buf);
-    atomic_write_file_in(vfs, path, &buf)?;
+    atomic_write_file(vfs, path, &buf)?;
     Ok(())
 }
 
@@ -348,8 +319,8 @@ fn encode_frozen_payload(frozen: &FrozenCover, buf: &mut Vec<u8>) {
 
 /// Loads a frozen cover persisted with [`save_frozen`], rebuilding the
 /// inverted sections by counting (no sorting anywhere on the load path).
-pub fn load_frozen(path: &Path) -> Result<FrozenCover, PersistError> {
-    decode_frozen(&StdVfs.read(path)?)
+pub fn load_frozen(vfs: &dyn Vfs, path: &Path) -> Result<FrozenCover, PersistError> {
+    decode_frozen(&vfs.read(path)?)
 }
 
 fn decode_frozen(raw: &[u8]) -> Result<FrozenCover, PersistError> {
@@ -444,16 +415,6 @@ pub struct Checkpoint {
 /// csr      …        frozen CSR payload (same section as save_frozen)
 /// ```
 pub fn save_checkpoint(
-    path: &Path,
-    collection: &hopi_xml::Collection,
-    frozen: &FrozenCover,
-    seq: u64,
-) -> Result<(), PersistError> {
-    save_checkpoint_in(&StdVfs, path, collection, frozen, seq)
-}
-
-/// [`save_checkpoint`] through an explicit VFS backend.
-pub fn save_checkpoint_in(
     vfs: &dyn Vfs,
     path: &Path,
     collection: &hopi_xml::Collection,
@@ -476,17 +437,12 @@ pub fn save_checkpoint_in(
     buf.extend_from_slice(&(coll.len() as u64).to_le_bytes());
     buf.extend_from_slice(&coll);
     encode_frozen_payload(frozen, &mut buf);
-    atomic_write_file_in(vfs, path, &buf)?;
+    atomic_write_file(vfs, path, &buf)?;
     Ok(())
 }
 
 /// Loads a checkpoint written by [`save_checkpoint`].
-pub fn load_checkpoint(path: &Path) -> Result<Checkpoint, PersistError> {
-    load_checkpoint_in(&StdVfs, path)
-}
-
-/// [`load_checkpoint`] through an explicit VFS backend.
-pub fn load_checkpoint_in(vfs: &dyn Vfs, path: &Path) -> Result<Checkpoint, PersistError> {
+pub fn load_checkpoint(vfs: &dyn Vfs, path: &Path) -> Result<Checkpoint, PersistError> {
     let raw = vfs.read(path)?;
     let mut buf = Cursor::new(&raw);
     if buf.remaining() < 28 {
@@ -531,6 +487,7 @@ pub fn load_checkpoint_in(vfs: &dyn Vfs, path: &Path) -> Result<Checkpoint, Pers
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vfs::StdVfs;
     use hopi_core::{CoverBuilder, DistanceCoverBuilder};
     use hopi_graph::{DiGraph, DistanceClosure, TransitiveClosure};
 
@@ -549,8 +506,8 @@ mod tests {
         let cover = CoverBuilder::new(&tc).build();
         let store = LinLoutStore::from_cover(&cover);
         let dir = std::env::temp_dir().join("hopi_persist_plain.idx");
-        save_store(&store, &dir).unwrap();
-        let loaded = load_store(&dir).unwrap();
+        save_store(&StdVfs, &store, &dir).unwrap();
+        let loaded = load_store(&StdVfs, &dir).unwrap();
         assert_eq!(loaded.entry_count(), store.entry_count());
         for u in 0..5 {
             for v in 0..5 {
@@ -567,8 +524,8 @@ mod tests {
         let cover = DistanceCoverBuilder::new(&dc).build();
         let store = LinLoutStore::from_distance_cover(&cover);
         let dir = std::env::temp_dir().join("hopi_persist_dist.idx");
-        save_store(&store, &dir).unwrap();
-        let loaded = load_store(&dir).unwrap();
+        save_store(&StdVfs, &store, &dir).unwrap();
+        let loaded = load_store(&StdVfs, &dir).unwrap();
         for u in 0..5 {
             for v in 0..5 {
                 assert_eq!(loaded.distance(u, v), store.distance(u, v));
@@ -584,8 +541,8 @@ mod tests {
         let cover = CoverBuilder::new(&tc).build();
         let frozen = FrozenCover::from_cover(&cover);
         let dir = std::env::temp_dir().join("hopi_persist_frozen.idx");
-        save_frozen(&frozen, &dir).unwrap();
-        let loaded = load_frozen(&dir).unwrap();
+        save_frozen(&StdVfs, &frozen, &dir).unwrap();
+        let loaded = load_frozen(&StdVfs, &dir).unwrap();
         assert_eq!(loaded.size(), frozen.size());
         for u in 0..5 {
             for v in 0..5 {
@@ -594,9 +551,15 @@ mod tests {
             assert_eq!(loaded.descendants(u), cover.descendants(u));
         }
         // Auto-detection picks the frozen branch.
-        assert!(matches!(load_index(&dir), Ok(StoredIndex::Frozen(_))));
+        assert!(matches!(
+            load_index(&StdVfs, &dir),
+            Ok(StoredIndex::Frozen(_))
+        ));
         // The row loader refuses it with a pointer to the right entry.
-        assert!(matches!(load_store(&dir), Err(PersistError::Format(_))));
+        assert!(matches!(
+            load_store(&StdVfs, &dir),
+            Err(PersistError::Format(_))
+        ));
         std::fs::remove_file(dir).ok();
     }
 
@@ -607,8 +570,8 @@ mod tests {
         let cover = DistanceCoverBuilder::new(&dc).build();
         let frozen = FrozenCover::from_distance_cover(&cover);
         let dir = std::env::temp_dir().join("hopi_persist_frozen_dist.idx");
-        save_frozen(&frozen, &dir).unwrap();
-        let loaded = load_frozen(&dir).unwrap();
+        save_frozen(&StdVfs, &frozen, &dir).unwrap();
+        let loaded = load_frozen(&StdVfs, &dir).unwrap();
         assert!(loaded.with_dist());
         for u in 0..5 {
             for v in 0..5 {
@@ -624,13 +587,19 @@ mod tests {
         let tc = TransitiveClosure::from_graph(&g);
         let cover = CoverBuilder::new(&tc).build();
         let dir = std::env::temp_dir().join("hopi_persist_frozen_neg.idx");
-        save_store(&LinLoutStore::from_cover(&cover), &dir).unwrap();
-        assert!(matches!(load_frozen(&dir), Err(PersistError::Format(_))));
-        assert!(matches!(load_index(&dir), Ok(StoredIndex::Rows(_))));
-        save_frozen(&FrozenCover::from_cover(&cover), &dir).unwrap();
+        save_store(&StdVfs, &LinLoutStore::from_cover(&cover), &dir).unwrap();
+        assert!(matches!(
+            load_frozen(&StdVfs, &dir),
+            Err(PersistError::Format(_))
+        ));
+        assert!(matches!(
+            load_index(&StdVfs, &dir),
+            Ok(StoredIndex::Rows(_))
+        ));
+        save_frozen(&StdVfs, &FrozenCover::from_cover(&cover), &dir).unwrap();
         let bytes = std::fs::read(&dir).unwrap();
         std::fs::write(&dir, &bytes[..bytes.len() - 5]).unwrap();
-        assert!(load_frozen(&dir).is_err());
+        assert!(load_frozen(&StdVfs, &dir).is_err());
         std::fs::remove_file(dir).ok();
     }
 
@@ -642,13 +611,16 @@ mod tests {
         let cover = CoverBuilder::new(&tc).build();
         let store = LinLoutStore::from_cover(&cover);
         let dir = std::env::temp_dir().join("hopi_persist_v1.idx");
-        save_store(&store, &dir).unwrap();
+        save_store(&StdVfs, &store, &dir).unwrap();
         let mut bytes = std::fs::read(&dir).unwrap();
         bytes[4..8].copy_from_slice(&1u32.to_le_bytes()); // rewrite version
         std::fs::write(&dir, &bytes).unwrap();
-        let loaded = load_store(&dir).unwrap();
+        let loaded = load_store(&StdVfs, &dir).unwrap();
         assert_eq!(loaded.entry_count(), store.entry_count());
-        assert!(matches!(load_index(&dir), Ok(StoredIndex::Rows(_))));
+        assert!(matches!(
+            load_index(&StdVfs, &dir),
+            Ok(StoredIndex::Rows(_))
+        ));
         std::fs::remove_file(dir).ok();
     }
 
@@ -667,8 +639,8 @@ mod tests {
         let cover = CoverBuilder::new(&tc).build();
         let frozen = FrozenCover::from_cover(&cover);
         let path = std::env::temp_dir().join("hopi_persist_ckpt.idx");
-        save_checkpoint(&path, &c, &frozen, 42).unwrap();
-        let ckpt = load_checkpoint(&path).unwrap();
+        save_checkpoint(&StdVfs, &path, &c, &frozen, 42).unwrap();
+        let ckpt = load_checkpoint(&StdVfs, &path).unwrap();
         assert_eq!(ckpt.seq, 42);
         assert_eq!(ckpt.collection.doc_id_bound(), c.doc_id_bound());
         assert_eq!(ckpt.collection.elem_id_bound(), c.elem_id_bound());
@@ -677,12 +649,21 @@ mod tests {
         assert!(ckpt.frozen.connected(0, 2));
         // Every other loader refuses a checkpoint with a pointer to the
         // right entry, and vice versa.
-        assert!(matches!(load_index(&path), Err(PersistError::Format(_))));
-        assert!(matches!(load_store(&path), Err(PersistError::Format(_))));
-        assert!(matches!(load_frozen(&path), Err(PersistError::Format(_))));
-        save_frozen(&frozen, &path).unwrap();
         assert!(matches!(
-            load_checkpoint(&path),
+            load_index(&StdVfs, &path),
+            Err(PersistError::Format(_))
+        ));
+        assert!(matches!(
+            load_store(&StdVfs, &path),
+            Err(PersistError::Format(_))
+        ));
+        assert!(matches!(
+            load_frozen(&StdVfs, &path),
+            Err(PersistError::Format(_))
+        ));
+        save_frozen(&StdVfs, &frozen, &path).unwrap();
+        assert!(matches!(
+            load_checkpoint(&StdVfs, &path),
             Err(PersistError::Format(_))
         ));
         std::fs::remove_file(path).ok();
@@ -693,8 +674,8 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("hopi_atomic_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let target = dir.join("file.bin");
-        atomic_write_file(&target, b"first").unwrap();
-        atomic_write_file(&target, b"second").unwrap();
+        atomic_write_file(&StdVfs, &target, b"first").unwrap();
+        atomic_write_file(&StdVfs, &target, b"second").unwrap();
         assert_eq!(std::fs::read(&target).unwrap(), b"second");
         let stray = std::fs::read_dir(&dir).unwrap().count();
         assert_eq!(stray, 1, "temp files must not survive a write");
@@ -705,7 +686,10 @@ mod tests {
     fn rejects_garbage() {
         let dir = std::env::temp_dir().join("hopi_persist_garbage.idx");
         std::fs::write(&dir, b"not a hopi file at all........").unwrap();
-        assert!(matches!(load_store(&dir), Err(PersistError::Format(_))));
+        assert!(matches!(
+            load_store(&StdVfs, &dir),
+            Err(PersistError::Format(_))
+        ));
         std::fs::remove_file(dir).ok();
     }
 
@@ -716,10 +700,10 @@ mod tests {
         let cover = CoverBuilder::new(&tc).build();
         let store = LinLoutStore::from_cover(&cover);
         let dir = std::env::temp_dir().join("hopi_persist_trunc.idx");
-        save_store(&store, &dir).unwrap();
+        save_store(&StdVfs, &store, &dir).unwrap();
         let bytes = std::fs::read(&dir).unwrap();
         std::fs::write(&dir, &bytes[..bytes.len() - 3]).unwrap();
-        assert!(load_store(&dir).is_err());
+        assert!(load_store(&StdVfs, &dir).is_err());
         std::fs::remove_file(dir).ok();
     }
 
@@ -735,7 +719,10 @@ mod tests {
         buf.extend_from_slice(&(1u64 << 61).to_le_bytes()); // lin_len
         buf.extend_from_slice(&(1u64 << 61).to_le_bytes()); // lout_len
         std::fs::write(&dir, &buf).unwrap();
-        assert!(matches!(load_store(&dir), Err(PersistError::Format(_))));
+        assert!(matches!(
+            load_store(&StdVfs, &dir),
+            Err(PersistError::Format(_))
+        ));
         std::fs::remove_file(dir).ok();
     }
 
@@ -747,7 +734,10 @@ mod tests {
         buf.extend_from_slice(&99u32.to_le_bytes());
         buf.extend_from_slice(&[0u8; 20]);
         std::fs::write(&dir, &buf).unwrap();
-        assert!(matches!(load_store(&dir), Err(PersistError::Version(99))));
+        assert!(matches!(
+            load_store(&StdVfs, &dir),
+            Err(PersistError::Version(99))
+        ));
         std::fs::remove_file(dir).ok();
     }
 }

@@ -4,10 +4,10 @@
 //! The paper's §1.1 deployment serves queries 24×7 while absorbing
 //! updates; a crash must not lose acknowledged mutations. The WAL makes
 //! the write path durable: every collection-level mutation is appended
-//! here as a [`WalRecord`] (the persisted twin of
-//! `hopi_maintenance::CollectionUpdate`) and acknowledged only once the
-//! record has reached disk. Recovery replays the log tail on top of the
-//! last checkpoint.
+//! here as a [`WalRecord`] and acknowledged only once the record has
+//! reached disk. Recovery replays the log tail on top of the last
+//! checkpoint. `WalRecord` is the engine's one mutation vocabulary: a
+//! background rebuild catches up by replaying the same records.
 //!
 //! ## File format
 //!
@@ -40,8 +40,8 @@
 //! acknowledges a whole batch, turning per-operation fsync latency into
 //! amortized batch latency.
 
-use crate::persist::{atomic_write_file_in, sync_parent_dir_in, PersistError};
-use crate::vfs::{StdVfs, Vfs, VfsFile};
+use crate::persist::{atomic_write_file, sync_parent_dir, PersistError};
+use crate::vfs::{Vfs, VfsFile};
 use hopi_obs::{Histogram, Span};
 use hopi_xml::{codec, XmlDocument};
 use std::path::{Path, PathBuf};
@@ -100,8 +100,8 @@ pub enum SyncPolicy {
     Never,
 }
 
-/// One logged mutation — the persisted vocabulary mirroring (and
-/// serialized from) `hopi_maintenance::CollectionUpdate`.
+/// One collection-level mutation: what the WAL persists, what recovery
+/// replays, and what a background rebuild replays to catch up.
 #[derive(Clone, Debug, PartialEq)]
 pub enum WalRecord {
     /// A link was inserted between two live elements.
@@ -365,14 +365,10 @@ fn header(base_seq: u64) -> [u8; 16] {
 
 impl Wal {
     /// Creates a fresh, empty log whose first record will carry sequence
-    /// `base_seq + 1`, atomically replacing anything at `path`.
-    pub fn create(path: &Path, base_seq: u64) -> Result<Wal, PersistError> {
-        Wal::create_in(StdVfs::arc(), path, base_seq)
-    }
-
-    /// [`Wal::create`] through an explicit VFS backend.
-    pub fn create_in(vfs: Arc<dyn Vfs>, path: &Path, base_seq: u64) -> Result<Wal, PersistError> {
-        atomic_write_file_in(&*vfs, path, &header(base_seq))?;
+    /// `base_seq + 1`, atomically replacing anything at `path`. Every
+    /// later syscall on the log goes through `vfs`.
+    pub fn create(vfs: Arc<dyn Vfs>, path: &Path, base_seq: u64) -> Result<Wal, PersistError> {
+        atomic_write_file(&*vfs, path, &header(base_seq))?;
         let file = vfs.open_append(path)?;
         Ok(Wal {
             inner: Mutex::new(WalInner {
@@ -394,12 +390,7 @@ impl Wal {
     /// order. A torn or corrupt final frame is truncated away (with an
     /// fsync), never reported as an error — those records were not durable
     /// and so were never acknowledged.
-    pub fn open(path: &Path) -> Result<(Wal, Vec<(u64, WalRecord)>), PersistError> {
-        Wal::open_in(StdVfs::arc(), path)
-    }
-
-    /// [`Wal::open`] through an explicit VFS backend.
-    pub fn open_in(
+    pub fn open(
         vfs: Arc<dyn Vfs>,
         path: &Path,
     ) -> Result<(Wal, Vec<(u64, WalRecord)>), PersistError> {
@@ -640,20 +631,21 @@ impl Wal {
         // Make the swap itself durable. If this fails (or we crash before
         // it lands), the *old* log may reappear after a restart — benign:
         // recovery skips its records by sequence number.
-        sync_parent_dir_in(&*self.vfs, &self.path)?;
+        sync_parent_dir(&*self.vfs, &self.path)?;
         Ok(())
     }
 
     /// Fsyncs the directory holding the log (call once after creating it
     /// so the file's existence itself is durable).
     pub fn sync_dir(&self) -> std::io::Result<()> {
-        sync_parent_dir_in(&*self.vfs, &self.path)
+        sync_parent_dir(&*self.vfs, &self.path)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vfs::StdVfs;
 
     fn tmp(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("hopi_wal_{name}_{}", std::process::id()))
@@ -686,7 +678,7 @@ mod tests {
     #[test]
     fn fsync_and_batch_histograms_track_durability() {
         let path = tmp("metrics");
-        let wal = Wal::create(&path, 0).unwrap();
+        let wal = Wal::create(StdVfs::arc(), &path, 0).unwrap();
         // Per-op: every append fsyncs a batch of exactly one record.
         for rec in sample_records().iter().take(2) {
             wal.append(rec, SyncPolicy::PerOp).unwrap();
@@ -727,13 +719,13 @@ mod tests {
     #[test]
     fn append_reopen_replays_in_order() {
         let path = tmp("replay");
-        let wal = Wal::create(&path, 0).unwrap();
+        let wal = Wal::create(StdVfs::arc(), &path, 0).unwrap();
         for rec in sample_records() {
             wal.append(&rec, SyncPolicy::PerOp).unwrap();
         }
         assert_eq!(wal.appended_seq(), 5);
         drop(wal);
-        let (wal, records) = Wal::open(&path).unwrap();
+        let (wal, records) = Wal::open(StdVfs::arc(), &path).unwrap();
         assert_eq!(wal.appended_seq(), 5);
         assert_eq!(wal.durable_seq(), 5);
         let seqs: Vec<u64> = records.iter().map(|(s, _)| *s).collect();
@@ -746,7 +738,7 @@ mod tests {
     #[test]
     fn torn_tail_is_truncated_at_every_cut() {
         let path = tmp("torn");
-        let wal = Wal::create(&path, 0).unwrap();
+        let wal = Wal::create(StdVfs::arc(), &path, 0).unwrap();
         for rec in sample_records() {
             wal.append(&rec, SyncPolicy::Never).unwrap();
         }
@@ -763,7 +755,7 @@ mod tests {
         }
         for cut in HEADER_LEN as usize..full.len() {
             std::fs::write(&path, &full[..cut]).unwrap();
-            let (wal, records) = Wal::open(&path).expect("torn tail must not error");
+            let (wal, records) = Wal::open(StdVfs::arc(), &path).expect("torn tail must not error");
             let complete = boundaries.iter().filter(|&&b| b <= cut).count() - 1;
             assert_eq!(records.len(), complete, "cut at {cut}");
             assert_eq!(wal.appended_seq(), complete as u64);
@@ -780,7 +772,7 @@ mod tests {
     #[test]
     fn corrupt_payload_ends_the_tail() {
         let path = tmp("corrupt");
-        let wal = Wal::create(&path, 0).unwrap();
+        let wal = Wal::create(StdVfs::arc(), &path, 0).unwrap();
         for rec in sample_records() {
             wal.append(&rec, SyncPolicy::PerOp).unwrap();
         }
@@ -791,7 +783,7 @@ mod tests {
         let rec2_payload = HEADER_LEN as usize + 8 + 9 + 8 + 3;
         bytes[rec2_payload] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
-        let (_, records) = Wal::open(&path).unwrap();
+        let (_, records) = Wal::open(StdVfs::arc(), &path).unwrap();
         assert_eq!(records.len(), 1, "only the record before the corruption");
         std::fs::remove_file(&path).ok();
     }
@@ -799,7 +791,7 @@ mod tests {
     #[test]
     fn rotate_resets_base_and_drops_records() {
         let path = tmp("rotate");
-        let wal = Wal::create(&path, 0).unwrap();
+        let wal = Wal::create(StdVfs::arc(), &path, 0).unwrap();
         for rec in sample_records() {
             wal.append(&rec, SyncPolicy::PerOp).unwrap();
         }
@@ -809,7 +801,7 @@ mod tests {
         wal.append(&WalRecord::DeleteDocument { doc: 0 }, SyncPolicy::PerOp)
             .unwrap();
         drop(wal);
-        let (wal, records) = Wal::open(&path).unwrap();
+        let (wal, records) = Wal::open(StdVfs::arc(), &path).unwrap();
         assert_eq!(wal.base_seq(), 5);
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].0, 6);
@@ -821,7 +813,7 @@ mod tests {
     #[test]
     fn group_commit_is_shared_across_threads() {
         let path = tmp("group");
-        let wal = std::sync::Arc::new(Wal::create(&path, 0).unwrap());
+        let wal = std::sync::Arc::new(Wal::create(StdVfs::arc(), &path, 0).unwrap());
         let n_threads = 8;
         let per_thread = 25;
         std::thread::scope(|scope| {
@@ -847,7 +839,7 @@ mod tests {
         assert_eq!(wal.appended_seq(), (n_threads as usize * per_thread) as u64);
         assert_eq!(wal.durable_seq(), wal.appended_seq());
         drop(wal);
-        let (_, records) = Wal::open(&path).unwrap();
+        let (_, records) = Wal::open(StdVfs::arc(), &path).unwrap();
         assert_eq!(records.len(), n_threads as usize * per_thread);
         std::fs::remove_file(&path).ok();
     }

@@ -5,6 +5,7 @@
 //! regenerating them with the current writer would defeat the test.
 
 use hopi_store::persist::{load_checkpoint, load_frozen, load_index, load_store, StoredIndex};
+use hopi_store::vfs::StdVfs;
 use hopi_store::wal::{Wal, WalRecord};
 use std::path::PathBuf;
 
@@ -32,27 +33,28 @@ fn assert_fixture_reachability(connected: impl Fn(u32, u32) -> bool) {
 
 #[test]
 fn loads_v2_row_store() {
-    let store = load_store(&fixture("v2_rows.idx")).expect("v2 row file must load");
+    let store = load_store(&StdVfs, &fixture("v2_rows.idx")).expect("v2 row file must load");
     assert_fixture_reachability(|u, v| store.connected(u, v));
     assert!(matches!(
-        load_index(&fixture("v2_rows.idx")),
+        load_index(&StdVfs, &fixture("v2_rows.idx")),
         Ok(StoredIndex::Rows(_))
     ));
 }
 
 #[test]
 fn loads_v2_frozen_cover() {
-    let frozen = load_frozen(&fixture("v2_frozen.idx")).expect("v2 frozen file must load");
+    let frozen = load_frozen(&StdVfs, &fixture("v2_frozen.idx")).expect("v2 frozen file must load");
     assert_fixture_reachability(|u, v| frozen.connected(u, v));
     assert!(matches!(
-        load_index(&fixture("v2_frozen.idx")),
+        load_index(&StdVfs, &fixture("v2_frozen.idx")),
         Ok(StoredIndex::Frozen(_))
     ));
 }
 
 #[test]
 fn loads_v2_checkpoint_with_empty_text() {
-    let ckpt = load_checkpoint(&fixture("v2_checkpoint.hopi")).expect("v2 checkpoint must load");
+    let ckpt =
+        load_checkpoint(&StdVfs, &fixture("v2_checkpoint.hopi")).expect("v2 checkpoint must load");
     assert_eq!(ckpt.seq, 7);
     let c = &ckpt.collection;
     assert_eq!(c.doc_ids().count(), 2);
@@ -81,7 +83,8 @@ fn loads_v2_checkpoint_with_empty_text() {
 fn replays_v1_wal() {
     // Opening must not rewrite the file: a v1 log stays v1 on disk.
     let before = std::fs::read(fixture("v1_wal.log")).unwrap();
-    let (wal, records) = Wal::open(&fixture("v1_wal.log")).expect("v1 WAL must open");
+    let (wal, records) =
+        Wal::open(StdVfs::arc(), &fixture("v1_wal.log")).expect("v1 WAL must open");
     assert_eq!(wal.base_seq(), 0);
     let seqs: Vec<u64> = records.iter().map(|(s, _)| *s).collect();
     assert_eq!(seqs, vec![1, 2, 3]);

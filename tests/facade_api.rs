@@ -602,7 +602,7 @@ fn save_frozen_open_round_trips() {
     assert_eq!(reopened.stats().cover_entries, hopi.stats().cover_entries);
 
     // The pure read-only path loads a FrozenCover directly, no thaw.
-    let frozen = hopi::store::load_frozen(&path).unwrap();
+    let frozen = hopi::store::load_frozen(&hopi::store::StdVfs, &path).unwrap();
     for u in 0..n {
         for v in 0..n {
             assert_eq!(frozen.connected(u, v), hopi.connected(u, v));

@@ -136,16 +136,34 @@ fn snapshot_answers(snap: &HopiSnapshot) -> Answers {
     }
 }
 
-/// The published snapshot of `online` is exactly what a from-scratch
-/// capture of its engine would be: frozen cover, tag index, term index.
-fn published_equals_engine(online: &OnlineHopi) -> Result<(), TestCaseError> {
-    let snap = online.snapshot();
+/// An online engine, and a plain [`Hopi`] every op of the program is
+/// applied to as well: whatever background rebuilds swap in, the online
+/// engine must keep the model's collection.
+struct Lineage {
+    online: OnlineHopi,
+    model: Hopi,
+}
+
+/// The online engine holds the model's collection, and its published
+/// snapshot is exactly what a from-scratch capture of it would be: frozen
+/// cover, tag index, term index. All of it is read under the engine lock,
+/// which every publish holds — a background rebuild cannot swap midway.
+fn published_equals_model(lineage: &Lineage) -> Result<(), TestCaseError> {
+    let Lineage { online, model } = lineage;
     online.read(|h| {
+        let (c, m) = (h.collection(), model.collection());
+        prop_assert_eq!(c.doc_id_bound(), m.doc_id_bound());
+        prop_assert_eq!(c.elem_id_bound(), m.elem_id_bound());
+        prop_assert_eq!(c.links(), m.links());
+        for d in 0..m.doc_id_bound() as DocId {
+            prop_assert_eq!(c.document(d), m.document(d), "document {}", d);
+        }
+        let snap = online.snapshot();
         prop_assert_eq!(snap.frozen(), &FrozenCover::from_cover(h.index().cover()));
-        let tags = TagIndex::build(h.collection());
+        let tags = TagIndex::build(c);
         prop_assert_eq!(h.tags(), &tags);
         prop_assert_eq!(snap.tags(), &tags);
-        let text = FrozenTextIndex::from_index(&TextIndex::build(h.collection()));
+        let text = FrozenTextIndex::from_index(&TextIndex::build(c));
         prop_assert_eq!(&FrozenTextIndex::from_index(h.text()), &text);
         prop_assert_eq!(snap.text().as_ref(), &text);
         Ok(())
@@ -159,15 +177,19 @@ fn pick_element(c: &Collection, pick: usize, raw: u32) -> (DocId, ElemId) {
     (d, c.global_id(d, raw % c.document(d).unwrap().len() as u32))
 }
 
-/// Applies one step of a lifecycle program to `engines[a % len]`; returns
-/// the engine it touched.
+/// A background rebuild in flight and the steps left before it is joined.
+type Rebuild = (std::thread::JoinHandle<hopi::build::BuildReport>, u32);
+
+/// Applies one step of a lifecycle program to `engines[a % len]` and its
+/// model; returns the lineage it touched.
 fn lifecycle_step(
-    engines: &mut Vec<OnlineHopi>,
+    engines: &mut Vec<Lineage>,
+    rebuilds: &mut Vec<Rebuild>,
     step: usize,
     (op, a, b, raw): (u32, usize, usize, u32),
 ) -> usize {
-    let at = a % engines.len();
-    let online = engines[at].clone();
+    let (at, len) = (a % engines.len(), engines.len());
+    let online = engines[at].online.clone();
     let c = online.snapshot().collection().clone();
     let ((da, ea), (db, eb)) = (pick_element(&c, a, raw), pick_element(&c, b, raw / 2));
     let fresh_doc = |name: String| {
@@ -176,61 +198,82 @@ fn lifecycle_step(
         d.set_text(e, "fresh hop");
         d
     };
+    let model = &mut engines[at].model;
     match op {
         0 | 1 if da != db => {
             online.insert_link(ea, eb).unwrap();
+            model.insert_link(ea, eb).unwrap();
         }
         2 => {
             let target = &c.document(db).unwrap().name;
             let xml = format!(r#"<r><e>zig cover</e><cite xlink:href="{target}"/></r>"#);
             online.insert_xml(&format!("x{step}"), &xml).unwrap();
+            model.insert_xml(&format!("x{step}"), &xml).unwrap();
         }
         3 if !c.links().is_empty() => {
             let l = c.links()[a % c.links().len()];
             online.delete_link(l.from, l.to).unwrap();
+            model.delete_link(l.from, l.to).unwrap();
         }
         4 if c.doc_count() > 2 => {
             online.delete_document(da).unwrap();
+            model.delete_document(da).unwrap();
         }
         5 if da != db => {
             let links = DocumentLinks {
                 outgoing: vec![(1, eb)],
                 incoming: vec![],
             };
-            online
-                .modify_document(da, fresh_doc(format!("m{step}")), &links)
-                .unwrap();
+            let doc = fresh_doc(format!("m{step}"));
+            online.modify_document(da, doc.clone(), &links).unwrap();
+            model.modify_document(da, doc, &links).unwrap();
         }
         6 => {
-            online
-                .update_batch(|h| {
-                    if da != db {
-                        h.insert_link(ea, eb).unwrap();
-                        h.insert_link(eb, ea).unwrap();
-                    }
-                    let links = DocumentLinks {
-                        outgoing: vec![],
-                        incoming: vec![(ea, 0)],
-                    };
-                    h.insert_document(fresh_doc(format!("b{step}")), &links)
-                        .unwrap();
-                })
-                .unwrap();
+            let batch = |h: &mut Hopi| {
+                if da != db {
+                    h.insert_link(ea, eb).unwrap();
+                    h.insert_link(eb, ea).unwrap();
+                }
+                let links = DocumentLinks {
+                    outgoing: vec![],
+                    incoming: vec![(ea, 0)],
+                };
+                h.insert_document(fresh_doc(format!("b{step}")), &links)
+                    .unwrap();
+            };
+            online.update_batch(batch).unwrap();
+            batch(model);
         }
         7 => {
             online.rebuild_blocking();
         }
-        8 if engines.len() < 3 => {
+        8 if len < 3 => {
             // A second wrapper around a clone of the engine: both lineages
             // go on publishing from the same journal state.
-            engines.push(OnlineHopi::new(online.read(|h| h.clone())));
+            let model = model.clone();
+            let online = OnlineHopi::new(online.read(|h| h.clone()));
+            engines.push(Lineage { online, model });
             return engines.len() - 1;
         }
         9 => {
             // Another engine's state moves in wholesale: its journal
             // belongs to a snapshot this wrapper never served.
-            let other = engines[b % engines.len()].read(|h| h.clone());
-            online.update_batch(|h| *h = other).unwrap();
+            let other = &engines[b % len];
+            let (state, model) = (other.online.read(|h| h.clone()), other.model.clone());
+            online.update_batch(|h| *h = state).unwrap();
+            engines[at].model = model;
+        }
+        10 => {
+            // A background rebuild, joined after the next `raw % 3` steps.
+            // The pause lets it capture its collection first, so the op
+            // that follows (any other, rebuilds and batches included) most
+            // likely lands inside its catch-up window. Nothing here depends
+            // on the interleaving — every one must keep the model's
+            // collection; `hopi_build`'s unit tests force the ones that
+            // matter through the rebuild's capture and swap phases.
+            rebuilds.push((online.rebuild_in_background(), raw % 3));
+            std::thread::sleep(std::time::Duration::from_micros(100));
+            return lifecycle_step(engines, rebuilds, step, ((b % 10) as u32, a, b, raw));
         }
         _ => {}
     }
@@ -244,22 +287,32 @@ proptest! {
     /// equals a from-scratch capture of its engine, and every snapshot
     /// retained from an earlier epoch keeps answering like the oracle of
     /// its own collection — what consecutive epochs share must never leak
-    /// a later mutation into an older one.
+    /// a later mutation into an older one. Background rebuilds run across
+    /// steps, so their catch-up replays whatever the program does
+    /// meanwhile, and the engine must keep its model's collection.
     #[test]
     fn online_lifecycle_publishes_exact_successors(
         plan in arb_plan(),
-        program in proptest::collection::vec((0u32..10, 0usize..100, 0usize..100, 0u32..8), 1..14),
+        program in proptest::collection::vec((0u32..11, 0usize..100, 0usize..100, 0u32..8), 1..14),
     ) {
-        let mut engines = vec![OnlineHopi::new(Hopi::build(realize_with_text(&plan)).unwrap())];
-        published_equals_engine(&engines[0])?;
+        let model = Hopi::build(realize_with_text(&plan)).unwrap();
+        let mut engines = vec![Lineage { online: OnlineHopi::new(model.clone()), model }];
+        published_equals_model(&engines[0])?;
         let mut retained: Vec<(Arc<HopiSnapshot>, Answers)> = Vec::new();
+        let mut rebuilds: Vec<Rebuild> = Vec::new();
         for (step, op) in program.into_iter().enumerate() {
-            let before = engines[0].snapshot();
+            let before = engines[0].online.snapshot();
             retained.push((before.clone(), oracle_answers(before.collection())));
-            let touched = lifecycle_step(&mut engines, step, op);
-            published_equals_engine(&engines[touched])?;
+            let touched = lifecycle_step(&mut engines, &mut rebuilds, step, op);
+            for (handle, left) in std::mem::take(&mut rebuilds) {
+                match left {
+                    0 => { handle.join().expect("rebuild thread"); }
+                    _ => rebuilds.push((handle, left - 1)),
+                }
+            }
+            published_equals_model(&engines[touched])?;
             retained.push({
-                let snap = engines[touched].snapshot();
+                let snap = engines[touched].online.snapshot();
                 let answers = oracle_answers(snap.collection());
                 (snap, answers)
             });
@@ -269,6 +322,12 @@ proptest! {
                 prop_assert_eq!(&snapshot_answers(snap), at_capture,
                     "epoch {} after step {}", snap.epoch(), step);
             }
+        }
+        for (handle, _) in rebuilds {
+            handle.join().expect("rebuild thread");
+        }
+        for lineage in &engines {
+            published_equals_model(lineage)?;
         }
     }
 
@@ -380,7 +439,7 @@ proptest! {
             n
         ));
         hopi.save_frozen(&path).unwrap();
-        let frozen = load_frozen(&path).unwrap();
+        let frozen = load_frozen(&hopi::store::StdVfs, &path).unwrap();
         std::fs::remove_file(&path).ok();
         prop_assert!(frozen.with_dist());
         for u in 0..n {
