@@ -1,14 +1,17 @@
 //! Criterion microbenches for the algorithmic kernels behind index
 //! construction and maintenance: densest-subgraph peeling, transitive
 //! closure materialization, incremental closure edge insertion, the
-//! separator test, and single-link cover integration.
+//! separator test, and single-link cover integration — the §3.3 primitive
+//! that centers every new connection on the link target, beside the §6.1
+//! integration that picks the cheapest of centering and the two label
+//! copies.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use hopi_bench::dblp_collection;
 use hopi_build::{build_index, old_join, BuildConfig};
 use hopi_core::densest::{densest_subgraph, BipartiteCenterGraph};
 use hopi_graph::{FixedBitSet, TransitiveClosure};
-use hopi_maintenance::separates;
+use hopi_maintenance::{integrate_link, separates};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
@@ -82,6 +85,21 @@ fn bench_kernels(c: &mut Criterion) {
                 )
             },
             |(mut cover, u, v)| std::hint::black_box(old_join::integrate_link(&mut cover, u, v)),
+            BatchSize::LargeInput,
+        )
+    });
+    // The same link draws, integrated the §6.1 way.
+    let mut rng = StdRng::seed_from_u64(11);
+    group.bench_function("integrate_link_cheapest", |b| {
+        b.iter_batched(
+            || {
+                (
+                    index.cover().clone(),
+                    rng.gen_range(0..n),
+                    rng.gen_range(0..n),
+                )
+            },
+            |(mut cover, u, v)| std::hint::black_box(integrate_link(&mut cover, u, v)),
             BatchSize::LargeInput,
         )
     });

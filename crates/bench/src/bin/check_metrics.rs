@@ -18,9 +18,11 @@
 //!   within each label set;
 //! * the required families for the serving path are present:
 //!   `hopi_build_info`, `hopi_request_duration_seconds`,
-//!   `hopi_requests_total`, and the publish cost:
+//!   `hopi_requests_total`, the publish cost:
 //!   `hopi_publish_duration_seconds`, `hopi_publish_total`,
-//!   `hopi_publish_rows_patched_total`.
+//!   `hopi_publish_rows_patched_total`, and the §6 drift and its owners:
+//!   `hopi_cover_drift_ratio`, `hopi_link_integrations_total`,
+//!   `hopi_cover_entries_added_total`.
 //!
 //! ```sh
 //! cargo run -p hopi-bench --bin check_metrics -- metrics.prom
@@ -37,6 +39,9 @@ const REQUIRED_FAMILIES: &[&str] = &[
     "hopi_publish_duration_seconds",
     "hopi_publish_total",
     "hopi_publish_rows_patched_total",
+    "hopi_cover_drift_ratio",
+    "hopi_link_integrations_total",
+    "hopi_cover_entries_added_total",
 ];
 
 fn main() -> ExitCode {
@@ -315,6 +320,14 @@ hopi_publish_total{kind=\"patched\"} 2
 hopi_publish_total{kind=\"full\"} 1
 # TYPE hopi_publish_rows_patched_total counter
 hopi_publish_rows_patched_total 12
+# TYPE hopi_cover_drift_ratio gauge
+hopi_cover_drift_ratio 1.2500
+# TYPE hopi_link_integrations_total counter
+hopi_link_integrations_total{choice=\"lout_copy\"} 4
+hopi_link_integrations_total{choice=\"noop\"} 1
+# TYPE hopi_cover_entries_added_total gauge
+hopi_cover_entries_added_total{op=\"insert_link\"} 9
+hopi_cover_entries_added_total{op=\"delete_general\"} -3
 ";
 
     #[test]
@@ -329,6 +342,26 @@ hopi_publish_rows_patched_total 12
             .unwrap_err()
             .iter()
             .any(|e| e.contains("`hopi_publish_total` missing")));
+    }
+
+    #[test]
+    fn requires_the_drift_families() {
+        for family in [
+            "hopi_cover_drift_ratio gauge",
+            "hopi_link_integrations_total counter",
+            "hopi_cover_entries_added_total gauge",
+        ] {
+            let name = family.split(' ').next().unwrap_or_default();
+            let without: String = GOOD
+                .lines()
+                .filter(|l| !l.contains(name))
+                .map(|l| format!("{l}\n"))
+                .collect();
+            assert!(check(&without)
+                .unwrap_err()
+                .iter()
+                .any(|e| e.contains(&format!("`{name}` missing"))));
+        }
     }
 
     #[test]
@@ -370,6 +403,9 @@ hopi_request_duration_seconds_count 1
 # TYPE hopi_publish_duration_seconds histogram
 # TYPE hopi_publish_total counter
 # TYPE hopi_publish_rows_patched_total counter
+# TYPE hopi_cover_drift_ratio gauge
+# TYPE hopi_link_integrations_total counter
+# TYPE hopi_cover_entries_added_total gauge
 ";
         assert!(check(no_buckets)
             .unwrap_err()

@@ -284,6 +284,7 @@ impl Durability {
             engine.collection(),
             &engine.freeze(),
             seq,
+            engine.saved_baseline(),
         )
         // lint: allow(blocking-under-lock): sanctioned — WAL rotation must stay inside the same checkpoint critical section
         .and_then(|()| self.wal.rotate(seq));
@@ -336,7 +337,11 @@ pub(crate) fn recover_dir(
     builder: HopiBuilder,
 ) -> Result<(Hopi, Wal, u64), HopiError> {
     let ckpt = load_checkpoint(&*config.vfs, &config.checkpoint_path())?;
-    let mut engine = builder.open_stored(ckpt.collection, StoredIndex::Frozen(ckpt.frozen))?;
+    let mut engine = builder.open_stored(
+        ckpt.collection,
+        StoredIndex::Frozen(ckpt.frozen),
+        ckpt.baseline,
+    )?;
     // A missing log (e.g. a checkpoint-only restore from backup) is
     // recreated at the *checkpoint's* sequence — a base of 0 would make
     // the next recovery skip every new record as "already inside the
@@ -392,6 +397,7 @@ pub(crate) fn init_dir(config: &DurableConfig, engine: &Hopi) -> Result<(Wal, u6
         engine.collection(),
         &engine.freeze(),
         0,
+        engine.saved_baseline(),
     )?;
     let wal = Wal::create(config.vfs.clone(), &wal_path, 0)?;
     wal.sync_dir().map_err(PersistError::Io)?;

@@ -8,11 +8,12 @@
 //! inherent methods, with [`HopiError`] as the single error type.
 
 use crate::error::HopiError;
+use crate::snapshot::MaintenanceStats;
 use hopi_core::{DistanceCover, DistanceCoverBuilder, FrozenCover, HopiIndex};
 use hopi_graph::DistanceClosure;
 use hopi_maintenance::{
-    degradation, delete_document, delete_link, insert_document, insert_link, modify_document,
-    should_rebuild, Degradation, DeletionOutcome, DocumentLinks, RebuildPolicy,
+    degradation, delete_document, delete_link, insert_document, insert_link, should_rebuild,
+    BuildBaseline, Degradation, DeletionAlgorithm, DeletionOutcome, DocumentLinks, RebuildPolicy,
 };
 use hopi_obs::Stopwatch;
 use hopi_partition::{build_index, BuildConfig, BuildReport, JoinAlgorithm, PartitionerChoice};
@@ -21,7 +22,8 @@ use hopi_query::{
     QueryPlanReport, RankedMatch, TagIndex,
 };
 use hopi_store::{
-    load_index, save_frozen, save_store, LinLoutStore, StdVfs, StoredIndex, WalRecord,
+    load_index, save_frozen, save_store, CoverBaseline, LinLoutStore, StdVfs, StoredIndex,
+    WalRecord,
 };
 use hopi_text::{FrozenTextIndex, TextIndex, TextSource, TextStats};
 use hopi_xml::parser::{parse_collection, parse_document};
@@ -196,6 +198,7 @@ impl HopiBuilder {
             .distance_aware
             .then(|| build_distance_cover(&collection));
         let text = TextIndex::build(&collection);
+        let maintenance = MaintenanceStats::since(BuildBaseline::measure(&collection, &index));
         Ok(Hopi {
             collection,
             index,
@@ -207,6 +210,7 @@ impl HopiBuilder {
             options: self.options,
             report,
             plan_counters: Arc::new(PlanCounters::new()),
+            maintenance,
         })
     }
 
@@ -227,17 +231,25 @@ impl HopiBuilder {
     /// asked for [`distance_aware`](Self::distance_aware). A frozen CSR
     /// file thaws with no re-sorting — rows are stored sorted — so opening
     /// for serving is cheap.
+    ///
+    /// Drift ([`Hopi::degradation`]) keeps being measured against the
+    /// build the saved cover was maintained from, whose baseline the file
+    /// carries. Files without one — written before store format 4, or by
+    /// a distance-aware engine, whose plain index reopens from the
+    /// distance labels — count the opened cover as freshly built.
     pub fn open(self, collection: Collection, path: &Path) -> Result<Hopi, HopiError> {
-        let stored = load_index(&StdVfs, path)?;
-        self.open_stored(collection, stored)
+        let (stored, baseline) = load_index(&StdVfs, path)?;
+        self.open_stored(collection, stored, baseline)
     }
 
-    /// Assembles an engine from an already-loaded index (the shared tail
-    /// of [`HopiBuilder::open`] and durable-checkpoint recovery).
+    /// Assembles an engine from an already-loaded index and the build
+    /// baseline saved with it (the shared tail of [`HopiBuilder::open`]
+    /// and durable-checkpoint recovery).
     pub(crate) fn open_stored(
         self,
         collection: Collection,
         stored: StoredIndex,
+        baseline: Option<CoverBaseline>,
     ) -> Result<Hopi, HopiError> {
         let (cover, distance) = match stored {
             StoredIndex::Frozen(frozen) => {
@@ -284,6 +296,15 @@ impl HopiBuilder {
             cover_size: index.size(),
             ..Default::default()
         };
+        let at_build = match baseline {
+            Some(b) => BuildBaseline {
+                entries: b.entries as usize,
+                live_elements: b.live_elements as usize,
+            },
+            // Nothing saved: the opened cover stands in for a build.
+            None => BuildBaseline::measure(&collection, &index),
+        };
+        let maintenance = MaintenanceStats::since(at_build);
         Ok(Hopi {
             collection,
             index,
@@ -295,6 +316,7 @@ impl HopiBuilder {
             options: self.options,
             report,
             plan_counters: Arc::new(PlanCounters::new()),
+            maintenance,
         })
     }
 }
@@ -357,6 +379,14 @@ pub struct Hopi {
     /// snapshot captured from this engine (and with clones of it), so the
     /// serving layer can expose which physical plans actually ran.
     pub(crate) plan_counters: Arc<PlanCounters>,
+    /// Drift baseline of the last build, and what §6 maintenance has done
+    /// to the cover since the engine was built, opened or recovered.
+    maintenance: MaintenanceStats,
+}
+
+/// The signed change of a cover's entry count from `before` to `after`.
+fn net_entries(before: usize, after: usize) -> i64 {
+    after as i64 - before as i64
 }
 
 fn build_distance_cover(collection: &Collection) -> DistanceCover {
@@ -416,7 +446,7 @@ impl Hopi {
             Some(cover) => LinLoutStore::from_distance_cover(cover),
             None => LinLoutStore::from_cover(self.index.cover()),
         };
-        save_store(&StdVfs, &store, path)?;
+        save_store(&StdVfs, &store, path, self.saved_baseline())?;
         Ok(())
     }
 
@@ -427,8 +457,21 @@ impl Hopi {
     /// distance-aware engine freezes the distance cover (annotations
     /// included), so distance queries survive the round trip.
     pub fn save_frozen(&self, path: &Path) -> Result<(), HopiError> {
-        save_frozen(&StdVfs, &self.freeze(), path)?;
+        save_frozen(&StdVfs, &self.freeze(), path, self.saved_baseline())?;
         Ok(())
+    }
+
+    /// The drift baseline saved beside the cover, so a reopened or
+    /// recovered engine keeps measuring drift against the last build.
+    /// `None` for a distance-aware engine: it saves the distance cover's
+    /// labels and reopens its plain index from them, a different cover
+    /// from the one the baseline measured.
+    pub(crate) fn saved_baseline(&self) -> Option<CoverBaseline> {
+        let b = self.maintenance.at_build;
+        self.distance.is_none().then_some(CoverBaseline {
+            entries: b.entries as u64,
+            live_elements: b.live_elements as u64,
+        })
     }
 
     /// The engine's cover in the frozen serving layout (distance
@@ -553,7 +596,7 @@ impl Hopi {
         links: &DocumentLinks,
     ) -> Result<DocId, HopiError> {
         self.validate_document_links(&doc, links)?;
-        let d = insert_document(&mut self.collection, &mut self.index, doc, links);
+        let d = self.insert_counted(doc, links);
         self.index_document(d);
         if let Some(cover) = self.distance.as_mut() {
             // Insertions update the distance cover incrementally (§6); only
@@ -609,20 +652,22 @@ impl Hopi {
         if self.collection.has_link(from, to) {
             return Ok(0);
         }
-        let added = insert_link(&mut self.collection, &mut self.index, from, to)?;
+        let integrated = insert_link(&mut self.collection, &mut self.index, from, to)?;
+        self.maintenance.integrations.record(integrated.choice);
+        self.maintenance.entries_added.insert_link += integrated.added as i64;
         if let Some(cover) = self.distance.as_mut() {
             // Insertions update the distance cover incrementally (§6); only
             // deletions fall back to a recompute.
             hopi_maintenance::insert_edge_distance(cover, from, to);
         }
-        Ok(added)
+        Ok(integrated.added)
     }
 
     /// Deletes a document (Theorem 2 fast path when it separates the
     /// document graph, Theorem 3 otherwise — paper §6.2).
     pub fn delete_document(&mut self, d: DocId) -> Result<DeletionOutcome, HopiError> {
         self.unindex_document(d)?;
-        let outcome = delete_document(&mut self.collection, &mut self.index, d);
+        let outcome = self.delete_counted(d);
         self.refresh_distance();
         Ok(outcome)
     }
@@ -632,7 +677,9 @@ impl Hopi {
         if !self.collection.has_link(from, to) {
             return Err(HopiError::UnknownLink { from, to });
         }
+        let before = self.index.size();
         let outcome = delete_link(&mut self.collection, &mut self.index, from, to);
+        self.book_deletion(&outcome, before);
         self.refresh_distance();
         Ok(outcome)
     }
@@ -650,7 +697,9 @@ impl Hopi {
         }
         self.validate_modify_links(d, &new_doc, links)?;
         self.unindex_document(d)?;
-        let new_id = modify_document(&mut self.collection, &mut self.index, d, new_doc, links);
+        // Drop + reinsert (§6.3), each half booked to its own kind.
+        self.delete_counted(d);
+        let new_id = self.insert_counted(new_doc, links);
         self.index_document(new_id);
         self.refresh_distance();
         Ok(new_id)
@@ -692,18 +741,40 @@ impl Hopi {
         let (index, report) = build_index(&self.collection, &self.config);
         self.index = index;
         self.report = report;
+        self.maintenance.at_build = BuildBaseline::measure(&self.collection, &self.index);
         self.refresh_distance();
         self.report()
     }
 
-    /// Current degradation of the maintained cover versus a fresh build.
+    /// Current degradation of the maintained cover against the last build
+    /// or rebuild — across saves, reopens and crash recoveries, whose files
+    /// carry that build's baseline (see [`HopiBuilder::open`] for the
+    /// files that do not).
     pub fn degradation(&self) -> Degradation {
-        degradation(&self.collection, &self.index)
+        degradation(&self.collection, &self.index, self.maintenance.at_build)
     }
 
     /// Should the index be rebuilt under `policy`?
     pub fn should_rebuild(&self, policy: &RebuildPolicy) -> bool {
-        should_rebuild(&self.collection, &self.index, policy)
+        should_rebuild(&self.degradation(), policy)
+    }
+
+    /// The drift baseline of the last build, and the §6 counters since the
+    /// engine was built, opened or recovered: link integrations by choice,
+    /// net entries per operation kind.
+    pub fn maintenance_stats(&self) -> MaintenanceStats {
+        self.maintenance
+    }
+
+    /// Carries the engine-lifetime observability of `old` — plan counters
+    /// and §6 counters — over to this engine, which replaces it. The drift
+    /// baseline stays this engine's own.
+    pub(crate) fn inherit_history(&mut self, old: &Hopi) {
+        self.plan_counters = old.plan_counters.clone();
+        self.maintenance = MaintenanceStats {
+            at_build: self.maintenance.at_build,
+            ..old.maintenance
+        };
     }
 
     // ------------------------------------------------------------------
@@ -778,6 +849,7 @@ impl Hopi {
             plan_counters: self.plan_counters.clone(),
             build: crate::BuildPhaseTimings::from_report(&self.report, freeze_ms),
             greedy: self.report.greedy,
+            maintenance: self.maintenance,
             publish: crate::PublishStats {
                 micros: sw.elapsed_micros(),
                 patched: patched.is_some(),
@@ -863,6 +935,33 @@ impl Hopi {
 
     fn distance_cover(&self) -> Result<&DistanceCover, HopiError> {
         self.distance.as_ref().ok_or(HopiError::DistanceDisabled)
+    }
+
+    /// The §6.1 document insertion on collection and cover, counted.
+    fn insert_counted(&mut self, doc: XmlDocument, links: &DocumentLinks) -> DocId {
+        let before = self.index.size();
+        let (d, integrations) = insert_document(&mut self.collection, &mut self.index, doc, links);
+        self.maintenance.integrations.absorb(&integrations);
+        self.maintenance.entries_added.insert_document += net_entries(before, self.index.size());
+        d
+    }
+
+    /// The §6.2 document deletion on collection and cover, counted.
+    fn delete_counted(&mut self, d: DocId) -> DeletionOutcome {
+        let before = self.index.size();
+        let outcome = delete_document(&mut self.collection, &mut self.index, d);
+        self.book_deletion(&outcome, before);
+        outcome
+    }
+
+    /// Books a deletion's net entry change to the theorem that ran it.
+    fn book_deletion(&mut self, outcome: &DeletionOutcome, before: usize) {
+        let added = &mut self.maintenance.entries_added;
+        let slot = match outcome.algorithm {
+            DeletionAlgorithm::FastSeparator => &mut added.delete_separator,
+            DeletionAlgorithm::General => &mut added.delete_general,
+        };
+        *slot += net_entries(before, self.index.size());
     }
 
     /// Adds document `d`, just inserted into the collection, to the tag

@@ -45,9 +45,9 @@
 //! The low-level machinery stays available for code that needs to hold the
 //! pieces separately: the build pipeline ([`build_index`], [`BuildConfig`],
 //! [`JoinAlgorithm`], [`PartitionerChoice`]) from `hopi_partition`, the
-//! index handle ([`HopiIndex`]) and the link-integration primitive
-//! ([`old_join`]) from `hopi_core` — re-exported here under their
-//! historical `hopi_build` paths. The facade is a thin, always-consistent
+//! index handle ([`HopiIndex`]) and the §3.3 link-integration primitive of
+//! the baseline join ([`old_join`]) from `hopi_core` — re-exported here
+//! under their historical `hopi_build` paths. The facade is a thin, always-consistent
 //! composition of exactly these functions.
 
 #![forbid(unsafe_code)]
@@ -66,7 +66,9 @@ pub use durable::{
 pub use error::HopiError;
 pub use facade::{Hopi, HopiBuilder, QueryOptions, Stats};
 pub use online::{OnlineHopi, PublishTotals};
-pub use snapshot::{BuildPhaseTimings, HopiSnapshot, PublishStats, SnapshotStats};
+pub use snapshot::{
+    BuildPhaseTimings, HopiSnapshot, MaintenanceStats, PublishStats, SnapshotStats,
+};
 
 // The WAL sync policy, on-disk format version, and the pluggable I/O
 // backend (StdVfs in production, FaultVfs under fault injection) are
@@ -206,7 +208,8 @@ mod tests {
         use hopi_xml::generator::{dblp, DblpConfig};
         let mut hopi = Hopi::build(dblp(&DblpConfig::scaled(0.003))).unwrap();
         let fresh = hopi.degradation().entries;
-        // Greedy §6.1 insertions pick fixed centers, so the cover drifts.
+        // §6.1 insertions cover their connections from their endpoints'
+        // labels, not with globally dense centers, so the cover drifts.
         let docs: Vec<u32> = hopi.collection().doc_ids().collect();
         for i in 0..40 {
             let (a, b) = (docs[(i * 3) % docs.len()], docs[(i * 11 + 2) % docs.len()]);
@@ -219,13 +222,18 @@ mod tests {
         let churned = hopi.degradation();
         assert!(churned.entries > fresh, "churn grows the cover");
         assert_eq!(churned.live_elements, hopi.collection().element_count());
+        assert_eq!(churned.entries_at_build, fresh);
+        assert!(churned.drift_ratio > 1.0, "{churned:?}");
         hopi.rebuild();
-        let rebuilt = hopi.degradation().entries;
+        let rebuilt = hopi.degradation();
         assert!(
-            rebuilt < churned.entries,
-            "{rebuilt} !< {}",
+            rebuilt.entries < churned.entries,
+            "{} !< {}",
+            rebuilt.entries,
             churned.entries
         );
+        assert_eq!(rebuilt.entries_at_build, rebuilt.entries);
+        assert!((rebuilt.drift_ratio - 1.0).abs() < 1e-12, "{rebuilt:?}");
         let (index, _) = build_index(hopi.collection(), &BuildConfig::default());
         let n = hopi.collection().elem_id_bound() as u32;
         for u in (0..n).step_by(5) {

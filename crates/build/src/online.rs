@@ -625,9 +625,10 @@ impl OnlineHopi {
         let Some((mut fresh, replayed)) = fresh else {
             return (hopi.report().clone(), None);
         };
-        // The plan-strategy counters survive the swap: a rebuild changes
-        // the cover, not the observability history.
-        fresh.plan_counters = hopi.plan_counters.clone();
+        // The plan-strategy and §6 counters survive the swap: a rebuild
+        // changes the cover, not the observability history (and the live
+        // engine has already counted the mutations just replayed).
+        fresh.inherit_history(hopi);
         let report = fresh.report().clone();
         *hopi = fresh;
         self.publish(hopi);

@@ -19,6 +19,7 @@
 use crate::error::HopiError;
 use crate::facade::QueryOptions;
 use hopi_core::{BuildStats, DistanceCover, FrozenCover};
+use hopi_maintenance::{BuildBaseline, Degradation, EntriesAdded, IntegrationCounts};
 use hopi_partition::BuildReport;
 use hopi_query::{
     evaluate_ranked_with_text, parse_path, PlanCounters, PlanCounts, QueryPlanReport, RankedMatch,
@@ -88,6 +89,32 @@ impl PublishStats {
     }
 }
 
+/// What §6 maintenance has done to an engine's cover (see
+/// [`SnapshotStats::maintenance`] and [`crate::Hopi::maintenance_stats`]).
+/// The drift baseline is reset by every build and rebuild, and saved with
+/// the cover so it survives a reopen or a crash recovery; the counters run
+/// for the engine's lifetime, across rebuilds, and start at zero when an
+/// engine is opened or recovered.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct MaintenanceStats {
+    /// The cover and the collection as the last build or rebuild left them.
+    pub at_build: BuildBaseline,
+    /// §6.1 link integrations (standalone and document links) by choice.
+    pub integrations: IntegrationCounts,
+    /// Net change in cover entries per operation kind.
+    pub entries_added: EntriesAdded,
+}
+
+impl MaintenanceStats {
+    /// No maintenance yet, on a cover just built to `at_build`.
+    pub(crate) fn since(at_build: BuildBaseline) -> Self {
+        MaintenanceStats {
+            at_build,
+            ..Self::default()
+        }
+    }
+}
+
 /// A point-in-time summary of a serving snapshot (see
 /// [`HopiSnapshot::stats`] / [`crate::OnlineHopi::snapshot_stats`]): the
 /// epoch it was published at plus the sizes a monitoring endpoint wants.
@@ -132,6 +159,16 @@ pub struct SnapshotStats {
     pub greedy: BuildStats,
     /// What capturing this snapshot cost, and how its cover was frozen.
     pub publish: PublishStats,
+    /// §6 drift baseline and counters of the engine at capture time.
+    pub maintenance: MaintenanceStats,
+}
+
+impl SnapshotStats {
+    /// The snapshot's cover measured against the last build: the drift
+    /// ratio behind `hopi_cover_drift_ratio`.
+    pub fn degradation(&self) -> Degradation {
+        Degradation::measure(self.cover_entries, self.elements, self.maintenance.at_build)
+    }
 }
 
 /// A point-in-time, immutable serving view of an engine: frozen cover +
@@ -181,6 +218,8 @@ pub struct HopiSnapshot {
     pub(crate) greedy: BuildStats,
     /// How this snapshot was captured (see [`PublishStats`]).
     pub(crate) publish: PublishStats,
+    /// The engine's §6 drift baseline and counters at capture time.
+    pub(crate) maintenance: MaintenanceStats,
 }
 
 impl HopiSnapshot {
@@ -335,6 +374,7 @@ impl HopiSnapshot {
             build: self.build,
             greedy: self.greedy,
             publish: self.publish,
+            maintenance: self.maintenance,
         }
     }
 

@@ -130,6 +130,45 @@ fn checkpoint_truncates_wal_and_recovery_combines_both() {
 }
 
 #[test]
+fn drift_baseline_survives_checkpoint_and_recovery() {
+    let dir = tempdir("drift");
+    let config = DurableConfig::new(&dir);
+    let online = OnlineHopi::open_durable(&config, Hopi::builder(), Some(bootstrap())).unwrap();
+    let built = online.read(|h| h.maintenance_stats().at_build);
+    let docs: Vec<u32> = (0..4)
+        .map(|i| {
+            online
+                .insert_xml(&format!("d{i}"), r#"<r><p><q/></p></r>"#)
+                .unwrap()
+        })
+        .collect();
+    let link = |from: u32, to: u32| {
+        let (f, t) = online.read(|h| {
+            let c = h.collection();
+            (c.global_id(from, 2), c.global_id(to, 0))
+        });
+        online.insert_link(f, t).unwrap();
+    };
+    link(docs[0], docs[1]);
+    link(docs[1], docs[2]);
+    online.checkpoint().unwrap();
+    // Past the checkpoint: these arrive by WAL replay.
+    link(docs[2], docs[3]);
+    link(docs[3], docs[0]);
+    let expected = online.read(|h| h.clone());
+    drop(online);
+
+    let drifted = expected.degradation();
+    assert!(drifted.drift_ratio > 1.0, "{drifted:?}");
+    let recovered = Hopi::recover(&dir).unwrap();
+    assert_state_eq(&recovered, &expected);
+    // The restart neither rebuilt the cover nor reset its yardstick.
+    assert_eq!(recovered.maintenance_stats().at_build, built);
+    assert_eq!(recovered.degradation(), drifted);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn crash_between_checkpoint_and_rotation_does_not_double_apply() {
     let dir = tempdir("rotation_crash");
     let config = DurableConfig::new(&dir);

@@ -29,8 +29,8 @@
 //!   allocation-free probes, batched `connected_many`.
 //! * [`source::LabelSource`] — the query interface shared by the mutable
 //!   and frozen representations (path evaluation is written against it).
-//! * [`old_join`] — the §3.3 single-link cover-integration primitive shared
-//!   by the incremental cover join and §6.1 maintenance.
+//! * [`old_join`] — the §3.3 single-link cover-integration primitive of the
+//!   incremental (baseline) cover join.
 //!
 //! Following the paper's storage convention (§3.4), a node is **never stored
 //! in its own label sets** — queries special-case the implicit self entries.

@@ -1,5 +1,5 @@
-//! The §3.3 link-integration primitive shared by the incremental cover join
-//! and §6.1 incremental maintenance.
+//! The §3.3 link-integration primitive of the incremental cover join (the
+//! paper's baseline, `hopi_partition::pipeline`'s `Incremental` join).
 //!
 //! Integrating one link `u → v` into an exact cover makes `v` the center of
 //! every connection the link creates: each ancestor `a` of `u` (under the
@@ -7,9 +7,9 @@
 //! receives `v` in `Lin(d)`. Every new connection decomposes as
 //! `a →* u → v →* d` over *pre-existing* paths, so the updated cover is
 //! again exact — which is why the incremental join can integrate the
-//! cross-partition links one at a time, and why edge insertion during
-//! maintenance reuses "the same method that was used to add a link between
-//! partitions" (paper §6.1).
+//! cross-partition links one at a time. §6.1 maintenance rests on the same
+//! argument but picks the cheapest of this centering and two label copies
+//! (`hopi_maintenance::integrate_link`).
 
 use crate::cover::TwoHopCover;
 
@@ -21,16 +21,25 @@ use crate::cover::TwoHopCover;
 /// it is exact for the graph *with* it.
 pub fn integrate_link(cover: &mut TwoHopCover, u: u32, v: u32) -> usize {
     cover.ensure_node(u.max(v));
-    let mut added = 0usize;
     // Snapshot before mutation: both enumerations must see the old cover.
     let ancestors = cover.ancestors(u); // includes u
     let descendants = cover.descendants(v); // includes v
-    for &a in &ancestors {
+    center_on(cover, &ancestors, &descendants, v)
+}
+
+/// Makes `v` the center of every connection from `ancestors` (of the
+/// link's source) to `descendants` (of its target `v`): `v` joins
+/// `Lout(a)` for each ancestor and `Lin(d)` for each descendant. Returns
+/// the number of label entries added. Both lists must be enumerated on the
+/// cover *before* the link, as [`integrate_link`] does.
+pub fn center_on(cover: &mut TwoHopCover, ancestors: &[u32], descendants: &[u32], v: u32) -> usize {
+    let mut added = 0usize;
+    for &a in ancestors {
         if cover.add_out(a, v) {
             added += 1;
         }
     }
-    for &d in &descendants {
+    for &d in descendants {
         if cover.add_in(d, v) {
             added += 1;
         }

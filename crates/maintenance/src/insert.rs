@@ -2,16 +2,189 @@
 //!
 //! * Isolated nodes need no cover entries.
 //! * A new edge `(u, v)` is inserted "by the same method that was used to
-//!   add a link between partitions": `v` becomes the center node for all
-//!   newly created connections (see [`hopi_core::old_join::integrate_link`]).
+//!   add a link between partitions": every connection it creates is
+//!   `a →* u → v →* d` over *old* paths, so the old cover's labels of `u`
+//!   and `v` say how to cover it. [`integrate_link`] picks the cheapest of
+//!   three exact ways — make `v` the center (the §3.3 primitive's
+//!   [`hopi_core::old_join::center_on`]), copy `{v} ∪ Lout(v)` into
+//!   the ancestors' `Lout`, or copy `{u} ∪ Lin(u)` into the descendants'
+//!   `Lin` — and does nothing when `u` already reaches `v`.
 //! * A new document is "considered as a new partition": its private 2-hop
 //!   cover is computed and merged, then its incoming/outgoing links are
 //!   integrated one by one.
 
-use hopi_core::{old_join, HopiIndex};
-use hopi_core::{CoverBuilder, DistanceCover};
+use hopi_core::old_join::center_on;
+use hopi_core::HopiIndex;
+use hopi_core::{CoverBuilder, DistanceCover, TwoHopCover};
 use hopi_graph::{DiGraph, TransitiveClosure};
 use hopi_xml::{Collection, DocId, ElemId, LocalElemId, XmlDocument};
+
+/// How [`integrate_link`] covered the connections of one new link `u → v`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Integration {
+    /// `u` already reached `v`: the link creates no connection.
+    Noop,
+    /// `v` became the center: `v` joined `Lout(a)` for every ancestor `a`
+    /// of `u` and `Lin(d)` for every descendant `d` of `v`.
+    Center,
+    /// Every ancestor `a` of `u` copied `{v} ∪ Lout(v)` into `Lout(a)`; no
+    /// `Lin` row changed.
+    LoutCopy,
+    /// Every descendant `d` of `v` copied `{u} ∪ Lin(u)` into `Lin(d)`; no
+    /// `Lout` row changed.
+    LinCopy,
+}
+
+impl Integration {
+    /// The `choice` label of `hopi_link_integrations_total`.
+    pub fn label(self) -> &'static str {
+        match self {
+            Integration::Noop => "noop",
+            Integration::Center => "center",
+            Integration::LoutCopy => "lout_copy",
+            Integration::LinCopy => "lin_copy",
+        }
+    }
+}
+
+/// What integrating one link did to the cover.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Integrated {
+    /// The choice that covered the new connections.
+    pub choice: Integration,
+    /// Label entries added.
+    pub added: usize,
+}
+
+/// Link integrations tallied by [`Integration`] choice.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct IntegrationCounts {
+    /// [`Integration::Center`] choices.
+    pub center: u64,
+    /// [`Integration::LoutCopy`] choices.
+    pub lout_copy: u64,
+    /// [`Integration::LinCopy`] choices.
+    pub lin_copy: u64,
+    /// [`Integration::Noop`] choices.
+    pub noop: u64,
+}
+
+impl IntegrationCounts {
+    /// Counts one integration.
+    pub fn record(&mut self, choice: Integration) {
+        let slot = match choice {
+            Integration::Noop => &mut self.noop,
+            Integration::Center => &mut self.center,
+            Integration::LoutCopy => &mut self.lout_copy,
+            Integration::LinCopy => &mut self.lin_copy,
+        };
+        *slot += 1;
+    }
+
+    /// Adds another tally to this one.
+    pub fn absorb(&mut self, other: &IntegrationCounts) {
+        self.center += other.center;
+        self.lout_copy += other.lout_copy;
+        self.lin_copy += other.lin_copy;
+        self.noop += other.noop;
+    }
+
+    /// `(choice label, count)` pairs, in exposition order.
+    pub fn as_labeled(&self) -> [(&'static str, u64); 4] {
+        [
+            (Integration::Center.label(), self.center),
+            (Integration::LoutCopy.label(), self.lout_copy),
+            (Integration::LinCopy.label(), self.lin_copy),
+            (Integration::Noop.label(), self.noop),
+        ]
+    }
+}
+
+/// Integrates the link `u → v` into a cover that is exact for the graph
+/// without it; afterwards the cover is exact for the graph with it, and
+/// every entry added is a true connection.
+///
+/// Every connection the link creates is `a →* u → v →* d` with `a` an
+/// ancestor of `u` and `d` a descendant of `v` under the old cover, and
+/// the old cover already holds a center `w ∈ ({v} ∪ Lout(v)) ∩ ({d} ∪
+/// Lin(d))` for `v →* d` and one in `({a} ∪ Lout(a)) ∩ ({u} ∪ Lin(u))` for
+/// `a →* u`. So three label updates each cover all of them:
+///
+/// | choice | update | entries at most |
+/// |---|---|---|
+/// | [`Integration::Center`] | `Lout(a) ∪= {v}`, `Lin(d) ∪= {v}` | `A + D` |
+/// | [`Integration::LoutCopy`] | `Lout(a) ∪= {v} ∪ Lout(v)` | `A·(1 + \|Lout(v)\|)` |
+/// | [`Integration::LinCopy`] | `Lin(d) ∪= {u} ∪ Lin(u)` | `D·(1 + \|Lin(u)\|)` |
+///
+/// with `A = |anc(u)|` and `D = |desc(v)|`. The cheapest bound wins (the
+/// center on a tie, then the `Lout` copy). Only `anc(u)` and `desc(v)`
+/// are enumerated: on the leaf links most writes add, those two are tiny
+/// while `anc(v)` and `desc(u)` can span the collection.
+pub fn integrate_link(cover: &mut TwoHopCover, u: u32, v: u32) -> Integrated {
+    integrate(cover, u, v, None)
+}
+
+/// [`integrate_link`] with the choice forced — for tests that must cover
+/// every choice on the same programs.
+#[cfg(test)]
+pub(crate) fn integrate_link_as(
+    cover: &mut TwoHopCover,
+    u: u32,
+    v: u32,
+    choice: Integration,
+) -> Integrated {
+    integrate(cover, u, v, Some(choice))
+}
+
+fn integrate(cover: &mut TwoHopCover, u: u32, v: u32, forced: Option<Integration>) -> Integrated {
+    cover.ensure_node(u.max(v));
+    if cover.connected(u, v) {
+        return Integrated {
+            choice: Integration::Noop,
+            added: 0,
+        };
+    }
+    // Both enumerations and both copied rows come from the old cover.
+    let ancestors = cover.ancestors(u); // includes u
+    let descendants = cover.descendants(v); // includes v
+    let choice = forced.unwrap_or_else(|| {
+        let (a, d) = (ancestors.len(), descendants.len());
+        let center = a + d;
+        let lout_copy = a.saturating_mul(1 + cover.lout(v).len());
+        let lin_copy = d.saturating_mul(1 + cover.lin(u).len());
+        if center <= lout_copy && center <= lin_copy {
+            Integration::Center
+        } else if lout_copy <= lin_copy {
+            Integration::LoutCopy
+        } else {
+            Integration::LinCopy
+        }
+    });
+    let mut added = 0usize;
+    match choice {
+        Integration::Noop => {}
+        Integration::Center => added += center_on(cover, &ancestors, &descendants, v),
+        Integration::LoutCopy => {
+            let mut centers = cover.lout(v).to_vec();
+            centers.push(v);
+            for &a in &ancestors {
+                for &c in &centers {
+                    added += usize::from(cover.add_out(a, c));
+                }
+            }
+        }
+        Integration::LinCopy => {
+            let mut centers = cover.lin(u).to_vec();
+            centers.push(u);
+            for &d in &descendants {
+                for &c in &centers {
+                    added += usize::from(cover.add_in(d, c));
+                }
+            }
+        }
+    }
+    Integrated { choice, added }
+}
 
 /// Links connecting a new document to the existing collection, expressed
 /// with document-local ids on the new side.
@@ -60,14 +233,15 @@ impl std::error::Error for LinkError {}
 /// Endpoints are validated up front — dead/unknown elements and
 /// same-document pairs come back as [`LinkError`] instead of the panics of
 /// [`Collection::add_link`]. Re-inserting an existing link is a no-op
-/// (`L` is a set, paper §2) and returns `Ok(0)` without touching the
-/// cover. Otherwise returns the number of label entries added.
+/// (`L` is a set, paper §2): it reports [`Integration::Noop`] with nothing
+/// added, without touching the cover. Otherwise the link is integrated by
+/// [`integrate_link`].
 pub fn insert_link(
     collection: &mut Collection,
     index: &mut HopiIndex,
     from: ElemId,
     to: ElemId,
-) -> Result<usize, LinkError> {
+) -> Result<Integrated, LinkError> {
     let fd = collection
         .doc_of(from)
         .ok_or(LinkError::UnknownEndpoint(from))?;
@@ -78,22 +252,24 @@ pub fn insert_link(
         return Err(LinkError::SameDocument { from, to });
     }
     if !collection.add_link(from, to) {
-        return Ok(0);
+        return Ok(Integrated {
+            choice: Integration::Noop,
+            added: 0,
+        });
     }
-    index.cover_mut().ensure_node(from.max(to));
-    Ok(old_join::integrate_link(index.cover_mut(), from, to))
+    Ok(integrate_link(index.cover_mut(), from, to))
 }
 
 /// Inserts a whole document plus its links (paper §6.1: "considering the
 /// document as a new partition, computing the 2–hop cover for this
 /// partition and applying the (old) algorithm for merging partitions").
-/// Returns the assigned document id.
+/// Returns the assigned document id and how each link was integrated.
 pub fn insert_document(
     collection: &mut Collection,
     index: &mut HopiIndex,
     doc: XmlDocument,
     links: &DocumentLinks,
-) -> DocId {
+) -> (DocId, IntegrationCounts) {
     // Build the document's private cover over local ids.
     let mut local = DiGraph::with_nodes(doc.len());
     for (p, c) in doc.tree_edges() {
@@ -115,18 +291,19 @@ pub fn insert_document(
     let map: Vec<ElemId> = (0..tc.num_nodes() as u32).map(|l| base + l).collect();
     cover.merge_remapped(&doc_cover, &map);
 
-    // Integrate links with the old join primitive.
+    // Integrate the links one by one, as standalone insertions are.
+    let mut counts = IntegrationCounts::default();
     for &(local_src, target) in &links.outgoing {
         let from = collection.global_id(d, local_src);
         collection.add_link(from, target);
-        old_join::integrate_link(cover, from, target);
+        counts.record(integrate_link(cover, from, target).choice);
     }
     for &(source, local_tgt) in &links.incoming {
         let to = collection.global_id(d, local_tgt);
         collection.add_link(source, to);
-        old_join::integrate_link(cover, source, to);
+        counts.record(integrate_link(cover, source, to).choice);
     }
-    d
+    (d, counts)
 }
 
 /// Distance-aware edge insertion (paper §6: "the algorithms presented...
@@ -296,10 +473,16 @@ mod tests {
     #[test]
     fn duplicate_insert_link_is_noop() {
         let (mut c, mut index) = two_docs();
-        let added = insert_link(&mut c, &mut index, 1, 2).unwrap();
-        assert!(added > 0);
+        let first = insert_link(&mut c, &mut index, 1, 2).unwrap();
+        assert!(first.added > 0);
         let size = index.size();
-        assert_eq!(insert_link(&mut c, &mut index, 1, 2), Ok(0));
+        assert_eq!(
+            insert_link(&mut c, &mut index, 1, 2),
+            Ok(Integrated {
+                choice: Integration::Noop,
+                added: 0
+            })
+        );
         assert_eq!(index.size(), size, "duplicate must not grow the cover");
         assert_eq!(c.links().len(), 1);
         assert_exact(&c, &index);
@@ -316,8 +499,10 @@ mod tests {
             outgoing: vec![(grand, 2)], // new/g -> b/root
             incoming: vec![(1, 0)],     // a/s -> new/root
         };
-        let d = insert_document(&mut c, &mut index, doc, &links);
+        let (d, counts) = insert_document(&mut c, &mut index, doc, &links);
         assert_eq!(d, 2);
+        let integrated = counts.as_labeled().iter().map(|&(_, n)| n).sum::<u64>();
+        assert_eq!(integrated, 2, "one integration per link");
         // a/root(0) -> a/s(1) -> new/root(4) -> ... -> new/g(6) -> b(2,3).
         assert!(index.connected(0, 3));
         assert!(index.connected(4, 2));
@@ -329,7 +514,7 @@ mod tests {
     fn insert_isolated_document() {
         let (mut c, mut index) = two_docs();
         let doc = XmlDocument::new("island", "r");
-        let d = insert_document(&mut c, &mut index, doc, &DocumentLinks::default());
+        let (d, _) = insert_document(&mut c, &mut index, doc, &DocumentLinks::default());
         let root = c.global_id(d, 0);
         assert!(index.connected(root, root));
         assert!(!index.connected(0, root));

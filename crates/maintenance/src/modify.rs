@@ -18,7 +18,7 @@ pub fn modify_document(
     links: &DocumentLinks,
 ) -> DocId {
     delete_document(collection, index, di);
-    insert_document(collection, index, new_doc, links)
+    insert_document(collection, index, new_doc, links).0
 }
 
 #[cfg(test)]

@@ -447,6 +447,12 @@ impl JsonWriter {
         let _ = write!(self.out, "{value}");
     }
 
+    /// Signed-integer field.
+    pub fn field_i64(&mut self, key: &str, value: i64) {
+        self.key(key);
+        let _ = write!(self.out, "{value}");
+    }
+
     /// Float field (finite; non-finite encodes as null).
     pub fn field_f64(&mut self, key: &str, value: f64) {
         self.key(key);

@@ -11,7 +11,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use hopi_build::{PublishTotals, WalHistograms};
+use hopi_build::{MaintenanceStats, PublishTotals, WalHistograms};
 use hopi_obs::{Histogram, StageRegistry};
 
 /// The fixed endpoint universe (one counter cell each; unknown paths land
@@ -302,6 +302,22 @@ impl Metrics {
             "hopi_publish_rows_patched_total {}\n",
             ctx.publish.rows_patched
         ));
+        out.push_str("# TYPE hopi_cover_drift_ratio gauge\n");
+        out.push_str(&format!("hopi_cover_drift_ratio {:.4}\n", ctx.drift_ratio));
+        out.push_str("# TYPE hopi_link_integrations_total counter\n");
+        for (choice, count) in ctx.maintenance.integrations.as_labeled() {
+            out.push_str(&format!(
+                "hopi_link_integrations_total{{choice=\"{choice}\"}} {count}\n"
+            ));
+        }
+        // A net change per operation kind, signed (deletions remove
+        // entries), hence a gauge despite the `_total` name.
+        out.push_str("# TYPE hopi_cover_entries_added_total gauge\n");
+        for (op, net) in ctx.maintenance.entries_added.as_labeled() {
+            out.push_str(&format!(
+                "hopi_cover_entries_added_total{{op=\"{op}\"}} {net}\n"
+            ));
+        }
         out.push_str("# TYPE hopi_connections_total counter\n");
         out.push_str(&format!(
             "hopi_connections_total {}\n",
@@ -374,6 +390,12 @@ pub struct RenderContext<'a> {
     /// Snapshot-publish cost: capture-time distribution, patched vs full
     /// freezes, rows patched.
     pub publish: PublishTotals,
+    /// The serving cover's drift against the last build, across restarts
+    /// (see `hopi_maintenance::Degradation::drift_ratio`).
+    pub drift_ratio: f64,
+    /// §6 counters: link integrations by choice, net entries per
+    /// operation kind.
+    pub maintenance: MaintenanceStats,
     /// Server crate version for `hopi_build_info`.
     pub version: &'a str,
     /// On-disk store format version for `hopi_build_info`.
@@ -443,6 +465,20 @@ mod tests {
                 full: 1,
                 rows_patched: 40,
             },
+            drift_ratio: 1.5,
+            maintenance: MaintenanceStats {
+                integrations: hopi_maintenance::IntegrationCounts {
+                    lout_copy: 3,
+                    noop: 1,
+                    ..Default::default()
+                },
+                entries_added: hopi_maintenance::EntriesAdded {
+                    insert_link: 12,
+                    delete_general: -4,
+                    ..Default::default()
+                },
+                ..Default::default()
+            },
             version: "0.2.0",
             store_format: 3,
         });
@@ -467,6 +503,12 @@ mod tests {
         assert!(text.contains("hopi_publish_total{kind=\"patched\"} 5"));
         assert!(text.contains("hopi_publish_total{kind=\"full\"} 1"));
         assert!(text.contains("hopi_publish_rows_patched_total 40"));
+        assert!(text.contains("hopi_cover_drift_ratio 1.5000"));
+        assert!(text.contains("hopi_link_integrations_total{choice=\"lout_copy\"} 3"));
+        assert!(text.contains("hopi_link_integrations_total{choice=\"center\"} 0"));
+        assert!(text.contains("hopi_link_integrations_total{choice=\"noop\"} 1"));
+        assert!(text.contains("hopi_cover_entries_added_total{op=\"insert_link\"} 12"));
+        assert!(text.contains("hopi_cover_entries_added_total{op=\"delete_general\"} -4"));
         assert!(text.contains("hopi_snapshot_epoch 7"));
         assert!(text.contains("hopi_worker_threads 4"));
         assert!(

@@ -229,6 +229,22 @@ fn stats(state: &AppState) -> Response {
     w.field_str("kind", s.publish.kind());
     w.field_u64("rows_patched", s.publish.rows_patched as u64);
     w.close_obj();
+    // §6 drift against the last build, and who owns it: link integrations
+    // by choice, net cover entries per operation kind.
+    w.field_obj("maintenance");
+    w.field_f64("drift_ratio", s.degradation().drift_ratio);
+    w.field_u64("entries_at_build", s.maintenance.at_build.entries as u64);
+    w.field_obj("integrations");
+    for (choice, count) in s.maintenance.integrations.as_labeled() {
+        w.field_u64(choice, count);
+    }
+    w.close_obj();
+    w.field_obj("entries_added");
+    for (op, net) in s.maintenance.entries_added.as_labeled() {
+        w.field_i64(op, net);
+    }
+    w.close_obj();
+    w.close_obj();
     // Per-endpoint latency digests from the histogram registry —
     // p50/p95/p99 without waiting for a Prometheus scrape.
     w.field_arr("latency");
@@ -275,6 +291,8 @@ fn metrics(state: &AppState) -> Response {
         build_phases: &build_phases,
         wal: state.engine.wal_histograms(),
         publish: state.engine.publish_totals(),
+        drift_ratio: s.degradation().drift_ratio,
+        maintenance: s.maintenance,
         version: env!("CARGO_PKG_VERSION"),
         store_format: hopi_build::STORE_FORMAT_VERSION,
     };

@@ -278,6 +278,37 @@ fn mutations_publish_fresh_epochs_visible_to_reads() {
     let kind = publish.get("kind").and_then(Json::as_str).expect("kind");
     assert!(kind == "patched" || kind == "full", "{kind}");
 
+    // §6 drift and its owners: one document link and one standalone link
+    // were integrated, and the rebuild reset the drift baseline.
+    let integrations: u64 = ["center", "lout_copy", "lin_copy", "noop"]
+        .iter()
+        .map(|c| count_of(&format!("hopi_link_integrations_total{{choice=\"{c}\"}}")))
+        .sum();
+    assert_eq!(integrations, 2);
+    for op in [
+        "insert_link",
+        "insert_document",
+        "delete_separator",
+        "delete_general",
+    ] {
+        let series = format!("hopi_cover_entries_added_total{{op=\"{op}\"}}");
+        assert!(resp.body.contains(&series), "{series}");
+    }
+    assert!(resp.body.contains("hopi_cover_drift_ratio 1.0000"));
+    let maintenance = stats
+        .get("maintenance")
+        .expect("maintenance object in /stats");
+    assert_eq!(
+        maintenance.get("drift_ratio").and_then(Json::as_f64),
+        Some(1.0)
+    );
+    assert_eq!(
+        maintenance.get("entries_at_build").and_then(Json::as_u64),
+        stats.get("cover_entries").and_then(Json::as_u64)
+    );
+    let choices = maintenance.get("integrations").and_then(Json::as_obj);
+    assert_eq!(choices.map(<[_]>::len), Some(4));
+
     handle.shutdown();
 }
 

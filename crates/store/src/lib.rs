@@ -26,7 +26,9 @@
 //! labels. [`persist`] serializes the tables to a compact binary file —
 //! either as rows ([`save_store`]) or as a single length-prefixed CSR blob
 //! of a frozen cover ([`save_frozen`]), the serving layout that loads with
-//! no re-sorting; [`load_index`] auto-detects the layout. All index files
+//! no re-sorting; [`load_index`] auto-detects the layout. Either layout,
+//! and a checkpoint, can carry the [`CoverBaseline`] its cover's drift is
+//! measured against. All index files
 //! are written crash-atomically (temp file + fsync + rename + directory
 //! fsync). [`wal`] adds the durable write path: a length-prefixed,
 //! checksummed write-ahead log of collection mutations with group commit,
@@ -48,7 +50,7 @@ pub mod wal;
 pub use engine::LinLoutStore;
 pub use persist::{
     atomic_write_file, load_checkpoint, load_frozen, load_index, load_store, save_checkpoint,
-    save_frozen, save_store, sync_parent_dir, Checkpoint, PersistError, StoredIndex,
+    save_frozen, save_store, sync_parent_dir, Checkpoint, CoverBaseline, PersistError, StoredIndex,
     STORE_FORMAT_VERSION,
 };
 pub use table::IndexOrganizedTable;

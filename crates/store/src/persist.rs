@@ -4,16 +4,24 @@
 //!
 //! ```text
 //! magic   4 bytes  "HOPI"
-//! version u32      3 (2 and 1 accepted on load)
-//! flags   u32      bit 0: DIST column present; bit 1 clear (row layout)
+//! version u32      4 (3, 2 and 1 accepted on load)
+//! flags   u32      bit 0: DIST column present; bit 1 clear (row layout);
+//!                  bit 3: BASELINE section present
+//! baseline 2 × u64 only when flags bit 3 is set (see below)
 //! lin_len u64      row count of LIN
 //! lout_len u64     row count of LOUT
 //! rows             (id: u32, other: u32 [, dist: u32]) × (lin_len + lout_len)
 //! ```
 //!
+//! The baseline section (introduced in version 4) is a [`CoverBaseline`]:
+//! the cover's entry count and the collection's live element count right
+//! after the build the saved cover was maintained from, `entries` then
+//! `live_elements`. It lets a reopened engine keep measuring drift against
+//! that build rather than against whatever it opened.
+//!
 //! Frozen format (introduced in version 2; written by [`save_frozen`],
-//! flags bit 1 set): the same 12-byte `magic`/`version`/`flags` prefix
-//! followed by one length-prefixed CSR blob —
+//! flags bit 1 set): the same 12-byte `magic`/`version`/`flags` prefix and
+//! optional baseline section, followed by one length-prefixed CSR blob —
 //!
 //! ```text
 //! n        u64     node slots
@@ -71,7 +79,7 @@ impl<'a> Cursor<'a> {
 }
 
 const MAGIC: &[u8; 4] = b"HOPI";
-const VERSION: u32 = 3;
+const VERSION: u32 = 4;
 /// The on-disk format version currently written (`hopi_build_info`'s
 /// `store_format` label at `/metrics` reports this).
 pub const STORE_FORMAT_VERSION: u32 = VERSION;
@@ -87,6 +95,60 @@ const FLAG_FROZEN: u32 = 2;
 /// Flags bit 2: the file is a checkpoint (collection + frozen cover +
 /// WAL sequence number; see [`save_checkpoint`]).
 const FLAG_CHECKPOINT: u32 = 4;
+/// Flags bit 3: a [`CoverBaseline`] section follows the header.
+const FLAG_BASELINE: u32 = 8;
+
+/// Is `version` readable by this build, for a layout introduced in
+/// version `first`?
+fn readable(version: u32, first: u32) -> bool {
+    (first..=VERSION).contains(&version)
+}
+
+/// The yardstick a saved cover's drift is measured against: its entry
+/// count and the collection's live element count right after the build
+/// (or rebuild) it was maintained from — `hopi_maintenance::BuildBaseline`
+/// on disk. Files of version 3 and older carry none.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CoverBaseline {
+    /// Cover entries right after the build.
+    pub entries: u64,
+    /// Live elements at the build.
+    pub live_elements: u64,
+}
+
+/// The flags bit announcing `baseline`'s section.
+fn baseline_flag(baseline: Option<CoverBaseline>) -> u32 {
+    if baseline.is_some() {
+        FLAG_BASELINE
+    } else {
+        0
+    }
+}
+
+/// Appends the baseline section, if there is one.
+fn encode_baseline(baseline: Option<CoverBaseline>, buf: &mut Vec<u8>) {
+    if let Some(b) = baseline {
+        buf.extend_from_slice(&b.entries.to_le_bytes());
+        buf.extend_from_slice(&b.live_elements.to_le_bytes());
+    }
+}
+
+/// Reads the baseline section when `flags` announces one.
+fn decode_baseline(
+    buf: &mut Cursor<'_>,
+    flags: u32,
+) -> Result<Option<CoverBaseline>, PersistError> {
+    if flags & FLAG_BASELINE == 0 {
+        return Ok(None);
+    }
+    if buf.remaining() < 16 {
+        return Err(PersistError::Format("truncated baseline section".into()));
+    }
+    Ok(Some(CoverBaseline {
+        entries: buf.get_u64_le(),
+        live_elements: buf.get_u64_le(),
+    }))
+}
 
 /// Writes `bytes` to `path` crash-atomically: the bytes go to a temporary
 /// file in the same directory, are fsynced, renamed over the target, and
@@ -167,14 +229,22 @@ impl From<std::io::Error> for PersistError {
     }
 }
 
-/// Serializes a store to `path`.
-pub fn save_store(vfs: &dyn Vfs, store: &LinLoutStore, path: &Path) -> Result<(), PersistError> {
+/// Serializes a store to `path`, with the build baseline its cover was
+/// maintained from when there is one.
+pub fn save_store(
+    vfs: &dyn Vfs,
+    store: &LinLoutStore,
+    path: &Path,
+    baseline: Option<CoverBaseline>,
+) -> Result<(), PersistError> {
     let with_dist = store.lin().with_dist() || store.lout().with_dist();
     let per_row = if with_dist { 12 } else { 8 };
-    let mut buf: Vec<u8> = Vec::with_capacity(28 + per_row * store.entry_count());
+    let flags = u32::from(with_dist) | baseline_flag(baseline);
+    let mut buf: Vec<u8> = Vec::with_capacity(44 + per_row * store.entry_count());
     buf.extend_from_slice(MAGIC);
     buf.extend_from_slice(&VERSION.to_le_bytes());
-    buf.extend_from_slice(&u32::from(with_dist).to_le_bytes());
+    buf.extend_from_slice(&flags.to_le_bytes());
+    encode_baseline(baseline, &mut buf);
     buf.extend_from_slice(&(store.lin().len() as u64).to_le_bytes());
     buf.extend_from_slice(&(store.lout().len() as u64).to_le_bytes());
     for table in [store.lin(), store.lout()] {
@@ -199,9 +269,13 @@ pub enum StoredIndex {
     Frozen(FrozenCover),
 }
 
-/// Loads either index layout, detecting the format from the header. Use
-/// this when the caller accepts both (e.g. `Hopi::open`).
-pub fn load_index(vfs: &dyn Vfs, path: &Path) -> Result<StoredIndex, PersistError> {
+/// Loads either index layout, detecting the format from the header, with
+/// the build baseline saved beside it (if any). Use this when the caller
+/// accepts both layouts (e.g. `Hopi::open`).
+pub fn load_index(
+    vfs: &dyn Vfs,
+    path: &Path,
+) -> Result<(StoredIndex, Option<CoverBaseline>), PersistError> {
     let raw = vfs.read(path)?;
     if raw.len() >= 12 && &raw[..4] == MAGIC {
         let flags = u32::from_le_bytes([raw[8], raw[9], raw[10], raw[11]]);
@@ -211,18 +285,20 @@ pub fn load_index(vfs: &dyn Vfs, path: &Path) -> Result<StoredIndex, PersistErro
             ));
         }
         if flags & FLAG_FROZEN != 0 {
-            return decode_frozen(&raw).map(StoredIndex::Frozen);
+            let (frozen, baseline) = decode_frozen(&raw)?;
+            return Ok((StoredIndex::Frozen(frozen), baseline));
         }
     }
-    decode_store(&raw).map(StoredIndex::Rows)
+    let (store, baseline) = decode_store(&raw)?;
+    Ok((StoredIndex::Rows(store), baseline))
 }
 
 /// Loads a store from `path`, rebuilding the backward indexes.
 pub fn load_store(vfs: &dyn Vfs, path: &Path) -> Result<LinLoutStore, PersistError> {
-    decode_store(&vfs.read(path)?)
+    decode_store(&vfs.read(path)?).map(|(store, _)| store)
 }
 
-fn decode_store(raw: &[u8]) -> Result<LinLoutStore, PersistError> {
+fn decode_store(raw: &[u8]) -> Result<(LinLoutStore, Option<CoverBaseline>), PersistError> {
     let mut buf = Cursor::new(raw);
     if buf.remaining() < 28 {
         return Err(PersistError::Format("truncated header".into()));
@@ -233,7 +309,7 @@ fn decode_store(raw: &[u8]) -> Result<LinLoutStore, PersistError> {
         return Err(PersistError::Format("bad magic".into()));
     }
     let version = buf.get_u32_le();
-    if version != VERSION && version != VERSION_NO_TEXT && version != VERSION_ROWS_ONLY {
+    if !readable(version, VERSION_ROWS_ONLY) {
         return Err(PersistError::Version(version));
     }
     let flags = buf.get_u32_le();
@@ -248,6 +324,10 @@ fn decode_store(raw: &[u8]) -> Result<LinLoutStore, PersistError> {
         ));
     }
     let with_dist = flags & FLAG_DIST != 0;
+    let baseline = decode_baseline(&mut buf, flags)?;
+    if buf.remaining() < 16 {
+        return Err(PersistError::Format("truncated header".into()));
+    }
     let lin_len = buf.get_u64_le() as usize;
     let lout_len = buf.get_u64_le() as usize;
     let per_row = if with_dist { 12 } else { 8 };
@@ -272,22 +352,30 @@ fn decode_store(raw: &[u8]) -> Result<LinLoutStore, PersistError> {
     };
     let lin_rows = read_rows(lin_len, &mut buf);
     let lout_rows = read_rows(lout_len, &mut buf);
-    Ok(LinLoutStore::from_tables(
+    let store = LinLoutStore::from_tables(
         IndexOrganizedTable::new(lin_rows, with_dist),
         IndexOrganizedTable::new(lout_rows, with_dist),
-    ))
+    );
+    Ok((store, baseline))
 }
 
 /// Serializes a frozen cover to `path` as a single length-prefixed CSR
 /// blob (header flags bit 1 set; bit 0 when distance annotations are
-/// stored). Loading it back with [`load_frozen`] involves no sorting.
-pub fn save_frozen(vfs: &dyn Vfs, frozen: &FrozenCover, path: &Path) -> Result<(), PersistError> {
+/// stored), with the build baseline it was maintained from when there is
+/// one. Loading it back with [`load_frozen`] involves no sorting.
+pub fn save_frozen(
+    vfs: &dyn Vfs,
+    frozen: &FrozenCover,
+    path: &Path,
+    baseline: Option<CoverBaseline>,
+) -> Result<(), PersistError> {
     let dists = frozen.label_dists();
-    let flags = FLAG_FROZEN | if dists.is_some() { FLAG_DIST } else { 0 };
-    let mut buf: Vec<u8> = Vec::with_capacity(28);
+    let flags = FLAG_FROZEN | if dists.is_some() { FLAG_DIST } else { 0 } | baseline_flag(baseline);
+    let mut buf: Vec<u8> = Vec::with_capacity(44);
     buf.extend_from_slice(MAGIC);
     buf.extend_from_slice(&VERSION.to_le_bytes());
     buf.extend_from_slice(&flags.to_le_bytes());
+    encode_baseline(baseline, &mut buf);
     encode_frozen_payload(frozen, &mut buf);
     atomic_write_file(vfs, path, &buf)?;
     Ok(())
@@ -320,10 +408,10 @@ fn encode_frozen_payload(frozen: &FrozenCover, buf: &mut Vec<u8>) {
 /// Loads a frozen cover persisted with [`save_frozen`], rebuilding the
 /// inverted sections by counting (no sorting anywhere on the load path).
 pub fn load_frozen(vfs: &dyn Vfs, path: &Path) -> Result<FrozenCover, PersistError> {
-    decode_frozen(&vfs.read(path)?)
+    decode_frozen(&vfs.read(path)?).map(|(frozen, _)| frozen)
 }
 
-fn decode_frozen(raw: &[u8]) -> Result<FrozenCover, PersistError> {
+fn decode_frozen(raw: &[u8]) -> Result<(FrozenCover, Option<CoverBaseline>), PersistError> {
     let mut buf = Cursor::new(raw);
     if buf.remaining() < 28 {
         return Err(PersistError::Format("truncated header".into()));
@@ -334,7 +422,7 @@ fn decode_frozen(raw: &[u8]) -> Result<FrozenCover, PersistError> {
         return Err(PersistError::Format("bad magic".into()));
     }
     let version = buf.get_u32_le();
-    if version != VERSION && version != VERSION_NO_TEXT {
+    if !readable(version, VERSION_NO_TEXT) {
         return Err(PersistError::Version(version));
     }
     let flags = buf.get_u32_le();
@@ -348,7 +436,9 @@ fn decode_frozen(raw: &[u8]) -> Result<FrozenCover, PersistError> {
             "file holds LIN/LOUT rows; load it with load_store / load_index".into(),
         ));
     }
-    decode_frozen_payload(&mut buf, flags & FLAG_DIST != 0)
+    let baseline = decode_baseline(&mut buf, flags)?;
+    let frozen = decode_frozen_payload(&mut buf, flags & FLAG_DIST != 0)?;
+    Ok((frozen, baseline))
 }
 
 /// Reads the frozen CSR payload section, which must consume the rest of
@@ -398,6 +488,9 @@ pub struct Checkpoint {
     pub frozen: FrozenCover,
     /// WAL sequence number covered by this checkpoint.
     pub seq: u64,
+    /// The build baseline the cover was maintained from, when the
+    /// checkpoint carries one (version 4 and later).
+    pub baseline: Option<CoverBaseline>,
 }
 
 /// Persists a checkpoint crash-atomically (temp file + fsync + rename +
@@ -407,9 +500,10 @@ pub struct Checkpoint {
 ///
 /// ```text
 /// magic    4 bytes  "HOPI"
-/// version  u32      3 (2 accepted on load: collection blob has no text)
-/// flags    u32      bit 2 (CHECKPOINT) | bit 1 (FROZEN) [| bit 0 DIST]
+/// version  u32      4 (3 and 2 accepted on load; 2: collection blob has no text)
+/// flags    u32      bit 2 (CHECKPOINT) | bit 1 (FROZEN) [| bit 0 DIST] [| bit 3 BASELINE]
 /// seq      u64      WAL sequence number covered
+/// baseline 2 × u64  only when flags bit 3 is set (see the module docs)
 /// coll_len u64      collection blob length
 /// coll     bytes    hopi_xml::codec::encode_collection
 /// csr      …        frozen CSR payload (same section as save_frozen)
@@ -420,6 +514,7 @@ pub fn save_checkpoint(
     collection: &hopi_xml::Collection,
     frozen: &FrozenCover,
     seq: u64,
+    baseline: Option<CoverBaseline>,
 ) -> Result<(), PersistError> {
     let coll = hopi_xml::codec::encode_collection(collection);
     let flags = FLAG_CHECKPOINT
@@ -428,12 +523,14 @@ pub fn save_checkpoint(
             FLAG_DIST
         } else {
             0
-        };
-    let mut buf: Vec<u8> = Vec::with_capacity(28 + coll.len());
+        }
+        | baseline_flag(baseline);
+    let mut buf: Vec<u8> = Vec::with_capacity(44 + coll.len());
     buf.extend_from_slice(MAGIC);
     buf.extend_from_slice(&VERSION.to_le_bytes());
     buf.extend_from_slice(&flags.to_le_bytes());
     buf.extend_from_slice(&seq.to_le_bytes());
+    encode_baseline(baseline, &mut buf);
     buf.extend_from_slice(&(coll.len() as u64).to_le_bytes());
     buf.extend_from_slice(&coll);
     encode_frozen_payload(frozen, &mut buf);
@@ -454,7 +551,7 @@ pub fn load_checkpoint(vfs: &dyn Vfs, path: &Path) -> Result<Checkpoint, Persist
         return Err(PersistError::Format("bad magic".into()));
     }
     let version = buf.get_u32_le();
-    if version != VERSION && version != VERSION_NO_TEXT {
+    if !readable(version, VERSION_NO_TEXT) {
         return Err(PersistError::Version(version));
     }
     let flags = buf.get_u32_le();
@@ -464,6 +561,10 @@ pub fn load_checkpoint(vfs: &dyn Vfs, path: &Path) -> Result<Checkpoint, Persist
         ));
     }
     let seq = buf.get_u64_le();
+    let baseline = decode_baseline(&mut buf, flags)?;
+    if buf.remaining() < 8 {
+        return Err(PersistError::Format("truncated checkpoint header".into()));
+    }
     let coll_len = buf.get_u64_le() as usize;
     if buf.remaining() < coll_len {
         return Err(PersistError::Format(format!(
@@ -474,13 +575,15 @@ pub fn load_checkpoint(vfs: &dyn Vfs, path: &Path) -> Result<Checkpoint, Persist
     buf.copy_to_slice(&mut coll_bytes);
     // Pre-text checkpoints (version 2) carry collection blobs without the
     // element-text section; text decodes as empty there.
-    let collection = hopi_xml::codec::decode_collection_versioned(&coll_bytes, version >= VERSION)
-        .map_err(|e| PersistError::Format(e.to_string()))?;
+    let collection =
+        hopi_xml::codec::decode_collection_versioned(&coll_bytes, version > VERSION_NO_TEXT)
+            .map_err(|e| PersistError::Format(e.to_string()))?;
     let frozen = decode_frozen_payload(&mut buf, flags & FLAG_DIST != 0)?;
     Ok(Checkpoint {
         collection,
         frozen,
         seq,
+        baseline,
     })
 }
 
@@ -506,7 +609,7 @@ mod tests {
         let cover = CoverBuilder::new(&tc).build();
         let store = LinLoutStore::from_cover(&cover);
         let dir = std::env::temp_dir().join("hopi_persist_plain.idx");
-        save_store(&StdVfs, &store, &dir).unwrap();
+        save_store(&StdVfs, &store, &dir, None).unwrap();
         let loaded = load_store(&StdVfs, &dir).unwrap();
         assert_eq!(loaded.entry_count(), store.entry_count());
         for u in 0..5 {
@@ -524,7 +627,7 @@ mod tests {
         let cover = DistanceCoverBuilder::new(&dc).build();
         let store = LinLoutStore::from_distance_cover(&cover);
         let dir = std::env::temp_dir().join("hopi_persist_dist.idx");
-        save_store(&StdVfs, &store, &dir).unwrap();
+        save_store(&StdVfs, &store, &dir, None).unwrap();
         let loaded = load_store(&StdVfs, &dir).unwrap();
         for u in 0..5 {
             for v in 0..5 {
@@ -541,7 +644,7 @@ mod tests {
         let cover = CoverBuilder::new(&tc).build();
         let frozen = FrozenCover::from_cover(&cover);
         let dir = std::env::temp_dir().join("hopi_persist_frozen.idx");
-        save_frozen(&StdVfs, &frozen, &dir).unwrap();
+        save_frozen(&StdVfs, &frozen, &dir, None).unwrap();
         let loaded = load_frozen(&StdVfs, &dir).unwrap();
         assert_eq!(loaded.size(), frozen.size());
         for u in 0..5 {
@@ -553,7 +656,7 @@ mod tests {
         // Auto-detection picks the frozen branch.
         assert!(matches!(
             load_index(&StdVfs, &dir),
-            Ok(StoredIndex::Frozen(_))
+            Ok((StoredIndex::Frozen(_), None))
         ));
         // The row loader refuses it with a pointer to the right entry.
         assert!(matches!(
@@ -570,7 +673,7 @@ mod tests {
         let cover = DistanceCoverBuilder::new(&dc).build();
         let frozen = FrozenCover::from_distance_cover(&cover);
         let dir = std::env::temp_dir().join("hopi_persist_frozen_dist.idx");
-        save_frozen(&StdVfs, &frozen, &dir).unwrap();
+        save_frozen(&StdVfs, &frozen, &dir, None).unwrap();
         let loaded = load_frozen(&StdVfs, &dir).unwrap();
         assert!(loaded.with_dist());
         for u in 0..5 {
@@ -587,16 +690,16 @@ mod tests {
         let tc = TransitiveClosure::from_graph(&g);
         let cover = CoverBuilder::new(&tc).build();
         let dir = std::env::temp_dir().join("hopi_persist_frozen_neg.idx");
-        save_store(&StdVfs, &LinLoutStore::from_cover(&cover), &dir).unwrap();
+        save_store(&StdVfs, &LinLoutStore::from_cover(&cover), &dir, None).unwrap();
         assert!(matches!(
             load_frozen(&StdVfs, &dir),
             Err(PersistError::Format(_))
         ));
         assert!(matches!(
             load_index(&StdVfs, &dir),
-            Ok(StoredIndex::Rows(_))
+            Ok((StoredIndex::Rows(_), None))
         ));
-        save_frozen(&StdVfs, &FrozenCover::from_cover(&cover), &dir).unwrap();
+        save_frozen(&StdVfs, &FrozenCover::from_cover(&cover), &dir, None).unwrap();
         let bytes = std::fs::read(&dir).unwrap();
         std::fs::write(&dir, &bytes[..bytes.len() - 5]).unwrap();
         assert!(load_frozen(&StdVfs, &dir).is_err());
@@ -611,7 +714,7 @@ mod tests {
         let cover = CoverBuilder::new(&tc).build();
         let store = LinLoutStore::from_cover(&cover);
         let dir = std::env::temp_dir().join("hopi_persist_v1.idx");
-        save_store(&StdVfs, &store, &dir).unwrap();
+        save_store(&StdVfs, &store, &dir, None).unwrap();
         let mut bytes = std::fs::read(&dir).unwrap();
         bytes[4..8].copy_from_slice(&1u32.to_le_bytes()); // rewrite version
         std::fs::write(&dir, &bytes).unwrap();
@@ -619,7 +722,7 @@ mod tests {
         assert_eq!(loaded.entry_count(), store.entry_count());
         assert!(matches!(
             load_index(&StdVfs, &dir),
-            Ok(StoredIndex::Rows(_))
+            Ok((StoredIndex::Rows(_), None))
         ));
         std::fs::remove_file(dir).ok();
     }
@@ -639,9 +742,10 @@ mod tests {
         let cover = CoverBuilder::new(&tc).build();
         let frozen = FrozenCover::from_cover(&cover);
         let path = std::env::temp_dir().join("hopi_persist_ckpt.idx");
-        save_checkpoint(&StdVfs, &path, &c, &frozen, 42).unwrap();
+        save_checkpoint(&StdVfs, &path, &c, &frozen, 42, None).unwrap();
         let ckpt = load_checkpoint(&StdVfs, &path).unwrap();
         assert_eq!(ckpt.seq, 42);
+        assert_eq!(ckpt.baseline, None);
         assert_eq!(ckpt.collection.doc_id_bound(), c.doc_id_bound());
         assert_eq!(ckpt.collection.elem_id_bound(), c.elem_id_bound());
         assert_eq!(ckpt.collection.links(), c.links());
@@ -661,11 +765,99 @@ mod tests {
             load_frozen(&StdVfs, &path),
             Err(PersistError::Format(_))
         ));
-        save_frozen(&StdVfs, &frozen, &path).unwrap();
+        save_frozen(&StdVfs, &frozen, &path, None).unwrap();
         assert!(matches!(
             load_checkpoint(&StdVfs, &path),
             Err(PersistError::Format(_))
         ));
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn loads_version3_checkpoints_with_text() {
+        // A version 3 checkpoint is a version 4 one without the baseline
+        // section, and its collection blob carries element text.
+        use hopi_xml::{Collection, XmlDocument};
+        let mut d = XmlDocument::new("a", "r");
+        let s = d.add_element(0, "s");
+        d.set_text(s, "kept");
+        let mut c = Collection::new();
+        c.add_document(d);
+        let cover = CoverBuilder::new(&TransitiveClosure::from_graph(&c.element_graph())).build();
+        let path = std::env::temp_dir().join(format!("hopi_persist_v3_{}", std::process::id()));
+        save_checkpoint(
+            &StdVfs,
+            &path,
+            &c,
+            &FrozenCover::from_cover(&cover),
+            9,
+            None,
+        )
+        .unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[4..8].copy_from_slice(&3u32.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let ckpt = load_checkpoint(&StdVfs, &path).unwrap();
+        assert_eq!((ckpt.seq, ckpt.baseline), (9, None));
+        assert_eq!(ckpt.collection.document(0).unwrap().text(s), "kept");
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn baseline_round_trips_in_every_layout() {
+        use hopi_xml::{Collection, XmlDocument};
+        let cover = CoverBuilder::new(&TransitiveClosure::from_graph(&sample_graph())).build();
+        let frozen = FrozenCover::from_cover(&cover);
+        let baseline = Some(CoverBaseline {
+            entries: 7,
+            live_elements: 5,
+        });
+        let path = std::env::temp_dir().join(format!("hopi_persist_base_{}", std::process::id()));
+        // Cuts into the baseline section must fail cleanly, not panic.
+        let truncated_at = |cut: usize| {
+            let bytes = std::fs::read(&path).unwrap();
+            std::fs::write(&path, &bytes[..cut]).unwrap();
+        };
+
+        save_store(&StdVfs, &LinLoutStore::from_cover(&cover), &path, baseline).unwrap();
+        let (stored, loaded) = load_index(&StdVfs, &path).unwrap();
+        assert!(matches!(stored, StoredIndex::Rows(_)));
+        assert_eq!(loaded, baseline);
+        assert_eq!(
+            load_store(&StdVfs, &path).unwrap().entry_count(),
+            cover.size()
+        );
+        truncated_at(30);
+        assert!(matches!(
+            load_store(&StdVfs, &path),
+            Err(PersistError::Format(_))
+        ));
+
+        save_frozen(&StdVfs, &frozen, &path, baseline).unwrap();
+        let (stored, loaded) = load_index(&StdVfs, &path).unwrap();
+        assert!(matches!(stored, StoredIndex::Frozen(_)));
+        assert_eq!(loaded, baseline);
+        assert_eq!(load_frozen(&StdVfs, &path).unwrap().size(), frozen.size());
+        truncated_at(30);
+        assert!(matches!(
+            load_frozen(&StdVfs, &path),
+            Err(PersistError::Format(_))
+        ));
+
+        let mut c = Collection::new();
+        c.add_document(XmlDocument::new("a", "r"));
+        save_checkpoint(&StdVfs, &path, &c, &frozen, 3, baseline).unwrap();
+        let ckpt = load_checkpoint(&StdVfs, &path).unwrap();
+        assert_eq!((ckpt.seq, ckpt.baseline), (3, baseline));
+        assert_eq!(ckpt.frozen.size(), frozen.size());
+        for cut in [30, 36] {
+            save_checkpoint(&StdVfs, &path, &c, &frozen, 3, baseline).unwrap();
+            truncated_at(cut);
+            assert!(matches!(
+                load_checkpoint(&StdVfs, &path),
+                Err(PersistError::Format(_))
+            ));
+        }
         std::fs::remove_file(path).ok();
     }
 
@@ -700,7 +892,7 @@ mod tests {
         let cover = CoverBuilder::new(&tc).build();
         let store = LinLoutStore::from_cover(&cover);
         let dir = std::env::temp_dir().join("hopi_persist_trunc.idx");
-        save_store(&StdVfs, &store, &dir).unwrap();
+        save_store(&StdVfs, &store, &dir, None).unwrap();
         let bytes = std::fs::read(&dir).unwrap();
         std::fs::write(&dir, &bytes[..bytes.len() - 3]).unwrap();
         assert!(load_store(&StdVfs, &dir).is_err());

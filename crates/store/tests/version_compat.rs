@@ -37,7 +37,7 @@ fn loads_v2_row_store() {
     assert_fixture_reachability(|u, v| store.connected(u, v));
     assert!(matches!(
         load_index(&StdVfs, &fixture("v2_rows.idx")),
-        Ok(StoredIndex::Rows(_))
+        Ok((StoredIndex::Rows(_), None))
     ));
 }
 
@@ -47,7 +47,7 @@ fn loads_v2_frozen_cover() {
     assert_fixture_reachability(|u, v| frozen.connected(u, v));
     assert!(matches!(
         load_index(&StdVfs, &fixture("v2_frozen.idx")),
-        Ok(StoredIndex::Frozen(_))
+        Ok((StoredIndex::Frozen(_), None))
     ));
 }
 
@@ -56,6 +56,7 @@ fn loads_v2_checkpoint_with_empty_text() {
     let ckpt =
         load_checkpoint(&StdVfs, &fixture("v2_checkpoint.hopi")).expect("v2 checkpoint must load");
     assert_eq!(ckpt.seq, 7);
+    assert_eq!(ckpt.baseline, None, "build baselines arrived in version 4");
     let c = &ckpt.collection;
     assert_eq!(c.doc_ids().count(), 2);
     let a = c.document(0).expect("doc a");

@@ -79,6 +79,55 @@ fn cover_checksum(h: &Hopi) -> u64 {
     hash
 }
 
+/// Pins the cover §6.1 maintenance leaves behind: a fixed script of link
+/// insertions (leaf-to-root citations and root-to-root links) and one
+/// document with links both ways, on the default build of DBLP 0.01. The
+/// size must stay below 23,478 entries, what integrating every link with
+/// `v` as its center (`hopi_core::old_join::integrate_link`) leaves after
+/// the same script.
+#[test]
+fn maintained_cover_is_pinned() {
+    let mut h = Hopi::build(dblp(&DblpConfig::scaled(0.01))).unwrap();
+    let docs: Vec<u32> = h.collection().doc_ids().collect();
+    let n = docs.len();
+    let root = |h: &Hopi, d: u32| h.collection().global_id(d, 0);
+    let leaf = |h: &Hopi, d: u32| {
+        let len = h.collection().document(d).unwrap().len() as u32;
+        h.collection().global_id(d, len - 1)
+    };
+    for i in 0..24 {
+        let (a, b) = (docs[(i * 7 + 3) % n], docs[(i * 13 + 5) % n]);
+        if a == b {
+            continue;
+        }
+        let from = if i % 3 == 0 { root(&h, a) } else { leaf(&h, a) };
+        h.insert_link(from, root(&h, b)).unwrap();
+    }
+    let mut doc = XmlDocument::new("pinned", "article");
+    let cites = doc.add_element(0, "citations");
+    let first = doc.add_element(cites, "cite");
+    let second = doc.add_element(cites, "cite");
+    let links = DocumentLinks {
+        outgoing: vec![(first, root(&h, docs[1])), (second, root(&h, docs[n / 2]))],
+        incoming: vec![(leaf(&h, docs[n - 1]), 0)],
+    };
+    h.insert_document(doc, &links).unwrap();
+    assert!(
+        h.index().size() < 23_478,
+        "smaller than the v-centered cover"
+    );
+    assert_eq!(h.index().size(), 13_564);
+    assert_eq!(
+        cover_checksum(&h),
+        0xd6ea_4b54_d4c4_ebf0,
+        "maintained cover"
+    );
+    // Every entry the script added is booked to an operation kind.
+    let m = h.maintenance_stats();
+    let booked: i64 = m.entries_added.as_labeled().iter().map(|&(_, n)| n).sum();
+    assert_eq!(m.at_build.entries as i64 + booked, h.index().size() as i64);
+}
+
 /// Pins the cover itself, not just its size: the checksums below were
 /// recorded at the commit before the greedy kernel was rewritten (PR 17),
 /// and a kernel edit that changes any removal order, tie-break or density

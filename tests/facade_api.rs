@@ -292,19 +292,20 @@ fn online_engine_full_lifecycle() {
     online.read(oracle_check);
 }
 
-#[test]
-fn rebuild_recovers_churned_cover() {
-    let mut hopi = Hopi::build({
-        let mut c = Collection::new();
-        for i in 0..8 {
-            let mut d = XmlDocument::new(format!("d{i}"), "r");
-            d.add_element(0, "s");
-            c.add_document(d);
-        }
-        c
-    })
-    .unwrap();
-    // Churn through the greedy §6.1 insertion to degrade the cover.
+/// Eight two-element documents, then §6.1 link insertions that churn the
+/// cover away from the one a build would pick.
+fn churned_engine(builder: HopiBuilder) -> Hopi {
+    let mut hopi = builder
+        .build({
+            let mut c = Collection::new();
+            for i in 0..8 {
+                let mut d = XmlDocument::new(format!("d{i}"), "r");
+                d.add_element(0, "s");
+                c.add_document(d);
+            }
+            c
+        })
+        .unwrap();
     for i in 0..8u32 {
         for j in 0..8u32 {
             if i != j && (i + j) % 3 == 0 {
@@ -314,11 +315,18 @@ fn rebuild_recovers_churned_cover() {
             }
         }
     }
+    hopi
+}
+
+#[test]
+fn rebuild_recovers_churned_cover() {
+    let mut hopi = churned_engine(Hopi::builder());
     oracle_check(&hopi);
     let churned = hopi.degradation();
     assert!(churned.entries > 0);
+    // A fresh build sits at drift 1.0; the churned cover is above it.
     assert!(hopi.should_rebuild(&RebuildPolicy {
-        max_entries_per_element: 0.0
+        max_drift_ratio: 1.0
     }));
     hopi.rebuild();
     assert!(
@@ -326,6 +334,51 @@ fn rebuild_recovers_churned_cover() {
         "rebuild should not grow the cover"
     );
     oracle_check(&hopi);
+}
+
+#[test]
+fn drift_is_measured_against_the_build_across_save_and_open() {
+    let hopi = churned_engine(Hopi::builder());
+    let churned = hopi.degradation();
+    assert!(churned.drift_ratio > 1.0, "{churned:?}");
+    let dir = std::env::temp_dir();
+    let path = |name: &str| dir.join(format!("hopi_facade_drift_{name}_{}", std::process::id()));
+
+    // Both layouts carry the build's baseline: the reopened engine reports
+    // the drift the saved one did, not a fresh 1.0.
+    hopi.save(&path("rows")).unwrap();
+    hopi.save_frozen(&path("frozen")).unwrap();
+    for name in ["rows", "frozen"] {
+        let mut reopened = Hopi::open(hopi.collection().clone(), &path(name)).unwrap();
+        assert_eq!(reopened.degradation(), churned, "{name}");
+        assert_eq!(
+            reopened.maintenance_stats().at_build,
+            hopi.maintenance_stats().at_build
+        );
+        assert!(reopened.should_rebuild(&RebuildPolicy {
+            max_drift_ratio: 1.0
+        }));
+        // A rebuild after the reopen resets it, and so does the next save.
+        reopened.rebuild();
+        assert_eq!(reopened.degradation().drift_ratio, 1.0);
+        reopened.save_frozen(&path(name)).unwrap();
+        let again = Hopi::open(hopi.collection().clone(), &path(name)).unwrap();
+        assert_eq!(again.degradation().drift_ratio, 1.0);
+        std::fs::remove_file(path(name)).ok();
+    }
+
+    // A distance-aware engine saves the distance labels, from which its
+    // plain index reopens; that cover starts a new baseline.
+    let distance = churned_engine(Hopi::builder().distance_aware(true));
+    distance.save_frozen(&path("dist")).unwrap();
+    let reopened = Hopi::builder()
+        .distance_aware(true)
+        .open(distance.collection().clone(), &path("dist"))
+        .unwrap();
+    let d = reopened.degradation();
+    assert_eq!((d.entries_at_build, d.drift_ratio), (d.entries, 1.0));
+    oracle_check(&reopened);
+    std::fs::remove_file(path("dist")).ok();
 }
 
 #[test]
