@@ -22,7 +22,8 @@
 //!   `hopi_publish_duration_seconds`, `hopi_publish_total`,
 //!   `hopi_publish_rows_patched_total`, and the §6 drift and its owners:
 //!   `hopi_cover_drift_ratio`, `hopi_link_integrations_total`,
-//!   `hopi_cover_entries_added_total`.
+//!   `hopi_cover_entries_added_total`, and the §6.2 deletions:
+//!   `hopi_deletions_total`, `hopi_recomputed_connections_total`.
 //!
 //! ```sh
 //! cargo run -p hopi-bench --bin check_metrics -- metrics.prom
@@ -42,6 +43,8 @@ const REQUIRED_FAMILIES: &[&str] = &[
     "hopi_cover_drift_ratio",
     "hopi_link_integrations_total",
     "hopi_cover_entries_added_total",
+    "hopi_deletions_total",
+    "hopi_recomputed_connections_total",
 ];
 
 fn main() -> ExitCode {
@@ -328,6 +331,11 @@ hopi_link_integrations_total{choice=\"noop\"} 1
 # TYPE hopi_cover_entries_added_total gauge
 hopi_cover_entries_added_total{op=\"insert_link\"} 9
 hopi_cover_entries_added_total{op=\"delete_general\"} -3
+# TYPE hopi_deletions_total counter
+hopi_deletions_total{algorithm=\"separator\"} 1
+hopi_deletions_total{algorithm=\"general\"} 2
+# TYPE hopi_recomputed_connections_total counter
+hopi_recomputed_connections_total 57
 ";
 
     #[test]
@@ -345,11 +353,13 @@ hopi_cover_entries_added_total{op=\"delete_general\"} -3
     }
 
     #[test]
-    fn requires_the_drift_families() {
+    fn requires_the_maintenance_families() {
         for family in [
             "hopi_cover_drift_ratio gauge",
             "hopi_link_integrations_total counter",
             "hopi_cover_entries_added_total gauge",
+            "hopi_deletions_total counter",
+            "hopi_recomputed_connections_total counter",
         ] {
             let name = family.split(' ').next().unwrap_or_default();
             let without: String = GOOD
@@ -406,6 +416,8 @@ hopi_request_duration_seconds_count 1
 # TYPE hopi_cover_drift_ratio gauge
 # TYPE hopi_link_integrations_total counter
 # TYPE hopi_cover_entries_added_total gauge
+# TYPE hopi_deletions_total counter
+# TYPE hopi_recomputed_connections_total counter
 ";
         assert!(check(no_buckets)
             .unwrap_err()

@@ -761,7 +761,7 @@ impl Hopi {
 
     /// The drift baseline of the last build, and the §6 counters since the
     /// engine was built, opened or recovered: link integrations by choice,
-    /// net entries per operation kind.
+    /// deletions by algorithm, net entries per operation kind.
     pub fn maintenance_stats(&self) -> MaintenanceStats {
         self.maintenance
     }
@@ -954,8 +954,10 @@ impl Hopi {
         outcome
     }
 
-    /// Books a deletion's net entry change to the theorem that ran it.
+    /// Counts a deletion and books its net entry change to the theorem
+    /// that ran it.
     fn book_deletion(&mut self, outcome: &DeletionOutcome, before: usize) {
+        self.maintenance.deletions.record(outcome);
         let added = &mut self.maintenance.entries_added;
         let slot = match outcome.algorithm {
             DeletionAlgorithm::FastSeparator => &mut added.delete_separator,

@@ -19,7 +19,9 @@
 use crate::error::HopiError;
 use crate::facade::QueryOptions;
 use hopi_core::{BuildStats, DistanceCover, FrozenCover};
-use hopi_maintenance::{BuildBaseline, Degradation, EntriesAdded, IntegrationCounts};
+use hopi_maintenance::{
+    BuildBaseline, Degradation, DeletionCounts, EntriesAdded, IntegrationCounts,
+};
 use hopi_partition::BuildReport;
 use hopi_query::{
     evaluate_ranked_with_text, parse_path, PlanCounters, PlanCounts, QueryPlanReport, RankedMatch,
@@ -101,6 +103,9 @@ pub struct MaintenanceStats {
     pub at_build: BuildBaseline,
     /// §6.1 link integrations (standalone and document links) by choice.
     pub integrations: IntegrationCounts,
+    /// §6.2 deletions by algorithm, and the connections Theorem 3
+    /// re-covered.
+    pub deletions: DeletionCounts,
     /// Net change in cover entries per operation kind.
     pub entries_added: EntriesAdded,
 }

@@ -116,6 +116,8 @@ pub struct CoverBuilder<'a> {
     /// Transposed uncovered rows.
     unc_in: Vec<FixedBitSet>,
     remaining: usize,
+    /// The nodes whose connections start uncovered; `None` for all.
+    sources: Option<FixedBitSet>,
     cover: TwoHopCover,
     stats: BuildStats,
 }
@@ -123,20 +125,51 @@ pub struct CoverBuilder<'a> {
 impl<'a> CoverBuilder<'a> {
     /// Creates a builder; `T'` starts as all non-reflexive connections.
     pub fn new(tc: &'a TransitiveClosure) -> Self {
+        Self::start(tc, None)
+    }
+
+    /// Creates a builder that covers only the connections leaving
+    /// `sources`: `T'` starts as the non-reflexive connections `(s, v)`
+    /// with `s ∈ sources`. The other rows of `tc` still shape the center
+    /// graphs — a non-source `w` is a candidate hub for the sources that
+    /// reach it — but no non-source gets an entry for its own
+    /// connections. The Theorem-3 splice (`hopi_maintenance::delete`)
+    /// re-covers the ancestors of a deleted region this way.
+    pub fn only_from(tc: &'a TransitiveClosure, sources: &FixedBitSet) -> Self {
+        let mut sources = sources.clone();
+        sources.grow(tc.num_nodes());
+        Self::start(tc, Some(sources))
+    }
+
+    fn start(tc: &'a TransitiveClosure, sources: Option<FixedBitSet>) -> Self {
         let n = tc.num_nodes();
         // The closure keeps both directions, so both uncovered-row tables
-        // are word copies of its rows minus the reflexive pair.
+        // are word copies of its rows minus the reflexive pair (and, with
+        // sources, minus every non-source).
         let without_self = |row: &FixedBitSet, u: u32| {
             let mut row = row.clone();
             row.grow(n);
             row.remove(u);
             row
         };
+        let is_source = |u: u32| sources.as_ref().is_none_or(|s| s.contains(u));
         let unc_out: Vec<FixedBitSet> = (0..n as u32)
-            .map(|u| without_self(tc.descendants(u), u))
+            .map(|u| {
+                if is_source(u) {
+                    without_self(tc.descendants(u), u)
+                } else {
+                    FixedBitSet::new(n)
+                }
+            })
             .collect();
         let unc_in: Vec<FixedBitSet> = (0..n as u32)
-            .map(|v| without_self(tc.ancestors(v), v))
+            .map(|v| {
+                let mut row = without_self(tc.ancestors(v), v);
+                if let Some(s) = &sources {
+                    row.intersect_with(s);
+                }
+                row
+            })
             .collect();
         let remaining = unc_out.iter().map(FixedBitSet::count).sum();
         CoverBuilder {
@@ -144,6 +177,7 @@ impl<'a> CoverBuilder<'a> {
             unc_out,
             unc_in,
             remaining,
+            sources,
             cover: TwoHopCover::with_nodes(n),
             stats: BuildStats::default(),
         }
@@ -192,6 +226,8 @@ impl<'a> CoverBuilder<'a> {
     }
 
     /// Every live node under the density of its complete center graph.
+    /// With sources, only they can be left vertices, so the bound counts
+    /// the ancestors among them.
     fn seed_heap(&self) -> BinaryHeap<HeapEntry> {
         let n = self.tc.num_nodes();
         let mut heap = BinaryHeap::with_capacity(n);
@@ -199,7 +235,11 @@ impl<'a> CoverBuilder<'a> {
             if !self.tc.is_alive(w) {
                 continue;
             }
-            let a = self.tc.ancestors(w).count();
+            let anc = self.tc.ancestors(w);
+            let a = match &self.sources {
+                None => anc.count(),
+                Some(s) => anc.intersection_count(s),
+            };
             let d = self.tc.descendants(w).count();
             let density = complete_bipartite_density(a, d);
             if density > 0.0 {
@@ -374,6 +414,40 @@ mod tests {
         let (_, tc) = closure_of(&[(0, 1)], 2);
         let (cover, _) = CoverBuilder::new(&tc).build_with_preselected(&[77]);
         assert_cover_exact(&cover, &tc, 2);
+    }
+
+    #[test]
+    fn only_from_covers_exactly_the_source_rows() {
+        let mut rng = StdRng::seed_from_u64(23);
+        for _ in 0..40 {
+            let n = rng.gen_range(2..90u32);
+            let m = rng.gen_range(0..3 * n);
+            let edges: Vec<(u32, u32)> = (0..m)
+                .map(|_| (rng.gen_range(0..n), rng.gen_range(0..n)))
+                .collect();
+            let (_, tc) = closure_of(&edges, n);
+            let mut sources = FixedBitSet::new(n as usize);
+            for u in (0..n).filter(|_| rng.gen_range(0..3) == 0) {
+                sources.insert(u);
+            }
+            let builder = CoverBuilder::only_from(&tc, &sources);
+            let want: usize = sources.iter().map(|s| tc.descendants(s).count() - 1).sum();
+            assert_eq!(builder.remaining(), want);
+            let cover = builder.build();
+            cover.check_invariants();
+            for u in 0..n {
+                if sources.contains(u) {
+                    for v in 0..n {
+                        assert_eq!(cover.connected(u, v), tc.contains(u, v), "({u},{v})");
+                    }
+                } else {
+                    assert!(cover.lout(u).is_empty(), "non-source {u} got Lout entries");
+                }
+                // Every entry is a true connection.
+                assert!(cover.lout(u).iter().all(|&c| tc.contains(u, c)));
+                assert!(cover.lin(u).iter().all(|&c| tc.contains(c, u)));
+            }
+        }
     }
 
     #[test]

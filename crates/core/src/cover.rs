@@ -355,27 +355,10 @@ impl TwoHopCover {
         v
     }
 
-    /// Component-wise union with another cover (paper §3.3 step 3 starts
-    /// from "the (component-wise) union of the partition covers").
-    pub fn merge(&mut self, other: &TwoHopCover) {
-        if other.num_nodes() > 0 {
-            self.ensure_node(other.num_nodes() as NodeId - 1);
-        }
-        for (node, row) in other.lout.iter().enumerate() {
-            for &c in row {
-                self.add_out(node as NodeId, c);
-            }
-        }
-        for (node, row) in other.lin.iter().enumerate() {
-            for &c in row {
-                self.add_in(node as NodeId, c);
-            }
-        }
-    }
-
     /// Merges `other` whose node ids are *local*, translating them through
     /// `map` (`local id → global id`). Used to lift per-partition covers
-    /// into the collection-wide cover.
+    /// into the collection-wide cover (paper §3.3 step 3 starts from "the
+    /// (component-wise) union of the partition covers").
     pub fn merge_remapped(&mut self, other: &TwoHopCover, map: &[NodeId]) {
         for (node, row) in other.lout.iter().enumerate() {
             for &c in row {
@@ -446,7 +429,7 @@ impl TwoHopCover {
         }
     }
 
-    /// Replaces `Lout(node)` wholesale (Theorem 3 sets `L'out(a) := L̂out(a)`).
+    /// Replaces `Lout(node)` wholesale.
     pub fn set_lout(&mut self, node: NodeId, centers: &[NodeId]) {
         let old: Vec<NodeId> = self.lout(node).to_vec();
         for c in old {
@@ -672,18 +655,6 @@ mod tests {
         assert_eq!(c.descendants(1), vec![1, 2]);
         assert_eq!(c.ancestors(2), vec![0, 1, 2]);
         assert_eq!(c.ancestors(0), vec![0]);
-    }
-
-    #[test]
-    fn merge_unions_labels() {
-        let mut a = path_cover();
-        let mut b = TwoHopCover::with_nodes(4);
-        b.add_out(3, 1); // 3 reaches 1
-        b.add_out(0, 1); // duplicate with a
-        a.merge(&b);
-        assert_eq!(a.size(), 3);
-        assert!(a.connected(3, 2));
-        a.check_invariants();
     }
 
     #[test]

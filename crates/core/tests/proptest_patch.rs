@@ -21,7 +21,7 @@ fn arb_program(max_n: u32, max_ops: usize) -> impl Strategy<Value = (u32, Vec<Op
     })
 }
 
-/// A few centers derived from the operands (for `set_*` and `merge`).
+/// A few centers derived from the operands (for `set_*`).
 fn centers(a: u32, b: u32, n: u32) -> Vec<u32> {
     let mut c: Vec<u32> = (0..(a + b) % 4)
         .map(|i| (a * 7 + b * 3 + i * 5) % n)
@@ -68,12 +68,12 @@ fn apply(
         10 => cover.purge_node(a),
         11 => cover.ensure_node(n + b % 3),
         12 => {
-            let mut other = TwoHopCover::with_nodes(2);
-            for c in centers(a, b, n + 2) {
-                other.add_out(a, c);
-                other.add_in(c, b);
-            }
-            cover.merge(&other);
+            // Lifting a partition's cover into the global one, which may
+            // grow it.
+            let mut local = TwoHopCover::with_nodes(3);
+            local.add_out(0, 2);
+            local.add_in(1, 2);
+            cover.merge_remapped(&local, &[a, b, n + b % 3]);
         }
         13 => {
             // A thawed cover has no journal: the next take reads

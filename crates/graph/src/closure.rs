@@ -91,9 +91,10 @@ impl TransitiveClosure {
     /// Builds a closure-like relation from raw descendant rows.
     ///
     /// Used by the general deletion algorithm (paper §6.2, Theorem 3): the
-    /// partially recomputed closure `Ĉ` has full reachability rows only for
-    /// the seed nodes (ancestors of the deleted document); every other live
-    /// node contributes just its reflexive pair. The 2-hop cover builder
+    /// partially recomputed closure `Ĉ` has rows only for the ancestors
+    /// `A_di` and the descendants `D_di` of the deleted region, each cut
+    /// down to its reachable nodes inside `D_di`; every other live node
+    /// contributes just its reflexive pair. The 2-hop cover builder
     /// consumes the result like any closure — a center `w` chosen from a row
     /// still witnesses real paths, so the produced cover is sound.
     ///
@@ -235,9 +236,9 @@ impl TransitiveClosure {
 /// nodes: `rows[s]` = nodes reachable from `s` (including `s`).
 ///
 /// The general deletion algorithm (paper §6.2, Theorem 3) recomputes
-/// reachability only from the ancestors of the deleted document — "as the
-/// set of seed nodes is typically much smaller than the set of all nodes,
-/// the partial recomputation is typically much faster".
+/// reachability only from the ancestors and descendants of the deleted
+/// region — "as the set of seed nodes is typically much smaller than the
+/// set of all nodes, the partial recomputation is typically much faster".
 pub fn partial_closure(g: &DiGraph, sources: &[NodeId]) -> FxHashMap<NodeId, FixedBitSet> {
     let mut rows = FxHashMap::default();
     for &s in sources {

@@ -10,13 +10,19 @@
 //!   document only through `d_i`. Then every `VA → VD` connection dies with
 //!   `d_i`, and it suffices to strip `V_di ∪ VD` from the `Lout` labels of
 //!   `VA` and `V_di ∪ VA` from the `Lin` labels of `VD`.
-//! * **Theorem 3 (general)** — recompute a *partial* closure `Ĉ` seeded at
-//!   the element-level ancestors `A_di` of the deleted elements, build a
-//!   cover `L̂` over it, and splice: `L'out(a) := L̂out(a)` for `a ∈ A_di`,
-//!   `L'in(d) := (Lin(d) \ A_di) ∪ L̂in(d)` for `d ∈ D_di`.
+//! * **Theorem 3 (general)** — every connection that can die starts in
+//!   `A_di`, the element-level ancestors of the deleted elements, and ends
+//!   in `D_di`, their descendants. Recompute the *partial* closure `Ĉ` of
+//!   the surviving graph from `A_di ∪ D_di` into `D_di`, cover only its
+//!   connections leaving `A_di` ([`CoverBuilder::only_from`]; the rows of
+//!   `D_di` make its elements candidate hubs), and splice the
+//!   `A_di × D_di` block alone: `L'out(a) := (Lout(a) \ D_di) ∪ L̂out(a)` for
+//!   `a ∈ A_di`, `L'in(d) := (Lin(d) \ A_di) ∪ L̂in(d)` for `d ∈ D_di`.
+//!   DESIGN.md ("Theorem 3 (§6.2) as implemented") has the exactness proof.
 //!
-//! Single-link deletion reuses the Theorem 3 scheme with the link endpoints
-//! in place of the document.
+//! Single-link deletion reuses the Theorem 3 scheme with `A = anc(from)`
+//! and `D = desc(to)`: every connection that can die runs through the
+//! link.
 
 use hopi_core::HopiIndex;
 use hopi_core::{CoverBuilder, TwoHopCover};
@@ -34,6 +40,16 @@ pub enum DeletionAlgorithm {
     General,
 }
 
+impl DeletionAlgorithm {
+    /// The `algorithm` label of `hopi_deletions_total`.
+    pub fn label(self) -> &'static str {
+        match self {
+            DeletionAlgorithm::FastSeparator => "separator",
+            DeletionAlgorithm::General => "general",
+        }
+    }
+}
+
 /// Result of a document deletion.
 #[derive(Clone, Debug)]
 pub struct DeletionOutcome {
@@ -43,6 +59,39 @@ pub struct DeletionOutcome {
     pub entries_removed: usize,
     /// Seed count of the partial recomputation (General only).
     pub recompute_seeds: usize,
+    /// Connections uncovered when the greedy over the partial closure
+    /// started: the `A_di × D_di` pairs it re-covered (General only).
+    pub recomputed_connections: usize,
+}
+
+/// Deletions per algorithm, and the connections Theorem 3 re-covered.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct DeletionCounts {
+    /// [`DeletionAlgorithm::FastSeparator`] deletions.
+    pub separator: u64,
+    /// [`DeletionAlgorithm::General`] deletions.
+    pub general: u64,
+    /// Sum of [`DeletionOutcome::recomputed_connections`].
+    pub recomputed_connections: u64,
+}
+
+impl DeletionCounts {
+    /// Counts one deletion.
+    pub fn record(&mut self, outcome: &DeletionOutcome) {
+        match outcome.algorithm {
+            DeletionAlgorithm::FastSeparator => self.separator += 1,
+            DeletionAlgorithm::General => self.general += 1,
+        }
+        self.recomputed_connections += outcome.recomputed_connections as u64;
+    }
+
+    /// `(algorithm label, count)` pairs, in exposition order.
+    pub fn as_labeled(&self) -> [(&'static str, u64); 2] {
+        [
+            (DeletionAlgorithm::FastSeparator.label(), self.separator),
+            (DeletionAlgorithm::General.label(), self.general),
+        ]
+    }
 }
 
 /// Does `d_i` separate the document-level graph? (paper §6.2)
@@ -129,6 +178,7 @@ pub fn delete_document_fast(
         algorithm: DeletionAlgorithm::FastSeparator,
         entries_removed: before - index.size(),
         recompute_seeds: 0,
+        recomputed_connections: 0,
     }
 }
 
@@ -140,8 +190,7 @@ pub fn delete_document_general(
     di: DocId,
 ) -> DeletionOutcome {
     let vdi = elements_of_doc(collection, di);
-    let vdi_set: FxHashSet<ElemId> = vdi.iter().copied().collect();
-    delete_general_impl(collection, index, &vdi_set, |collection| {
+    delete_general_impl(collection, index, &vdi, &vdi, |collection| {
         collection.remove_document(di);
     })
 }
@@ -155,87 +204,86 @@ pub fn delete_link(
     from: ElemId,
     to: ElemId,
 ) -> DeletionOutcome {
-    // Treat the link source as the "deleted region": connections that may
-    // die all pass through `from → to`.
-    let affected: FxHashSet<ElemId> = [from, to].into_iter().collect();
-    delete_general_impl(collection, index, &affected, |collection| {
+    // Every connection that can die runs through `from → to`: it starts at
+    // an ancestor of `from` and ends at a descendant of `to`.
+    delete_general_impl(collection, index, &[from], &[to], |collection| {
         collection.remove_link(from, to);
     })
 }
 
 /// Shared Theorem 3 machinery.
 ///
-/// `affected` is the element set whose incident connections may die (the
-/// deleted document's elements, or a deleted link's endpoints);
-/// `apply_removal` performs the structural change on the collection.
-/// Elements in `affected` that survive the removal keep their labels
-/// refreshed; elements that die are purged.
+/// Every connection that can die starts in `A_di`, the ancestors of
+/// `from_region`, and ends in `D_di`, the descendants of `into_region`
+/// (both under the old cover; for a document both regions are its
+/// elements). `apply_removal` performs the structural change on the
+/// collection; elements it kills are purged from the cover.
 fn delete_general_impl(
     collection: &mut Collection,
     index: &mut HopiIndex,
-    affected: &FxHashSet<ElemId>,
+    from_region: &[ElemId],
+    into_region: &[ElemId],
     apply_removal: impl FnOnce(&mut Collection),
 ) -> DeletionOutcome {
     let before = index.size();
-
-    // A_di / D_di: ancestors and descendants of the affected elements under
-    // the *old* cover (paper: "A_di := {a | ∃v ∈ V_E(d_i): (a,v) ∈ T}";
-    // V_E(d_i) itself is included there, we track it via `affected`).
     let cover = index.cover_mut();
-    let mut a_di: FxHashSet<ElemId> = FxHashSet::default();
-    let mut d_di: FxHashSet<ElemId> = FxHashSet::default();
-    for &e in affected {
-        a_di.extend(cover.ancestors(e));
-        d_di.extend(cover.descendants(e));
+    let mut a_di = FixedBitSet::new(cover.num_nodes());
+    let mut d_di = FixedBitSet::new(cover.num_nodes());
+    for a in from_region.iter().flat_map(|&e| cover.ancestors(e)) {
+        a_di.insert(a);
+    }
+    for d in into_region.iter().flat_map(|&e| cover.descendants(e)) {
+        d_di.insert(d);
     }
 
     // Structural removal, then the surviving graph G'.
     apply_removal(collection);
     let g = collection.element_graph();
-    let dead = |e: ElemId| !g.is_alive(e);
-
-    // Partial closure Ĉ from the surviving seeds.
-    let seeds: Vec<ElemId> = a_di.iter().copied().filter(|&e| !dead(e)).collect();
-    let rows = partial_closure(&g, &seeds);
-
-    // Synthetic closure: full rows for seeds, reflexive rows elsewhere.
     let n = g.id_bound();
-    let mut desc_rows: Vec<FixedBitSet> = (0..n).map(|_| FixedBitSet::new(n)).collect();
-    let alive: Vec<bool> = (0..n as u32).map(|e| g.is_alive(e)).collect();
-    for (&s, row) in &rows {
-        desc_rows[s as usize] = row.clone();
+    a_di.grow(n);
+    d_di.grow(n);
+    let mut region = a_di.clone();
+    region.union_with(&d_di);
+    let (live, dead): (Vec<ElemId>, Vec<ElemId>) = region.iter().partition(|&e| g.is_alive(e));
+    let mut seeds = a_di.clone();
+    for &e in &dead {
+        cover.purge_node(e);
+        seeds.remove(e);
     }
-    let partial = TransitiveClosure::from_desc_rows(desc_rows, alive);
-    let hat: TwoHopCover = CoverBuilder::new(&partial).build();
 
-    let cover = index.cover_mut();
-    // Purge dead elements entirely.
-    for &e in affected {
-        if dead(e) {
-            cover.purge_node(e);
+    // Partial closure Ĉ of G' into D_di: a row for every live seed of
+    // A_di, and one for every live element of D_di so that descendants can
+    // serve as hubs; every row intersected with D_di.
+    let mut desc_rows: Vec<FixedBitSet> = vec![FixedBitSet::new(n); n];
+    for (x, mut row) in partial_closure(&g, &live) {
+        row.intersect_with(&d_di);
+        desc_rows[x as usize] = row;
+    }
+    let alive: Vec<bool> = (0..n as u32).map(|e| g.is_alive(e)).collect();
+    let partial = TransitiveClosure::from_desc_rows(desc_rows, alive);
+    let builder = CoverBuilder::only_from(&partial, &seeds);
+    let recomputed_connections = builder.remaining();
+    let hat: TwoHopCover = builder.build();
+
+    // Splice: L'out(a) := (Lout(a) \ D_di) ∪ L̂out(a) for a ∈ A_di, and
+    // L'in(d) := (Lin(d) \ A_di) ∪ L̂in(d) for d ∈ D_di.
+    for a in seeds.iter() {
+        cover.retain_out(a, |c| !d_di.contains(c));
+        for &c in hat.lout(a) {
+            cover.add_out(a, c);
         }
     }
-    // L' := L ∪ L̂ …
-    cover.merge(&hat);
-    // … except: L'out(a) := L̂out(a) for a ∈ A_di,
-    for &a in &a_di {
-        if dead(a) {
-            continue;
+    for d in d_di.iter().filter(|&d| g.is_alive(d)) {
+        cover.retain_in(d, |c| !a_di.contains(c));
+        for &c in hat.lin(d) {
+            cover.add_in(d, c);
         }
-        cover.set_lout(a, hat.lout(a));
-    }
-    // … and L'in(d) := (Lin(d) \ A_di) ∪ L̂in(d) for d ∈ D_di.
-    for &d in &d_di {
-        if dead(d) {
-            continue;
-        }
-        let hat_lin: FxHashSet<ElemId> = hat.lin(d).iter().copied().collect();
-        cover.retain_in(d, |c| !a_di.contains(&c) || hat_lin.contains(&c));
     }
     DeletionOutcome {
         algorithm: DeletionAlgorithm::General,
         entries_removed: before.saturating_sub(index.size()),
-        recompute_seeds: seeds.len(),
+        recompute_seeds: seeds.count(),
+        recomputed_connections,
     }
 }
 
@@ -384,6 +432,29 @@ mod tests {
         let to = c.global_id(2, 0);
         delete_link(&mut c, &mut index, from, to);
         assert!(!index.connected(c.global_id(1, 0), c.global_id(3, 0)));
+        assert_exact(&c, &index);
+        index.cover().check_invariants();
+    }
+
+    #[test]
+    fn delete_link_inside_a_cycle() {
+        // 1 → 2 → 3 → 1 through links, plus the bypass 1 → 3: deleting
+        // 2 → 3 keeps the cycle 1 → 3 → 1 and 3 → 1 → 2, but leaves 2
+        // without a way out.
+        let mut c = figure6();
+        let (from, to) = (c.global_id(3, 1), c.global_id(1, 0));
+        c.add_link(from, to);
+        let (from, to) = (c.global_id(1, 1), c.global_id(3, 0));
+        c.add_link(from, to);
+        let (mut index, _) = build_index(&c, &BuildConfig::default());
+        let (from, to) = (c.global_id(2, 1), c.global_id(3, 0));
+        let outcome = delete_link(&mut c, &mut index, from, to);
+        assert_eq!(outcome.algorithm, DeletionAlgorithm::General);
+        assert!(outcome.recomputed_connections > 0);
+        assert!(!index.connected(c.global_id(2, 0), c.global_id(3, 0)));
+        assert!(!index.connected(c.global_id(2, 0), c.global_id(1, 0)));
+        assert!(index.connected(c.global_id(1, 0), c.global_id(3, 0)));
+        assert!(index.connected(c.global_id(3, 0), c.global_id(2, 0)));
         assert_exact(&c, &index);
         index.cover().check_invariants();
     }

@@ -17,8 +17,8 @@
 //!     document-level graph (every ancestor–descendant path runs through
 //!     it): simply strip the dead id sets from the affected labels.
 //!   * **Theorem 3 general algorithm** otherwise: recompute a *partial*
-//!     closure from the deleted document's ancestors, build a fresh cover
-//!     `L̂` over it, and splice it into the old cover.
+//!     closure from the deleted document's ancestors into its descendants,
+//!     cover that block afresh as `L̂`, and splice it into the old cover.
 //!
 //!   Single-edge deletion uses the same partial-recomputation scheme.
 //! * [`modify`] — document modification = drop + reinsert (paper §6.3);
@@ -49,7 +49,9 @@ pub mod insert;
 pub mod modify;
 pub mod rebuild;
 
-pub use delete::{delete_document, delete_link, separates, DeletionAlgorithm, DeletionOutcome};
+pub use delete::{
+    delete_document, delete_link, separates, DeletionAlgorithm, DeletionCounts, DeletionOutcome,
+};
 pub use insert::{
     insert_document, insert_document_distance, insert_edge_distance, insert_link,
     integrate_document_distance, integrate_link, DocumentLinks, Integrated, Integration,

@@ -310,6 +310,17 @@ impl Metrics {
                 "hopi_link_integrations_total{{choice=\"{choice}\"}} {count}\n"
             ));
         }
+        out.push_str("# TYPE hopi_deletions_total counter\n");
+        for (algorithm, count) in ctx.maintenance.deletions.as_labeled() {
+            out.push_str(&format!(
+                "hopi_deletions_total{{algorithm=\"{algorithm}\"}} {count}\n"
+            ));
+        }
+        out.push_str("# TYPE hopi_recomputed_connections_total counter\n");
+        out.push_str(&format!(
+            "hopi_recomputed_connections_total {}\n",
+            ctx.maintenance.deletions.recomputed_connections
+        ));
         // A net change per operation kind, signed (deletions remove
         // entries), hence a gauge despite the `_total` name.
         out.push_str("# TYPE hopi_cover_entries_added_total gauge\n");
@@ -393,8 +404,8 @@ pub struct RenderContext<'a> {
     /// The serving cover's drift against the last build, across restarts
     /// (see `hopi_maintenance::Degradation::drift_ratio`).
     pub drift_ratio: f64,
-    /// §6 counters: link integrations by choice, net entries per
-    /// operation kind.
+    /// §6 counters: link integrations by choice, deletions by algorithm,
+    /// net entries per operation kind.
     pub maintenance: MaintenanceStats,
     /// Server crate version for `hopi_build_info`.
     pub version: &'a str,
@@ -472,6 +483,11 @@ mod tests {
                     noop: 1,
                     ..Default::default()
                 },
+                deletions: hopi_maintenance::DeletionCounts {
+                    general: 2,
+                    recomputed_connections: 57,
+                    ..Default::default()
+                },
                 entries_added: hopi_maintenance::EntriesAdded {
                     insert_link: 12,
                     delete_general: -4,
@@ -507,6 +523,9 @@ mod tests {
         assert!(text.contains("hopi_link_integrations_total{choice=\"lout_copy\"} 3"));
         assert!(text.contains("hopi_link_integrations_total{choice=\"center\"} 0"));
         assert!(text.contains("hopi_link_integrations_total{choice=\"noop\"} 1"));
+        assert!(text.contains("hopi_deletions_total{algorithm=\"separator\"} 0"));
+        assert!(text.contains("hopi_deletions_total{algorithm=\"general\"} 2"));
+        assert!(text.contains("hopi_recomputed_connections_total 57"));
         assert!(text.contains("hopi_cover_entries_added_total{op=\"insert_link\"} 12"));
         assert!(text.contains("hopi_cover_entries_added_total{op=\"delete_general\"} -4"));
         assert!(text.contains("hopi_snapshot_epoch 7"));

@@ -230,7 +230,8 @@ fn stats(state: &AppState) -> Response {
     w.field_u64("rows_patched", s.publish.rows_patched as u64);
     w.close_obj();
     // §6 drift against the last build, and who owns it: link integrations
-    // by choice, net cover entries per operation kind.
+    // by choice, deletions by algorithm, net cover entries per operation
+    // kind.
     w.field_obj("maintenance");
     w.field_f64("drift_ratio", s.degradation().drift_ratio);
     w.field_u64("entries_at_build", s.maintenance.at_build.entries as u64);
@@ -238,6 +239,15 @@ fn stats(state: &AppState) -> Response {
     for (choice, count) in s.maintenance.integrations.as_labeled() {
         w.field_u64(choice, count);
     }
+    w.close_obj();
+    w.field_obj("deletions");
+    for (algorithm, count) in s.maintenance.deletions.as_labeled() {
+        w.field_u64(algorithm, count);
+    }
+    w.field_u64(
+        "recomputed_connections",
+        s.maintenance.deletions.recomputed_connections,
+    );
     w.close_obj();
     w.field_obj("entries_added");
     for (op, net) in s.maintenance.entries_added.as_labeled() {

@@ -294,6 +294,14 @@ fn mutations_publish_fresh_epochs_visible_to_reads() {
         let series = format!("hopi_cover_entries_added_total{{op=\"{op}\"}}");
         assert!(resp.body.contains(&series), "{series}");
     }
+    // One link and one document were deleted; the link by Theorem 3.
+    let deletions: u64 = ["separator", "general"]
+        .iter()
+        .map(|a| count_of(&format!("hopi_deletions_total{{algorithm=\"{a}\"}}")))
+        .sum();
+    assert_eq!(deletions, 2);
+    assert!(count_of("hopi_deletions_total{algorithm=\"general\"}") >= 1);
+    count_of("hopi_recomputed_connections_total");
     assert!(resp.body.contains("hopi_cover_drift_ratio 1.0000"));
     let maintenance = stats
         .get("maintenance")
@@ -308,6 +316,8 @@ fn mutations_publish_fresh_epochs_visible_to_reads() {
     );
     let choices = maintenance.get("integrations").and_then(Json::as_obj);
     assert_eq!(choices.map(<[_]>::len), Some(4));
+    let deleted = maintenance.get("deletions").and_then(Json::as_obj);
+    assert_eq!(deleted.map(<[_]>::len), Some(3));
 
     handle.shutdown();
 }
