@@ -22,8 +22,9 @@
 //!   `hopi_publish_duration_seconds`, `hopi_publish_total`,
 //!   `hopi_publish_rows_patched_total`, and the §6 drift and its owners:
 //!   `hopi_cover_drift_ratio`, `hopi_link_integrations_total`,
-//!   `hopi_cover_entries_added_total`, and the §6.2 deletions:
-//!   `hopi_deletions_total`, `hopi_recomputed_connections_total`.
+//!   `hopi_cover_entries_added_total`, the §6.2 deletions:
+//!   `hopi_deletions_total`, `hopi_recomputed_connections_total`, and the
+//!   per-kind §6 latency: `hopi_maintenance_duration_seconds`.
 //!
 //! ```sh
 //! cargo run -p hopi-bench --bin check_metrics -- metrics.prom
@@ -45,6 +46,7 @@ const REQUIRED_FAMILIES: &[&str] = &[
     "hopi_cover_entries_added_total",
     "hopi_deletions_total",
     "hopi_recomputed_connections_total",
+    "hopi_maintenance_duration_seconds",
 ];
 
 fn main() -> ExitCode {
@@ -336,6 +338,11 @@ hopi_deletions_total{algorithm=\"separator\"} 1
 hopi_deletions_total{algorithm=\"general\"} 2
 # TYPE hopi_recomputed_connections_total counter
 hopi_recomputed_connections_total 57
+# TYPE hopi_maintenance_duration_seconds histogram
+hopi_maintenance_duration_seconds_bucket{op=\"delete_general\",le=\"0.003071\"} 1
+hopi_maintenance_duration_seconds_bucket{op=\"delete_general\",le=\"+Inf\"} 1
+hopi_maintenance_duration_seconds_sum{op=\"delete_general\"} 0.0025
+hopi_maintenance_duration_seconds_count{op=\"delete_general\"} 1
 ";
 
     #[test]
@@ -360,6 +367,7 @@ hopi_recomputed_connections_total 57
             "hopi_cover_entries_added_total gauge",
             "hopi_deletions_total counter",
             "hopi_recomputed_connections_total counter",
+            "hopi_maintenance_duration_seconds histogram",
         ] {
             let name = family.split(' ').next().unwrap_or_default();
             let without: String = GOOD
@@ -418,6 +426,7 @@ hopi_request_duration_seconds_count 1
 # TYPE hopi_cover_entries_added_total gauge
 # TYPE hopi_deletions_total counter
 # TYPE hopi_recomputed_connections_total counter
+# TYPE hopi_maintenance_duration_seconds histogram
 ";
         assert!(check(no_buckets)
             .unwrap_err()

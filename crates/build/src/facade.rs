@@ -8,7 +8,7 @@
 //! inherent methods, with [`HopiError`] as the single error type.
 
 use crate::error::HopiError;
-use crate::snapshot::MaintenanceStats;
+use crate::snapshot::{MaintenanceDurations, MaintenanceStats};
 use hopi_core::{DistanceCover, DistanceCoverBuilder, FrozenCover, HopiIndex};
 use hopi_graph::DistanceClosure;
 use hopi_maintenance::{
@@ -211,6 +211,7 @@ impl HopiBuilder {
             report,
             plan_counters: Arc::new(PlanCounters::new()),
             maintenance,
+            maintenance_durations: Arc::default(),
         })
     }
 
@@ -317,6 +318,7 @@ impl HopiBuilder {
             report,
             plan_counters: Arc::new(PlanCounters::new()),
             maintenance,
+            maintenance_durations: Arc::default(),
         })
     }
 }
@@ -382,6 +384,9 @@ pub struct Hopi {
     /// Drift baseline of the last build, and what §6 maintenance has done
     /// to the cover since the engine was built, opened or recovered.
     maintenance: MaintenanceStats,
+    /// Latency of those §6 calls, shared with every snapshot captured from
+    /// this engine (and with clones of it), like `plan_counters`.
+    maintenance_durations: Arc<MaintenanceDurations>,
 }
 
 /// The signed change of a cover's entry count from `before` to `after`.
@@ -652,7 +657,9 @@ impl Hopi {
         if self.collection.has_link(from, to) {
             return Ok(0);
         }
+        let sw = Stopwatch::start();
         let integrated = insert_link(&mut self.collection, &mut self.index, from, to)?;
+        self.maintenance_durations.insert_link.record(sw.elapsed());
         self.maintenance.integrations.record(integrated.choice);
         self.maintenance.entries_added.insert_link += integrated.added as i64;
         if let Some(cover) = self.distance.as_mut() {
@@ -678,8 +685,9 @@ impl Hopi {
             return Err(HopiError::UnknownLink { from, to });
         }
         let before = self.index.size();
+        let sw = Stopwatch::start();
         let outcome = delete_link(&mut self.collection, &mut self.index, from, to);
-        self.book_deletion(&outcome, before);
+        self.book_deletion(&outcome, before, sw);
         self.refresh_distance();
         Ok(outcome)
     }
@@ -771,6 +779,7 @@ impl Hopi {
     /// baseline stays this engine's own.
     pub(crate) fn inherit_history(&mut self, old: &Hopi) {
         self.plan_counters = old.plan_counters.clone();
+        self.maintenance_durations = old.maintenance_durations.clone();
         self.maintenance = MaintenanceStats {
             at_build: self.maintenance.at_build,
             ..old.maintenance
@@ -850,6 +859,7 @@ impl Hopi {
             build: crate::BuildPhaseTimings::from_report(&self.report, freeze_ms),
             greedy: self.report.greedy,
             maintenance: self.maintenance,
+            maintenance_durations: self.maintenance_durations.clone(),
             publish: crate::PublishStats {
                 micros: sw.elapsed_micros(),
                 patched: patched.is_some(),
@@ -940,7 +950,11 @@ impl Hopi {
     /// The §6.1 document insertion on collection and cover, counted.
     fn insert_counted(&mut self, doc: XmlDocument, links: &DocumentLinks) -> DocId {
         let before = self.index.size();
+        let sw = Stopwatch::start();
         let (d, integrations) = insert_document(&mut self.collection, &mut self.index, doc, links);
+        self.maintenance_durations
+            .insert_document
+            .record(sw.elapsed());
         self.maintenance.integrations.absorb(&integrations);
         self.maintenance.entries_added.insert_document += net_entries(before, self.index.size());
         d
@@ -949,14 +963,17 @@ impl Hopi {
     /// The §6.2 document deletion on collection and cover, counted.
     fn delete_counted(&mut self, d: DocId) -> DeletionOutcome {
         let before = self.index.size();
+        let sw = Stopwatch::start();
         let outcome = delete_document(&mut self.collection, &mut self.index, d);
-        self.book_deletion(&outcome, before);
+        self.book_deletion(&outcome, before, sw);
         outcome
     }
 
-    /// Counts a deletion and books its net entry change to the theorem
-    /// that ran it.
-    fn book_deletion(&mut self, outcome: &DeletionOutcome, before: usize) {
+    /// Counts a deletion, times it from `sw` and books its net entry change
+    /// to the theorem that ran it.
+    fn book_deletion(&mut self, outcome: &DeletionOutcome, before: usize, sw: Stopwatch) {
+        let durations = &self.maintenance_durations;
+        durations.deletion(outcome.algorithm).record(sw.elapsed());
         self.maintenance.deletions.record(outcome);
         let added = &mut self.maintenance.entries_added;
         let slot = match outcome.algorithm {

@@ -353,6 +353,13 @@ impl OnlineHopi {
         }
     }
 
+    /// Point-in-time copies of the §6 maintenance-call latency histograms,
+    /// `(op label, distribution)` in exposition order. Read through the
+    /// serving snapshot, so a scrape never waits on a writer.
+    pub fn maintenance_durations(&self) -> [(&'static str, HistogramSnapshot); 4] {
+        self.snapshot().maintenance_durations.as_labeled()
+    }
+
     /// Atomically persists the current state (collection + frozen cover +
     /// WAL sequence) and truncates the log. Blocks mutations for the
     /// duration (queries keep running on snapshots). Errors with

@@ -20,8 +20,9 @@ use crate::error::HopiError;
 use crate::facade::QueryOptions;
 use hopi_core::{BuildStats, DistanceCover, FrozenCover};
 use hopi_maintenance::{
-    BuildBaseline, Degradation, DeletionCounts, EntriesAdded, IntegrationCounts,
+    BuildBaseline, Degradation, DeletionAlgorithm, DeletionCounts, EntriesAdded, IntegrationCounts,
 };
+use hopi_obs::{Histogram, HistogramSnapshot};
 use hopi_partition::BuildReport;
 use hopi_query::{
     evaluate_ranked_with_text, parse_path, PlanCounters, PlanCounts, QueryPlanReport, RankedMatch,
@@ -117,6 +118,41 @@ impl MaintenanceStats {
             at_build,
             ..Self::default()
         }
+    }
+}
+
+/// Wall time of the §6 maintenance calls per operation kind
+/// ([`EntriesAdded::OPS`]), behind `hopi_maintenance_duration_seconds`.
+/// A sample times the `hopi_maintenance` call alone, not the WAL append,
+/// the tag and text indexes or the snapshot publish around it. An engine
+/// shares these with its snapshots and hands them on to the engine a
+/// rebuild swaps in, like the plan counters.
+#[derive(Debug, Default)]
+pub(crate) struct MaintenanceDurations {
+    pub(crate) insert_link: Histogram,
+    pub(crate) insert_document: Histogram,
+    delete_separator: Histogram,
+    delete_general: Histogram,
+}
+
+impl MaintenanceDurations {
+    /// The histogram a deletion by `algorithm` records into.
+    pub(crate) fn deletion(&self, algorithm: DeletionAlgorithm) -> &Histogram {
+        match algorithm {
+            DeletionAlgorithm::FastSeparator => &self.delete_separator,
+            DeletionAlgorithm::General => &self.delete_general,
+        }
+    }
+
+    /// `(op label, duration distribution)` pairs, in exposition order.
+    pub(crate) fn as_labeled(&self) -> [(&'static str, HistogramSnapshot); 4] {
+        let [link, document, separator, general] = EntriesAdded::OPS;
+        [
+            (link, self.insert_link.snapshot()),
+            (document, self.insert_document.snapshot()),
+            (separator, self.delete_separator.snapshot()),
+            (general, self.delete_general.snapshot()),
+        ]
     }
 }
 
@@ -225,6 +261,8 @@ pub struct HopiSnapshot {
     pub(crate) publish: PublishStats,
     /// The engine's §6 drift baseline and counters at capture time.
     pub(crate) maintenance: MaintenanceStats,
+    /// Engine-shared §6 call latencies (live, not as of capture).
+    pub(crate) maintenance_durations: Arc<MaintenanceDurations>,
 }
 
 impl HopiSnapshot {

@@ -750,7 +750,7 @@ mod tests {
                     }
                 })
                 .collect();
-            TransitiveClosure::from_desc_rows(rows, alive)
+            TransitiveClosure::from_desc_rows(rows, alive, None)
         }
 
         /// A closure grown edge by edge: its rows are as long as its

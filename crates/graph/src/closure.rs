@@ -15,7 +15,7 @@
 
 use crate::bitset::FixedBitSet;
 use crate::digraph::{DiGraph, NodeId};
-use crate::scc::condensation;
+use crate::scc::{condensation, tarjan_scc};
 use rustc_hash::FxHashMap;
 use std::collections::VecDeque;
 
@@ -91,16 +91,23 @@ impl TransitiveClosure {
     /// Builds a closure-like relation from raw descendant rows.
     ///
     /// Used by the general deletion algorithm (paper §6.2, Theorem 3): the
-    /// partially recomputed closure `Ĉ` has rows only for the ancestors
-    /// `A_di` and the descendants `D_di` of the deleted region, each cut
-    /// down to its reachable nodes inside `D_di`; every other live node
-    /// contributes just its reflexive pair. The 2-hop cover builder
-    /// consumes the result like any closure — a center `w` chosen from a row
-    /// still witnesses real paths, so the produced cover is sound.
+    /// partially recomputed closure `Ĉ` of [`region_closure`] has a row
+    /// for every live element of the deleted region's ancestors `A_di` and
+    /// descendants `D_di`, each cut down to its reachable nodes inside
+    /// `D_di`. The 2-hop cover builder consumes the result like any
+    /// closure — a center `w` chosen from a row still witnesses real paths,
+    /// so the produced cover is sound.
     ///
-    /// Rows are taken as-is (each live node's row must contain at least the
-    /// node itself); `rows.len()` fixes the node-slot count.
-    pub fn from_desc_rows(mut rows: Vec<FixedBitSet>, alive: Vec<bool>) -> Self {
+    /// Every live node's row gets its reflexive pair; `rows.len()` fixes
+    /// the node-slot count. With `sources`, ancestor rows are the transpose
+    /// of the sources' rows alone: `ancestors(v)` holds the sources that
+    /// reach `v`, which is all that `CoverBuilder::only_from` with the same
+    /// sources reads of them.
+    pub fn from_desc_rows(
+        mut rows: Vec<FixedBitSet>,
+        alive: Vec<bool>,
+        sources: Option<&FixedBitSet>,
+    ) -> Self {
         let n = rows.len();
         assert_eq!(alive.len(), n, "alive flags must match row count");
         let mut connections = 0usize;
@@ -111,8 +118,10 @@ impl TransitiveClosure {
                 row.insert(u as NodeId);
             }
             connections += row.count();
-            for v in row.iter() {
-                anc[v as usize].insert(u as NodeId);
+            if sources.is_none_or(|s| s.contains(u as NodeId)) {
+                for v in row.iter() {
+                    anc[v as usize].insert(u as NodeId);
+                }
             }
         }
         TransitiveClosure {
@@ -232,32 +241,58 @@ impl TransitiveClosure {
     }
 }
 
-/// Partial reflexive-transitive closure restricted to the given source
-/// nodes: `rows[s]` = nodes reachable from `s` (including `s`).
+/// Reachability from a region into a target set, in the region's own id
+/// space.
+///
+/// `region` lists nodes in ascending order; `region[i]` gets local id `i`.
+/// Row `i` holds the local ids `j` with `region[j] ∈ targets` and
+/// `region[i] →* region[j]` (reflexively); a dead node's row is empty, and
+/// targets outside the region have no local id and are left out. Rows are
+/// `region.len()` bits wide.
 ///
 /// The general deletion algorithm (paper §6.2, Theorem 3) recomputes
 /// reachability only from the ancestors and descendants of the deleted
 /// region — "as the set of seed nodes is typically much smaller than the
 /// set of all nodes, the partial recomputation is typically much faster".
-pub fn partial_closure(g: &DiGraph, sources: &[NodeId]) -> FxHashMap<NodeId, FixedBitSet> {
-    let mut rows = FxHashMap::default();
-    for &s in sources {
-        if !g.is_alive(s) {
-            continue;
+/// One pass over the strongly connected components of `g`, in the reverse
+/// topological order Tarjan emits them, computes every row: a component's
+/// row is its own targets plus the rows of the components its members have
+/// edges into, which are final by then; a component that reaches no target
+/// gets none.
+pub fn region_closure(g: &DiGraph, region: &[NodeId], targets: &FixedBitSet) -> Vec<FixedBitSet> {
+    let m = region.len();
+    let mut local = vec![u32::MAX; g.id_bound()];
+    for (i, &v) in region.iter().enumerate() {
+        debug_assert!(i == 0 || region[i - 1] < v, "region must ascend");
+        local[v as usize] = i as u32;
+    }
+    let mut component_of = vec![u32::MAX; g.id_bound()];
+    let mut comp_rows: Vec<Option<FixedBitSet>> = Vec::new();
+    for (ci, comp) in tarjan_scc(g).iter().enumerate() {
+        let mut row: Option<FixedBitSet> = None;
+        for &v in comp {
+            component_of[v as usize] = ci as u32;
+            let l = local[v as usize];
+            if l != u32::MAX && targets.contains(v) {
+                row.get_or_insert_with(|| FixedBitSet::new(m)).insert(l);
+            }
         }
-        let mut seen = FixedBitSet::new(g.id_bound());
-        seen.insert(s);
-        let mut queue = VecDeque::from([s]);
-        while let Some(x) = queue.pop_front() {
-            for &y in g.successors(x) {
-                if seen.insert(y) {
-                    queue.push_back(y);
+        for &v in comp {
+            for &w in g.successors(v) {
+                let cw = component_of[w as usize] as usize;
+                if let Some(Some(succ_row)) = comp_rows.get(cw) {
+                    row.get_or_insert_with(|| FixedBitSet::new(m))
+                        .union_with(succ_row);
                 }
             }
         }
-        rows.insert(s, seen);
+        comp_rows.push(row);
     }
-    rows
+    let row_of = |v: NodeId| match comp_rows.get(component_of[v as usize] as usize) {
+        Some(Some(row)) => row.clone(),
+        _ => FixedBitSet::new(m),
+    };
+    region.iter().map(|&v| row_of(v)).collect()
 }
 
 /// All-pairs unweighted shortest distances (the distance closure of
@@ -536,12 +571,30 @@ mod tests {
     }
 
     #[test]
-    fn partial_closure_only_given_sources() {
-        let g = diamond();
-        let rows = partial_closure(&g, &[1, 2]);
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[&1].to_vec(), vec![1, 3]);
-        assert_eq!(rows[&2].to_vec(), vec![2, 3]);
+    fn region_closure_rows_are_local_and_cut_to_targets() {
+        // Diamond 0 → {1, 2} → 3 plus 4 → 0; region {1, 2, 3, 4} is local
+        // 0..4, targets {3, 4}: 4 reaches 3 through 0, which is outside.
+        let mut g = diamond();
+        g.add_edge(4, 0);
+        let targets: FixedBitSet = [3u32, 4].into_iter().collect();
+        let rows = region_closure(&g, &[1, 2, 3, 4], &targets);
+        let rows: Vec<Vec<u32>> = rows.iter().map(FixedBitSet::to_vec).collect();
+        assert_eq!(rows, vec![vec![2], vec![2], vec![2], vec![2, 3]]);
+    }
+
+    #[test]
+    fn from_desc_rows_transposes_only_sources() {
+        let rows = vec![
+            [1u32, 2].into_iter().collect(),
+            [2u32].into_iter().collect(),
+            FixedBitSet::new(3),
+        ];
+        let sources: FixedBitSet = [0u32].into_iter().collect();
+        let tc = TransitiveClosure::from_desc_rows(rows, vec![true; 3], Some(&sources));
+        assert_eq!(tc.descendants(1).to_vec(), vec![1, 2]);
+        assert_eq!(tc.ancestors(2).to_vec(), vec![0]);
+        assert_eq!(tc.ancestors(1).to_vec(), vec![0]);
+        assert_eq!(tc.connection_count(), 6);
     }
 
     #[test]

@@ -18,7 +18,10 @@
 //!   `D_di` make its elements candidate hubs), and splice the
 //!   `A_di × D_di` block alone: `L'out(a) := (Lout(a) \ D_di) ∪ L̂out(a)` for
 //!   `a ∈ A_di`, `L'in(d) := (Lin(d) \ A_di) ∪ L̂in(d)` for `d ∈ D_di`.
-//!   DESIGN.md ("Theorem 3 (§6.2) as implemented") has the exactness proof.
+//!   `Ĉ` and `L̂` live in the region's own id space, the live
+//!   `A_di ∪ D_di` numbered in ascending order, so every table is as wide
+//!   as the region rather than the collection. DESIGN.md ("Theorem 3
+//!   (§6.2) as implemented") has the exactness proof.
 //!
 //! Single-link deletion reuses the Theorem 3 scheme with `A = anc(from)`
 //! and `D = desc(to)`: every connection that can die runs through the
@@ -26,10 +29,9 @@
 
 use hopi_core::HopiIndex;
 use hopi_core::{CoverBuilder, TwoHopCover};
-use hopi_graph::closure::partial_closure;
+use hopi_graph::closure::region_closure;
 use hopi_graph::{traversal, FixedBitSet, TransitiveClosure};
 use hopi_xml::{Collection, DocId, ElemId};
-use rustc_hash::FxHashSet;
 
 /// Which deletion algorithm ran.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -94,38 +96,54 @@ impl DeletionCounts {
     }
 }
 
+/// The proper ancestor and descendant documents of `d_i` in the
+/// document-level graph, for a `d_i` that separates it: the documents
+/// whose elements Theorem 2 strips.
+struct Separation {
+    anc_docs: FixedBitSet,
+    desc_docs: FixedBitSet,
+}
+
+/// Runs the separator test once and hands its document sets on to the
+/// fast path: `None` when `d_i` does not separate.
+fn separation(collection: &Collection, di: DocId) -> Option<Separation> {
+    let (mut gd, _) = collection.document_graph();
+    if !gd.is_alive(di) {
+        return Some(Separation {
+            anc_docs: FixedBitSet::default(),
+            desc_docs: FixedBitSet::default(),
+        });
+    }
+    let mut anc_docs = traversal::reaching_to(&gd, di);
+    anc_docs.remove(di);
+    let mut desc_docs = traversal::reachable_from(&gd, di);
+    desc_docs.remove(di);
+    let separated = if anc_docs.is_empty() || desc_docs.is_empty() {
+        true
+    } else if anc_docs.intersects(&desc_docs) {
+        // A document that is both ancestor and descendant (cycle through
+        // d_i) trivially keeps an ancestor→descendant connection (itself).
+        false
+    } else {
+        gd.remove_node(di);
+        let reached = traversal::reachable_from_many(&gd, anc_docs.iter());
+        !reached.intersects(&desc_docs)
+    };
+    separated.then_some(Separation {
+        anc_docs,
+        desc_docs,
+    })
+}
+
 /// Does `d_i` separate the document-level graph? (paper §6.2)
 ///
 /// True iff after removing `d_i` no (proper) ancestor document can reach any
 /// (proper) descendant document. "The separation criterion serves as an
 /// efficient test for whether we can simply drop the deleted document or
-/// need to take additional measures" — cost is two BFS passes over `G_D`.
+/// need to take additional measures" — cost is two BFS passes over `G_D`,
+/// plus a third from the ancestors once `d_i` is gone.
 pub fn separates(collection: &Collection, di: DocId) -> bool {
-    let (mut gd, _) = collection.document_graph();
-    if !gd.is_alive(di) {
-        return true;
-    }
-    let anc = {
-        let mut a = traversal::reaching_to(&gd, di);
-        a.remove(di);
-        a
-    };
-    let desc = {
-        let mut d = traversal::reachable_from(&gd, di);
-        d.remove(di);
-        d
-    };
-    if anc.is_empty() || desc.is_empty() {
-        return true;
-    }
-    // A document that is both ancestor and descendant (cycle through d_i)
-    // trivially keeps an ancestor→descendant connection (itself).
-    if anc.intersects(&desc) {
-        return false;
-    }
-    gd.remove_node(di);
-    let reached = traversal::reachable_from_many(&gd, anc.iter());
-    !reached.intersects(&desc)
+    separation(collection, di).is_some()
 }
 
 /// Deletes a document, dispatching to the Theorem 2 fast path when the
@@ -135,42 +153,37 @@ pub fn delete_document(
     index: &mut HopiIndex,
     di: DocId,
 ) -> DeletionOutcome {
-    if separates(collection, di) {
-        delete_document_fast(collection, index, di)
-    } else {
-        delete_document_general(collection, index, di)
+    match separation(collection, di) {
+        Some(separation) => delete_document_fast(collection, index, di, &separation),
+        None => delete_document_general(collection, index, di),
     }
 }
 
-/// Theorem 2 fast deletion. Caller must have verified [`separates`].
-pub fn delete_document_fast(
+/// Theorem 2 fast deletion of a `d_i` that separates, given the test's
+/// document sets.
+fn delete_document_fast(
     collection: &mut Collection,
     index: &mut HopiIndex,
     di: DocId,
+    separation: &Separation,
 ) -> DeletionOutcome {
     let before = index.size();
-    let (gd, _) = collection.document_graph();
-    let mut anc_docs = traversal::reaching_to(&gd, di);
-    anc_docs.remove(di);
-    let mut desc_docs = traversal::reachable_from(&gd, di);
-    desc_docs.remove(di);
-
-    let vdi = elements_of_doc(collection, di);
-    let va = elements_of_docs(collection, &anc_docs);
-    let vd = elements_of_docs(collection, &desc_docs);
+    let vdi = elements_of_docs(collection, [di]);
+    let va = elements_of_docs(collection, separation.anc_docs.iter());
+    let vd = elements_of_docs(collection, separation.desc_docs.iter());
 
     let cover = index.cover_mut();
     // Strip V_di ∪ VD centers from Lout of every a ∈ VA.
-    for &a in &va {
-        cover.retain_out(a, |c| !vdi.contains(&c) && !vd.contains(&c));
+    for a in va.iter() {
+        cover.retain_out(a, |c| !vdi.contains(c) && !vd.contains(c));
     }
     // Strip V_di ∪ VA centers from Lin of every d ∈ VD.
-    for &d in &vd {
-        cover.retain_in(d, |c| !vdi.contains(&c) && !va.contains(&c));
+    for d in vd.iter() {
+        cover.retain_in(d, |c| !vdi.contains(c) && !va.contains(c));
     }
     // Drop the deleted elements' own labels and all their occurrences as
     // centers anywhere else.
-    for &e in &vdi {
+    for e in vdi.iter() {
         cover.purge_node(e);
     }
     collection.remove_document(di);
@@ -245,38 +258,45 @@ fn delete_general_impl(
     let mut region = a_di.clone();
     region.union_with(&d_di);
     let (live, dead): (Vec<ElemId>, Vec<ElemId>) = region.iter().partition(|&e| g.is_alive(e));
-    let mut seeds = a_di.clone();
     for &e in &dead {
         cover.purge_node(e);
-        seeds.remove(e);
     }
 
+    // Ĉ lives in the region's own id space: `live[i]` is local id `i`. The
+    // relabel keeps order, so every tie the greedy breaks on ids breaks the
+    // same way as over global ids, and L̂ is that cover renamed.
+    let mut seeds = FixedBitSet::new(live.len());
+    for (i, &e) in live.iter().enumerate() {
+        if a_di.contains(e) {
+            seeds.insert(i as u32);
+        }
+    }
     // Partial closure Ĉ of G' into D_di: a row for every live seed of
     // A_di, and one for every live element of D_di so that descendants can
-    // serve as hubs; every row intersected with D_di.
-    let mut desc_rows: Vec<FixedBitSet> = vec![FixedBitSet::new(n); n];
-    for (x, mut row) in partial_closure(&g, &live) {
-        row.intersect_with(&d_di);
-        desc_rows[x as usize] = row;
-    }
-    let alive: Vec<bool> = (0..n as u32).map(|e| g.is_alive(e)).collect();
-    let partial = TransitiveClosure::from_desc_rows(desc_rows, alive);
+    // serve as hubs; ancestor rows only hold seeds, all `only_from` reads.
+    let rows = region_closure(&g, &live, &d_di);
+    let partial = TransitiveClosure::from_desc_rows(rows, vec![true; live.len()], Some(&seeds));
     let builder = CoverBuilder::only_from(&partial, &seeds);
     let recomputed_connections = builder.remaining();
     let hat: TwoHopCover = builder.build();
 
     // Splice: L'out(a) := (Lout(a) \ D_di) ∪ L̂out(a) for a ∈ A_di, and
-    // L'in(d) := (Lin(d) \ A_di) ∪ L̂in(d) for d ∈ D_di.
-    for a in seeds.iter() {
+    // L'in(d) := (Lin(d) \ A_di) ∪ L̂in(d) for d ∈ D_di, centers mapped
+    // back to global ids.
+    for i in seeds.iter() {
+        let a = live[i as usize];
         cover.retain_out(a, |c| !d_di.contains(c));
-        for &c in hat.lout(a) {
-            cover.add_out(a, c);
+        for &c in hat.lout(i) {
+            cover.add_out(a, live[c as usize]);
         }
     }
-    for d in d_di.iter().filter(|&d| g.is_alive(d)) {
+    for (i, &d) in live.iter().enumerate() {
+        if !d_di.contains(d) {
+            continue;
+        }
         cover.retain_in(d, |c| !a_di.contains(c));
-        for &c in hat.lin(d) {
-            cover.add_in(d, c);
+        for &c in hat.lin(i as u32) {
+            cover.add_in(d, live[c as usize]);
         }
     }
     DeletionOutcome {
@@ -293,11 +313,15 @@ fn elements_of_doc(collection: &Collection, d: DocId) -> Vec<ElemId> {
     (0..doc.len() as u32).map(|l| base + l).collect()
 }
 
-fn elements_of_docs(collection: &Collection, docs: &FixedBitSet) -> FxHashSet<ElemId> {
-    let mut out = FxHashSet::default();
-    for d in docs.iter() {
-        if collection.document(d).is_some() {
-            out.extend(elements_of_doc(collection, d));
+/// The elements of the live documents among `docs`.
+fn elements_of_docs(collection: &Collection, docs: impl IntoIterator<Item = DocId>) -> FixedBitSet {
+    let mut out = FixedBitSet::new(collection.elem_id_bound());
+    for d in docs {
+        if let Some(doc) = collection.document(d) {
+            let base = collection.global_id(d, 0);
+            for e in base..base + doc.len() as u32 {
+                out.insert(e);
+            }
         }
     }
     out
@@ -306,6 +330,8 @@ fn elements_of_docs(collection: &Collection, docs: &FixedBitSet) -> FxHashSet<El
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::insert::insert_link;
+    use hopi_graph::DiGraph;
     use hopi_partition::{build_index, BuildConfig};
     use hopi_xml::generator::{random_collection, RandomConfig};
     use hopi_xml::XmlDocument;
@@ -457,6 +483,162 @@ mod tests {
         assert!(index.connected(c.global_id(3, 0), c.global_id(2, 0)));
         assert_exact(&c, &index);
         index.cover().check_invariants();
+    }
+
+    /// Theorem 3 over global ids, the body [`delete_general_impl`] had
+    /// before it moved to the region's own id space: every table `n` wide,
+    /// one BFS per region element. The reference the compacted deletion
+    /// must reproduce entry for entry.
+    fn delete_general_global(
+        collection: &mut Collection,
+        index: &mut HopiIndex,
+        from_region: &[ElemId],
+        into_region: &[ElemId],
+        apply_removal: impl FnOnce(&mut Collection),
+    ) -> DeletionOutcome {
+        let before = index.size();
+        let cover = index.cover_mut();
+        let mut a_di = FixedBitSet::new(cover.num_nodes());
+        let mut d_di = FixedBitSet::new(cover.num_nodes());
+        for a in from_region.iter().flat_map(|&e| cover.ancestors(e)) {
+            a_di.insert(a);
+        }
+        for d in into_region.iter().flat_map(|&e| cover.descendants(e)) {
+            d_di.insert(d);
+        }
+
+        // Structural removal, then the surviving graph G'.
+        apply_removal(collection);
+        let g = collection.element_graph();
+        let n = g.id_bound();
+        a_di.grow(n);
+        d_di.grow(n);
+        let mut region = a_di.clone();
+        region.union_with(&d_di);
+        let (live, dead): (Vec<ElemId>, Vec<ElemId>) = region.iter().partition(|&e| g.is_alive(e));
+        let mut seeds = a_di.clone();
+        for &e in &dead {
+            cover.purge_node(e);
+            seeds.remove(e);
+        }
+
+        // Partial closure Ĉ of G' into D_di: a row for every live seed of
+        // A_di, and one for every live element of D_di so that descendants can
+        // serve as hubs; every row intersected with D_di.
+        let mut desc_rows: Vec<FixedBitSet> = vec![FixedBitSet::new(n); n];
+        for (x, mut row) in partial_closure(&g, &live) {
+            row.intersect_with(&d_di);
+            desc_rows[x as usize] = row;
+        }
+        let alive: Vec<bool> = (0..n as u32).map(|e| g.is_alive(e)).collect();
+        let partial = TransitiveClosure::from_desc_rows(desc_rows, alive, None);
+        let builder = CoverBuilder::only_from(&partial, &seeds);
+        let recomputed_connections = builder.remaining();
+        let hat: TwoHopCover = builder.build();
+
+        // Splice: L'out(a) := (Lout(a) \ D_di) ∪ L̂out(a) for a ∈ A_di, and
+        // L'in(d) := (Lin(d) \ A_di) ∪ L̂in(d) for d ∈ D_di.
+        for a in seeds.iter() {
+            cover.retain_out(a, |c| !d_di.contains(c));
+            for &c in hat.lout(a) {
+                cover.add_out(a, c);
+            }
+        }
+        for d in d_di.iter().filter(|&d| g.is_alive(d)) {
+            cover.retain_in(d, |c| !a_di.contains(c));
+            for &c in hat.lin(d) {
+                cover.add_in(d, c);
+            }
+        }
+        DeletionOutcome {
+            algorithm: DeletionAlgorithm::General,
+            entries_removed: before.saturating_sub(index.size()),
+            recompute_seeds: seeds.count(),
+            recomputed_connections,
+        }
+    }
+
+    /// The per-source BFS rows the global-space deletion computed Ĉ from.
+    fn partial_closure(g: &DiGraph, sources: &[ElemId]) -> Vec<(ElemId, FixedBitSet)> {
+        sources
+            .iter()
+            .filter(|&&s| g.is_alive(s))
+            .map(|&s| (s, traversal::reachable_from(g, s)))
+            .collect()
+    }
+
+    /// Same labels and, because the splice issues the same edits in the
+    /// same order, the same holder lists.
+    fn assert_same_cover(got: &HopiIndex, want: &HopiIndex) {
+        let (got, want) = (got.cover(), want.cover());
+        assert_eq!(got.size(), want.size());
+        assert_eq!(got.num_nodes(), want.num_nodes());
+        for u in 0..want.num_nodes() as u32 {
+            assert_eq!(got.lin(u), want.lin(u), "lin({u})");
+            assert_eq!(got.lout(u), want.lout(u), "lout({u})");
+            assert_eq!(got.holders_in(u), want.holders_in(u), "holders_in({u})");
+            assert_eq!(got.holders_out(u), want.holders_out(u), "holders_out({u})");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(40))]
+
+        /// The compacted Theorem 3 leaves the cover the global-space one
+        /// leaves, on cyclic collections with intra-document links, for
+        /// link and document deletions, on built covers and on covers
+        /// grown by §6.1 label copies.
+        #[test]
+        fn compacted_deletion_matches_global_space(seed in 0u64..u64::MAX) {
+            use rand::prelude::*;
+            let mut rng = StdRng::seed_from_u64(seed);
+            // Up to ~250 elements: regions wider than one 64-bit word.
+            let mut c = random_collection(&RandomConfig {
+                num_docs: rng.gen_range(4..28),
+                elements_range: (1, 10),
+                num_links: rng.gen_range(4..60),
+                num_intra_links: rng.gen_range(0..16),
+                allow_cycles: true,
+                seed,
+                text: Default::default(),
+            });
+            let (mut index, _) = build_index(&c, &BuildConfig::default());
+            let n = c.elem_id_bound() as u32;
+            for _ in 0..rng.gen_range(0..12) {
+                let (from, to) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                let _ = insert_link(&mut c, &mut index, from, to);
+            }
+            for _ in 0..6 {
+                let (mut c_ref, mut index_ref) = (c.clone(), index.clone());
+                let links = c.links().to_vec();
+                let (got, want) = if !links.is_empty() && rng.gen_range(0..2) == 0 {
+                    let link = links[rng.gen_range(0..links.len())];
+                    let (from, to) = (link.from, link.to);
+                    let got = delete_link(&mut c, &mut index, from, to);
+                    let want = delete_general_global(&mut c_ref, &mut index_ref, &[from], &[to], |c| {
+                        c.remove_link(from, to);
+                    });
+                    (got, want)
+                } else {
+                    let live: Vec<DocId> = c.doc_ids().collect();
+                    if live.len() <= 1 {
+                        break;
+                    }
+                    let d = live[rng.gen_range(0..live.len())];
+                    let vdi = elements_of_doc(&c, d);
+                    let got = delete_document_general(&mut c, &mut index, d);
+                    let want = delete_general_global(&mut c_ref, &mut index_ref, &vdi, &vdi, |c| {
+                        c.remove_document(d);
+                    });
+                    (got, want)
+                };
+                proptest::prop_assert_eq!(got.entries_removed, want.entries_removed);
+                proptest::prop_assert_eq!(got.recompute_seeds, want.recompute_seeds);
+                proptest::prop_assert_eq!(got.recomputed_connections, want.recomputed_connections);
+                assert_same_cover(&index, &index_ref);
+            }
+            assert_exact(&c, &index);
+        }
     }
 
     #[test]

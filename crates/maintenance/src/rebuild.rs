@@ -120,13 +120,22 @@ pub struct EntriesAdded {
 }
 
 impl EntriesAdded {
+    /// The operation kinds' `op` labels, in exposition order.
+    pub const OPS: [&'static str; 4] = [
+        "insert_link",
+        "insert_document",
+        "delete_separator",
+        "delete_general",
+    ];
+
     /// `(op label, net entries)` pairs, in exposition order.
     pub fn as_labeled(&self) -> [(&'static str, i64); 4] {
+        let [link, document, separator, general] = Self::OPS;
         [
-            ("insert_link", self.insert_link),
-            ("insert_document", self.insert_document),
-            ("delete_separator", self.delete_separator),
-            ("delete_general", self.delete_general),
+            (link, self.insert_link),
+            (document, self.insert_document),
+            (separator, self.delete_separator),
+            (general, self.delete_general),
         ]
     }
 }

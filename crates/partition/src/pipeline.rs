@@ -320,7 +320,7 @@ fn psg_join(
             .map(|x| traversal::reachable_from(&psg.graph, x))
             .collect();
         (
-            TransitiveClosure::from_desc_rows(rows, vec![true; n]),
+            TransitiveClosure::from_desc_rows(rows, vec![true; n], None),
             n.div_ceil(direct_threshold.max(1)),
         )
     };

@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use hopi_build::{MaintenanceStats, PublishTotals, WalHistograms};
-use hopi_obs::{Histogram, StageRegistry};
+use hopi_obs::{Histogram, HistogramSnapshot, StageRegistry};
 
 /// The fixed endpoint universe (one counter cell each; unknown paths land
 /// in `Other`).
@@ -329,6 +329,14 @@ impl Metrics {
                 "hopi_cover_entries_added_total{{op=\"{op}\"}} {net}\n"
             ));
         }
+        out.push_str("# TYPE hopi_maintenance_duration_seconds histogram\n");
+        for (op, hist) in ctx.maintenance_durations {
+            hist.render_prometheus(
+                "hopi_maintenance_duration_seconds",
+                &format!("op=\"{op}\""),
+                &mut out,
+            );
+        }
         out.push_str("# TYPE hopi_connections_total counter\n");
         out.push_str(&format!(
             "hopi_connections_total {}\n",
@@ -407,6 +415,8 @@ pub struct RenderContext<'a> {
     /// §6 counters: link integrations by choice, deletions by algorithm,
     /// net entries per operation kind.
     pub maintenance: MaintenanceStats,
+    /// Wall time of the §6 maintenance calls, `(op, distribution)`.
+    pub maintenance_durations: &'a [(&'static str, HistogramSnapshot)],
     /// Server crate version for `hopi_build_info`.
     pub version: &'a str,
     /// On-disk store format version for `hopi_build_info`.
@@ -495,6 +505,14 @@ mod tests {
                 },
                 ..Default::default()
             },
+            maintenance_durations: &[
+                ("insert_link", HistogramSnapshot::default()),
+                ("delete_general", {
+                    let h = Histogram::default();
+                    h.record_micros(2_500);
+                    h.snapshot()
+                }),
+            ],
             version: "0.2.0",
             store_format: 3,
         });
@@ -528,6 +546,14 @@ mod tests {
         assert!(text.contains("hopi_recomputed_connections_total 57"));
         assert!(text.contains("hopi_cover_entries_added_total{op=\"insert_link\"} 12"));
         assert!(text.contains("hopi_cover_entries_added_total{op=\"delete_general\"} -4"));
+        assert!(text.contains("# TYPE hopi_maintenance_duration_seconds histogram"));
+        assert!(text.contains("hopi_maintenance_duration_seconds_count{op=\"delete_general\"} 1"));
+        assert!(
+            text.contains("hopi_maintenance_duration_seconds_sum{op=\"delete_general\"} 0.0025")
+        );
+        assert!(text.contains(
+            "hopi_maintenance_duration_seconds_bucket{op=\"insert_link\",le=\"+Inf\"} 0"
+        ));
         assert!(text.contains("hopi_snapshot_epoch 7"));
         assert!(text.contains("hopi_worker_threads 4"));
         assert!(

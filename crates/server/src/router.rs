@@ -303,6 +303,7 @@ fn metrics(state: &AppState) -> Response {
         publish: state.engine.publish_totals(),
         drift_ratio: s.degradation().drift_ratio,
         maintenance: s.maintenance,
+        maintenance_durations: &state.engine.maintenance_durations(),
         version: env!("CARGO_PKG_VERSION"),
         store_format: hopi_build::STORE_FORMAT_VERSION,
     };

@@ -302,6 +302,17 @@ fn mutations_publish_fresh_epochs_visible_to_reads() {
     assert_eq!(deletions, 2);
     assert!(count_of("hopi_deletions_total{algorithm=\"general\"}") >= 1);
     count_of("hopi_recomputed_connections_total");
+    // Per-kind §6 latency: one sample per maintenance call, kept across the
+    // rebuild like the counters.
+    let timed = |op: &str| {
+        count_of(&format!(
+            "hopi_maintenance_duration_seconds_count{{op=\"{op}\"}}"
+        ))
+    };
+    assert_eq!(timed("insert_document"), 1);
+    assert_eq!(timed("insert_link"), 1);
+    assert_eq!(timed("delete_separator") + timed("delete_general"), 2);
+    assert!(timed("delete_general") >= 1);
     assert!(resp.body.contains("hopi_cover_drift_ratio 1.0000"));
     let maintenance = stats
         .get("maintenance")
