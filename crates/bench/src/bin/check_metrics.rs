@@ -23,8 +23,9 @@
 //!   `hopi_publish_rows_patched_total`, and the §6 drift and its owners:
 //!   `hopi_cover_drift_ratio`, `hopi_link_integrations_total`,
 //!   `hopi_cover_entries_added_total`, the §6.2 deletions:
-//!   `hopi_deletions_total`, `hopi_recomputed_connections_total`, and the
-//!   per-kind §6 latency: `hopi_maintenance_duration_seconds`.
+//!   `hopi_deletions_total`, `hopi_recomputed_connections_total`, the
+//!   per-kind §6 latency: `hopi_maintenance_duration_seconds`, and the
+//!   query planner's budget overruns: `hopi_query_backward_fallbacks_total`.
 //!
 //! ```sh
 //! cargo run -p hopi-bench --bin check_metrics -- metrics.prom
@@ -47,6 +48,7 @@ const REQUIRED_FAMILIES: &[&str] = &[
     "hopi_deletions_total",
     "hopi_recomputed_connections_total",
     "hopi_maintenance_duration_seconds",
+    "hopi_query_backward_fallbacks_total",
 ];
 
 fn main() -> ExitCode {
@@ -343,6 +345,8 @@ hopi_maintenance_duration_seconds_bucket{op=\"delete_general\",le=\"0.003071\"} 
 hopi_maintenance_duration_seconds_bucket{op=\"delete_general\",le=\"+Inf\"} 1
 hopi_maintenance_duration_seconds_sum{op=\"delete_general\"} 0.0025
 hopi_maintenance_duration_seconds_count{op=\"delete_general\"} 1
+# TYPE hopi_query_backward_fallbacks_total counter
+hopi_query_backward_fallbacks_total 3
 ";
 
     #[test]
@@ -380,6 +384,15 @@ hopi_maintenance_duration_seconds_count{op=\"delete_general\"} 1
                 .iter()
                 .any(|e| e.contains(&format!("`{name}` missing"))));
         }
+    }
+
+    #[test]
+    fn requires_the_planner_fallback_family() {
+        let without = GOOD.replace("# TYPE hopi_query_backward_fallbacks_total counter\n", "");
+        assert!(check(&without)
+            .unwrap_err()
+            .iter()
+            .any(|e| e.contains("`hopi_query_backward_fallbacks_total` missing")));
     }
 
     #[test]
@@ -427,6 +440,7 @@ hopi_request_duration_seconds_count 1
 # TYPE hopi_deletions_total counter
 # TYPE hopi_recomputed_connections_total counter
 # TYPE hopi_maintenance_duration_seconds histogram
+# TYPE hopi_query_backward_fallbacks_total counter
 ";
         assert!(check(no_buckets)
             .unwrap_err()

@@ -10,9 +10,10 @@
 //!   join kernel;
 //! * `stats` — the observability path (`GET /stats`).
 //!
-//! Emits `BENCH_server.json` next to `BENCH_query.json`, so the HTTP
-//! layer's overhead over the in-process snapshot numbers is tracked
-//! per-PR. The smoke acceptance floor is ≥ 10k point-probe requests/s.
+//! Emits `BENCH_server.json`, so the HTTP layer's throughput is tracked
+//! per-PR (the benchmark's `query-inex` workload measures the same reads
+//! in process). The smoke acceptance floor is ≥ 10k point-probe
+//! requests/s.
 //!
 //! ```sh
 //! cargo run -p hopi-bench --release --bin server_throughput \

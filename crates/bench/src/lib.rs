@@ -64,22 +64,6 @@ pub fn flag_arg(args: &[String], name: &str) -> Option<String> {
         .and_then(|i| args.get(i + 1).cloned())
 }
 
-/// Runs `f`, recording its latency into `hist` on every 64th call
-/// (indexed by `i`). Sampling keeps the two timer reads off most
-/// iterations of sub-microsecond workloads, so the histogram reflects
-/// the operation rather than the act of measuring it; quantiles over
-/// the 1/64 sample converge to the true distribution's.
-pub fn record_sampled<T>(hist: &hopi_obs::Histogram, i: usize, f: impl FnOnce() -> T) -> T {
-    if i.is_multiple_of(64) {
-        let sw = hopi_obs::Stopwatch::start();
-        let out = f();
-        hist.record_micros(sw.elapsed_micros());
-        out
-    } else {
-        f()
-    }
-}
-
 /// The thread counts a throughput bench measures: single-threaded plus
 /// the requested count (deduplicated when they coincide).
 pub fn thread_ladder(n: usize) -> Vec<usize> {
@@ -103,8 +87,8 @@ pub fn inex_collection(scale: f64) -> Collection {
 /// Sprinkles deterministic cross-document links over a collection (about
 /// two per document) so connection probes cross documents — the
 /// generator's pure INEX has none, and the 24×7 serving scenario is about
-/// *linked* collections. Used by the `query_throughput` and
-/// `server_throughput` serving benches.
+/// *linked* collections. Used by the `server_throughput` serving bench
+/// and the benchmark's INEX workloads.
 pub fn add_cross_links(collection: &mut Collection) {
     use rand::prelude::*;
     let docs: Vec<u32> = collection.doc_ids().collect();

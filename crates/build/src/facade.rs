@@ -37,7 +37,8 @@ pub struct QueryOptions {
     /// Planner shortcut for `//` steps: at or under this many candidate
     /// probes (`|context| × |candidates|`) a step stays on pairwise
     /// reachability probes; above it the step is planned cost-based
-    /// across all four strategies (see [`hopi_query::EvalOptions`]).
+    /// across probes and the two hop joins (see
+    /// [`hopi_query::EvalOptions`]).
     pub probe_budget: usize,
     /// Keep only the best `k` results of [`Hopi::query_ranked`]
     /// (`None` = all).

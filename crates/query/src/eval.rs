@@ -6,8 +6,10 @@
 //!   `//` step is answered from the 2-hop cover by one of four physical
 //!   strategies (pairwise probes, per-node enumeration, or a forward /
 //!   backward set-at-a-time **hop join** over the inverted center rows),
-//!   chosen per step by the cost-based planner in [`crate::plan`]. All
-//!   strategies return the same sorted, deduplicated answer.
+//!   chosen per step by the cost-based planner in [`crate::plan`]; a
+//!   planned backward join runs under a touch budget and falls back to
+//!   the forward join when it runs out. All strategies return the same
+//!   sorted, deduplicated answer.
 //!
 //! Evaluation threads reusable scratch (generation-stamped mark tables,
 //! center sets, enumeration buffers) through an [`Evaluator`], so
@@ -21,8 +23,8 @@
 
 use crate::expr::{parse_path, Axis, ContentOp, ContentPredicate, ParseError, PathExpr};
 use crate::plan::{
-    plan_connection_step, plan_content_predicate, ContentPlacement, QueryPlanReport, StepReport,
-    Strategy,
+    plan_connection_step, plan_content_predicate, ContentPlacement, PlanCounts, QueryPlanReport,
+    StepPlan, StepReport, Strategy,
 };
 use crate::tag_index::TagIndex;
 use hopi_core::{HopiIndex, LabelSource};
@@ -62,7 +64,7 @@ pub struct EvalOptions {
     /// Planner shortcut: at or under this many candidate probes
     /// (`|context| × |candidates|`) a `//` step stays on pairwise
     /// reachability probes without pricing the alternatives. Above it the
-    /// step is planned cost-based across all four strategies
+    /// step is planned cost-based across probes and the two hop joins
     /// (`usize::MAX` therefore pins pairwise probes everywhere).
     pub probe_budget: usize,
     /// Pins one strategy on every `//` step (`None` = cost-based
@@ -277,8 +279,8 @@ pub struct Evaluator {
     pred_buf: Vec<ElemId>,
     /// Double-buffer for the step pipeline.
     next_buf: Vec<ElemId>,
-    /// Strategy executions of the most recent run, [`Strategy`]-indexed.
-    counts: [u64; 4],
+    /// Strategy executions and fallbacks of the most recent run.
+    counts: PlanCounts,
 }
 
 impl Evaluator {
@@ -362,8 +364,8 @@ impl Evaluator {
     /// Per-strategy `//`-step executions of the most recent run — what the
     /// serving layer folds into its shared
     /// [`PlanCounters`](crate::plan::PlanCounters).
-    pub fn strategy_counts(&self) -> crate::plan::PlanCounts {
-        crate::plan::PlanCounts::from_cells(self.counts)
+    pub fn strategy_counts(&self) -> PlanCounts {
+        self.counts
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -377,7 +379,7 @@ impl Evaluator {
         text: Option<&dyn TextSource>,
         mut report: Option<&mut QueryPlanReport>,
     ) -> Vec<ElemId> {
-        self.counts = [0; 4];
+        self.counts = PlanCounts::default();
         // Stamp tables must span every id either side can produce.
         let bound = collection.elem_id_bound().max(index.num_nodes());
         let stats = index.cover_stats();
@@ -473,7 +475,7 @@ impl Evaluator {
                     } else {
                         let lout_total: usize =
                             current.iter().map(|&u| index.lout_row(u).len()).sum();
-                        let plan = plan_connection_step(
+                        let mut plan = plan_connection_step(
                             &stats,
                             current.len(),
                             lout_total,
@@ -481,22 +483,9 @@ impl Evaluator {
                             options.probe_budget,
                             options.force_strategy,
                         );
-                        self.counts[plan.strategy.index()] += 1;
                         let sc = &mut self.scratch;
-                        match plan.strategy {
-                            Strategy::PairwiseProbe => {
-                                step_pairwise(index, &current, cands, &mut next)
-                            }
-                            Strategy::Enumerate => {
-                                step_enumerate(index, sc, bound, &current, cands, &mut next)
-                            }
-                            Strategy::ForwardHopJoin => {
-                                step_forward_hop_join(index, sc, bound, &current, cands, &mut next)
-                            }
-                            Strategy::BackwardHopJoin => {
-                                step_backward_hop_join(index, sc, bound, &current, cands, &mut next)
-                            }
-                        }
+                        connection_step(index, sc, bound, &mut plan, &current, cands, &mut next);
+                        self.counts.record(&plan);
                         Some(plan)
                     }
                 }
@@ -605,15 +594,41 @@ pub(crate) fn predicate_matches(
             }
         }
         ContentOp::About => {
-            for t in &pred.terms {
-                if let Some(p) = src.lookup(t) {
-                    out.extend_from_slice(p.elems);
-                }
+            // Posting lists are sorted, so merging them in one by one
+            // builds the union without a sort pass.
+            let mut merged = Vec::new();
+            for p in pred.terms.iter().filter_map(|t| src.lookup(t)) {
+                union_into(out, p.elems, &mut merged);
+                std::mem::swap(out, &mut merged);
             }
-            out.sort_unstable();
-            out.dedup();
         }
     }
+}
+
+/// Writes `a ∪ b` (both sorted and deduplicated) into `out`.
+fn union_into(a: &[ElemId], b: &[ElemId], out: &mut Vec<ElemId>) {
+    out.clear();
+    out.reserve(a.len() + b.len());
+    let (mut i, mut j) = (0usize, 0usize);
+    while let (Some(&x), Some(&y)) = (a.get(i), b.get(j)) {
+        match x.cmp(&y) {
+            std::cmp::Ordering::Less => {
+                out.push(x);
+                i += 1;
+            }
+            std::cmp::Ordering::Greater => {
+                out.push(y);
+                j += 1;
+            }
+            std::cmp::Ordering::Equal => {
+                out.push(x);
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    out.extend_from_slice(a.get(i..).unwrap_or_default());
+    out.extend_from_slice(b.get(j..).unwrap_or_default());
 }
 
 /// Keeps only the elements of `v` present in the sorted slice `other`
@@ -682,6 +697,36 @@ fn child_step(
     }
     out.sort_unstable();
     out.dedup();
+}
+
+/// Runs one planned `//` step into `out`. A backward join that runs out
+/// of its touch budget drops its partial rows and the forward join
+/// answers the step; `plan` then records the forward join and the
+/// fallback.
+fn connection_step<S: LabelSource>(
+    index: &S,
+    sc: &mut Scratch,
+    bound: usize,
+    plan: &mut StepPlan,
+    current: &[ElemId],
+    cands: &[ElemId],
+    out: &mut Vec<ElemId>,
+) {
+    match plan.strategy {
+        Strategy::PairwiseProbe => step_pairwise(index, current, cands, out),
+        Strategy::Enumerate => step_enumerate(index, sc, bound, current, cands, out),
+        Strategy::ForwardHopJoin => step_forward_hop_join(index, sc, bound, current, cands, out),
+        Strategy::BackwardHopJoin => {
+            let start = out.len();
+            let budget = plan.backward_budget();
+            if !step_backward_hop_join(index, sc, bound, current, cands, budget, out) {
+                out.truncate(start);
+                step_forward_hop_join(index, sc, bound, current, cands, out);
+                plan.strategy = Strategy::ForwardHopJoin;
+                plan.fell_back = true;
+            }
+        }
+    }
 }
 
 /// Pairwise probes (the paper's per-pair `LIN ⋈ LOUT` query): each
@@ -777,35 +822,71 @@ fn step_forward_hop_join<S: LabelSource>(
 /// each candidate's ancestor rows — `inv_out(t)`, and `{d} ∪ inv_out(d)`
 /// for `d ∈ Lin(t)` — for a stamped node, with early exit. Wins when the
 /// candidate side is much smaller than the forward expansion.
+///
+/// Every candidate costs one touch, plus one per holder or `Lin` entry
+/// scanned. Returns `false`, with partial rows in `out`, after the first
+/// candidate that takes the touches over `budget`; `true` once every
+/// candidate is decided.
 fn step_backward_hop_join<S: LabelSource>(
     index: &S,
     sc: &mut Scratch,
     bound: usize,
     current: &[ElemId],
     cands: &[ElemId],
+    budget: usize,
     out: &mut Vec<ElemId>,
-) {
+) -> bool {
     sc.mark.begin(bound);
     for &u in current {
         sc.mark.mark(u);
     }
+    let mark = &sc.mark;
+    let mut touches = 0usize;
     for &t in cands {
+        touches += 1;
         // Label rows never contain self entries, so holders of `t` and
         // centers in `Lin(t)` are `!= t` by construction; only the inner
         // holder lists can surface `t` itself.
-        let hit = index
-            .holders_out_row(t)
-            .iter()
-            .any(|&u| sc.mark.is_marked(u))
-            || index.lin_row(t).iter().any(|&d| {
-                sc.mark.is_marked(d)
-                    || index
-                        .holders_out_row(d)
-                        .iter()
-                        .any(|&u| u != t && sc.mark.is_marked(u))
-            });
+        let mut hit = scan(index.holders_out_row(t), &mut touches, |u| {
+            mark.is_marked(u)
+        });
+        if !hit {
+            for &d in index.lin_row(t) {
+                touches += 1;
+                if mark.is_marked(d)
+                    || scan(index.holders_out_row(d), &mut touches, |u| {
+                        u != t && mark.is_marked(u)
+                    })
+                {
+                    hit = true;
+                    break;
+                }
+            }
+        }
+        // Checked per candidate: a check per scanned row costs the
+        // unbudgeted (forced) join ~10% on the INEX script.
+        if touches > budget {
+            return false;
+        }
         if hit {
             out.push(t);
+        }
+    }
+    true
+}
+
+/// Does some entry of `row` satisfy `hit`? Adds the entries looked at —
+/// up to the first hit, or the whole row — to `touches`.
+#[inline]
+fn scan(row: &[ElemId], touches: &mut usize, hit: impl Fn(ElemId) -> bool) -> bool {
+    match row.iter().position(|&u| hit(u)) {
+        Some(i) => {
+            *touches += i + 1;
+            true
+        }
+        None => {
+            *touches += row.len();
+            false
         }
     }
 }
@@ -937,21 +1018,28 @@ mod tests {
         }
     }
 
+    /// Seeds of [`cyclic_collection`] the oracle tests run on.
+    const CYCLIC_SEEDS: [u64; 6] = [1, 2, 5, 9, 13, 21];
+
+    fn cyclic_collection(seed: u64) -> Collection {
+        random_collection(&RandomConfig {
+            num_docs: 10,
+            elements_range: (4, 9),
+            num_links: 15,
+            num_intra_links: 5,
+            allow_cycles: true,
+            text: Default::default(),
+            seed,
+        })
+    }
+
     /// All four forced strategies, the planner default, and the BFS
     /// oracle agree on random cyclic collections — mutable and frozen.
     #[test]
     fn all_strategies_agree_with_oracle_on_cyclic_collections() {
         use hopi_graph::traversal::is_reachable;
-        for seed in [1u64, 2, 5, 9, 13, 21] {
-            let c = random_collection(&RandomConfig {
-                num_docs: 10,
-                elements_range: (4, 9),
-                num_links: 15,
-                num_intra_links: 5,
-                allow_cycles: true,
-                text: Default::default(),
-                seed,
-            });
+        for seed in CYCLIC_SEEDS {
+            let c = cyclic_collection(seed);
             let (index, _) = build_index(&c, &BuildConfig::default());
             let frozen = FrozenCover::from_cover(index.cover());
             let tags = TagIndex::build(&c);
@@ -996,6 +1084,87 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The budgeted backward join, driven with every budget from 0 up to
+    /// the first that completes: each run either finishes with the forward
+    /// join's rows or reports an overrun, and the planned step answers
+    /// like BFS either way — on the mutable and the frozen cover.
+    #[test]
+    fn budgeted_backward_join_falls_back_to_exact_rows() {
+        use hopi_graph::traversal::is_reachable;
+        let mut fallbacks = 0;
+        for seed in CYCLIC_SEEDS {
+            let c = cyclic_collection(seed);
+            let (index, _) = build_index(&c, &BuildConfig::default());
+            let frozen = FrozenCover::from_cover(index.cover());
+            let tags = TagIndex::build(&c);
+            let g = c.element_graph();
+            for (from, to) in [("root", "e2"), ("e3", "e3"), ("e1", "e4"), ("*", "e1")] {
+                let mut current = Vec::new();
+                match from {
+                    "*" => wildcard_candidates(&c, &mut current),
+                    tag => current.extend_from_slice(tags.elements(tag)),
+                }
+                let cands = tags.elements(to);
+                let bfs: Vec<ElemId> = cands
+                    .iter()
+                    .copied()
+                    .filter(|&t| current.iter().any(|&u| u != t && is_reachable(&g, u, t)))
+                    .collect();
+                let what = format!("seed {seed} //{from}//{to}");
+                fallbacks += budget_sweep(&c, &index, &current, cands, &bfs, &what);
+                fallbacks += budget_sweep(&c, &frozen, &current, cands, &bfs, &what);
+            }
+        }
+        assert!(fallbacks > 0, "no budget ran out");
+    }
+
+    /// One [`budgeted_backward_join_falls_back_to_exact_rows`] sweep;
+    /// returns how many budgets ran out.
+    fn budget_sweep<S: LabelSource>(
+        c: &Collection,
+        index: &S,
+        current: &[ElemId],
+        cands: &[ElemId],
+        bfs: &[ElemId],
+        what: &str,
+    ) -> usize {
+        let bound = c.elem_id_bound().max(index.num_nodes());
+        let mut sc = Scratch::default();
+        let mut forward = Vec::new();
+        step_forward_hop_join(index, &mut sc, bound, current, cands, &mut forward);
+        assert_eq!(forward, bfs, "{what}: forward join");
+        for budget in 0.. {
+            let mut rows = Vec::new();
+            let finished =
+                step_backward_hop_join(index, &mut sc, bound, current, cands, budget, &mut rows);
+            if finished {
+                assert_eq!(rows, forward, "{what}: backward join at budget {budget}");
+            }
+            // The planned step under the same budget.
+            let mut plan = StepPlan {
+                strategy: Strategy::BackwardHopJoin,
+                costs: crate::plan::StepCosts {
+                    forward: budget as f64,
+                    ..Default::default()
+                },
+                forced: false,
+                budget_shortcut: false,
+                fell_back: false,
+            };
+            assert_eq!(plan.backward_budget(), budget);
+            let mut step = Vec::new();
+            connection_step(index, &mut sc, bound, &mut plan, current, cands, &mut step);
+            assert_eq!(step, bfs, "{what}: step at budget {budget}");
+            assert_eq!(plan.fell_back, !finished, "{what}: budget {budget}");
+            if finished {
+                assert_eq!(plan.strategy, Strategy::BackwardHopJoin);
+                return budget;
+            }
+            assert_eq!(plan.strategy, Strategy::ForwardHopJoin);
+        }
+        unreachable!("the unbounded budget finishes")
     }
 
     #[test]

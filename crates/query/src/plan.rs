@@ -9,7 +9,8 @@
 //!   sides are tiny.
 //! * **enumerate** — per-context-node descendant enumeration through the
 //!   inverted lists, marking reached nodes; revisits shared centers once
-//!   per holder.
+//!   per holder. It is the forward join without center dedup, so it is
+//!   forced only, never planned.
 //! * **forward hop join** — Cohen-style center-at-a-time evaluation: the
 //!   deduplicated center set `C = ⋃_u ({u} ∪ Lout(u))` is expanded once
 //!   through the `inv_in` holder lists, so the step is linear in total
@@ -19,16 +20,23 @@
 //!   checked against `inv_out` holder lists with early exit; wins when
 //!   the candidate side is much smaller than the forward expansion.
 //!
-//! [`plan_connection_step`] prices all four from [`CoverStats`] averages
-//! plus the exact `Σ |Lout(u)|` of the context set (O(1) per node via the
-//! CSR row lengths) and picks the cheapest. Costs are abstract
-//! row-entry-touch counts — only their *order* matters.
+//! [`plan_connection_step`] prices pairwise probes and the two hop joins
+//! from [`CoverStats`] averages plus the exact `Σ |Lout(u)|` of the
+//! context set (O(1) per node via the CSR row lengths). Costs are
+//! abstract row-entry-touch counts. Averages cannot see hub rows, so the
+//! backward join's price is a guess in either direction; the planner
+//! bounds what a wrong guess costs instead of trusting it. Unless probes
+//! are cheapest, the backward join runs under a touch budget equal to the
+//! forward estimate `F` and hands the step to the forward join when it
+//! runs out. It is skipped outright only when its price exceeds `2F`,
+//! the most a budgeted attempt can cost.
 //!
 //! Execution is observable end to end: every evaluation tallies the
-//! chosen strategies ([`PlanCounts`], aggregated into shared
-//! [`PlanCounters`] by the serving layer, surfaced via `GET /stats` and
-//! `/metrics`), and explain mode ([`QueryPlanReport`]) records sizes,
-//! estimates, and the winner per step.
+//! strategies whose rows the steps returned and the budget overruns
+//! ([`PlanCounts`], aggregated into shared [`PlanCounters`] by the
+//! serving layer, surfaced via `GET /stats` and `/metrics`), and explain
+//! mode ([`QueryPlanReport`]) records sizes, estimates, fallbacks and the
+//! strategy that answered per step.
 
 use crate::expr::{Axis, PathExpr};
 use hopi_core::CoverStats;
@@ -84,40 +92,23 @@ impl std::fmt::Display for Strategy {
     }
 }
 
-/// Estimated cost of every strategy for one step (abstract row-entry
-/// touches; comparable within a step only).
+/// A budgeted backward join wastes at most the forward estimate `F`
+/// before it falls back, so a wrong guess costs at most `2F`. A backward
+/// join priced at or under this many times `F` therefore stays within
+/// that worst case even when it scans everything it was priced for, and
+/// is worth trying; one priced above it runs the forward join directly.
+const BACKWARD_FACTOR: f64 = 2.0;
+
+/// Estimated cost of the planned strategies for one step (abstract
+/// row-entry touches; comparable within a step only).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct StepCosts {
     /// Pairwise-probe estimate.
     pub pairwise: f64,
-    /// Enumeration estimate.
-    pub enumerate: f64,
-    /// Forward-hop-join estimate.
+    /// Forward-hop-join estimate; also the backward join's touch budget.
     pub forward: f64,
-    /// Backward-hop-join estimate.
+    /// Backward-hop-join bound (early exit ignored).
     pub backward: f64,
-}
-
-impl StepCosts {
-    /// The estimate for one strategy.
-    pub fn get(&self, strategy: Strategy) -> f64 {
-        match strategy {
-            Strategy::PairwiseProbe => self.pairwise,
-            Strategy::Enumerate => self.enumerate,
-            Strategy::ForwardHopJoin => self.forward,
-            Strategy::BackwardHopJoin => self.backward,
-        }
-    }
-
-    fn cheapest(&self) -> Strategy {
-        let mut best = Strategy::PairwiseProbe;
-        for s in Strategy::ALL {
-            if self.get(s) < self.get(best) {
-                best = s;
-            }
-        }
-        best
-    }
 }
 
 /// Where a step's content predicate runs relative to its structural
@@ -159,7 +150,8 @@ pub fn plan_content_predicate(posting_estimate: usize, cand_len: usize) -> Conte
 /// The plan chosen for one `//` step, with the inputs that led to it.
 #[derive(Clone, Copy, Debug)]
 pub struct StepPlan {
-    /// The strategy that ran.
+    /// The strategy to run; once the step ran, the strategy whose rows it
+    /// returned (the forward join after a fallback).
     pub strategy: Strategy,
     /// Per-strategy estimates (meaningless when `forced`).
     pub costs: StepCosts,
@@ -168,9 +160,29 @@ pub struct StepPlan {
     /// The `probe_budget` shortcut fired (`|context| × |candidates|` under
     /// budget picks pairwise probes without pricing the alternatives).
     pub budget_shortcut: bool,
+    /// The backward join ran out of its touch budget and the forward join
+    /// answered the step.
+    pub fell_back: bool,
 }
 
-/// Prices the four strategies for one `//` step and picks the cheapest.
+impl StepPlan {
+    /// Touches the backward join may spend before it gives the step to
+    /// the forward join: the forward estimate when planned, unbounded
+    /// when forced.
+    pub(crate) fn backward_budget(&self) -> usize {
+        if self.forced {
+            usize::MAX
+        } else {
+            // Float-to-int `as` saturates, so a huge estimate stays huge.
+            self.costs.forward.ceil() as usize
+        }
+    }
+}
+
+/// Picks the strategy for one `//` step: pairwise probes when they are
+/// cheapest, otherwise a budgeted backward join, or the forward join when
+/// the backward join is priced above `2F` (see the module docs).
+/// Enumeration is never planned; only `force` selects it.
 ///
 /// * `stats` — O(1) aggregate row statistics of the cover.
 /// * `current_len` / `cand_len` — the materialized set sizes.
@@ -197,50 +209,42 @@ pub fn plan_connection_step(
     // One probe costs a signature check plus (on hits or filter misses) a
     // bounded merge of two label rows.
     let pairwise = cur * cand * (2.0 + (avg_lin + avg_lout) / 2.0);
-    // Enumeration expands every context node's centers through `inv_in`
-    // *without* cross-node center dedup, and re-sorts per node.
-    let enumerate = (cur + lout_total as f64) * (1.5 + avg_inv_in) + cand;
     // The forward join expands each distinct center once; the center set
     // is at most the summed Lout rows and at most every node.
     let centers = ((current_len + lout_total) as f64).min(stats.nodes as f64);
     let forward = cur + centers * (1.0 + avg_inv_in) + cand;
     // The backward join stamps the context set, then walks each
-    // candidate's ancestor rows (early exit ignored — a conservative
-    // upper bound).
+    // candidate's ancestor rows (early exit ignored).
     let backward = cur + cand * (2.0 + avg_lin * (1.0 + avg_inv_out) + avg_inv_out);
 
     let costs = StepCosts {
         pairwise,
-        enumerate,
         forward,
         backward,
     };
-    if let Some(strategy) = force {
-        return StepPlan {
-            strategy,
-            costs,
-            forced: true,
-            budget_shortcut: false,
-        };
-    }
-    if current_len.saturating_mul(cand_len) <= probe_budget {
-        return StepPlan {
-            strategy: Strategy::PairwiseProbe,
-            costs,
-            forced: false,
-            budget_shortcut: true,
-        };
-    }
+    let (strategy, forced, budget_shortcut) = if let Some(strategy) = force {
+        (strategy, true, false)
+    } else if current_len.saturating_mul(cand_len) <= probe_budget {
+        (Strategy::PairwiseProbe, false, true)
+    } else if pairwise <= forward.min(backward) {
+        (Strategy::PairwiseProbe, false, false)
+    } else if backward > BACKWARD_FACTOR * forward {
+        (Strategy::ForwardHopJoin, false, false)
+    } else {
+        (Strategy::BackwardHopJoin, false, false)
+    };
     StepPlan {
-        strategy: costs.cheapest(),
+        strategy,
         costs,
-        forced: false,
-        budget_shortcut: false,
+        forced,
+        budget_shortcut,
+        fell_back: false,
     }
 }
 
 /// Point-in-time per-strategy execution totals (one cell per
-/// [`Strategy`], in [`Strategy::ALL`] order semantics).
+/// [`Strategy`], in [`Strategy::ALL`] order semantics). A step counts
+/// under the strategy whose rows it returned.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PlanCounts {
     /// `//` steps executed as pairwise probes.
@@ -251,6 +255,9 @@ pub struct PlanCounts {
     pub forward_hop_join: u64,
     /// Steps executed as backward hop joins.
     pub backward_hop_join: u64,
+    /// Budgeted backward joins that ran out of touches and handed their
+    /// step to the forward join (counted there as well).
+    pub backward_fallbacks: u64,
 }
 
 impl PlanCounts {
@@ -261,12 +268,15 @@ impl PlanCounts {
 
     /// The count for one strategy.
     pub fn get(&self, strategy: Strategy) -> u64 {
-        match strategy {
-            Strategy::PairwiseProbe => self.pairwise_probe,
-            Strategy::Enumerate => self.enumerate,
-            Strategy::ForwardHopJoin => self.forward_hop_join,
-            Strategy::BackwardHopJoin => self.backward_hop_join,
-        }
+        self.cells()[strategy.index()]
+    }
+
+    /// Tallies one executed step.
+    pub(crate) fn record(&mut self, plan: &StepPlan) {
+        let mut cells = self.cells();
+        cells[plan.strategy.index()] += 1;
+        cells[FALLBACKS] += u64::from(plan.fell_back);
+        *self = PlanCounts::from_cells(cells);
     }
 
     /// `(label, count)` pairs in exposition order, for metrics renderers.
@@ -279,15 +289,30 @@ impl PlanCounts {
         ]
     }
 
-    pub(crate) fn from_cells(cells: [u64; 4]) -> Self {
+    /// The strategy cells in [`Strategy::index`] order, then the fallbacks.
+    fn cells(&self) -> [u64; 5] {
+        [
+            self.pairwise_probe,
+            self.enumerate,
+            self.forward_hop_join,
+            self.backward_hop_join,
+            self.backward_fallbacks,
+        ]
+    }
+
+    fn from_cells(cells: [u64; 5]) -> Self {
         PlanCounts {
             pairwise_probe: cells[0],
             enumerate: cells[1],
             forward_hop_join: cells[2],
             backward_hop_join: cells[3],
+            backward_fallbacks: cells[FALLBACKS],
         }
     }
 }
+
+/// Index of the fallback tally after the four strategy cells.
+const FALLBACKS: usize = 4;
 
 /// Shared, thread-safe per-strategy execution counters — the serving
 /// layer hangs one of these off the engine (behind an `Arc`) and folds
@@ -295,7 +320,7 @@ impl PlanCounts {
 /// `GET /stats` and Prometheus `/metrics` instead of only in latency.
 #[derive(Debug, Default)]
 pub struct PlanCounters {
-    cells: [AtomicU64; 4],
+    cells: [AtomicU64; 5],
 }
 
 impl PlanCounters {
@@ -312,22 +337,16 @@ impl PlanCounters {
     /// Folds one query's tallies in (relaxed atomics; scrapes may be a
     /// hair stale but never torn).
     pub fn add(&self, counts: PlanCounts) {
-        for s in Strategy::ALL {
-            let n = counts.get(s);
+        for (cell, n) in self.cells.iter().zip(counts.cells()) {
             if n != 0 {
-                self.cells[s.index()].fetch_add(n, Ordering::Relaxed);
+                cell.fetch_add(n, Ordering::Relaxed);
             }
         }
     }
 
     /// Point-in-time totals.
     pub fn counts(&self) -> PlanCounts {
-        PlanCounts::from_cells([
-            self.cells[0].load(Ordering::Relaxed),
-            self.cells[1].load(Ordering::Relaxed),
-            self.cells[2].load(Ordering::Relaxed),
-            self.cells[3].load(Ordering::Relaxed),
-        ])
+        PlanCounts::from_cells(self.cells.each_ref().map(|c| c.load(Ordering::Relaxed)))
     }
 }
 
@@ -369,13 +388,11 @@ impl QueryPlanReport {
     /// Tallies the executed strategies (what serving folds into
     /// [`PlanCounters`]).
     pub fn strategy_counts(&self) -> PlanCounts {
-        let mut cells = [0u64; 4];
-        for step in &self.steps {
-            if let Some(plan) = &step.plan {
-                cells[plan.strategy.index()] += 1;
-            }
+        let mut counts = PlanCounts::default();
+        for plan in self.steps.iter().filter_map(|s| s.plan.as_ref()) {
+            counts.record(plan);
         }
-        PlanCounts::from_cells(cells)
+        counts
     }
 
     /// Total measured wall time across all executed steps, in
@@ -413,16 +430,17 @@ impl QueryPlanReport {
                         " (forced)"
                     } else if plan.budget_shortcut {
                         " (budget)"
+                    } else if plan.fell_back {
+                        " (backward over budget)"
                     } else {
                         ""
                     };
                     out.push_str(&format!(
-                        "strategy={}{how}  context={} candidates={}  est: pairwise={:.0} enumerate={:.0} forward={:.0} backward={:.0}",
+                        "strategy={}{how}  context={} candidates={}  est: pairwise={:.0} forward={:.0} backward={:.0}",
                         plan.strategy,
                         report.input,
                         report.candidates,
                         plan.costs.pairwise,
-                        plan.costs.enumerate,
                         plan.costs.forward,
                         plan.costs.backward,
                     ));
@@ -471,7 +489,7 @@ mod tests {
         let plan = plan_connection_step(&stats(), 1_000, 3_000, 1_000, 4_096, None);
         assert!(!plan.budget_shortcut);
         assert_ne!(plan.strategy, Strategy::PairwiseProbe);
-        assert!(plan.costs.get(plan.strategy) <= plan.costs.pairwise);
+        assert!(plan.costs.forward.min(plan.costs.backward) <= plan.costs.pairwise);
     }
 
     #[test]
@@ -480,15 +498,54 @@ mod tests {
         // couple of rows; the forward expansion touches the world.
         let plan = plan_connection_step(&stats(), 900, 5_000, 2, 0, None);
         assert_eq!(plan.strategy, Strategy::BackwardHopJoin);
+        assert_eq!(plan.backward_budget(), plan.costs.forward.ceil() as usize);
     }
 
     #[test]
-    fn forward_join_beats_enumeration() {
-        // Same shape, but enumeration revisits shared centers; the
-        // forward join's dedup makes it at most as expensive.
-        let plan = plan_connection_step(&stats(), 500, 10_000, 5_000, 0, None);
-        assert!(plan.costs.forward <= plan.costs.enumerate);
+    fn backward_is_skipped_only_above_twice_the_forward_estimate() {
+        // Small context, many candidates: the backward bound is far above
+        // 2F, so the forward join runs without a budgeted attempt.
+        let plan = plan_connection_step(&stats(), 500, 1_000, 5_000, 0, None);
+        assert!(plan.costs.backward > BACKWARD_FACTOR * plan.costs.forward);
         assert_eq!(plan.strategy, Strategy::ForwardHopJoin);
+        // A backward bound above F but within 2F still gets its try.
+        let plan = plan_connection_step(&stats(), 200, 100, 110, 0, None);
+        assert!(plan.costs.backward > plan.costs.forward);
+        assert!(plan.costs.backward <= BACKWARD_FACTOR * plan.costs.forward);
+        assert_eq!(plan.strategy, Strategy::BackwardHopJoin);
+    }
+
+    #[test]
+    fn fig_article_on_the_inex_cover_runs_a_hop_join() {
+        // `//fig//article` on the benchmark's INEX snapshot: enumeration
+        // was priced just under the forward join here and ran ~100× slower.
+        let inex = CoverStats {
+            nodes: 12_218,
+            lin_entries: 39_294,
+            lout_entries: 15_305,
+        };
+        let plan = plan_connection_step(&inex, 249, 100, 387, 4_096, None);
+        assert!(
+            matches!(
+                plan.strategy,
+                Strategy::ForwardHopJoin | Strategy::BackwardHopJoin
+            ),
+            "{plan:?}"
+        );
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn no_unforced_plan_enumerates(
+            (nodes, lin, lout) in (1usize..20_000, 0usize..80_000, 0usize..80_000),
+            (current, lout_total, cand, probe_budget) in
+                (1usize..20_000, 0usize..80_000, 1usize..20_000, 0usize..10_000),
+        ) {
+            let stats = CoverStats { nodes, lin_entries: lin, lout_entries: lout };
+            let plan = plan_connection_step(&stats, current, lout_total, cand, probe_budget, None);
+            proptest::prop_assert_ne!(plan.strategy, Strategy::Enumerate);
+            proptest::prop_assert!(!plan.forced && !plan.fell_back);
+        }
     }
 
     #[test]
@@ -507,11 +564,13 @@ mod tests {
             enumerate: 0,
             forward_hop_join: 1,
             backward_hop_join: 3,
+            backward_fallbacks: 1,
         });
         let counts = counters.counts();
         assert_eq!(counts.pairwise_probe, 2);
         assert_eq!(counts.forward_hop_join, 2);
         assert_eq!(counts.backward_hop_join, 3);
+        assert_eq!(counts.backward_fallbacks, 1);
         assert_eq!(counts.total(), 7);
         assert_eq!(counts.as_labeled()[2], ("forward_hop_join", 2));
     }
@@ -537,7 +596,11 @@ mod tests {
                     input: 3,
                     candidates: 9,
                     output: 2,
-                    plan: Some(plan_connection_step(&stats(), 3, 4, 9, 0, None)),
+                    plan: Some(StepPlan {
+                        strategy: Strategy::ForwardHopJoin,
+                        fell_back: true,
+                        ..plan_connection_step(&stats(), 3, 4, 9, 0, None)
+                    }),
                     content: Some(ContentPlacement::PreFilter),
                     elapsed_us: 30,
                 },
@@ -546,12 +609,18 @@ mod tests {
         let text = report.render(&expr);
         assert!(text.contains("step 0"), "{text}");
         assert!(text.contains("//b"), "{text}");
-        assert!(text.contains("strategy="), "{text}");
+        assert!(
+            text.contains("strategy=forward_hop_join (backward over budget)"),
+            "{text}"
+        );
+        assert!(!text.contains("enumerate="), "{text}");
         assert!(text.contains("content=pre_filter"), "{text}");
         assert!(text.contains("rows: 3 -> 2"), "{text}");
         assert!(text.contains("time=30µs"), "{text}");
         assert!(text.contains("total time=42µs"), "{text}");
-        assert_eq!(report.strategy_counts().total(), 1);
+        let counts = report.strategy_counts();
+        assert_eq!((counts.total(), counts.forward_hop_join), (1, 1));
+        assert_eq!(counts.backward_fallbacks, 1);
         assert_eq!(report.total_elapsed_us(), 42);
     }
 

@@ -11,7 +11,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use hopi_build::{MaintenanceStats, PublishTotals, WalHistograms};
+use hopi_build::{MaintenanceStats, PlanCounts, PublishTotals, WalHistograms};
 use hopi_obs::{Histogram, HistogramSnapshot, StageRegistry};
 
 /// The fixed endpoint universe (one counter cell each; unknown paths land
@@ -348,11 +348,16 @@ impl Metrics {
             self.shed.load(Ordering::Relaxed)
         ));
         out.push_str("# TYPE hopi_query_plan_total counter\n");
-        for (label, count) in ctx.plan {
+        for (label, count) in ctx.plan.as_labeled() {
             out.push_str(&format!(
                 "hopi_query_plan_total{{strategy=\"{label}\"}} {count}\n"
             ));
         }
+        out.push_str("# TYPE hopi_query_backward_fallbacks_total counter\n");
+        out.push_str(&format!(
+            "hopi_query_backward_fallbacks_total {}\n",
+            ctx.plan.backward_fallbacks
+        ));
         out.push_str("# TYPE hopi_rebuild_phase_ms gauge\n");
         for (phase, ms) in ctx.build_phases {
             out.push_str(&format!(
@@ -397,8 +402,9 @@ pub struct RenderContext<'a> {
     pub uptime: Duration,
     /// Worker threads serving connections.
     pub workers: usize,
-    /// Per-strategy `//`-step execution totals, `(strategy, count)`.
-    pub plan: &'a [(&'static str, u64)],
+    /// `//`-step execution totals per strategy whose rows a step
+    /// returned, and the backward joins that fell back.
+    pub plan: PlanCounts,
     /// Term-index sizes from the current snapshot.
     pub text: TextGauges,
     /// Wall time per phase of the build behind the current snapshot,
@@ -468,7 +474,12 @@ mod tests {
             epoch: 7,
             uptime: Duration::from_secs(2),
             workers: 4,
-            plan: &[("forward_hop_join", 9), ("pairwise_probe", 1)],
+            plan: PlanCounts {
+                forward_hop_join: 9,
+                pairwise_probe: 1,
+                backward_fallbacks: 2,
+                ..Default::default()
+            },
             text: TextGauges {
                 vocabulary: 12,
                 postings: 30,
@@ -527,6 +538,7 @@ mod tests {
         );
         assert!(text.contains("hopi_stage_duration_seconds_count{stage=\"eval\"} 1"));
         assert!(text.contains("hopi_query_plan_total{strategy=\"forward_hop_join\"} 9"));
+        assert!(text.contains("hopi_query_backward_fallbacks_total 2"));
         assert!(text.contains("hopi_rebuild_phase_ms{phase=\"partition\"} 3"));
         assert!(text.contains("hopi_text_vocabulary 12"));
         assert!(text.contains("hopi_text_postings 30"));

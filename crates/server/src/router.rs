@@ -204,6 +204,7 @@ fn stats(state: &AppState) -> Response {
         w.field_u64(label, count);
     }
     w.field_u64("total", s.plan.total());
+    w.field_u64("backward_fallbacks", s.plan.backward_fallbacks);
     w.close_obj();
     // Build-phase wall times behind the current snapshot.
     w.field_obj("build_ms");
@@ -292,7 +293,7 @@ fn metrics(state: &AppState) -> Response {
         epoch: state.engine.epoch(),
         uptime: state.started.elapsed(),
         workers: state.workers,
-        plan: &s.plan.as_labeled(),
+        plan: s.plan,
         text: crate::metrics::TextGauges {
             vocabulary: s.text_vocabulary as u64,
             postings: s.text_postings as u64,

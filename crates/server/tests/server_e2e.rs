@@ -145,6 +145,8 @@ fn read_endpoints_answer_from_one_snapshot() {
         plan.get("total").and_then(Json::as_u64).unwrap() > 0,
         "plan counters tally executed steps"
     );
+    let fallbacks = plan.get("backward_fallbacks").and_then(Json::as_u64);
+    assert!(fallbacks.is_some(), "budget overruns in /stats");
     // Term-index footprint in /stats: three distinct terms in one element.
     let text = stats.get("text").expect("text object in /stats");
     assert_eq!(text.get("vocabulary").and_then(Json::as_u64), Some(3));
@@ -163,6 +165,14 @@ fn read_endpoints_answer_from_one_snapshot() {
         metrics
             .body
             .contains("hopi_query_plan_total{strategy=\"pairwise_probe\"}"),
+        "{}",
+        metrics.body
+    );
+    assert!(
+        metrics.body.contains(&format!(
+            "hopi_query_backward_fallbacks_total {}\n",
+            fallbacks.unwrap_or_default()
+        )),
         "{}",
         metrics.body
     );

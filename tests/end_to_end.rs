@@ -75,6 +75,92 @@ fn random_cyclic_collections_all_configs() {
     }
 }
 
+/// `//`-only path expressions evaluated by brute force over the closure:
+/// each step keeps the candidates some *other* context node reaches.
+fn bfs_path(c: &Collection, tc: &TransitiveClosure, expr: &str) -> Vec<ElemId> {
+    let tagged = |tag: &str| -> Vec<ElemId> {
+        let mut out = Vec::new();
+        for d in c.doc_ids() {
+            let doc = c.document(d).expect("live document");
+            for (local, e) in doc.elements() {
+                if tag == "*" || e.tag == tag {
+                    out.push(c.global_id(d, local));
+                }
+            }
+        }
+        out.sort_unstable();
+        out
+    };
+    let mut tags = expr.split("//").skip(1);
+    let mut current = tagged(tags.next().expect("a seed step"));
+    for tag in tags {
+        current = tagged(tag)
+            .into_iter()
+            .filter(|&t| current.iter().any(|&u| u != t && tc.contains(u, t)))
+            .collect();
+    }
+    current
+}
+
+#[test]
+fn planner_default_queries_match_bfs_and_fall_back_on_a_hub() {
+    let mut fallbacks = 0;
+    for seed in [3u64, 11, 29] {
+        let mut c = random_collection(&RandomConfig {
+            num_docs: 10,
+            elements_range: (2, 7),
+            num_links: 18,
+            num_intra_links: 6,
+            allow_cycles: true,
+            seed,
+            text: Default::default(),
+        });
+        // Every random element links into a hub document, so the hub's
+        // leaves have long ancestor rows. A document of `lonely` elements
+        // reaches nothing beyond itself: `//lonely//leaf` prices the
+        // backward join from averages, but every leaf misses and scans
+        // its whole ancestor rows, which overruns the budget.
+        let mut hub = XmlDocument::new("hub", "hub");
+        for _ in 0..8 {
+            hub.add_element(0, "leaf");
+        }
+        let random_docs: Vec<DocId> = c.doc_ids().collect();
+        let hub_id = c.add_document(hub);
+        let hub_root = c.global_id(hub_id, 0);
+        for d in random_docs {
+            let len = c.document(d).expect("live document").len() as u32;
+            for local in 0..len {
+                c.add_link(c.global_id(d, local), hub_root);
+            }
+        }
+        let mut lonely = XmlDocument::new("lonely", "lonely");
+        for _ in 0..40 {
+            lonely.add_element(0, "lonely");
+        }
+        c.add_document(lonely);
+
+        let tc = TransitiveClosure::from_graph(&c.element_graph());
+        // Probe budget 0: every step is planned, none shortcut to probes.
+        let hopi = Hopi::builder().probe_budget(0).build(c).unwrap();
+        let before = hopi.plan_counts().backward_fallbacks;
+        for expr in [
+            "//lonely//leaf",
+            "//lonely//*",
+            "//root//leaf",
+            "//*//leaf",
+            "//e1//e4",
+            "//e3//e3",
+            "//root//e2//leaf",
+            "//*//e1//*",
+        ] {
+            let want = bfs_path(hopi.collection(), &tc, expr);
+            assert_eq!(hopi.query(expr).unwrap(), want, "seed {seed} {expr}");
+        }
+        fallbacks += hopi.plan_counts().backward_fallbacks - before;
+    }
+    assert!(fallbacks > 0, "no backward join ran out of budget");
+}
+
 #[test]
 fn inex_like_tree_collection() {
     // No links: every configuration degenerates to per-partition covers.
