@@ -12,7 +12,7 @@
 //! descendants of `x` *under the current cover*" while mutating labels, so
 //! the index is maintained eagerly on every label edit.
 
-use rustc_hash::FxHashSet;
+use crate::source::LabelSource;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Node identifier (matches `hopi_graph::NodeId`).
@@ -319,40 +319,15 @@ impl TwoHopCover {
         sorted_intersects(self.lout(u), self.lin(v))
     }
 
-    /// All descendants of `u` under the cover (including `u`), sorted.
+    /// All descendants of `u` under the cover (including `u`), sorted; the
+    /// enumeration kernel of [`LabelSource::descendants_into`].
     pub fn descendants(&self, u: NodeId) -> Vec<NodeId> {
-        let mut out: FxHashSet<NodeId> = FxHashSet::default();
-        out.insert(u);
-        for &y in self.holders_in(u) {
-            out.insert(y);
-        }
-        for &c in self.lout(u) {
-            out.insert(c);
-            for &y in self.holders_in(c) {
-                out.insert(y);
-            }
-        }
-        let mut v: Vec<NodeId> = out.into_iter().collect();
-        v.sort_unstable();
-        v
+        LabelSource::descendants(self, u)
     }
 
     /// All ancestors of `u` under the cover (including `u`), sorted.
     pub fn ancestors(&self, u: NodeId) -> Vec<NodeId> {
-        let mut out: FxHashSet<NodeId> = FxHashSet::default();
-        out.insert(u);
-        for &x in self.holders_out(u) {
-            out.insert(x);
-        }
-        for &c in self.lin(u) {
-            out.insert(c);
-            for &x in self.holders_out(c) {
-                out.insert(x);
-            }
-        }
-        let mut v: Vec<NodeId> = out.into_iter().collect();
-        v.sort_unstable();
-        v
+        LabelSource::ancestors(self, u)
     }
 
     /// Merges `other` whose node ids are *local*, translating them through

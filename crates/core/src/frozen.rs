@@ -2,15 +2,14 @@
 //! form.
 //!
 //! The mutable [`TwoHopCover`] keeps one heap `Vec` per node and per
-//! inverted-center row; every query chases pointers and descendant
-//! enumeration allocates a hash set. A [`FrozenCover`] freezes the same
-//! labels into **one contiguous buffer** with four offset tables (`Lin`,
-//! `Lout` and both inverted directions), so:
+//! inverted-center row; every query chases pointers. A [`FrozenCover`]
+//! freezes the same labels into **one contiguous buffer** with four offset
+//! tables (`Lin`, `Lout` and both inverted directions), so:
 //!
 //! * `connected`/`distance` are allocation-free sorted-merge scans over
 //!   contiguous rows,
-//! * `descendants`/`ancestors` walk contiguous holder lists (no hashing;
-//!   caller-supplied buffers via the `_into` variants),
+//! * `descendants`/`ancestors` walk contiguous holder lists (the shared
+//!   enumeration kernel; caller-supplied buffers via the `_into` variants),
 //! * [`FrozenCover::connected_many`] batches §3.4-style `LIN ⋈ LOUT` join
 //!   probes, amortizing row lookups across a probe set.
 //!
@@ -549,71 +548,27 @@ impl FrozenCover {
         best
     }
 
-    /// Iterates the descendant closure of `u` (including `u`) **with
-    /// duplicates** — the raw union of the holder lists of `u` and of every
-    /// center in `Lout(u)`. Feed it through
-    /// [`FrozenCover::descendants_into`] (or collect + sort + dedup) for
-    /// the set.
-    pub fn descendants_unmerged(&self, u: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        std::iter::once(u)
-            .chain(self.holders_in(u).iter().copied())
-            .chain(
-                self.lout(u).iter().flat_map(move |&c| {
-                    std::iter::once(c).chain(self.holders_in(c).iter().copied())
-                }),
-            )
-    }
-
-    /// Iterates the ancestor closure of `u` (including `u`) with
-    /// duplicates; mirror of [`FrozenCover::descendants_unmerged`].
-    pub fn ancestors_unmerged(&self, u: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        std::iter::once(u)
-            .chain(self.holders_out(u).iter().copied())
-            .chain(
-                self.lin(u).iter().flat_map(move |&c| {
-                    std::iter::once(c).chain(self.holders_out(c).iter().copied())
-                }),
-            )
-    }
-
     /// All descendants of `u` (including `u`), sorted + deduped into the
-    /// caller's buffer (no hashing; reuse the buffer across calls).
+    /// caller's buffer (reuse the buffer across calls); the enumeration
+    /// kernel of [`LabelSource::descendants_into`].
     pub fn descendants_into(&self, u: NodeId, out: &mut Vec<NodeId>) {
-        out.clear();
-        if u as usize >= self.n {
-            out.push(u);
-            return;
-        }
-        out.extend(self.descendants_unmerged(u));
-        out.sort_unstable();
-        out.dedup();
+        LabelSource::descendants_into(self, u, out)
     }
 
     /// All ancestors of `u` (including `u`), sorted + deduped into the
     /// caller's buffer.
     pub fn ancestors_into(&self, u: NodeId, out: &mut Vec<NodeId>) {
-        out.clear();
-        if u as usize >= self.n {
-            out.push(u);
-            return;
-        }
-        out.extend(self.ancestors_unmerged(u));
-        out.sort_unstable();
-        out.dedup();
+        LabelSource::ancestors_into(self, u, out)
     }
 
     /// All descendants of `u` (including `u`), sorted.
     pub fn descendants(&self, u: NodeId) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        self.descendants_into(u, &mut out);
-        out
+        LabelSource::descendants(self, u)
     }
 
     /// All ancestors of `u` (including `u`), sorted.
     pub fn ancestors(&self, u: NodeId) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        self.ancestors_into(u, &mut out);
-        out
+        LabelSource::ancestors(self, u)
     }
 
     /// Rebuilds the mutable cover (no re-sorting: rows are stored sorted).
@@ -681,22 +636,6 @@ impl LabelSource for FrozenCover {
             lin_entries: self.lin.off[self.n] as usize,
             lout_entries: (self.lout.off[self.n] - self.lin.off[self.n]) as usize,
         }
-    }
-
-    fn descendants(&self, u: NodeId) -> Vec<NodeId> {
-        FrozenCover::descendants(self, u)
-    }
-
-    fn ancestors(&self, u: NodeId) -> Vec<NodeId> {
-        FrozenCover::ancestors(self, u)
-    }
-
-    fn descendants_into(&self, u: NodeId, out: &mut Vec<NodeId>) {
-        FrozenCover::descendants_into(self, u, out)
-    }
-
-    fn ancestors_into(&self, u: NodeId, out: &mut Vec<NodeId>) {
-        FrozenCover::ancestors_into(self, u, out)
     }
 }
 
@@ -879,15 +818,17 @@ mod tests {
     }
 
     #[test]
-    fn unmerged_iterators_cover_the_set() {
+    fn marking_half_covers_the_set() {
         let (live, _) = random_cover(9, 18, 45);
         let frozen = FrozenCover::from_cover(&live);
         for u in 0..18 {
-            let mut v: Vec<u32> = frozen.descendants_unmerged(u).collect();
+            let mut v = Vec::new();
+            frozen.mark_descendants(u, |x| v.push(x));
             v.sort_unstable();
             v.dedup();
             assert_eq!(v, live.descendants(u));
-            let mut a: Vec<u32> = frozen.ancestors_unmerged(u).collect();
+            let mut a = Vec::new();
+            frozen.mark_ancestors(u, |x| a.push(x));
             a.sort_unstable();
             a.dedup();
             assert_eq!(a, live.ancestors(u));

@@ -28,7 +28,9 @@
 //!   read-dominated serving path: contiguous label/holder rows,
 //!   allocation-free probes, batched `connected_many`.
 //! * [`source::LabelSource`] — the query interface shared by the mutable
-//!   and frozen representations (path evaluation is written against it).
+//!   and frozen representations (path evaluation is written against it),
+//!   with the one descendant/ancestor enumeration kernel both use
+//!   ([`source::union_into`]).
 //! * [`old_join`] — the §3.3 single-link cover-integration primitive of the
 //!   incremental (baseline) cover join.
 //!

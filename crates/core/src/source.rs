@@ -102,32 +102,37 @@ pub trait LabelSource {
 
     /// All descendants of `u` (including `u`), sorted + deduped into the
     /// caller's buffer — reuse the buffer across calls to keep enumeration
-    /// allocation-free. The default expands `{u} ∪ Lout(u)` through the
-    /// inverted `inv_in` lists.
+    /// allocation-free. Expands `{u} ∪ Lout(u)` through the inverted
+    /// `inv_in` lists with the enumeration kernel ([`union_into`]).
     fn descendants_into(&self, u: NodeId, out: &mut Vec<NodeId>) {
-        out.clear();
-        out.push(u);
-        out.extend_from_slice(self.holders_in_row(u));
-        for &c in self.lout_row(u) {
-            out.push(c);
-            out.extend_from_slice(self.holders_in_row(c));
-        }
-        out.sort_unstable();
-        out.dedup();
+        let holders = |c| self.holders_in_row(c);
+        union_into(self.num_nodes(), u, self.lout_row(u), holders, out);
     }
 
     /// All ancestors of `u` (including `u`), sorted + deduped into the
     /// caller's buffer; mirror of [`LabelSource::descendants_into`].
     fn ancestors_into(&self, u: NodeId, out: &mut Vec<NodeId>) {
-        out.clear();
-        out.push(u);
-        out.extend_from_slice(self.holders_out_row(u));
-        for &c in self.lin_row(u) {
-            out.push(c);
-            out.extend_from_slice(self.holders_out_row(c));
-        }
-        out.sort_unstable();
-        out.dedup();
+        let holders = |c| self.holders_out_row(c);
+        union_into(self.num_nodes(), u, self.lin_row(u), holders, out);
+    }
+
+    /// Calls `mark` on every descendant of `u` (including `u`), possibly
+    /// more than once each — the marking half of the kernel, for callers
+    /// that collect into a set of their own.
+    fn mark_descendants(&self, u: NodeId, mark: impl FnMut(NodeId))
+    where
+        Self: Sized,
+    {
+        stream_union(u, self.lout_row(u), |c| self.holders_in_row(c), mark);
+    }
+
+    /// Calls `mark` on every ancestor of `u` (including `u`), possibly more
+    /// than once each; mirror of [`LabelSource::mark_descendants`].
+    fn mark_ancestors(&self, u: NodeId, mark: impl FnMut(NodeId))
+    where
+        Self: Sized,
+    {
+        stream_union(u, self.lin_row(u), |c| self.holders_out_row(c), mark);
     }
 
     /// Is any source connected to `target`, excluding the reflexive
@@ -138,6 +143,79 @@ pub trait LabelSource {
             .iter()
             .any(|&u| u != target && self.connected(u, target))
     }
+}
+
+/// The dense side of the kernel's switch: a union of at most `m` streamed
+/// ids over `n` nodes runs through an `⌈n/32⌉`-word bitmap when that is at
+/// most `DENSE_WORDS_PER_ID · m` words, through sort + dedup otherwise.
+const DENSE_WORDS_PER_ID: usize = 4;
+
+/// Streams the union [`union_into`] collects into `mark`, duplicates
+/// included.
+fn stream_union<'a>(
+    u: NodeId,
+    label: &'a [NodeId],
+    holders: impl Fn(NodeId) -> &'a [NodeId],
+    mut mark: impl FnMut(NodeId),
+) {
+    mark(u);
+    holders(u).iter().for_each(|&x| mark(x));
+    for &c in label {
+        mark(c);
+        holders(c).iter().for_each(|&x| mark(x));
+    }
+}
+
+/// The enumeration kernel: the 2-hop union `{u} ∪ H(u) ∪ ⋃_{c∈L(u)} ({c} ∪
+/// H(c))` over `n` nodes, sorted and deduplicated into `out` (ids `u ≥ n`
+/// have empty rows: `[u]`). `L` is `Lout` and `H` the `inv_in` rows for
+/// descendants, `Lin` and `inv_out` for ancestors; holder rows may be
+/// unsorted.
+///
+/// Output-sensitive. The union streams at most `m = 1 + |L(u)| + |H(u)| +
+/// Σ_c |H(c)|` ids, read off the row lengths. When the `⌈n/32⌉` bitmap
+/// words cost at most `4·m`, `out`'s first words serve as the bitmap: one
+/// bit per streamed id, then a word scan appends the set ids in ascending
+/// order and the words are drained. Otherwise the stream is pushed,
+/// sorted and deduplicated. Both sides give the same sorted set; neither
+/// allocates once `out` has grown.
+pub fn union_into<'a>(
+    n: usize,
+    u: NodeId,
+    label: &'a [NodeId],
+    holders: impl Fn(NodeId) -> &'a [NodeId],
+    out: &mut Vec<NodeId>,
+) {
+    out.clear();
+    if u as usize >= n {
+        out.push(u);
+        return;
+    }
+    let held: usize = label.iter().map(|&c| holders(c).len()).sum();
+    let streamed = 1 + label.len() + holders(u).len() + held;
+    let words = n.div_ceil(32);
+    if words > DENSE_WORDS_PER_ID * streamed {
+        out.reserve(streamed);
+        stream_union(u, label, &holders, |x| out.push(x));
+        out.sort_unstable();
+        out.dedup();
+        return;
+    }
+    out.reserve(words + streamed.min(n));
+    out.resize(words, 0);
+    stream_union(u, label, &holders, |x| {
+        if let Some(word) = out.get_mut(x as usize / 32) {
+            *word |= 1 << (x % 32);
+        }
+    });
+    for i in 0..words {
+        let mut bits = out.get(i).copied().unwrap_or(0);
+        while bits != 0 {
+            out.push(i as NodeId * 32 + bits.trailing_zeros());
+            bits &= bits - 1;
+        }
+    }
+    out.drain(..words);
 }
 
 impl LabelSource for crate::TwoHopCover {
@@ -172,14 +250,6 @@ impl LabelSource for crate::TwoHopCover {
             lout_entries: self.lout_entry_count(),
         }
     }
-
-    fn descendants(&self, u: NodeId) -> Vec<NodeId> {
-        crate::TwoHopCover::descendants(self, u)
-    }
-
-    fn ancestors(&self, u: NodeId) -> Vec<NodeId> {
-        crate::TwoHopCover::ancestors(self, u)
-    }
 }
 
 impl LabelSource for crate::HopiIndex {
@@ -209,14 +279,6 @@ impl LabelSource for crate::HopiIndex {
 
     fn cover_stats(&self) -> CoverStats {
         self.cover().cover_stats()
-    }
-
-    fn descendants(&self, u: NodeId) -> Vec<NodeId> {
-        crate::HopiIndex::descendants(self, u)
-    }
-
-    fn ancestors(&self, u: NodeId) -> Vec<NodeId> {
-        crate::HopiIndex::ancestors(self, u)
     }
 }
 

@@ -28,7 +28,7 @@
 //! link.
 
 use hopi_core::HopiIndex;
-use hopi_core::{CoverBuilder, TwoHopCover};
+use hopi_core::{CoverBuilder, LabelSource, TwoHopCover};
 use hopi_graph::closure::region_closure;
 use hopi_graph::{traversal, FixedBitSet, TransitiveClosure};
 use hopi_xml::{Collection, DocId, ElemId};
@@ -242,11 +242,15 @@ fn delete_general_impl(
     let cover = index.cover_mut();
     let mut a_di = FixedBitSet::new(cover.num_nodes());
     let mut d_di = FixedBitSet::new(cover.num_nodes());
-    for a in from_region.iter().flat_map(|&e| cover.ancestors(e)) {
-        a_di.insert(a);
+    for &e in from_region {
+        cover.mark_ancestors(e, |a| {
+            a_di.insert(a);
+        });
     }
-    for d in into_region.iter().flat_map(|&e| cover.descendants(e)) {
-        d_di.insert(d);
+    for &e in into_region {
+        cover.mark_descendants(e, |d| {
+            d_di.insert(d);
+        });
     }
 
     // Structural removal, then the surviving graph G'.

@@ -429,6 +429,9 @@ fn neighborhood(state: &AppState, req: &Request, ancestors: bool) -> Response {
         Err(e) => return Response::error(400, &e),
     };
     let snap = state.engine.snapshot();
+    if snap.collection().doc_of(u).is_none() {
+        return engine_error(&HopiError::UnknownElement(u));
+    }
     let elements = if ancestors {
         snap.ancestors(u)
     } else {

@@ -360,8 +360,20 @@ fn malformed_requests_get_4xx_not_hangs() {
     }
 
     let mut c = Client::connect(addr).unwrap();
+    // A document that comes and goes: its element id 4 is no longer live.
+    for (method, path, body) in [
+        ("POST", "/documents?name=gone", "<r/>"),
+        ("DELETE", "/documents/2", ""),
+    ] {
+        let resp = c.request(method, path, body).unwrap();
+        assert_eq!(resp.status, 200, "{method} {path}: {}", resp.body);
+    }
     for (method, path, body, want) in [
         ("GET", "/nope", "", 404),
+        ("GET", "/descendants?u=99", "", 404), // past the collection
+        ("GET", "/ancestors?u=99", "", 404),
+        ("GET", "/descendants?u=4", "", 404), // deleted with its document
+        ("GET", "/ancestors?u=4", "", 404),
         ("PATCH", "/connected", "", 405),
         ("POST", "/healthz", "", 405),
         ("GET", "/connected?u=0", "", 400),        // missing v

@@ -3,6 +3,7 @@
 //! persisted-store round trip, maintain it incrementally — always checked
 //! against a freshly computed transitive-closure oracle.
 
+use hopi::graph::traversal::{reachable_from, reaching_to};
 use hopi::graph::TransitiveClosure;
 use hopi::prelude::*;
 use hopi::xml::generator::{dblp, inex, random_collection, DblpConfig, InexConfig, RandomConfig};
@@ -73,6 +74,50 @@ fn random_cyclic_collections_all_configs() {
             oracle_check(&hopi);
         }
     }
+}
+
+/// Every live element's descendant and ancestor sets, from the live cover
+/// and from a frozen snapshot, against BFS over the element graph.
+fn enumeration_check(hopi: &Hopi) {
+    let g = hopi.collection().element_graph();
+    let snap = hopi.snapshot();
+    for u in g.nodes() {
+        let desc: Vec<ElemId> = reachable_from(&g, u).iter().collect();
+        let anc: Vec<ElemId> = reaching_to(&g, u).iter().collect();
+        assert_eq!(hopi.descendants(u), desc, "descendants of {u}");
+        assert_eq!(snap.descendants(u), desc, "frozen descendants of {u}");
+        assert_eq!(hopi.ancestors(u), anc, "ancestors of {u}");
+        assert_eq!(snap.ancestors(u), anc, "frozen ancestors of {u}");
+    }
+}
+
+#[test]
+fn enumerations_match_bfs_before_and_after_a_theorem3_delete() {
+    let mut general = 0;
+    for seed in [5u64, 17] {
+        // ~180 elements: 6 bitmap words, so short unions take the sort
+        // side of the enumeration kernel and long ones the bitmap.
+        let c = random_collection(&RandomConfig {
+            num_docs: 40,
+            elements_range: (2, 7),
+            num_links: 70,
+            num_intra_links: 10,
+            allow_cycles: true,
+            seed,
+            text: Default::default(),
+        });
+        let mut hopi = Hopi::builder().build(c).unwrap();
+        enumeration_check(&hopi);
+        let docs: Vec<DocId> = hopi.collection().doc_ids().collect();
+        for d in docs.into_iter().step_by(7) {
+            let outcome = hopi.delete_document(d).unwrap();
+            if outcome.algorithm == DeletionAlgorithm::General {
+                general += 1;
+                enumeration_check(&hopi);
+            }
+        }
+    }
+    assert!(general > 0, "no document took the Theorem 3 path");
 }
 
 /// `//`-only path expressions evaluated by brute force over the closure:
