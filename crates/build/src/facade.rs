@@ -623,8 +623,8 @@ impl Hopi {
 
     /// Parses one XML document and resolves its `href` references against
     /// the collection, without inserting anything — the validation half of
-    /// [`Hopi::insert_xml`]. The durable write path uses this to build the
-    /// WAL record before applying the insertion.
+    /// [`Hopi::insert_xml`] — how a record for
+    /// [`crate::OnlineHopi::apply`] is built from XML text.
     pub fn prepare_xml(
         &self,
         name: &str,
@@ -715,11 +715,12 @@ impl Hopi {
     }
 
     /// Applies one mutation record through the same method the original
-    /// mutation ran — the one replay path, shared by WAL recovery and a
-    /// background rebuild's catch-up. Replaying the records of a
-    /// collection's mutations in order onto a copy of that collection
-    /// reproduces it exactly: tombstoned slots are kept, so every inserted
-    /// document gets the document and element ids it got the first time.
+    /// mutation ran — the one replay path, shared by WAL recovery, a
+    /// background rebuild's catch-up and `OnlineHopi::apply`. Replaying
+    /// the records of a collection's mutations in order onto a copy of
+    /// that collection reproduces it exactly: tombstoned slots are kept,
+    /// so every inserted document gets the document and element ids it
+    /// got the first time.
     pub(crate) fn replay_record(&mut self, rec: WalRecord) -> Result<(), HopiError> {
         match rec {
             WalRecord::InsertLink { from, to } => self.insert_link(from, to).map(|_| ()),

@@ -72,9 +72,11 @@ pub use snapshot::{
 
 // The WAL sync policy, on-disk format version, and the pluggable I/O
 // backend (StdVfs in production, FaultVfs under fault injection) are
-// part of the durable-open surface.
+// part of the durable-open surface; the mutation record is what
+// [`OnlineHopi::apply`] takes.
 pub use hopi_store::{
-    FaultKind, FaultOp, FaultOpKind, FaultVfs, StdVfs, SyncPolicy, Vfs, STORE_FORMAT_VERSION,
+    FaultKind, FaultOp, FaultOpKind, FaultVfs, StdVfs, SyncPolicy, Vfs, WalRecord,
+    STORE_FORMAT_VERSION,
 };
 
 // Query-plan observability: the per-`//`-step strategy, counters, and

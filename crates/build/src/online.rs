@@ -110,8 +110,6 @@ struct Window {
     /// Index into [`CatchUp::log`] of the first record its rebuild did not
     /// see.
     start: usize,
-    /// Cleared by `update_batch`, whose closure leaves no record.
-    replayable: bool,
 }
 
 impl CatchUp {
@@ -121,43 +119,30 @@ impl CatchUp {
         self.windows.push(Window {
             id,
             start: self.log.len(),
-            replayable: true,
         });
         id
     }
 
-    fn is_recording(&self) -> bool {
-        !self.windows.is_empty()
-    }
-
     fn push(&mut self, rec: WalRecord) {
-        if self.is_recording() {
+        if !self.windows.is_empty() {
             self.log.push(rec);
         }
     }
 
-    fn mark_unreplayable(&mut self) {
-        for w in &mut self.windows {
-            w.replayable = false;
-        }
-    }
-
-    /// Closes window `id`: the records its rebuild must replay, or `None`
-    /// when it cannot catch up by replay. Drops the records no open window
-    /// needs any more.
+    /// Closes window `id`: the records its rebuild must replay (`None` for
+    /// a window that is not open). Drops the records no open window needs
+    /// any more.
     fn close_window(&mut self, id: u64) -> Option<Vec<WalRecord>> {
         let at = self.windows.iter().position(|w| w.id == id)?;
         let window = self.windows.remove(at);
-        let seen = window
-            .replayable
-            .then(|| self.log.get(window.start..).unwrap_or_default().to_vec());
+        let seen = self.log.get(window.start..).unwrap_or_default().to_vec();
         let needed = self.windows.iter().map(|w| w.start).min();
         let needed = needed.unwrap_or(self.log.len());
         self.log.drain(..needed);
         for w in &mut self.windows {
             w.start -= needed;
         }
-        seen
+        Some(seen)
     }
 }
 
@@ -169,7 +154,7 @@ struct Capture {
     window: u64,
 }
 
-/// The record of a document insertion (also what the WAL logs).
+/// The record of a document insertion.
 fn insert_record(doc: &XmlDocument, links: &DocumentLinks) -> WalRecord {
     WalRecord::InsertDocument {
         doc: doc.clone(),
@@ -178,15 +163,9 @@ fn insert_record(doc: &XmlDocument, links: &DocumentLinks) -> WalRecord {
     }
 }
 
-/// The record of a document modification (also what the WAL logs).
-fn modify_record(d: DocId, new_doc: &XmlDocument, links: &DocumentLinks) -> WalRecord {
-    WalRecord::ModifyDocument {
-        doc: d,
-        new_doc: new_doc.clone(),
-        outgoing: links.outgoing.clone(),
-        incoming: links.incoming.clone(),
-    }
-}
+/// Where [`OnlineHopi::mutate`] takes the record of each mutation applied:
+/// to the WAL and to the catch-up log of any rebuild in flight.
+type Log<'a> = dyn FnMut(WalRecord) -> Result<(), HopiError> + 'a;
 
 /// A concurrently queryable HOPI engine: lock-free snapshot reads,
 /// non-blocking rebuilds.
@@ -421,7 +400,7 @@ impl OnlineHopi {
     }
 
     /// The epoch of the current serving snapshot. Strictly increases with
-    /// every published snapshot (mutation, `update_batch`, rebuild).
+    /// every published snapshot (mutation, batch, rebuild).
     pub fn epoch(&self) -> u64 {
         self.snapshot().epoch()
     }
@@ -440,35 +419,28 @@ impl OnlineHopi {
         f(&self.engine.read().hopi)
     }
 
-    /// Applies a batch of mutations under one write lock and publishes
-    /// **one** fresh snapshot afterwards — cheaper than a snapshot refresh
-    /// per call when loading many documents or links.
+    /// Applies a batch of mutation records in order under one write lock
+    /// and publishes **one** fresh snapshot for all of them — cheaper than
+    /// a publish per call when loading many documents or links.
     ///
-    /// In durable mode the closure's mutations cannot be logged
-    /// individually (they are arbitrary), so the batch is made durable
-    /// wholesale: a checkpoint is taken before this returns. A
-    /// successful checkpoint also cures an earlier WAL failure (it
-    /// captures the whole state). A failed one comes back as `Err` —
-    /// the batch is applied in memory and published, but **not durable**
-    /// — and leaves the durability layer poisoned, so subsequent
-    /// mutations are refused until a checkpoint succeeds. On a
-    /// non-durable engine this never errors.
+    /// A batch answers exactly as if its records were applied one at a
+    /// time, stopping at the first error: the records before a rejected
+    /// one stay applied, logged and published, and its error is returned.
+    /// Each record is logged as its own WAL record and replayed by a
+    /// rebuild in flight like any single mutation; a durable engine
+    /// returns once the whole batch is durable (one group commit), and a
+    /// crash before that recovers a prefix of it.
     ///
-    /// For the same reason a rebuild in flight cannot replay the batch: it
-    /// catches up by rebuilding from the live collection instead.
-    pub fn update_batch<R>(&self, f: impl FnOnce(&mut Hopi) -> R) -> Result<R, HopiError> {
-        let mut guard = self.engine.write();
-        let out = f(&mut guard.hopi);
-        guard.catch_up.mark_unreplayable();
-        let checkpointed = match &self.durability {
-            Some(d) => d
-                // lint: allow(blocking-under-lock): sanctioned — a batch is durable-by-checkpoint, which must capture the engine it just mutated
-                .checkpoint(&guard.hopi, self.epoch.load(Ordering::Relaxed))
-                .map(|_| ()),
-            None => Ok(()),
-        };
-        self.publish(&mut guard.hopi);
-        checkpointed.map(|()| out)
+    /// Records name document and element ids, so build them against the
+    /// live collection — e.g. with [`Hopi::prepare_xml`] through
+    /// [`OnlineHopi::read`].
+    pub fn apply(&self, records: Vec<WalRecord>) -> Result<(), HopiError> {
+        self.mutate(|h, log| {
+            records.into_iter().try_for_each(|rec| {
+                h.replay_record(rec.clone())?;
+                log(rec)
+            })
+        })
     }
 
     /// Incremental document insertion (brief write lock + snapshot
@@ -478,28 +450,25 @@ impl OnlineHopi {
         doc: XmlDocument,
         links: &DocumentLinks,
     ) -> Result<DocId, HopiError> {
-        // A durable engine builds its record *before* taking the write
-        // lock, so the clone does not lengthen the critical section.
-        let logged = self
-            .durability
-            .is_some()
-            .then(|| insert_record(&doc, links));
-        self.mutate(|h, recording| {
-            let rec = logged.or_else(|| recording.then(|| insert_record(&doc, links)));
+        // The record is built *before* taking the write lock, so the clone
+        // does not lengthen the critical section.
+        let rec = insert_record(&doc, links);
+        self.mutate(|h, log| {
             let id = h.insert_document(doc, links)?;
-            Ok((id, rec))
+            log(rec)?;
+            Ok(id)
         })
     }
 
     /// Parses and inserts one XML document (brief write lock + snapshot
     /// refresh).
     pub fn insert_xml(&self, name: &str, xml: &str) -> Result<DocId, HopiError> {
-        let durable = self.durability.is_some();
-        self.mutate(|h, recording| {
+        self.mutate(|h, log| {
             let (doc, links) = h.prepare_xml(name, xml)?;
-            let rec = (durable || recording).then(|| insert_record(&doc, &links));
+            let rec = insert_record(&doc, &links);
             let id = h.insert_document(doc, &links)?;
-            Ok((id, rec))
+            log(rec)?;
+            Ok(id)
         })
     }
 
@@ -507,30 +476,32 @@ impl OnlineHopi {
     /// Duplicates are a no-op returning `Ok(0)` — and append no WAL
     /// record, so a durable engine pays no fsync for them.
     pub fn insert_link(&self, from: ElemId, to: ElemId) -> Result<usize, HopiError> {
-        self.mutate(|h, _| {
+        self.mutate(|h, log| {
             let duplicate = h.collection().has_link(from, to);
             let out = h.insert_link(from, to)?;
-            Ok((
-                out,
-                (!duplicate).then_some(WalRecord::InsertLink { from, to }),
-            ))
+            if !duplicate {
+                log(WalRecord::InsertLink { from, to })?;
+            }
+            Ok(out)
         })
     }
 
     /// Incremental document deletion (brief write lock + snapshot
     /// refresh).
     pub fn delete_document(&self, d: DocId) -> Result<DeletionOutcome, HopiError> {
-        self.mutate(|h, _| {
+        self.mutate(|h, log| {
             let out = h.delete_document(d)?;
-            Ok((out, Some(WalRecord::DeleteDocument { doc: d })))
+            log(WalRecord::DeleteDocument { doc: d })?;
+            Ok(out)
         })
     }
 
     /// Incremental link deletion (brief write lock + snapshot refresh).
     pub fn delete_link(&self, from: ElemId, to: ElemId) -> Result<DeletionOutcome, HopiError> {
-        self.mutate(|h, _| {
+        self.mutate(|h, log| {
             let out = h.delete_link(from, to)?;
-            Ok((out, Some(WalRecord::DeleteLink { from, to })))
+            log(WalRecord::DeleteLink { from, to })?;
+            Ok(out)
         })
     }
 
@@ -544,14 +515,16 @@ impl OnlineHopi {
         links: &DocumentLinks,
     ) -> Result<DocId, HopiError> {
         // Clone outside the write lock, as in `insert_document`.
-        let logged = self
-            .durability
-            .is_some()
-            .then(|| modify_record(d, &new_doc, links));
-        self.mutate(|h, recording| {
-            let rec = logged.or_else(|| recording.then(|| modify_record(d, &new_doc, links)));
+        let rec = WalRecord::ModifyDocument {
+            doc: d,
+            new_doc: new_doc.clone(),
+            outgoing: links.outgoing.clone(),
+            incoming: links.incoming.clone(),
+        };
+        self.mutate(|h, log| {
             let id = h.modify_document(d, new_doc, links)?;
-            Ok((id, rec))
+            log(rec)?;
+            Ok(id)
         })
     }
 
@@ -598,11 +571,10 @@ impl OnlineHopi {
     /// Closes the rebuild's window and swaps the fresh engine in under the
     /// write lock, after replaying the window's records onto it; also
     /// returns how many it replayed. The one fallback (`None`) — a failed
-    /// build, a window `update_batch` made unreplayable, a replay error —
-    /// rebuilds from the live collection under the lock. If even that
-    /// fails, the engine keeps serving its current (consistent) index and
-    /// the stale report says so: a rebuild is an optimization, never worth
-    /// a panic.
+    /// build or a replay error — rebuilds from the live collection under
+    /// the lock. If even that fails, the engine keeps serving its current
+    /// (consistent) index and the stale report says so: a rebuild is an
+    /// optimization, never worth a panic.
     fn finish_rebuild(
         &self,
         window: u64,
@@ -642,48 +614,50 @@ impl OnlineHopi {
         (report, replayed)
     }
 
-    /// Runs one mutation under the write lock; on success publishes a
-    /// fresh snapshot before releasing it (so no query epoch can observe
-    /// the mutation without its index updates).
+    /// Runs mutations under the write lock and publishes a fresh snapshot
+    /// before releasing it (so no query epoch can observe a mutation
+    /// without its index updates).
     ///
-    /// The closure is told whether a rebuild is in flight and returns the
-    /// record of the mutation it applied — required then and in durable
-    /// mode, optional otherwise. While a rebuild is in flight the record
-    /// joins its catch-up log. The durable write path threads through
-    /// here too: the record is appended **while the write lock is held**
-    /// (log order = apply order), and after the lock is released it is
-    /// group-committed — this call does not return success until the
-    /// mutation is durable, but the fsync it waits on is shared with every
-    /// mutation queued behind it.
+    /// The closure applies its mutations in order, handing the record of
+    /// each one applied to `log`, which appends it to the WAL **while the
+    /// write lock is held** (log order = apply order) and pushes it onto
+    /// the catch-up log of any rebuild in flight. One snapshot is
+    /// published when the closure returns — also when it failed after
+    /// applying something. After the lock is released the last record is
+    /// group-committed: this call does not return success until its
+    /// mutations are durable, but the fsync it waits on is shared with
+    /// every mutation queued behind it.
     fn mutate<R>(
         &self,
-        f: impl FnOnce(&mut Hopi, bool) -> Result<(R, Option<WalRecord>), HopiError>,
+        f: impl FnOnce(&mut Hopi, &mut Log<'_>) -> Result<R, HopiError>,
     ) -> Result<R, HopiError> {
         let mut guard = self.engine.write();
         if let Some(d) = &self.durability {
             d.check_healthy()?;
         }
-        let recording = guard.catch_up.is_recording();
-        let (out, rec) = f(&mut guard.hopi, recording)?;
-        let appended = match (&self.durability, &rec) {
+        let Engine { hopi, catch_up } = &mut *guard;
+        let (mut applied, mut appended) = (false, None);
+        let out = f(hopi, &mut |rec| {
+            applied = true;
             // lint: allow(blocking-under-lock): sanctioned — the WAL append must happen under the write lock so log order equals apply order; the fsync waits outside it
-            (Some(d), Some(rec)) => Some(d.append(rec)),
-            _ => None,
-        };
-        // The mutation is applied in memory even when its append failed,
-        // so a rebuild in flight must replay it either way.
-        if let Some(rec) = rec {
-            guard.catch_up.push(rec);
-        }
+            let seq = self.durability.as_ref().map(|d| d.append(&rec));
+            // The mutation is applied in memory even when its append
+            // failed, so a rebuild in flight must replay it either way.
+            catch_up.push(rec);
+            appended = seq.transpose()?;
+            Ok(())
+        });
         // A failed append still publishes (readers may as well see the
         // mutation) and then reports the durability failure. `append`
         // poisoned the layer, so no later ack can outrun this hole.
-        self.publish(&mut guard.hopi);
+        if out.is_ok() || applied {
+            self.publish(hopi);
+        }
         drop(guard);
-        if let (Some(d), Some(seq)) = (&self.durability, appended.transpose()?) {
+        if let (Some(d), Some(seq)) = (&self.durability, appended) {
             d.commit(seq)?;
         }
-        Ok(out)
+        out
     }
 
     /// Publishes the engine's current state as the serving epoch, captured
@@ -905,20 +879,74 @@ mod tests {
         assert_eq!(replayed, Some(1));
     }
 
+    /// A batch of four records against the fixture: a link, a document
+    /// citing `a`, a modification and a deletion.
+    fn batch(online: &OnlineHopi) -> Vec<WalRecord> {
+        let xml = r#"<r><s>batched hop</s><cite xlink:href="a"/></r>"#;
+        let (doc, links) = online.read(|h| h.prepare_xml("batched", xml)).unwrap();
+        let (c1, a0, d1) = (
+            elem(online, "c", 1),
+            elem(online, "a", 0),
+            elem(online, "d", 1),
+        );
+        vec![
+            WalRecord::InsertLink { from: c1, to: a0 },
+            insert_record(&doc, &links),
+            WalRecord::ModifyDocument {
+                doc: doc_id(online, "b"),
+                new_doc: XmlDocument::new("b2", "r"),
+                outgoing: vec![(0, a0)],
+                incoming: vec![(d1, 0)],
+            },
+            WalRecord::DeleteDocument {
+                doc: doc_id(online, "d"),
+            },
+        ]
+    }
+
+    /// `fixture()` with `records` applied one at a time.
+    fn one_at_a_time(records: &[WalRecord]) -> Hopi {
+        let mut model = fixture();
+        for rec in records {
+            model.replay_record(rec.clone()).unwrap();
+        }
+        model
+    }
+
     #[test]
-    fn update_batch_falls_back_and_stays_exact() {
+    fn batch_replays_like_single_mutations() {
         let online = OnlineHopi::new(fixture());
+        let records = batch(&online);
         let replayed = rebuild_around(&online, |o| {
-            o.insert_link(elem(o, "c", 1), elem(o, "a", 0)).unwrap();
-            o.update_batch(|h| {
-                h.insert_xml("batched", r#"<r><cite xlink:href="c"/></r>"#)
-                    .unwrap();
-            })
-            .unwrap();
+            let epoch = o.epoch();
+            o.apply(records.clone()).unwrap();
+            assert_eq!(o.epoch(), epoch + 1, "one publish per batch");
+            assert_exact(o, one_at_a_time(&records).collection());
             o.insert_xml("after", "<r><s/></r>").unwrap();
         });
-        assert_eq!(replayed, None);
+        assert_eq!(replayed, Some(records.len() + 1));
         assert_eq!(catch_up_len(&online), (0, 0));
+    }
+
+    #[test]
+    fn batch_stops_at_its_first_rejected_record() {
+        let online = OnlineHopi::new(fixture());
+        let mut records = batch(&online);
+        let (a0, c0) = (elem(&online, "a", 0), elem(&online, "c", 0));
+        let rejected = WalRecord::DeleteLink { from: a0, to: c0 };
+        // Record k = 3 names a link that does not exist.
+        records.insert(2, rejected.clone());
+        let replayed = rebuild_around(&online, |o| {
+            let epoch = o.epoch();
+            let err = o.apply(records.clone()).unwrap_err();
+            assert!(matches!(err, HopiError::UnknownLink { .. }), "{err}");
+            assert_eq!(o.epoch(), epoch + 1, "the applied prefix is published once");
+            assert_exact(o, one_at_a_time(&records[..2]).collection());
+            // Rejected at k = 1: nothing applied, nothing published.
+            assert!(o.apply(vec![rejected]).is_err());
+            assert_eq!(o.epoch(), epoch + 1);
+        });
+        assert_eq!(replayed, Some(2));
     }
 
     #[test]

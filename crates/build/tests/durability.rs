@@ -197,22 +197,43 @@ fn crash_between_checkpoint_and_rotation_does_not_double_apply() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The record of inserting `xml` as document `name`, resolved against the
+/// engine's live collection.
+fn insert_record(online: &OnlineHopi, name: &str, xml: &str) -> WalRecord {
+    let (doc, links) = online.read(|h| h.prepare_xml(name, xml)).unwrap();
+    WalRecord::InsertDocument {
+        doc,
+        outgoing: links.outgoing,
+        incoming: links.incoming,
+    }
+}
+
 #[test]
-fn update_batch_checkpoints_in_durable_mode() {
+fn durable_batch_logs_each_record_under_one_fsync() {
     let dir = tempdir("batch");
-    let config = DurableConfig::new(&dir);
+    let config = DurableConfig::new(&dir).policy(SyncPolicy::GroupCommit);
     let online = OnlineHopi::open_durable(&config, Hopi::builder(), Some(bootstrap())).unwrap();
-    online
-        .update_batch(|h| {
-            h.insert_xml("bulk-1", "<r><s/></r>").unwrap();
-            h.insert_xml("bulk-2", r#"<r><cite xlink:href="bulk-1"/></r>"#)
-                .unwrap();
-        })
-        .expect("durable batch checkpoints cleanly");
+    let (a, b) = online.read(|h| {
+        (
+            h.collection().global_id(0, 1),
+            h.collection().global_id(1, 0),
+        )
+    });
+    let batch = vec![
+        WalRecord::InsertLink { from: a, to: b },
+        insert_record(&online, "bulk-1", "<r><s/></r>"),
+        insert_record(&online, "bulk-2", r#"<r><cite xlink:href="seed-a"/></r>"#),
+    ];
+    let n = batch.len() as u64;
+    let fsyncs = online.wal_histograms().unwrap().fsync.count();
+    online.apply(batch).unwrap();
     let stats = online.wal_stats().unwrap();
+    assert_eq!(stats.records_since_checkpoint, n, "one record per mutation");
+    assert_eq!(stats.durable_seq, stats.appended_seq, "ack implies fsync");
     assert_eq!(
-        stats.records_since_checkpoint, 0,
-        "a durable batch is captured by a checkpoint"
+        online.wal_histograms().unwrap().fsync.count(),
+        fsyncs + 1,
+        "one group commit for the whole batch"
     );
     let expected = online.read(|h| h.clone());
     drop(online);
@@ -376,7 +397,8 @@ fn apply_record_oracle(h: &mut Hopi, rec: WalRecord) {
 /// simply fail and append nothing, which is part of the contract.
 fn apply_fuzzed_op(online: &OnlineHopi, kind: u8, a: u32, b: u32, fresh_names: &mut u32) {
     let docs: Vec<u32> = online.read(|h| h.collection().doc_ids().collect());
-    match kind % 5 {
+    let root = |d: u32| online.read(|h| h.collection().global_id(d, 0));
+    match kind % 6 {
         0 => {
             *fresh_names += 1;
             let _ = online.insert_xml(&format!("fuzz-{fresh_names}"), "<r><s/></r>");
@@ -413,7 +435,7 @@ fn apply_fuzzed_op(online: &OnlineHopi, kind: u8, a: u32, b: u32, fresh_names: &
                 let _ = online.delete_document(docs[a as usize % docs.len()]);
             }
         }
-        _ => {
+        4 => {
             if !docs.is_empty() {
                 *fresh_names += 1;
                 let mut doc = XmlDocument::new(format!("mod-{fresh_names}"), "r");
@@ -425,6 +447,30 @@ fn apply_fuzzed_op(online: &OnlineHopi, kind: u8, a: u32, b: u32, fresh_names: &
                 );
             }
         }
+        _ => {
+            // A batch of 2–3 records, each its own WAL frame: two documents
+            // linked to live ones, then (for even `a`) a link between two
+            // live documents.
+            let (da, db) = (docs[a as usize % docs.len()], docs[b as usize % docs.len()]);
+            let mut batch = Vec::new();
+            for links in [(vec![(1, root(da))], vec![]), (vec![], vec![(root(db), 0)])] {
+                *fresh_names += 1;
+                let mut doc = XmlDocument::new(format!("batch-{fresh_names}"), "r");
+                doc.add_element(0, "s");
+                batch.push(WalRecord::InsertDocument {
+                    doc,
+                    outgoing: links.0,
+                    incoming: links.1,
+                });
+            }
+            if a.is_multiple_of(2) && da != db {
+                batch.push(WalRecord::InsertLink {
+                    from: root(da),
+                    to: root(db),
+                });
+            }
+            let _ = online.apply(batch);
+        }
     }
 }
 
@@ -434,10 +480,12 @@ proptest! {
     /// Run a random mutation sequence through the WAL, cut the log at an
     /// arbitrary byte, recover, and check the result equals the state
     /// after exactly the mutations whose records survived the cut — and
-    /// that its index matches the closure oracle.
+    /// that its index matches the closure oracle. A batch is no unit
+    /// here: a cut inside one recovers the prefix of its records that
+    /// survived.
     #[test]
     fn torn_tail_recovers_exact_prefix(
-        ops in proptest::collection::vec((0u8..5, 0u32..64, 0u32..64), 1..10),
+        ops in proptest::collection::vec((0u8..6, 0u32..64, 0u32..64), 1..10),
         cut_frac in 0u32..1000,
     ) {
         let dir = tempdir("torn");

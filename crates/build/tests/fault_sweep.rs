@@ -14,10 +14,12 @@
 //! 2. after a failed mutation the engine still serves reads;
 //! 3. reopening the directory with the real filesystem recovers, and
 //!    every *acknowledged* mutation is present — verified structurally
-//!    and against a transitive-closure oracle over the recovered graph.
+//!    and against a transitive-closure oracle over the recovered graph;
+//!    an unacknowledged batch recovers a prefix of its records.
 
 use hopi_build::{
     DurableConfig, FaultKind, FaultOpKind, FaultVfs, Hopi, HopiError, OnlineHopi, SyncPolicy,
+    WalRecord,
 };
 use hopi_graph::TransitiveClosure;
 use hopi_xml::{Collection, XmlDocument};
@@ -78,9 +80,9 @@ fn assert_reads_serve(online: &OnlineHopi) {
 }
 
 /// The fixed durable workload the sweep injects into: bootstrap, two
-/// link mutations, two document inserts, and two checkpoints — together
-/// they exercise every WAL append/sync path, the atomic checkpoint
-/// write, and the log rotation.
+/// link mutations, two document inserts, a batch of two more, and two
+/// checkpoints — together they exercise every WAL append/sync path, the
+/// atomic checkpoint write, and the log rotation.
 ///
 /// Returns the acknowledged-mutation record, or the typed error when the
 /// engine could not even be opened (fault during bootstrap).
@@ -132,6 +134,23 @@ fn run_workload(vfs: Arc<dyn hopi_build::Vfs>, dir: &Path) -> Result<Acked, Hopi
             }
         }
     }
+    // One batch of two records: each is its own WAL append.
+    let batch = ["w3", "w4"].map(|name| {
+        let xml = r#"<r><cite xlink:href="seed-b"/></r>"#;
+        let (doc, links) = online.read(|h| h.prepare_xml(name, xml)).unwrap();
+        WalRecord::InsertDocument {
+            doc,
+            outgoing: links.outgoing,
+            incoming: links.incoming,
+        }
+    });
+    match online.apply(batch.into()) {
+        Ok(()) => acked.docs.extend(["w3".into(), "w4".into()]),
+        Err(e) => {
+            assert_typed(&e);
+            assert_reads_serve(&online);
+        }
+    }
     if let Err(e) = online.checkpoint() {
         assert_typed(&e);
         assert_reads_serve(&online);
@@ -143,13 +162,18 @@ fn run_workload(vfs: Arc<dyn hopi_build::Vfs>, dir: &Path) -> Result<Acked, Hopi
 /// answers exactly like a BFS/closure oracle over the recovered graph.
 fn assert_recovered(recovered: &Hopi, acked: &Acked) {
     let c = recovered.collection();
+    let has = |name: &str| {
+        c.doc_ids()
+            .any(|d| c.document(d).is_some_and(|doc| doc.name == name))
+    };
     for name in &acked.docs {
-        assert!(
-            c.doc_ids()
-                .any(|d| c.document(d).is_some_and(|doc| doc.name == *name)),
-            "acked document '{name}' lost in recovery"
-        );
+        assert!(has(name), "acked document '{name}' lost in recovery");
     }
+    // Acknowledged or not, the batch comes back as a prefix of its records.
+    assert!(
+        has("w3") || !has("w4"),
+        "batch record 2 recovered without 1"
+    );
     for &(from, to) in &acked.links {
         if acked.delete_acked {
             assert!(
@@ -197,7 +221,7 @@ fn every_fault_point_fails_once_and_acked_writes_survive() {
     let counting = FaultVfs::counting();
     let acked =
         run_workload(Arc::new(counting.clone()), &dir).expect("fault-free workload must succeed");
-    assert_eq!(acked.docs, vec!["w1".to_string(), "w2".to_string()]);
+    assert_eq!(acked.docs, ["w1", "w2", "w3", "w4"]);
     assert!(acked.delete_acked);
     let ops = counting.ops();
     std::fs::remove_dir_all(&dir).ok();

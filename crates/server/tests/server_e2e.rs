@@ -2,7 +2,7 @@
 //! fresh-epoch visibility, malformed-request 4xx paths, frozen mode,
 //! graceful shutdown, and concurrent readers during writes/rebuilds.
 
-use hopi_build::{Hopi, OnlineHopi};
+use hopi_build::{Hopi, OnlineHopi, WalRecord};
 use hopi_server::json::{parse, Json};
 use hopi_server::{serve, Client, ServerConfig};
 use std::net::SocketAddr;
@@ -485,11 +485,11 @@ fn graceful_shutdown_finishes_in_flight_work() {
 }
 
 /// The concurrent-serving satellite: reader threads hammer probes and
-/// stats over HTTP while the engine absorbs `update_batch` writes and a
+/// stats over HTTP while the engine absorbs batches of records and a
 /// background rebuild. Epochs must be monotonic per reader and every
 /// response must parse — no torn snapshots.
 #[test]
-fn concurrent_readers_during_update_batch_and_rebuild() {
+fn concurrent_readers_during_batches_and_rebuild() {
     let handle = serve_small(false, false);
     let addr = handle.addr();
     let engine = handle.state().engine.clone();
@@ -528,19 +528,22 @@ fn concurrent_readers_during_update_batch_and_rebuild() {
         })
         .collect();
 
-    // Writer: batched inserts (one epoch per batch) plus a rebuild.
+    // Writer: batches of four inserts citing `a` (one epoch per batch)
+    // plus a rebuild.
     for round in 0..5 {
-        engine
-            .update_batch(|h| {
-                for i in 0..4 {
-                    h.insert_xml(
-                        &format!("w{round}_{i}"),
-                        r#"<note><cite xlink:href="a"/></note>"#,
-                    )
-                    .expect("insert under readers");
+        let batch = (0..4)
+            .map(|i| {
+                let name = format!("w{round}_{i}");
+                let xml = r#"<note><cite xlink:href="a"/></note>"#;
+                let (doc, links) = engine.read(|h| h.prepare_xml(&name, xml)).unwrap();
+                WalRecord::InsertDocument {
+                    doc,
+                    outgoing: links.outgoing,
+                    incoming: links.incoming,
                 }
             })
-            .expect("non-durable batch cannot fail");
+            .collect();
+        engine.apply(batch).expect("insert under readers");
     }
     let report = engine.rebuild_blocking();
     assert!(report.cover_size > 0);
@@ -553,7 +556,7 @@ fn concurrent_readers_during_update_batch_and_rebuild() {
         .sum();
     assert!(total > 0, "readers made progress");
 
-    // 5 update_batch epochs + 1 rebuild epoch on top of epoch 0.
+    // 5 batch epochs + 1 rebuild epoch on top of epoch 0.
     assert_eq!(engine.epoch(), 6);
     let stats = engine.snapshot_stats();
     assert_eq!(stats.documents, 2 + 20);

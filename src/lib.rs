@@ -82,7 +82,7 @@ pub mod prelude {
     pub use hopi_build::{BuildConfig, BuildReport, JoinAlgorithm, PartitionerChoice};
     pub use hopi_build::{
         Hopi, HopiBuilder, HopiError, HopiIndex, HopiSnapshot, OnlineHopi, QueryOptions,
-        SnapshotStats, Stats,
+        SnapshotStats, Stats, WalRecord,
     };
     pub use hopi_core::{CoverStats, FrozenCover, LabelSource};
     pub use hopi_maintenance::{DeletionAlgorithm, DeletionOutcome, DocumentLinks, RebuildPolicy};

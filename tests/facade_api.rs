@@ -540,24 +540,26 @@ fn online_reads_are_served_from_refreshed_snapshots() {
     online.delete_document(note).unwrap();
     assert!(!online.connected(note_root, thm), "refreshed after delete");
 
-    // Batched updates publish once at the end.
-    let (x, y) = online
-        .update_batch(|h| {
-            let x = h
-                .insert_xml("x", r#"<x><cite xlink:href="theory"/></x>"#)
-                .unwrap();
-            let y = h
-                .insert_xml("y", r#"<y><cite xlink:href="x"/></y>"#)
-                .unwrap();
-            (x, y)
-        })
-        .expect("non-durable batch cannot fail");
+    // A batch of records publishes once at the end.
+    let insert = |name: &str, xml: &str| {
+        let (doc, links) = online.read(|h| h.prepare_xml(name, xml)).unwrap();
+        WalRecord::InsertDocument {
+            doc,
+            outgoing: links.outgoing,
+            incoming: links.incoming,
+        }
+    };
+    let x = insert("x", r#"<x><cite xlink:href="theory"/></x>"#);
+    let y = insert("y", r#"<y><cite xlink:href="survey"/></y>"#);
+    let before = online.epoch();
+    online.apply(vec![x, y]).unwrap();
+    assert_eq!(online.epoch(), before + 1);
     let snap = online.snapshot();
     let (xr, yr) = (
-        snap.collection().global_id(x, 0),
-        snap.collection().global_id(y, 0),
+        snap.resolve("x", "").unwrap(),
+        snap.resolve("y", "").unwrap(),
     );
-    assert!(snap.connected(yr, xr) && snap.connected(yr, thm));
+    assert!(snap.connected(xr, thm) && snap.connected(yr, survey) && snap.connected(yr, thm));
     online.read(oracle_check);
 }
 
