@@ -23,14 +23,14 @@
 //!    redundant entries that the later cover join would otherwise duplicate.
 //!
 //! Beyond the paper, an evaluation never materializes its center graph: the
-//! peel reads the edges off the uncovered-connection rows and stops as soon
-//! as no remaining subgraph can beat the best one seen (see
-//! [`crate::densest`]). The covers are those of peeling a materialized copy
-//! to the last vertex, bit for bit.
+//! peel reads the edges off the uncovered-connection rows, each only inside
+//! its span of non-zero words, and stops as soon as no remaining subgraph
+//! can beat the best one seen (see [`crate::densest`]). The covers are
+//! those of peeling a materialized copy to the last vertex, bit for bit.
 
 use crate::cover::TwoHopCover;
-use crate::densest::{complete_bipartite_density, Peeled, Peeler};
-use hopi_graph::{FixedBitSet, TransitiveClosure};
+use crate::densest::{complete_bipartite_density, spans_of, Peeled, Peeler, Rows};
+use hopi_graph::{FixedBitSet, TransitiveClosure, WordSpan};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -115,6 +115,10 @@ pub struct CoverBuilder<'a> {
     unc_out: Vec<FixedBitSet>,
     /// Transposed uncovered rows.
     unc_in: Vec<FixedBitSet>,
+    /// The non-zero word span of every uncovered row:
+    /// `out_span[u] == unc_out[u].word_span()`, `in_span[v]` likewise.
+    out_span: Vec<WordSpan>,
+    in_span: Vec<WordSpan>,
     remaining: usize,
     /// The nodes whose connections start uncovered; `None` for all.
     sources: Option<FixedBitSet>,
@@ -174,6 +178,8 @@ impl<'a> CoverBuilder<'a> {
         let remaining = unc_out.iter().map(FixedBitSet::count).sum();
         CoverBuilder {
             tc,
+            out_span: spans_of(&unc_out),
+            in_span: spans_of(&unc_in),
             unc_out,
             unc_in,
             remaining,
@@ -260,8 +266,8 @@ impl<'a> CoverBuilder<'a> {
             .node;
         let tc = self.tc;
         let peeled = peeler.peel_center(
-            &self.unc_out,
-            &self.unc_in,
+            Rows::new(&self.unc_out, &self.out_span),
+            Rows::new(&self.unc_in, &self.in_span),
             tc.ancestors(w),
             tc.descendants(w),
         )?;
@@ -273,7 +279,9 @@ impl<'a> CoverBuilder<'a> {
         if density + 1e-9 >= next_best {
             self.commit_center(w, peeler.left(), peeler.right());
             // w may still be useful for other connections later.
-            if !self.unc_in[w as usize].is_empty() || !self.unc_out[w as usize].is_empty() {
+            let uncovered =
+                |spans: &[WordSpan]| spans.get(w as usize).is_some_and(|s| !s.is_empty());
+            if uncovered(&self.in_span) || uncovered(&self.out_span) {
                 heap.push(HeapEntry { node: w, density });
             }
         } else {
@@ -287,21 +295,44 @@ impl<'a> CoverBuilder<'a> {
     /// connections from `T'`. Returns the number of newly covered
     /// connections.
     fn commit_center(&mut self, w: u32, cin: &FixedBitSet, cout: &FixedBitSet) -> usize {
+        let (cin_span, cout_span) = (cin.word_span(), cout.word_span());
         let mut covered = 0usize;
         for u in cin.iter() {
-            let row = &mut self.unc_out[u as usize];
-            covered += row.intersection_count(cout);
-            row.difference_with(cout);
+            covered += uncover(&mut self.unc_out, &mut self.out_span, u, cout, cout_span);
             self.cover.add_out(u, w);
         }
         for v in cout.iter() {
-            self.unc_in[v as usize].difference_with(cin);
+            uncover(&mut self.unc_in, &mut self.in_span, v, cin, cin_span);
             self.cover.add_in(v, w);
         }
         self.remaining -= covered;
         self.stats.centers += 1;
         covered
     }
+}
+
+/// `rows[u] &= !covered`, read and written only inside the overlap of the
+/// row's span with `within`, the span of `covered`. The row's new span is
+/// found by scanning inward from the ends of its old one. Returns the
+/// number of connections the row lost.
+fn uncover(
+    rows: &mut [FixedBitSet],
+    spans: &mut [WordSpan],
+    u: u32,
+    covered: &FixedBitSet,
+    within: WordSpan,
+) -> usize {
+    let (Some(row), Some(span)) = (rows.get_mut(u as usize), spans.get_mut(u as usize)) else {
+        return 0;
+    };
+    let inside = span.overlap(within);
+    if inside.is_empty() {
+        return 0;
+    }
+    let lost = row.intersection_count_in(covered, inside);
+    row.difference_with_in(covered, inside);
+    *span = row.word_span_in(*span);
+    lost
 }
 
 #[cfg(test)]
@@ -601,6 +632,18 @@ mod tests {
             }
         }
 
+        /// Every stored span is the span of its row as it is now.
+        fn assert_spans_match(b: &CoverBuilder<'_>) {
+            for (row, &span) in b.unc_out.iter().zip(&b.out_span) {
+                assert_eq!(span, row.word_span(), "out span of {row:?}");
+            }
+            for (row, &span) in b.unc_in.iter().zip(&b.in_span) {
+                assert_eq!(span, row.word_span(), "in span of {row:?}");
+            }
+            assert_eq!(b.out_span.len(), b.unc_out.len());
+            assert_eq!(b.in_span.len(), b.unc_in.len());
+        }
+
         /// Steps the reference and the new kernel side by side over `tc` and
         /// asserts equality on every pop and of everything they produce.
         fn assert_golden(tc: &TransitiveClosure, preselected: &[u32]) {
@@ -614,6 +657,7 @@ mod tests {
                     assert_eq!(row.contains(v), new.unc_in[v as usize].contains(u as u32));
                 }
             }
+            assert_spans_match(&new);
             for &t in preselected {
                 if (t as usize) >= n || !tc.is_alive(t) {
                     continue;
@@ -622,6 +666,7 @@ mod tests {
                 old.stats.preselected_covered += old.commit_center_reference(t, &cin, &cout);
                 new.stats.preselected_covered +=
                     new.commit_center(t, tc.ancestors(t), tc.descendants(t));
+                assert_spans_match(&new);
             }
             let (mut old_heap, mut new_heap) = (old.seed_heap(), new.seed_heap());
             let mut peeler = Peeler::new(n, n);
@@ -642,6 +687,7 @@ mod tests {
                 assert_eq!(new.remaining, old.remaining);
                 assert_eq!(new.unc_out, old.unc_out);
                 assert_eq!(new.unc_in, old.unc_in);
+                assert_spans_match(&new);
             }
             for u in 0..n as u32 {
                 assert_eq!(new.cover.lin(u), old.cover.lin(u), "lin({u})");

@@ -15,11 +15,13 @@
 //! it straight over its uncovered-connection rows, so no center graph is
 //! materialized; [`densest_subgraph`] adapts it to a materialized
 //! [`BipartiteCenterGraph`] for the distance-aware builder, whose
-//! shortest-path-filtered edges exist nowhere else. The peel stops as soon
-//! as no remaining subgraph can beat the best prefix seen (DESIGN.md, "The
-//! greedy kernel (§3.2) as implemented").
+//! shortest-path-filtered edges exist nowhere else. Each row is read only
+//! inside its span of non-zero words, and the peel stops as soon as no
+//! remaining subgraph can beat the best prefix seen (DESIGN.md, "The greedy
+//! kernel (§3.2) as implemented").
 
-use hopi_graph::FixedBitSet;
+use hopi_graph::bitset::Intersection;
+use hopi_graph::{FixedBitSet, WordSpan};
 
 /// A materialized bipartite center graph.
 ///
@@ -75,6 +77,56 @@ pub(crate) struct Peeled {
     pub offered: usize,
     /// Vertices removed before the density bound ended the peel.
     pub removed: usize,
+}
+
+/// One side's edge rows, each with its non-zero word span
+/// (`spans[u] == rows[u].word_span()`). The peel reads a row only inside
+/// the overlap of its span with the span of the set it is ANDed with, so a
+/// row without uncovered connections costs one comparison.
+#[derive(Clone, Copy)]
+pub(crate) struct Rows<'a> {
+    rows: &'a [FixedBitSet],
+    spans: &'a [WordSpan],
+}
+
+/// The non-zero word span of every row.
+pub(crate) fn spans_of(rows: &[FixedBitSet]) -> Vec<WordSpan> {
+    rows.iter().map(FixedBitSet::word_span).collect()
+}
+
+impl<'a> Rows<'a> {
+    pub(crate) fn new(rows: &'a [FixedBitSet], spans: &'a [WordSpan]) -> Self {
+        debug_assert_eq!(rows.len(), spans.len());
+        Rows { rows, spans }
+    }
+
+    /// Row `u` and the part of its span inside `within`, `None` when that
+    /// part is empty.
+    #[inline]
+    fn at(self, u: u32, within: WordSpan) -> Option<(&'a FixedBitSet, WordSpan)> {
+        let span = self.spans.get(u as usize)?.overlap(within);
+        if span.is_empty() {
+            return None;
+        }
+        Some((self.rows.get(u as usize)?, span))
+    }
+
+    /// Ascending bits of `rows[u] ∧ other`, where `within` spans `other`.
+    #[inline]
+    fn meet(self, u: u32, other: &'a FixedBitSet, within: WordSpan) -> Intersection<'a> {
+        match self.at(u, within) {
+            Some((row, span)) => row.intersection_iter_in(other, span),
+            None => Intersection::default(),
+        }
+    }
+
+    /// `|rows[u] ∧ other|`, where `within` spans `other`.
+    #[inline]
+    fn meet_count(self, u: u32, other: &FixedBitSet, within: WordSpan) -> u32 {
+        self.at(u, within).map_or(0, |(row, span)| {
+            row.intersection_count_in(other, span) as u32
+        })
+    }
 }
 
 /// The peeling loop and its scratch state, allocated once per build.
@@ -138,8 +190,8 @@ impl Peeler {
     /// off `unc_out` and its transpose `unc_in`. `None` when it is edgeless.
     pub(crate) fn peel_center(
         &mut self,
-        unc_out: &[FixedBitSet],
-        unc_in: &[FixedBitSet],
+        unc_out: Rows<'_>,
+        unc_in: Rows<'_>,
         cin: &FixedBitSet,
         cout: &FixedBitSet,
     ) -> Option<Peeled> {
@@ -147,6 +199,7 @@ impl Peeler {
         self.alive_r.clear();
         self.alive_r.union_with(cout);
         let (a, d) = (cin.count(), cout.count());
+        let (cin_span, cout_span) = (cin.word_span(), cout.word_span());
         let words = self.ldeg.len().div_ceil(64);
         let (mut edges, mut max_l, mut max_r) = (0usize, 0u32, 0u32);
         // Degrees are popcounts of a row ANDed with the other side, one pass
@@ -159,7 +212,7 @@ impl Peeler {
         if d <= a.min(words) {
             for v in cout.iter() {
                 let mut deg = 0;
-                for u in unc_in[v as usize].intersection_iter(cin) {
+                for u in unc_in.meet(v, cin, cin_span) {
                     let slot = &mut self.ldeg[u as usize];
                     *slot = if self.alive_l.insert(u) { 1 } else { *slot + 1 };
                     max_l = max_l.max(*slot);
@@ -177,17 +230,16 @@ impl Peeler {
                 }
             }
             for u in cin.iter() {
-                let row = &unc_out[u as usize];
                 let mut deg = 0;
                 if walk {
-                    for v in row.intersection_iter(cout) {
+                    for v in unc_out.meet(u, cout, cout_span) {
                         let slot = &mut self.rdeg[v as usize];
                         *slot += 1;
                         max_r = max_r.max(*slot);
                         deg += 1;
                     }
                 } else {
-                    deg = row.intersection_count(cout) as u32;
+                    deg = unc_out.meet_count(u, cout, cout_span);
                 }
                 if deg > 0 {
                     self.alive_l.insert(u);
@@ -198,7 +250,7 @@ impl Peeler {
             }
             if !walk {
                 for v in cout.iter() {
-                    let deg = unc_in[v as usize].intersection_count(cin) as u32;
+                    let deg = unc_in.meet_count(v, cin, cin_span);
                     self.rdeg[v as usize] = deg;
                     max_r = max_r.max(deg);
                 }
@@ -213,8 +265,8 @@ impl Peeler {
     /// the maximum degree per side; `edges` must be positive.
     fn peel(
         &mut self,
-        left_rows: &[FixedBitSet],
-        right_rows: &[FixedBitSet],
+        left_rows: Rows<'_>,
+        right_rows: Rows<'_>,
         edges: usize,
         max_ldeg: u32,
         max_rdeg: u32,
@@ -256,6 +308,8 @@ impl Peeler {
             for v in alive_r.iter() {
                 buckets[rdeg[v as usize] as usize].push(base + v);
             }
+            // The alive sets only shrink: their spans now bound every AND.
+            let (lspan, rspan) = (alive_l.word_span(), alive_r.word_span());
             let mut cursor = 0usize; // lowest possibly-non-empty bucket
             'peel: while bound(al, ar) > best.0 {
                 // The minimum-degree alive vertex (lazy bucket scan).
@@ -280,13 +334,13 @@ impl Peeler {
                 cur_edges -= if x < base {
                     alive_l.remove(x);
                     al -= 1;
-                    let nbrs = left_rows[x as usize].intersection_iter(alive_r);
+                    let nbrs = left_rows.meet(x, alive_r, rspan);
                     drop_edges(nbrs, rdeg, base, buckets, &mut cursor)
                 } else {
                     let v = x - base;
                     alive_r.remove(v);
                     ar -= 1;
-                    let nbrs = right_rows[v as usize].intersection_iter(alive_l);
+                    let nbrs = right_rows.meet(v, alive_l, lspan);
                     drop_edges(nbrs, ldeg, 0, buckets, &mut cursor)
                 };
                 if al + ar > 0 {
@@ -375,7 +429,9 @@ fn peel_graph(g: &BipartiteCenterGraph) -> Option<(Peeler, Peeled)> {
     if edges == 0 {
         return None;
     }
-    let peeled = peeler.peel(&g.adj, &radj, edges, max_l, max_r);
+    let (lspans, rspans) = (spans_of(&g.adj), spans_of(&radj));
+    let (left, right) = (Rows::new(&g.adj, &lspans), Rows::new(&radj, &rspans));
+    let peeled = peeler.peel(left, right, edges, max_l, max_r);
     Some((peeler, peeled))
 }
 
@@ -660,8 +716,10 @@ mod tests {
                     }
                 })
                 .collect();
+            let (out_span, in_span) = (spans_of(&unc_out), spans_of(&unc_in));
+            let (unc_out, unc_in) = (Rows::new(&unc_out, &out_span), Rows::new(&unc_in, &in_span));
             let mut peeler = Peeler::new(n, n);
-            let peeled = peeler.peel_center(&unc_out, &unc_in, &cin, &cout).unwrap();
+            let peeled = peeler.peel_center(unc_out, unc_in, &cin, &cout).unwrap();
             assert_eq!(peeled.removed, 0, "K_{{{a},{b}}}");
             assert_eq!(peeled.offered, n);
             assert_eq!(peeled.edges, (a * b) as usize);

@@ -6,6 +6,43 @@
 //! The closure of a partition is bounded by the partitioner (paper §4.3)
 //! precisely so that these rows fit in memory.
 
+/// A half-open range `lo..hi` of word indices into a [`FixedBitSet`] (bit
+/// `i` lives in word `i / 64`). The span operations read only the words a
+/// span selects, clamped to the words a set has: a span that is empty,
+/// inverted (`lo >= hi`) or past the end selects nothing.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct WordSpan {
+    /// First word selected.
+    pub lo: u32,
+    /// One past the last word selected.
+    pub hi: u32,
+}
+
+impl WordSpan {
+    /// The span that selects nothing; the `word_span` of an empty set.
+    pub const EMPTY: WordSpan = WordSpan { lo: 0, hi: 0 };
+    /// The span that selects every word of any set.
+    pub const ALL: WordSpan = WordSpan {
+        lo: 0,
+        hi: u32::MAX,
+    };
+
+    /// Returns `true` if the span selects no word.
+    #[inline]
+    pub fn is_empty(self) -> bool {
+        self.lo >= self.hi
+    }
+
+    /// The words selected by both spans.
+    #[inline]
+    pub fn overlap(self, other: WordSpan) -> WordSpan {
+        WordSpan {
+            lo: self.lo.max(other.lo),
+            hi: self.hi.min(other.hi),
+        }
+    }
+}
+
 /// A fixed-capacity set of `u32` values in `0..len`, packed into 64-bit words.
 #[derive(Clone, PartialEq, Eq, Default)]
 pub struct FixedBitSet {
@@ -121,7 +158,13 @@ impl FixedBitSet {
 
     /// `self &= !other`.
     pub fn difference_with(&mut self, other: &FixedBitSet) {
-        for (a, &b) in self.words.iter_mut().zip(other.words.iter()) {
+        self.difference_with_in(other, WordSpan::ALL);
+    }
+
+    /// `self &= !other`, on the words inside `span` only.
+    pub fn difference_with_in(&mut self, other: &FixedBitSet, span: WordSpan) {
+        let theirs = other.words_in(span);
+        for (a, &b) in self.words_in_mut(span).iter_mut().zip(theirs) {
             *a &= !b;
         }
     }
@@ -136,9 +179,14 @@ impl FixedBitSet {
 
     /// Cardinality of `self ∩ other` without materializing it.
     pub fn intersection_count(&self, other: &FixedBitSet) -> usize {
-        self.words
+        self.intersection_count_in(other, WordSpan::ALL)
+    }
+
+    /// Cardinality of `self ∩ other` within the words of `span`.
+    pub fn intersection_count_in(&self, other: &FixedBitSet, span: WordSpan) -> usize {
+        self.words_in(span)
             .iter()
-            .zip(other.words.iter())
+            .zip(other.words_in(span))
             .map(|(&a, &b)| (a & b).count_ones() as usize)
             .sum()
     }
@@ -146,15 +194,57 @@ impl FixedBitSet {
     /// Iterates over `self ∩ other` in ascending order without
     /// materializing it (words beyond the shorter set count as empty).
     pub fn intersection_iter<'a>(&'a self, other: &'a FixedBitSet) -> Intersection<'a> {
+        self.intersection_iter_in(other, WordSpan::ALL)
+    }
+
+    /// Iterates over `self ∩ other` within the words of `span`, ascending.
+    pub fn intersection_iter_in<'a>(
+        &'a self,
+        other: &'a FixedBitSet,
+        span: WordSpan,
+    ) -> Intersection<'a> {
+        let (a, b) = (self.words_in(span), other.words_in(span));
         Intersection {
-            a: &self.words,
-            b: &other.words,
+            a,
+            b,
+            first_bit: span.lo as usize * 64,
             word_idx: 0,
-            current: match (self.words.first(), other.words.first()) {
+            current: match (a.first(), b.first()) {
                 (Some(&a), Some(&b)) => a & b,
                 _ => 0,
             },
         }
+    }
+
+    /// The smallest span holding every set bit: from the first to one past
+    /// the last non-zero word, [`WordSpan::EMPTY`] if no bit is set.
+    pub fn word_span(&self) -> WordSpan {
+        self.word_span_in(WordSpan::ALL)
+    }
+
+    /// [`FixedBitSet::word_span`] of the bits inside `span`, found by
+    /// scanning inward from its two ends.
+    pub fn word_span_in(&self, span: WordSpan) -> WordSpan {
+        let words = self.words_in(span);
+        let Some(first) = words.iter().position(|&w| w != 0) else {
+            return WordSpan::EMPTY;
+        };
+        let last = words.iter().rposition(|&w| w != 0).unwrap_or(first);
+        WordSpan {
+            lo: span.lo + first as u32,
+            hi: span.lo + last as u32 + 1,
+        }
+    }
+
+    /// The words inside `span`, clamped to the set's length.
+    fn words_in(&self, span: WordSpan) -> &[u64] {
+        let hi = (span.hi as usize).min(self.words.len());
+        self.words.get(span.lo as usize..hi).unwrap_or_default()
+    }
+
+    fn words_in_mut(&mut self, span: WordSpan) -> &mut [u64] {
+        let hi = (span.hi as usize).min(self.words.len());
+        self.words.get_mut(span.lo as usize..hi).unwrap_or_default()
     }
 
     /// Iterates over set bits in ascending order.
@@ -210,10 +300,15 @@ impl Iterator for Iter<'_> {
     }
 }
 
-/// Iterator over the bits set in both of two [`FixedBitSet`]s.
+/// Iterator over the bits set in both of two [`FixedBitSet`]s, within the
+/// words of a [`WordSpan`]. The default iterator is empty.
+#[derive(Default)]
 pub struct Intersection<'a> {
+    /// The two sets' words inside the span.
     a: &'a [u64],
     b: &'a [u64],
+    /// The bit that the first word of `a` and `b` starts at.
+    first_bit: usize,
     word_idx: usize,
     current: u64,
 }
@@ -229,13 +324,14 @@ impl Iterator for Intersection<'_> {
         }
         let bit = self.current.trailing_zeros();
         self.current &= self.current - 1;
-        Some((self.word_idx * 64) as u32 + bit)
+        Some((self.first_bit + self.word_idx * 64) as u32 + bit)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn insert_contains_remove() {
@@ -307,6 +403,57 @@ mod tests {
         let empty = FixedBitSet::new(0);
         assert_eq!(a.intersection_iter(&empty).count(), 0);
         assert_eq!(empty.intersection_iter(&a).count(), 0);
+    }
+
+    /// `x` with only the bits inside `span` kept.
+    fn restricted(x: &FixedBitSet, span: WordSpan) -> Vec<u32> {
+        let inside = |i: &u32| span.lo <= i / 64 && i / 64 < span.hi;
+        x.iter().filter(inside).collect()
+    }
+
+    fn set(len: usize, bits: &[u32]) -> FixedBitSet {
+        let mut s = FixedBitSet::new(len);
+        for &i in bits.iter().filter(|&&i| (i as usize) < len) {
+            s.insert(i);
+        }
+        s
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// On sets of unequal lengths and any span — empty, inverted or
+        /// past the end included — the span forms equal the materialized
+        /// intersection restricted to the span.
+        #[test]
+        fn span_forms_equal_the_restricted_intersection(
+            (la, lb) in (0usize..320, 0usize..320),
+            abits in proptest::collection::vec(0u32..320, 0..60),
+            bbits in proptest::collection::vec(0u32..320, 0..60),
+            (lo, hi) in (0u32..8, 0u32..8),
+        ) {
+            let (a, b) = (set(la, &abits), set(lb, &bbits));
+            let mut both = a.clone();
+            both.intersect_with(&b);
+            for span in [WordSpan { lo, hi }, WordSpan::ALL, WordSpan::EMPTY] {
+                let want = restricted(&both, span);
+                let got: Vec<u32> = a.intersection_iter_in(&b, span).collect();
+                prop_assert_eq!(got, want.clone());
+                prop_assert_eq!(a.intersection_count_in(&b, span), want.len());
+                let mut diff = a.clone();
+                diff.difference_with_in(&b, span);
+                let kept: Vec<u32> = a.iter().filter(|i| !want.contains(i)).collect();
+                prop_assert_eq!(diff.to_vec(), kept);
+                let inside = restricted(&a, span);
+                let want_span = match (inside.first(), inside.last()) {
+                    (Some(f), Some(l)) => WordSpan { lo: f / 64, hi: l / 64 + 1 },
+                    _ => WordSpan::EMPTY,
+                };
+                prop_assert_eq!(a.word_span_in(span), want_span);
+            }
+            prop_assert_eq!(a.intersection_iter(&b).collect::<Vec<_>>(), both.to_vec());
+            prop_assert_eq!(a.intersection_count(&b), both.count());
+        }
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub mod scc;
 pub mod topo;
 pub mod traversal;
 
-pub use bitset::FixedBitSet;
+pub use bitset::{FixedBitSet, WordSpan};
 pub use closure::{DistanceClosure, TransitiveClosure};
 pub use csr::Csr;
 pub use digraph::{DiGraph, EdgeInsert, NodeId};
