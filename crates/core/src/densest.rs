@@ -75,7 +75,8 @@ pub(crate) struct Peeled {
     pub edges: usize,
     /// Vertices of the evaluated center graph.
     pub offered: usize,
-    /// Vertices removed before the density bound ended the peel.
+    /// Vertices removed before the density bound ended the peel, the
+    /// edgeless ones included.
     pub removed: usize,
 }
 
@@ -138,16 +139,16 @@ impl<'a> Rows<'a> {
 /// bits of `right_rows[v] ∧ alive_l`: the rows are only read, so the cover
 /// builder passes its uncovered-connection rows as they are.
 ///
-/// Two quirks of the original materializing implementation decide ties.
-/// Every cover built since depends on them, so they are kept on purpose
-/// (`builder::tests::golden` steps the original beside this loop):
+/// One rule of the original materializing implementation decides ties, and
+/// every cover built since depends on it, so it is kept on purpose
+/// (`builder::tests::golden` steps the original beside this loop): buckets
+/// are LIFO stacks with lazy stale entries, filled left side first and each
+/// side in ascending id order, and `cursor` falls back on every decrement —
+/// that fixes which minimum-degree vertex goes next.
 ///
-/// * the right side keeps descendants without an uncovered edge — they
-///   count in the initial `|V'|` and are peeled first, from bucket 0 —
-///   while [`Peeler::peel_center`] drops such ancestors from the left side;
-/// * buckets are LIFO stacks with lazy stale entries, filled left side
-///   first and each side in ascending id order, and `cursor` falls back on
-///   every decrement — that fixes which minimum-degree vertex goes next.
+/// Edgeless vertices never enter the peel. The original peeled them first,
+/// from bucket 0, and none ever belonged to the chosen subgraph (DESIGN.md,
+/// "Why the covers are bit-identical"); [`Peeler::peel`] only counts them.
 pub(crate) struct Peeler {
     /// Vertices not yet peeled; after a peel, the chosen subgraph.
     alive_l: FixedBitSet,
@@ -197,7 +198,6 @@ impl Peeler {
     ) -> Option<Peeled> {
         self.alive_l.clear();
         self.alive_r.clear();
-        self.alive_r.union_with(cout);
         let (a, d) = (cin.count(), cout.count());
         let (cin_span, cout_span) = (cin.word_span(), cout.word_span());
         let words = self.ldeg.len().div_ceil(64);
@@ -208,7 +208,8 @@ impl Peeler {
         // walking the small side's rows edge by edge costs no more than the
         // other side's popcount pass — for stars, leaves and the
         // reflexive-only rows of a Theorem-3 partial closure far less — and
-        // yields both degree vectors.
+        // yields both degree vectors. Either way a vertex joins its alive
+        // set with its first edge.
         if d <= a.min(words) {
             for v in cout.iter() {
                 let mut deg = 0;
@@ -218,23 +219,21 @@ impl Peeler {
                     max_l = max_l.max(*slot);
                     deg += 1;
                 }
-                self.rdeg[v as usize] = deg;
-                max_r = max_r.max(deg);
-                edges += deg as usize;
+                if deg > 0 {
+                    self.alive_r.insert(v);
+                    self.rdeg[v as usize] = deg;
+                    max_r = max_r.max(deg);
+                    edges += deg as usize;
+                }
             }
         } else {
             let walk = a <= words; // else: popcounts on both sides
-            if walk {
-                for v in cout.iter() {
-                    self.rdeg[v as usize] = 0;
-                }
-            }
             for u in cin.iter() {
                 let mut deg = 0;
                 if walk {
                     for v in unc_out.meet(u, cout, cout_span) {
                         let slot = &mut self.rdeg[v as usize];
-                        *slot += 1;
+                        *slot = if self.alive_r.insert(v) { 1 } else { *slot + 1 };
                         max_r = max_r.max(*slot);
                         deg += 1;
                     }
@@ -251,18 +250,30 @@ impl Peeler {
             if !walk {
                 for v in cout.iter() {
                     let deg = unc_in.meet_count(v, cin, cin_span);
-                    self.rdeg[v as usize] = deg;
-                    max_r = max_r.max(deg);
+                    if deg > 0 {
+                        self.alive_r.insert(v);
+                        self.rdeg[v as usize] = deg;
+                        max_r = max_r.max(deg);
+                    }
                 }
             }
         }
-        (edges > 0).then(|| self.peel(unc_out, unc_in, edges, max_l, max_r))
+        if edges == 0 {
+            return None;
+        }
+        // The edgeless ancestors were never offered; the edgeless
+        // descendants were, and still count (`BuildStats::peel_offered`).
+        let edgeless = d - self.alive_r.count();
+        Some(self.peel(unc_out, unc_in, edges, max_l, max_r, edgeless))
     }
 
     /// The peel proper: removes a minimum-degree vertex at a time and keeps
     /// the densest intermediate subgraph, which is left in `alive_l` /
-    /// `alive_r`. Expects the alive sets, the degrees of their members and
-    /// the maximum degree per side; `edges` must be positive.
+    /// `alive_r`. Expects the alive sets, which hold only vertices with an
+    /// edge, the degrees of their members and the maximum degree per side;
+    /// `edges` must be positive. `edgeless` more vertices were offered: they
+    /// are reported as offered and removed, as the original peel removed
+    /// them before any other.
     fn peel(
         &mut self,
         left_rows: Rows<'_>,
@@ -270,6 +281,7 @@ impl Peeler {
         edges: usize,
         max_ldeg: u32,
         max_rdeg: u32,
+        edgeless: usize,
     ) -> Peeled {
         let Peeler {
             alive_l,
@@ -281,7 +293,7 @@ impl Peeler {
         } = self;
         let base = ldeg.len() as u32;
         let (mut al, mut ar) = (alive_l.count(), alive_r.count());
-        let offered = al + ar;
+        let positive = al + ar;
         // No subgraph of what is alive is denser than this. A left vertex
         // has at most `dl = min(max_ldeg, ar)` edges and a right vertex at
         // most `dr`, so `a'` left and `b'` right vertices span at most
@@ -294,7 +306,7 @@ impl Peeler {
             complete_bipartite_density((max_ldeg as usize).min(ar), (max_rdeg as usize).min(al))
         };
         let mut cur_edges = edges;
-        let mut best = (cur_edges as f64 / offered as f64, cur_edges);
+        let mut best = (cur_edges as f64 / positive as f64, cur_edges);
         let mut best_prefix = 0usize; // number of removals at the best point
         order.clear();
         if bound(al, ar) > best.0 {
@@ -365,8 +377,8 @@ impl Peeler {
         Peeled {
             density: best.0,
             edges: best.1,
-            offered,
-            removed: order.len(),
+            offered: positive + edgeless,
+            removed: edgeless + order.len(),
         }
     }
 }
@@ -413,25 +425,30 @@ fn peel_graph(g: &BipartiteCenterGraph) -> Option<(Peeler, Peeled)> {
     let mut radj: Vec<FixedBitSet> = vec![FixedBitSet::new(nl); nr];
     let (mut edges, mut max_l, mut max_r) = (0usize, 0u32, 0u32);
     for (i, (row, deg)) in g.adj.iter().zip(&mut peeler.ldeg).enumerate() {
-        peeler.alive_l.insert(i as u32);
         for j in row.iter() {
             radj[j as usize].insert(i as u32);
             *deg += 1;
+        }
+        if *deg > 0 {
+            peeler.alive_l.insert(i as u32);
         }
         max_l = max_l.max(*deg);
         edges += *deg as usize;
     }
     for (j, (col, deg)) in radj.iter().zip(&mut peeler.rdeg).enumerate() {
-        peeler.alive_r.insert(j as u32);
         *deg = col.count() as u32;
+        if *deg > 0 {
+            peeler.alive_r.insert(j as u32);
+        }
         max_r = max_r.max(*deg);
     }
     if edges == 0 {
         return None;
     }
+    let isolated = nl + nr - peeler.alive_l.count() - peeler.alive_r.count();
     let (lspans, rspans) = (spans_of(&g.adj), spans_of(&radj));
     let (left, right) = (Rows::new(&g.adj, &lspans), Rows::new(&radj, &rspans));
-    let peeled = peeler.peel(left, right, edges, max_l, max_r);
+    let peeled = peeler.peel(left, right, edges, max_l, max_r, isolated);
     Some((peeler, peeled))
 }
 
@@ -757,6 +774,12 @@ mod tests {
             assert_eq!(got.density.to_bits(), want.density.to_bits());
             assert_eq!(got.edges, want.edges);
             let (_, peeled) = peel_graph(&g).unwrap();
+            assert_eq!(peeled.offered, nl + nr);
+            let isolated = g.adj.iter().filter(|row| row.is_empty()).count()
+                + (0..nr as u32)
+                    .filter(|&j| edges.iter().all(|&(_, e)| e != j))
+                    .count();
+            assert!(peeled.removed >= isolated);
             let best_prefix = nl + nr - want.left.len() - want.right.len();
             assert!(best_prefix <= peeled.removed && peeled.removed <= peeled.offered);
             early_exits += usize::from(peeled.removed < peeled.offered);

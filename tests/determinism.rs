@@ -170,3 +170,26 @@ fn covers_are_pinned() {
         "maintained cover"
     );
 }
+
+/// Pins the greedy kernel's own counters on the build `covers_are_pinned`
+/// checks (`BuildStats`, summed over the partition and skeleton covers).
+/// The checksum catches a change to the covers; this catches a change to
+/// how much work the lazy queue and the peel do to reach them.
+#[test]
+fn greedy_counters_are_pinned() {
+    let h = Hopi::builder()
+        .partitioner(PartitionerChoice::Tc(TcPartitionerConfig {
+            max_connections_per_partition: 20_000,
+            ..Default::default()
+        }))
+        .join(JoinAlgorithm::Psg)
+        .threads(1)
+        .build(dblp(&DblpConfig::scaled(0.01)))
+        .unwrap();
+    let g = h.report().greedy;
+    assert_eq!(
+        (g.centers, g.densest_evals, g.reinsertions),
+        (551, 2082, 1531)
+    );
+    assert_eq!((g.peel_offered, g.peel_removed), (97_922, 50_056));
+}
