@@ -20,7 +20,8 @@
 //!   `hopi_build_info`, `hopi_request_duration_seconds`,
 //!   `hopi_requests_total`, the publish cost:
 //!   `hopi_publish_duration_seconds`, `hopi_publish_total`,
-//!   `hopi_publish_rows_patched_total`, and the §6 drift and its owners:
+//!   `hopi_publish_rows_patched_total`, `hopi_publish_bytes_total`, and
+//!   the §6 drift and its owners:
 //!   `hopi_cover_drift_ratio`, `hopi_link_integrations_total`,
 //!   `hopi_cover_entries_added_total`, the §6.2 deletions:
 //!   `hopi_deletions_total`, `hopi_recomputed_connections_total`, the
@@ -42,6 +43,7 @@ const REQUIRED_FAMILIES: &[&str] = &[
     "hopi_publish_duration_seconds",
     "hopi_publish_total",
     "hopi_publish_rows_patched_total",
+    "hopi_publish_bytes_total",
     "hopi_cover_drift_ratio",
     "hopi_link_integrations_total",
     "hopi_cover_entries_added_total",
@@ -327,6 +329,8 @@ hopi_publish_total{kind=\"patched\"} 2
 hopi_publish_total{kind=\"full\"} 1
 # TYPE hopi_publish_rows_patched_total counter
 hopi_publish_rows_patched_total 12
+# TYPE hopi_publish_bytes_total counter
+hopi_publish_bytes_total 24576
 # TYPE hopi_cover_drift_ratio gauge
 hopi_cover_drift_ratio 1.2500
 # TYPE hopi_link_integrations_total counter
@@ -434,6 +438,7 @@ hopi_request_duration_seconds_count 1
 # TYPE hopi_publish_duration_seconds histogram
 # TYPE hopi_publish_total counter
 # TYPE hopi_publish_rows_patched_total counter
+# TYPE hopi_publish_bytes_total counter
 # TYPE hopi_cover_drift_ratio gauge
 # TYPE hopi_link_integrations_total counter
 # TYPE hopi_cover_entries_added_total gauge

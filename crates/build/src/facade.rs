@@ -794,6 +794,12 @@ impl Hopi {
         sw: Stopwatch,
     ) -> crate::HopiSnapshot {
         let frozen_distance = self.distance.as_ref().map(FrozenCover::from_distance_cover);
+        let unstamped = FrozenCover::default();
+        let prev = patched.map_or(&unstamped, |(prev, _)| prev.frozen());
+        let bytes = frozen.sharing(prev).fresh_bytes
+            + frozen_distance
+                .as_ref()
+                .map_or(0, |d| d.sharing(&unstamped).fresh_bytes);
         // Of interest beside the build phases is what a *full* freeze
         // costs; a patch keeps the last one's reading.
         let freeze_ms = match patched {
@@ -821,6 +827,7 @@ impl Hopi {
                 micros: sw.elapsed_micros(),
                 patched: patched.is_some(),
                 rows_patched: patched.map_or(0, |(_, rows)| rows),
+                bytes,
             },
         }
     }

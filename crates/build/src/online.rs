@@ -50,6 +50,7 @@ struct PublishMetrics {
     patched: AtomicU64,
     full: AtomicU64,
     rows_patched: AtomicU64,
+    bytes: AtomicU64,
 }
 
 impl PublishMetrics {
@@ -63,6 +64,8 @@ impl PublishMetrics {
         kind.fetch_add(1, Ordering::Relaxed);
         self.rows_patched
             .fetch_add(publish.rows_patched as u64, Ordering::Relaxed);
+        self.bytes
+            .fetch_add(publish.bytes as u64, Ordering::Relaxed);
     }
 }
 
@@ -78,6 +81,9 @@ pub struct PublishTotals {
     pub full: u64,
     /// Rows the patches took from the mutable cover, in total.
     pub rows_patched: u64,
+    /// Bytes of frozen blocks the captures wrote, in total (see
+    /// [`PublishStats::bytes`]).
+    pub bytes: u64,
 }
 
 /// What the engine lock guards: the engine, and beside it the catch-up
@@ -322,13 +328,14 @@ impl OnlineHopi {
 
     /// What publishing snapshots has cost so far: the capture-time
     /// distribution, how many covers were patched and how many frozen in
-    /// full, and the rows the patches rewrote.
+    /// full, and the rows and bytes the captures rewrote.
     pub fn publish_totals(&self) -> PublishTotals {
         PublishTotals {
             duration: self.publishes.duration.snapshot(),
             patched: self.publishes.patched.load(Ordering::Relaxed),
             full: self.publishes.full.load(Ordering::Relaxed),
             rows_patched: self.publishes.rows_patched.load(Ordering::Relaxed),
+            bytes: self.publishes.bytes.load(Ordering::Relaxed),
         }
     }
 
@@ -702,6 +709,54 @@ mod tests {
                 ("d", r#"<r><u/><cite xlink:href="a"/></r>"#),
             ])
             .expect("valid fixture")
+    }
+
+    #[test]
+    fn a_leaf_link_write_shares_all_but_a_few_blocks() {
+        // 300 unlinked seven-element chains: ~2,100 nodes, nine blocks a
+        // section.
+        let docs: Vec<(String, String)> = (0..300)
+            .map(|i| {
+                (
+                    format!("d{i}"),
+                    "<r><a><b><c><d><e><f/></e></d></c></b></a></r>".into(),
+                )
+            })
+            .collect();
+        let hopi = Hopi::builder()
+            .parse(docs.iter().map(|(n, x)| (n.as_str(), x.as_str())))
+            .expect("valid collection");
+        let online = OnlineHopi::new(hopi);
+        let first = online.snapshot();
+        let total = first.frozen().sharing(&FrozenCover::default()).fresh_bytes;
+        assert_eq!(
+            first.stats().publish.bytes,
+            total,
+            "a full freeze writes every block"
+        );
+        online
+            .insert_link(elem(&online, "d10", 6), elem(&online, "d250", 6))
+            .unwrap();
+        let second = online.snapshot();
+        let publish = second.stats().publish;
+        assert!(publish.patched);
+        let sharing = second.frozen().sharing(first.frozen());
+        let blocks = sharing.shared.iter().map(Vec::len).sum::<usize>();
+        let rebuilt = sharing.shared.iter().flatten().filter(|&&s| !s).count();
+        assert!(
+            blocks >= 32 && rebuilt <= 4,
+            "{rebuilt} of {blocks} blocks rebuilt"
+        );
+        assert_eq!(publish.bytes, sharing.fresh_bytes);
+        assert!(
+            publish.bytes > 0 && publish.bytes * 8 <= total,
+            "{} of {total} bytes",
+            publish.bytes
+        );
+        assert_eq!(
+            online.publish_totals().bytes,
+            (total + publish.bytes) as u64
+        );
     }
 
     fn doc_id(online: &OnlineHopi, name: &str) -> DocId {

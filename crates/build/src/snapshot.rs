@@ -12,9 +12,10 @@
 //! epoch they started with, new readers pick up the new one.
 //!
 //! Consecutive epochs share what the mutation between them left alone:
-//! the documents (each behind an `Arc` inside [`Collection`]), the tag
+//! the document table (behind one `Arc` inside [`Collection`]), the tag
 //! index and the frozen term index; and the frozen cover of an epoch is
-//! patched from its predecessor's (see [`FrozenCover::patched`]).
+//! patched from its predecessor's, sharing every row block the mutation
+//! did not dirty (see [`FrozenCover::patched`]).
 
 use crate::error::HopiError;
 use crate::facade::QueryOptions;
@@ -78,6 +79,11 @@ pub struct PublishStats {
     /// Label and holder rows the patch took from the mutable cover (0 for
     /// a full freeze).
     pub rows_patched: usize,
+    /// Bytes of the frozen blocks the capture wrote: the blocks a patch
+    /// rebuilt, or every block of a full freeze — plus, on a
+    /// distance-aware engine, the distance cover it re-froze. Blocks shared
+    /// with the previous epoch cost nothing here.
+    pub bytes: usize,
 }
 
 impl PublishStats {

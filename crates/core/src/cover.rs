@@ -106,6 +106,12 @@ impl DirtyRows {
         self.base != 0 && self.base == prev.stamp()
     }
 
+    /// The listed rows of `Lin`, `Lout`, `inv_in` and `inv_out`, each
+    /// sorted and free of duplicates (all empty when everything is dirty).
+    pub fn rows(&self) -> [&[NodeId]; 4] {
+        [&self.lin, &self.lout, &self.inv_in, &self.inv_out]
+    }
+
     /// Dirty rows over all four sections (0 when everything is dirty).
     pub fn len(&self) -> usize {
         self.lin.len() + self.lout.len() + self.inv_in.len() + self.inv_out.len()

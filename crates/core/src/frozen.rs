@@ -3,8 +3,11 @@
 //!
 //! The mutable [`TwoHopCover`] keeps one heap `Vec` per node and per
 //! inverted-center row; every query chases pointers. A [`FrozenCover`]
-//! freezes the same labels into **one contiguous buffer** with four offset
-//! tables (`Lin`, `Lout` and both inverted directions), so:
+//! freezes the same labels into four sections (`Lin`, `Lout` and both
+//! inverted directions), each a table of **row blocks**: block `k` holds
+//! the rows of nodes `k·B .. (k+1)·B` ([`FrozenCover::BLOCK_ROWS`]) in one
+//! allocation, local offsets first, then the rows' data. A row never spans
+//! a block, so every row is still one contiguous slice and:
 //!
 //! * `connected`/`distance` are allocation-free sorted-merge scans over
 //!   contiguous rows,
@@ -16,9 +19,10 @@
 //! A frozen cover optionally carries the distance annotations of a
 //! [`DistanceCover`] (paper §5), answering `distance` from the same layout.
 //! A serving engine freezes once and then *patches*: [`FrozenCover::patched`]
-//! assembles the successor of a frozen cover from the rows the mutable
-//! cover's journal lists as edited, field for field what a full freeze
-//! would build. Freezing is one-way by construction, but [`FrozenCover::thaw`] /
+//! rebuilds the blocks holding a row the mutable cover's journal lists as
+//! edited and shares every other block with its predecessor, so a publish
+//! writes O(delta) bytes; the result equals what a full freeze would build.
+//! Freezing is one-way by construction, but [`FrozenCover::thaw`] /
 //! [`FrozenCover::thaw_distance`] rebuild the mutable forms without any
 //! re-sorting — rows are stored sorted — which is how a persisted frozen
 //! blob is reopened for maintenance.
@@ -26,20 +30,332 @@
 use crate::cover::{sorted_intersects, DirtyRows, NodeId, TwoHopCover};
 use crate::distance::DistanceCover;
 use crate::source::{CoverStats, LabelSource};
+use std::ops::Range;
+use std::sync::Arc;
 
-/// Section boundaries of one node's rows inside the shared data buffer.
+/// Rows per block: a power of two, so a node's block and slot are a shift
+/// and a mask. Larger blocks copy more bytes per patch; smaller ones cost
+/// more reference-count bumps per publish (DESIGN.md, "Publishing a
+/// snapshot").
+const B: usize = 256;
+const SHIFT: u32 = B.trailing_zeros();
+/// Words of a block's local offset table (`B + 1`, starting at 0).
+const OFFSETS: usize = B + 1;
+/// Where a label block's row data starts: after its offsets and its `B`
+/// 64-bit row signatures, two words each.
+const LABEL_HEAD: usize = OFFSETS + 2 * B;
+/// Where a holder block's row data starts.
+const HOLDER_HEAD: usize = OFFSETS;
+
+/// One section of a frozen cover as a table of row blocks. Block `k` is one
+/// allocation of `HEAD` header words — the `B + 1` local offsets of its
+/// rows, then (label sections) their signatures — followed by the rows'
+/// data and, in a distance-annotated label section, their distances in
+/// parallel. Slots past the cover's last node are empty rows whose
+/// signature is that of an empty row, so a block looks the same whether or
+/// not the cover has grown into it.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-struct Offsets {
-    /// `len n + 1`, absolute indices into the shared buffer.
-    off: Vec<u32>,
+struct Section<const HEAD: usize> {
+    blocks: Vec<Arc<[u32]>>,
 }
 
-impl Offsets {
-    fn row(&self, v: NodeId) -> std::ops::Range<usize> {
-        match self.off.get(v as usize..v as usize + 2) {
-            Some(w) => w[0] as usize..w[1] as usize,
-            None => 0..0,
+/// `Lin` or `Lout`: rows carry signatures.
+type Labels = Section<LABEL_HEAD>;
+/// `inv_in` or `inv_out`.
+type Holders = Section<HOLDER_HEAD>;
+
+impl<const HEAD: usize> Section<HEAD> {
+    /// The block holding `v`'s row and `v`'s slot in it; an empty block
+    /// past the table's end.
+    #[inline]
+    fn slot(&self, v: NodeId) -> (&[u32], usize) {
+        let v = v as usize;
+        match self.blocks.get(v >> SHIFT) {
+            Some(block) => (block, v & (B - 1)),
+            None => (&[], 0),
         }
+    }
+
+    /// Word range of the row in `slot` of `block`.
+    #[inline]
+    fn span(block: &[u32], slot: usize) -> Range<usize> {
+        match block.get(slot..slot + 2) {
+            Some(&[lo, hi]) => HEAD + lo as usize..HEAD + hi as usize,
+            _ => 0..0,
+        }
+    }
+
+    #[inline]
+    fn row_in(block: &[u32], slot: usize) -> &[NodeId] {
+        block.get(Self::span(block, slot)).unwrap_or_default()
+    }
+
+    #[inline]
+    fn row(&self, v: NodeId) -> &[NodeId] {
+        let (block, slot) = self.slot(v);
+        Self::row_in(block, slot)
+    }
+
+    /// Entries stored in `block` (its last local offset).
+    fn entries_in(block: &[u32]) -> usize {
+        block.get(B).map_or(0, |&end| end as usize)
+    }
+
+    /// The distances parallel to `v`'s row (empty without annotations).
+    fn dists(&self, v: NodeId) -> &[u32] {
+        let (block, slot) = self.slot(v);
+        let (row, len) = (Self::span(block, slot), Self::entries_in(block));
+        block
+            .get(row.start + len..row.end + len)
+            .unwrap_or_default()
+    }
+
+    fn entries(&self) -> usize {
+        self.blocks.iter().map(|b| Self::entries_in(b)).sum()
+    }
+
+    /// Each block's row data in turn (annotated: `dists` selects the
+    /// distances instead).
+    fn payloads(&self, dists: bool) -> impl Iterator<Item = &[u32]> {
+        self.blocks.iter().map(move |block| {
+            let len = Self::entries_in(block);
+            let start = HEAD + if dists { len } else { 0 };
+            block.get(start..start + len).unwrap_or_default()
+        })
+    }
+
+    /// Blocks a cover of `n` nodes needs.
+    fn blocks_for(n: usize) -> usize {
+        n.div_ceil(B)
+    }
+
+    /// The section of `n` rows, `row(v)` each.
+    fn build<'a>(n: usize, row: impl Fn(NodeId) -> LabelRow<'a>) -> Self {
+        let mut w = BlockWriter::<HEAD>::default();
+        let blocks = (0..Self::blocks_for(n))
+            .map(|k| {
+                w.start(k * B);
+                for v in k * B..n.min((k + 1) * B) {
+                    w.push(row(v as NodeId));
+                }
+                w.finish()
+            })
+            .collect();
+        Section { blocks }
+    }
+
+    /// The section of the CSR rows `off` delimits in `data` (absolute
+    /// offsets, `n + 1` of them), with the parallel distances when given.
+    /// A block's rows are one run of `data`, copied at once. The caller
+    /// has checked that the offsets tile `data`.
+    fn from_csr(off: &[u32], data: &[NodeId], dist: Option<&[u32]>) -> Self {
+        let n = off.len().saturating_sub(1);
+        let mut w = BlockWriter::<HEAD>::default();
+        let blocks = (0..Self::blocks_for(n))
+            .map(|k| {
+                w.start(k * B);
+                let ends = off.get(k * B..=n.min((k + 1) * B)).unwrap_or_default();
+                w.push_run(ends, data, dist, None);
+                w.finish()
+            })
+            .collect();
+        Section { blocks }
+    }
+
+    /// This section grown to `n` rows, with the rows in `dirty` (sorted,
+    /// deduplicated) read through `row` and sorted. Every block that holds
+    /// no dirty row is shared with `self`; the others are rebuilt, their
+    /// clean rows and signatures copied from `self` (empty rows for slots
+    /// `self` never had).
+    fn patched<'a>(
+        &self,
+        n: usize,
+        dirty: &[NodeId],
+        row: impl Fn(NodeId) -> &'a [NodeId],
+    ) -> Self {
+        let mut w = BlockWriter::<HEAD>::default();
+        let mut dirty = dirty
+            .iter()
+            .map(|&d| d as usize)
+            .filter(|&d| d < n)
+            .peekable();
+        let blocks = (0..Self::blocks_for(n))
+            .map(|k| {
+                let end = (k + 1) * B;
+                let clean = dirty.peek().is_none_or(|&d| d >= end);
+                if let Some(block) = self.blocks.get(k).filter(|_| clean) {
+                    return block.clone();
+                }
+                // Clean runs between dirty rows are copied in one piece.
+                let (first, stop) = (k * B, n.min(end));
+                let prev = self.blocks.get(k).map(|b| &**b).unwrap_or_default();
+                w.start(first);
+                let mut next = first;
+                while next < stop {
+                    let d = dirty.next_if(|&d| d < stop);
+                    let run_end = d.unwrap_or(stop);
+                    w.copy_rows(prev, next - first..run_end - first);
+                    if let Some(d) = d {
+                        w.push(LabelRow::Plain(row(d as NodeId)));
+                        w.sort_last();
+                    }
+                    next = run_end + 1;
+                }
+                w.finish()
+            })
+            .collect();
+        Section { blocks }
+    }
+
+    /// One flag per block: the very allocation `prev` holds at its index.
+    /// Adds the bytes of the other blocks to `fresh`.
+    fn shared_with(&self, prev: &Self, fresh: &mut usize) -> Vec<bool> {
+        let shared: Vec<bool> = self
+            .blocks
+            .iter()
+            .enumerate()
+            .map(|(k, block)| prev.blocks.get(k).is_some_and(|p| Arc::ptr_eq(p, block)))
+            .collect();
+        *fresh += self
+            .blocks
+            .iter()
+            .zip(&shared)
+            .filter(|(_, &shared)| !shared)
+            .map(|(block, _)| 4 * block.len())
+            .sum::<usize>();
+        shared
+    }
+}
+
+impl Labels {
+    /// Signature of the row in `slot` of `block`.
+    #[inline]
+    fn sig(block: &[u32], slot: usize) -> u64 {
+        match block.get(OFFSETS + 2 * slot..OFFSETS + 2 * slot + 2) {
+            Some(&[lo, hi]) => u64::from(lo) | u64::from(hi) << 32,
+            _ => 0,
+        }
+    }
+}
+
+/// Assembles the blocks of one section, one at a time, in a buffer reused
+/// across blocks.
+#[derive(Default)]
+struct BlockWriter<const HEAD: usize> {
+    /// Header and row data of the block being written.
+    words: Vec<u32>,
+    /// Its distances, when annotated.
+    dists: Vec<u32>,
+    /// Node of slot 0.
+    first: usize,
+    /// Slots written.
+    rows: usize,
+}
+
+impl<const HEAD: usize> BlockWriter<HEAD> {
+    /// Starts the block whose slot 0 is node `first`.
+    fn start(&mut self, first: usize) {
+        self.words.clear();
+        self.words.resize(HEAD, 0);
+        self.dists.clear();
+        self.first = first;
+        self.rows = 0;
+    }
+
+    /// Appends the next slot's row.
+    fn push(&mut self, row: LabelRow<'_>) {
+        row.append_to(&mut self.words, &mut self.dists);
+        self.seal(self.words.len() - HEAD, None);
+    }
+
+    /// Appends the rows that the absolute offsets `ends` delimit in `data`
+    /// (the first offset starts the first row), with their distances when
+    /// given, in one copy. In a label section, signatures are copied from
+    /// `signed` — the block at the same index the rows come from — when
+    /// given, and computed otherwise.
+    fn push_run(
+        &mut self,
+        ends: &[u32],
+        data: &[NodeId],
+        dist: Option<&[u32]>,
+        signed: Option<&[u32]>,
+    ) {
+        let (Some(&lo), Some(&hi)) = (ends.first(), ends.last()) else {
+            return;
+        };
+        let base = self.words.len() - HEAD;
+        let run = lo as usize..hi as usize;
+        self.words
+            .extend_from_slice(data.get(run.clone()).unwrap_or_default());
+        if let Some(dist) = dist {
+            self.dists
+                .extend_from_slice(dist.get(run).unwrap_or_default());
+        }
+        for &end in ends.iter().skip(1) {
+            let sig = signed.map(|block| Labels::sig(block, self.rows));
+            self.seal(base + (end - lo) as usize, sig);
+        }
+    }
+
+    /// Appends the rows of `slots` from `prev`, the block at the same
+    /// index of an earlier cover, signatures included. Without such a
+    /// block (`prev` empty) the rows are empty.
+    fn copy_rows(&mut self, prev: &[u32], slots: Range<usize>) {
+        match prev.get(slots.start..=slots.end) {
+            Some(ends) => {
+                let data = prev.get(HEAD..).unwrap_or_default();
+                self.push_run(ends, data, None, Some(prev));
+            }
+            None => {
+                let end = self.words.len() - HEAD;
+                for _ in slots {
+                    self.seal(end, None);
+                }
+            }
+        }
+    }
+
+    /// Sorts the row pushed last (holder rows live in the mutable cover in
+    /// edit order). Its signature does not depend on the order.
+    fn sort_last(&mut self) {
+        let slot = self.rows.saturating_sub(1);
+        let start = HEAD + self.words.get(slot).map_or(0, |&lo| lo as usize);
+        if let Some(row) = self.words.get_mut(start..) {
+            row.sort_unstable();
+        }
+    }
+
+    /// Ends the current slot's row at local offset `end`: records the
+    /// offset and, in a label section, the row's signature (`sig`, or
+    /// computed from the row), and moves to the next slot.
+    fn seal(&mut self, end: usize, sig: Option<u64>) {
+        let slot = self.rows;
+        if let Some(off) = self.words.get_mut(slot + 1) {
+            *off = end as u32;
+        }
+        if HEAD == LABEL_HEAD {
+            let v = (self.first + slot) as NodeId;
+            let sig =
+                sig.unwrap_or_else(|| row_signature(v, Section::<HEAD>::row_in(&self.words, slot)));
+            if let Some(pair) = self
+                .words
+                .get_mut(OFFSETS + 2 * slot..OFFSETS + 2 * slot + 2)
+            {
+                pair.copy_from_slice(&[sig as u32, (sig >> 32) as u32]);
+            }
+        }
+        self.rows += 1;
+    }
+
+    /// Pads the slots past the last row with empty rows and returns the
+    /// block.
+    fn finish(&mut self) -> Arc<[u32]> {
+        let end = self.words.len() - HEAD;
+        while self.rows < B {
+            self.seal(end, None);
+        }
+        self.words.extend_from_slice(&self.dists);
+        Arc::from(self.words.as_slice())
     }
 }
 
@@ -62,23 +378,20 @@ impl Offsets {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct FrozenCover {
-    /// `[Lin | Lout | inv_in | inv_out]` rows, each row sorted.
-    data: Vec<NodeId>,
-    lin: Offsets,
-    lout: Offsets,
+    /// `Lin` rows, with the signature of `Lin(v) ∪ {v}` per node.
+    lin: Labels,
+    /// `Lout` rows, with the signature of `Lout(u) ∪ {u}` per node. The
+    /// signatures are a Bloom-style join filter: a probe whose signatures
+    /// do not intersect is provably unreachable, skipping the row scans.
+    lout: Labels,
     /// `inv_in` rows: nodes holding `c` in `Lin` (`c` reaches them).
-    inv_in: Offsets,
+    inv_in: Holders,
     /// `inv_out` rows: nodes holding `c` in `Lout` (they reach `c`).
-    inv_out: Offsets,
-    /// Distance annotations parallel to the `Lin`/`Lout` prefix of `data`.
-    dist: Option<Vec<u32>>,
-    /// Per-node 64-bit signature of `Lout(u) ∪ {u}` (Bloom-style join
-    /// filter): a probe whose signatures do not intersect is provably
-    /// unreachable, skipping the row scans entirely. Derived data, rebuilt
-    /// on every construction path.
-    sig_out: Vec<u64>,
-    /// Per-node signature of `Lin(v) ∪ {v}`.
-    sig_in: Vec<u64>,
+    inv_out: Holders,
+    /// Whether the label blocks carry distance annotations.
+    with_dist: bool,
+    lin_entries: usize,
+    lout_entries: usize,
     n: usize,
     /// Stamp of the journal take this cover was frozen at (see
     /// [`TwoHopCover::take_journal`]); 0 when frozen outside the journal.
@@ -86,21 +399,33 @@ pub struct FrozenCover {
     stamp: u64,
 }
 
-/// Equality of the frozen *content* — every buffer, offset table and
-/// signature — which is what [`FrozenCover::patched`] guarantees against
-/// [`FrozenCover::from_cover`].
+/// Equality of the frozen *content* — every block's rows, signatures and
+/// distances — which is what [`FrozenCover::patched`] guarantees against
+/// [`FrozenCover::from_cover`]. Shared blocks compare by pointer first.
 impl PartialEq for FrozenCover {
     fn eq(&self, other: &Self) -> bool {
         self.n == other.n
-            && self.data == other.data
+            && self.with_dist == other.with_dist
+            && self.lin_entries == other.lin_entries
+            && self.lout_entries == other.lout_entries
             && self.lin == other.lin
             && self.lout == other.lout
             && self.inv_in == other.inv_in
             && self.inv_out == other.inv_out
-            && self.dist == other.dist
-            && self.sig_out == other.sig_out
-            && self.sig_in == other.sig_in
     }
+}
+
+/// How a frozen cover's blocks relate to an earlier one's (see
+/// [`FrozenCover::sharing`]).
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct BlockSharing {
+    /// For `Lin`, `Lout`, `inv_in` and `inv_out` in turn, one flag per
+    /// block: set when the block is the very allocation the earlier cover
+    /// holds at the same index.
+    pub shared: [Vec<bool>; 4],
+    /// Bytes of the blocks that are not shared: what producing this cover
+    /// wrote beyond what the earlier one already held.
+    pub fresh_bytes: usize,
 }
 
 /// One bit of the 64-bit center signature (multiplicative hash).
@@ -114,79 +439,17 @@ fn row_signature(v: NodeId, row: &[NodeId]) -> u64 {
     row.iter().fold(sig_bit(v), |sig, &c| sig | sig_bit(c))
 }
 
-/// Appends one section of a patched cover to `data` and returns its `n + 1`
-/// absolute offsets. Rows listed in `dirty` (sorted, deduplicated) are read
-/// through `row` and sorted; the runs between them are copied from the
-/// previous cover's buffer, offsets shifted by how far the run moved. Rows
-/// past the previous cover's last are new node slots: empty unless dirty.
-fn patch_section<'a>(
-    data: &mut Vec<NodeId>,
-    prev_data: &[NodeId],
-    prev: &Offsets,
-    n: usize,
-    dirty: &[NodeId],
-    row: impl Fn(NodeId) -> &'a [NodeId],
-) -> Offsets {
-    let prev_n = prev.off.len().saturating_sub(1);
-    let mut off = Vec::with_capacity(n + 1);
-    off.push(data.len() as u32);
-    let mut next = 0usize;
-    let stops = dirty.iter().map(|&d| d as usize).filter(|&d| d < n);
-    for stop in stops.chain(std::iter::once(n)) {
-        // The clean run `next..stop`: first the rows `prev` has…
-        let shared = stop.min(prev_n);
-        let run = if next < shared {
-            prev.off.get(next..=shared).unwrap_or(&[])
-        } else {
-            &[]
-        };
-        if let (Some(&lo), Some(&hi)) = (run.first(), run.last()) {
-            let start = data.len() as u32;
-            data.extend_from_slice(prev_data.get(lo as usize..hi as usize).unwrap_or(&[]));
-            off.extend(run.iter().skip(1).map(|&o| start + (o - lo)));
-        }
-        // …then node slots it never had.
-        off.resize(stop + 1, data.len() as u32);
-        if stop < n {
-            let start = data.len();
-            data.extend_from_slice(row(stop as NodeId));
-            if let Some(copied) = data.get_mut(start..) {
-                copied.sort_unstable();
-            }
-            off.push(data.len() as u32);
-        }
-        next = stop + 1;
-    }
-    Offsets { off }
-}
-
-/// The previous cover's signatures extended to `n` nodes, recomputed for
-/// the `dirty` label rows.
-fn patch_signatures<'a>(
-    prev: &[u64],
-    n: usize,
-    dirty: &[NodeId],
-    row: impl Fn(NodeId) -> &'a [NodeId],
-) -> Vec<u64> {
-    let mut sigs = Vec::with_capacity(n);
-    sigs.extend_from_slice(prev);
-    sigs.extend((prev.len()..n).map(|v| sig_bit(v as NodeId)));
-    for &v in dirty {
-        if let Some(sig) = sigs.get_mut(v as usize) {
-            *sig = row_signature(v, row(v));
-        }
-    }
-    sigs
-}
-
 impl FrozenCover {
+    /// Rows per block of every section.
+    pub const BLOCK_ROWS: usize = B;
+
     /// Freezes a mutable cover into the CSR form.
     pub fn from_cover(cover: &TwoHopCover) -> Self {
         let n = cover.num_nodes();
-        Self::build(
+        Self::from_labels(
             n,
-            |v| LabelRow::Plain(cover.lin(v)),
-            |v| LabelRow::Plain(cover.lout(v)),
+            Labels::build(n, |v| LabelRow::Plain(cover.lin(v))),
+            Labels::build(n, |v| LabelRow::Plain(cover.lout(v))),
             false,
         )
     }
@@ -195,68 +458,49 @@ impl FrozenCover {
     /// [`FrozenCover::distance`] answers the §5.1 `MIN(DIST + DIST)` query.
     pub fn from_distance_cover(cover: &DistanceCover) -> Self {
         let n = cover.num_nodes();
-        Self::build(
+        Self::from_labels(
             n,
-            |v| LabelRow::Annotated(cover.lin(v)),
-            |v| LabelRow::Annotated(cover.lout(v)),
+            Labels::build(n, |v| LabelRow::Annotated(cover.lin(v))),
+            Labels::build(n, |v| LabelRow::Annotated(cover.lout(v))),
             true,
         )
     }
 
-    /// Largest supported label-entry count: the shared buffer holds the
-    /// `Lin`/`Lout` prefix *plus* the equally sized inverted sections, so
-    /// every offset (≤ 2 × entries) must still fit in a `u32`.
+    /// Largest supported label-entry count: the persisted blob addresses
+    /// the `Lin`/`Lout` entries with `u32` offsets, and the inverted
+    /// sections hold as many entries again.
     pub const MAX_LABEL_ENTRIES: usize = (u32::MAX / 2) as usize;
 
-    fn build<'a>(
-        n: usize,
-        lin_row: impl Fn(NodeId) -> LabelRow<'a>,
-        lout_row: impl Fn(NodeId) -> LabelRow<'a>,
-        with_dist: bool,
-    ) -> Self {
-        let mut data: Vec<NodeId> = Vec::new();
-        let mut dist: Vec<u32> = Vec::new();
-        let mut lin = Vec::with_capacity(n + 1);
-        let mut lout = Vec::with_capacity(n + 1);
-        lin.push(0u32);
-        for v in 0..n as NodeId {
-            lin_row(v).append_to(&mut data, &mut dist);
-            lin.push(data.len() as u32);
-        }
-        lout.push(data.len() as u32);
-        for v in 0..n as NodeId {
-            lout_row(v).append_to(&mut data, &mut dist);
-            lout.push(data.len() as u32);
-        }
+    /// The cover of `n` nodes with these label sections; the inverted
+    /// sections are derived by counting.
+    fn from_labels(n: usize, lin: Labels, lout: Labels, with_dist: bool) -> Self {
+        let (lin_entries, lout_entries) = (lin.entries(), lout.entries());
         assert!(
-            data.len() <= Self::MAX_LABEL_ENTRIES,
+            lin_entries + lout_entries <= Self::MAX_LABEL_ENTRIES,
             "cover has {} label entries; FrozenCover supports at most {}",
-            data.len(),
+            lin_entries + lout_entries,
             Self::MAX_LABEL_ENTRIES
         );
-        let mut frozen = FrozenCover {
-            data,
-            lin: Offsets { off: lin },
-            lout: Offsets { off: lout },
-            inv_in: Offsets::default(),
-            inv_out: Offsets::default(),
-            dist: with_dist.then_some(dist),
-            sig_out: Vec::new(),
-            sig_in: Vec::new(),
+        FrozenCover {
+            inv_in: invert(n, &lin, lin_entries),
+            inv_out: invert(n, &lout, lout_entries),
+            lin,
+            lout,
+            with_dist,
+            lin_entries,
+            lout_entries,
             n,
             stamp: 0,
-        };
-        frozen.build_inverted();
-        frozen
+        }
     }
 
     /// Freezes `cover` as the successor of `prev`: the result equals
-    /// [`FrozenCover::from_cover`]`(cover)` field for field, but is
-    /// assembled from `prev`'s buffer wherever `dirty` — the journal taken
-    /// from `cover` — lists no edit. Clean rows are copied in runs with
-    /// their offsets shifted; dirty rows come from the mutable cover
-    /// (holder rows sorted on the way, since the mutable cover keeps them
-    /// in edit order); signatures are recomputed for dirty label rows only.
+    /// [`FrozenCover::from_cover`]`(cover)`, but only the blocks holding a
+    /// row that `dirty` — the journal taken from `cover` — lists as edited
+    /// are rebuilt: their dirty rows come from the mutable cover (holder
+    /// rows sorted on the way, since the mutable cover keeps them in edit
+    /// order), their clean rows and signatures from `prev`. Every other
+    /// block is shared with `prev` ([`FrozenCover::sharing`]).
     ///
     /// Falls back to a full freeze when `dirty` is not relative to `prev`
     /// ([`DirtyRows::applies_to`]). Either way the result carries the
@@ -275,27 +519,37 @@ impl FrozenCover {
             cover.size(),
             Self::MAX_LABEL_ENTRIES
         );
-        let mut data: Vec<NodeId> = Vec::with_capacity(2 * cover.size());
-        let (old, d) = (&prev.data, &mut data);
-        let lin = patch_section(d, old, &prev.lin, n, &dirty.lin, |v| cover.lin(v));
-        let lout = patch_section(d, old, &prev.lout, n, &dirty.lout, |v| cover.lout(v));
-        let inv_in = patch_section(d, old, &prev.inv_in, n, &dirty.inv_in, |c| {
-            cover.holders_in(c)
-        });
-        let inv_out = patch_section(d, old, &prev.inv_out, n, &dirty.inv_out, |c| {
-            cover.holders_out(c)
-        });
         FrozenCover {
-            data,
-            lin,
-            lout,
-            inv_in,
-            inv_out,
-            dist: None,
-            sig_out: patch_signatures(&prev.sig_out, n, &dirty.lout, |v| cover.lout(v)),
-            sig_in: patch_signatures(&prev.sig_in, n, &dirty.lin, |v| cover.lin(v)),
+            lin: prev.lin.patched(n, &dirty.lin, |v| cover.lin(v)),
+            lout: prev.lout.patched(n, &dirty.lout, |v| cover.lout(v)),
+            inv_in: prev
+                .inv_in
+                .patched(n, &dirty.inv_in, |c| cover.holders_in(c)),
+            inv_out: prev
+                .inv_out
+                .patched(n, &dirty.inv_out, |c| cover.holders_out(c)),
+            with_dist: false,
+            lin_entries: cover.lin_entry_count(),
+            lout_entries: cover.lout_entry_count(),
             n,
             stamp: dirty.stamp,
+        }
+    }
+
+    /// Which of this cover's blocks are shared with `prev`, and how many
+    /// bytes the others hold. Against [`FrozenCover::default`], every block
+    /// is fresh: `fresh_bytes` is then the whole cover.
+    pub fn sharing(&self, prev: &FrozenCover) -> BlockSharing {
+        let mut fresh_bytes = 0;
+        let shared = [
+            self.lin.shared_with(&prev.lin, &mut fresh_bytes),
+            self.lout.shared_with(&prev.lout, &mut fresh_bytes),
+            self.inv_in.shared_with(&prev.inv_in, &mut fresh_bytes),
+            self.inv_out.shared_with(&prev.inv_out, &mut fresh_bytes),
+        ];
+        BlockSharing {
+            shared,
+            fresh_bytes,
         }
     }
 
@@ -345,77 +599,54 @@ impl FrozenCover {
                 return Err("distance column must parallel the label buffer".into());
             }
         }
-        let mut frozen = FrozenCover {
-            data: labels,
-            lin: Offsets { off: lin_off },
-            lout: Offsets { off: lout_off },
-            inv_in: Offsets::default(),
-            inv_out: Offsets::default(),
-            dist,
-            sig_out: Vec::new(),
-            sig_in: Vec::new(),
+        let dist = dist.as_deref();
+        Ok(Self::from_labels(
             n,
-            stamp: 0,
-        };
-        frozen.build_inverted();
-        Ok(frozen)
+            Labels::from_csr(&lin_off, &labels, dist),
+            Labels::from_csr(&lout_off, &labels, dist),
+            dist.is_some(),
+        ))
     }
 
-    /// Rebuilds `inv_in`/`inv_out` from the label sections by counting
-    /// (stable two-pass bucket fill — holder lists come out sorted because
-    /// nodes are scanned in ascending order).
-    fn build_inverted(&mut self) {
-        let n = self.n;
-        let label_len = self.lout.off[n] as usize;
-        let mut inv_in_off = vec![0u32; n + 1];
-        let mut inv_out_off = vec![0u32; n + 1];
-        for v in 0..n as NodeId {
-            for &c in &self.data[self.lin.row(v)] {
-                inv_in_off[c as usize + 1] += 1;
-            }
-            for &c in &self.data[self.lout.row(v)] {
-                inv_out_off[c as usize + 1] += 1;
-            }
-        }
-        let mut base = label_len as u32;
-        for slot in inv_in_off.iter_mut() {
-            *slot += base;
-            base = *slot;
-        }
-        for slot in inv_out_off.iter_mut() {
-            *slot += base;
-            base = *slot;
-        }
-        self.data.resize(base as usize, 0);
-        let mut in_cursor = inv_in_off.clone();
-        let mut out_cursor = inv_out_off.clone();
-        for v in 0..n as NodeId {
-            for i in self.lin.row(v) {
-                let c = self.data[i] as usize;
-                self.data[in_cursor[c] as usize] = v;
-                in_cursor[c] += 1;
-            }
-            for i in self.lout.row(v) {
-                let c = self.data[i] as usize;
-                self.data[out_cursor[c] as usize] = v;
-                out_cursor[c] += 1;
+    /// Streams the persisted label sections — what
+    /// [`FrozenCover::from_label_csr`] takes back — as consecutive runs of
+    /// words: the `n + 1` absolute `Lin` offsets, the `n + 1` `Lout`
+    /// offsets (continuing where `Lin`'s end), the `Lin` then `Lout` rows,
+    /// and, when annotated, their distances in the same order. Row data is
+    /// handed out block by block, straight from the blocks.
+    pub fn write_label_csr(&self, mut emit: impl FnMut(&[u32])) {
+        let mut at = 0u32;
+        let mut ends = Vec::with_capacity(B);
+        for section in [&self.lin, &self.lout] {
+            emit(std::slice::from_ref(&at));
+            for (k, block) in section.blocks.iter().enumerate() {
+                let rows = self.n.saturating_sub(k * B).min(B);
+                ends.clear();
+                ends.extend(
+                    block
+                        .get(1..=rows)
+                        .unwrap_or_default()
+                        .iter()
+                        .map(|&end| at + end),
+                );
+                emit(&ends);
+                at += Labels::entries_in(block) as u32;
             }
         }
-        self.inv_in = Offsets { off: inv_in_off };
-        self.inv_out = Offsets { off: inv_out_off };
-        // Center signatures: `Lout(u) ∪ {u}` vs `Lin(v) ∪ {v}` intersect
-        // whenever `u →* v` holds for `u != v` (common center, `v ∈
-        // Lout(u)` or `u ∈ Lin(v)`), so disjoint signatures prove
-        // unreachability.
-        self.sig_out = (0..n as NodeId)
-            .map(|u| row_signature(u, &self.data[self.lout.row(u)]))
-            .collect();
-        self.sig_in = (0..n as NodeId)
-            .map(|v| row_signature(v, &self.data[self.lin.row(v)]))
-            .collect();
+        let columns: &[bool] = if self.with_dist {
+            &[false, true]
+        } else {
+            &[false]
+        };
+        for &dists in columns {
+            for section in [&self.lin, &self.lout] {
+                section.payloads(dists).for_each(&mut emit);
+            }
+        }
     }
 
     /// Number of node slots.
+    #[inline]
     pub fn num_nodes(&self) -> usize {
         self.n
     }
@@ -428,73 +659,55 @@ impl FrozenCover {
     /// Cover size `|L|` (stored label entries), matching
     /// [`TwoHopCover::size`].
     pub fn size(&self) -> usize {
-        self.lout.off[self.n] as usize
+        self.lin_entries + self.lout_entries
     }
 
     /// Whether distance annotations are stored.
     pub fn with_dist(&self) -> bool {
-        self.dist.is_some()
+        self.with_dist
     }
 
     /// The stored `Lin(v)` (sorted, without the implicit `v` itself).
+    #[inline]
     pub fn lin(&self, v: NodeId) -> &[NodeId] {
-        &self.data[self.lin.row(v)]
+        self.lin.row(v)
     }
 
     /// The stored `Lout(v)` (sorted, without the implicit `v` itself).
+    #[inline]
     pub fn lout(&self, v: NodeId) -> &[NodeId] {
-        &self.data[self.lout.row(v)]
+        self.lout.row(v)
     }
 
     /// Nodes holding `c` in `Lin` (`c` reaches them), sorted.
+    #[inline]
     pub fn holders_in(&self, c: NodeId) -> &[NodeId] {
-        &self.data[self.inv_in.row(c)]
+        self.inv_in.row(c)
     }
 
     /// Nodes holding `c` in `Lout` (they reach `c`), sorted.
+    #[inline]
     pub fn holders_out(&self, c: NodeId) -> &[NodeId] {
-        &self.data[self.inv_out.row(c)]
-    }
-
-    /// The `Lin` offset table (`n + 1` absolute offsets into
-    /// [`FrozenCover::label_data`], starting at 0).
-    pub fn lin_offsets(&self) -> &[u32] {
-        &self.lin.off
-    }
-
-    /// The `Lout` offset table (`n + 1` absolute offsets, ending at
-    /// `label_data().len()`).
-    pub fn lout_offsets(&self) -> &[u32] {
-        &self.lout.off
-    }
-
-    /// The `Lin`/`Lout` label prefix of the shared buffer (the part a
-    /// persisted blob stores; inverted sections are derived).
-    pub fn label_data(&self) -> &[NodeId] {
-        &self.data[..self.lout.off[self.n] as usize]
-    }
-
-    /// Distance annotations parallel to [`FrozenCover::label_data`], when
-    /// frozen from a distance-aware cover.
-    pub fn label_dists(&self) -> Option<&[u32]> {
-        self.dist.as_deref()
+        self.inv_out.row(c)
     }
 
     /// The 2-hop reachability test `u →* v` (reflexive), allocation-free.
     /// Negative probes usually exit on the signature filter — two loads and
-    /// an AND — without scanning any row.
+    /// an AND — without scanning any row. A node past the last block has no
+    /// signature (0) and one in a block's padding an empty row, so
+    /// out-of-range nodes need no test of their own.
+    #[inline]
     pub fn connected(&self, u: NodeId, v: NodeId) -> bool {
         if u == v {
             return true;
         }
-        if u as usize >= self.n || v as usize >= self.n {
+        let (out_block, u_slot) = self.lout.slot(u);
+        let (in_block, v_slot) = self.lin.slot(v);
+        if Labels::sig(out_block, u_slot) & Labels::sig(in_block, v_slot) == 0 {
             return false;
         }
-        if self.sig_out[u as usize] & self.sig_in[v as usize] == 0 {
-            return false;
-        }
-        let lout_u = self.lout(u);
-        let lin_v = self.lin(v);
+        let lout_u = Labels::row_in(out_block, u_slot);
+        let lin_v = Labels::row_in(in_block, v_slot);
         if lout_u.binary_search(&v).is_ok() || lin_v.binary_search(&u).is_ok() {
             return true;
         }
@@ -518,28 +731,32 @@ impl FrozenCover {
         if u == v {
             return Some(0);
         }
-        let dist = self.dist.as_deref()?;
-        if u as usize >= self.n || v as usize >= self.n {
+        if !self.with_dist || u as usize >= self.n || v as usize >= self.n {
             return None;
         }
-        let (lr, or) = (self.lin.row(v), self.lout.row(u));
-        let (lin_v, lout_u) = (&self.data[lr.clone()], &self.data[or.clone()]);
-        let (lin_d, lout_d) = (&dist[lr], &dist[or]);
+        let (lin_v, lout_u) = (self.lin(v), self.lout(u));
+        let (lin_d, lout_d) = (self.lin.dists(v), self.lout.dists(u));
         let mut best: Option<u32> = None;
         let mut consider = |d: u32| best = Some(best.map_or(d, |b| b.min(d)));
-        if let Ok(pos) = lout_u.binary_search(&v) {
-            consider(lout_d[pos]);
+        if let Some(&d) = lout_u
+            .binary_search(&v)
+            .ok()
+            .and_then(|pos| lout_d.get(pos))
+        {
+            consider(d);
         }
-        if let Ok(pos) = lin_v.binary_search(&u) {
-            consider(lin_d[pos]);
+        if let Some(&d) = lin_v.binary_search(&u).ok().and_then(|pos| lin_d.get(pos)) {
+            consider(d);
         }
         let (mut i, mut j) = (0, 0);
-        while i < lout_u.len() && j < lin_v.len() {
-            match lout_u[i].cmp(&lin_v[j]) {
+        while let (Some(a), Some(b)) = (lout_u.get(i), lin_v.get(j)) {
+            match a.cmp(b) {
                 std::cmp::Ordering::Less => i += 1,
                 std::cmp::Ordering::Greater => j += 1,
                 std::cmp::Ordering::Equal => {
-                    consider(lout_d[i] + lin_d[j]);
+                    if let (Some(&x), Some(&y)) = (lout_d.get(i), lin_d.get(j)) {
+                        consider(x + y);
+                    }
                     i += 1;
                     j += 1;
                 }
@@ -586,46 +803,83 @@ impl FrozenCover {
     /// Rebuilds the mutable distance-aware cover, when annotations are
     /// stored.
     pub fn thaw_distance(&self) -> Option<DistanceCover> {
-        let dist = self.dist.as_deref()?;
-        let annotated = |range: std::ops::Range<usize>| -> Vec<(u32, u32)> {
-            self.data[range.clone()]
-                .iter()
-                .copied()
-                .zip(dist[range].iter().copied())
-                .collect()
+        if !self.with_dist {
+            return None;
+        }
+        let annotated = |section: &Labels, v: NodeId| -> Vec<(u32, u32)> {
+            let (row, dists) = (section.row(v), section.dists(v));
+            row.iter().copied().zip(dists.iter().copied()).collect()
         };
         Some(DistanceCover::from_sorted_label_rows(
             (0..self.n as NodeId)
-                .map(|v| annotated(self.lin.row(v)))
+                .map(|v| annotated(&self.lin, v))
                 .collect(),
             (0..self.n as NodeId)
-                .map(|v| annotated(self.lout.row(v)))
+                .map(|v| annotated(&self.lout, v))
                 .collect(),
         ))
     }
 }
 
+/// The holder section of the label section `labels` (`entries` entries
+/// over `n` nodes), by counting: a stable two-pass bucket fill, so holder
+/// lists come out sorted because nodes are scanned in ascending order.
+fn invert(n: usize, labels: &Labels, entries: usize) -> Holders {
+    let mut off = vec![0u32; n + 1];
+    for block in labels.payloads(false) {
+        for &c in block {
+            if let Some(count) = off.get_mut(c as usize + 1) {
+                *count += 1;
+            }
+        }
+    }
+    let mut total = 0;
+    for slot in off.iter_mut() {
+        total += *slot;
+        *slot = total;
+    }
+    let mut data = vec![0; entries];
+    let mut cursor = off.clone();
+    for v in 0..n as NodeId {
+        for &c in labels.row(v) {
+            if let Some(at) = cursor.get_mut(c as usize) {
+                if let Some(slot) = data.get_mut(*at as usize) {
+                    *slot = v;
+                }
+                *at += 1;
+            }
+        }
+    }
+    Holders::from_csr(&off, &data, None)
+}
+
 impl LabelSource for FrozenCover {
+    #[inline]
     fn connected(&self, u: NodeId, v: NodeId) -> bool {
         FrozenCover::connected(self, u, v)
     }
 
+    #[inline]
     fn num_nodes(&self) -> usize {
         FrozenCover::num_nodes(self)
     }
 
+    #[inline]
     fn lin_row(&self, v: NodeId) -> &[NodeId] {
         self.lin(v)
     }
 
+    #[inline]
     fn lout_row(&self, v: NodeId) -> &[NodeId] {
         self.lout(v)
     }
 
+    #[inline]
     fn holders_in_row(&self, c: NodeId) -> &[NodeId] {
         self.holders_in(c)
     }
 
+    #[inline]
     fn holders_out_row(&self, c: NodeId) -> &[NodeId] {
         self.holders_out(c)
     }
@@ -633,8 +887,8 @@ impl LabelSource for FrozenCover {
     fn cover_stats(&self) -> CoverStats {
         CoverStats {
             nodes: self.n,
-            lin_entries: self.lin.off[self.n] as usize,
-            lout_entries: (self.lout.off[self.n] - self.lin.off[self.n]) as usize,
+            lin_entries: self.lin_entries,
+            lout_entries: self.lout_entries,
         }
     }
 }
@@ -791,17 +1045,30 @@ mod tests {
             .is_none());
     }
 
+    /// `frozen` through [`FrozenCover::write_label_csr`] and back.
+    fn from_written_csr(frozen: &FrozenCover) -> FrozenCover {
+        let mut words = Vec::new();
+        frozen.write_label_csr(|run| words.extend_from_slice(run));
+        let (n, len) = (frozen.num_nodes(), frozen.size());
+        let (lin_off, rest) = words.split_at(n + 1);
+        let (lout_off, rest) = rest.split_at(n + 1);
+        let (labels, dist) = rest.split_at(len);
+        assert_eq!(dist.len(), if frozen.with_dist() { len } else { 0 });
+        FrozenCover::from_label_csr(
+            lin_off.to_vec(),
+            lout_off.to_vec(),
+            labels.to_vec(),
+            frozen.with_dist().then(|| dist.to_vec()),
+        )
+        .expect("valid CSR")
+    }
+
     #[test]
     fn label_csr_roundtrip_and_validation() {
         let (live, _) = random_cover(5, 12, 30);
         let frozen = FrozenCover::from_cover(&live);
-        let rebuilt = FrozenCover::from_label_csr(
-            frozen.lin_offsets().to_vec(),
-            frozen.lout_offsets().to_vec(),
-            frozen.label_data().to_vec(),
-            None,
-        )
-        .expect("valid CSR");
+        let rebuilt = from_written_csr(&frozen);
+        assert_eq!(rebuilt, frozen);
         for u in 0..12 {
             assert_eq!(rebuilt.lin(u), frozen.lin(u));
             assert_eq!(rebuilt.lout(u), frozen.lout(u));
@@ -815,6 +1082,62 @@ mod tests {
         assert!(
             FrozenCover::from_label_csr(vec![0, 0], vec![0, 0], vec![], Some(vec![1])).is_err()
         );
+    }
+
+    #[test]
+    fn covers_spanning_several_blocks_roundtrip() {
+        // Three and a bit blocks: rows on both sides of every block
+        // boundary, a last block that is mostly padding.
+        let n = 3 * FrozenCover::BLOCK_ROWS as u32 + 17;
+        let (live, _) = random_cover(21, n, 4 * n as usize);
+        let frozen = FrozenCover::from_cover(&live);
+        assert_eq!(frozen.size(), live.size());
+        assert_eq!(frozen.cover_stats().lin_entries, live.lin_entry_count());
+        for u in 0..n {
+            assert_eq!(frozen.lin(u), live.lin(u), "lin {u}");
+            assert_eq!(frozen.lout(u), live.lout(u), "lout {u}");
+            let mut holders = live.holders_out(u).to_vec();
+            holders.sort_unstable();
+            assert_eq!(frozen.holders_out(u), holders, "holders_out {u}");
+        }
+        for u in (0..n).step_by(37) {
+            for v in (0..n).step_by(11) {
+                assert_eq!(frozen.connected(u, v), live.connected(u, v), "({u},{v})");
+            }
+        }
+        assert!(frozen.lin(n).is_empty() && frozen.lin(n + 5_000).is_empty());
+        assert_eq!(from_written_csr(&frozen), frozen);
+
+        let mut g = DiGraph::new();
+        g.ensure_node(n - 1);
+        for u in 0..n - 1 {
+            g.add_edge(u, (u * 7 + 1) % n);
+        }
+        let dc = DistanceClosure::from_graph(&g);
+        let annotated =
+            FrozenCover::from_distance_cover(&crate::DistanceCoverBuilder::new(&dc).build());
+        assert_eq!(from_written_csr(&annotated), annotated);
+        let thawed = annotated.thaw_distance().expect("annotations stored");
+        for (u, v) in [(0, 1), (0, n - 1), (5, 300), (700, 2)] {
+            assert_eq!(annotated.distance(u, v), thawed.distance(u, v), "({u},{v})");
+        }
+    }
+
+    #[test]
+    fn sharing_counts_fresh_blocks() {
+        let (live, _) = random_cover(4, 40, 90);
+        let frozen = FrozenCover::from_cover(&live);
+        let against_nothing = frozen.sharing(&FrozenCover::default());
+        assert!(against_nothing.shared.iter().flatten().all(|&s| !s));
+        assert!(against_nothing.fresh_bytes > 0);
+        let copy = frozen.clone();
+        let against_itself = copy.sharing(&frozen);
+        assert!(against_itself.shared.iter().flatten().all(|&s| s));
+        assert_eq!(against_itself.fresh_bytes, 0);
+        // Equal content in other allocations is equal, not shared.
+        let refrozen = FrozenCover::from_cover(&live);
+        assert_eq!(refrozen, frozen);
+        assert_eq!(refrozen.sharing(&frozen), against_nothing);
     }
 
     #[test]

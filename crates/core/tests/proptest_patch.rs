@@ -1,7 +1,8 @@
-//! The equality contract of incremental freezing: after *any* program of
-//! label edits, `FrozenCover::patched(prev, cover, journal)` is
-//! field-for-field the cover `FrozenCover::from_cover(cover)` builds — on
-//! the patch path and on every fall-back to a full freeze.
+//! The contract of incremental freezing: after *any* program of label
+//! edits, `FrozenCover::patched(prev, cover, journal)` is field for field
+//! the cover `FrozenCover::from_cover(cover)` builds — on the patch path
+//! and on every fall-back to a full freeze — and on the patch path it
+//! shares with `prev` exactly the row blocks that hold no journalled row.
 
 use hopi_core::{FrozenCover, TwoHopCover};
 use proptest::prelude::*;
@@ -10,6 +11,8 @@ use proptest::prelude::*;
 type Op = (u32, u32, u32);
 
 const OPS: u32 = 15;
+
+const B: usize = FrozenCover::BLOCK_ROWS;
 
 /// Programs over covers of `4..=max_n` node slots. Small covers overflow
 /// their journal within a few edits, large ones hardly ever; operands may
@@ -31,23 +34,60 @@ fn centers(a: u32, b: u32, n: u32) -> Vec<u32> {
     c
 }
 
-/// Takes the journal and checks the contract; the patched cover becomes
-/// the next base. Returns whether the patch path (not a fall-back) ran.
-fn take_and_check(cover: &mut TwoHopCover, prev: &mut FrozenCover) -> Result<bool, TestCaseError> {
+/// Takes the journal and patches `prev` with it. Checks the contract and,
+/// block by block, the sharing: a block `prev` had is shared exactly when
+/// the patch path ran and the journal lists none of its rows. Returns the
+/// patched cover and whether the patch path (not a fall-back) ran.
+fn patch(cover: &mut TwoHopCover, prev: &FrozenCover) -> Result<(FrozenCover, bool), String> {
     let dirty = cover.take_journal();
     let patched = dirty.applies_to(prev);
     let next = FrozenCover::patched(prev, cover, &dirty);
-    prop_assert_eq!(&next, &FrozenCover::from_cover(cover));
+    if next != FrozenCover::from_cover(cover) {
+        return Err("the patched cover differs from a full freeze".into());
+    }
+    let (n, prev_blocks) = (cover.num_nodes(), prev.num_nodes().div_ceil(B));
+    let sharing = next.sharing(prev);
+    let mut fresh = false;
+    for (section, (flags, rows)) in sharing.shared.iter().zip(dirty.rows()).enumerate() {
+        if flags.len() != n.div_ceil(B) {
+            return Err(format!("section {section} has {} blocks", flags.len()));
+        }
+        for (k, &shared) in flags.iter().enumerate() {
+            let dirtied = rows
+                .iter()
+                .any(|&d| (d as usize) < n && d as usize / B == k);
+            if shared != (patched && k < prev_blocks && !dirtied) {
+                return Err(format!(
+                    "section {section} block {k}: shared {shared}, patched {patched}, dirtied {dirtied}"
+                ));
+            }
+            fresh |= !shared;
+        }
+    }
+    if fresh != (sharing.fresh_bytes > 0) {
+        return Err(format!("{} fresh bytes", sharing.fresh_bytes));
+    }
+    Ok((next, patched))
+}
+
+/// [`patch`] in a property: the patched cover becomes the next base.
+fn take_and_check(cover: &mut TwoHopCover, prev: &mut FrozenCover) -> Result<bool, TestCaseError> {
+    let (next, patched) = patch(cover, prev).map_err(TestCaseError::fail)?;
     *prev = next;
     Ok(patched)
 }
 
+/// Applies one step, its operands (and the growth of `ensure_node`) first
+/// mapped through `spread`: the identity keeps a program inside one block,
+/// a stride spreads it over several.
 fn apply(
     cover: &mut TwoHopCover,
     prev: &mut FrozenCover,
+    spread: fn(u32) -> u32,
     (op, a, b): Op,
 ) -> Result<(), TestCaseError> {
     let n = cover.num_nodes() as u32;
+    let (a, b, grow) = (spread(a), spread(b), spread(b % 3));
     match op {
         0 | 1 => {
             cover.add_out(a, b);
@@ -66,14 +106,14 @@ fn apply(
         8 => cover.set_lout(a, &centers(a, b, n)),
         9 => cover.set_lin(a, &centers(b, a, n)),
         10 => cover.purge_node(a),
-        11 => cover.ensure_node(n + b % 3),
+        11 => cover.ensure_node(n + grow),
         12 => {
             // Lifting a partition's cover into the global one, which may
             // grow it.
             let mut local = TwoHopCover::with_nodes(3);
             local.add_out(0, 2);
             local.add_in(1, 2);
-            cover.merge_remapped(&local, &[a, b, n + b % 3]);
+            cover.merge_remapped(&local, &[a, b, n + grow]);
         }
         13 => {
             // A thawed cover has no journal: the next take reads
@@ -87,6 +127,16 @@ fn apply(
     Ok(())
 }
 
+fn identity(x: u32) -> u32 {
+    x
+}
+
+/// Operand `x` as node `61·x`: a program over 32 operands spans eight
+/// blocks, and growth by up to 122 slots crosses block boundaries.
+fn strided(x: u32) -> u32 {
+    61 * x
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -96,7 +146,7 @@ proptest! {
         let mut prev = FrozenCover::default();
         take_and_check(&mut cover, &mut prev)?;
         for op in ops {
-            apply(&mut cover, &mut prev, op)?;
+            apply(&mut cover, &mut prev, identity, op)?;
             cover.check_invariants();
         }
         take_and_check(&mut cover, &mut prev)?;
@@ -112,7 +162,20 @@ proptest! {
         let mut prev = FrozenCover::default();
         take_and_check(&mut cover, &mut prev)?;
         for op in ops {
-            apply(&mut cover, &mut prev, op)?;
+            apply(&mut cover, &mut prev, identity, op)?;
+            take_and_check(&mut cover, &mut prev)?;
+        }
+    }
+
+    /// Stepwise programs spread over several blocks: most takes dirty a
+    /// few blocks and must share all the others.
+    #[test]
+    fn patches_share_the_blocks_they_do_not_dirty((n, ops) in arb_program(32, 40)) {
+        let mut cover = TwoHopCover::with_nodes(strided(n) as usize);
+        let mut prev = FrozenCover::default();
+        take_and_check(&mut cover, &mut prev)?;
+        for op in ops {
+            apply(&mut cover, &mut prev, strided, op)?;
             take_and_check(&mut cover, &mut prev)?;
         }
     }
@@ -130,11 +193,7 @@ fn sample() -> TwoHopCover {
 }
 
 fn check(cover: &mut TwoHopCover, prev: &FrozenCover) -> (FrozenCover, bool) {
-    let dirty = cover.take_journal();
-    let patched = dirty.applies_to(prev);
-    let next = FrozenCover::patched(prev, cover, &dirty);
-    assert_eq!(next, FrozenCover::from_cover(cover));
-    (next, patched)
+    patch(cover, prev).unwrap_or_else(|e| panic!("{e}"))
 }
 
 #[test]
@@ -205,4 +264,82 @@ fn mismatched_base_costs_a_full_freeze_never_a_wrong_cover() {
     assert!(!check(&mut cover, &refrozen).1);
     let mut thawed = of_cover.thaw();
     assert!(!check(&mut thawed, &of_cover).1);
+}
+
+/// Blocks of each section (`Lin`, `Lout`, `inv_in`, `inv_out`) that `next`
+/// rebuilt instead of sharing with `prev`.
+fn rebuilt(next: &FrozenCover, prev: &FrozenCover) -> [Vec<usize>; 4] {
+    next.sharing(prev).shared.map(|flags| {
+        let fresh = flags.iter().enumerate().filter(|(_, &shared)| !shared);
+        fresh.map(|(k, _)| k).collect()
+    })
+}
+
+#[test]
+fn multi_block_covers_patch_block_by_block() {
+    // Three blocks and a bit; node 1 is a center for a few nodes in every
+    // block.
+    let n = 3 * B + 10;
+    let mut cover = TwoHopCover::with_nodes(n);
+    for v in (2..n as u32).step_by(97) {
+        cover.add_out(v, 1);
+        cover.add_in(v + 1, 1);
+    }
+    let (base, patched) = check(&mut cover, &FrozenCover::default());
+    assert!(!patched);
+
+    // An empty journal shares everything and writes nothing.
+    let (same, patched) = check(&mut cover, &base);
+    assert!(patched && same.sharing(&base).fresh_bytes == 0);
+    assert_eq!(rebuilt(&same, &base), [vec![], vec![], vec![], vec![]]);
+
+    // One entry: `Lout(5)` in block 0, the holder row of center 2 * B + 3
+    // in block 2.
+    cover.add_out(5, 2 * B as u32 + 3);
+    let (one, _) = check(&mut cover, &same);
+    assert_eq!(rebuilt(&one, &same), [vec![], vec![0], vec![], vec![2]]);
+    assert!(one.connected(5, 2 * B as u32 + 3));
+    let bytes = one.sharing(&same).fresh_bytes;
+    assert!(bytes > 0 && bytes < one.sharing(&FrozenCover::default()).fresh_bytes / 4);
+
+    // Growth across a block boundary: clean slots inside the last block
+    // rebuild nothing; the new blocks are new.
+    cover.ensure_node(5 * B as u32 + 1);
+    let (grown, patched) = check(&mut cover, &one);
+    assert!(patched);
+    assert_eq!(grown.num_nodes(), 5 * B + 2);
+    assert_eq!(
+        rebuilt(&grown, &one),
+        [vec![4, 5], vec![4, 5], vec![4, 5], vec![4, 5]]
+    );
+    cover.add_in(4 * B as u32 + 2, 3);
+    let (dirty_new, _) = check(&mut cover, &grown);
+    assert_eq!(
+        rebuilt(&dirty_new, &grown),
+        [vec![4], vec![], vec![0], vec![]]
+    );
+
+    // Overflow and thaw fall back to a full freeze: nothing is shared.
+    for v in 0..n as u32 {
+        cover.add_out(v, 7);
+        cover.add_out(v, 9);
+    }
+    let (overflowed, patched) = check(&mut cover, &dirty_new);
+    assert!(!patched);
+    assert!(overflowed
+        .sharing(&dirty_new)
+        .shared
+        .iter()
+        .flatten()
+        .all(|&s| !s));
+    let mut thawed = overflowed.thaw();
+    thawed.add_in(1, 0);
+    let (refrozen, patched) = check(&mut thawed, &overflowed);
+    assert!(!patched);
+    assert!(refrozen
+        .sharing(&overflowed)
+        .shared
+        .iter()
+        .flatten()
+        .all(|&s| !s));
 }

@@ -302,6 +302,8 @@ impl Metrics {
             "hopi_publish_rows_patched_total {}\n",
             ctx.publish.rows_patched
         ));
+        out.push_str("# TYPE hopi_publish_bytes_total counter\n");
+        out.push_str(&format!("hopi_publish_bytes_total {}\n", ctx.publish.bytes));
         out.push_str("# TYPE hopi_cover_drift_ratio gauge\n");
         out.push_str(&format!("hopi_cover_drift_ratio {:.4}\n", ctx.drift_ratio));
         out.push_str("# TYPE hopi_link_integrations_total counter\n");
@@ -496,6 +498,7 @@ mod tests {
                 patched: 5,
                 full: 1,
                 rows_patched: 40,
+                bytes: 24_576,
             },
             drift_ratio: 1.5,
             maintenance: MaintenanceStats {
@@ -549,6 +552,8 @@ mod tests {
         assert!(text.contains("hopi_publish_total{kind=\"patched\"} 5"));
         assert!(text.contains("hopi_publish_total{kind=\"full\"} 1"));
         assert!(text.contains("hopi_publish_rows_patched_total 40"));
+        assert!(text.contains("# TYPE hopi_publish_bytes_total counter"));
+        assert!(text.contains("hopi_publish_bytes_total 24576"));
         assert!(text.contains("hopi_cover_drift_ratio 1.5000"));
         assert!(text.contains("hopi_link_integrations_total{choice=\"lout_copy\"} 3"));
         assert!(text.contains("hopi_link_integrations_total{choice=\"center\"} 0"));

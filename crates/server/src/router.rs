@@ -229,6 +229,7 @@ fn stats(state: &AppState) -> Response {
     w.field_u64("last_micros", s.publish.micros);
     w.field_str("kind", s.publish.kind());
     w.field_u64("rows_patched", s.publish.rows_patched as u64);
+    w.field_u64("bytes", s.publish.bytes as u64);
     w.close_obj();
     // §6 drift against the last build, and who owns it: link integrations
     // by choice, deletions by algorithm, net cover entries per operation

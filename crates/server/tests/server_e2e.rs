@@ -282,9 +282,14 @@ fn mutations_publish_fresh_epochs_visible_to_reads() {
     assert_eq!(patched + full, publishes);
     assert!(full >= 2, "the first epoch and the rebuild freeze in full");
     count_of("hopi_publish_rows_patched_total");
+    assert!(
+        count_of("hopi_publish_bytes_total") > 0,
+        "every full freeze writes all its blocks"
+    );
     let publish = stats.get("publish").expect("publish object in /stats");
     assert!(publish.get("last_micros").and_then(Json::as_u64).is_some());
     assert!(publish.get("rows_patched").and_then(Json::as_u64).is_some());
+    assert!(publish.get("bytes").and_then(Json::as_u64).is_some());
     let kind = publish.get("kind").and_then(Json::as_str).expect("kind");
     assert!(kind == "patched" || kind == "full", "{kind}");
 

@@ -280,19 +280,20 @@ fn encode_index(frozen: &FrozenCover, baseline: Option<CoverBaseline>) -> Vec<u8
 
 /// Appends the frozen cover's CSR payload (`n`, `data_len`, offset tables,
 /// data, optional dist column) to `buf` — the section shared by index
-/// files and checkpoints.
+/// files and checkpoints. The cover's row blocks are concatenated as
+/// [`FrozenCover::write_label_csr`] streams them, so the bytes are those
+/// of one contiguous CSR buffer.
 fn encode_frozen_payload(frozen: &FrozenCover, buf: &mut Vec<u8>) {
-    let n = frozen.num_nodes();
-    let data = frozen.label_data();
-    let dists = frozen.label_dists();
-    let words = 2 * (n + 1) + data.len() * if dists.is_some() { 2 } else { 1 };
+    let (n, entries) = (frozen.num_nodes(), frozen.size());
+    let words = 2 * (n + 1) + entries * if frozen.with_dist() { 2 } else { 1 };
     buf.reserve(16 + 4 * words);
     buf.extend_from_slice(&(n as u64).to_le_bytes());
-    buf.extend_from_slice(&(data.len() as u64).to_le_bytes());
-    let sections = [frozen.lin_offsets(), frozen.lout_offsets(), data];
-    for &word in sections.into_iter().chain(dists).flatten() {
-        buf.extend_from_slice(&word.to_le_bytes());
-    }
+    buf.extend_from_slice(&(entries as u64).to_le_bytes());
+    frozen.write_label_csr(|run| {
+        for word in run {
+            buf.extend_from_slice(&word.to_le_bytes());
+        }
+    });
 }
 
 /// Loads an index file with the build baseline saved beside it (if any).
@@ -543,8 +544,14 @@ mod tests {
     /// The rows of `frozen`'s `LIN` and `LOUT` tables in `(id, other)`
     /// order, as every row writer stored them (dist 0 without DIST).
     fn table_rows(frozen: &FrozenCover) -> [Vec<Row>; 2] {
-        let (data, dists) = (frozen.label_data(), frozen.label_dists());
-        [frozen.lin_offsets(), frozen.lout_offsets()].map(|off| {
+        let mut words = Vec::new();
+        frozen.write_label_csr(|run| words.extend_from_slice(run));
+        let (n, len) = (frozen.num_nodes(), frozen.size());
+        let (offsets, rest) = words.split_at(2 * (n + 1));
+        let (data, dists) = rest.split_at(len);
+        let dists = frozen.with_dist().then_some(dists);
+        let (lin, lout) = offsets.split_at(n + 1);
+        [lin, lout].map(|off| {
             let mut rows = Vec::new();
             for (id, w) in off.windows(2).enumerate() {
                 for i in w[0] as usize..w[1] as usize {

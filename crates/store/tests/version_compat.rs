@@ -1,13 +1,16 @@
 //! On-disk format compatibility: files written by older writers must keep
 //! loading. The version 2 fixtures come from the pre-text codec (store and
 //! checkpoint version 2, WAL version 1); `v4_rows_dist.idx` is the last
-//! row-table layout, written by the row writer before it was removed. The
-//! fixtures under `tests/fixtures/` are committed byte-for-byte —
-//! regenerating them with the current writer would defeat the test.
+//! row-table layout, written by the row writer before it was removed.
+//! `v4_frozen.idx` and `v4_frozen_dist.idx` are the current frozen blob,
+//! written from one contiguous CSR buffer before the frozen cover was
+//! stored as row blocks; the current writer must reproduce them byte for
+//! byte. The fixtures under `tests/fixtures/` are committed byte-for-byte
+//! — regenerating them with the current writer would defeat the test.
 
-use hopi_core::{DistanceCoverBuilder, FrozenCover};
-use hopi_graph::DistanceClosure;
-use hopi_store::persist::{load_checkpoint, load_index, CoverBaseline};
+use hopi_core::{CoverBuilder, DistanceCoverBuilder, FrozenCover};
+use hopi_graph::{DiGraph, DistanceClosure, TransitiveClosure};
+use hopi_store::persist::{load_checkpoint, load_index, save_frozen, CoverBaseline};
 use hopi_store::vfs::StdVfs;
 use hopi_store::wal::{Wal, WalRecord};
 use std::path::PathBuf;
@@ -154,4 +157,74 @@ fn replays_v1_wal() {
         before,
         "opening a clean v1 log must leave it byte-identical"
     );
+}
+
+/// The graph of the `v4_frozen*.idx` fixtures: the ternary tree over `n`
+/// nodes (`u / 3 → u`) plus `n / 20` cross edges.
+fn v4_frozen_graph(n: u32) -> DiGraph {
+    let mut g = DiGraph::new();
+    g.ensure_node(n - 1);
+    for u in 1..n {
+        g.add_edge(u / 3, u);
+    }
+    for i in 0..n / 20 {
+        g.add_edge((i * 37 + 11) % n, (i * 101 + 5) % n);
+    }
+    g
+}
+
+#[test]
+fn frozen_blobs_load_and_save_back_byte_for_byte() {
+    // `v4_frozen.idx`: the plain cover of the 600-node graph, several row
+    // blocks, saved with a baseline. `v4_frozen_dist.idx`: the distance
+    // cover of the 300-node graph, without one.
+    for (name, n, dist) in [
+        ("v4_frozen.idx", 600, false),
+        ("v4_frozen_dist.idx", 300, true),
+    ] {
+        let bytes = std::fs::read(fixture(name)).unwrap();
+        let (frozen, baseline) = load_index(&StdVfs, &fixture(name)).expect(name);
+        assert_eq!(frozen.num_nodes(), n as usize);
+        assert_eq!(frozen.with_dist(), dist);
+        let graph = v4_frozen_graph(n);
+        if dist {
+            assert_eq!(baseline, None);
+            let closure = DistanceClosure::from_graph(&graph);
+            let live = DistanceCoverBuilder::new(&closure).build();
+            assert_eq!(frozen, FrozenCover::from_distance_cover(&live));
+            for u in (0..n).step_by(7) {
+                for v in (0..n).step_by(3) {
+                    assert_eq!(frozen.distance(u, v), closure.dist(u, v), "dist({u},{v})");
+                }
+            }
+        } else {
+            let entries = frozen.size() as u64;
+            assert_eq!(
+                baseline,
+                Some(CoverBaseline {
+                    entries,
+                    live_elements: 600
+                })
+            );
+            let closure = TransitiveClosure::from_graph(&graph);
+            assert_eq!(
+                frozen,
+                FrozenCover::from_cover(&CoverBuilder::new(&closure).build())
+            );
+            for u in 0..n {
+                for v in (0..n).step_by(5) {
+                    assert_eq!(
+                        frozen.connected(u, v),
+                        u == v || closure.contains(u, v),
+                        "({u},{v})"
+                    );
+                }
+            }
+        }
+        let path = std::env::temp_dir().join(format!("hopi_compat_{name}_{}", std::process::id()));
+        save_frozen(&StdVfs, &frozen, &path, baseline).unwrap();
+        let saved = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert!(saved == bytes, "{name}: load → save changed the bytes");
+    }
 }

@@ -38,19 +38,27 @@ struct DocEntry {
     base: ElemId,
 }
 
+/// The documents of a collection and their id ranges: what only a
+/// document insert or removal changes.
+#[derive(Clone, Debug, Default)]
+struct DocTable {
+    docs: Vec<Option<DocEntry>>,
+    /// Reverse map from global id range start to doc, kept sorted by base.
+    ranges: Vec<(ElemId, ElemId, DocId)>, // (base, end_exclusive, doc)
+}
+
 /// A collection `X = (D, L)` of XML documents.
 ///
-/// Cloning copies the document table, the links and the id ranges, not
-/// the documents: O(documents + links).
+/// Cloning shares the document table (one reference count) and copies the
+/// links: O(links). The first document insert or removal on either side
+/// copies the table, not the documents.
 #[derive(Clone, Debug, Default)]
 pub struct Collection {
-    docs: Vec<Option<DocEntry>>,
+    table: Arc<DocTable>,
     links: Vec<Link>,
     /// Fast duplicate check: `L` is a *set* of links (paper §2).
     link_set: FxHashSet<(ElemId, ElemId)>,
     next_elem: ElemId,
-    /// Reverse map from global id range start to doc, kept sorted by base.
-    ranges: Vec<(ElemId, ElemId, DocId)>, // (base, end_exclusive, doc)
 }
 
 impl Collection {
@@ -61,11 +69,12 @@ impl Collection {
 
     /// Adds a document, assigning it a contiguous global element-id range.
     pub fn add_document(&mut self, doc: XmlDocument) -> DocId {
-        let id = self.docs.len() as DocId;
+        let table = Arc::make_mut(&mut self.table);
+        let id = table.docs.len() as DocId;
         let base = self.next_elem;
         self.next_elem += doc.len() as ElemId;
-        self.ranges.push((base, self.next_elem, id));
-        self.docs.push(Some(DocEntry {
+        table.ranges.push((base, self.next_elem, id));
+        table.docs.push(Some(DocEntry {
             doc: Arc::new(doc),
             base,
         }));
@@ -75,15 +84,14 @@ impl Collection {
     /// Removes a document: tombstones its id range and drops every link
     /// incident to it. Returns `true` if the document existed.
     pub fn remove_document(&mut self, d: DocId) -> bool {
-        let Some(slot) = self.docs.get_mut(d as usize) else {
-            return false;
-        };
-        if slot.is_none() {
+        if self.document(d).is_none() {
             return false;
         }
-        *slot = None;
-        let ranges = &self.ranges;
-        let docs = &self.docs;
+        let table = Arc::make_mut(&mut self.table);
+        if let Some(slot) = table.docs.get_mut(d as usize) {
+            *slot = None;
+        }
+        let (ranges, docs) = (&table.ranges, &table.docs);
         let doc_of = |e: ElemId| -> Option<DocId> {
             let i = ranges.partition_point(|&(b, _, _)| b <= e).checked_sub(1)?;
             let (b, end, doc) = ranges[i];
@@ -97,12 +105,13 @@ impl Collection {
 
     /// Number of live documents.
     pub fn doc_count(&self) -> usize {
-        self.docs.iter().filter(|d| d.is_some()).count()
+        self.table.docs.iter().filter(|d| d.is_some()).count()
     }
 
     /// Iterates over live document ids.
     pub fn doc_ids(&self) -> impl Iterator<Item = DocId> + '_ {
-        self.docs
+        self.table
+            .docs
             .iter()
             .enumerate()
             .filter(|(_, d)| d.is_some())
@@ -111,17 +120,17 @@ impl Collection {
 
     /// Upper bound (exclusive) on document ids ever allocated.
     pub fn doc_id_bound(&self) -> usize {
-        self.docs.len()
+        self.table.docs.len()
     }
 
     /// The document with id `d`, if live.
     pub fn document(&self, d: DocId) -> Option<&XmlDocument> {
-        self.docs.get(d as usize)?.as_ref().map(|e| &*e.doc)
+        self.table.docs.get(d as usize)?.as_ref().map(|e| &*e.doc)
     }
 
     /// Total number of elements in live documents.
     pub fn element_count(&self) -> usize {
-        self.docs.iter().flatten().map(|e| e.doc.len()).sum()
+        self.table.docs.iter().flatten().map(|e| e.doc.len()).sum()
     }
 
     /// Upper bound (exclusive) on global element ids ever allocated.
@@ -134,7 +143,7 @@ impl Collection {
     /// # Panics
     /// Panics if the document is dead or the local id out of range.
     pub fn global_id(&self, d: DocId, local: LocalElemId) -> ElemId {
-        let entry = self.docs[d as usize]
+        let entry = self.table.docs[d as usize]
             .as_ref()
             .expect("global_id on removed document");
         assert!((local as usize) < entry.doc.len(), "local id out of range");
@@ -144,21 +153,21 @@ impl Collection {
     /// The `doc(·)` mapping of the paper: which live document owns a global
     /// element id.
     pub fn doc_of(&self, e: ElemId) -> Option<DocId> {
-        if self.ranges.is_empty() {
+        if self.table.ranges.is_empty() {
             return None;
         }
-        let i = self.ranges.partition_point(|&(b, _, _)| b <= e);
+        let i = self.table.ranges.partition_point(|&(b, _, _)| b <= e);
         if i == 0 {
             return None;
         }
-        let (b, end, doc) = self.ranges[i - 1];
-        (e >= b && e < end && self.docs[doc as usize].is_some()).then_some(doc)
+        let (b, end, doc) = self.table.ranges[i - 1];
+        (e >= b && e < end && self.table.docs[doc as usize].is_some()).then_some(doc)
     }
 
     /// Converts a global element id back to `(doc, local)`.
     pub fn to_local(&self, e: ElemId) -> Option<(DocId, LocalElemId)> {
         let d = self.doc_of(e)?;
-        let base = self.docs[d as usize].as_ref().unwrap().base;
+        let base = self.table.docs[d as usize].as_ref().unwrap().base;
         Some((d, e - base))
     }
 
@@ -166,7 +175,13 @@ impl Collection {
     /// dead, `""` when the element carries no text).
     pub fn element_text(&self, e: ElemId) -> Option<&str> {
         let (d, local) = self.to_local(e)?;
-        Some(self.docs[d as usize].as_ref().unwrap().doc.text(local))
+        Some(
+            self.table.docs[d as usize]
+                .as_ref()
+                .unwrap()
+                .doc
+                .text(local),
+        )
     }
 
     /// Adds an inter-document link between two global element ids. `L` is a
@@ -215,7 +230,7 @@ impl Collection {
     /// pairs.
     pub fn all_links(&self) -> Vec<Link> {
         let mut out = self.links.clone();
-        for entry in self.docs.iter().flatten() {
+        for entry in self.table.docs.iter().flatten() {
             for &(f, t) in entry.doc.intra_links() {
                 out.push(Link {
                     from: entry.base + f,
@@ -235,7 +250,7 @@ impl Collection {
             g.ensure_node(self.next_elem - 1);
         }
         // Tombstone ranges of removed docs.
-        for (i, slot) in self.docs.iter().enumerate() {
+        for (i, slot) in self.table.docs.iter().enumerate() {
             if slot.is_none() {
                 let (b, end) = self.range_of(i as DocId);
                 for e in b..end {
@@ -243,7 +258,7 @@ impl Collection {
                 }
             }
         }
-        for entry in self.docs.iter().flatten() {
+        for entry in self.table.docs.iter().flatten() {
             for (p, c) in entry.doc.tree_edges() {
                 g.add_edge(entry.base + p, entry.base + c);
             }
@@ -258,7 +273,8 @@ impl Collection {
     }
 
     fn range_of(&self, d: DocId) -> (ElemId, ElemId) {
-        let (b, end, _) = self.ranges[self
+        let (b, end, _) = self.table.ranges[self
+            .table
             .ranges
             .iter()
             .position(|&(_, _, doc)| doc == d)
@@ -272,10 +288,10 @@ impl Collection {
     /// §3.3).
     pub fn document_graph(&self) -> (DiGraph, FxHashMap<(DocId, DocId), u32>) {
         let mut g = DiGraph::new();
-        if !self.docs.is_empty() {
-            g.ensure_node(self.docs.len() as DocId - 1);
+        if !self.table.docs.is_empty() {
+            g.ensure_node(self.table.docs.len() as DocId - 1);
         }
-        for (i, slot) in self.docs.iter().enumerate() {
+        for (i, slot) in self.table.docs.iter().enumerate() {
             if slot.is_none() {
                 g.remove_node(i as DocId);
             }
@@ -337,7 +353,7 @@ impl Collection {
     pub fn slot_ranges(&self) -> Vec<(ElemId, ElemId)> {
         // `ranges` is pushed in `add_document` order and doc ids are
         // assigned sequentially, so entry `i` describes doc id `i`.
-        self.ranges.iter().map(|&(b, e, _)| (b, e)).collect()
+        self.table.ranges.iter().map(|&(b, e, _)| (b, e)).collect()
     }
 
     /// Reconstructs a collection from persisted parts: one slot per ever
@@ -381,11 +397,10 @@ impl Collection {
             next_elem = end;
         }
         let mut out = Collection {
-            docs,
+            table: Arc::new(DocTable { docs, ranges }),
             links: Vec::new(),
             link_set: FxHashSet::default(),
             next_elem,
-            ranges,
         };
         for (from, to) in links {
             let (Some(fd), Some(td)) = (out.doc_of(from), out.doc_of(to)) else {
@@ -404,6 +419,7 @@ impl Collection {
     /// Resolves a `docname#anchor` reference to a global element id.
     pub fn resolve_ref(&self, docname: &str, anchor: &str) -> Option<ElemId> {
         let (d, entry) = self
+            .table
             .docs
             .iter()
             .enumerate()
@@ -580,6 +596,36 @@ mod tests {
             original.document(1).unwrap(),
             clone.document(1).unwrap()
         ));
+    }
+
+    #[test]
+    fn a_clone_keeps_its_documents_when_the_original_gains_or_loses_one() {
+        let mut original = two_doc_collection();
+        let clone = original.clone();
+        assert!(
+            Arc::ptr_eq(&original.table, &clone.table),
+            "one shared table"
+        );
+        original.add_link(4, 0);
+        assert!(
+            Arc::ptr_eq(&original.table, &clone.table),
+            "links live beside it"
+        );
+        original.add_document(XmlDocument::new("c", "r"));
+        assert!(!Arc::ptr_eq(&original.table, &clone.table));
+        let after_insert = original.clone();
+        original.remove_document(0);
+        for (c, docs) in [(&clone, 2), (&after_insert, 3)] {
+            assert_eq!(c.doc_count(), docs);
+            assert_eq!(c.doc_of(1), Some(0));
+            assert_eq!(c.document(0).unwrap().name, "a");
+            assert_eq!(c.global_id(1, 1), 4);
+        }
+        assert_eq!(clone.elem_id_bound(), 5);
+        assert_eq!(clone.links().len(), 1);
+        assert_eq!(after_insert.doc_of(5), Some(2));
+        assert_eq!(original.doc_of(1), None);
+        assert_eq!(original.doc_count(), 2);
     }
 
     #[test]
