@@ -1,6 +1,8 @@
 //! Set-at-a-time evaluation of path expressions against the HOPI index.
 //!
-//! * `/tag` steps walk the element-level **tree** (XPath child axis).
+//! * `/tag` steps follow the element-level **tree** (XPath child axis):
+//!   one pass over the tag's row in the [`TagIndex`], keeping the elements
+//!   whose parent is in the context; only `/*` walks the documents.
 //! * `//tag` steps use the **connection axis**: all elements reachable over
 //!   one or more tree or link edges — the query class HOPI exists for. Each
 //!   `//` step is answered from the 2-hop cover by one of four physical
@@ -424,7 +426,13 @@ impl Evaluator {
             let mut content = None;
             let plan = match step.axis {
                 Axis::Child => {
-                    child_step(collection, &current, step.tag.as_deref(), &mut next);
+                    match step.tag.as_deref() {
+                        Some(t) => {
+                            cand_len = tags.elements(t).len();
+                            child_step(tags, &mut self.scratch.mark, bound, &current, t, &mut next);
+                        }
+                        None => wildcard_child_step(collection, &current, &mut next),
+                    }
                     if let Some(pred) = &step.predicate {
                         // Child steps materialize their output directly;
                         // the predicate filters it afterwards.
@@ -438,13 +446,8 @@ impl Evaluator {
                     None
                 }
                 Axis::Connection => {
-                    let mut cands: &[ElemId] = match step.tag.as_deref() {
-                        Some(t) => tags.elements(t),
-                        None => {
-                            wildcard_candidates(collection, &mut self.cand_buf);
-                            &self.cand_buf
-                        }
-                    };
+                    let mut cands =
+                        candidates(collection, tags, step.tag.as_deref(), &mut self.cand_buf);
                     if let Some(pred) = &step.predicate {
                         match text {
                             Some(src) => {
@@ -517,18 +520,7 @@ impl Evaluator {
 fn seed(collection: &Collection, tags: &TagIndex, expr: &PathExpr) -> Vec<ElemId> {
     let first = &expr.steps[0];
     match first.axis {
-        Axis::Child => {
-            // Document ids are never reused and id ranges grow
-            // monotonically, so visiting live docs in order emits sorted
-            // root ids.
-            let out: Vec<ElemId> = collection
-                .doc_ids()
-                .map(|d| collection.global_id(d, 0))
-                .filter(|&root| matches_tag(collection, tags, root, first.tag.as_deref()))
-                .collect();
-            debug_assert!(out.windows(2).all(|w| w[0] < w[1]));
-            out
-        }
+        Axis::Child => roots(collection, tags, first.tag.as_deref()),
         Axis::Connection => match first.tag.as_deref() {
             Some(t) => tags.elements(t).to_vec(),
             None => {
@@ -537,6 +529,37 @@ fn seed(collection: &Collection, tags: &TagIndex, expr: &PathExpr) -> Vec<ElemId
                 out
             }
         },
+    }
+}
+
+/// The document roots matching a root step `/tag` (`None` = `/*`),
+/// sorted. A tag is one pass over its row; the wildcard visits the live
+/// documents, whose ids — never reused, with monotonically growing id
+/// ranges — emit sorted root ids.
+pub(crate) fn roots(collection: &Collection, tags: &TagIndex, tag: Option<&str>) -> Vec<ElemId> {
+    match tag {
+        Some(t) => tags.roots(t).collect(),
+        None => collection
+            .doc_ids()
+            .map(|d| collection.global_id(d, 0))
+            .collect(),
+    }
+}
+
+/// The candidates of a `//tag` step, sorted: the tag's row, or every live
+/// element (written into `buf`) for the wildcard.
+pub(crate) fn candidates<'a>(
+    collection: &Collection,
+    tags: &'a TagIndex,
+    tag: Option<&str>,
+    buf: &'a mut Vec<ElemId>,
+) -> &'a [ElemId] {
+    match tag {
+        Some(t) => tags.elements(t),
+        None => {
+            wildcard_candidates(collection, buf);
+            buf
+        }
     }
 }
 
@@ -660,43 +683,47 @@ fn intersect_into(a: &[ElemId], b: &[ElemId], out: &mut Vec<ElemId>) {
     }
 }
 
-fn matches_tag(collection: &Collection, tags: &TagIndex, e: ElemId, tag: Option<&str>) -> bool {
-    match tag {
-        None => true,
-        Some(t) => {
-            // Tag index membership is cheaper than materializing the doc.
-            let _ = collection;
-            tags.has_tag(e, t)
-        }
-    }
-}
-
-/// `/tag`: tree children of the current set, sorted + deduped into the
-/// reused output buffer (children of distinct parents are distinct, but a
-/// sort is still needed: parents are visited in global-id order while
-/// children land at per-document offsets).
+/// `/tag`: mark the context, then keep the elements of the tag's row whose
+/// parent is marked — O(|context| + |row|) over dense arrays, and sorted
+/// because the row is.
 fn child_step(
-    collection: &Collection,
+    tags: &TagIndex,
+    mark: &mut StampSet,
+    bound: usize,
     current: &[ElemId],
-    tag: Option<&str>,
+    tag: &str,
     out: &mut Vec<ElemId>,
 ) {
+    mark.begin(bound);
     for &u in current {
-        let Some((d, local)) = collection.to_local(u) else {
-            continue;
-        };
-        let Some(doc) = collection.document(d) else {
-            continue;
-        };
-        let base = collection.global_id(d, 0);
-        for &c in &doc.element(local).children {
-            if tag.is_none_or(|t| doc.element(c).tag == t) {
-                out.push(base + c);
-            }
-        }
+        mark.mark(u);
+    }
+    let mark = &*mark;
+    out.extend(tags.children(tag, |p| mark.is_marked(p)));
+}
+
+/// The tree children of `u` (none for a dead id), in document order.
+pub(crate) fn tree_children(
+    collection: &Collection,
+    u: ElemId,
+) -> impl Iterator<Item = ElemId> + '_ {
+    let found = collection
+        .to_local(u)
+        .and_then(|(d, local)| Some((collection.document(d)?, collection.global_id(d, 0), local)));
+    found
+        .into_iter()
+        .flat_map(|(doc, base, local)| doc.element(local).children.iter().map(move |&c| base + c))
+}
+
+/// `/*`: every tree child of the context, the one child step without a row
+/// to scan, so it walks the documents. Children of distinct parents are
+/// distinct, but parents are visited in global-id order while children
+/// land at per-document offsets, so the output needs a sort.
+fn wildcard_child_step(collection: &Collection, current: &[ElemId], out: &mut Vec<ElemId>) {
+    for &u in current {
+        out.extend(tree_children(collection, u));
     }
     out.sort_unstable();
-    out.dedup();
 }
 
 /// Runs one planned `//` step into `out`. A backward join that runs out
@@ -1264,6 +1291,22 @@ mod tests {
             "{text}"
         );
         assert!(report.total_elapsed_us() >= report.steps[1].elapsed_us);
+    }
+
+    #[test]
+    fn explain_reports_the_row_a_child_step_scans() {
+        let (c, i, t) = fixture();
+        let expr = parse_path("/library/shelf/book").unwrap();
+        let (result, report) = evaluate_explained(&c, &i, &t, &expr, &EvalOptions::default());
+        assert_eq!(result.len(), 2);
+        // Two of the three books hang under the one shelf.
+        let step = &report.steps[2];
+        assert_eq!((step.input, step.candidates, step.output), (1, 3, 2));
+        let text = report.render(&expr);
+        assert!(
+            text.contains("tree-child  context=1 candidates=3"),
+            "{text}"
+        );
     }
 
     fn text_fixture() -> (Collection, HopiIndex, TagIndex, hopi_text::TextIndex) {

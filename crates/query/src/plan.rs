@@ -359,7 +359,9 @@ pub struct StepReport {
     pub axis: Axis,
     /// Context-set size going in (0 for the seed step).
     pub input: usize,
-    /// Candidate-set size (connection steps only).
+    /// Candidate-set size: the tag's row for a connection step, and the
+    /// row a child step `/tag` scans (0 for the seed and for `/*`, which
+    /// walks the documents instead).
     pub candidates: usize,
     /// Result-set size coming out.
     pub output: usize,
@@ -406,9 +408,8 @@ impl QueryPlanReport {
     pub fn render(&self, expr: &PathExpr) -> String {
         let mut out = String::new();
         for report in &self.steps {
-            let step_src = expr
-                .steps
-                .get(report.step)
+            let step = expr.steps.get(report.step);
+            let step_src = step
                 .map(|s| {
                     format!(
                         "{}{}",
@@ -446,9 +447,13 @@ impl QueryPlanReport {
                     ));
                 }
                 None if report.step == 0 => out.push_str("seed"),
-                None if report.axis == Axis::Child => {
-                    out.push_str(&format!("tree-child  context={}", report.input))
-                }
+                None if report.axis == Axis::Child => match step.and_then(|s| s.tag.as_ref()) {
+                    Some(_) => out.push_str(&format!(
+                        "tree-child  context={} candidates={}",
+                        report.input, report.candidates
+                    )),
+                    None => out.push_str(&format!("tree-walk  context={}", report.input)),
+                },
                 None => out.push_str(&format!(
                     "no candidates  context={} candidates=0",
                     report.input
@@ -577,7 +582,7 @@ mod tests {
 
     #[test]
     fn report_renders_step_lines() {
-        let expr = crate::parse_path("//a//b").unwrap();
+        let expr = crate::parse_path("//a//b/c/*").unwrap();
         let report = QueryPlanReport {
             steps: vec![
                 StepReport {
@@ -604,6 +609,26 @@ mod tests {
                     content: Some(ContentPlacement::PreFilter),
                     elapsed_us: 30,
                 },
+                StepReport {
+                    step: 2,
+                    axis: Axis::Child,
+                    input: 2,
+                    candidates: 7,
+                    output: 1,
+                    plan: None,
+                    content: None,
+                    elapsed_us: 4,
+                },
+                StepReport {
+                    step: 3,
+                    axis: Axis::Child,
+                    input: 1,
+                    candidates: 0,
+                    output: 2,
+                    plan: None,
+                    content: None,
+                    elapsed_us: 1,
+                },
             ],
         };
         let text = report.render(&expr);
@@ -617,11 +642,20 @@ mod tests {
         assert!(text.contains("content=pre_filter"), "{text}");
         assert!(text.contains("rows: 3 -> 2"), "{text}");
         assert!(text.contains("time=30µs"), "{text}");
-        assert!(text.contains("total time=42µs"), "{text}");
+        // A child step shows the row it scans; `/*` walks the documents.
+        assert!(
+            text.contains("/c              tree-child  context=2 candidates=7  rows: 2 -> 1"),
+            "{text}"
+        );
+        assert!(
+            text.contains("tree-walk  context=1  rows: 1 -> 2"),
+            "{text}"
+        );
+        assert!(text.contains("total time=47µs"), "{text}");
         let counts = report.strategy_counts();
         assert_eq!((counts.total(), counts.forward_hop_join), (1, 1));
         assert_eq!(counts.backward_fallbacks, 1);
-        assert_eq!(report.total_elapsed_us(), 42);
+        assert_eq!(report.total_elapsed_us(), 47);
     }
 
     #[test]

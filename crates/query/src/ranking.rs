@@ -15,6 +15,7 @@
 //! score so that `//book//sec[about(., "xml indexing")]` ranks sections
 //! by both structural proximity and term relevance.
 
+use crate::eval::{candidates, roots, tree_children};
 use crate::expr::{Axis, ContentPredicate, PathExpr};
 use crate::tag_index::TagIndex;
 use hopi_core::DistanceCover;
@@ -74,19 +75,16 @@ pub fn evaluate_ranked_with_text(
     let Some(first) = expr.steps.first() else {
         return Vec::new();
     };
+    let mut cand_buf = Vec::new();
     match first.axis {
-        Axis::Child => {
-            for d in collection.doc_ids() {
-                let root = collection.global_id(d, 0);
-                if tag_matches(collection, root, first.tag.as_deref()) {
-                    dist.insert(root, 0);
-                }
-            }
-        }
+        Axis::Child => dist.extend(
+            roots(collection, tags, first.tag.as_deref())
+                .into_iter()
+                .map(|e| (e, 0)),
+        ),
         Axis::Connection => {
-            for &e in candidate_list(collection, tags, first.tag.as_deref()).iter() {
-                dist.insert(e, 0);
-            }
+            let seeds = candidates(collection, tags, first.tag.as_deref(), &mut cand_buf);
+            dist.extend(seeds.iter().map(|&e| (e, 0)));
         }
     }
     filter_by_predicate(&mut dist, first.predicate.as_ref(), text);
@@ -94,25 +92,24 @@ pub fn evaluate_ranked_with_text(
     for step in expr.steps.iter().skip(1) {
         let mut next: FxHashMap<ElemId, u32> = FxHashMap::default();
         match step.axis {
-            Axis::Child => {
-                for (&u, &du) in &dist {
-                    let Some((d, local)) = collection.to_local(u) else {
-                        continue;
-                    };
-                    let Some(doc) = collection.document(d) else {
-                        continue;
-                    };
-                    let base = collection.global_id(d, 0);
-                    for &c in &doc.element(local).children {
-                        if step.tag.as_deref().is_none_or(|t| doc.element(c).tag == t) {
-                            relax(&mut next, base + c, du + 1);
-                        }
+            // A tree child has exactly one parent, so its distance is its
+            // parent's plus one: no relaxation.
+            Axis::Child => match step.tag.as_deref() {
+                Some(t) => {
+                    next.extend(tags.elements(t).iter().filter_map(|&c| {
+                        let du = dist.get(&tags.parent(c)?)?;
+                        Some((c, du + 1))
+                    }));
+                }
+                None => {
+                    for (&u, &du) in &dist {
+                        next.extend(tree_children(collection, u).map(|c| (c, du + 1)));
                     }
                 }
-            }
+            },
             Axis::Connection => {
-                let cands = candidate_list(collection, tags, step.tag.as_deref());
-                for &t in cands.iter() {
+                let cands = candidates(collection, tags, step.tag.as_deref(), &mut cand_buf);
+                for &t in cands {
                     let mut best: Option<u32> = None;
                     for (&u, &du) in &dist {
                         if u == t {
@@ -179,35 +176,6 @@ fn relax(map: &mut FxHashMap<ElemId, u32>, e: ElemId, d: u32) {
     map.entry(e)
         .and_modify(|cur| *cur = (*cur).min(d))
         .or_insert(d);
-}
-
-fn candidate_list<'a>(
-    collection: &Collection,
-    tags: &'a TagIndex,
-    tag: Option<&str>,
-) -> std::borrow::Cow<'a, [ElemId]> {
-    match tag {
-        Some(t) => std::borrow::Cow::Borrowed(tags.elements(t)),
-        None => {
-            let mut out = Vec::with_capacity(collection.element_count());
-            for d in collection.doc_ids() {
-                let base = collection.global_id(d, 0);
-                let len = collection.document(d).map_or(0, |doc| doc.len() as u32);
-                out.extend(base..base + len);
-            }
-            std::borrow::Cow::Owned(out)
-        }
-    }
-}
-
-fn tag_matches(collection: &Collection, e: ElemId, tag: Option<&str>) -> bool {
-    match tag {
-        None => true,
-        Some(t) => collection
-            .to_local(e)
-            .and_then(|(d, l)| collection.document(d).map(|doc| doc.element(l).tag == t))
-            .unwrap_or(false),
-    }
 }
 
 #[cfg(test)]

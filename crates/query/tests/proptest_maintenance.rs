@@ -1,12 +1,15 @@
 //! In-place maintenance of the derived indexes: after any sequence of
 //! document insertions, deletions and modifications, a tag index and a
 //! term index that followed along step by step equal the ones a fresh
-//! build of the resulting collection produces — rows, postings per term
-//! *string*, element lengths, totals and frozen forms.
+//! build of the resulting collection produces — rows, parent column,
+//! postings per term *string*, element lengths, totals and frozen forms —
+//! and child steps read from the maintained tag index answer like a walk
+//! of the documents.
 
-use hopi_query::TagIndex;
+use hopi_partition::{build_index, BuildConfig};
+use hopi_query::{evaluate, parse_path, TagIndex};
 use hopi_text::{FrozenTextIndex, TextIndex, TextSource};
-use hopi_xml::{Collection, XmlDocument};
+use hopi_xml::{Collection, ElemId, XmlDocument};
 use proptest::prelude::*;
 
 /// Tags and terms come from small alphabets, some of them rare, so that
@@ -36,6 +39,43 @@ fn document(name: String, seed: usize) -> XmlDocument {
         }
     }
     d
+}
+
+/// Child-axis expressions checked after every step, as (expression,
+/// parent must be a root, parent tag, child tag): a root seed and a child
+/// step after a `//` seed, both answered from the parent column.
+const CHILD_EXPRESSIONS: [(&str, bool, &str, &str); 2] =
+    [("/a/b", true, "a", "b"), ("//b/a", false, "b", "a")];
+
+/// Oracle for `/p/t` and `//p/t`: a walk of every live document for the
+/// elements tagged `t` whose parent is tagged `p` (and is the root).
+fn child_oracle(c: &Collection, rooted: bool, parent_tag: &str, tag: &str) -> Vec<ElemId> {
+    let mut out = Vec::new();
+    for d in c.doc_ids() {
+        let doc = c.document(d).expect("live document");
+        let base = c.global_id(d, 0);
+        for (local, e) in doc.elements() {
+            let Some(p) = e.parent else { continue };
+            if e.tag == tag && doc.element(p).tag == parent_tag && (!rooted || p == 0) {
+                out.push(base + local);
+            }
+        }
+    }
+    out
+}
+
+fn assert_child_steps_match_oracle(c: &Collection, tags: &TagIndex) -> Result<(), TestCaseError> {
+    let (index, _) = build_index(c, &BuildConfig::default());
+    for (expr, rooted, parent_tag, tag) in CHILD_EXPRESSIONS {
+        let got = evaluate(
+            c,
+            &index,
+            tags,
+            &parse_path(expr).expect("valid expression"),
+        );
+        prop_assert_eq!(got, child_oracle(c, rooted, parent_tag, tag), "{}", expr);
+    }
+    Ok(())
 }
 
 fn assert_equals_rebuild(
@@ -103,6 +143,7 @@ proptest! {
                 text.index_document(base, doc);
             }
             assert_equals_rebuild(&c, &tags, &text)?;
+            assert_child_steps_match_oracle(&c, &tags)?;
         }
     }
 }

@@ -148,6 +148,15 @@ fn oracle(collection: &Collection, expr: &PathExpr) -> Vec<ElemId> {
     current
 }
 
+/// Expression shapes over `realize`'s trees, where every root is tagged
+/// `root` and element `k` hangs under `k / 2` with tag `a`, `b` or `c` by
+/// `k % 3`. Child steps read the tag index's parent column: `//c/c` puts a
+/// parent and its same-tag child in one context (`c` is the only tag
+/// nested under itself within a document of at most six elements),
+/// `/*/*/b` and `/*/*/c` follow the document walk of `/*` with a tagged
+/// step, `//b/c//a` takes a child step from a context of every `b` into a
+/// `//` step, `/*/zz` names a tag no element carries, and `/a//b` seeds
+/// from a tag that only occurs below the roots.
 fn expressions() -> Vec<PathExpr> {
     [
         "//a",
@@ -159,6 +168,12 @@ fn expressions() -> Vec<PathExpr> {
         "//c//a//b",
         "/root/a/b",
         "//*//a",
+        "//c/c",
+        "/*/*/b",
+        "/*/*/c",
+        "//b/c//a",
+        "/*/zz",
+        "/a//b",
     ]
     .iter()
     .map(|s| parse_path(s).unwrap())
