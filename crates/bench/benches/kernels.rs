@@ -1,5 +1,6 @@
 //! Criterion microbenches for the algorithmic kernels behind index
-//! construction and maintenance: densest-subgraph peeling, transitive
+//! construction and maintenance: densest-subgraph peeling, the greedy
+//! cover builder on the benchmark collections' closures, transitive
 //! closure materialization, incremental closure edge insertion, the
 //! separator test, and single-link cover integration — the §3.3 primitive
 //! that centers every new connection on the link target, beside the §6.1
@@ -7,11 +8,16 @@
 //! copies.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use hopi_bench::dblp_collection;
+use hopi_bench::{add_cross_links, dblp_collection, inex_collection};
 use hopi_build::{build_index, old_join, BuildConfig};
 use hopi_core::densest::{densest_subgraph, BipartiteCenterGraph};
+use hopi_core::CoverBuilder;
+use hopi_graph::closure::region_closure;
+use hopi_graph::traversal::reachable_from_many;
 use hopi_graph::{FixedBitSet, TransitiveClosure};
 use hopi_maintenance::{integrate_link, separates};
+use hopi_partition::{tc_partitioner, TcPartitionerConfig};
+use hopi_xml::Collection;
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
@@ -30,6 +36,87 @@ fn center_graph(nl: usize, nr: usize, density: f64, seed: u64) -> BipartiteCente
         right: (0..nr as u32).collect(),
         adj,
     }
+}
+
+/// The closure of the first partition the closure-budget partitioner cuts
+/// from `collection` under `budget` connections per partition (the
+/// benchmark's `build_config`).
+fn partition_closure(collection: &Collection, budget: u64) -> TransitiveClosure {
+    let config = TcPartitionerConfig {
+        max_connections_per_partition: budget,
+        ..TcPartitionerConfig::default()
+    };
+    let partitioning = tc_partitioner::partition(collection, &config);
+    let (graph, _, _) = partitioning.partition_element_graph(collection, 0);
+    TransitiveClosure::from_graph(&graph)
+}
+
+/// The partial closure a Theorem-3 deletion of the document with the most
+/// ancestors re-covers (`hopi_maintenance::delete`): the document's
+/// elements removed, the region of its ancestors `A` and descendants `D`
+/// in local ids, a row into `D` for every live region element, and the
+/// live ancestors as the seeds.
+fn theorem3_closure(collection: &Collection) -> (TransitiveClosure, FixedBitSet) {
+    let g = collection.element_graph();
+    let reversed = g.reversed();
+    let elements = |d| (0..g.id_bound() as u32).filter(move |&e| collection.doc_of(e) == Some(d));
+    let hub = collection
+        .doc_ids()
+        .max_by_key(|&d| (reachable_from_many(&reversed, elements(d)).count(), d))
+        .expect("a document");
+    let a = reachable_from_many(&reversed, elements(hub));
+    let d = reachable_from_many(&g, elements(hub));
+    let mut after = g.clone();
+    for e in elements(hub) {
+        after.remove_node(e);
+    }
+    let mut region = a.clone();
+    region.union_with(&d);
+    let live: Vec<u32> = region.iter().filter(|&e| after.is_alive(e)).collect();
+    let mut seeds = FixedBitSet::new(live.len());
+    for (i, &e) in live.iter().enumerate() {
+        if a.contains(e) {
+            seeds.insert(i as u32);
+        }
+    }
+    let rows = region_closure(&after, &live, &d);
+    let alive = vec![true; live.len()];
+    (
+        TransitiveClosure::from_desc_rows(rows, alive, Some(&seeds)),
+        seeds,
+    )
+}
+
+/// `CoverBuilder` alone, on one partition closure of each benchmark
+/// collection (sizes and budgets of `benchmark/src/inputs.rs`) and on the
+/// Theorem-3 closure of a hub-document deletion on `maintain-dblp`'s.
+fn bench_cover_builder(c: &mut Criterion) {
+    let mut inex = inex_collection(0.001);
+    add_cross_links(&mut inex);
+    let maintain = dblp_collection(0.03);
+    let closures = [
+        (
+            "build_dblp",
+            partition_closure(&dblp_collection(0.06), 100_000),
+        ),
+        ("query_inex", partition_closure(&inex, 100_000)),
+        ("maintain_dblp", partition_closure(&maintain, 1_000_000)),
+    ];
+    let mut group = c.benchmark_group("cover_builder");
+    group.sample_size(10);
+    for (name, tc) in &closures {
+        group.bench_function(format!("{name}_{}_nodes", tc.num_nodes()), |b| {
+            b.iter(|| std::hint::black_box(CoverBuilder::new(tc).build_with_stats().1))
+        });
+    }
+    let (partial, seeds) = theorem3_closure(&maintain);
+    group.bench_function(format!("theorem3_{}_nodes", partial.num_nodes()), |b| {
+        b.iter(|| {
+            let builder = CoverBuilder::only_from(&partial, &seeds);
+            std::hint::black_box(builder.build_with_stats().1)
+        })
+    });
+    group.finish();
 }
 
 fn bench_kernels(c: &mut Criterion) {
@@ -119,5 +206,5 @@ fn bench_kernels(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_kernels);
+criterion_group!(benches, bench_cover_builder, bench_kernels);
 criterion_main!(benches);

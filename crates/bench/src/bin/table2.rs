@@ -132,6 +132,7 @@ fn main() {
         ("evals", 9),
         ("reinsert", 9),
         ("peeled/offered", 22),
+        ("degree words", 14),
     ]);
     for (name, cfg) in rows {
         let (index, report) = build_index(&collection, &cfg);
@@ -151,6 +152,7 @@ fn main() {
                 "{}/{}",
                 report.greedy.peel_removed, report.greedy.peel_offered
             ),
+            report.greedy.degree_words.to_string(),
         ]);
         drop(index);
     }

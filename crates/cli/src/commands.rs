@@ -279,12 +279,13 @@ pub fn build(args: &[String]) -> Result<(), String> {
     let greedy = &hopi.report().greedy;
     println!(
         "greedy kernel: {} centers from {} center-graph evaluations ({} reinserted), \
-         peels removed {} of {} offered vertices",
+         peels removed {} of {} offered vertices, degree passes read {} row words",
         greedy.centers,
         greedy.densest_evals,
         greedy.reinsertions,
         greedy.peel_removed,
-        greedy.peel_offered
+        greedy.peel_offered,
+        greedy.degree_words
     );
     hopi.save_frozen(Path::new(&out))
         .map_err(|e| format!("save failed: {e}"))?;

@@ -29,7 +29,7 @@
 //! those of peeling a materialized copy to the last vertex, bit for bit.
 
 use crate::cover::TwoHopCover;
-use crate::densest::{complete_bipartite_density, spans_of, Peeled, Peeler, Rows};
+use crate::densest::{complete_bipartite_density, spans_of, Peeled, Peeler, Rows, Side, Uncovered};
 use hopi_graph::{FixedBitSet, TransitiveClosure, WordSpan};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -76,6 +76,9 @@ pub struct BuildStats {
     /// `peel_removed / peel_offered` is the share of the classic
     /// peel-to-the-last-vertex work that was actually needed.
     pub peel_removed: usize,
+    /// Row words the degree passes read, on either side of the center
+    /// graphs (edgeless ones included): the kernel's main cost.
+    pub degree_words: usize,
 }
 
 impl std::ops::AddAssign<&BuildStats> for BuildStats {
@@ -86,6 +89,7 @@ impl std::ops::AddAssign<&BuildStats> for BuildStats {
         self.preselected_covered += other.preselected_covered;
         self.peel_offered += other.peel_offered;
         self.peel_removed += other.peel_removed;
+        self.degree_words += other.degree_words;
     }
 }
 
@@ -119,6 +123,16 @@ pub struct CoverBuilder<'a> {
     /// `out_span[u] == unc_out[u].word_span()`, `in_span[v]` likewise.
     out_span: Vec<WordSpan>,
     in_span: Vec<WordSpan>,
+    /// The hull of every uncovered row: outside it `unc_out[u]` equals
+    /// `descendants(u) − u` (`unc_in[v]` equals `ancestors(v) − v`). It
+    /// starts over the words that sources leave out (empty without
+    /// sources) and widens by the words each commit clears bits in.
+    out_hull: Vec<WordSpan>,
+    in_hull: Vec<WordSpan>,
+    /// Every closure row with its size and word span, `descendants` and
+    /// `ancestors`: the sides of the center graphs, fixed for the build.
+    desc_side: Vec<Side<'a>>,
+    anc_side: Vec<Side<'a>>,
     remaining: usize,
     /// The nodes whose connections start uncovered; `None` for all.
     sources: Option<FixedBitSet>,
@@ -149,32 +163,42 @@ impl<'a> CoverBuilder<'a> {
         let n = tc.num_nodes();
         // The closure keeps both directions, so both uncovered-row tables
         // are word copies of its rows minus the reflexive pair (and, with
-        // sources, minus every non-source).
+        // sources, minus every non-source). What sources leave out starts
+        // each row's hull.
         let without_self = |row: &FixedBitSet, u: u32| {
             let mut row = row.clone();
             row.grow(n);
             row.remove(u);
             row
         };
-        let is_source = |u: u32| sources.as_ref().is_none_or(|s| s.contains(u));
-        let unc_out: Vec<FixedBitSet> = (0..n as u32)
-            .map(|u| {
-                if is_source(u) {
-                    without_self(tc.descendants(u), u)
-                } else {
-                    FixedBitSet::new(n)
-                }
-            })
-            .collect();
-        let unc_in: Vec<FixedBitSet> = (0..n as u32)
-            .map(|v| {
-                let mut row = without_self(tc.ancestors(v), v);
-                if let Some(s) = &sources {
+        let (mut unc_out, mut out_hull) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        for u in 0..n as u32 {
+            let row = without_self(tc.descendants(u), u);
+            if sources.as_ref().is_none_or(|s| s.contains(u)) {
+                unc_out.push(row);
+                out_hull.push(WordSpan::EMPTY);
+            } else {
+                out_hull.push(row.word_span());
+                unc_out.push(FixedBitSet::new(n));
+            }
+        }
+        let (mut unc_in, mut in_hull) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        for v in 0..n as u32 {
+            let mut row = without_self(tc.ancestors(v), v);
+            let hull = match &sources {
+                Some(s) => {
+                    let hull = row.difference_span(s);
                     row.intersect_with(s);
+                    hull
                 }
-                row
-            })
-            .collect();
+                None => WordSpan::EMPTY,
+            };
+            unc_in.push(row);
+            in_hull.push(hull);
+        }
+        let sides = |row: fn(&'a TransitiveClosure, u32) -> &'a FixedBitSet| {
+            (0..n as u32).map(|u| Side::of(row(tc, u))).collect()
+        };
         let remaining = unc_out.iter().map(FixedBitSet::count).sum();
         CoverBuilder {
             tc,
@@ -182,6 +206,10 @@ impl<'a> CoverBuilder<'a> {
             in_span: spans_of(&unc_in),
             unc_out,
             unc_in,
+            out_hull,
+            in_hull,
+            desc_side: sides(TransitiveClosure::descendants),
+            anc_side: sides(TransitiveClosure::ancestors),
             remaining,
             sources,
             cover: TwoHopCover::with_nodes(n),
@@ -237,17 +265,16 @@ impl<'a> CoverBuilder<'a> {
     fn seed_heap(&self) -> BinaryHeap<HeapEntry> {
         let n = self.tc.num_nodes();
         let mut heap = BinaryHeap::with_capacity(n);
-        for w in 0..n as u32 {
+        let sides = self.anc_side.iter().zip(&self.desc_side);
+        for (w, (anc, desc)) in (0..n as u32).zip(sides) {
             if !self.tc.is_alive(w) {
                 continue;
             }
-            let anc = self.tc.ancestors(w);
             let a = match &self.sources {
-                None => anc.count(),
-                Some(s) => anc.intersection_count(s),
+                None => anc.count,
+                Some(s) => anc.set.intersection_count(s),
             };
-            let d = self.tc.descendants(w).count();
-            let density = complete_bipartite_density(a, d);
+            let density = complete_bipartite_density(a, desc.count);
             if density > 0.0 {
                 heap.push(HeapEntry { node: w, density });
             }
@@ -264,13 +291,20 @@ impl<'a> CoverBuilder<'a> {
             .pop()
             .expect("connections uncovered but candidate heap exhausted")
             .node;
-        let tc = self.tc;
+        let (Some(&cin), Some(&cout)) = (
+            self.anc_side.get(w as usize),
+            self.desc_side.get(w as usize),
+        ) else {
+            return None;
+        };
         let peeled = peeler.peel_center(
-            Rows::new(&self.unc_out, &self.out_span),
-            Rows::new(&self.unc_in, &self.in_span),
-            tc.ancestors(w),
-            tc.descendants(w),
-        )?;
+            Uncovered::new(Rows::new(&self.unc_out, &self.out_span), &self.out_hull),
+            Uncovered::new(Rows::new(&self.unc_in, &self.in_span), &self.in_hull),
+            cin,
+            cout,
+        );
+        self.stats.degree_words += std::mem::take(&mut peeler.degree_words);
+        let peeled = peeled?;
         self.stats.densest_evals += 1;
         self.stats.peel_offered += peeled.offered;
         self.stats.peel_removed += peeled.removed;
@@ -297,12 +331,14 @@ impl<'a> CoverBuilder<'a> {
     fn commit_center(&mut self, w: u32, cin: &FixedBitSet, cout: &FixedBitSet) -> usize {
         let (cin_span, cout_span) = (cin.word_span(), cout.word_span());
         let mut covered = 0usize;
-        for u in cin.iter() {
-            covered += uncover(&mut self.unc_out, &mut self.out_span, u, cout, cout_span);
+        for u in cin.iter_in(cin_span) {
+            let (rows, spans, hulls) = (&mut self.unc_out, &mut self.out_span, &mut self.out_hull);
+            covered += uncover(rows, spans, hulls, u, cout, cout_span);
             self.cover.add_out(u, w);
         }
-        for v in cout.iter() {
-            uncover(&mut self.unc_in, &mut self.in_span, v, cin, cin_span);
+        for v in cout.iter_in(cout_span) {
+            let (rows, spans, hulls) = (&mut self.unc_in, &mut self.in_span, &mut self.in_hull);
+            uncover(rows, spans, hulls, v, cin, cin_span);
             self.cover.add_in(v, w);
         }
         self.remaining -= covered;
@@ -313,25 +349,29 @@ impl<'a> CoverBuilder<'a> {
 
 /// `rows[u] &= !covered`, read and written only inside the overlap of the
 /// row's span with `within`, the span of `covered`. The row's new span is
-/// found by scanning inward from the ends of its old one. Returns the
-/// number of connections the row lost.
+/// found by scanning inward from the ends of its old one, and its hull
+/// widens by the words that lost bits. Returns the number of connections
+/// the row lost.
 fn uncover(
     rows: &mut [FixedBitSet],
     spans: &mut [WordSpan],
+    hulls: &mut [WordSpan],
     u: u32,
     covered: &FixedBitSet,
     within: WordSpan,
 ) -> usize {
-    let (Some(row), Some(span)) = (rows.get_mut(u as usize), spans.get_mut(u as usize)) else {
+    let i = u as usize;
+    let (Some(row), Some(span), Some(hull)) = (rows.get_mut(i), spans.get_mut(i), hulls.get_mut(i))
+    else {
         return 0;
     };
     let inside = span.overlap(within);
     if inside.is_empty() {
         return 0;
     }
-    let lost = row.intersection_count_in(covered, inside);
-    row.difference_with_in(covered, inside);
+    let (lost, cleared) = row.difference_with_in(covered, inside);
     *span = row.word_span_in(*span);
+    *hull = hull.hull(cleared);
     lost
 }
 
@@ -632,7 +672,8 @@ mod tests {
             }
         }
 
-        /// Every stored span is the span of its row as it is now.
+        /// Every stored span is the span of its row as it is now, and
+        /// outside its hull every row equals its closure row minus the node.
         fn assert_spans_match(b: &CoverBuilder<'_>) {
             for (row, &span) in b.unc_out.iter().zip(&b.out_span) {
                 assert_eq!(span, row.word_span(), "out span of {row:?}");
@@ -642,14 +683,45 @@ mod tests {
             }
             assert_eq!(b.out_span.len(), b.unc_out.len());
             assert_eq!(b.in_span.len(), b.unc_in.len());
+            assert_eq!(b.out_hull.len(), b.unc_out.len());
+            assert_eq!(b.in_hull.len(), b.unc_in.len());
+            let tc = b.tc;
+            for u in 0..tc.num_nodes() as u32 {
+                let sides = [
+                    (&b.unc_out, &b.out_hull, tc.descendants(u), "out"),
+                    (&b.unc_in, &b.in_hull, tc.ancestors(u), "in"),
+                ];
+                for (rows, hulls, closure, side) in sides {
+                    let hull = hulls[u as usize];
+                    let mut row = rows[u as usize].clone();
+                    let mut want = closure.clone();
+                    want.remove(u);
+                    row.clear_in(hull);
+                    want.clear_in(hull);
+                    assert!(
+                        row.difference_span(&want).is_empty()
+                            && want.difference_span(&row).is_empty(),
+                        "{side} row of {u} outside its hull {hull:?}: {row:?} != {want:?}"
+                    );
+                }
+            }
         }
 
         /// Steps the reference and the new kernel side by side over `tc` and
         /// asserts equality on every pop and of everything they produce.
-        fn assert_golden(tc: &TransitiveClosure, preselected: &[u32]) {
+        /// With `sources`, both are [`CoverBuilder::only_from`] builders.
+        fn assert_golden(
+            tc: &TransitiveClosure,
+            sources: Option<&FixedBitSet>,
+            preselected: &[u32],
+        ) {
             let n = tc.num_nodes();
-            let mut old = CoverBuilder::new(tc);
-            let mut new = CoverBuilder::new(tc);
+            let start = || match sources {
+                Some(s) => CoverBuilder::only_from(tc, s),
+                None => CoverBuilder::new(tc),
+            };
+            let mut old = start();
+            let mut new = start();
             // `new` fills `unc_in` by word copy; the original transposed
             // `unc_out` one connection at a time.
             for (u, row) in new.unc_out.iter().enumerate() {
@@ -699,12 +771,15 @@ mod tests {
             assert!(new.stats.peel_removed <= new.stats.peel_offered);
             let peel_removed = new.stats.peel_removed;
             new.stats.peel_removed = 0; // the reference has no early exit to count
+            let degree_words = std::mem::take(&mut new.stats.degree_words); // nor word reads
             assert_eq!(new.stats, old.stats);
 
             // The public entry point is the same loop.
-            let (cover, mut stats) = CoverBuilder::new(tc).build_with_preselected(preselected);
+            let (cover, mut stats) = start().build_with_preselected(preselected);
             assert_eq!(stats.peel_removed, peel_removed);
+            assert_eq!(stats.degree_words, degree_words);
             stats.peel_removed = 0;
+            stats.degree_words = 0;
             assert_eq!(stats, old.stats);
             for u in 0..n as u32 {
                 assert_eq!(cover.lin(u), old.cover.lin(u));
@@ -775,7 +850,8 @@ mod tests {
 
         /// The Theorem-3 shape (`hopi_maintenance::delete`): full rows for a
         /// seed subset, reflexive-only rows elsewhere, some slots dead.
-        fn partial_closure_of(seed: u64) -> TransitiveClosure {
+        /// Returns the seeds too.
+        fn partial_closure_of(seed: u64) -> (TransitiveClosure, FixedBitSet) {
             let mut rng = StdRng::seed_from_u64(seed);
             let n = rng.gen_range(2..150u32);
             let mut g = DiGraph::new();
@@ -787,16 +863,18 @@ mod tests {
                 g.remove_node(rng.gen_range(0..n));
             }
             let alive: Vec<bool> = (0..n).map(|u| g.is_alive(u)).collect();
+            let mut seeds = FixedBitSet::new(n as usize);
             let rows = (0..n)
                 .map(|u| {
                     if g.is_alive(u) && rng.gen_range(0..3) == 0 {
+                        seeds.insert(u);
                         reachable_from(&g, u)
                     } else {
                         FixedBitSet::new(n as usize)
                     }
                 })
                 .collect();
-            TransitiveClosure::from_desc_rows(rows, alive, None)
+            (TransitiveClosure::from_desc_rows(rows, alive, None), seeds)
         }
 
         /// A closure grown edge by edge: its rows are as long as its
@@ -818,16 +896,39 @@ mod tests {
             #[test]
             fn same_pops_same_cover(seed in 0u64..u64::MAX) {
                 for family in 0..7u8 {
-                    let tc = match family {
-                        5 => partial_closure_of(seed),
-                        6 => incremental_closure(seed),
-                        f => closure_family(f, seed),
+                    let (tc, seeds) = match family {
+                        5 => {
+                            let (tc, seeds) = partial_closure_of(seed);
+                            (tc, Some(seeds))
+                        }
+                        6 => (incremental_closure(seed), None),
+                        f => (closure_family(f, seed), None),
                     };
                     let n = tc.num_nodes() as u32;
-                    assert_golden(&tc, &[]);
+                    assert_golden(&tc, None, &[]);
                     // §4.2 preselection, including a dead or out-of-range id.
-                    assert_golden(&tc, &[seed as u32 % n, n / 2, n + 3]);
+                    assert_golden(&tc, None, &[seed as u32 % n, n / 2, n + 3]);
+                    // The Theorem-3 splice: only the seeds' connections are
+                    // uncovered, so the hulls of the other rows start
+                    // non-empty.
+                    if let Some(seeds) = &seeds {
+                        assert_golden(&tc, Some(seeds), &[]);
+                    }
                 }
+            }
+
+            /// `only_from` over a full closure: the sources are a random
+            /// subset, so ancestor rows hold non-sources too and the
+            /// transposed hulls start non-empty as well.
+            #[test]
+            fn same_pops_same_cover_only_from(seed in 0u64..u64::MAX) {
+                let tc = closure_family(0, seed);
+                let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+                let mut sources = FixedBitSet::new(tc.num_nodes());
+                for u in (0..tc.num_nodes() as u32).filter(|_| rng.gen_range(0..3) == 0) {
+                    sources.insert(u);
+                }
+                assert_golden(&tc, Some(&sources), &[]);
             }
         }
     }

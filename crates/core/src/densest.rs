@@ -16,7 +16,8 @@
 //! materialized; [`densest_subgraph`] adapts it to a materialized
 //! [`BipartiteCenterGraph`] for the distance-aware builder, whose
 //! shortest-path-filtered edges exist nowhere else. Each row is read only
-//! inside its span of non-zero words, and the peel stops as soon as no
+//! inside its span of non-zero words — or, for a degree, inside its hull of
+//! covered words when that is narrower — and the peel stops as soon as no
 //! remaining subgraph can beat the best prefix seen (DESIGN.md, "The greedy
 //! kernel (§3.2) as implemented").
 
@@ -80,6 +81,25 @@ pub(crate) struct Peeled {
     pub removed: usize,
 }
 
+/// One side of a center graph: its vertex set, with the set's size and
+/// non-zero word span (the cover builder computes both once per build).
+#[derive(Clone, Copy)]
+pub(crate) struct Side<'a> {
+    pub set: &'a FixedBitSet,
+    pub count: usize,
+    pub span: WordSpan,
+}
+
+impl<'a> Side<'a> {
+    pub(crate) fn of(set: &'a FixedBitSet) -> Self {
+        Side {
+            set,
+            count: set.count(),
+            span: set.word_span(),
+        }
+    }
+}
+
 /// One side's edge rows, each with its non-zero word span
 /// (`spans[u] == rows[u].word_span()`). The peel reads a row only inside
 /// the overlap of its span with the span of the set it is ANDed with, so a
@@ -115,18 +135,74 @@ impl<'a> Rows<'a> {
     /// Ascending bits of `rows[u] ∧ other`, where `within` spans `other`.
     #[inline]
     fn meet(self, u: u32, other: &'a FixedBitSet, within: WordSpan) -> Intersection<'a> {
+        self.walk(u, other, within).0
+    }
+
+    /// [`Rows::meet`], and the number of row words it reads.
+    #[inline]
+    fn walk(self, u: u32, other: &'a FixedBitSet, within: WordSpan) -> (Intersection<'a>, u32) {
         match self.at(u, within) {
-            Some((row, span)) => row.intersection_iter_in(other, span),
-            None => Intersection::default(),
+            Some((row, span)) => (row.intersection_iter_in(other, span), span.len()),
+            None => (Intersection::default(), 0),
         }
     }
 
     /// `|rows[u] ∧ other|`, where `within` spans `other`.
     #[inline]
+    #[cfg(test)]
     fn meet_count(self, u: u32, other: &FixedBitSet, within: WordSpan) -> u32 {
         self.at(u, within).map_or(0, |(row, span)| {
             row.intersection_count_in(other, span) as u32
         })
+    }
+}
+
+/// The uncovered-connection rows of a closure, one side of them, each with
+/// its *hull*: a word span outside which the row still equals its closure
+/// row minus the node itself (`unc_out[u] = Cout(u) − u` there, or
+/// `unc_in[v] = Cin(v) − v`). A cover commit only clears bits, and the
+/// builder widens a row's hull by the words it clears them in.
+#[derive(Clone, Copy)]
+pub(crate) struct Uncovered<'a> {
+    rows: Rows<'a>,
+    hulls: &'a [WordSpan],
+}
+
+impl<'a> Uncovered<'a> {
+    pub(crate) fn new(rows: Rows<'a>, hulls: &'a [WordSpan]) -> Self {
+        debug_assert_eq!(rows.spans.len(), hulls.len());
+        Uncovered { rows, hulls }
+    }
+
+    /// `|rows[u] ∧ other|` and the row words read for it, where `u`'s
+    /// closure row holds all of `other` — in a center graph every
+    /// ancestor `u` of the center reaches each of its descendants, and
+    /// every descendant is reached by each of its ancestors.
+    ///
+    /// Outside the hull `H` the row is that closure row minus `u`, so the
+    /// only vertex of `other` it misses there is `u` itself:
+    /// `|row ∧ other| = |other| − |(other ∖ row) ∩ H| − [u ∈ other, u ∉ H]`.
+    /// The count reads `H ∩ span(other)` or `span(row) ∩ span(other)`,
+    /// whichever is fewer words; both give the same number.
+    #[inline]
+    fn degree(self, u: u32, other: Side<'_>) -> (u32, u32) {
+        let Some(&hull) = self.hulls.get(u as usize) else {
+            return (0, 0);
+        };
+        let Some((row, direct)) = self.rows.at(u, other.span) else {
+            return (0, 0);
+        };
+        let hull = hull.overlap(other.span);
+        if hull.len() < direct.len() {
+            let missing = other.set.difference_count_in(row, hull)
+                + usize::from(!hull.contains(u / 64) && other.set.contains(u));
+            ((other.count - missing) as u32, hull.len())
+        } else {
+            (
+                row.intersection_count_in(other.set, direct) as u32,
+                direct.len(),
+            )
+        }
     }
 }
 
@@ -150,40 +226,98 @@ impl<'a> Rows<'a> {
 /// from bucket 0, and none ever belonged to the chosen subgraph (DESIGN.md,
 /// "Why the covers are bit-identical"); [`Peeler::peel`] only counts them.
 pub(crate) struct Peeler {
-    /// Vertices not yet peeled; after a peel, the chosen subgraph.
-    alive_l: FixedBitSet,
-    alive_r: FixedBitSet,
-    /// Current degrees; only the entries of alive vertices mean anything.
-    ldeg: Vec<u32>,
-    rdeg: Vec<u32>,
+    left: PeelSide,
+    right: PeelSide,
     /// Bucket queue over degrees, empty between peels. A vertex is pushed
     /// again under every new degree and its older entries go stale. Left
     /// `u` is filed as `u`, right `v` as `left_space + v`.
     buckets: Vec<Vec<u32>>,
     /// Peeled vertices in removal order (same encoding).
     order: Vec<u32>,
+    /// Row words the degree passes read, summed until taken.
+    pub(crate) degree_words: usize,
+}
+
+/// One side of the peel's scratch state.
+struct PeelSide {
+    /// Vertices not yet peeled; after a peel, the chosen subgraph.
+    alive: FixedBitSet,
+    /// Current degrees; only the entries of alive vertices mean anything.
+    deg: Vec<u32>,
+    /// Alive vertices and their maximum degree after the degree pass.
+    count: usize,
+    max: u32,
+    /// A word span holding every alive vertex: the span of the center
+    /// graph's side.
+    span: WordSpan,
+}
+
+impl PeelSide {
+    fn new(space: usize) -> Self {
+        PeelSide {
+            alive: FixedBitSet::new(space),
+            deg: vec![0; space],
+            count: 0,
+            max: 0,
+            span: WordSpan::EMPTY,
+        }
+    }
+
+    /// Empties the side for a center graph side spanning `span`. The last
+    /// one's vertices lie inside its span, so only that is cleared.
+    fn reset(&mut self, span: WordSpan) {
+        self.alive.clear_in(self.span);
+        (self.count, self.max, self.span) = (0, 0, span);
+    }
+
+    /// One more edge at `x`, found by a walk: its first edge makes it
+    /// alive and sets its degree to 1.
+    #[inline]
+    fn bump(&mut self, x: u32) {
+        let Some(slot) = self.deg.get_mut(x as usize) else {
+            return;
+        };
+        *slot = if self.alive.insert(x) {
+            self.count += 1;
+            1
+        } else {
+            *slot + 1
+        };
+        self.max = self.max.max(*slot);
+    }
+
+    /// `x` with all its `deg` edges: alive if there are any.
+    #[inline]
+    fn join(&mut self, x: u32, deg: u32) {
+        let Some(slot) = self.deg.get_mut(x as usize).filter(|_| deg > 0) else {
+            return;
+        };
+        *slot = deg;
+        self.alive.insert(x);
+        self.count += 1;
+        self.max = self.max.max(deg);
+    }
 }
 
 impl Peeler {
     pub(crate) fn new(left_space: usize, right_space: usize) -> Self {
         Peeler {
-            alive_l: FixedBitSet::new(left_space),
-            alive_r: FixedBitSet::new(right_space),
-            ldeg: vec![0; left_space],
-            rdeg: vec![0; right_space],
+            left: PeelSide::new(left_space),
+            right: PeelSide::new(right_space),
             buckets: Vec::new(),
             order: Vec::new(),
+            degree_words: 0,
         }
     }
 
     /// `C'in` of the last peel.
     pub(crate) fn left(&self) -> &FixedBitSet {
-        &self.alive_l
+        &self.left.alive
     }
 
     /// `C'out` of the last peel.
     pub(crate) fn right(&self) -> &FixedBitSet {
-        &self.alive_r
+        &self.right.alive
     }
 
     /// Peels the center graph with left side `cin`, right side `cout` and
@@ -191,17 +325,16 @@ impl Peeler {
     /// off `unc_out` and its transpose `unc_in`. `None` when it is edgeless.
     pub(crate) fn peel_center(
         &mut self,
-        unc_out: Rows<'_>,
-        unc_in: Rows<'_>,
-        cin: &FixedBitSet,
-        cout: &FixedBitSet,
+        unc_out: Uncovered<'_>,
+        unc_in: Uncovered<'_>,
+        cin: Side<'_>,
+        cout: Side<'_>,
     ) -> Option<Peeled> {
-        self.alive_l.clear();
-        self.alive_r.clear();
-        let (a, d) = (cin.count(), cout.count());
-        let (cin_span, cout_span) = (cin.word_span(), cout.word_span());
-        let words = self.ldeg.len().div_ceil(64);
-        let (mut edges, mut max_l, mut max_r) = (0usize, 0u32, 0u32);
+        self.left.reset(cin.span);
+        self.right.reset(cout.span);
+        let (a, d) = (cin.count, cout.count);
+        let words = self.left.deg.len().div_ceil(64);
+        let (mut edges, mut read) = (0usize, 0usize);
         // Degrees are popcounts of a row ANDed with the other side, one pass
         // per side. But if the smaller side has at most `words` vertices,
         // every vertex of the other side has at most `words` edges, so
@@ -211,88 +344,83 @@ impl Peeler {
         // yields both degree vectors. Either way a vertex joins its alive
         // set with its first edge.
         if d <= a.min(words) {
-            for v in cout.iter() {
+            for v in cout.set.iter_in(cout.span) {
+                let (nbrs, w) = unc_in.rows.walk(v, cin.set, cin.span);
+                read += w as usize;
                 let mut deg = 0;
-                for u in unc_in.meet(v, cin, cin_span) {
-                    let slot = &mut self.ldeg[u as usize];
-                    *slot = if self.alive_l.insert(u) { 1 } else { *slot + 1 };
-                    max_l = max_l.max(*slot);
+                for u in nbrs {
+                    self.left.bump(u);
                     deg += 1;
                 }
-                if deg > 0 {
-                    self.alive_r.insert(v);
-                    self.rdeg[v as usize] = deg;
-                    max_r = max_r.max(deg);
-                    edges += deg as usize;
+                self.right.join(v, deg);
+                edges += deg as usize;
+            }
+        } else if a <= words {
+            for u in cin.set.iter_in(cin.span) {
+                let (nbrs, w) = unc_out.rows.walk(u, cout.set, cout.span);
+                read += w as usize;
+                let mut deg = 0;
+                for v in nbrs {
+                    self.right.bump(v);
+                    deg += 1;
                 }
+                self.left.join(u, deg);
+                edges += deg as usize;
             }
         } else {
-            let walk = a <= words; // else: popcounts on both sides
-            for u in cin.iter() {
-                let mut deg = 0;
-                if walk {
-                    for v in unc_out.meet(u, cout, cout_span) {
-                        let slot = &mut self.rdeg[v as usize];
-                        *slot = if self.alive_r.insert(v) { 1 } else { *slot + 1 };
-                        max_r = max_r.max(*slot);
-                        deg += 1;
-                    }
-                } else {
-                    deg = unc_out.meet_count(u, cout, cout_span);
-                }
-                if deg > 0 {
-                    self.alive_l.insert(u);
-                    self.ldeg[u as usize] = deg;
-                    max_l = max_l.max(deg);
-                    edges += deg as usize;
-                }
+            // Popcounts on both sides. The right pass only finds the other
+            // ends of the left pass's edges: none, and it is not run.
+            for u in cin.set.iter_in(cin.span) {
+                let (deg, w) = unc_out.degree(u, cout);
+                read += w as usize;
+                self.left.join(u, deg);
+                edges += deg as usize;
             }
-            if !walk {
-                for v in cout.iter() {
-                    let deg = unc_in.meet_count(v, cin, cin_span);
-                    if deg > 0 {
-                        self.alive_r.insert(v);
-                        self.rdeg[v as usize] = deg;
-                        max_r = max_r.max(deg);
-                    }
+            if edges > 0 {
+                for v in cout.set.iter_in(cout.span) {
+                    let (deg, w) = unc_in.degree(v, cin);
+                    read += w as usize;
+                    self.right.join(v, deg);
                 }
             }
         }
+        self.degree_words += read;
         if edges == 0 {
             return None;
         }
         // The edgeless ancestors were never offered; the edgeless
         // descendants were, and still count (`BuildStats::peel_offered`).
-        let edgeless = d - self.alive_r.count();
-        Some(self.peel(unc_out, unc_in, edges, max_l, max_r, edgeless))
+        let edgeless = d - self.right.count;
+        Some(self.peel(unc_out.rows, unc_in.rows, edges, edgeless))
     }
 
     /// The peel proper: removes a minimum-degree vertex at a time and keeps
-    /// the densest intermediate subgraph, which is left in `alive_l` /
-    /// `alive_r`. Expects the alive sets, which hold only vertices with an
-    /// edge, the degrees of their members and the maximum degree per side;
-    /// `edges` must be positive. `edgeless` more vertices were offered: they
-    /// are reported as offered and removed, as the original peel removed
-    /// them before any other.
+    /// the densest intermediate subgraph, which is left in the alive sets.
+    /// Expects the sides as a degree pass leaves them (only vertices with
+    /// an edge alive, their degrees, count and maximum degree); `edges`
+    /// must be positive. `edgeless` more vertices were offered: they are
+    /// reported as offered and removed, as the original peel removed them
+    /// before any other.
     fn peel(
         &mut self,
         left_rows: Rows<'_>,
         right_rows: Rows<'_>,
         edges: usize,
-        max_ldeg: u32,
-        max_rdeg: u32,
         edgeless: usize,
     ) -> Peeled {
         let Peeler {
-            alive_l,
-            alive_r,
-            ldeg,
-            rdeg,
+            left,
+            right,
             buckets,
             order,
+            ..
         } = self;
+        let (max_ldeg, max_rdeg) = (left.max, right.max);
+        let (mut al, mut ar) = (left.count, right.count);
+        let (lbound, rbound) = (left.span, right.span);
+        let (alive_l, ldeg) = (&mut left.alive, &mut left.deg);
+        let (alive_r, rdeg) = (&mut right.alive, &mut right.deg);
         let base = ldeg.len() as u32;
-        let (mut al, mut ar) = (alive_l.count(), alive_r.count());
         let positive = al + ar;
         // No subgraph of what is alive is denser than this. A left vertex
         // has at most `dl = min(max_ldeg, ar)` edges and a right vertex at
@@ -314,14 +442,15 @@ impl Peeler {
             if buckets.len() <= top {
                 buckets.resize_with(top + 1, Vec::new);
             }
-            for u in alive_l.iter() {
+            // The alive sets only shrink: their spans now bound every AND.
+            let lspan = alive_l.word_span_in(lbound);
+            let rspan = alive_r.word_span_in(rbound);
+            for u in alive_l.iter_in(lspan) {
                 buckets[ldeg[u as usize] as usize].push(u);
             }
-            for v in alive_r.iter() {
+            for v in alive_r.iter_in(rspan) {
                 buckets[rdeg[v as usize] as usize].push(base + v);
             }
-            // The alive sets only shrink: their spans now bound every AND.
-            let (lspan, rspan) = (alive_l.word_span(), alive_r.word_span());
             let mut cursor = 0usize; // lowest possibly-non-empty bucket
             'peel: while bound(al, ar) > best.0 {
                 // The minimum-degree alive vertex (lazy bucket scan).
@@ -421,34 +550,29 @@ pub fn densest_subgraph(g: &BipartiteCenterGraph) -> Option<DensestResult> {
 fn peel_graph(g: &BipartiteCenterGraph) -> Option<(Peeler, Peeled)> {
     let (nl, nr) = (g.left.len(), g.right.len());
     let mut peeler = Peeler::new(nl, nr);
+    peeler.left.reset(WordSpan::ALL);
+    peeler.right.reset(WordSpan::ALL);
     // The peel reads a right vertex's edges too: transpose `adj`.
     let mut radj: Vec<FixedBitSet> = vec![FixedBitSet::new(nl); nr];
-    let (mut edges, mut max_l, mut max_r) = (0usize, 0u32, 0u32);
-    for (i, (row, deg)) in g.adj.iter().zip(&mut peeler.ldeg).enumerate() {
+    let mut edges = 0usize;
+    for (i, row) in g.adj.iter().enumerate() {
         for j in row.iter() {
             radj[j as usize].insert(i as u32);
-            *deg += 1;
         }
-        if *deg > 0 {
-            peeler.alive_l.insert(i as u32);
-        }
-        max_l = max_l.max(*deg);
-        edges += *deg as usize;
+        let deg = row.count() as u32;
+        peeler.left.join(i as u32, deg);
+        edges += deg as usize;
     }
-    for (j, (col, deg)) in radj.iter().zip(&mut peeler.rdeg).enumerate() {
-        *deg = col.count() as u32;
-        if *deg > 0 {
-            peeler.alive_r.insert(j as u32);
-        }
-        max_r = max_r.max(*deg);
+    for (j, col) in radj.iter().enumerate() {
+        peeler.right.join(j as u32, col.count() as u32);
     }
     if edges == 0 {
         return None;
     }
-    let isolated = nl + nr - peeler.alive_l.count() - peeler.alive_r.count();
+    let isolated = nl + nr - peeler.left.count - peeler.right.count;
     let (lspans, rspans) = (spans_of(&g.adj), spans_of(&radj));
     let (left, right) = (Rows::new(&g.adj, &lspans), Rows::new(&radj, &rspans));
-    let peeled = peeler.peel(left, right, edges, max_l, max_r, isolated);
+    let peeled = peeler.peel(left, right, edges, isolated);
     Some((peeler, peeled))
 }
 
@@ -734,9 +858,13 @@ mod tests {
                 })
                 .collect();
             let (out_span, in_span) = (spans_of(&unc_out), spans_of(&unc_in));
-            let (unc_out, unc_in) = (Rows::new(&unc_out, &out_span), Rows::new(&unc_in, &in_span));
+            // Each row is its closure row minus the node: empty hulls.
+            let hulls = vec![WordSpan::EMPTY; n];
+            let unc_out = Uncovered::new(Rows::new(&unc_out, &out_span), &hulls);
+            let unc_in = Uncovered::new(Rows::new(&unc_in, &in_span), &hulls);
             let mut peeler = Peeler::new(n, n);
-            let peeled = peeler.peel_center(unc_out, unc_in, &cin, &cout).unwrap();
+            let (left, right) = (Side::of(&cin), Side::of(&cout));
+            let peeled = peeler.peel_center(unc_out, unc_in, left, right).unwrap();
             assert_eq!(peeled.removed, 0, "K_{{{a},{b}}}");
             assert_eq!(peeled.offered, n);
             assert_eq!(peeled.edges, (a * b) as usize);
@@ -747,6 +875,84 @@ mod tests {
             assert_eq!((peeler.left(), peeler.right()), (&cin, &cout));
             assert!(peeler.buckets.iter().all(Vec::is_empty));
         }
+    }
+
+    /// The row degree against the plain count over the row's span: with
+    /// `u` inside `other` or not, its word inside or outside the hull, and
+    /// empty, partial and whole hulls.
+    #[test]
+    fn row_degree_counts_like_meet_count() {
+        use rand::prelude::*;
+        let mut rng = StdRng::seed_from_u64(29);
+        // Degrees counted over the span, over the hull.
+        let mut sides_read = [0usize; 2];
+        // Hull-side counts with `u ∈ other`: its word outside, inside the hull.
+        let mut self_bit = [0usize; 2];
+        for round in 0..400 {
+            let n = rng.gen_range(1..400usize);
+            let words = n.div_ceil(64) as u32;
+            let u = rng.gen_range(0..n as u32);
+            // A closure row of `u` and a subset `other` of it, which holds
+            // `u` itself every other round.
+            let mut closure = FixedBitSet::new(n);
+            closure.insert(u);
+            for x in 0..n as u32 {
+                if rng.gen_range(0..4) == 0 {
+                    closure.insert(x);
+                }
+            }
+            let mut other = FixedBitSet::new(n);
+            for x in closure.iter().filter(|_| rng.gen_range(0..3) != 0) {
+                other.insert(x);
+            }
+            if round % 2 == 0 {
+                other.insert(u);
+            } else {
+                other.remove(u);
+            }
+            // The uncovered row: the closure row minus `u`, with bits
+            // cleared only inside the hull.
+            let lo = rng.gen_range(0..=words);
+            let hull = match round % 4 {
+                0 => WordSpan::EMPTY,
+                1 => WordSpan { lo: 0, hi: words },
+                _ => WordSpan {
+                    lo,
+                    hi: rng.gen_range(lo..=words),
+                },
+            };
+            let mut row = closure.clone();
+            row.remove(u);
+            for x in closure.iter().filter(|&x| hull.contains(x / 64)) {
+                if rng.gen_range(0..2) == 0 {
+                    row.remove(x);
+                }
+            }
+            // Row `u` of a table whose other rows are never read.
+            let slot = u as usize;
+            let mut rows = vec![FixedBitSet::new(n); slot + 1];
+            rows[slot] = row;
+            let spans = spans_of(&rows);
+            let mut hulls = vec![WordSpan::ALL; slot + 1];
+            hulls[slot] = hull;
+            let plain = Rows::new(&rows, &spans);
+            let unc = Uncovered::new(plain, &hulls);
+            let side = Side::of(&other);
+            let want = plain.meet_count(u, &other, side.span);
+            assert_eq!(want as usize, rows[slot].intersection_count(&other));
+            let (got, read) = unc.degree(u, side);
+            assert_eq!(got, want, "round {round}: u {u}, hull {hull:?}");
+            let direct = spans[slot].overlap(side.span).len();
+            assert!(read <= direct, "read {read} of a {direct}-word span");
+            sides_read[usize::from(read < direct)] += 1;
+            if read < direct && other.contains(u) {
+                self_bit[usize::from(hull.contains(u / 64))] += 1;
+            }
+        }
+        // Both ways of counting occurred, and the hull side met `u` itself
+        // on both sides of its hull.
+        assert!(sides_read.iter().all(|&k| k > 40), "{sides_read:?}");
+        assert!(self_bit.iter().all(|&k| k > 10), "{self_bit:?}");
     }
 
     #[test]

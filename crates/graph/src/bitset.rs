@@ -41,6 +41,32 @@ impl WordSpan {
             hi: self.hi.min(other.hi),
         }
     }
+
+    /// The smallest span selecting every word of both spans (an empty
+    /// span adds nothing).
+    #[inline]
+    pub fn hull(self, other: WordSpan) -> WordSpan {
+        match (self.is_empty(), other.is_empty()) {
+            (_, true) => self,
+            (true, false) => other,
+            (false, false) => WordSpan {
+                lo: self.lo.min(other.lo),
+                hi: self.hi.max(other.hi),
+            },
+        }
+    }
+
+    /// Number of words selected (before clamping to a set's length).
+    #[inline]
+    pub fn len(self) -> u32 {
+        self.hi.saturating_sub(self.lo)
+    }
+
+    /// Returns `true` if the span selects word `word`.
+    #[inline]
+    pub fn contains(self, word: u32) -> bool {
+        self.lo <= word && word < self.hi
+    }
 }
 
 /// A fixed-capacity set of `u32` values in `0..len`, packed into 64-bit words.
@@ -121,6 +147,11 @@ impl FixedBitSet {
         self.words.fill(0);
     }
 
+    /// Clears the bits inside `span`.
+    pub fn clear_in(&mut self, span: WordSpan) {
+        self.words_in_mut(span).fill(0);
+    }
+
     /// Number of set bits.
     pub fn count(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
@@ -129,9 +160,15 @@ impl FixedBitSet {
     /// `self |= other`. Returns the number of *newly set* bits, which lets the
     /// incremental closure track its connection count without re-counting.
     pub fn union_with_count(&mut self, other: &FixedBitSet) -> usize {
+        self.union_with_count_in(other, WordSpan::ALL)
+    }
+
+    /// `self |= other` on the words inside `span`; returns the number of
+    /// newly set bits.
+    pub fn union_with_count_in(&mut self, other: &FixedBitSet, span: WordSpan) -> usize {
         debug_assert!(other.words.len() <= self.words.len());
         let mut added = 0;
-        for (a, &b) in self.words.iter_mut().zip(other.words.iter()) {
+        for (a, &b) in self.words_in_mut(span).iter_mut().zip(other.words_in(span)) {
             let new = *a | b;
             added += (new ^ *a).count_ones() as usize;
             *a = new;
@@ -141,7 +178,12 @@ impl FixedBitSet {
 
     /// `self |= other`.
     pub fn union_with(&mut self, other: &FixedBitSet) {
-        for (a, &b) in self.words.iter_mut().zip(other.words.iter()) {
+        self.union_with_in(other, WordSpan::ALL);
+    }
+
+    /// `self |= other` on the words inside `span`.
+    pub fn union_with_in(&mut self, other: &FixedBitSet, span: WordSpan) {
+        for (a, &b) in self.words_in_mut(span).iter_mut().zip(other.words_in(span)) {
             *a |= b;
         }
     }
@@ -161,12 +203,22 @@ impl FixedBitSet {
         self.difference_with_in(other, WordSpan::ALL);
     }
 
-    /// `self &= !other`, on the words inside `span` only.
-    pub fn difference_with_in(&mut self, other: &FixedBitSet, span: WordSpan) {
+    /// `self &= !other`, on the words inside `span` only. Returns the
+    /// number of bits cleared and the span of the words that lost any.
+    pub fn difference_with_in(&mut self, other: &FixedBitSet, span: WordSpan) -> (usize, WordSpan) {
         let theirs = other.words_in(span);
-        for (a, &b) in self.words_in_mut(span).iter_mut().zip(theirs) {
-            *a &= !b;
+        let (mut cleared, mut first, mut last) = (0, None, 0);
+        for ((i, a), &b) in (span.lo..).zip(self.words_in_mut(span)).zip(theirs) {
+            let lost = *a & b;
+            if lost != 0 {
+                cleared += lost.count_ones() as usize;
+                first.get_or_insert(i);
+                last = i;
+                *a &= !b;
+            }
         }
+        let touched = first.map_or(WordSpan::EMPTY, |lo| WordSpan { lo, hi: last + 1 });
+        (cleared, touched)
     }
 
     /// Returns `true` if `self ∩ other ≠ ∅` without materializing it.
@@ -189,6 +241,42 @@ impl FixedBitSet {
             .zip(other.words_in(span))
             .map(|(&a, &b)| (a & b).count_ones() as usize)
             .sum()
+    }
+
+    /// Cardinality of `self ∖ other` within the words of `span` (words
+    /// beyond the end of `other` count as empty).
+    pub fn difference_count_in(&self, other: &FixedBitSet, span: WordSpan) -> usize {
+        let theirs = other.words_in(span);
+        let mine = self.words_in(span);
+        let (paired, rest) = mine.split_at(theirs.len().min(mine.len()));
+        let paired: usize = paired
+            .iter()
+            .zip(theirs)
+            .map(|(&a, &b)| (a & !b).count_ones() as usize)
+            .sum();
+        paired + rest.iter().map(|w| w.count_ones() as usize).sum::<usize>()
+    }
+
+    /// The span of the words holding bits of `self ∖ other`, found by
+    /// scanning inward from both ends (words beyond the end of `other`
+    /// count as empty); [`WordSpan::EMPTY`] if `self ⊆ other`.
+    pub fn difference_span(&self, other: &FixedBitSet) -> WordSpan {
+        let left = |i: usize| self.word(i) & !other.word(i);
+        let Some(first) = (0..self.words.len()).find(|&i| left(i) != 0) else {
+            return WordSpan::EMPTY;
+        };
+        let last = (first..self.words.len())
+            .rfind(|&i| left(i) != 0)
+            .unwrap_or(first);
+        WordSpan {
+            lo: first as u32,
+            hi: last as u32 + 1,
+        }
+    }
+
+    /// Word `i`, zero past the end.
+    fn word(&self, i: usize) -> u64 {
+        self.words.get(i).copied().unwrap_or(0)
     }
 
     /// Iterates over `self ∩ other` in ascending order without
@@ -249,10 +337,17 @@ impl FixedBitSet {
 
     /// Iterates over set bits in ascending order.
     pub fn iter(&self) -> Iter<'_> {
+        self.iter_in(WordSpan::ALL)
+    }
+
+    /// Iterates over the set bits inside the words of `span`, ascending.
+    pub fn iter_in(&self, span: WordSpan) -> Iter<'_> {
+        let words = self.words_in(span);
         Iter {
-            words: &self.words,
+            words,
+            first_bit: span.lo as usize * 64,
             word_idx: 0,
-            current: self.words.first().copied().unwrap_or(0),
+            current: words.first().copied().unwrap_or(0),
         }
     }
 
@@ -278,6 +373,8 @@ impl FromIterator<u32> for FixedBitSet {
 /// Iterator over the set bits of a [`FixedBitSet`].
 pub struct Iter<'a> {
     words: &'a [u64],
+    /// The bit that the first word of `words` starts at.
+    first_bit: usize,
     word_idx: usize,
     current: u64,
 }
@@ -296,7 +393,7 @@ impl Iterator for Iter<'_> {
         }
         let bit = self.current.trailing_zeros();
         self.current &= self.current - 1;
-        Some((self.word_idx * 64) as u32 + bit)
+        Some((self.first_bit + self.word_idx * 64) as u32 + bit)
     }
 }
 
@@ -441,7 +538,7 @@ mod tests {
                 prop_assert_eq!(got, want.clone());
                 prop_assert_eq!(a.intersection_count_in(&b, span), want.len());
                 let mut diff = a.clone();
-                diff.difference_with_in(&b, span);
+                let (cleared, touched) = diff.difference_with_in(&b, span);
                 let kept: Vec<u32> = a.iter().filter(|i| !want.contains(i)).collect();
                 prop_assert_eq!(diff.to_vec(), kept);
                 let inside = restricted(&a, span);
@@ -450,10 +547,58 @@ mod tests {
                     _ => WordSpan::EMPTY,
                 };
                 prop_assert_eq!(a.word_span_in(span), want_span);
+                prop_assert_eq!(a.iter_in(span).collect::<Vec<_>>(), inside.clone());
+                let only_a: Vec<u32> = inside.iter().copied().filter(|&i| !b.contains(i)).collect();
+                prop_assert_eq!(a.difference_count_in(&b, span), only_a.len());
+                prop_assert_eq!(cleared, want.len());
+                let want_touched = match (want.first(), want.last()) {
+                    (Some(f), Some(l)) => WordSpan { lo: f / 64, hi: l / 64 + 1 },
+                    _ => WordSpan::EMPTY,
+                };
+                prop_assert_eq!(touched, want_touched);
+                let mut union = a.clone();
+                union.grow(b.len());
+                let mut union_in = union.clone();
+                let added = union_in.union_with_count_in(&b, span);
+                let from_b = restricted(&b, span);
+                prop_assert_eq!(added, from_b.iter().filter(|&&i| !a.contains(i)).count());
+                union.union_with_in(&b, span);
+                prop_assert_eq!(&union, &union_in);
+                let mut want_union = a.to_vec();
+                want_union.extend(from_b);
+                want_union.sort_unstable();
+                want_union.dedup();
+                prop_assert_eq!(union.to_vec(), want_union);
+                let mut cleared = a.clone();
+                cleared.clear_in(span);
+                let outside: Vec<u32> = a.iter().filter(|i| !inside.contains(i)).collect();
+                prop_assert_eq!(cleared.to_vec(), outside);
             }
+            let only_a: Vec<u32> = a.iter().filter(|&i| !b.contains(i)).collect();
+            let want_span = match (only_a.first(), only_a.last()) {
+                (Some(f), Some(l)) => WordSpan { lo: f / 64, hi: l / 64 + 1 },
+                _ => WordSpan::EMPTY,
+            };
+            prop_assert_eq!(a.difference_span(&b), want_span);
             prop_assert_eq!(a.intersection_iter(&b).collect::<Vec<_>>(), both.to_vec());
             prop_assert_eq!(a.intersection_count(&b), both.count());
         }
+    }
+
+    #[test]
+    fn span_hull_len_contains() {
+        let (a, b) = (WordSpan { lo: 2, hi: 5 }, WordSpan { lo: 7, hi: 9 });
+        assert_eq!(a.hull(b), WordSpan { lo: 2, hi: 9 });
+        assert_eq!(b.hull(a), WordSpan { lo: 2, hi: 9 });
+        assert_eq!(a.hull(WordSpan::EMPTY), a);
+        assert_eq!(WordSpan::EMPTY.hull(b), b);
+        // An inverted span is empty and adds nothing either.
+        assert_eq!(WordSpan { lo: 6, hi: 1 }.hull(a), a);
+        assert_eq!(WordSpan::EMPTY.hull(WordSpan::EMPTY), WordSpan::EMPTY);
+        assert_eq!((a.len(), WordSpan::EMPTY.len()), (3, 0));
+        assert_eq!(WordSpan { lo: 6, hi: 1 }.len(), 0);
+        assert!(a.contains(2) && a.contains(4));
+        assert!(!a.contains(1) && !a.contains(5) && !WordSpan::EMPTY.contains(0));
     }
 
     #[test]

@@ -210,7 +210,8 @@ impl TransitiveClosure {
     /// (use [`TransitiveClosure::ensure_node`] first).
     ///
     /// Cost is `O(|anc(u)| + |desc(v)|)` row unions — the standard
-    /// incremental-closure update.
+    /// incremental-closure update. Each union touches only the words
+    /// `desc(v)` (or `anc(u)`) has bits in, not the capacity-wide row.
     pub fn insert_edge(&mut self, u: NodeId, v: NodeId) -> usize {
         assert!(
             self.is_alive(u) && self.is_alive(v),
@@ -221,12 +222,13 @@ impl TransitiveClosure {
         }
         let desc_v = self.desc[v as usize].clone();
         let anc_u = self.anc[u as usize].clone();
+        let (desc_span, anc_span) = (desc_v.word_span(), anc_u.word_span());
         let mut added = 0usize;
-        for a in anc_u.iter() {
-            added += self.desc[a as usize].union_with_count(&desc_v);
+        for a in anc_u.iter_in(anc_span) {
+            added += self.desc[a as usize].union_with_count_in(&desc_v, desc_span);
         }
-        for d in desc_v.iter() {
-            self.anc[d as usize].union_with(&anc_u);
+        for d in desc_v.iter_in(desc_span) {
+            self.anc[d as usize].union_with_in(&anc_u, anc_span);
         }
         self.connections += added;
         added

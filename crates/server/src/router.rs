@@ -215,13 +215,15 @@ fn stats(state: &AppState) -> Response {
     w.field_u64("total", s.build.total_ms);
     w.close_obj();
     // What the greedy kernel did in that build; `peel_removed` over
-    // `peel_offered` is the share of peel work the early exit left.
+    // `peel_offered` is the share of peel work the early exit left, and
+    // `degree_words` the row words its degree passes read.
     w.field_obj("build");
     w.field_u64("centers", s.greedy.centers as u64);
     w.field_u64("densest_evals", s.greedy.densest_evals as u64);
     w.field_u64("reinsertions", s.greedy.reinsertions as u64);
     w.field_u64("peel_offered", s.greedy.peel_offered as u64);
     w.field_u64("peel_removed", s.greedy.peel_removed as u64);
+    w.field_u64("degree_words", s.greedy.degree_words as u64);
     w.close_obj();
     // What publishing the current snapshot cost, and whether its cover
     // was patched from the previous epoch's or frozen in full.

@@ -70,6 +70,7 @@ fn read_endpoints_answer_from_one_snapshot() {
     let counter = |name: &str| build.get(name).and_then(Json::as_u64).expect(name);
     assert!(counter("centers") > 0 && counter("densest_evals") > 0);
     assert!(counter("peel_offered") > 0 && counter("peel_removed") <= counter("peel_offered"));
+    assert!(counter("degree_words") > 0);
     counter("reinsertions");
 
     // a's root (0) reaches b's sec (3) across the citation link.

@@ -192,4 +192,6 @@ fn greedy_counters_are_pinned() {
         (551, 2082, 1531)
     );
     assert_eq!((g.peel_offered, g.peel_removed), (97_922, 50_056));
+    // Row words the degree passes read: the kernel's own cost.
+    assert_eq!(g.degree_words, 52_520);
 }
