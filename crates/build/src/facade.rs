@@ -4,10 +4,12 @@
 //! (build in `hopi_partition::pipeline`, queries in `hopi_query`,
 //! maintenance in `hopi_maintenance`, …), each moving bare tuples of
 //! collection/index/tag-index state. `Hopi` owns that state as one engine:
-//! build it with [`Hopi::builder`], then query and maintain it through
+//! build it with [`Hopi::builder`], query it through the [`Reads`] it
+//! dereferences to (the reads a snapshot shares), and maintain it through
 //! inherent methods, with [`HopiError`] as the single error type.
 
 use crate::error::HopiError;
+use crate::reads::Reads;
 use crate::snapshot::{MaintenanceDurations, MaintenanceStats};
 use hopi_core::{DistanceCover, DistanceCoverBuilder, FrozenCover, HopiIndex};
 use hopi_graph::DistanceClosure;
@@ -17,14 +19,12 @@ use hopi_maintenance::{
 };
 use hopi_obs::Stopwatch;
 use hopi_partition::{build_index, BuildConfig, BuildReport, JoinAlgorithm, PartitionerChoice};
-use hopi_query::{
-    evaluate_ranked_with_text, parse_path, with_thread_evaluator, EvalOptions, PlanCounters,
-    QueryPlanReport, RankedMatch, TagIndex,
-};
+use hopi_query::{EvalOptions, PlanCounters, TagIndex};
 use hopi_store::{load_index, save_frozen, CoverBaseline, StdVfs, WalRecord};
 use hopi_text::{FrozenTextIndex, TextIndex, TextSource, TextStats};
 use hopi_xml::parser::{parse_collection, parse_document};
 use hopi_xml::{Collection, DocId, ElemId, XmlDocument};
+use std::ops::Deref;
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
@@ -37,7 +37,7 @@ pub struct QueryOptions {
     /// across probes and the two hop joins (see
     /// [`hopi_query::EvalOptions`]).
     pub probe_budget: usize,
-    /// Keep only the best `k` results of [`Hopi::query_ranked`]
+    /// Keep only the best `k` results of [`Reads::query_ranked`]
     /// (`None` = all).
     pub top_k: Option<usize>,
 }
@@ -58,48 +58,6 @@ impl QueryOptions {
             ..EvalOptions::default()
         }
     }
-}
-
-/// The query-execution path shared by [`Hopi`] and
-/// [`crate::HopiSnapshot`]: parse, evaluate on the calling thread's
-/// reusable evaluator against any label source, and fold the run's
-/// strategy tally into the engine-shared counters.
-pub(crate) fn run_query<S: hopi_core::LabelSource>(
-    collection: &Collection,
-    source: &S,
-    tags: &TagIndex,
-    options: &QueryOptions,
-    counters: &PlanCounters,
-    text: Option<&dyn TextSource>,
-    expr: &str,
-) -> Result<Vec<ElemId>, HopiError> {
-    let parsed = parse_path(expr)?;
-    let options = options.eval_options();
-    Ok(with_thread_evaluator(|ev| {
-        let result = ev.evaluate_with_text(collection, source, tags, &parsed, &options, text);
-        counters.add(ev.strategy_counts());
-        result
-    }))
-}
-
-/// [`run_query`] with the EXPLAIN-style per-step plan report alongside.
-pub(crate) fn run_query_explained<S: hopi_core::LabelSource>(
-    collection: &Collection,
-    source: &S,
-    tags: &TagIndex,
-    options: &QueryOptions,
-    counters: &PlanCounters,
-    text: Option<&dyn TextSource>,
-    expr: &str,
-) -> Result<(Vec<ElemId>, QueryPlanReport), HopiError> {
-    let parsed = parse_path(expr)?;
-    let options = options.eval_options();
-    Ok(with_thread_evaluator(|ev| {
-        let out =
-            ev.evaluate_explained_with_text(collection, source, tags, &parsed, &options, text);
-        counters.add(ev.strategy_counts());
-        out
-    }))
 }
 
 /// A point-in-time summary of an engine (see [`Hopi::stats`]).
@@ -164,7 +122,7 @@ impl HopiBuilder {
     }
 
     /// Additionally maintains the distance-aware cover of paper §5,
-    /// enabling [`Hopi::distance`] and [`Hopi::query_ranked`].
+    /// enabling [`Reads::distance`] and [`Reads::query_ranked`].
     pub fn distance_aware(mut self, on: bool) -> Self {
         self.distance_aware = on;
         self
@@ -191,26 +149,11 @@ impl HopiBuilder {
     /// Builds the engine over a collection.
     pub fn build(self, collection: Collection) -> Result<Hopi, HopiError> {
         let (index, report) = build_index(&collection, &self.config);
-        let tags = TagIndex::build(&collection);
         let distance = self
             .distance_aware
             .then(|| build_distance_cover(&collection));
-        let text = TextIndex::build(&collection);
         let maintenance = MaintenanceStats::since(BuildBaseline::measure(&collection, &index));
-        Ok(Hopi {
-            collection,
-            index,
-            tags: Arc::new(tags),
-            distance,
-            text,
-            frozen_text: OnceLock::new(),
-            config: self.config,
-            options: self.options,
-            report,
-            plan_counters: Arc::new(PlanCounters::new()),
-            maintenance,
-            maintenance_durations: Arc::default(),
-        })
+        Ok(self.assemble(collection, index, distance, report, maintenance))
     }
 
     /// Parses `(name, xml)` documents into a collection and builds the
@@ -259,8 +202,6 @@ impl HopiBuilder {
         // they are exact for reachability too, so the plain index thaws
         // from the same rows.
         let index = HopiIndex::from_cover(frozen.thaw());
-        let tags = TagIndex::build(&collection);
-        let text = TextIndex::build(&collection);
         let report = BuildReport {
             cover_size: index.size(),
             ..Default::default()
@@ -273,18 +214,39 @@ impl HopiBuilder {
             // Nothing saved: the opened cover stands in for a build.
             None => BuildBaseline::measure(&collection, &index),
         };
-        let maintenance = MaintenanceStats::since(at_build);
-        Hopi {
+        self.assemble(
             collection,
             index,
-            tags: Arc::new(tags),
             distance,
-            text,
+            report,
+            MaintenanceStats::since(at_build),
+        )
+    }
+
+    /// An engine around a built or opened cover, with fresh tag and term
+    /// indexes and fresh counters.
+    fn assemble(
+        self,
+        collection: Collection,
+        index: HopiIndex,
+        distance: Option<DistanceCover>,
+        report: BuildReport,
+        maintenance: MaintenanceStats,
+    ) -> Hopi {
+        let reads = Reads {
+            tags: Arc::new(TagIndex::build(&collection)),
+            text: Arc::new(TextIndex::build(&collection)),
+            collection,
+            cover: index,
+            distance,
+            options: self.options,
+            plan_counters: Arc::new(PlanCounters::new()),
+        };
+        Hopi {
+            reads,
             frozen_text: OnceLock::new(),
             config: self.config,
-            options: self.options,
             report,
-            plan_counters: Arc::new(PlanCounters::new()),
             maintenance,
             maintenance_durations: Arc::default(),
         }
@@ -330,31 +292,31 @@ impl HopiBuilder {
 /// ```
 #[derive(Clone, Debug)]
 pub struct Hopi {
-    collection: Collection,
-    index: HopiIndex,
-    /// Shared with the snapshots captured since a document last came or
-    /// went; such a change copies it first (`Arc::make_mut`).
-    tags: Arc<TagIndex>,
-    distance: Option<DistanceCover>,
-    /// Term-level inverted index over element text, kept in lockstep with
-    /// the collection (content predicates consult it).
-    text: TextIndex,
-    /// The frozen form of `text`: built by the first capture that needs
-    /// it, shared by every snapshot until a mutation changes text.
+    /// The collection with its live cover, distance cover (when
+    /// distance-aware), tag and term indexes, kept in lockstep by the §6
+    /// maintenance methods.
+    reads: Reads<HopiIndex, DistanceCover, TextIndex>,
+    /// The frozen form of the term index: built by the first capture that
+    /// needs it, shared by every snapshot until a mutation changes text.
     frozen_text: OnceLock<Arc<FrozenTextIndex>>,
     config: BuildConfig,
-    options: QueryOptions,
     report: BuildReport,
-    /// Per-strategy `//`-step execution counters, shared with every
-    /// snapshot captured from this engine (and with clones of it), so the
-    /// serving layer can expose which physical plans actually ran.
-    pub(crate) plan_counters: Arc<PlanCounters>,
     /// Drift baseline of the last build, and what §6 maintenance has done
     /// to the cover since the engine was built, opened or recovered.
     maintenance: MaintenanceStats,
     /// Latency of those §6 calls, shared with every snapshot captured from
-    /// this engine (and with clones of it), like `plan_counters`.
+    /// this engine (and with clones of it), like the plan counters.
     maintenance_durations: Arc<MaintenanceDurations>,
+}
+
+/// The reads — `connected`, `query`, `query_ranked`, … — answered from the
+/// live cover, the live distance cover and the live term index.
+impl Deref for Hopi {
+    type Target = Reads<HopiIndex, DistanceCover, TextIndex>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.reads
+    }
 }
 
 /// The signed change of a cover's entry count from `before` to `after`.
@@ -429,7 +391,7 @@ impl Hopi {
     /// from the one the baseline measured.
     pub(crate) fn saved_baseline(&self) -> Option<CoverBaseline> {
         let b = self.maintenance.at_build;
-        self.distance.is_none().then_some(CoverBaseline {
+        self.reads.distance.is_none().then_some(CoverBaseline {
             entries: b.entries as u64,
             live_elements: b.live_elements as u64,
         })
@@ -440,109 +402,10 @@ impl Hopi {
     /// [`Hopi::save_frozen`] persists and what a durable checkpoint
     /// stores.
     pub(crate) fn freeze(&self) -> FrozenCover {
-        match &self.distance {
+        match &self.reads.distance {
             Some(cover) => FrozenCover::from_distance_cover(cover),
-            None => FrozenCover::from_cover(self.index.cover()),
+            None => FrozenCover::from_cover(self.reads.cover.cover()),
         }
-    }
-
-    // ------------------------------------------------------------------
-    // Queries.
-    // ------------------------------------------------------------------
-
-    /// The connection test: is `u` an ancestor of `v` along parent/child
-    /// and link axes (reflexive)?
-    pub fn connected(&self, u: ElemId, v: ElemId) -> bool {
-        self.index.connected(u, v)
-    }
-
-    /// Batched connection probes: `out[i]` answers `pairs[i]`, reusing the
-    /// caller's buffer across batches. Same contract as
-    /// [`HopiSnapshot::connected_many`](crate::HopiSnapshot::connected_many)
-    /// (which runs the frozen §3.4-style join kernel); this form probes the
-    /// live mutable cover.
-    pub fn connected_many(&self, pairs: &[(ElemId, ElemId)], out: &mut Vec<bool>) {
-        out.clear();
-        out.reserve(pairs.len());
-        out.extend(pairs.iter().map(|&(u, v)| self.index.connected(u, v)));
-    }
-
-    /// Shortest link distance `u →* v` (`None` = unreachable). Needs
-    /// [`HopiBuilder::distance_aware`].
-    pub fn distance(&self, u: ElemId, v: ElemId) -> Result<Option<u32>, HopiError> {
-        Ok(self.distance_cover()?.distance(u, v))
-    }
-
-    /// Everything `u` reaches (descendants-or-self), sorted.
-    pub fn descendants(&self, u: ElemId) -> Vec<ElemId> {
-        self.index.descendants(u)
-    }
-
-    /// Everything reaching `u` (ancestors-or-self), sorted.
-    pub fn ancestors(&self, u: ElemId) -> Vec<ElemId> {
-        self.index.ancestors(u)
-    }
-
-    /// Evaluates a path expression (`/site/nav//book`, `//article//sec`,
-    /// wildcards with `*`). Returns matching element ids, sorted. Each
-    /// `//` step runs the strategy the cost-based planner picks; the
-    /// choices are tallied into the engine's shared plan counters.
-    pub fn query(&self, expr: &str) -> Result<Vec<ElemId>, HopiError> {
-        run_query(
-            &self.collection,
-            &self.index,
-            &self.tags,
-            &self.options,
-            &self.plan_counters,
-            Some(&self.text),
-            expr,
-        )
-    }
-
-    /// Like [`Hopi::query`], but also returns the EXPLAIN-style per-step
-    /// plan report (strategy chosen, set sizes, cost estimates — the
-    /// `hopi query --explain` output).
-    pub fn query_explained(&self, expr: &str) -> Result<(Vec<ElemId>, QueryPlanReport), HopiError> {
-        run_query_explained(
-            &self.collection,
-            &self.index,
-            &self.tags,
-            &self.options,
-            &self.plan_counters,
-            Some(&self.text),
-            expr,
-        )
-    }
-
-    /// Evaluates a path expression with distance-ranked results (paper
-    /// §5.1; best-ranked first, truncated to [`QueryOptions::top_k`]).
-    /// Content predicates filter membership, and the final step's
-    /// predicate fuses a BM25 text score into each match's score.
-    /// Needs [`HopiBuilder::distance_aware`].
-    pub fn query_ranked(&self, expr: &str) -> Result<Vec<RankedMatch>, HopiError> {
-        let cover = self.distance_cover()?;
-        let parsed = parse_path(expr)?;
-        let mut matches = evaluate_ranked_with_text(
-            &self.collection,
-            cover,
-            &self.tags,
-            &parsed,
-            Some(&self.text),
-        );
-        if let Some(k) = self.options.top_k {
-            matches.truncate(k);
-        }
-        Ok(matches)
-    }
-
-    /// Resolves a `docname` / `docname#anchor` reference to an element id.
-    pub fn resolve(&self, doc: &str, anchor: &str) -> Result<ElemId, HopiError> {
-        self.collection
-            .resolve_ref(doc, anchor)
-            .ok_or_else(|| HopiError::UnresolvedRef {
-                doc: doc.to_string(),
-                anchor: anchor.to_string(),
-            })
     }
 
     // ------------------------------------------------------------------
@@ -559,10 +422,10 @@ impl Hopi {
         self.validate_document_links(&doc, links)?;
         let d = self.insert_counted(doc, links);
         self.index_document(d);
-        if let Some(cover) = self.distance.as_mut() {
+        if let Some(cover) = self.reads.distance.as_mut() {
             // Insertions update the distance cover incrementally (§6); only
             // deletions fall back to a recompute.
-            hopi_maintenance::integrate_document_distance(&self.collection, cover, d, links);
+            hopi_maintenance::integrate_document_distance(&self.reads.collection, cover, d, links);
         }
         Ok(d)
     }
@@ -585,8 +448,8 @@ impl Hopi {
         name: &str,
         xml: &str,
     ) -> Result<(XmlDocument, DocumentLinks), HopiError> {
-        if self.collection.doc_ids().any(|d| {
-            self.collection
+        if self.collection().doc_ids().any(|d| {
+            self.collection()
                 .document(d)
                 .is_some_and(|doc| doc.name == name)
         }) {
@@ -610,15 +473,15 @@ impl Hopi {
     pub fn insert_link(&mut self, from: ElemId, to: ElemId) -> Result<usize, HopiError> {
         // The expert layer validates endpoints; duplicates short-circuit
         // here so the distance cover is not re-relaxed either.
-        if self.collection.has_link(from, to) {
+        if self.collection().has_link(from, to) {
             return Ok(0);
         }
         let sw = Stopwatch::start();
-        let integrated = insert_link(&mut self.collection, &mut self.index, from, to)?;
+        let integrated = insert_link(&mut self.reads.collection, &mut self.reads.cover, from, to)?;
         self.maintenance_durations.insert_link.record(sw.elapsed());
         self.maintenance.integrations.record(integrated.choice);
         self.maintenance.entries_added.insert_link += integrated.added as i64;
-        if let Some(cover) = self.distance.as_mut() {
+        if let Some(cover) = self.reads.distance.as_mut() {
             // Insertions update the distance cover incrementally (§6); only
             // deletions fall back to a recompute.
             hopi_maintenance::insert_edge_distance(cover, from, to);
@@ -637,12 +500,12 @@ impl Hopi {
 
     /// Deletes an inter-document link (§6.2's single-edge deletion).
     pub fn delete_link(&mut self, from: ElemId, to: ElemId) -> Result<DeletionOutcome, HopiError> {
-        if !self.collection.has_link(from, to) {
+        if !self.collection().has_link(from, to) {
             return Err(HopiError::UnknownLink { from, to });
         }
-        let before = self.index.size();
+        let before = self.reads.cover.size();
         let sw = Stopwatch::start();
-        let outcome = delete_link(&mut self.collection, &mut self.index, from, to);
+        let outcome = delete_link(&mut self.reads.collection, &mut self.reads.cover, from, to);
         self.book_deletion(&outcome, before, sw);
         self.refresh_distance();
         Ok(outcome)
@@ -656,7 +519,7 @@ impl Hopi {
         new_doc: XmlDocument,
         links: &DocumentLinks,
     ) -> Result<DocId, HopiError> {
-        if self.collection.document(d).is_none() {
+        if self.collection().document(d).is_none() {
             return Err(HopiError::UnknownDocument(d));
         }
         self.validate_modify_links(d, &new_doc, links)?;
@@ -703,10 +566,10 @@ impl Hopi {
     /// ("over time, the space efficiency … may degrade"). Returns the
     /// fresh build's report; [`Hopi::report`] is updated too.
     pub fn rebuild(&mut self) -> &BuildReport {
-        let (index, report) = build_index(&self.collection, &self.config);
-        self.index = index;
+        let (index, report) = build_index(&self.reads.collection, &self.config);
+        self.reads.cover = index;
         self.report = report;
-        self.maintenance.at_build = BuildBaseline::measure(&self.collection, &self.index);
+        self.maintenance.at_build = BuildBaseline::measure(self.collection(), self.index());
         self.refresh_distance();
         self.report()
     }
@@ -716,7 +579,7 @@ impl Hopi {
     /// carry that build's baseline (see [`HopiBuilder::open`] for the
     /// files that do not).
     pub fn degradation(&self) -> Degradation {
-        degradation(&self.collection, &self.index, self.maintenance.at_build)
+        degradation(self.collection(), self.index(), self.maintenance.at_build)
     }
 
     /// Should the index be rebuilt under `policy`?
@@ -735,7 +598,7 @@ impl Hopi {
     /// and §6 counters — over to this engine, which replaces it. The drift
     /// baseline stays this engine's own.
     pub(crate) fn inherit_history(&mut self, old: &Hopi) {
-        self.plan_counters = old.plan_counters.clone();
+        self.reads.plan_counters = old.plan_counters.clone();
         self.maintenance_durations = old.maintenance_durations.clone();
         self.maintenance = MaintenanceStats {
             at_build: self.maintenance.at_build,
@@ -755,7 +618,7 @@ impl Hopi {
     /// by later mutations.
     pub fn snapshot(&self) -> Arc<crate::HopiSnapshot> {
         let sw = Stopwatch::start();
-        let frozen = FrozenCover::from_cover(self.index.cover());
+        let frozen = FrozenCover::from_cover(self.reads.cover.cover());
         Arc::new(self.capture(frozen, None, 0, sw))
     }
 
@@ -771,12 +634,12 @@ impl Hopi {
         epoch: u64,
     ) -> Arc<crate::HopiSnapshot> {
         let sw = Stopwatch::start();
-        let dirty = self.index.cover_mut().take_journal();
+        let dirty = self.reads.cover.cover_mut().take_journal();
         let unstamped = FrozenCover::default();
         let base = prev.map_or(&unstamped, |p| p.frozen());
-        let frozen = FrozenCover::patched(base, self.index.cover(), &dirty);
+        let frozen = FrozenCover::patched(base, self.reads.cover.cover(), &dirty);
         debug_assert!(
-            frozen == FrozenCover::from_cover(self.index.cover()),
+            frozen == FrozenCover::from_cover(self.reads.cover.cover()),
             "a patched cover equals a full freeze"
         );
         let patch = prev.filter(|_| dirty.applies_to(base));
@@ -793,7 +656,11 @@ impl Hopi {
         epoch: u64,
         sw: Stopwatch,
     ) -> crate::HopiSnapshot {
-        let frozen_distance = self.distance.as_ref().map(FrozenCover::from_distance_cover);
+        let frozen_distance = self
+            .reads
+            .distance
+            .as_ref()
+            .map(FrozenCover::from_distance_cover);
         let unstamped = FrozenCover::default();
         let prev = patched.map_or(&unstamped, |(prev, _)| prev.frozen());
         let bytes = frozen.sharing(prev).fresh_bytes
@@ -808,17 +675,19 @@ impl Hopi {
         };
         let text = self
             .frozen_text
-            .get_or_init(|| Arc::new(FrozenTextIndex::from_index(&self.text)));
-        crate::HopiSnapshot {
-            collection: self.collection.clone(),
-            frozen,
-            frozen_distance,
-            ranked: self.distance.clone(),
-            tags: self.tags.clone(),
+            .get_or_init(|| Arc::new(FrozenTextIndex::from_index(&self.reads.text)));
+        let reads = Reads {
+            collection: self.collection().clone(),
+            cover: frozen,
+            distance: frozen_distance,
+            tags: self.reads.tags.clone(),
             text: text.clone(),
-            options: self.options,
+            options: self.reads.options,
+            plan_counters: self.reads.plan_counters.clone(),
+        };
+        crate::HopiSnapshot {
+            reads,
             epoch,
-            plan_counters: self.plan_counters.clone(),
             build: crate::BuildPhaseTimings::from_report(&self.report, freeze_ms),
             greedy: self.report.greedy,
             maintenance: self.maintenance,
@@ -838,16 +707,16 @@ impl Hopi {
 
     /// Collection/index summary.
     pub fn stats(&self) -> Stats {
-        let elements = self.collection.element_count();
-        let entries = self.index.size();
+        let elements = self.collection().element_count();
+        let entries = self.reads.cover.size();
         Stats {
-            documents: self.collection.doc_count(),
+            documents: self.collection().doc_count(),
             elements,
-            links: self.collection.links().len(),
+            links: self.collection().links().len(),
             cover_entries: entries,
             entries_per_element: entries as f64 / elements.max(1) as f64,
-            distance_entries: self.distance.as_ref().map(DistanceCover::size),
-            text: self.text.stats(),
+            distance_entries: self.reads.distance.as_ref().map(DistanceCover::size),
+            text: self.reads.text.stats(),
         }
     }
 
@@ -857,35 +726,16 @@ impl Hopi {
         &self.report
     }
 
-    /// The collection (expert escape hatch; read-only so the engine's
-    /// index always matches it).
-    pub fn collection(&self) -> &Collection {
-        &self.collection
-    }
-
     /// The underlying index (expert escape hatch).
     pub fn index(&self) -> &HopiIndex {
-        &self.index
-    }
-
-    /// The tag index (expert escape hatch — e.g. for driving
-    /// `hopi_query::evaluate_with` with custom [`EvalOptions`]).
-    pub fn tags(&self) -> &TagIndex {
-        &self.tags
-    }
-
-    /// The term-level inverted text index (expert escape hatch — e.g. for
-    /// driving `hopi_query::evaluate_with_text` directly or inspecting
-    /// posting lists).
-    pub fn text(&self) -> &TextIndex {
-        &self.text
+        &self.reads.cover
     }
 
     /// Per-strategy `//`-step execution totals since this engine (or the
     /// engine it was cloned from) was built, across direct queries and
     /// every snapshot's queries.
     pub fn plan_counts(&self) -> hopi_query::PlanCounts {
-        self.plan_counters.counts()
+        self.reads.plan_counters.counts()
     }
 
     /// The build configuration this engine (re)builds with.
@@ -893,42 +743,39 @@ impl Hopi {
         &self.config
     }
 
-    /// The query tunables.
-    pub fn query_options(&self) -> &QueryOptions {
-        &self.options
-    }
-
     /// Updates the query tunables.
     pub fn set_query_options(&mut self, options: QueryOptions) {
-        self.options = options;
+        self.reads.options = options;
     }
 
     // ------------------------------------------------------------------
     // Internals.
     // ------------------------------------------------------------------
 
-    fn distance_cover(&self) -> Result<&DistanceCover, HopiError> {
-        self.distance.as_ref().ok_or(HopiError::DistanceDisabled)
-    }
-
     /// The §6.1 document insertion on collection and cover, counted.
     fn insert_counted(&mut self, doc: XmlDocument, links: &DocumentLinks) -> DocId {
-        let before = self.index.size();
+        let before = self.reads.cover.size();
         let sw = Stopwatch::start();
-        let (d, integrations) = insert_document(&mut self.collection, &mut self.index, doc, links);
+        let (d, integrations) = insert_document(
+            &mut self.reads.collection,
+            &mut self.reads.cover,
+            doc,
+            links,
+        );
         self.maintenance_durations
             .insert_document
             .record(sw.elapsed());
         self.maintenance.integrations.absorb(&integrations);
-        self.maintenance.entries_added.insert_document += net_entries(before, self.index.size());
+        self.maintenance.entries_added.insert_document +=
+            net_entries(before, self.reads.cover.size());
         d
     }
 
     /// The §6.2 document deletion on collection and cover, counted.
     fn delete_counted(&mut self, d: DocId) -> DeletionOutcome {
-        let before = self.index.size();
+        let before = self.reads.cover.size();
         let sw = Stopwatch::start();
-        let outcome = delete_document(&mut self.collection, &mut self.index, d);
+        let outcome = delete_document(&mut self.reads.collection, &mut self.reads.cover, d);
         self.book_deletion(&outcome, before, sw);
         outcome
     }
@@ -944,19 +791,25 @@ impl Hopi {
             DeletionAlgorithm::FastSeparator => &mut added.delete_separator,
             DeletionAlgorithm::General => &mut added.delete_general,
         };
-        *slot += net_entries(before, self.index.size());
+        *slot += net_entries(before, self.reads.cover.size());
     }
 
     /// Adds document `d`, just inserted into the collection, to the tag
     /// and term indexes. Its ids exceed all indexed ones, so both append.
     fn index_document(&mut self, d: DocId) {
-        let Some(doc) = self.collection.document(d) else {
+        let Reads {
+            collection,
+            tags,
+            text,
+            ..
+        } = &mut self.reads;
+        let Some(doc) = collection.document(d) else {
             return;
         };
-        let base = self.collection.global_id(d, 0);
-        Arc::make_mut(&mut self.tags).index_document(base, doc);
+        let base = collection.global_id(d, 0);
+        Arc::make_mut(tags).index_document(base, doc);
         if doc.texts().next().is_some() {
-            self.text.index_document(base, doc);
+            Arc::make_mut(text).index_document(base, doc);
             self.frozen_text.take();
         }
     }
@@ -965,14 +818,19 @@ impl Hopi {
     /// the document leaves the collection: its tags and text say which
     /// rows to drain.
     fn unindex_document(&mut self, d: DocId) -> Result<(), HopiError> {
-        let doc = self
-            .collection
+        let Reads {
+            collection,
+            tags,
+            text,
+            ..
+        } = &mut self.reads;
+        let doc = collection
             .document(d)
             .ok_or(HopiError::UnknownDocument(d))?;
-        let base = self.collection.global_id(d, 0);
-        Arc::make_mut(&mut self.tags).remove_document(base, doc);
+        let base = collection.global_id(d, 0);
+        Arc::make_mut(tags).remove_document(base, doc);
         if doc.texts().next().is_some() {
-            self.text.remove_document(base, doc);
+            Arc::make_mut(text).remove_document(base, doc);
             self.frozen_text.take();
         }
         Ok(())
@@ -981,8 +839,8 @@ impl Hopi {
     /// Recomputes the distance cover, when enabled, after a deletion (the
     /// paper gives incremental distance maintenance for insertions only).
     fn refresh_distance(&mut self) {
-        if self.distance.is_some() {
-            self.distance = Some(build_distance_cover(&self.collection));
+        if self.reads.distance.is_some() {
+            self.reads.distance = Some(build_distance_cover(&self.reads.collection));
         }
     }
 
@@ -998,12 +856,12 @@ impl Hopi {
                     len: doc.len(),
                 });
             }
-            if self.collection.doc_of(target).is_none() {
+            if self.collection().doc_of(target).is_none() {
                 return Err(HopiError::UnknownElement(target));
             }
         }
         for &(source, local) in &links.incoming {
-            if self.collection.doc_of(source).is_none() {
+            if self.collection().doc_of(source).is_none() {
                 return Err(HopiError::UnknownElement(source));
             }
             if (local as usize) >= doc.len() {
@@ -1027,12 +885,12 @@ impl Hopi {
     ) -> Result<(), HopiError> {
         self.validate_document_links(doc, links)?;
         for &(_, target) in &links.outgoing {
-            if self.collection.doc_of(target) == Some(d) {
+            if self.collection().doc_of(target) == Some(d) {
                 return Err(HopiError::UnknownElement(target));
             }
         }
         for &(source, _) in &links.incoming {
-            if self.collection.doc_of(source) == Some(d) {
+            if self.collection().doc_of(source) == Some(d) {
                 return Err(HopiError::UnknownElement(source));
             }
         }

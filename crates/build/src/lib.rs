@@ -4,17 +4,22 @@
 //! ICDE 2005) behind one engine type:
 //!
 //! * [`Hopi`] — an XML collection plus its 2-hop connection index, built
-//!   with [`Hopi::builder`] and driven through inherent methods for the
-//!   entire lifecycle: `connected`/`distance`, `query`/`query_ranked`,
+//!   with [`Hopi::builder`] and driven through one handle for the entire
+//!   lifecycle: `connected`/`distance`, `query`/`query_ranked`,
 //!   `insert_document`/`delete_document`/`insert_link`/`delete_link`,
 //!   `rebuild`, `save_frozen`/`open`, `stats`.
 //! * [`HopiSnapshot`] — an immutable serving view ([`Hopi::snapshot`]):
 //!   the cover frozen into flat CSR arrays plus tag index and collection,
 //!   shared via `Arc` with no lock held during query evaluation.
+//! * [`Reads`] — the one read path both dereference to: `connected`,
+//!   `distance`, `descendants`, `query`, `query_ranked`, … are each
+//!   written once, generic over the cover, distance cover and term index
+//!   an engine holds live and a snapshot holds frozen (its ranked reads
+//!   run on the distance-annotated frozen cover).
 //! * [`OnlineHopi`] — the same surface lifted into 24×7 serving (paper
-//!   §1.1): queries run lock-free against the current snapshot, brief
-//!   write-locked incremental updates refresh it, and background rebuilds
-//!   swap in atomically.
+//!   §1.1): reads run lock-free against the current snapshot
+//!   ([`OnlineHopi::snapshot`]), brief write-locked incremental updates
+//!   refresh it, and background rebuilds swap in atomically.
 //! * [`HopiError`] — the single error type crossing this boundary,
 //!   replacing the expert layer's mix of panics, `Option`s and per-crate
 //!   errors.
@@ -57,6 +62,7 @@ mod durable;
 mod error;
 mod facade;
 mod online;
+mod reads;
 mod snapshot;
 
 pub use durable::{
@@ -66,6 +72,7 @@ pub use durable::{
 pub use error::HopiError;
 pub use facade::{Hopi, HopiBuilder, QueryOptions, Stats};
 pub use online::{OnlineHopi, PublishTotals};
+pub use reads::Reads;
 pub use snapshot::{
     BuildPhaseTimings, HopiSnapshot, MaintenanceStats, PublishStats, SnapshotStats,
 };

@@ -34,7 +34,6 @@ use crate::{CheckpointStats, WalStats};
 use hopi_maintenance::{DeletionOutcome, DocumentLinks};
 use hopi_obs::{Histogram, HistogramSnapshot};
 use hopi_partition::BuildReport;
-use hopi_query::RankedMatch;
 use hopi_store::WalRecord;
 use hopi_xml::{Collection, DocId, ElemId, XmlDocument};
 use parking_lot::RwLock;
@@ -363,8 +362,10 @@ impl OnlineHopi {
     }
 
     /// The current serving snapshot (O(1): one `Arc` clone under a
-    /// momentary lock). Hold it for repeatable reads across calls; drop it
-    /// to pick up newer epochs via the convenience methods below.
+    /// momentary lock) — what every read goes through: `connected`,
+    /// `distance`, `descendants`, `query`, `query_ranked`, … Hold it for
+    /// repeatable reads across calls; take a new one to pick up newer
+    /// epochs.
     pub fn snapshot(&self) -> Arc<HopiSnapshot> {
         self.serving.read().clone()
     }
@@ -372,33 +373,6 @@ impl OnlineHopi {
     /// Lock-free reachability query (current snapshot).
     pub fn connected(&self, u: ElemId, v: ElemId) -> bool {
         self.snapshot().connected(u, v)
-    }
-
-    /// Lock-free batched reachability probes (current snapshot): `out[i]`
-    /// answers `pairs[i]` via the frozen §3.4-style join kernel, all on one
-    /// epoch, reusing the caller's buffer across batches.
-    pub fn connected_many(&self, pairs: &[(ElemId, ElemId)], out: &mut Vec<bool>) {
-        self.snapshot().connected_many(pairs, out)
-    }
-
-    /// Lock-free shortest-link-distance query (current snapshot).
-    pub fn distance(&self, u: ElemId, v: ElemId) -> Result<Option<u32>, HopiError> {
-        self.snapshot().distance(u, v)
-    }
-
-    /// Lock-free descendant enumeration (current snapshot).
-    pub fn descendants(&self, u: ElemId) -> Vec<ElemId> {
-        self.snapshot().descendants(u)
-    }
-
-    /// Lock-free path-expression evaluation (current snapshot).
-    pub fn query(&self, expr: &str) -> Result<Vec<ElemId>, HopiError> {
-        self.snapshot().query(expr)
-    }
-
-    /// Lock-free distance-ranked evaluation (current snapshot).
-    pub fn query_ranked(&self, expr: &str) -> Result<Vec<RankedMatch>, HopiError> {
-        self.snapshot().query_ranked(expr)
     }
 
     /// Current cover size (of the serving snapshot).

@@ -17,20 +17,16 @@
 //! patched from its predecessor's, sharing every row block the mutation
 //! did not dirty (see [`FrozenCover::patched`]).
 
-use crate::error::HopiError;
-use crate::facade::QueryOptions;
-use hopi_core::{BuildStats, DistanceCover, FrozenCover};
+use crate::reads::Reads;
+use hopi_core::{BuildStats, FrozenCover};
 use hopi_maintenance::{
     BuildBaseline, Degradation, DeletionAlgorithm, DeletionCounts, EntriesAdded, IntegrationCounts,
 };
 use hopi_obs::{Histogram, HistogramSnapshot};
 use hopi_partition::BuildReport;
-use hopi_query::{
-    evaluate_ranked_with_text, parse_path, PlanCounters, PlanCounts, QueryPlanReport, RankedMatch,
-    TagIndex,
-};
+use hopi_query::PlanCounts;
 use hopi_text::{FrozenTextIndex, TextSource};
-use hopi_xml::{Collection, ElemId};
+use std::ops::Deref;
 use std::sync::Arc;
 
 /// Wall-clock milliseconds of each phase that produced the snapshot's
@@ -182,8 +178,8 @@ pub struct SnapshotStats {
     pub nodes: usize,
     /// Cover size `|L|` of the frozen cover.
     pub cover_entries: usize,
-    /// Whether the snapshot answers [`HopiSnapshot::distance`] /
-    /// [`HopiSnapshot::query_ranked`].
+    /// Whether the snapshot answers [`Reads::distance`] /
+    /// [`Reads::query_ranked`].
     pub distance_aware: bool,
     /// Per-strategy `//`-step execution totals of the engine this snapshot
     /// was captured from (shared counters: queries against *any* snapshot
@@ -239,25 +235,13 @@ impl SnapshotStats {
 /// ```
 #[derive(Clone, Debug)]
 pub struct HopiSnapshot {
-    pub(crate) collection: Collection,
-    pub(crate) frozen: FrozenCover,
-    /// Distance-annotated frozen cover, when the engine is distance-aware.
-    pub(crate) frozen_distance: Option<FrozenCover>,
-    /// The mutable-form distance cover, kept for ranked evaluation.
-    pub(crate) ranked: Option<DistanceCover>,
-    /// Shared with the engine and the neighbouring epochs until a
-    /// document comes or goes.
-    pub(crate) tags: Arc<TagIndex>,
-    /// Frozen term-level inverted index, shared likewise until a mutation
-    /// changes text (content predicates consult it).
-    pub(crate) text: Arc<FrozenTextIndex>,
-    pub(crate) options: QueryOptions,
+    /// The collection and tag index with the frozen cover, the
+    /// distance-annotated frozen cover of a distance-aware engine, and the
+    /// frozen term index.
+    pub(crate) reads: Reads<FrozenCover, FrozenCover, FrozenTextIndex>,
     /// The serving epoch this snapshot was published at (see
     /// [`SnapshotStats::epoch`]).
     pub(crate) epoch: u64,
-    /// Engine-shared per-strategy execution counters (every query against
-    /// this snapshot tallies its `//`-step plans here).
-    pub(crate) plan_counters: Arc<PlanCounters>,
     /// Phase timings of the build behind this snapshot (see
     /// [`BuildPhaseTimings`]).
     pub(crate) build: BuildPhaseTimings,
@@ -271,130 +255,32 @@ pub struct HopiSnapshot {
     pub(crate) maintenance_durations: Arc<MaintenanceDurations>,
 }
 
+/// The reads — `connected`, `query`, `query_ranked`, … — answered from the
+/// frozen cover, the frozen distance cover and the frozen term index.
+impl Deref for HopiSnapshot {
+    type Target = Reads<FrozenCover, FrozenCover, FrozenTextIndex>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.reads
+    }
+}
+
 impl HopiSnapshot {
-    /// The connection test `u →* v` (reflexive), allocation-free.
-    pub fn connected(&self, u: ElemId, v: ElemId) -> bool {
-        self.frozen.connected(u, v)
-    }
-
-    /// Batched connection probes (§3.4-style join kernel): `out[i]` answers
-    /// `pairs[i]`, reusing the caller's buffer across batches.
-    pub fn connected_many(&self, pairs: &[(ElemId, ElemId)], out: &mut Vec<bool>) {
-        self.frozen.connected_many(pairs, out);
-    }
-
-    /// Shortest link distance `u →* v` (`None` = unreachable). Needs a
-    /// snapshot of a distance-aware engine.
-    pub fn distance(&self, u: ElemId, v: ElemId) -> Result<Option<u32>, HopiError> {
-        let frozen = self
-            .frozen_distance
-            .as_ref()
-            .ok_or(HopiError::DistanceDisabled)?;
-        Ok(frozen.distance(u, v))
-    }
-
-    /// Everything `u` reaches (descendants-or-self), sorted.
-    pub fn descendants(&self, u: ElemId) -> Vec<ElemId> {
-        self.frozen.descendants(u)
-    }
-
-    /// Everything reaching `u` (ancestors-or-self), sorted.
-    pub fn ancestors(&self, u: ElemId) -> Vec<ElemId> {
-        self.frozen.ancestors(u)
-    }
-
-    /// Evaluates a path expression against the frozen cover. Same answers
-    /// as [`crate::Hopi::query`] on the engine the snapshot was taken
-    /// from. Runs on the calling thread's reusable evaluator, so
-    /// steady-state serving evaluates `//` steps without allocating; the
-    /// planner's strategy choices are tallied into the engine-shared plan
-    /// counters.
-    pub fn query(&self, expr: &str) -> Result<Vec<ElemId>, HopiError> {
-        crate::facade::run_query(
-            &self.collection,
-            &self.frozen,
-            &self.tags,
-            &self.options,
-            &self.plan_counters,
-            Some(self.text.as_ref()),
-            expr,
-        )
-    }
-
-    /// Like [`HopiSnapshot::query`], but also returns the EXPLAIN-style
-    /// per-step plan report.
-    pub fn query_explained(&self, expr: &str) -> Result<(Vec<ElemId>, QueryPlanReport), HopiError> {
-        crate::facade::run_query_explained(
-            &self.collection,
-            &self.frozen,
-            &self.tags,
-            &self.options,
-            &self.plan_counters,
-            Some(self.text.as_ref()),
-            expr,
-        )
-    }
-
-    /// Distance-ranked path evaluation (paper §5.1), with BM25 content
-    /// fusion from the final step's predicate. Needs a snapshot of a
-    /// distance-aware engine.
-    pub fn query_ranked(&self, expr: &str) -> Result<Vec<RankedMatch>, HopiError> {
-        let cover = self.ranked.as_ref().ok_or(HopiError::DistanceDisabled)?;
-        let parsed = parse_path(expr)?;
-        let mut matches = evaluate_ranked_with_text(
-            &self.collection,
-            cover,
-            &self.tags,
-            &parsed,
-            Some(self.text.as_ref()),
-        );
-        if let Some(k) = self.options.top_k {
-            matches.truncate(k);
-        }
-        Ok(matches)
-    }
-
-    /// Resolves a `docname` / `docname#anchor` reference to an element id.
-    pub fn resolve(&self, doc: &str, anchor: &str) -> Result<ElemId, HopiError> {
-        self.collection
-            .resolve_ref(doc, anchor)
-            .ok_or_else(|| HopiError::UnresolvedRef {
-                doc: doc.to_string(),
-                anchor: anchor.to_string(),
-            })
-    }
-
-    /// The snapshotted collection.
-    pub fn collection(&self) -> &Collection {
-        &self.collection
-    }
-
     /// The frozen cover (expert escape hatch — e.g. for
     /// [`hopi_store::save_frozen`] or custom probe loops).
     pub fn frozen(&self) -> &FrozenCover {
-        &self.frozen
+        &self.reads.cover
     }
 
     /// The distance-annotated frozen cover, when distance-aware.
     pub fn frozen_distance(&self) -> Option<&FrozenCover> {
-        self.frozen_distance.as_ref()
-    }
-
-    /// The snapshotted tag index.
-    pub fn tags(&self) -> &TagIndex {
-        &self.tags
-    }
-
-    /// The frozen term-level inverted index (shared across snapshot
-    /// epochs; expert escape hatch).
-    pub fn text(&self) -> &Arc<FrozenTextIndex> {
-        &self.text
+        self.reads.distance.as_ref()
     }
 
     /// Cover size `|L|` of the frozen cover (matches the engine's
     /// [`crate::Stats::cover_entries`] at capture time).
     pub fn cover_entries(&self) -> usize {
-        self.frozen.size()
+        self.reads.cover.size()
     }
 
     /// The serving epoch this snapshot was published at.
@@ -407,28 +293,24 @@ impl HopiSnapshot {
 
     /// Summary of this snapshot for observability endpoints.
     pub fn stats(&self) -> SnapshotStats {
+        let (collection, text) = (&self.reads.collection, &self.reads.text);
         SnapshotStats {
             epoch: self.epoch,
-            documents: self.collection.doc_count(),
-            elements: self.collection.element_count(),
-            links: self.collection.links().len(),
-            nodes: self.frozen.num_nodes(),
-            cover_entries: self.frozen.size(),
-            distance_aware: self.frozen_distance.is_some(),
-            plan: self.plan_counters.counts(),
-            text_vocabulary: self.text.vocab_len(),
-            text_postings: self.text.stats().postings,
-            text_postings_bytes: self.text.postings_bytes(),
-            text_indexed_elements: self.text.indexed_elements(),
+            documents: collection.doc_count(),
+            elements: collection.element_count(),
+            links: collection.links().len(),
+            nodes: self.reads.cover.num_nodes(),
+            cover_entries: self.reads.cover.size(),
+            distance_aware: self.reads.distance.is_some(),
+            plan: self.reads.plan_counters.counts(),
+            text_vocabulary: text.vocab_len(),
+            text_postings: text.stats().postings,
+            text_postings_bytes: text.postings_bytes(),
+            text_indexed_elements: text.indexed_elements(),
             build: self.build,
             greedy: self.greedy,
             publish: self.publish,
             maintenance: self.maintenance,
         }
-    }
-
-    /// The query tunables captured with the snapshot.
-    pub fn query_options(&self) -> &QueryOptions {
-        &self.options
     }
 }

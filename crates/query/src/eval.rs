@@ -15,49 +15,26 @@
 //!
 //! Evaluation threads reusable scratch (generation-stamped mark tables,
 //! center sets, enumeration buffers) through an [`Evaluator`], so
-//! steady-state `//` steps allocate nothing; [`evaluate_with`] runs on a
-//! per-thread evaluator, which is what the frozen serving path uses.
+//! steady-state `//` steps allocate nothing; [`with_thread_evaluator`]
+//! lends a per-thread evaluator, which is what the serving path and
+//! [`evaluate_with`] use.
 //!
 //! Following XPath, `a//b` never returns the context node itself for
 //! `a == b` (the 2-hop cover cannot distinguish a reflexive hit from a
 //! cyclic path back to the node, and self-cycles are a degenerate case for
 //! document data).
 
-use crate::expr::{parse_path, Axis, ContentOp, ContentPredicate, ParseError, PathExpr};
+use crate::expr::{Axis, ContentOp, ContentPredicate, PathExpr};
 use crate::plan::{
     plan_connection_step, plan_content_predicate, ContentPlacement, PlanCounts, QueryPlanReport,
     StepPlan, StepReport, Strategy,
 };
 use crate::tag_index::TagIndex;
-use hopi_core::{HopiIndex, LabelSource};
+use hopi_core::LabelSource;
 use hopi_obs::Stopwatch;
 use hopi_text::TextSource;
 use hopi_xml::{Collection, ElemId};
 use std::cell::RefCell;
-
-/// Evaluation error (currently only malformed expressions via
-/// [`evaluate_str`]).
-#[derive(Debug)]
-pub enum EvalError {
-    /// The expression failed to parse.
-    Parse(ParseError),
-}
-
-impl std::fmt::Display for EvalError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            EvalError::Parse(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for EvalError {}
-
-impl From<ParseError> for EvalError {
-    fn from(e: ParseError) -> Self {
-        EvalError::Parse(e)
-    }
-}
 
 /// Tunables of set-at-a-time evaluation. Neither knob changes answers —
 /// they pick execution plans.
@@ -83,33 +60,26 @@ impl Default for EvalOptions {
     }
 }
 
-/// Parses and evaluates a path expression. Returns matching element ids,
-/// sorted and deduplicated.
-pub fn evaluate_str(
-    collection: &Collection,
-    index: &HopiIndex,
-    tags: &TagIndex,
-    expr: &str,
-) -> Result<Vec<ElemId>, EvalError> {
-    Ok(evaluate(collection, index, tags, &parse_path(expr)?))
+/// What a path expression is evaluated against: a collection, a
+/// connection index over it — any [`LabelSource`] for [`Evaluator::run`],
+/// a [`DistanceSource`](crate::DistanceSource) for [`rank`](crate::rank)
+/// — its tag index, and the term index content predicates resolve against.
+pub struct Corpus<'a, S> {
+    /// The documents and their links.
+    pub collection: &'a Collection,
+    /// The connection index: the live [`hopi_core::HopiIndex`], a frozen
+    /// [`hopi_core::FrozenCover`] snapshot, …; answers are identical.
+    pub index: &'a S,
+    /// The element-by-tag index.
+    pub tags: &'a TagIndex,
+    /// The term index; with `None` a content predicate matches nothing
+    /// (there is no text to search).
+    pub text: Option<&'a dyn TextSource>,
 }
 
-/// Evaluates a parsed path expression with default [`EvalOptions`].
-///
-/// The index is any [`LabelSource`] — the live [`HopiIndex`] or a frozen
-/// [`hopi_core::FrozenCover`] snapshot; answers are identical.
-pub fn evaluate<S: LabelSource>(
-    collection: &Collection,
-    index: &S,
-    tags: &TagIndex,
-    expr: &PathExpr,
-) -> Vec<ElemId> {
-    evaluate_with(collection, index, tags, expr, &EvalOptions::default())
-}
-
-/// Evaluates a parsed path expression under explicit options, on this
-/// thread's reusable [`Evaluator`] (see [`evaluate`] for the index
-/// abstraction).
+/// Evaluates a parsed path expression under explicit options, with no
+/// term index, on this thread's reusable [`Evaluator`]. Returns matching
+/// element ids, sorted and deduplicated.
 pub fn evaluate_with<S: LabelSource>(
     collection: &Collection,
     index: &S,
@@ -117,48 +87,13 @@ pub fn evaluate_with<S: LabelSource>(
     expr: &PathExpr,
     options: &EvalOptions,
 ) -> Vec<ElemId> {
-    with_thread_evaluator(|ev| ev.evaluate(collection, index, tags, expr, options))
-}
-
-/// Evaluates with an EXPLAIN-style per-step plan report alongside the
-/// answer (same answer as [`evaluate_with`]).
-pub fn evaluate_explained<S: LabelSource>(
-    collection: &Collection,
-    index: &S,
-    tags: &TagIndex,
-    expr: &PathExpr,
-    options: &EvalOptions,
-) -> (Vec<ElemId>, QueryPlanReport) {
-    with_thread_evaluator(|ev| ev.evaluate_explained(collection, index, tags, expr, options))
-}
-
-/// Like [`evaluate_with`], resolving content predicates against a term
-/// index. With `text = None` a content predicate matches nothing (there
-/// is no text to search).
-pub fn evaluate_with_text<S: LabelSource>(
-    collection: &Collection,
-    index: &S,
-    tags: &TagIndex,
-    expr: &PathExpr,
-    options: &EvalOptions,
-    text: Option<&dyn TextSource>,
-) -> Vec<ElemId> {
-    with_thread_evaluator(|ev| ev.evaluate_with_text(collection, index, tags, expr, options, text))
-}
-
-/// [`evaluate_with_text`] plus the EXPLAIN-style plan report (which
-/// records where each content predicate was placed).
-pub fn evaluate_explained_with_text<S: LabelSource>(
-    collection: &Collection,
-    index: &S,
-    tags: &TagIndex,
-    expr: &PathExpr,
-    options: &EvalOptions,
-    text: Option<&dyn TextSource>,
-) -> (Vec<ElemId>, QueryPlanReport) {
-    with_thread_evaluator(|ev| {
-        ev.evaluate_explained_with_text(collection, index, tags, expr, options, text)
-    })
+    let corpus = Corpus {
+        collection,
+        index,
+        tags,
+        text: None,
+    };
+    with_thread_evaluator(|ev| ev.run(corpus, expr, options, None))
 }
 
 thread_local! {
@@ -291,78 +226,6 @@ impl Evaluator {
         Evaluator::default()
     }
 
-    /// Evaluates a parsed expression. Same contract as the free
-    /// [`evaluate_with`], but scratch lives in `self`.
-    pub fn evaluate<S: LabelSource>(
-        &mut self,
-        collection: &Collection,
-        index: &S,
-        tags: &TagIndex,
-        expr: &PathExpr,
-        options: &EvalOptions,
-    ) -> Vec<ElemId> {
-        self.run(collection, index, tags, expr, options, None, None)
-    }
-
-    /// Evaluates with an EXPLAIN-style per-step plan report.
-    pub fn evaluate_explained<S: LabelSource>(
-        &mut self,
-        collection: &Collection,
-        index: &S,
-        tags: &TagIndex,
-        expr: &PathExpr,
-        options: &EvalOptions,
-    ) -> (Vec<ElemId>, QueryPlanReport) {
-        let mut report = QueryPlanReport::default();
-        let out = self.run(
-            collection,
-            index,
-            tags,
-            expr,
-            options,
-            None,
-            Some(&mut report),
-        );
-        (out, report)
-    }
-
-    /// Evaluates with content predicates resolved against `text` (see the
-    /// free [`evaluate_with_text`]).
-    pub fn evaluate_with_text<S: LabelSource>(
-        &mut self,
-        collection: &Collection,
-        index: &S,
-        tags: &TagIndex,
-        expr: &PathExpr,
-        options: &EvalOptions,
-        text: Option<&dyn TextSource>,
-    ) -> Vec<ElemId> {
-        self.run(collection, index, tags, expr, options, text, None)
-    }
-
-    /// [`Evaluator::evaluate_with_text`] plus the plan report.
-    pub fn evaluate_explained_with_text<S: LabelSource>(
-        &mut self,
-        collection: &Collection,
-        index: &S,
-        tags: &TagIndex,
-        expr: &PathExpr,
-        options: &EvalOptions,
-        text: Option<&dyn TextSource>,
-    ) -> (Vec<ElemId>, QueryPlanReport) {
-        let mut report = QueryPlanReport::default();
-        let out = self.run(
-            collection,
-            index,
-            tags,
-            expr,
-            options,
-            text,
-            Some(&mut report),
-        );
-        (out, report)
-    }
-
     /// Per-strategy `//`-step executions of the most recent run — what the
     /// serving layer folds into its shared
     /// [`PlanCounters`](crate::plan::PlanCounters).
@@ -370,17 +233,23 @@ impl Evaluator {
         self.counts
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn run<S: LabelSource>(
+    /// Evaluates a parsed expression against `corpus`: matching element
+    /// ids, sorted and deduplicated. With a `report`, each step's plan,
+    /// set sizes, content placement and wall time are recorded into it
+    /// (EXPLAIN ANALYZE); without one, evaluation takes no measurements.
+    pub fn run<S: LabelSource>(
         &mut self,
-        collection: &Collection,
-        index: &S,
-        tags: &TagIndex,
+        corpus: Corpus<'_, S>,
         expr: &PathExpr,
         options: &EvalOptions,
-        text: Option<&dyn TextSource>,
         mut report: Option<&mut QueryPlanReport>,
     ) -> Vec<ElemId> {
+        let Corpus {
+            collection,
+            index,
+            tags,
+            text,
+        } = corpus;
         self.counts = PlanCounts::default();
         // Stamp tables must span every id either side can produce.
         let bound = collection.elem_id_bound().max(index.num_nodes());
@@ -921,7 +790,8 @@ fn scan(row: &[ElemId], touches: &mut usize, hit: impl Fn(ElemId) -> bool) -> bo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hopi_core::FrozenCover;
+    use crate::expr::parse_path;
+    use hopi_core::{FrozenCover, HopiIndex};
     use hopi_partition::{build_index, BuildConfig};
     use hopi_xml::generator::{random_collection, RandomConfig};
     use hopi_xml::parser::parse_collection;
@@ -951,6 +821,52 @@ mod tests {
         (c, index, tags)
     }
 
+    fn corpus<'a, S>(
+        c: &'a Collection,
+        i: &'a S,
+        t: &'a TagIndex,
+        text: Option<&'a dyn TextSource>,
+    ) -> Corpus<'a, S> {
+        Corpus {
+            collection: c,
+            index: i,
+            tags: t,
+            text,
+        }
+    }
+
+    /// Parses and evaluates `expr` with default options and no term index.
+    fn eval<S: LabelSource>(c: &Collection, i: &S, t: &TagIndex, expr: &str) -> Vec<ElemId> {
+        let expr = parse_path(expr).unwrap();
+        evaluate_with(c, i, t, &expr, &EvalOptions::default())
+    }
+
+    /// Evaluates against a term index.
+    fn eval_text<S: LabelSource>(
+        c: &Collection,
+        i: &S,
+        t: &TagIndex,
+        expr: &PathExpr,
+        options: &EvalOptions,
+        text: Option<&dyn TextSource>,
+    ) -> Vec<ElemId> {
+        Evaluator::new().run(corpus(c, i, t, text), expr, options, None)
+    }
+
+    /// [`eval_text`] with the EXPLAIN report alongside.
+    fn explain<S: LabelSource>(
+        c: &Collection,
+        i: &S,
+        t: &TagIndex,
+        expr: &PathExpr,
+        options: &EvalOptions,
+        text: Option<&dyn TextSource>,
+    ) -> (Vec<ElemId>, QueryPlanReport) {
+        let mut report = QueryPlanReport::default();
+        let rows = Evaluator::new().run(corpus(c, i, t, text), expr, options, Some(&mut report));
+        (rows, report)
+    }
+
     fn names(c: &Collection, ids: &[ElemId]) -> Vec<String> {
         ids.iter()
             .map(|&e| {
@@ -971,7 +887,7 @@ mod tests {
     #[test]
     fn child_axis_is_tree_only() {
         let (c, i, t) = fixture();
-        let r = evaluate_str(&c, &i, &t, "/library/shelf/book").unwrap();
+        let r = eval(&c, &i, &t, "/library/shelf/book");
         assert_eq!(r.len(), 2);
         // The annex book is NOT a tree child of shelf.
         assert!(names(&c, &r).iter().all(|n| n.starts_with("lib")));
@@ -981,33 +897,33 @@ mod tests {
     fn connection_axis_crosses_links() {
         let (c, i, t) = fixture();
         // //library//author: the annex author is reachable via the link.
-        let r = evaluate_str(&c, &i, &t, "/library//author").unwrap();
+        let r = eval(&c, &i, &t, "/library//author");
         assert_eq!(r.len(), 2, "{:?}", names(&c, &r));
     }
 
     #[test]
     fn leading_connection_matches_anywhere() {
         let (c, i, t) = fixture();
-        let r = evaluate_str(&c, &i, &t, "//book").unwrap();
+        let r = eval(&c, &i, &t, "//book");
         assert_eq!(r.len(), 3);
-        let r = evaluate_str(&c, &i, &t, "//book//author").unwrap();
+        let r = eval(&c, &i, &t, "//book//author");
         assert_eq!(r.len(), 2);
     }
 
     #[test]
     fn wildcards() {
         let (c, i, t) = fixture();
-        let r = evaluate_str(&c, &i, &t, "/library/*").unwrap();
+        let r = eval(&c, &i, &t, "/library/*");
         assert_eq!(r.len(), 2); // shelf + link
-        let r = evaluate_str(&c, &i, &t, "//box//*").unwrap();
+        let r = eval(&c, &i, &t, "//box//*");
         assert_eq!(r.len(), 2); // book + author
     }
 
     #[test]
     fn root_anchored_tag_mismatch_is_empty() {
         let (c, i, t) = fixture();
-        assert!(evaluate_str(&c, &i, &t, "/annex/shelf").unwrap().is_empty());
-        assert!(evaluate_str(&c, &i, &t, "//nothing").unwrap().is_empty());
+        assert!(eval(&c, &i, &t, "/annex/shelf").is_empty());
+        assert!(eval(&c, &i, &t, "//nothing").is_empty());
     }
 
     #[test]
@@ -1028,7 +944,7 @@ mod tests {
         let (c, i, t) = fixture();
         for query in ["/library//author", "//book//author", "//box//*"] {
             let expr = parse_path(query).unwrap();
-            let default = evaluate(&c, &i, &t, &expr);
+            let default = evaluate_with(&c, &i, &t, &expr, &EvalOptions::default());
             for probe_budget in [0, 1, usize::MAX] {
                 let tuned = evaluate_with(
                     &c,
@@ -1079,7 +995,7 @@ mod tests {
                 "//*//e1",
             ] {
                 let expr = parse_path(query).unwrap();
-                let baseline = evaluate(&c, &index, &tags, &expr);
+                let baseline = evaluate_with(&c, &index, &tags, &expr, &EvalOptions::default());
                 // Oracle for the last step of two-step expressions; deeper
                 // expressions are cross-checked between strategies only.
                 for strategy in Strategy::ALL {
@@ -1239,15 +1155,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_errors_propagate() {
-        let (c, i, t) = fixture();
-        assert!(matches!(
-            evaluate_str(&c, &i, &t, "book"),
-            Err(EvalError::Parse(_))
-        ));
-    }
-
-    #[test]
     fn evaluator_reuse_matches_fresh_evaluation() {
         // One evaluator across many queries (the serving pattern) gives
         // the same answers as fresh state per query.
@@ -1256,8 +1163,18 @@ mod tests {
         for _ in 0..3 {
             for query in ["/library//author", "//book//author", "//box//*", "//book"] {
                 let expr = parse_path(query).unwrap();
-                let reused = ev.evaluate(&c, &i, &t, &expr, &EvalOptions::default());
-                let fresh = Evaluator::new().evaluate(&c, &i, &t, &expr, &EvalOptions::default());
+                let reused = ev.run(
+                    corpus(&c, &i, &t, None),
+                    &expr,
+                    &EvalOptions::default(),
+                    None,
+                );
+                let fresh = Evaluator::new().run(
+                    corpus(&c, &i, &t, None),
+                    &expr,
+                    &EvalOptions::default(),
+                    None,
+                );
                 assert_eq!(reused, fresh, "{query}");
             }
         }
@@ -1271,7 +1188,7 @@ mod tests {
             probe_budget: 0,
             ..EvalOptions::default()
         };
-        let (result, report) = evaluate_explained(&c, &i, &t, &expr, &options);
+        let (result, report) = explain(&c, &i, &t, &expr, &options, None);
         assert_eq!(result, evaluate_with(&c, &i, &t, &expr, &options));
         assert_eq!(report.steps.len(), 2);
         assert!(report.steps[0].plan.is_none(), "seed has no plan");
@@ -1297,7 +1214,7 @@ mod tests {
     fn explain_reports_the_row_a_child_step_scans() {
         let (c, i, t) = fixture();
         let expr = parse_path("/library/shelf/book").unwrap();
-        let (result, report) = evaluate_explained(&c, &i, &t, &expr, &EvalOptions::default());
+        let (result, report) = explain(&c, &i, &t, &expr, &EvalOptions::default(), None);
         assert_eq!(result.len(), 2);
         // Two of the three books hang under the one shelf.
         let step = &report.steps[2];
@@ -1339,17 +1256,17 @@ mod tests {
     fn content_predicates_filter_matches() {
         let (c, i, t, text) = text_fixture();
         let expr = parse_path("//library//title[contains(., \"indexing\")]").unwrap();
-        let r = evaluate_with_text(&c, &i, &t, &expr, &EvalOptions::default(), Some(&text));
+        let r = eval_text(&c, &i, &t, &expr, &EvalOptions::default(), Some(&text));
         // Both indexing titles are reachable from library (annex via link);
         // the cooking title is filtered out.
         assert_eq!(r.len(), 2, "{:?}", names(&c, &r));
         // Conjunction: both terms must occur in the same element.
         let expr = parse_path("//title[contains(., \"hop indexing\")]").unwrap();
-        let r = evaluate_with_text(&c, &i, &t, &expr, &EvalOptions::default(), Some(&text));
+        let r = eval_text(&c, &i, &t, &expr, &EvalOptions::default(), Some(&text));
         assert_eq!(r.len(), 1);
         // Disjunction: either term qualifies.
         let expr = parse_path("//title[about(., \"cooking hop\")]").unwrap();
-        let r = evaluate_with_text(&c, &i, &t, &expr, &EvalOptions::default(), Some(&text));
+        let r = eval_text(&c, &i, &t, &expr, &EvalOptions::default(), Some(&text));
         assert_eq!(r.len(), 2);
     }
 
@@ -1357,11 +1274,11 @@ mod tests {
     fn content_predicate_without_text_index_matches_nothing() {
         let (c, i, t, _) = text_fixture();
         let expr = parse_path("//title[contains(., \"indexing\")]").unwrap();
-        assert!(evaluate_with_text(&c, &i, &t, &expr, &EvalOptions::default(), None).is_empty());
+        assert!(eval_text(&c, &i, &t, &expr, &EvalOptions::default(), None).is_empty());
         // Structure-only expressions are unaffected by the missing index.
         let expr = parse_path("//library//title").unwrap();
-        let r = evaluate_with_text(&c, &i, &t, &expr, &EvalOptions::default(), None);
-        assert_eq!(r, evaluate(&c, &i, &t, &expr));
+        let r = eval_text(&c, &i, &t, &expr, &EvalOptions::default(), None);
+        assert_eq!(r, evaluate_with(&c, &i, &t, &expr, &EvalOptions::default()));
     }
 
     #[test]
@@ -1376,9 +1293,8 @@ mod tests {
             "//title[contains(., \"absent-term\")]",
         ] {
             let expr = parse_path(query).unwrap();
-            let mutable =
-                evaluate_with_text(&c, &i, &t, &expr, &EvalOptions::default(), Some(&text));
-            let frozen = evaluate_with_text(
+            let mutable = eval_text(&c, &i, &t, &expr, &EvalOptions::default(), Some(&text));
+            let frozen = eval_text(
                 &c,
                 &i,
                 &t,
@@ -1388,8 +1304,7 @@ mod tests {
             );
             assert_eq!(mutable, frozen, "mutable vs frozen text on {query}");
             for strategy in Strategy::ALL {
-                let forced_r =
-                    evaluate_with_text(&c, &i, &t, &expr, &forced(strategy), Some(&text));
+                let forced_r = eval_text(&c, &i, &t, &expr, &forced(strategy), Some(&text));
                 assert_eq!(forced_r, mutable, "{strategy} on {query}");
             }
         }
@@ -1399,16 +1314,14 @@ mod tests {
     fn explain_records_content_placement() {
         let (c, i, t, text) = text_fixture();
         let expr = parse_path("//library//title[contains(., \"indexing\")]").unwrap();
-        let (r, report) =
-            evaluate_explained_with_text(&c, &i, &t, &expr, &EvalOptions::default(), Some(&text));
+        let (r, report) = explain(&c, &i, &t, &expr, &EvalOptions::default(), Some(&text));
         assert_eq!(r.len(), 2);
         assert!(report.steps[1].content.is_some());
         let rendered = report.render(&expr);
         assert!(rendered.contains("content="), "{rendered}");
         // Seed-step predicates are recorded too.
         let expr = parse_path("//title[about(., \"cooking\")]").unwrap();
-        let (_, report) =
-            evaluate_explained_with_text(&c, &i, &t, &expr, &EvalOptions::default(), Some(&text));
+        let (_, report) = explain(&c, &i, &t, &expr, &EvalOptions::default(), Some(&text));
         assert_eq!(
             report.steps[0].content,
             Some(crate::plan::ContentPlacement::PostFilter)
@@ -1420,12 +1333,22 @@ mod tests {
         let (c, i, t) = fixture();
         let expr = parse_path("//library//book//author").unwrap();
         let mut ev = Evaluator::new();
-        ev.evaluate(&c, &i, &t, &expr, &forced(Strategy::ForwardHopJoin));
+        ev.run(
+            corpus(&c, &i, &t, None),
+            &expr,
+            &forced(Strategy::ForwardHopJoin),
+            None,
+        );
         let counts = ev.strategy_counts();
         assert_eq!(counts.forward_hop_join, 2);
         assert_eq!(counts.total(), 2);
         // The tally resets per run.
-        ev.evaluate(&c, &i, &t, &expr, &forced(Strategy::BackwardHopJoin));
+        ev.run(
+            corpus(&c, &i, &t, None),
+            &expr,
+            &forced(Strategy::BackwardHopJoin),
+            None,
+        );
         assert_eq!(ev.strategy_counts().forward_hop_join, 0);
         assert_eq!(ev.strategy_counts().backward_hop_join, 2);
     }

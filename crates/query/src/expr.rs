@@ -304,6 +304,7 @@ mod tests {
     fn rejects_malformed() {
         assert!(parse_path("").is_err());
         assert!(parse_path("a/b").is_err());
+        assert!(parse_path("book").is_err());
         assert!(parse_path("/").is_err());
         assert!(parse_path("//").is_err());
         assert!(parse_path("/a/ /b").is_err());

@@ -23,11 +23,17 @@
 //!   the serving layer exposes.
 //! * [`witness`] — EXPLAIN-style witness-path reconstruction for index
 //!   answers (and an index-vs-BFS cross-check).
-//! * [`ranking`] — distance-ranked evaluation against a
-//!   [`hopi_core::DistanceCover`], scoring results XXL-style by link
+//! * [`ranking`] — distance-ranked evaluation against any
+//!   [`DistanceSource`] (the mutable distance cover, or the frozen cover
+//!   with its per-entry distances), scoring results XXL-style by link
 //!   distance (paper §5.1: "a path where an author element is found far
 //!   away from a book element should be ranked lower"), fused with BM25
 //!   text scores from the final step's content predicate.
+//!
+//! Both evaluations read a [`Corpus`] — collection, connection index, tag
+//! index, optional term index — through one entry each:
+//! [`Evaluator::run`] (with an optional EXPLAIN report; [`evaluate_with`]
+//! runs it on this thread's evaluator without text) and [`rank`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,15 +45,12 @@ pub mod ranking;
 pub mod tag_index;
 pub mod witness;
 
-pub use eval::{
-    evaluate, evaluate_explained, evaluate_explained_with_text, evaluate_with, evaluate_with_text,
-    with_thread_evaluator, EvalError, EvalOptions, Evaluator,
-};
+pub use eval::{evaluate_with, with_thread_evaluator, Corpus, EvalOptions, Evaluator};
 pub use expr::{parse_path, Axis, ContentOp, ContentPredicate, ParseError, PathExpr, Step};
 pub use plan::{
     plan_content_predicate, ContentPlacement, PlanCounters, PlanCounts, QueryPlanReport, StepPlan,
     StepReport, Strategy,
 };
-pub use ranking::{evaluate_ranked, evaluate_ranked_with_text, RankedMatch};
+pub use ranking::{rank, DistanceSource, RankedMatch};
 pub use tag_index::TagIndex;
 pub use witness::{verify_connection, witness_path, WitnessPath};

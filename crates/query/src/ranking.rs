@@ -5,7 +5,7 @@
 //! elements. For example, a path where an author element is found far away
 //! from a book element should be ranked lower than an author that is a
 //! child or grandchild of a book." This module evaluates a path expression
-//! against a distance-aware cover, tracking for every result the minimal
+//! against any [`DistanceSource`], tracking for every result the minimal
 //! total link distance along the step chain, and scores matches
 //! XXL-style with a decaying `1 / (1 + distance)`.
 //!
@@ -15,12 +15,11 @@
 //! score so that `//book//sec[about(., "xml indexing")]` ranks sections
 //! by both structural proximity and term relevance.
 
-use crate::eval::{candidates, roots, tree_children};
+use crate::eval::{candidates, roots, tree_children, Corpus};
 use crate::expr::{Axis, ContentPredicate, PathExpr};
-use crate::tag_index::TagIndex;
-use hopi_core::DistanceCover;
+use hopi_core::{DistanceCover, FrozenCover};
 use hopi_text::{Bm25Scorer, TextSource};
-use hopi_xml::{Collection, ElemId};
+use hopi_xml::ElemId;
 use rustc_hash::FxHashMap;
 
 /// A ranked match: an element plus the minimal accumulated distance of a
@@ -46,30 +45,41 @@ impl RankedMatch {
     }
 }
 
-/// Evaluates `expr` with distance tracking and no text index. Content
-/// predicates match nothing (see [`evaluate_ranked_with_text`]). Results
-/// are sorted by descending fused score (ties by element id).
-pub fn evaluate_ranked(
-    collection: &Collection,
-    cover: &DistanceCover,
-    tags: &TagIndex,
-    expr: &PathExpr,
-) -> Vec<RankedMatch> {
-    evaluate_ranked_with_text(collection, cover, tags, expr, None)
+/// Anything that answers shortest link distances — paper §5.1's
+/// `MIN(LOUT.DIST + LIN.DIST)` over distance-annotated 2-hop labels: the
+/// mutable [`DistanceCover`] and a frozen cover carrying the annotations
+/// ([`FrozenCover::with_dist`]; without them a frozen cover reports
+/// `None` for every `u != v`).
+pub trait DistanceSource {
+    /// Shortest link distance `u →* v` (`Some(0)` for `u == v`), `None`
+    /// when `v` is unreachable from `u`.
+    fn distance(&self, u: ElemId, v: ElemId) -> Option<u32>;
+}
+
+impl DistanceSource for DistanceCover {
+    fn distance(&self, u: ElemId, v: ElemId) -> Option<u32> {
+        DistanceCover::distance(self, u, v)
+    }
+}
+
+impl DistanceSource for FrozenCover {
+    fn distance(&self, u: ElemId, v: ElemId) -> Option<u32> {
+        FrozenCover::distance(self, u, v)
+    }
 }
 
 /// Evaluates `expr` with distance tracking and content-score fusion.
 /// Intermediate-step predicates filter bindings; the final step's
 /// predicate both filters and supplies each match's BM25 `text_score`.
-/// Without a text index, steps carrying predicates match nothing.
+/// Without a term index, steps carrying predicates match nothing.
 /// Results are sorted by descending fused score (ties by element id).
-pub fn evaluate_ranked_with_text(
-    collection: &Collection,
-    cover: &DistanceCover,
-    tags: &TagIndex,
-    expr: &PathExpr,
-    text: Option<&dyn TextSource>,
-) -> Vec<RankedMatch> {
+pub fn rank<D: DistanceSource>(corpus: Corpus<'_, D>, expr: &PathExpr) -> Vec<RankedMatch> {
+    let Corpus {
+        collection,
+        index: cover,
+        tags,
+        text,
+    } = corpus;
     // dist[e] = minimal accumulated distance of a binding ending at e.
     let mut dist: FxHashMap<ElemId, u32> = FxHashMap::default();
     let Some(first) = expr.steps.first() else {
@@ -182,9 +192,27 @@ fn relax(map: &mut FxHashMap<ElemId, u32>, e: ElemId, d: u32) {
 mod tests {
     use super::*;
     use crate::expr::parse_path;
+    use crate::tag_index::TagIndex;
     use hopi_core::DistanceCoverBuilder;
     use hopi_graph::DistanceClosure;
     use hopi_xml::parser::parse_collection;
+    use hopi_xml::Collection;
+
+    fn ranked<D: DistanceSource>(
+        c: &Collection,
+        cover: &D,
+        tags: &TagIndex,
+        expr: &PathExpr,
+        text: Option<&dyn TextSource>,
+    ) -> Vec<RankedMatch> {
+        let corpus = Corpus {
+            collection: c,
+            index: cover,
+            tags,
+            text,
+        };
+        rank(corpus, expr)
+    }
 
     fn fixture() -> (Collection, DistanceCover, TagIndex) {
         let c = parse_collection([
@@ -212,7 +240,7 @@ mod tests {
     fn ranks_close_matches_first() {
         let (c, cover, tags) = fixture();
         let expr = parse_path("//book//author").unwrap();
-        let r = evaluate_ranked(&c, &cover, &tags, &expr);
+        let r = ranked(&c, &cover, &tags, &expr, None);
         assert_eq!(r.len(), 2);
         let close = c.resolve_ref("near", "close").unwrap();
         let distant = c.resolve_ref("elsewhere", "distant").unwrap();
@@ -222,13 +250,16 @@ mod tests {
         // book → refs → link → page → sec → sub → author = 6 edges.
         assert_eq!(r[1].distance, 6);
         assert!(r[0].score() > r[1].score());
+        // The frozen form of the same cover ranks identically.
+        let frozen = FrozenCover::from_distance_cover(&cover);
+        assert_eq!(ranked(&c, &frozen, &tags, &expr, None), r);
     }
 
     #[test]
     fn child_steps_add_one() {
         let (c, cover, tags) = fixture();
         let expr = parse_path("/book/chapter/author").unwrap();
-        let r = evaluate_ranked(&c, &cover, &tags, &expr);
+        let r = ranked(&c, &cover, &tags, &expr, None);
         assert_eq!(r.len(), 1);
         assert_eq!(r[0].distance, 2);
     }
@@ -237,7 +268,7 @@ mod tests {
     fn distances_accumulate_over_steps() {
         let (c, cover, tags) = fixture();
         let expr = parse_path("//book//link//author").unwrap();
-        let r = evaluate_ranked(&c, &cover, &tags, &expr);
+        let r = ranked(&c, &cover, &tags, &expr, None);
         assert_eq!(r.len(), 1);
         // book →2 link, link →4 author = 6.
         assert_eq!(r[0].distance, 6);
@@ -247,7 +278,7 @@ mod tests {
     fn empty_result_for_unmatched() {
         let (c, cover, tags) = fixture();
         let expr = parse_path("//author//book").unwrap();
-        let r = evaluate_ranked(&c, &cover, &tags, &expr);
+        let r = ranked(&c, &cover, &tags, &expr, None);
         assert!(r.is_empty());
     }
 
@@ -288,13 +319,13 @@ mod tests {
         let (c, cover, tags) = fixture();
         let (index, _) = build_index(&c, &BuildConfig::default());
         let expr = parse_path("//book//author").unwrap();
-        let ranked: Vec<ElemId> = evaluate_ranked(&c, &cover, &tags, &expr)
+        let ranked: Vec<ElemId> = ranked(&c, &cover, &tags, &expr, None)
             .into_iter()
             .map(|m| m.element)
             .collect();
         let mut ranked_sorted = ranked.clone();
         ranked_sorted.sort_unstable();
-        let boolean = crate::eval::evaluate(&c, &index, &tags, &expr);
+        let boolean = crate::eval::evaluate_with(&c, &index, &tags, &expr, &Default::default());
         assert_eq!(ranked_sorted, boolean);
     }
 
@@ -303,16 +334,16 @@ mod tests {
         let (c, cover, tags) = fixture();
         let text = hopi_text::TextIndex::build(&c);
         let expr = parse_path("//book//author[contains(., \"xml\")]").unwrap();
-        let r = evaluate_ranked_with_text(&c, &cover, &tags, &expr, Some(&text));
+        let r = ranked(&c, &cover, &tags, &expr, Some(&text));
         assert_eq!(r.len(), 2);
         assert!(r.iter().all(|m| m.text_score > 0.0));
         // "indexing" appears only in the close author's text.
         let expr = parse_path("//book//author[contains(., \"indexing\")]").unwrap();
-        let r = evaluate_ranked_with_text(&c, &cover, &tags, &expr, Some(&text));
+        let r = ranked(&c, &cover, &tags, &expr, Some(&text));
         assert_eq!(r.len(), 1);
         assert_eq!(r[0].element, c.resolve_ref("near", "close").unwrap());
         // Predicate but no text index: nothing qualifies.
-        let r = evaluate_ranked_with_text(&c, &cover, &tags, &expr, None);
+        let r = ranked(&c, &cover, &tags, &expr, None);
         assert!(r.is_empty());
     }
 
@@ -323,16 +354,16 @@ mod tests {
         // Restrict the middle binding to the close author's subtree path.
         let expr = parse_path("//chapter[about(., \"expert\")]//author").unwrap();
         // chapter has no direct text — the text sits on author — so no match.
-        let r = evaluate_ranked_with_text(&c, &cover, &tags, &expr, Some(&text));
+        let r = ranked(&c, &cover, &tags, &expr, Some(&text));
         assert!(r.is_empty());
         // But a predicate naming the author's own text on the author step works,
         // and an intermediate structure-only step leaves text_score at 0 when the
         // final step carries no predicate.
         let expr = parse_path("//author[about(., \"novelist\")]//author").unwrap();
-        let r = evaluate_ranked_with_text(&c, &cover, &tags, &expr, Some(&text));
+        let r = ranked(&c, &cover, &tags, &expr, Some(&text));
         assert!(r.is_empty()); // authors are leaves; sanity only.
         let expr = parse_path("//book//author").unwrap();
-        let r = evaluate_ranked_with_text(&c, &cover, &tags, &expr, Some(&text));
+        let r = ranked(&c, &cover, &tags, &expr, Some(&text));
         assert!(r.iter().all(|m| m.text_score == 0.0));
     }
 
@@ -341,7 +372,7 @@ mod tests {
         let (c, cover, tags) = fixture();
         let text = hopi_text::TextIndex::build(&c);
         let expr = parse_path("//book//author[about(., \"xml indexing expert\")]").unwrap();
-        let r = evaluate_ranked_with_text(&c, &cover, &tags, &expr, Some(&text));
+        let r = ranked(&c, &cover, &tags, &expr, Some(&text));
         assert_eq!(r.len(), 2);
         // The close author matches all three terms AND is structurally
         // nearer — it must rank first with a strictly higher fused score.

@@ -7,7 +7,7 @@
 //! of the documents.
 
 use hopi_partition::{build_index, BuildConfig};
-use hopi_query::{evaluate, parse_path, TagIndex};
+use hopi_query::{evaluate_with, parse_path, TagIndex};
 use hopi_text::{FrozenTextIndex, TextIndex, TextSource};
 use hopi_xml::{Collection, ElemId, XmlDocument};
 use proptest::prelude::*;
@@ -67,12 +67,8 @@ fn child_oracle(c: &Collection, rooted: bool, parent_tag: &str, tag: &str) -> Ve
 fn assert_child_steps_match_oracle(c: &Collection, tags: &TagIndex) -> Result<(), TestCaseError> {
     let (index, _) = build_index(c, &BuildConfig::default());
     for (expr, rooted, parent_tag, tag) in CHILD_EXPRESSIONS {
-        let got = evaluate(
-            c,
-            &index,
-            tags,
-            &parse_path(expr).expect("valid expression"),
-        );
+        let parsed = parse_path(expr).expect("valid expression");
+        let got = evaluate_with(c, &index, tags, &parsed, &Default::default());
         prop_assert_eq!(got, child_oracle(c, rooted, parent_tag, tag), "{}", expr);
     }
     Ok(())

@@ -4,15 +4,14 @@
 //! element text), and the ranked evaluator must agree on membership with
 //! correct minimal distances.
 
-use hopi_core::{DistanceCoverBuilder, FrozenCover};
+use hopi_core::{DistanceCoverBuilder, FrozenCover, LabelSource};
 use hopi_graph::{traversal, DistanceClosure};
 use hopi_partition::{build_index, BuildConfig};
 use hopi_query::{
-    evaluate, evaluate_ranked, evaluate_ranked_with_text, evaluate_with, evaluate_with_text,
-    parse_path, Axis, ContentOp, ContentPredicate, EvalOptions, PathExpr, Step,
-    Strategy as PlanStrategy, TagIndex,
+    evaluate_with, parse_path, rank, Axis, ContentOp, ContentPredicate, Corpus, DistanceSource,
+    EvalOptions, Evaluator, PathExpr, RankedMatch, Step, Strategy as PlanStrategy, TagIndex,
 };
-use hopi_text::{FrozenTextIndex, TextIndex};
+use hopi_text::{FrozenTextIndex, TextIndex, TextSource};
 use hopi_xml::{Collection, ElemId, XmlDocument};
 use proptest::prelude::*;
 use rustc_hash::FxHashSet;
@@ -199,6 +198,41 @@ fn content_expressions() -> Vec<PathExpr> {
     .collect()
 }
 
+/// Boolean evaluation resolving content predicates against `text`.
+fn eval_text<S: LabelSource>(
+    c: &Collection,
+    index: &S,
+    tags: &TagIndex,
+    expr: &PathExpr,
+    options: &EvalOptions,
+    text: &dyn TextSource,
+) -> Vec<ElemId> {
+    let corpus = Corpus {
+        collection: c,
+        index,
+        tags,
+        text: Some(text),
+    };
+    Evaluator::new().run(corpus, expr, options, None)
+}
+
+/// Ranked evaluation over any distance source.
+fn ranked<D: DistanceSource>(
+    c: &Collection,
+    distances: &D,
+    tags: &TagIndex,
+    expr: &PathExpr,
+    text: Option<&dyn TextSource>,
+) -> Vec<RankedMatch> {
+    let corpus = Corpus {
+        collection: c,
+        index: distances,
+        tags,
+        text,
+    };
+    rank(corpus, expr)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -208,7 +242,7 @@ proptest! {
         let (index, _) = build_index(&c, &BuildConfig::default());
         let tags = TagIndex::build(&c);
         for expr in expressions() {
-            let got = evaluate(&c, &index, &tags, &expr);
+            let got = evaluate_with(&c, &index, &tags, &expr, &EvalOptions::default());
             let expect = oracle(&c, &expr);
             prop_assert_eq!(got, expect, "expr {}", expr);
         }
@@ -246,8 +280,8 @@ proptest! {
         let cover = DistanceCoverBuilder::new(&dc).build();
         let tags = TagIndex::build(&c);
         for expr in expressions() {
-            let boolean = evaluate(&c, &index, &tags, &expr);
-            let mut ranked: Vec<ElemId> = evaluate_ranked(&c, &cover, &tags, &expr)
+            let boolean = evaluate_with(&c, &index, &tags, &expr, &EvalOptions::default());
+            let mut ranked: Vec<ElemId> = ranked(&c, &cover, &tags, &expr, None)
                 .into_iter()
                 .map(|m| m.element)
                 .collect();
@@ -269,22 +303,20 @@ proptest! {
         let frozen_text = FrozenTextIndex::from_index(&text);
         let dc = DistanceClosure::from_graph(&c.element_graph());
         let distance_cover = DistanceCoverBuilder::new(&dc).build();
+        let frozen_distance = FrozenCover::from_distance_cover(&distance_cover);
         let options = EvalOptions::default();
         for expr in content_expressions() {
             let expect = oracle(&c, &expr);
-            let mutable = evaluate_with_text(&c, &index, &tags, &expr, &options, Some(&text));
+            let mutable = eval_text(&c, &index, &tags, &expr, &options, &text);
             prop_assert_eq!(&mutable, &expect, "expr {} mutable", expr);
-            let frozen = evaluate_with_text(
-                &c, &frozen_cover, &tags, &expr, &options, Some(&frozen_text),
-            );
+            let frozen = eval_text(&c, &frozen_cover, &tags, &expr, &options, &frozen_text);
             prop_assert_eq!(&frozen, &expect, "expr {} frozen", expr);
-            let mut ranked: Vec<ElemId> =
-                evaluate_ranked_with_text(&c, &distance_cover, &tags, &expr, Some(&text))
-                    .into_iter()
-                    .map(|m| m.element)
-                    .collect();
-            ranked.sort_unstable();
-            prop_assert_eq!(&ranked, &expect, "expr {} ranked", expr);
+            let live = ranked(&c, &distance_cover, &tags, &expr, Some(&text));
+            let mut members: Vec<ElemId> = live.iter().map(|m| m.element).collect();
+            members.sort_unstable();
+            prop_assert_eq!(&members, &expect, "expr {} ranked", expr);
+            let frozen_ranked = ranked(&c, &frozen_distance, &tags, &expr, Some(&frozen_text));
+            prop_assert_eq!(&frozen_ranked, &live, "expr {} ranked frozen", expr);
         }
     }
 
@@ -297,7 +329,7 @@ proptest! {
         let cover = DistanceCoverBuilder::new(&dc).build();
         let tags = TagIndex::build(&c);
         let expr = parse_path("//a//b").unwrap();
-        let ranked = evaluate_ranked(&c, &cover, &tags, &expr);
+        let ranked = ranked(&c, &cover, &tags, &expr, None);
         let g = c.element_graph();
         for m in ranked {
             let expect = tags

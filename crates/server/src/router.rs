@@ -11,8 +11,9 @@ use crate::http::{Method, Request, Response};
 use crate::json::{self, Json, JsonWriter};
 use crate::metrics::Endpoint;
 use crate::slow::SlowLog;
-use hopi_build::{HopiError, OnlineHopi};
+use hopi_build::{HopiError, HopiSnapshot, OnlineHopi};
 use hopi_obs::Trace;
+use hopi_xml::ElemId;
 use std::time::Instant;
 
 /// Cap on `POST /connected_many` batch size (per request).
@@ -342,12 +343,24 @@ fn debug_slow(state: &AppState) -> Response {
     Response::json(w.finish())
 }
 
+/// The 404 for the first of `ids` that names no live element: past the
+/// collection, or deleted with its document.
+fn live(snap: &HopiSnapshot, ids: &[ElemId]) -> Result<(), Response> {
+    match ids.iter().find(|&&e| snap.collection().doc_of(e).is_none()) {
+        Some(&e) => Err(engine_error(&HopiError::UnknownElement(e))),
+        None => Ok(()),
+    }
+}
+
 fn connected(state: &AppState, req: &Request) -> Response {
     let (u, v) = match (req.param_u32("u"), req.param_u32("v")) {
         (Ok(u), Ok(v)) => (u, v),
         (Err(e), _) | (_, Err(e)) => return Response::error(400, &e),
     };
     let snap = state.engine.snapshot();
+    if let Err(resp) = live(&snap, &[u, v]) {
+        return resp;
+    }
     let mut w = JsonWriter::new();
     w.obj();
     w.field_bool("connected", snap.connected(u, v));
@@ -413,6 +426,9 @@ fn distance(state: &AppState, req: &Request) -> Response {
         (Err(e), _) | (_, Err(e)) => return Response::error(400, &e),
     };
     let snap = state.engine.snapshot();
+    if let Err(resp) = live(&snap, &[u, v]) {
+        return resp;
+    }
     match snap.distance(u, v) {
         Ok(d) => {
             let mut w = JsonWriter::new();
@@ -432,8 +448,8 @@ fn neighborhood(state: &AppState, req: &Request, ancestors: bool) -> Response {
         Err(e) => return Response::error(400, &e),
     };
     let snap = state.engine.snapshot();
-    if snap.collection().doc_of(u).is_none() {
-        return engine_error(&HopiError::UnknownElement(u));
+    if let Err(resp) = live(&snap, &[u]) {
+        return resp;
     }
     let elements = if ancestors {
         snap.ancestors(u)

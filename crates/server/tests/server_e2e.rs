@@ -184,6 +184,24 @@ fn read_endpoints_answer_from_one_snapshot() {
     );
     assert!(metrics.body.contains("hopi_text_postings_bytes "));
 
+    // Ids naming no live element answer 404, as on /descendants: one past
+    // the collection, one deleted with its document.
+    for (method, path, body) in [
+        ("POST", "/documents?name=gone", "<r/>"),
+        ("DELETE", "/documents/2", ""),
+    ] {
+        let resp = c.request(method, path, body).unwrap();
+        assert_eq!(resp.status, 200, "{method} {path}: {}", resp.body);
+    }
+    for path in [
+        "/distance?u=99&v=99",
+        "/distance?u=4&v=4",
+        "/distance?u=0&v=99",
+    ] {
+        let resp = c.get(path).unwrap();
+        assert_eq!(resp.status, 404, "{path}: {}", resp.body);
+    }
+
     handle.shutdown();
 }
 
@@ -380,6 +398,9 @@ fn malformed_requests_get_4xx_not_hangs() {
         ("GET", "/ancestors?u=99", "", 404),
         ("GET", "/descendants?u=4", "", 404), // deleted with its document
         ("GET", "/ancestors?u=4", "", 404),
+        ("GET", "/connected?u=99&v=99", "", 404),
+        ("GET", "/connected?u=4&v=4", "", 404),
+        ("GET", "/connected?u=0&v=99", "", 404),
         ("PATCH", "/connected", "", 405),
         ("POST", "/healthz", "", 405),
         ("GET", "/connected?u=0", "", 400),        // missing v

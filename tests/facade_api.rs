@@ -237,11 +237,14 @@ fn online_engine_full_lifecycle() {
         )
     });
     assert!(online.connected(survey, thm));
-    assert_eq!(online.query("//article//thm").unwrap(), vec![thm]);
+    assert_eq!(
+        online.snapshot().query("//article//thm").unwrap(),
+        vec![thm]
+    );
 
     // Typed errors cross the concurrent boundary too.
     assert!(matches!(
-        online.query("not a path"),
+        online.snapshot().query("not a path"),
         Err(HopiError::Path(_))
     ));
     assert!(matches!(
@@ -249,7 +252,7 @@ fn online_engine_full_lifecycle() {
         Err(HopiError::UnknownDocument(99))
     ));
     assert!(matches!(
-        online.distance(0, 1),
+        online.snapshot().distance(0, 1),
         Err(HopiError::DistanceDisabled)
     ));
 

@@ -2,10 +2,11 @@
 //! configurations, arbitrary update sequences — the engine must always
 //! agree with the closure oracle.
 
+use hopi::build::Reads;
 use hopi::graph::TransitiveClosure;
 use hopi::prelude::*;
-use hopi::query::TagIndex;
-use hopi_text::{FrozenTextIndex, TextIndex};
+use hopi::query::{DistanceSource, TagIndex};
+use hopi_text::{FrozenTextIndex, TextIndex, TextSource};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -168,6 +169,51 @@ fn published_equals_model(lineage: &Lineage) -> Result<(), TestCaseError> {
         prop_assert_eq!(snap.text().as_ref(), &text);
         Ok(())
     })
+}
+
+/// Every read of the one read path over all ids of a collection: probes
+/// one at a time and batched, distances, enumerations, path queries with
+/// their EXPLAIN rows, and a ranked query as `(element, distance,
+/// text_score)`.
+#[derive(Debug, PartialEq)]
+struct EveryRead {
+    connected: Vec<bool>,
+    connected_many: Vec<bool>,
+    distance: Vec<Option<u32>>,
+    descendants: Vec<Vec<ElemId>>,
+    ancestors: Vec<Vec<ElemId>>,
+    query: Vec<Vec<ElemId>>,
+    explained: Vec<Vec<ElemId>>,
+    ranked: Vec<(ElemId, u32, f64)>,
+}
+
+fn every_read<C: LabelSource, D: DistanceSource, T: TextSource>(r: &Reads<C, D, T>) -> EveryRead {
+    let n = r.collection().elem_id_bound() as ElemId;
+    let pairs: Vec<(ElemId, ElemId)> = (0..n).flat_map(|u| (0..n).map(move |v| (u, v))).collect();
+    let mut connected_many = Vec::new();
+    r.connected_many(&pairs, &mut connected_many);
+    let exprs = ["//r//e", "//e//e", "/r/e", "//r//e[contains(., \"hop\")]"];
+    EveryRead {
+        connected: pairs.iter().map(|&(u, v)| r.connected(u, v)).collect(),
+        connected_many,
+        distance: pairs
+            .iter()
+            .map(|&(u, v)| r.distance(u, v).unwrap())
+            .collect(),
+        descendants: (0..n).map(|u| r.descendants(u)).collect(),
+        ancestors: (0..n).map(|u| r.ancestors(u)).collect(),
+        query: exprs.iter().map(|e| r.query(e).unwrap()).collect(),
+        explained: exprs
+            .iter()
+            .map(|e| r.query_explained(e).unwrap().0)
+            .collect(),
+        ranked: r
+            .query_ranked("//r//e[about(., \"xml hop\")]")
+            .unwrap()
+            .iter()
+            .map(|m| (m.element, m.distance, m.text_score))
+            .collect(),
+    }
 }
 
 /// Element `raw` (modulo its length) of the `pick`-th live document.
@@ -454,16 +500,28 @@ proptest! {
     }
 
     #[test]
-    fn snapshot_agrees_with_engine_queries(plan in arb_plan()) {
-        let hopi = Hopi::build(realize(&plan)).unwrap();
-        let snap = hopi.snapshot();
-        let n = hopi.collection().elem_id_bound() as u32;
-        for u in 0..n {
-            prop_assert_eq!(snap.descendants(u), hopi.descendants(u));
-        }
-        for expr in ["//r//e", "//e//e", "/r/e"] {
-            prop_assert_eq!(snap.query(expr).unwrap(), hopi.query(expr).unwrap(), "{}", expr);
-        }
+    fn snapshot_agrees_with_engine_queries(
+        plan in arb_plan(),
+        pick in 0usize..100,
+        raw in 0u32..8,
+        gone in 0usize..100,
+    ) {
+        // A distance-aware engine after a §6.1 link insert and a §6.2
+        // document delete: the engine, its snapshot and an online engine's
+        // published snapshot answer every read alike — the snapshots'
+        // distances and ranked reads from the frozen distance cover.
+        let mut hopi = Hopi::builder()
+            .distance_aware(true)
+            .build(realize_with_text(&plan))
+            .unwrap();
+        let (_, from) = pick_element(hopi.collection(), pick, raw);
+        let (_, to) = pick_element(hopi.collection(), pick + 1, raw + 1);
+        hopi.insert_link(from, to).unwrap();
+        let docs: Vec<DocId> = hopi.collection().doc_ids().collect();
+        hopi.delete_document(docs[gone % docs.len()]).unwrap();
+        let engine = every_read(&hopi);
+        prop_assert_eq!(&every_read(&hopi.snapshot()), &engine);
+        prop_assert_eq!(&every_read(&OnlineHopi::new(hopi.clone()).snapshot()), &engine);
     }
 
     #[test]
