@@ -21,12 +21,12 @@ use hopi_obs::Stopwatch;
 use hopi_partition::{build_index, BuildConfig, BuildReport, JoinAlgorithm, PartitionerChoice};
 use hopi_query::{EvalOptions, PlanCounters, TagIndex};
 use hopi_store::{load_index, save_frozen, CoverBaseline, StdVfs, WalRecord};
-use hopi_text::{FrozenTextIndex, TextIndex, TextSource, TextStats};
+use hopi_text::{TextIndex, TextStats};
 use hopi_xml::parser::{parse_collection, parse_document};
 use hopi_xml::{Collection, DocId, ElemId, XmlDocument};
 use std::ops::Deref;
 use std::path::Path;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Tunables of the facade's query methods.
 #[derive(Clone, Copy, Debug)]
@@ -244,7 +244,6 @@ impl HopiBuilder {
         };
         Hopi {
             reads,
-            frozen_text: OnceLock::new(),
             config: self.config,
             report,
             maintenance,
@@ -295,10 +294,7 @@ pub struct Hopi {
     /// The collection with its live cover, distance cover (when
     /// distance-aware), tag and term indexes, kept in lockstep by the §6
     /// maintenance methods.
-    reads: Reads<HopiIndex, DistanceCover, TextIndex>,
-    /// The frozen form of the term index: built by the first capture that
-    /// needs it, shared by every snapshot until a mutation changes text.
-    frozen_text: OnceLock<Arc<FrozenTextIndex>>,
+    reads: Reads<HopiIndex, DistanceCover>,
     config: BuildConfig,
     report: BuildReport,
     /// Drift baseline of the last build, and what §6 maintenance has done
@@ -310,9 +306,9 @@ pub struct Hopi {
 }
 
 /// The reads — `connected`, `query`, `query_ranked`, … — answered from the
-/// live cover, the live distance cover and the live term index.
+/// live cover and the live distance cover.
 impl Deref for Hopi {
-    type Target = Reads<HopiIndex, DistanceCover, TextIndex>;
+    type Target = Reads<HopiIndex, DistanceCover>;
 
     fn deref(&self) -> &Self::Target {
         &self.reads
@@ -673,15 +669,12 @@ impl Hopi {
             Some((prev, _)) => prev.build.freeze_ms,
             None => sw.elapsed().as_millis() as u64,
         };
-        let text = self
-            .frozen_text
-            .get_or_init(|| Arc::new(FrozenTextIndex::from_index(&self.reads.text)));
         let reads = Reads {
             collection: self.collection().clone(),
             cover: frozen,
             distance: frozen_distance,
             tags: self.reads.tags.clone(),
-            text: text.clone(),
+            text: self.reads.text.clone(),
             options: self.reads.options,
             plan_counters: self.reads.plan_counters.clone(),
         };
@@ -795,7 +788,8 @@ impl Hopi {
     }
 
     /// Adds document `d`, just inserted into the collection, to the tag
-    /// and term indexes. Its ids exceed all indexed ones, so both append.
+    /// and term indexes. Its ids exceed all indexed ones, so both append;
+    /// the term index is replaced by its successor.
     fn index_document(&mut self, d: DocId) {
         let Reads {
             collection,
@@ -809,8 +803,7 @@ impl Hopi {
         let base = collection.global_id(d, 0);
         Arc::make_mut(tags).index_document(base, doc);
         if doc.texts().next().is_some() {
-            Arc::make_mut(text).index_document(base, doc);
-            self.frozen_text.take();
+            *text = Arc::new(text.with_document(base, doc));
         }
     }
 
@@ -830,8 +823,7 @@ impl Hopi {
         let base = collection.global_id(d, 0);
         Arc::make_mut(tags).remove_document(base, doc);
         if doc.texts().next().is_some() {
-            Arc::make_mut(text).remove_document(base, doc);
-            self.frozen_text.take();
+            *text = Arc::new(text.without_document(base, doc));
         }
         Ok(())
     }

@@ -9,13 +9,16 @@
 //!   `insert_document`/`delete_document`/`insert_link`/`delete_link`,
 //!   `rebuild`, `save_frozen`/`open`, `stats`.
 //! * [`HopiSnapshot`] — an immutable serving view ([`Hopi::snapshot`]):
-//!   the cover frozen into flat CSR arrays plus tag index and collection,
-//!   shared via `Arc` with no lock held during query evaluation.
+//!   the cover frozen into flat CSR arrays plus tag index, term index and
+//!   collection, shared via `Arc` with no lock held during query
+//!   evaluation.
 //! * [`Reads`] — the one read path both dereference to: `connected`,
 //!   `distance`, `descendants`, `query`, `query_ranked`, … are each
-//!   written once, generic over the cover, distance cover and term index
-//!   an engine holds live and a snapshot holds frozen (its ranked reads
-//!   run on the distance-annotated frozen cover).
+//!   written once, generic over the cover and distance cover an engine
+//!   holds live and a snapshot holds frozen (its ranked reads run on the
+//!   distance-annotated frozen cover). The tag and term indexes are one
+//!   value each, shared by the engine and its snapshots until a document
+//!   write replaces them.
 //! * [`OnlineHopi`] — the same surface lifted into 24×7 serving (paper
 //!   §1.1): reads run lock-free against the current snapshot
 //!   ([`OnlineHopi::snapshot`]), brief write-locked incremental updates
@@ -90,6 +93,9 @@ pub use hopi_store::{
 // EXPLAIN report types surfaced through [`Hopi::query_explained`],
 // [`SnapshotStats::plan`], and the server's `/stats` + `/metrics`.
 pub use hopi_query::{PlanCounters, PlanCounts, QueryPlanReport, Strategy};
+
+// Term-index sizes, reported by [`Stats::text`] and [`SnapshotStats::text`].
+pub use hopi_text::TextStats;
 
 // ---------------------------------------------------------------------
 // The expert layer, re-exported under its historical paths.
@@ -174,13 +180,13 @@ mod tests {
             .unwrap()
             .is_empty());
 
-        // Snapshot answers identically from the frozen term index.
+        // The snapshot shares the engine's term index and answers alike.
         let snap = hopi.snapshot();
         assert_eq!(snap.query("//r//s[contains(., \"indexing\")]").unwrap(), s);
         let snap_stats = snap.stats();
-        assert!(snap_stats.text_vocabulary >= 5);
-        assert!(snap_stats.text_postings_bytes > 0);
-        assert_eq!(snap_stats.text_indexed_elements, 2);
+        assert!(snap_stats.text.vocabulary >= 5);
+        assert!(snap_stats.text.postings_bytes > 0);
+        assert_eq!(snap_stats.text.indexed_elements, 2);
 
         // Ranked fusion: the matching element carries a text score.
         let ranked = hopi.query_ranked("//r//s[about(., \"xml hopi\")]").unwrap();

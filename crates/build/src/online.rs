@@ -669,7 +669,7 @@ mod tests {
     use hopi_graph::TransitiveClosure;
     use hopi_query::TagIndex;
     use hopi_store::{FaultKind, FaultOpKind, FaultVfs};
-    use hopi_text::{FrozenTextIndex, TextIndex};
+    use hopi_text::TextIndex;
 
     fn fixture() -> Hopi {
         Hopi::builder()
@@ -808,8 +808,7 @@ mod tests {
             let snap = online.snapshot();
             assert_eq!(snap.frozen(), &FrozenCover::from_cover(h.index().cover()));
             assert_eq!(snap.tags(), &TagIndex::build(c));
-            let text = FrozenTextIndex::from_index(&TextIndex::build(c));
-            assert_eq!(snap.text().as_ref(), &text);
+            assert_eq!(snap.text().as_ref(), &TextIndex::build(c));
         });
     }
 

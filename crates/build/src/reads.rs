@@ -3,14 +3,16 @@
 //!
 //! An engine and a snapshot hold the same read parts — collection,
 //! connection cover, optional distance cover, tag index, term index, query
-//! tunables and the engine-shared plan counters — in different
-//! representations: the engine its mutable cover, distance cover and term
-//! index, a snapshot their frozen forms (the distance-aware frozen cover
+//! tunables and the engine-shared plan counters. The covers come in
+//! different representations: the engine its mutable cover and distance
+//! cover, a snapshot their frozen forms (the distance-aware frozen cover
 //! answers paper §5.1's `MIN(LOUT.DIST + LIN.DIST)` from its per-entry
-//! distances). Each read is written once here, generic over
-//! [`LabelSource`], [`DistanceSource`] and [`TextSource`]; both holders
-//! dereference to their parts, so `hopi.query(…)` and `snapshot.query(…)`
-//! run the same code, monomorphized per representation.
+//! distances). The tag and term indexes are one value each, shared by the
+//! engine and its snapshots until a document write replaces them. Each
+//! read is written once here, generic over [`LabelSource`] and
+//! [`DistanceSource`]; both holders dereference to their parts, so
+//! `hopi.query(…)` and `snapshot.query(…)` run the same code,
+//! monomorphized per representation.
 
 use crate::error::HopiError;
 use crate::facade::QueryOptions;
@@ -19,16 +21,16 @@ use hopi_query::{
     parse_path, rank, with_thread_evaluator, Corpus, DistanceSource, PlanCounters, QueryPlanReport,
     RankedMatch, TagIndex,
 };
-use hopi_text::TextSource;
+use hopi_text::TextIndex;
 use hopi_xml::{Collection, ElemId};
 use std::sync::Arc;
 
 /// The read parts of an engine or a snapshot (see the module docs): `C`
-/// answers reachability, `D` link distances, `T` content predicates.
+/// answers reachability, `D` link distances.
 /// [`Hopi`](crate::Hopi) and [`HopiSnapshot`](crate::HopiSnapshot)
 /// dereference to it.
 #[derive(Clone, Debug)]
-pub struct Reads<C, D, T> {
+pub struct Reads<C, D> {
     pub(crate) collection: Collection,
     pub(crate) cover: C,
     /// Present on a distance-aware engine and its snapshots.
@@ -36,10 +38,9 @@ pub struct Reads<C, D, T> {
     /// Shared between an engine and its snapshots until a document comes
     /// or goes; such a change copies it first (`Arc::make_mut`).
     pub(crate) tags: Arc<TagIndex>,
-    /// Shared until a mutation changes text: a snapshot's frozen term
-    /// index with the neighbouring epochs, an engine's live one with its
-    /// clones.
-    pub(crate) text: Arc<T>,
+    /// Shared by an engine, its clones and its snapshots until a document
+    /// with text comes or goes; such a write swaps in the successor index.
+    pub(crate) text: Arc<TextIndex>,
     pub(crate) options: QueryOptions,
     /// Per-strategy `//`-step execution counters, shared by an engine, its
     /// clones and every snapshot captured from them: each query tallies
@@ -48,7 +49,7 @@ pub struct Reads<C, D, T> {
     pub(crate) plan_counters: Arc<PlanCounters>,
 }
 
-impl<C: LabelSource, D: DistanceSource, T: TextSource> Reads<C, D, T> {
+impl<C: LabelSource, D: DistanceSource> Reads<C, D> {
     /// The connection test `u →* v`: is `u` an ancestor of `v` along
     /// parent/child and link axes (reflexive)?
     pub fn connected(&self, u: ElemId, v: ElemId) -> bool {
@@ -136,7 +137,7 @@ impl<C: LabelSource, D: DistanceSource, T: TextSource> Reads<C, D, T> {
 
     /// The term-level inverted index content predicates consult (expert
     /// escape hatch — e.g. for inspecting posting lists).
-    pub fn text(&self) -> &Arc<T> {
+    pub fn text(&self) -> &Arc<TextIndex> {
         &self.text
     }
 

@@ -4,16 +4,17 @@
 //! The paper's 24×7 scenario (§1.1) is read-dominated: millions of probes
 //! against an index that changes comparatively rarely. A snapshot packages
 //! everything query evaluation needs — the cover frozen into CSR form
-//! ([`hopi_core::FrozenCover`]), the tag index, and the collection metadata
-//! — behind an `Arc`, so any number of reader threads share one immutable
-//! structure with **no lock held during query evaluation**.
+//! ([`hopi_core::FrozenCover`]), the tag and term indexes, and the
+//! collection metadata — behind an `Arc`, so any number of reader threads
+//! share one immutable structure with **no lock held during query
+//! evaluation**.
 //! [`crate::OnlineHopi`] swaps a fresh snapshot in after each mutation
 //! batch or background rebuild (epoch style): in-flight readers keep the
 //! epoch they started with, new readers pick up the new one.
 //!
 //! Consecutive epochs share what the mutation between them left alone:
 //! the document table (behind one `Arc` inside [`Collection`]), the tag
-//! index and the frozen term index; and the frozen cover of an epoch is
+//! index and the term index; and the frozen cover of an epoch is
 //! patched from its predecessor's, sharing every row block the mutation
 //! did not dirty (see [`FrozenCover::patched`]).
 
@@ -25,7 +26,7 @@ use hopi_maintenance::{
 use hopi_obs::{Histogram, HistogramSnapshot};
 use hopi_partition::BuildReport;
 use hopi_query::PlanCounts;
-use hopi_text::{FrozenTextIndex, TextSource};
+use hopi_text::TextStats;
 use std::ops::Deref;
 use std::sync::Arc;
 
@@ -186,14 +187,9 @@ pub struct SnapshotStats {
     /// of the engine tally here, so `/stats` scrapes see plan choices
     /// move).
     pub plan: PlanCounts,
-    /// Distinct terms in the frozen term index.
-    pub text_vocabulary: usize,
-    /// Postings (term, element) entries in the frozen term index.
-    pub text_postings: usize,
-    /// Bytes of the frozen posting buffers (ids + frequencies).
-    pub text_postings_bytes: usize,
-    /// Elements carrying text at capture time.
-    pub text_indexed_elements: usize,
+    /// Term-index sizes at capture time: vocabulary, postings and their
+    /// bytes, elements carrying text.
+    pub text: TextStats,
     /// Per-phase wall times of the build that produced this snapshot's
     /// index (partition / covers / join / freeze).
     pub build: BuildPhaseTimings,
@@ -235,10 +231,9 @@ impl SnapshotStats {
 /// ```
 #[derive(Clone, Debug)]
 pub struct HopiSnapshot {
-    /// The collection and tag index with the frozen cover, the
-    /// distance-annotated frozen cover of a distance-aware engine, and the
-    /// frozen term index.
-    pub(crate) reads: Reads<FrozenCover, FrozenCover, FrozenTextIndex>,
+    /// The collection, tag index and term index with the frozen cover and
+    /// the distance-annotated frozen cover of a distance-aware engine.
+    pub(crate) reads: Reads<FrozenCover, FrozenCover>,
     /// The serving epoch this snapshot was published at (see
     /// [`SnapshotStats::epoch`]).
     pub(crate) epoch: u64,
@@ -256,9 +251,9 @@ pub struct HopiSnapshot {
 }
 
 /// The reads — `connected`, `query`, `query_ranked`, … — answered from the
-/// frozen cover, the frozen distance cover and the frozen term index.
+/// frozen cover and the frozen distance cover.
 impl Deref for HopiSnapshot {
-    type Target = Reads<FrozenCover, FrozenCover, FrozenTextIndex>;
+    type Target = Reads<FrozenCover, FrozenCover>;
 
     fn deref(&self) -> &Self::Target {
         &self.reads
@@ -293,7 +288,7 @@ impl HopiSnapshot {
 
     /// Summary of this snapshot for observability endpoints.
     pub fn stats(&self) -> SnapshotStats {
-        let (collection, text) = (&self.reads.collection, &self.reads.text);
+        let collection = &self.reads.collection;
         SnapshotStats {
             epoch: self.epoch,
             documents: collection.doc_count(),
@@ -303,10 +298,7 @@ impl HopiSnapshot {
             cover_entries: self.reads.cover.size(),
             distance_aware: self.reads.distance.is_some(),
             plan: self.reads.plan_counters.counts(),
-            text_vocabulary: text.vocab_len(),
-            text_postings: text.stats().postings,
-            text_postings_bytes: text.postings_bytes(),
-            text_indexed_elements: text.indexed_elements(),
+            text: self.reads.text.stats(),
             build: self.build,
             greedy: self.greedy,
             publish: self.publish,

@@ -106,7 +106,7 @@ pub fn stats(args: &[String]) -> Result<(), String> {
             es.text.vocabulary,
             es.text.postings,
             es.text.postings_bytes,
-            es.text.postings_bytes as f64 / es.text.postings.max(1) as f64,
+            es.text.bytes_per_posting(),
             es.text.indexed_elements,
             es.text.total_tokens
         );

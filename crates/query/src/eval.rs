@@ -32,7 +32,7 @@ use crate::plan::{
 use crate::tag_index::TagIndex;
 use hopi_core::LabelSource;
 use hopi_obs::Stopwatch;
-use hopi_text::TextSource;
+use hopi_text::TextIndex;
 use hopi_xml::{Collection, ElemId};
 use std::cell::RefCell;
 
@@ -74,7 +74,7 @@ pub struct Corpus<'a, S> {
     pub tags: &'a TagIndex,
     /// The term index; with `None` a content predicate matches nothing
     /// (there is no text to search).
-    pub text: Option<&'a dyn TextSource>,
+    pub text: Option<&'a TextIndex>,
 }
 
 /// Evaluates a parsed path expression under explicit options, with no
@@ -449,7 +449,7 @@ fn wildcard_candidates(collection: &Collection, out: &mut Vec<ElemId>) {
 /// Upper bound on a predicate's matching-element count, from posting-list
 /// lengths alone: a conjunction can match at most its rarest term's df, a
 /// disjunction at most the sum of dfs.
-pub(crate) fn predicate_estimate(src: &dyn TextSource, pred: &ContentPredicate) -> usize {
+pub(crate) fn predicate_estimate(src: &TextIndex, pred: &ContentPredicate) -> usize {
     match pred.op {
         ContentOp::Contains => pred.terms.iter().map(|t| src.df(t)).min().unwrap_or(0),
         ContentOp::About => pred.terms.iter().map(|t| src.df(t)).sum(),
@@ -459,11 +459,7 @@ pub(crate) fn predicate_estimate(src: &dyn TextSource, pred: &ContentPredicate) 
 /// Materializes the sorted element set matching a predicate:
 /// intersection of the term posting lists for `contains`, union for
 /// `about`.
-pub(crate) fn predicate_matches(
-    src: &dyn TextSource,
-    pred: &ContentPredicate,
-    out: &mut Vec<ElemId>,
-) {
+pub(crate) fn predicate_matches(src: &TextIndex, pred: &ContentPredicate, out: &mut Vec<ElemId>) {
     out.clear();
     match pred.op {
         ContentOp::Contains => {
@@ -825,7 +821,7 @@ mod tests {
         c: &'a Collection,
         i: &'a S,
         t: &'a TagIndex,
-        text: Option<&'a dyn TextSource>,
+        text: Option<&'a TextIndex>,
     ) -> Corpus<'a, S> {
         Corpus {
             collection: c,
@@ -848,7 +844,7 @@ mod tests {
         t: &TagIndex,
         expr: &PathExpr,
         options: &EvalOptions,
-        text: Option<&dyn TextSource>,
+        text: Option<&TextIndex>,
     ) -> Vec<ElemId> {
         Evaluator::new().run(corpus(c, i, t, text), expr, options, None)
     }
@@ -860,7 +856,7 @@ mod tests {
         t: &TagIndex,
         expr: &PathExpr,
         options: &EvalOptions,
-        text: Option<&dyn TextSource>,
+        text: Option<&TextIndex>,
     ) -> (Vec<ElemId>, QueryPlanReport) {
         let mut report = QueryPlanReport::default();
         let rows = Evaluator::new().run(corpus(c, i, t, text), expr, options, Some(&mut report));
@@ -1284,7 +1280,6 @@ mod tests {
     #[test]
     fn content_placement_does_not_change_answers() {
         let (c, i, t, text) = text_fixture();
-        let frozen_text = hopi_text::FrozenTextIndex::from_index(&text);
         for query in [
             "//library//title[contains(., \"indexing\")]",
             "//book[about(., \"xml cooking\")]",
@@ -1293,19 +1288,10 @@ mod tests {
             "//title[contains(., \"absent-term\")]",
         ] {
             let expr = parse_path(query).unwrap();
-            let mutable = eval_text(&c, &i, &t, &expr, &EvalOptions::default(), Some(&text));
-            let frozen = eval_text(
-                &c,
-                &i,
-                &t,
-                &expr,
-                &EvalOptions::default(),
-                Some(&frozen_text),
-            );
-            assert_eq!(mutable, frozen, "mutable vs frozen text on {query}");
+            let planned = eval_text(&c, &i, &t, &expr, &EvalOptions::default(), Some(&text));
             for strategy in Strategy::ALL {
                 let forced_r = eval_text(&c, &i, &t, &expr, &forced(strategy), Some(&text));
-                assert_eq!(forced_r, mutable, "{strategy} on {query}");
+                assert_eq!(forced_r, planned, "{strategy} on {query}");
             }
         }
     }

@@ -18,7 +18,7 @@
 use crate::eval::{candidates, roots, tree_children, Corpus};
 use crate::expr::{Axis, ContentPredicate, PathExpr};
 use hopi_core::{DistanceCover, FrozenCover};
-use hopi_text::{Bm25Scorer, TextSource};
+use hopi_text::{Bm25Scorer, TextIndex};
 use hopi_xml::ElemId;
 use rustc_hash::FxHashMap;
 
@@ -169,7 +169,7 @@ pub fn rank<D: DistanceSource>(corpus: Corpus<'_, D>, expr: &PathExpr) -> Vec<Ra
 fn filter_by_predicate(
     dist: &mut FxHashMap<ElemId, u32>,
     pred: Option<&ContentPredicate>,
-    text: Option<&dyn TextSource>,
+    text: Option<&TextIndex>,
 ) {
     let Some(pred) = pred else { return };
     match text {
@@ -203,7 +203,7 @@ mod tests {
         cover: &D,
         tags: &TagIndex,
         expr: &PathExpr,
-        text: Option<&dyn TextSource>,
+        text: Option<&TextIndex>,
     ) -> Vec<RankedMatch> {
         let corpus = Corpus {
             collection: c,

@@ -2,13 +2,13 @@
 //! document insertions, deletions and modifications, a tag index and a
 //! term index that followed along step by step equal the ones a fresh
 //! build of the resulting collection produces — rows, parent column,
-//! postings per term *string*, element lengths, totals and frozen forms —
-//! and child steps read from the maintained tag index answer like a walk
-//! of the documents.
+//! term table, postings, element lengths and totals — and child steps
+//! read from the maintained tag index answer like a walk of the
+//! documents.
 
 use hopi_partition::{build_index, BuildConfig};
 use hopi_query::{evaluate_with, parse_path, TagIndex};
-use hopi_text::{FrozenTextIndex, TextIndex, TextSource};
+use hopi_text::TextIndex;
 use hopi_xml::{Collection, ElemId, XmlDocument};
 use proptest::prelude::*;
 
@@ -80,30 +80,9 @@ fn assert_equals_rebuild(
     text: &TextIndex,
 ) -> Result<(), TestCaseError> {
     prop_assert_eq!(tags, &TagIndex::build(c));
-
-    let fresh = TextIndex::build(c);
-    prop_assert_eq!(text.stats(), fresh.stats());
-    prop_assert_eq!(text.total_tokens(), fresh.total_tokens());
-    prop_assert_eq!(text.indexed_elements(), fresh.indexed_elements());
-    // Term ids differ between the two (the maintained index interned its
-    // terms in another order and keeps dead ones): compare by string.
-    for term in TERMS.map(str::to_lowercase) {
-        match (text.lookup(&term), fresh.lookup(&term)) {
-            (Some(kept), Some(built)) => {
-                prop_assert_eq!(kept.elems, built.elems, "postings of {}", &term);
-                prop_assert_eq!(kept.tfs, built.tfs, "frequencies of {}", &term);
-            }
-            (None, None) => {}
-            (kept, built) => prop_assert!(false, "{}: {:?} vs {:?}", term, kept, built),
-        }
-    }
-    for e in 0..c.elem_id_bound() as u32 {
-        prop_assert_eq!(text.elem_len(e), fresh.elem_len(e), "length of {}", e);
-    }
-    prop_assert_eq!(
-        FrozenTextIndex::from_index(text),
-        FrozenTextIndex::from_index(&fresh)
-    );
+    // One equality covers the term table, every row, the element lengths
+    // and the totals, so BM25 scores are bit-identical to a fresh build's.
+    prop_assert_eq!(text, &TextIndex::build(c));
     Ok(())
 }
 
@@ -117,7 +96,7 @@ proptest! {
         steps in proptest::collection::vec((0u32..4, 0usize..64, 0usize..1 << 14), 1..40),
     ) {
         let mut c = Collection::new();
-        let (mut tags, mut text) = (TagIndex::default(), TextIndex::new());
+        let (mut tags, mut text) = (TagIndex::default(), TextIndex::default());
         for (i, (op, pick, seed)) in steps.into_iter().enumerate() {
             let live: Vec<u32> = c.doc_ids().collect();
             let victim = live.get(pick % live.len().max(1)).copied();
@@ -127,7 +106,7 @@ proptest! {
                 let base = c.global_id(d, 0);
                 let doc = c.document(d).expect("live document");
                 tags.remove_document(base, doc);
-                text.remove_document(base, doc);
+                text = text.without_document(base, doc);
                 c.remove_document(d);
             }
             // Insert (ops 0, 1) or modify: a new version arrives.
@@ -136,7 +115,7 @@ proptest! {
                 let base = c.global_id(d, 0);
                 let doc = c.document(d).expect("just added");
                 tags.index_document(base, doc);
-                text.index_document(base, doc);
+                text = text.with_document(base, doc);
             }
             assert_equals_rebuild(&c, &tags, &text)?;
             assert_child_steps_match_oracle(&c, &tags)?;

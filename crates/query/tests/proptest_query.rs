@@ -11,7 +11,7 @@ use hopi_query::{
     evaluate_with, parse_path, rank, Axis, ContentOp, ContentPredicate, Corpus, DistanceSource,
     EvalOptions, Evaluator, PathExpr, RankedMatch, Step, Strategy as PlanStrategy, TagIndex,
 };
-use hopi_text::{FrozenTextIndex, TextIndex, TextSource};
+use hopi_text::TextIndex;
 use hopi_xml::{Collection, ElemId, XmlDocument};
 use proptest::prelude::*;
 use rustc_hash::FxHashSet;
@@ -205,7 +205,7 @@ fn eval_text<S: LabelSource>(
     tags: &TagIndex,
     expr: &PathExpr,
     options: &EvalOptions,
-    text: &dyn TextSource,
+    text: &TextIndex,
 ) -> Vec<ElemId> {
     let corpus = Corpus {
         collection: c,
@@ -222,7 +222,7 @@ fn ranked<D: DistanceSource>(
     distances: &D,
     tags: &TagIndex,
     expr: &PathExpr,
-    text: Option<&dyn TextSource>,
+    text: Option<&TextIndex>,
 ) -> Vec<RankedMatch> {
     let corpus = Corpus {
         collection: c,
@@ -293,14 +293,13 @@ proptest! {
     #[test]
     fn content_predicates_match_full_scan_oracle((docs, links, texts) in arb_collection()) {
         // Content-and-structure queries agree with a naive full-scan
-        // oracle, through the mutable AND frozen term index, on the
-        // boolean AND ranked paths.
+        // oracle, over the mutable AND frozen covers, on the boolean AND
+        // ranked paths.
         let c = realize(&docs, &links, &texts);
         let (index, _) = build_index(&c, &BuildConfig::default());
         let frozen_cover = FrozenCover::from_cover(index.cover());
         let tags = TagIndex::build(&c);
         let text = TextIndex::build(&c);
-        let frozen_text = FrozenTextIndex::from_index(&text);
         let dc = DistanceClosure::from_graph(&c.element_graph());
         let distance_cover = DistanceCoverBuilder::new(&dc).build();
         let frozen_distance = FrozenCover::from_distance_cover(&distance_cover);
@@ -309,13 +308,13 @@ proptest! {
             let expect = oracle(&c, &expr);
             let mutable = eval_text(&c, &index, &tags, &expr, &options, &text);
             prop_assert_eq!(&mutable, &expect, "expr {} mutable", expr);
-            let frozen = eval_text(&c, &frozen_cover, &tags, &expr, &options, &frozen_text);
+            let frozen = eval_text(&c, &frozen_cover, &tags, &expr, &options, &text);
             prop_assert_eq!(&frozen, &expect, "expr {} frozen", expr);
             let live = ranked(&c, &distance_cover, &tags, &expr, Some(&text));
             let mut members: Vec<ElemId> = live.iter().map(|m| m.element).collect();
             members.sort_unstable();
             prop_assert_eq!(&members, &expect, "expr {} ranked", expr);
-            let frozen_ranked = ranked(&c, &frozen_distance, &tags, &expr, Some(&frozen_text));
+            let frozen_ranked = ranked(&c, &frozen_distance, &tags, &expr, Some(&text));
             prop_assert_eq!(&frozen_ranked, &live, "expr {} ranked frozen", expr);
         }
     }

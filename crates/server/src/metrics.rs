@@ -11,7 +11,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use hopi_build::{MaintenanceStats, PlanCounts, PublishTotals, WalHistograms};
+use hopi_build::{MaintenanceStats, PlanCounts, PublishTotals, TextStats, WalHistograms};
 use hopi_obs::{Histogram, HistogramSnapshot, StageRegistry};
 
 /// The fixed endpoint universe (one counter cell each; unknown paths land
@@ -117,18 +117,6 @@ impl Endpoint {
             .position(|&e| e == self)
             .unwrap_or(ALL_ENDPOINTS.len() - 1)
     }
-}
-
-/// Term-index gauges rendered at `/metrics`, sampled from the current
-/// snapshot at scrape time.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct TextGauges {
-    /// Distinct terms in the vocabulary.
-    pub vocabulary: u64,
-    /// Total (element, term) postings.
-    pub postings: u64,
-    /// Bytes held by the frozen posting buffers.
-    pub postings_bytes: u64,
 }
 
 /// One endpoint's counters and latency distribution.
@@ -379,7 +367,7 @@ impl Metrics {
         out.push_str("# TYPE hopi_text_bytes_per_posting gauge\n");
         out.push_str(&format!(
             "hopi_text_bytes_per_posting {:.2}\n",
-            text.postings_bytes as f64 / text.postings.max(1) as f64
+            text.bytes_per_posting()
         ));
         out.push_str("# TYPE hopi_snapshot_epoch gauge\n");
         out.push_str(&format!("hopi_snapshot_epoch {}\n", ctx.epoch));
@@ -408,7 +396,7 @@ pub struct RenderContext<'a> {
     /// returned, and the backward joins that fell back.
     pub plan: PlanCounts,
     /// Term-index sizes from the current snapshot.
-    pub text: TextGauges,
+    pub text: TextStats,
     /// Wall time per phase of the build behind the current snapshot,
     /// `(phase, milliseconds)`.
     pub build_phases: &'a [(&'static str, u64)],
@@ -482,10 +470,11 @@ mod tests {
                 backward_fallbacks: 2,
                 ..Default::default()
             },
-            text: TextGauges {
+            text: TextStats {
                 vocabulary: 12,
                 postings: 30,
                 postings_bytes: 240,
+                ..TextStats::default()
             },
             build_phases: &[("partition", 3), ("freeze", 1)],
             wal: None,

@@ -187,16 +187,13 @@ fn stats(state: &AppState) -> Response {
         w.close_obj();
     }
     // Term-index footprint: the content half of content-and-structure
-    // queries, sized from the snapshot's frozen posting buffers.
+    // queries, sized from the snapshot's posting buffers.
     w.field_obj("text");
-    w.field_u64("vocabulary", s.text_vocabulary as u64);
-    w.field_u64("postings", s.text_postings as u64);
-    w.field_u64("postings_bytes", s.text_postings_bytes as u64);
-    w.field_f64(
-        "bytes_per_posting",
-        s.text_postings_bytes as f64 / s.text_postings.max(1) as f64,
-    );
-    w.field_u64("indexed_elements", s.text_indexed_elements as u64);
+    w.field_u64("vocabulary", s.text.vocabulary as u64);
+    w.field_u64("postings", s.text.postings as u64);
+    w.field_u64("postings_bytes", s.text.postings_bytes as u64);
+    w.field_f64("bytes_per_posting", s.text.bytes_per_posting());
+    w.field_u64("indexed_elements", s.text.indexed_elements as u64);
     w.close_obj();
     // Which physical `//`-step plans have run (engine-lifetime totals) —
     // scrape twice to see where query traffic lands.
@@ -298,11 +295,7 @@ fn metrics(state: &AppState) -> Response {
         uptime: state.started.elapsed(),
         workers: state.workers,
         plan: s.plan,
-        text: crate::metrics::TextGauges {
-            vocabulary: s.text_vocabulary as u64,
-            postings: s.text_postings as u64,
-            postings_bytes: s.text_postings_bytes as u64,
-        },
+        text: s.text,
         build_phases: &build_phases,
         wal: state.engine.wal_histograms(),
         publish: state.engine.publish_totals(),

@@ -4,36 +4,30 @@
 //! `//section[about(., "xml indexing")]` — so the structure index needs a
 //! content-side companion. This crate provides it:
 //!
-//! * [`TextIndex`] — a mutable term-level inverted index over a
-//!   [`Collection`]'s element text: a [`Vocabulary`] (term → term id) plus
-//!   per-term posting lists of `(element id, term frequency)`.
-//! * [`FrozenTextIndex`] — the same data in two contiguous buffers
-//!   (offsets + postings), mirroring `FrozenCover`'s CSR design: one
-//!   `u32` offset row per term, postings concatenated in term order.
-//! * [`TextSource`] — the object-safe trait query evaluation scores
-//!   against, implemented by both forms.
+//! * [`TextIndex`] — a term-level inverted index over a [`Collection`]'s
+//!   element text in CSR layout, mirroring `FrozenCover`: a sorted term
+//!   table, one row per term, postings `(element id, term frequency)`
+//!   concatenated in term order. It is built straight from a collection
+//!   and rewritten in one pass per inserted or deleted document.
 //! * [`Bm25Scorer`] — BM25-style tf·idf with element-length
 //!   normalization, fused into ranked retrieval by `hopi_query`.
 //!
 //! Tokenization ([`tokenize`]) is deliberately plain: Unicode
-//! alphanumeric runs, lowercased. Both index forms hand out posting
-//! lists as sorted slices so evaluation can intersect them with sorted
-//! candidate sets by merge or galloping search.
+//! alphanumeric runs, lowercased. Posting lists are handed out as sorted
+//! slices so evaluation can intersect them with sorted candidate sets by
+//! merge or galloping search.
+//!
+//! [`Collection`]: hopi_xml::Collection
 
 #![forbid(unsafe_code)]
 
-mod frozen;
 mod index;
 mod score;
 
-pub use frozen::FrozenTextIndex;
-pub use index::{TextIndex, Vocabulary};
+pub use index::TextIndex;
 pub use score::{Bm25Scorer, B, K1};
 
 use hopi_xml::collection::ElemId;
-
-/// Term identifier (index into a [`Vocabulary`]).
-pub type TermId = u32;
 
 /// Splits text into lowercase Unicode-alphanumeric tokens.
 pub fn tokenize(text: &str) -> impl Iterator<Item = String> + '_ {
@@ -44,7 +38,7 @@ pub fn tokenize(text: &str) -> impl Iterator<Item = String> + '_ {
 
 /// One term's posting list: parallel slices of element ids (sorted
 /// ascending, unique) and term frequencies.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct PostingsRef<'a> {
     /// Element ids holding the term, sorted ascending.
     pub elems: &'a [ElemId],
@@ -66,7 +60,7 @@ impl<'a> PostingsRef<'a> {
     /// Term frequency in `elem` (0 when absent).
     pub fn tf(&self, elem: ElemId) -> u32 {
         match self.elems.binary_search(&elem) {
-            Ok(i) => self.tfs[i],
+            Ok(i) => self.tfs.get(i).copied().unwrap_or(0),
             Err(_) => 0,
         }
     }
@@ -94,41 +88,6 @@ impl TextStats {
             0.0
         } else {
             self.postings_bytes as f64 / self.postings as f64
-        }
-    }
-}
-
-/// What query evaluation needs from a term index, object-safe so the
-/// mutable and frozen forms interchange behind `&dyn TextSource`.
-pub trait TextSource: Sync {
-    /// The term's posting list, `None` when out of vocabulary.
-    fn lookup(&self, term: &str) -> Option<PostingsRef<'_>>;
-
-    /// Token count of an element (0 when it carries no text).
-    fn elem_len(&self, elem: ElemId) -> u32;
-
-    /// Number of elements carrying any text — the `N` of idf.
-    fn indexed_elements(&self) -> usize;
-
-    /// Total token occurrences across all elements.
-    fn total_tokens(&self) -> u64;
-
-    /// Size and shape statistics.
-    fn stats(&self) -> TextStats;
-
-    /// Document frequency of a term (posting-list length).
-    fn df(&self, term: &str) -> usize {
-        self.lookup(term).map_or(0, |p| p.len())
-    }
-
-    /// Mean token count over indexed elements (1.0 when empty, so
-    /// length normalization stays well-defined).
-    fn avg_elem_len(&self) -> f64 {
-        let n = self.indexed_elements();
-        if n == 0 {
-            1.0
-        } else {
-            self.total_tokens() as f64 / n as f64
         }
     }
 }

@@ -4,7 +4,7 @@
 //! elements are the retrieval unit (INEX-style), so `N`, df, and the
 //! length prior all speak elements, not documents.
 
-use crate::{PostingsRef, TextSource};
+use crate::{PostingsRef, TextIndex};
 use hopi_xml::collection::ElemId;
 
 /// Term-frequency saturation.
@@ -15,7 +15,7 @@ pub const B: f64 = 0.75;
 /// Scores elements against a fixed set of query terms, with per-term
 /// posting lists and idf resolved once at construction.
 pub struct Bm25Scorer<'a> {
-    src: &'a dyn TextSource,
+    src: &'a TextIndex,
     avg_len: f64,
     /// `(postings, idf)` for each query term found in the vocabulary.
     terms: Vec<(PostingsRef<'a>, f64)>,
@@ -24,7 +24,7 @@ pub struct Bm25Scorer<'a> {
 impl<'a> Bm25Scorer<'a> {
     /// Prepares a scorer for `terms`. Out-of-vocabulary terms
     /// contribute nothing.
-    pub fn new(src: &'a dyn TextSource, terms: &[String]) -> Self {
+    pub fn new(src: &'a TextIndex, terms: &[String]) -> Self {
         let n = src.indexed_elements() as f64;
         let resolved = terms
             .iter()
@@ -65,7 +65,6 @@ impl<'a> Bm25Scorer<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TextIndex;
     use hopi_xml::collection::Collection;
     use hopi_xml::model::XmlDocument;
 

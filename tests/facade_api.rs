@@ -603,7 +603,7 @@ fn publish_patches_the_previous_epoch_and_shares_what_did_not_change() {
         second.stats().build.freeze_ms,
         first.stats().build.freeze_ms
     );
-    // …and shares documents, tag index and frozen term index with it.
+    // …and shares documents, tag index and term index with it.
     let doc = |s: &HopiSnapshot| s.collection().document(3).unwrap() as *const XmlDocument;
     assert_eq!(doc(&first), doc(&second));
     assert!(std::ptr::eq(first.tags(), second.tags()));
@@ -617,6 +617,8 @@ fn publish_patches_the_previous_epoch_and_shares_what_did_not_change() {
     let third = online.snapshot();
     assert!(!std::ptr::eq(second.tags(), third.tags()));
     assert!(!std::sync::Arc::ptr_eq(second.text(), third.text()));
+    // The engine swapped in the successor term index its snapshot shares.
+    online.read(|h| assert!(std::sync::Arc::ptr_eq(h.text(), third.text())));
     assert_eq!(
         third.query(r#"//note[contains(., "zig")]"#).unwrap().len(),
         1

@@ -6,7 +6,7 @@ use hopi::build::Reads;
 use hopi::graph::TransitiveClosure;
 use hopi::prelude::*;
 use hopi::query::{DistanceSource, TagIndex};
-use hopi_text::{FrozenTextIndex, TextIndex, TextSource};
+use hopi_text::TextIndex;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -164,8 +164,8 @@ fn published_equals_model(lineage: &Lineage) -> Result<(), TestCaseError> {
         let tags = TagIndex::build(c);
         prop_assert_eq!(h.tags(), &tags);
         prop_assert_eq!(snap.tags(), &tags);
-        let text = FrozenTextIndex::from_index(&TextIndex::build(c));
-        prop_assert_eq!(&FrozenTextIndex::from_index(h.text()), &text);
+        let text = TextIndex::build(c);
+        prop_assert_eq!(h.text().as_ref(), &text);
         prop_assert_eq!(snap.text().as_ref(), &text);
         Ok(())
     })
@@ -187,7 +187,7 @@ struct EveryRead {
     ranked: Vec<(ElemId, u32, f64)>,
 }
 
-fn every_read<C: LabelSource, D: DistanceSource, T: TextSource>(r: &Reads<C, D, T>) -> EveryRead {
+fn every_read<C: LabelSource, D: DistanceSource>(r: &Reads<C, D>) -> EveryRead {
     let n = r.collection().elem_id_bound() as ElemId;
     let pairs: Vec<(ElemId, ElemId)> = (0..n).flat_map(|u| (0..n).map(move |v| (u, v))).collect();
     let mut connected_many = Vec::new();
@@ -238,10 +238,10 @@ fn lifecycle_step(
     let online = engines[at].online.clone();
     let c = online.snapshot().collection().clone();
     let ((da, ea), (db, eb)) = (pick_element(&c, a, raw), pick_element(&c, b, raw / 2));
-    let fresh_doc = |name: String| {
+    let fresh_doc = |name: String, text: &str| {
         let mut d = XmlDocument::new(name, "r");
         let e = d.add_element(0, "e");
-        d.set_text(e, "fresh hop");
+        d.set_text(e, text);
         d
     };
     let model = &mut engines[at].model;
@@ -270,12 +270,14 @@ fn lifecycle_step(
                 outgoing: vec![(1, eb)],
                 incoming: vec![],
             };
-            let doc = fresh_doc(format!("m{step}"));
+            let doc = fresh_doc(format!("m{step}"), "fresh hop");
             online.modify_document(da, doc.clone(), &links).unwrap();
             model.modify_document(da, doc, &links).unwrap();
         }
         6 => {
             // One batch online; the same mutations one by one on the model.
+            // Two documents with text and a delete make the publish follow
+            // a chain of term-index successors.
             let mut batch = Vec::new();
             if da != db {
                 for (from, to) in [(ea, eb), (eb, ea)] {
@@ -283,18 +285,25 @@ fn lifecycle_step(
                     model.insert_link(from, to).unwrap();
                 }
             }
-            let doc = fresh_doc(format!("b{step}"));
-            let incoming = vec![(ea, 0)];
-            batch.push(WalRecord::InsertDocument {
-                doc: doc.clone(),
-                outgoing: vec![],
-                incoming: incoming.clone(),
-            });
-            let links = DocumentLinks {
-                outgoing: vec![],
-                incoming,
-            };
-            model.insert_document(doc, &links).unwrap();
+            let mut inserted = Vec::new();
+            for (k, text) in ["fresh hop", "zag cover"].into_iter().enumerate() {
+                let doc = fresh_doc(format!("b{step}.{k}"), text);
+                let incoming = vec![(ea, 0)];
+                batch.push(WalRecord::InsertDocument {
+                    doc: doc.clone(),
+                    outgoing: vec![],
+                    incoming: incoming.clone(),
+                });
+                let links = DocumentLinks {
+                    outgoing: vec![],
+                    incoming,
+                };
+                inserted.push(model.insert_document(doc, &links).unwrap());
+            }
+            // An older document, or the first one the batch inserted.
+            let doc = if raw % 2 == 0 { da } else { inserted[0] };
+            batch.push(WalRecord::DeleteDocument { doc });
+            model.delete_document(doc).unwrap();
             online.apply(batch).unwrap();
         }
         7 => {
