@@ -337,7 +337,7 @@ pub(crate) fn recover_dir(
     builder: HopiBuilder,
 ) -> Result<(Hopi, Wal, u64), HopiError> {
     let ckpt = load_checkpoint(&*config.vfs, &config.checkpoint_path())?;
-    let mut engine = builder.open_frozen(ckpt.collection, &ckpt.frozen, ckpt.baseline);
+    let mut engine = builder.open_frozen(ckpt.collection, ckpt.frozen, ckpt.baseline);
     // A missing log (e.g. a checkpoint-only restore from backup) is
     // recreated at the *checkpoint's* sequence — a base of 0 would make
     // the next recovery skip every new record as "already inside the

@@ -11,7 +11,7 @@
 use crate::error::HopiError;
 use crate::reads::Reads;
 use crate::snapshot::{MaintenanceDurations, MaintenanceStats};
-use hopi_core::{DistanceCover, DistanceCoverBuilder, FrozenCover, HopiIndex};
+use hopi_core::{DistanceCoverBuilder, FrozenCover, HopiIndex};
 use hopi_graph::DistanceClosure;
 use hopi_maintenance::{
     degradation, delete_document, delete_link, insert_document, insert_link, should_rebuild,
@@ -151,7 +151,7 @@ impl HopiBuilder {
         let (index, report) = build_index(&collection, &self.config);
         let distance = self
             .distance_aware
-            .then(|| build_distance_cover(&collection));
+            .then(|| Arc::new(build_distance_cover(&collection)));
         let maintenance = MaintenanceStats::since(BuildBaseline::measure(&collection, &index));
         Ok(self.assemble(collection, index, distance, report, maintenance))
     }
@@ -169,11 +169,11 @@ impl HopiBuilder {
     /// [`Hopi::save_frozen`] (or a row-table file of an older build, which
     /// loads one way into the same form), skipping the build but keeping
     /// this builder's configuration for future [`Hopi::rebuild`]s and
-    /// queries. The distance cover is restored from the file's DIST data
-    /// when present, or built fresh when the builder asked for
-    /// [`distance_aware`](Self::distance_aware). The file thaws with no
-    /// re-sorting — rows are stored sorted — so opening for serving is
-    /// cheap.
+    /// queries. A file with DIST data is served as the distance cover as
+    /// it is; without it, the distance cover is built fresh when the
+    /// builder asked for [`distance_aware`](Self::distance_aware). The
+    /// plain cover thaws with no re-sorting — rows are stored sorted — so
+    /// opening for serving is cheap.
     ///
     /// Drift ([`Hopi::degradation`]) keeps being measured against the
     /// build the saved cover was maintained from, whose baseline the file
@@ -182,7 +182,7 @@ impl HopiBuilder {
     /// distance labels — count the opened cover as freshly built.
     pub fn open(self, collection: Collection, path: &Path) -> Result<Hopi, HopiError> {
         let (frozen, baseline) = load_index(&StdVfs, path)?;
-        Ok(self.open_frozen(collection, &frozen, baseline))
+        Ok(self.open_frozen(collection, frozen, baseline))
     }
 
     /// Assembles an engine from a loaded frozen cover and the build
@@ -191,17 +191,19 @@ impl HopiBuilder {
     pub(crate) fn open_frozen(
         self,
         collection: Collection,
-        frozen: &FrozenCover,
+        frozen: FrozenCover,
         baseline: Option<CoverBaseline>,
     ) -> Hopi {
-        let distance = frozen.thaw_distance().or_else(|| {
-            self.distance_aware
-                .then(|| build_distance_cover(&collection))
-        });
         // A distance-annotated file carries the *distance* cover's labels;
         // they are exact for reachability too, so the plain index thaws
         // from the same rows.
         let index = HopiIndex::from_cover(frozen.thaw());
+        let distance = if frozen.with_dist() {
+            Some(Arc::new(frozen))
+        } else {
+            self.distance_aware
+                .then(|| Arc::new(build_distance_cover(&collection)))
+        };
         let report = BuildReport {
             cover_size: index.size(),
             ..Default::default()
@@ -229,7 +231,7 @@ impl HopiBuilder {
         self,
         collection: Collection,
         index: HopiIndex,
-        distance: Option<DistanceCover>,
+        distance: Option<Arc<FrozenCover>>,
         report: BuildReport,
         maintenance: MaintenanceStats,
     ) -> Hopi {
@@ -294,7 +296,7 @@ pub struct Hopi {
     /// The collection with its live cover, distance cover (when
     /// distance-aware), tag and term indexes, kept in lockstep by the §6
     /// maintenance methods.
-    reads: Reads<HopiIndex, DistanceCover>,
+    reads: Reads<HopiIndex>,
     config: BuildConfig,
     report: BuildReport,
     /// Drift baseline of the last build, and what §6 maintenance has done
@@ -306,9 +308,9 @@ pub struct Hopi {
 }
 
 /// The reads — `connected`, `query`, `query_ranked`, … — answered from the
-/// live cover and the live distance cover.
+/// live cover and the distance cover.
 impl Deref for Hopi {
-    type Target = Reads<HopiIndex, DistanceCover>;
+    type Target = Reads<HopiIndex>;
 
     fn deref(&self) -> &Self::Target {
         &self.reads
@@ -320,7 +322,7 @@ fn net_entries(before: usize, after: usize) -> i64 {
     after as i64 - before as i64
 }
 
-fn build_distance_cover(collection: &Collection) -> DistanceCover {
+fn build_distance_cover(collection: &Collection) -> FrozenCover {
     let closure = DistanceClosure::from_graph(&collection.element_graph());
     DistanceCoverBuilder::new(&closure).build()
 }
@@ -373,7 +375,7 @@ impl Hopi {
     /// the one index file format. [`Hopi::open`] (and the builder's `open`)
     /// thaw it without re-sorting; [`hopi_store::load_index`] loads it
     /// straight into a [`hopi_core::FrozenCover`] for pure read-only
-    /// serving. A distance-aware engine freezes the distance cover
+    /// serving. A distance-aware engine saves its distance cover
     /// (annotations included), so distance queries survive the round trip.
     pub fn save_frozen(&self, path: &Path) -> Result<(), HopiError> {
         save_frozen(&StdVfs, &self.freeze(), path, self.saved_baseline())?;
@@ -399,7 +401,7 @@ impl Hopi {
     /// stores.
     pub(crate) fn freeze(&self) -> FrozenCover {
         match &self.reads.distance {
-            Some(cover) => FrozenCover::from_distance_cover(cover),
+            Some(cover) => FrozenCover::clone(cover),
             None => FrozenCover::from_cover(self.reads.cover.cover()),
         }
     }
@@ -421,7 +423,12 @@ impl Hopi {
         if let Some(cover) = self.reads.distance.as_mut() {
             // Insertions update the distance cover incrementally (§6); only
             // deletions fall back to a recompute.
-            hopi_maintenance::integrate_document_distance(&self.reads.collection, cover, d, links);
+            *cover = Arc::new(hopi_maintenance::integrate_document_distance(
+                &self.reads.collection,
+                cover,
+                d,
+                links,
+            ));
         }
         Ok(d)
     }
@@ -480,7 +487,7 @@ impl Hopi {
         if let Some(cover) = self.reads.distance.as_mut() {
             // Insertions update the distance cover incrementally (§6); only
             // deletions fall back to a recompute.
-            hopi_maintenance::insert_edge_distance(cover, from, to);
+            *cover = Arc::new(hopi_maintenance::insert_edge_distance(cover, from, to));
         }
         Ok(integrated.added)
     }
@@ -652,17 +659,15 @@ impl Hopi {
         epoch: u64,
         sw: Stopwatch,
     ) -> crate::HopiSnapshot {
-        let frozen_distance = self
-            .reads
-            .distance
-            .as_ref()
-            .map(FrozenCover::from_distance_cover);
         let unstamped = FrozenCover::default();
-        let prev = patched.map_or(&unstamped, |(prev, _)| prev.frozen());
-        let bytes = frozen.sharing(prev).fresh_bytes
-            + frozen_distance
-                .as_ref()
-                .map_or(0, |d| d.sharing(&unstamped).fresh_bytes);
+        let prev = patched.map(|(prev, _)| prev);
+        let prev_distance = prev.and_then(|p| p.reads.distance.as_deref());
+        let bytes = frozen
+            .sharing(prev.map_or(&unstamped, |p| p.frozen()))
+            .fresh_bytes
+            + self.reads.distance.as_ref().map_or(0, |d| {
+                d.sharing(prev_distance.unwrap_or(&unstamped)).fresh_bytes
+            });
         // Of interest beside the build phases is what a *full* freeze
         // costs; a patch keeps the last one's reading.
         let freeze_ms = match patched {
@@ -672,7 +677,7 @@ impl Hopi {
         let reads = Reads {
             collection: self.collection().clone(),
             cover: frozen,
-            distance: frozen_distance,
+            distance: self.reads.distance.clone(),
             tags: self.reads.tags.clone(),
             text: self.reads.text.clone(),
             options: self.reads.options,
@@ -708,7 +713,7 @@ impl Hopi {
             links: self.collection().links().len(),
             cover_entries: entries,
             entries_per_element: entries as f64 / elements.max(1) as f64,
-            distance_entries: self.reads.distance.as_ref().map(DistanceCover::size),
+            distance_entries: self.reads.distance.as_ref().map(|d| d.size()),
             text: self.reads.text.stats(),
         }
     }
@@ -832,7 +837,7 @@ impl Hopi {
     /// paper gives incremental distance maintenance for insertions only).
     fn refresh_distance(&mut self) {
         if self.reads.distance.is_some() {
-            self.reads.distance = Some(build_distance_cover(&self.reads.collection));
+            self.reads.distance = Some(Arc::new(build_distance_cover(&self.reads.collection)));
         }
     }
 

@@ -14,11 +14,11 @@
 //!   evaluation.
 //! * [`Reads`] — the one read path both dereference to: `connected`,
 //!   `distance`, `descendants`, `query`, `query_ranked`, … are each
-//!   written once, generic over the cover and distance cover an engine
-//!   holds live and a snapshot holds frozen (its ranked reads run on the
-//!   distance-annotated frozen cover). The tag and term indexes are one
-//!   value each, shared by the engine and its snapshots until a document
-//!   write replaces them.
+//!   written once, generic over the cover an engine holds live and a
+//!   snapshot holds frozen. The distance-annotated frozen cover (ranked
+//!   reads and distances), the tag index and the term index are one value
+//!   each, shared by the engine and its snapshots until a write replaces
+//!   them.
 //! * [`OnlineHopi`] — the same surface lifted into 24×7 serving (paper
 //!   §1.1): reads run lock-free against the current snapshot
 //!   ([`OnlineHopi::snapshot`]), brief write-locked incremental updates

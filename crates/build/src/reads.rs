@@ -3,38 +3,38 @@
 //!
 //! An engine and a snapshot hold the same read parts — collection,
 //! connection cover, optional distance cover, tag index, term index, query
-//! tunables and the engine-shared plan counters. The covers come in
-//! different representations: the engine its mutable cover and distance
-//! cover, a snapshot their frozen forms (the distance-aware frozen cover
-//! answers paper §5.1's `MIN(LOUT.DIST + LIN.DIST)` from its per-entry
-//! distances). The tag and term indexes are one value each, shared by the
-//! engine and its snapshots until a document write replaces them. Each
-//! read is written once here, generic over [`LabelSource`] and
-//! [`DistanceSource`]; both holders dereference to their parts, so
-//! `hopi.query(…)` and `snapshot.query(…)` run the same code,
+//! tunables and the engine-shared plan counters. The connection cover
+//! comes in two representations: the engine's mutable cover and a
+//! snapshot's frozen form. The distance cover has one: the
+//! distance-annotated [`FrozenCover`], which answers paper §5.1's
+//! `MIN(LOUT.DIST + LIN.DIST)` from its per-entry distances. It, the tag
+//! index and the term index are one value each, shared by the engine and
+//! its snapshots until a write replaces them. Each read is written once
+//! here, generic over [`LabelSource`]; both holders dereference to their
+//! parts, so `hopi.query(…)` and `snapshot.query(…)` run the same code,
 //! monomorphized per representation.
 
 use crate::error::HopiError;
 use crate::facade::QueryOptions;
-use hopi_core::LabelSource;
+use hopi_core::{FrozenCover, LabelSource};
 use hopi_query::{
-    parse_path, rank, with_thread_evaluator, Corpus, DistanceSource, PlanCounters, QueryPlanReport,
-    RankedMatch, TagIndex,
+    parse_path, rank, with_thread_evaluator, Corpus, PlanCounters, QueryPlanReport, RankedMatch,
+    TagIndex,
 };
 use hopi_text::TextIndex;
 use hopi_xml::{Collection, ElemId};
 use std::sync::Arc;
 
 /// The read parts of an engine or a snapshot (see the module docs): `C`
-/// answers reachability, `D` link distances.
-/// [`Hopi`](crate::Hopi) and [`HopiSnapshot`](crate::HopiSnapshot)
-/// dereference to it.
+/// answers reachability. [`Hopi`](crate::Hopi) and
+/// [`HopiSnapshot`](crate::HopiSnapshot) dereference to it.
 #[derive(Clone, Debug)]
-pub struct Reads<C, D> {
+pub struct Reads<C> {
     pub(crate) collection: Collection,
     pub(crate) cover: C,
-    /// Present on a distance-aware engine and its snapshots.
-    pub(crate) distance: Option<D>,
+    /// Present on a distance-aware engine and its snapshots, which share
+    /// it until the next distance write swaps in its successor.
+    pub(crate) distance: Option<Arc<FrozenCover>>,
     /// Shared between an engine and its snapshots until a document comes
     /// or goes; such a change copies it first (`Arc::make_mut`).
     pub(crate) tags: Arc<TagIndex>,
@@ -49,7 +49,7 @@ pub struct Reads<C, D> {
     pub(crate) plan_counters: Arc<PlanCounters>,
 }
 
-impl<C: LabelSource, D: DistanceSource> Reads<C, D> {
+impl<C: LabelSource> Reads<C> {
     /// The connection test `u →* v`: is `u` an ancestor of `v` along
     /// parent/child and link axes (reflexive)?
     pub fn connected(&self, u: ElemId, v: ElemId) -> bool {
@@ -146,8 +146,16 @@ impl<C: LabelSource, D: DistanceSource> Reads<C, D> {
         &self.options
     }
 
-    fn distance_source(&self) -> Result<&D, HopiError> {
-        self.distance.as_ref().ok_or(HopiError::DistanceDisabled)
+    /// The distance-annotated cover, when distance-aware (expert escape
+    /// hatch — e.g. for [`hopi_store::save_frozen`]). An engine and the
+    /// snapshots captured from it hold the same one until a distance
+    /// write replaces the engine's.
+    pub fn distance_cover(&self) -> Option<&Arc<FrozenCover>> {
+        self.distance.as_ref()
+    }
+
+    fn distance_source(&self) -> Result<&FrozenCover, HopiError> {
+        self.distance.as_deref().ok_or(HopiError::DistanceDisabled)
     }
 
     /// This holder's collection, tag and term index around `index`.

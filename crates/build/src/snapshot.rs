@@ -14,9 +14,12 @@
 //!
 //! Consecutive epochs share what the mutation between them left alone:
 //! the document table (behind one `Arc` inside [`Collection`]), the tag
-//! index and the term index; and the frozen cover of an epoch is
-//! patched from its predecessor's, sharing every row block the mutation
-//! did not dirty (see [`FrozenCover::patched`]).
+//! index, the term index and the distance cover; and the frozen cover of
+//! an epoch is patched from its predecessor's, sharing every row block the
+//! mutation did not dirty (see [`FrozenCover::patched`]). A distance write
+//! shares blocks the same way: the engine's distance cover is replaced by
+//! its successor ([`FrozenCover::successor`]), and a capture only clones
+//! the `Arc`.
 
 use crate::reads::Reads;
 use hopi_core::{BuildStats, FrozenCover};
@@ -78,8 +81,10 @@ pub struct PublishStats {
     pub rows_patched: usize,
     /// Bytes of the frozen blocks the capture wrote: the blocks a patch
     /// rebuilt, or every block of a full freeze — plus, on a
-    /// distance-aware engine, the distance cover it re-froze. Blocks shared
-    /// with the previous epoch cost nothing here.
+    /// distance-aware engine, the distance cover's blocks that the previous
+    /// epoch does not hold (all of them after a full freeze), which the
+    /// distance writes since that epoch rebuilt. Blocks shared with the
+    /// previous epoch cost nothing here.
     pub bytes: usize,
 }
 
@@ -231,9 +236,9 @@ impl SnapshotStats {
 /// ```
 #[derive(Clone, Debug)]
 pub struct HopiSnapshot {
-    /// The collection, tag index and term index with the frozen cover and
-    /// the distance-annotated frozen cover of a distance-aware engine.
-    pub(crate) reads: Reads<FrozenCover, FrozenCover>,
+    /// The collection, tag index and term index with the frozen cover and,
+    /// on a distance-aware engine, the engine's distance cover.
+    pub(crate) reads: Reads<FrozenCover>,
     /// The serving epoch this snapshot was published at (see
     /// [`SnapshotStats::epoch`]).
     pub(crate) epoch: u64,
@@ -251,9 +256,9 @@ pub struct HopiSnapshot {
 }
 
 /// The reads — `connected`, `query`, `query_ranked`, … — answered from the
-/// frozen cover and the frozen distance cover.
+/// frozen cover and the engine's distance cover.
 impl Deref for HopiSnapshot {
-    type Target = Reads<FrozenCover, FrozenCover>;
+    type Target = Reads<FrozenCover>;
 
     fn deref(&self) -> &Self::Target {
         &self.reads
@@ -265,11 +270,6 @@ impl HopiSnapshot {
     /// [`hopi_store::save_frozen`] or custom probe loops).
     pub fn frozen(&self) -> &FrozenCover {
         &self.reads.cover
-    }
-
-    /// The distance-annotated frozen cover, when distance-aware.
-    pub fn frozen_distance(&self) -> Option<&FrozenCover> {
-        self.reads.distance.as_ref()
     }
 
     /// Cover size `|L|` of the frozen cover (matches the engine's

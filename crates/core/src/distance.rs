@@ -4,7 +4,9 @@
 //! the center: `Lin(v)` holds `(w, dist(w, v))`, `Lout(u)` holds
 //! `(w, dist(u, w))`. The shortest distance of a connection is
 //! `min over common centers of Lout-dist + Lin-dist` — the SQL
-//! `SELECT MIN(LOUT.DIST + LIN.DIST)` query of §5.1.
+//! `SELECT MIN(LOUT.DIST + LIN.DIST)` query of §5.1. The labels live in a
+//! distance-annotated [`FrozenCover`], which answers that query and which
+//! [`FrozenCover::successor`] maintains under insertions (§6.1).
 //!
 //! Construction follows the plain builder with one crucial change: a center
 //! `w` may only cover `(u, v)` if it lies on a **shortest** path, i.e.
@@ -17,6 +19,7 @@
 //! the lazy priority queue with probability ≥ 0.99.
 
 use crate::densest::{densest_subgraph, BipartiteCenterGraph};
+use crate::frozen::{DistEntry, FrozenCover};
 use hopi_graph::{DistanceClosure, FixedBitSet};
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -30,268 +33,6 @@ pub const DENSITY_SAMPLES: usize = 13_600;
 
 /// z-value of the two-sided 98% confidence interval.
 const Z_98: f64 = 2.326;
-
-/// A distance-annotated 2-hop cover. Entries are `(center, dist)` pairs,
-/// sorted by center; the node itself (distance 0) is implicit and never
-/// stored, as in the plain cover.
-#[derive(Clone, Debug, Default)]
-pub struct DistanceCover {
-    lin: Vec<Vec<(u32, u32)>>,
-    lout: Vec<Vec<(u32, u32)>>,
-    inv_out: Vec<Vec<u32>>,
-    inv_in: Vec<Vec<u32>>,
-    entries: usize,
-}
-
-impl DistanceCover {
-    /// Creates an empty cover for nodes `0..n`.
-    pub fn with_nodes(n: usize) -> Self {
-        DistanceCover {
-            lin: vec![Vec::new(); n],
-            lout: vec![Vec::new(); n],
-            inv_out: vec![Vec::new(); n],
-            inv_in: vec![Vec::new(); n],
-            entries: 0,
-        }
-    }
-
-    /// Reconstructs a cover from per-node `(center, dist)` rows that are
-    /// **already sorted by center** (e.g. thawed from a persisted frozen
-    /// blob). Inverted index and entry count are derived in one pass.
-    pub fn from_sorted_label_rows(lin: Vec<Vec<(u32, u32)>>, lout: Vec<Vec<(u32, u32)>>) -> Self {
-        let n = lin.len().max(lout.len());
-        let mut cover = DistanceCover {
-            lin,
-            lout,
-            inv_out: vec![Vec::new(); n],
-            inv_in: vec![Vec::new(); n],
-            entries: 0,
-        };
-        cover.lin.resize_with(n, Vec::new);
-        cover.lout.resize_with(n, Vec::new);
-        for (node, row) in cover.lout.iter().enumerate() {
-            debug_assert!(row.windows(2).all(|w| w[0].0 < w[1].0), "Lout row sorted");
-            for &(c, _) in row {
-                cover.inv_out[c as usize].push(node as u32);
-                cover.entries += 1;
-            }
-        }
-        for (node, row) in cover.lin.iter().enumerate() {
-            debug_assert!(row.windows(2).all(|w| w[0].0 < w[1].0), "Lin row sorted");
-            for &(c, _) in row {
-                cover.inv_in[c as usize].push(node as u32);
-                cover.entries += 1;
-            }
-        }
-        cover
-    }
-
-    /// Number of node slots.
-    pub fn num_nodes(&self) -> usize {
-        self.lin.len()
-    }
-
-    /// Ensures slots `0..=id` exist.
-    pub fn ensure_node(&mut self, id: u32) {
-        let need = id as usize + 1;
-        if self.lin.len() < need {
-            self.lin.resize_with(need, Vec::new);
-            self.lout.resize_with(need, Vec::new);
-            self.inv_out.resize_with(need, Vec::new);
-            self.inv_in.resize_with(need, Vec::new);
-        }
-    }
-
-    /// Cover size (stored label entries) — directly comparable with the
-    /// plain cover's [`crate::TwoHopCover::size`]; the distance adds one
-    /// attribute per entry, not extra entries.
-    pub fn size(&self) -> usize {
-        self.entries
-    }
-
-    /// Stored `Lout(u)` as `(center, dist(u, center))`, sorted by center.
-    pub fn lout(&self, u: u32) -> &[(u32, u32)] {
-        self.lout.get(u as usize).map_or(&[], Vec::as_slice)
-    }
-
-    /// Stored `Lin(v)` as `(center, dist(center, v))`, sorted by center.
-    pub fn lin(&self, v: u32) -> &[(u32, u32)] {
-        self.lin.get(v as usize).map_or(&[], Vec::as_slice)
-    }
-
-    /// Adds/improves `(center, dist)` in `Lout(node)`.
-    pub fn add_out(&mut self, node: u32, center: u32, dist: u32) -> bool {
-        if node == center {
-            return false;
-        }
-        self.ensure_node(node.max(center));
-        let row = &mut self.lout[node as usize];
-        match row.binary_search_by_key(&center, |e| e.0) {
-            Ok(pos) => {
-                if dist < row[pos].1 {
-                    row[pos].1 = dist;
-                    true
-                } else {
-                    false
-                }
-            }
-            Err(pos) => {
-                row.insert(pos, (center, dist));
-                self.inv_out[center as usize].push(node);
-                self.entries += 1;
-                true
-            }
-        }
-    }
-
-    /// Adds/improves `(center, dist)` in `Lin(node)`.
-    pub fn add_in(&mut self, node: u32, center: u32, dist: u32) -> bool {
-        if node == center {
-            return false;
-        }
-        self.ensure_node(node.max(center));
-        let row = &mut self.lin[node as usize];
-        match row.binary_search_by_key(&center, |e| e.0) {
-            Ok(pos) => {
-                if dist < row[pos].1 {
-                    row[pos].1 = dist;
-                    true
-                } else {
-                    false
-                }
-            }
-            Err(pos) => {
-                row.insert(pos, (center, dist));
-                self.inv_in[center as usize].push(node);
-                self.entries += 1;
-                true
-            }
-        }
-    }
-
-    /// Shortest path length `u →* v`, `None` when unreachable — the
-    /// `MIN(LOUT.DIST + LIN.DIST)` query with implicit self labels.
-    pub fn distance(&self, u: u32, v: u32) -> Option<u32> {
-        if u == v {
-            return Some(0);
-        }
-        let mut best: Option<u32> = None;
-        let mut consider = |d: u32| {
-            best = Some(best.map_or(d, |b| b.min(d)));
-        };
-        // v as a center in Lout(u): dist(u, v) directly.
-        if let Ok(pos) = self.lout(u).binary_search_by_key(&v, |e| e.0) {
-            consider(self.lout(u)[pos].1);
-        }
-        // u as a center in Lin(v).
-        if let Ok(pos) = self.lin(v).binary_search_by_key(&u, |e| e.0) {
-            consider(self.lin(v)[pos].1);
-        }
-        // Merge intersection over common centers.
-        let (a, b) = (self.lout(u), self.lin(v));
-        let (mut i, mut j) = (0, 0);
-        while i < a.len() && j < b.len() {
-            match a[i].0.cmp(&b[j].0) {
-                Ordering::Less => i += 1,
-                Ordering::Greater => j += 1,
-                Ordering::Equal => {
-                    consider(a[i].1 + b[j].1);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        best
-    }
-
-    /// Reachability (distance query without the minimum).
-    pub fn connected(&self, u: u32, v: u32) -> bool {
-        self.distance(u, v).is_some()
-    }
-
-    /// Descendants of `u` with shortest distances, sorted by node id.
-    pub fn descendants_with_distance(&self, u: u32) -> Vec<(u32, u32)> {
-        let mut best: rustc_hash::FxHashMap<u32, u32> = rustc_hash::FxHashMap::default();
-        best.insert(u, 0);
-        let mut relax = |node: u32, d: u32| {
-            best.entry(node)
-                .and_modify(|cur| *cur = (*cur).min(d))
-                .or_insert(d);
-        };
-        for &(c, duc) in self.lout(u) {
-            relax(c, duc);
-            for &y in &self.inv_in[c as usize] {
-                let row = &self.lin[y as usize];
-                if let Ok(pos) = row.binary_search_by_key(&c, |e| e.0) {
-                    relax(y, duc + row[pos].1);
-                }
-            }
-        }
-        // u itself as implicit center.
-        for &y in self
-            .inv_in
-            .get(u as usize)
-            .map_or(&[][..], |v| v.as_slice())
-        {
-            let row = &self.lin[y as usize];
-            if let Ok(pos) = row.binary_search_by_key(&u, |e| e.0) {
-                relax(y, row[pos].1);
-            }
-        }
-        let mut out: Vec<(u32, u32)> = best.into_iter().collect();
-        out.sort_unstable();
-        out
-    }
-
-    /// Ancestors of `u` with shortest distances, sorted by node id.
-    pub fn ancestors_with_distance(&self, u: u32) -> Vec<(u32, u32)> {
-        let mut best: rustc_hash::FxHashMap<u32, u32> = rustc_hash::FxHashMap::default();
-        best.insert(u, 0);
-        let mut relax = |node: u32, d: u32| {
-            best.entry(node)
-                .and_modify(|cur| *cur = (*cur).min(d))
-                .or_insert(d);
-        };
-        for &(c, dcu) in self.lin(u) {
-            relax(c, dcu);
-            for &x in &self.inv_out[c as usize] {
-                let row = &self.lout[x as usize];
-                if let Ok(pos) = row.binary_search_by_key(&c, |e| e.0) {
-                    relax(x, row[pos].1 + dcu);
-                }
-            }
-        }
-        for &x in self
-            .inv_out
-            .get(u as usize)
-            .map_or(&[][..], |v| v.as_slice())
-        {
-            let row = &self.lout[x as usize];
-            if let Ok(pos) = row.binary_search_by_key(&u, |e| e.0) {
-                relax(x, row[pos].1);
-            }
-        }
-        let mut out: Vec<(u32, u32)> = best.into_iter().collect();
-        out.sort_unstable();
-        out
-    }
-
-    /// Iterates all stored `Lout` entries `(node, center, dist)`.
-    pub fn iter_out_entries(&self) -> impl Iterator<Item = (u32, u32, u32)> + '_ {
-        self.lout
-            .iter()
-            .enumerate()
-            .flat_map(|(n, row)| row.iter().map(move |&(c, d)| (n as u32, c, d)))
-    }
-
-    /// Iterates all stored `Lin` entries `(node, center, dist)`.
-    pub fn iter_in_entries(&self) -> impl Iterator<Item = (u32, u32, u32)> + '_ {
-        self.lin
-            .iter()
-            .enumerate()
-            .flat_map(|(n, row)| row.iter().map(move |&(c, d)| (n as u32, c, d)))
-    }
-}
 
 /// Statistics of one distance-aware construction.
 #[derive(Clone, Debug, Default)]
@@ -333,7 +74,9 @@ pub struct DistanceCoverBuilder<'a> {
     /// Uncovered (non-reflexive) connections, forward rows.
     unc_out: Vec<FixedBitSet>,
     remaining: usize,
-    cover: DistanceCover,
+    /// The committed `Lin` and `Lout` entries.
+    lin: Vec<DistEntry>,
+    lout: Vec<DistEntry>,
     stats: DistanceBuildStats,
     rng: StdRng,
 }
@@ -342,36 +85,36 @@ impl<'a> DistanceCoverBuilder<'a> {
     /// Creates the builder; all non-reflexive connections start uncovered.
     pub fn new(dc: &'a DistanceClosure) -> Self {
         let n = dc.num_nodes();
-        let mut unc_out = vec![FixedBitSet::new(n); n];
-        let mut remaining = 0usize;
-        for u in 0..n as u32 {
-            for &v in dc.out_row(u).keys() {
-                if v != u {
-                    unc_out[u as usize].insert(v);
-                    remaining += 1;
+        let unc_out: Vec<FixedBitSet> = (0..n as u32)
+            .map(|u| {
+                let mut row = FixedBitSet::new(n);
+                for &v in dc.out_row(u).keys().filter(|&&v| v != u) {
+                    row.insert(v);
                 }
-            }
-        }
+                row
+            })
+            .collect();
         DistanceCoverBuilder {
             dc,
+            remaining: unc_out.iter().map(FixedBitSet::count).sum(),
             unc_out,
-            remaining,
-            cover: DistanceCover::with_nodes(n),
+            lin: Vec::new(),
+            lout: Vec::new(),
             stats: DistanceBuildStats::default(),
             rng: StdRng::seed_from_u64(0xd157),
         }
     }
 
     /// Runs the construction.
-    pub fn build(mut self) -> DistanceCover {
-        self.run();
-        self.cover
+    pub fn build(self) -> FrozenCover {
+        self.build_with_stats().0
     }
 
     /// Runs the construction, returning statistics too.
-    pub fn build_with_stats(mut self) -> (DistanceCover, DistanceBuildStats) {
+    pub fn build_with_stats(mut self) -> (FrozenCover, DistanceBuildStats) {
         self.run();
-        (self.cover, self.stats)
+        let cover = FrozenCover::default().successor(self.dc.num_nodes(), self.lin, self.lout);
+        (cover, self.stats)
     }
 
     fn run(&mut self) {
@@ -387,9 +130,13 @@ impl<'a> DistanceCoverBuilder<'a> {
             }
         }
         while self.remaining > 0 {
-            let entry = heap
-                .pop()
-                .expect("connections uncovered but candidate heap exhausted");
+            // A sampled estimate reads 0 when every sample misses, which
+            // keeps a center off the heap although its graph has edges:
+            // what no center on the heap covered is covered directly.
+            let Some(entry) = heap.pop() else {
+                self.cover_rest();
+                break;
+            };
             let w = entry.node;
             let Some(cg) = self.center_graph(w) else {
                 continue;
@@ -411,6 +158,16 @@ impl<'a> DistanceCoverBuilder<'a> {
         }
     }
 
+    /// Covers every connection still uncovered with its target as the
+    /// center: `(v, dist(u, v))` in `Lout(u)`.
+    fn cover_rest(&mut self) {
+        for (u, row) in (0u32..).zip(&self.unc_out) {
+            let entries = row.iter().filter_map(|v| Some((u, v, self.dc.dist(u, v)?)));
+            self.lout.extend(entries);
+        }
+        self.remaining = 0;
+    }
+
     /// Initial density estimate for `w` (paper §5.2).
     ///
     /// The center graph is no longer complete: an edge `(u, v)` exists only
@@ -429,28 +186,25 @@ impl<'a> DistanceCoverBuilder<'a> {
         if candidates == 0 {
             return 0.0;
         }
-        let on_shortest = |(u, duw): (u32, u32), (v, dwv): (u32, u32)| -> bool {
-            u != v && self.dc.dist(u, v) == Some(duw + dwv)
+        let dc = self.dc;
+        let on_shortest = |&(u, duw): &(u32, u32), &(v, dwv): &(u32, u32)| -> bool {
+            u != v && dc.dist(u, v) == Some(duw + dwv)
         };
         if candidates <= DENSITY_SAMPLES {
             // Exact count for small center graphs.
-            let mut e = 0usize;
-            for &ue in &anc {
-                for &ve in &desc {
-                    if on_shortest(ue, ve) {
-                        e += 1;
-                    }
-                }
-            }
+            let e = anc
+                .iter()
+                .map(|ue| desc.iter().filter(|ve| on_shortest(ue, ve)).count())
+                .sum::<usize>();
             return max_density_for_edges(e as f64);
         }
         self.stats.sampled_estimates += 1;
         let mut hits = 0usize;
         for _ in 0..DENSITY_SAMPLES {
-            let ue = anc[self.rng.gen_range(0..a)];
-            let ve = desc[self.rng.gen_range(0..d)];
-            if on_shortest(ue, ve) {
-                hits += 1;
+            let ue = anc.get(self.rng.gen_range(0..a));
+            let ve = desc.get(self.rng.gen_range(0..d));
+            if let (Some(ue), Some(ve)) = (ue, ve) {
+                hits += usize::from(on_shortest(ue, ve));
             }
         }
         let p_hat = hits as f64 / DENSITY_SAMPLES as f64;
@@ -461,17 +215,16 @@ impl<'a> DistanceCoverBuilder<'a> {
 
     /// Materializes the shortest-path-filtered center graph of `w`.
     fn center_graph(&self, w: u32) -> Option<BipartiteCenterGraph> {
-        let right: Vec<u32> = {
-            let mut r: Vec<u32> = self.dc.out_row(w).keys().copied().collect();
-            r.sort_unstable();
-            r
-        };
+        let mut right: Vec<u32> = self.dc.out_row(w).keys().copied().collect();
+        right.sort_unstable();
         if right.is_empty() {
             return None;
         }
         let mut right_pos = vec![u32::MAX; self.dc.num_nodes()];
         for (j, &v) in right.iter().enumerate() {
-            right_pos[v as usize] = j as u32;
+            if let Some(pos) = right_pos.get_mut(v as usize) {
+                *pos = j as u32;
+            }
         }
         let mut left = Vec::new();
         let mut adj = Vec::new();
@@ -479,14 +232,18 @@ impl<'a> DistanceCoverBuilder<'a> {
         let mut anc: Vec<(u32, u32)> = self.dc.in_row(w).iter().map(|(&u, &d)| (u, d)).collect();
         anc.sort_unstable();
         for (u, duw) in anc {
+            let Some(uncovered) = self.unc_out.get(u as usize) else {
+                continue;
+            };
             let mut side_row = FixedBitSet::new(right.len());
             let mut cnt = 0usize;
-            for v in self.unc_out[u as usize].iter() {
-                let pos = right_pos[v as usize];
-                if pos == u32::MAX {
+            for v in uncovered.iter() {
+                let Some(&pos) = right_pos.get(v as usize).filter(|&&pos| pos != u32::MAX) else {
                     continue;
-                }
-                let dwv = self.dc.dist(w, v).expect("v in out_row(w)");
+                };
+                let Some(dwv) = self.dc.dist(w, v) else {
+                    continue;
+                };
                 if self.dc.dist(u, v) == Some(duw + dwv) {
                     side_row.insert(pos);
                     cnt += 1;
@@ -505,30 +262,31 @@ impl<'a> DistanceCoverBuilder<'a> {
     }
 
     fn commit_center(&mut self, w: u32, cin: &[u32], cout: &[u32]) {
-        let n = self.dc.num_nodes();
+        let (dc, n) = (self.dc, self.dc.num_nodes());
         let mut cout_set = FixedBitSet::new(n);
         for &v in cout {
             cout_set.insert(v);
         }
         let mut covered = 0usize;
         for &u in cin {
-            let duw = self.dc.dist(u, w).expect("cin member reaches w");
+            let (Some(duw), Some(uncovered)) = (dc.dist(u, w), self.unc_out.get_mut(u as usize))
+            else {
+                continue;
+            };
             // Only connections where w is on a shortest path are covered.
-            let mut row = self.unc_out[u as usize].clone();
+            let mut row = uncovered.clone();
             row.intersect_with(&cout_set);
             for v in row.iter() {
-                let dwv = self.dc.dist(w, v).expect("cout member reached by w");
-                if self.dc.dist(u, v) == Some(duw + dwv) {
-                    self.unc_out[u as usize].remove(v);
+                let dwv = dc.dist(w, v);
+                if dwv.is_some_and(|dwv| dc.dist(u, v) == Some(duw + dwv)) {
+                    uncovered.remove(v);
                     covered += 1;
                 }
             }
-            self.cover.add_out(u, w, duw);
+            self.lout.push((u, w, duw));
         }
-        for &v in cout {
-            let dwv = self.dc.dist(w, v).expect("cout member reached by w");
-            self.cover.add_in(v, w, dwv);
-        }
+        self.lin
+            .extend(cout.iter().filter_map(|&v| Some((v, w, dc.dist(w, v)?))));
         self.remaining -= covered;
         self.stats.centers += 1;
     }
@@ -558,7 +316,7 @@ mod tests {
         DistanceClosure::from_graph(&g)
     }
 
-    fn assert_distances_exact(cover: &DistanceCover, dc: &DistanceClosure, n: u32) {
+    fn assert_distances_exact(cover: &FrozenCover, dc: &DistanceClosure, n: u32) {
         for u in 0..n {
             for v in 0..n {
                 assert_eq!(
@@ -622,20 +380,34 @@ mod tests {
 
     #[test]
     fn add_improves_distance() {
-        let mut c = DistanceCover::with_nodes(3);
-        assert!(c.add_out(0, 1, 5));
-        assert!(c.add_out(0, 1, 3)); // improvement
-        assert!(!c.add_out(0, 1, 4)); // worse: ignored
-        assert_eq!(c.lout(0), &[(1, 3)]);
-        assert_eq!(c.size(), 1);
+        let c = FrozenCover::default().successor(3, vec![], vec![(0, 1, 5)]);
+        let improved = c.successor(3, vec![], vec![(0, 1, 3)]);
+        assert_eq!(improved.lout(0), &[1]);
+        assert_eq!(improved.lout_dists(0), &[3]);
+        // A longer distance is ignored: nothing changes, nothing is
+        // rebuilt.
+        let worse = improved.successor(3, vec![], vec![(0, 1, 4)]);
+        assert_eq!(worse, improved);
+        assert!(worse.sharing(&improved).shared.iter().flatten().all(|&s| s));
+        assert_eq!(worse.size(), 1);
+        assert_eq!(worse.distance(0, 1), Some(3));
     }
 
     #[test]
     fn self_entries_implicit() {
-        let mut c = DistanceCover::with_nodes(2);
-        assert!(!c.add_out(1, 1, 0));
+        let c = FrozenCover::default().successor(2, vec![(1, 1, 0)], vec![(1, 1, 0)]);
         assert_eq!(c.distance(1, 1), Some(0));
         assert_eq!(c.size(), 0);
+    }
+
+    #[test]
+    fn leftover_connections_are_covered_directly() {
+        let dc = closure_of(&[(0, 1), (1, 2), (0, 3), (3, 2)], 5);
+        let mut builder = DistanceCoverBuilder::new(&dc);
+        builder.cover_rest();
+        assert_eq!(builder.remaining, 0);
+        let cover = FrozenCover::default().successor(5, builder.lin, builder.lout);
+        assert_distances_exact(&cover, &dc, 5);
     }
 
     #[test]

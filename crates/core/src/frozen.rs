@@ -16,19 +16,20 @@
 //! * [`FrozenCover::connected_many`] batches §3.4-style `LIN ⋈ LOUT` join
 //!   probes, amortizing row lookups across a probe set.
 //!
-//! A frozen cover optionally carries the distance annotations of a
-//! [`DistanceCover`] (paper §5), answering `distance` from the same layout.
-//! A serving engine freezes once and then *patches*: [`FrozenCover::patched`]
-//! rebuilds the blocks holding a row the mutable cover's journal lists as
-//! edited and shares every other block with its predecessor, so a publish
-//! writes O(delta) bytes; the result equals what a full freeze would build.
-//! Freezing is one-way by construction, but [`FrozenCover::thaw`] /
-//! [`FrozenCover::thaw_distance`] rebuild the mutable forms without any
+//! A frozen cover optionally carries the distance annotations of paper §5,
+//! one per label entry, answering `distance` from the same layout; it is
+//! the only form of the distance-aware labels. A serving engine freezes
+//! once and then *patches*: [`FrozenCover::patched`] rebuilds the blocks
+//! holding a row the mutable cover's journal lists as edited and shares
+//! every other block with its predecessor, so a publish writes O(delta)
+//! bytes; the result equals what a full freeze would build. An annotated
+//! cover changes the same way: [`FrozenCover::successor`] adds
+//! `(node, center, dist)` entries, rebuilding only the blocks they edit.
+//! [`FrozenCover::thaw`] rebuilds the mutable plain cover without any
 //! re-sorting — rows are stored sorted — which is how a persisted frozen
 //! blob is reopened for maintenance.
 
 use crate::cover::{sorted_intersects, DirtyRows, NodeId, TwoHopCover};
-use crate::distance::DistanceCover;
 use crate::source::{CoverStats, LabelSource};
 use std::ops::Range;
 use std::sync::Arc;
@@ -162,27 +163,25 @@ impl<const HEAD: usize> Section<HEAD> {
         Section { blocks }
     }
 
-    /// This section grown to `n` rows, with the rows in `dirty` (sorted,
-    /// deduplicated) read through `row` and sorted. Every block that holds
-    /// no dirty row is shared with `self`; the others are rebuilt, their
-    /// clean rows and signatures copied from `self` (empty rows for slots
-    /// `self` never had).
+    /// This section grown to `n` rows, with the rows `dirty` yields
+    /// (ascending by node, one per node) replacing theirs. Every block that
+    /// holds no dirty row is shared with `self`; the others are rebuilt,
+    /// their clean rows, signatures and distances copied from `self`
+    /// (empty rows for slots `self` never had).
     fn patched<'a>(
         &self,
         n: usize,
-        dirty: &[NodeId],
-        row: impl Fn(NodeId) -> &'a [NodeId],
+        dirty: impl IntoIterator<Item = (NodeId, LabelRow<'a>)>,
     ) -> Self {
         let mut w = BlockWriter::<HEAD>::default();
         let mut dirty = dirty
-            .iter()
-            .map(|&d| d as usize)
-            .filter(|&d| d < n)
+            .into_iter()
+            .filter(|(d, _)| (*d as usize) < n)
             .peekable();
         let blocks = (0..Self::blocks_for(n))
             .map(|k| {
                 let end = (k + 1) * B;
-                let clean = dirty.peek().is_none_or(|&d| d >= end);
+                let clean = dirty.peek().is_none_or(|(d, _)| *d as usize >= end);
                 if let Some(block) = self.blocks.get(k).filter(|_| clean) {
                     return block.clone();
                 }
@@ -192,12 +191,11 @@ impl<const HEAD: usize> Section<HEAD> {
                 w.start(first);
                 let mut next = first;
                 while next < stop {
-                    let d = dirty.next_if(|&d| d < stop);
-                    let run_end = d.unwrap_or(stop);
+                    let d = dirty.next_if(|(d, _)| (*d as usize) < stop);
+                    let run_end = d.as_ref().map_or(stop, |(d, _)| *d as usize);
                     w.copy_rows(prev, next - first..run_end - first);
-                    if let Some(d) = d {
-                        w.push(LabelRow::Plain(row(d as NodeId)));
-                        w.sort_last();
+                    if let Some((_, row)) = d {
+                        w.push(row);
                     }
                     next = run_end + 1;
                 }
@@ -228,6 +226,16 @@ impl<const HEAD: usize> Section<HEAD> {
 }
 
 impl Labels {
+    /// The distance `v`'s row stores for center `c`.
+    fn dist_to(&self, v: NodeId, c: NodeId) -> Option<u32> {
+        let (block, slot) = self.slot(v);
+        let row = Self::span(block, slot);
+        let pos = block.get(row.clone())?.binary_search(&c).ok()?;
+        block
+            .get(row.start + Self::entries_in(block) + pos)
+            .copied()
+    }
+
     /// Signature of the row in `slot` of `block`.
     #[inline]
     fn sig(block: &[u32], slot: usize) -> u64 {
@@ -298,13 +306,15 @@ impl<const HEAD: usize> BlockWriter<HEAD> {
     }
 
     /// Appends the rows of `slots` from `prev`, the block at the same
-    /// index of an earlier cover, signatures included. Without such a
-    /// block (`prev` empty) the rows are empty.
+    /// index of an earlier cover, signatures and distances included.
+    /// Without such a block (`prev` empty) the rows are empty.
     fn copy_rows(&mut self, prev: &[u32], slots: Range<usize>) {
         match prev.get(slots.start..=slots.end) {
             Some(ends) => {
-                let data = prev.get(HEAD..).unwrap_or_default();
-                self.push_run(ends, data, None, Some(prev));
+                let len = Section::<HEAD>::entries_in(prev);
+                let data = prev.get(HEAD..HEAD + len).unwrap_or_default();
+                let dists = prev.get(HEAD + len..).filter(|d| !d.is_empty());
+                self.push_run(ends, data, dists, Some(prev));
             }
             None => {
                 let end = self.words.len() - HEAD;
@@ -312,16 +322,6 @@ impl<const HEAD: usize> BlockWriter<HEAD> {
                     self.seal(end, None);
                 }
             }
-        }
-    }
-
-    /// Sorts the row pushed last (holder rows live in the mutable cover in
-    /// edit order). Its signature does not depend on the order.
-    fn sort_last(&mut self) {
-        let slot = self.rows.saturating_sub(1);
-        let start = HEAD + self.words.get(slot).map_or(0, |&lo| lo as usize);
-        if let Some(row) = self.words.get_mut(start..) {
-            row.sort_unstable();
         }
     }
 
@@ -359,8 +359,8 @@ impl<const HEAD: usize> BlockWriter<HEAD> {
     }
 }
 
-/// An immutable, cache-friendly snapshot of a [`TwoHopCover`] (optionally
-/// with the distance annotations of a [`DistanceCover`]).
+/// An immutable, cache-friendly snapshot of a [`TwoHopCover`], or the
+/// distance-annotated cover of paper §5.
 ///
 /// ```
 /// use hopi_core::{FrozenCover, TwoHopCover};
@@ -428,6 +428,11 @@ pub struct BlockSharing {
     pub fresh_bytes: usize,
 }
 
+/// A distance-annotated label entry `(node, center, dist)`: `node` holds
+/// `center` at link distance `dist` — from the center in `Lin(node)`, to it
+/// in `Lout(node)`.
+pub type DistEntry = (NodeId, NodeId, u32);
+
 /// One bit of the 64-bit center signature (multiplicative hash).
 #[inline]
 fn sig_bit(x: NodeId) -> u64 {
@@ -451,18 +456,6 @@ impl FrozenCover {
             Labels::build(n, |v| LabelRow::Plain(cover.lin(v))),
             Labels::build(n, |v| LabelRow::Plain(cover.lout(v))),
             false,
-        )
-    }
-
-    /// Freezes a distance-aware cover, keeping the distance annotations so
-    /// [`FrozenCover::distance`] answers the §5.1 `MIN(DIST + DIST)` query.
-    pub fn from_distance_cover(cover: &DistanceCover) -> Self {
-        let n = cover.num_nodes();
-        Self::from_labels(
-            n,
-            Labels::build(n, |v| LabelRow::Annotated(cover.lin(v))),
-            Labels::build(n, |v| LabelRow::Annotated(cover.lout(v))),
-            true,
         )
     }
 
@@ -505,7 +498,7 @@ impl FrozenCover {
     /// Falls back to a full freeze when `dirty` is not relative to `prev`
     /// ([`DirtyRows::applies_to`]). Either way the result carries the
     /// take's stamp, so the next take from `cover` can patch it.
-    pub fn patched(prev: &FrozenCover, cover: &TwoHopCover, dirty: &DirtyRows) -> Self {
+    pub fn patched<'a>(prev: &FrozenCover, cover: &'a TwoHopCover, dirty: &'a DirtyRows) -> Self {
         if !dirty.applies_to(prev) {
             let mut frozen = Self::from_cover(cover);
             frozen.stamp = dirty.stamp;
@@ -519,20 +512,75 @@ impl FrozenCover {
             cover.size(),
             Self::MAX_LABEL_ENTRIES
         );
+        let rows = |dirty: &'a [NodeId], row: fn(&'a TwoHopCover, NodeId) -> &'a [NodeId]| {
+            dirty
+                .iter()
+                .map(move |&v| (v, LabelRow::Unsorted(row(cover, v))))
+        };
         FrozenCover {
-            lin: prev.lin.patched(n, &dirty.lin, |v| cover.lin(v)),
-            lout: prev.lout.patched(n, &dirty.lout, |v| cover.lout(v)),
+            lin: prev.lin.patched(n, rows(&dirty.lin, TwoHopCover::lin)),
+            lout: prev.lout.patched(n, rows(&dirty.lout, TwoHopCover::lout)),
             inv_in: prev
                 .inv_in
-                .patched(n, &dirty.inv_in, |c| cover.holders_in(c)),
+                .patched(n, rows(&dirty.inv_in, TwoHopCover::holders_in)),
             inv_out: prev
                 .inv_out
-                .patched(n, &dirty.inv_out, |c| cover.holders_out(c)),
+                .patched(n, rows(&dirty.inv_out, TwoHopCover::holders_out)),
             with_dist: false,
             lin_entries: cover.lin_entry_count(),
             lout_entries: cover.lout_entry_count(),
             n,
             stamp: dirty.stamp,
+        }
+    }
+
+    /// The distance-annotated successor of this cover (paper §5 labels,
+    /// maintained as §6.1 describes): grown to `n` node slots, or past the
+    /// last node an entry names, with every [`DistEntry`] of `lin` added to
+    /// `Lin(node)` and of `lout` to `Lout(node)`. A row that holds the
+    /// center already keeps the smaller distance; self entries are
+    /// implicit and dropped. Only the blocks holding a label row the
+    /// entries change or a holder row they grow are rebuilt; every other
+    /// block is shared with `self` ([`FrozenCover::sharing`]). `self` is
+    /// annotated or empty: the successor of [`FrozenCover::default`] is a
+    /// fresh build.
+    pub fn successor(&self, n: usize, mut lin: Vec<DistEntry>, mut lout: Vec<DistEntry>) -> Self {
+        debug_assert!(
+            self.with_dist || self.size() == 0,
+            "a plain cover has no distances to keep"
+        );
+        for entries in [&mut lin, &mut lout] {
+            entries.retain(|&(node, center, _)| node != center);
+            // Sorted by (node, center, dist): the first of a pair is its
+            // minimum.
+            entries.sort_unstable();
+            entries.dedup_by_key(|&mut (node, center, _)| (node, center));
+        }
+        let n = lin
+            .iter()
+            .chain(&lout)
+            .map(|&(node, center, _)| node.max(center) as usize + 1)
+            .fold(n.max(self.n), usize::max);
+        let lin = Edit::of(&self.lin, &self.inv_in, &lin);
+        let lout = Edit::of(&self.lout, &self.inv_out, &lout);
+        let (lin_entries, lout_entries) =
+            (self.lin_entries + lin.added, self.lout_entries + lout.added);
+        assert!(
+            lin_entries + lout_entries <= Self::MAX_LABEL_ENTRIES,
+            "cover has {} label entries; FrozenCover supports at most {}",
+            lin_entries + lout_entries,
+            Self::MAX_LABEL_ENTRIES
+        );
+        FrozenCover {
+            lin: self.lin.patched(n, lin.label_rows()),
+            lout: self.lout.patched(n, lout.label_rows()),
+            inv_in: self.inv_in.patched(n, lin.holder_rows()),
+            inv_out: self.inv_out.patched(n, lout.holder_rows()),
+            with_dist: true,
+            lin_entries,
+            lout_entries,
+            n,
+            stamp: 0,
         }
     }
 
@@ -569,28 +617,28 @@ impl FrozenCover {
             return Err("offset tables must both have n + 1 entries".into());
         }
         let n = lin_off.len() - 1;
-        if lin_off[0] != 0
-            || lout_off[0] != lin_off[n]
-            || lout_off[n] as usize != labels.len()
-            || labels.len() > Self::MAX_LABEL_ENTRIES
-        {
+        let tiled = lin_off.first() == Some(&0)
+            && lout_off.first() == lin_off.last()
+            && lout_off.last().map(|&end| end as usize) == Some(labels.len())
+            && labels.len() <= Self::MAX_LABEL_ENTRIES;
+        if !tiled {
             return Err("offset tables do not tile the label buffer".into());
         }
-        for off in [&lin_off, &lout_off] {
-            if off.windows(2).any(|w| w[0] > w[1]) {
-                return Err("offsets must be non-decreasing".into());
-            }
+        if !lin_off.is_sorted() || !lout_off.is_sorted() {
+            return Err("offsets must be non-decreasing".into());
         }
-        for (i, row) in lin_off
-            .windows(2)
-            .chain(lout_off.windows(2))
-            .enumerate()
-            .map(|(i, w)| (i % n, &labels[w[0] as usize..w[1] as usize]))
-        {
-            if row.windows(2).any(|w| w[0] >= w[1]) {
+        fn spans(off: &[u32]) -> impl Iterator<Item = Range<usize>> + '_ {
+            let ends = off.iter().skip(1);
+            off.iter()
+                .zip(ends)
+                .map(|(&lo, &hi)| lo as usize..hi as usize)
+        }
+        for (i, span) in spans(&lin_off).chain(spans(&lout_off)).enumerate() {
+            let row = labels.get(span).unwrap_or_default();
+            if !row.is_sorted_by(|a, b| a < b) {
                 return Err("label rows must be strictly sorted".into());
             }
-            if row.iter().any(|&c| c as usize >= n || c as usize == i) {
+            if row.iter().any(|&c| c as usize >= n || c as usize == i % n) {
                 return Err("label center out of range or self entry".into());
             }
         }
@@ -679,6 +727,18 @@ impl FrozenCover {
         self.lout.row(v)
     }
 
+    /// The distances parallel to [`FrozenCover::lin`]: entry `i` is the
+    /// distance from the `i`-th center to `v` (empty without annotations).
+    pub fn lin_dists(&self, v: NodeId) -> &[u32] {
+        self.lin.dists(v)
+    }
+
+    /// The distances parallel to [`FrozenCover::lout`]: entry `i` is the
+    /// distance from `v` to the `i`-th center (empty without annotations).
+    pub fn lout_dists(&self, v: NodeId) -> &[u32] {
+        self.lout.dists(v)
+    }
+
     /// Nodes holding `c` in `Lin` (`c` reaches them), sorted.
     #[inline]
     pub fn holders_in(&self, c: NodeId) -> &[NodeId] {
@@ -724,9 +784,10 @@ impl FrozenCover {
         out.extend(pairs.iter().map(|&(u, v)| self.connected(u, v)));
     }
 
-    /// Shortest link distance `u →* v` (`None` = unreachable). Requires
-    /// distance annotations ([`FrozenCover::from_distance_cover`]); covers
-    /// without them report `None` for `u != v`.
+    /// Shortest link distance `u →* v` (`None` = unreachable): the §5.1
+    /// `MIN(LOUT.DIST + LIN.DIST)` query. Requires distance annotations
+    /// ([`FrozenCover::successor`]); covers without them report `None` for
+    /// `u != v`.
     pub fn distance(&self, u: NodeId, v: NodeId) -> Option<u32> {
         if u == v {
             return Some(0);
@@ -736,18 +797,8 @@ impl FrozenCover {
         }
         let (lin_v, lout_u) = (self.lin(v), self.lout(u));
         let (lin_d, lout_d) = (self.lin.dists(v), self.lout.dists(u));
-        let mut best: Option<u32> = None;
-        let mut consider = |d: u32| best = Some(best.map_or(d, |b| b.min(d)));
-        if let Some(&d) = lout_u
-            .binary_search(&v)
-            .ok()
-            .and_then(|pos| lout_d.get(pos))
-        {
-            consider(d);
-        }
-        if let Some(&d) = lin_v.binary_search(&u).ok().and_then(|pos| lin_d.get(pos)) {
-            consider(d);
-        }
+        let direct = [self.lout.dist_to(u, v), self.lin.dist_to(v, u)];
+        let mut best = direct.into_iter().flatten().min();
         let (mut i, mut j) = (0, 0);
         while let (Some(a), Some(b)) = (lout_u.get(i), lin_v.get(j)) {
             match a.cmp(b) {
@@ -755,7 +806,7 @@ impl FrozenCover {
                 std::cmp::Ordering::Greater => j += 1,
                 std::cmp::Ordering::Equal => {
                     if let (Some(&x), Some(&y)) = (lout_d.get(i), lin_d.get(j)) {
-                        consider(x + y);
+                        best = Some(best.map_or(x + y, |b| b.min(x + y)));
                     }
                     i += 1;
                     j += 1;
@@ -763,6 +814,18 @@ impl FrozenCover {
             }
         }
         best
+    }
+
+    /// Descendants of `u` (`u` itself at 0) with their shortest distances,
+    /// sorted by node.
+    pub fn descendants_with_distance(&self, u: NodeId) -> Vec<(NodeId, u32)> {
+        reach_with_distance(self.n, u, &self.lout, &self.inv_in, &self.lin)
+    }
+
+    /// Ancestors of `u` (`u` itself at 0) with their shortest distances,
+    /// sorted by node.
+    pub fn ancestors_with_distance(&self, u: NodeId) -> Vec<(NodeId, u32)> {
+        reach_with_distance(self.n, u, &self.lin, &self.inv_out, &self.lout)
     }
 
     /// All descendants of `u` (including `u`), sorted + deduped into the
@@ -798,26 +861,6 @@ impl FrozenCover {
                 .map(|v| self.lout(v).to_vec())
                 .collect(),
         )
-    }
-
-    /// Rebuilds the mutable distance-aware cover, when annotations are
-    /// stored.
-    pub fn thaw_distance(&self) -> Option<DistanceCover> {
-        if !self.with_dist {
-            return None;
-        }
-        let annotated = |section: &Labels, v: NodeId| -> Vec<(u32, u32)> {
-            let (row, dists) = (section.row(v), section.dists(v));
-            row.iter().copied().zip(dists.iter().copied()).collect()
-        };
-        Some(DistanceCover::from_sorted_label_rows(
-            (0..self.n as NodeId)
-                .map(|v| annotated(&self.lin, v))
-                .collect(),
-            (0..self.n as NodeId)
-                .map(|v| annotated(&self.lout, v))
-                .collect(),
-        ))
     }
 }
 
@@ -893,9 +936,132 @@ impl LabelSource for FrozenCover {
     }
 }
 
-/// One source row during freezing: plain centers or `(center, dist)` pairs.
+/// The nodes `u` reaches through the centers of its `labels` row (and
+/// itself, the implicit center) and the holders of each center in
+/// `holders`, at their shortest distances: `u`'s distance to the center
+/// plus the center's distance in the holder's `other` row. Sorted by node;
+/// `n` bounds the nodes of the cover.
+fn reach_with_distance(
+    n: usize,
+    u: NodeId,
+    labels: &Labels,
+    holders: &Holders,
+    other: &Labels,
+) -> Vec<(NodeId, u32)> {
+    // The shortest distance found per node, `u32::MAX` for none yet.
+    let mut best = vec![u32::MAX; n.max(u as usize + 1)];
+    let mut found = Vec::new();
+    let mut relax = |x: NodeId, d: u32| {
+        if let Some(b) = best.get_mut(x as usize) {
+            if *b == u32::MAX {
+                found.push(x);
+            }
+            *b = (*b).min(d);
+        }
+    };
+    let centers = labels.row(u).iter().zip(labels.dists(u));
+    for (c, to_c) in std::iter::once((u, 0)).chain(centers.map(|(&c, &d)| (c, d))) {
+        relax(c, to_c);
+        for &y in holders.row(c) {
+            if let Some(d) = other.dist_to(y, c) {
+                relax(y, to_c + d);
+            }
+        }
+    }
+    found.sort_unstable();
+    found
+        .into_iter()
+        .filter_map(|x| Some((x, *best.get(x as usize)?)))
+        .collect()
+}
+
+/// What a [`FrozenCover::successor`] changes in one label section and the
+/// holder section inverting it.
+struct Edit {
+    /// The label rows the entries change, ascending by node: each a span
+    /// of `merged`, the row merged with its new entries.
+    rows: Vec<(NodeId, Range<usize>)>,
+    merged: Vec<(NodeId, u32)>,
+    /// The holder rows the new entries grow, ascending by center.
+    holders: Vec<(NodeId, Vec<NodeId>)>,
+    /// Entries whose center the row did not hold.
+    added: usize,
+}
+
+impl Edit {
+    /// `entries` (sorted by node and center, one per pair, no self entry)
+    /// merged into the rows of `labels`, and the rows of `holders` they
+    /// grow. An entry no shorter than the one its row holds changes
+    /// nothing.
+    fn of(labels: &Labels, holders: &Holders, entries: &[DistEntry]) -> Self {
+        let (mut rows, mut merged, mut grown) = (Vec::new(), Vec::new(), Vec::new());
+        for group in entries.chunk_by(|a, b| a.0 == b.0) {
+            let Some(&(node, ..)) = group.first() else {
+                continue;
+            };
+            let old = labels.row(node).iter().zip(labels.dists(node));
+            let mut old = old.map(|(&c, &d)| (c, d)).peekable();
+            let (start, mut changed) = (merged.len(), false);
+            for &(_, c, d) in group {
+                merged.extend(std::iter::from_fn(|| old.next_if(|&(o, _)| o < c)));
+                match old.next_if(|&(o, _)| o == c) {
+                    Some((_, kept)) if kept <= d => merged.push((c, kept)),
+                    Some(_) => {
+                        merged.push((c, d));
+                        changed = true;
+                    }
+                    None => {
+                        merged.push((c, d));
+                        grown.push((c, node));
+                        changed = true;
+                    }
+                }
+            }
+            if changed {
+                merged.extend(old);
+                rows.push((node, start..merged.len()));
+            } else {
+                merged.truncate(start);
+            }
+        }
+        grown.sort_unstable();
+        let holders = grown
+            .chunk_by(|a, b| a.0 == b.0)
+            .filter_map(|group| {
+                let &(center, _) = group.first()?;
+                let mut row = holders.row(center).to_vec();
+                row.extend(group.iter().map(|&(_, node)| node));
+                row.sort_unstable();
+                Some((center, row))
+            })
+            .collect();
+        Edit {
+            rows,
+            merged,
+            holders,
+            added: grown.len(),
+        }
+    }
+
+    fn label_rows(&self) -> impl Iterator<Item = (NodeId, LabelRow<'_>)> {
+        self.rows.iter().map(|(v, span)| {
+            let row = self.merged.get(span.clone()).unwrap_or_default();
+            (*v, LabelRow::Annotated(row))
+        })
+    }
+
+    fn holder_rows(&self) -> impl Iterator<Item = (NodeId, LabelRow<'_>)> {
+        self.holders
+            .iter()
+            .map(|(c, row)| (*c, LabelRow::Plain(row)))
+    }
+}
+
+/// One source row during freezing: sorted centers, centers in any order
+/// (sorted on the way), or sorted `(center, dist)` pairs.
 enum LabelRow<'a> {
     Plain(&'a [NodeId]),
+    Unsorted(&'a [NodeId]),
     Annotated(&'a [(u32, u32)]),
 }
 
@@ -903,6 +1069,13 @@ impl LabelRow<'_> {
     fn append_to(&self, data: &mut Vec<NodeId>, dist: &mut Vec<u32>) {
         match self {
             LabelRow::Plain(row) => data.extend_from_slice(row),
+            LabelRow::Unsorted(row) => {
+                let start = data.len();
+                data.extend_from_slice(row);
+                if let Some(row) = data.get_mut(start..) {
+                    row.sort_unstable();
+                }
+            }
             LabelRow::Annotated(row) => {
                 data.extend(row.iter().map(|&(c, _)| c));
                 dist.extend(row.iter().map(|&(_, d)| d));
@@ -1001,15 +1174,17 @@ mod tests {
             g.add_edge(u, v);
         }
         let dc = DistanceClosure::from_graph(&g);
-        let live = crate::DistanceCoverBuilder::new(&dc).build();
-        let frozen = FrozenCover::from_distance_cover(&live);
+        let frozen = crate::DistanceCoverBuilder::new(&dc).build();
         assert!(frozen.with_dist());
+        let plain = FrozenCover::from_cover(&frozen.thaw());
         for u in 0..4 {
             for v in 0..4 {
-                assert_eq!(frozen.distance(u, v), live.distance(u, v), "({u},{v})");
-                assert_eq!(frozen.connected(u, v), live.connected(u, v));
+                assert_eq!(frozen.distance(u, v), dc.dist(u, v), "({u},{v})");
+                assert_eq!(frozen.connected(u, v), dc.dist(u, v).is_some());
+                assert_eq!(plain.connected(u, v), frozen.connected(u, v));
             }
         }
+        assert_eq!(plain.distance(0, 3), None, "a plain cover has no distances");
     }
 
     #[test]
@@ -1023,26 +1198,6 @@ mod tests {
             assert_eq!(thawed.lin(u), live.lin(u));
             assert_eq!(thawed.lout(u), live.lout(u));
         }
-    }
-
-    #[test]
-    fn thaw_distance_roundtrips() {
-        let mut g = DiGraph::new();
-        for (u, v) in [(0, 1), (1, 2), (0, 3), (3, 2)] {
-            g.add_edge(u, v);
-        }
-        let dc = DistanceClosure::from_graph(&g);
-        let live = crate::DistanceCoverBuilder::new(&dc).build();
-        let frozen = FrozenCover::from_distance_cover(&live);
-        let thawed = frozen.thaw_distance().expect("annotations stored");
-        for u in 0..4 {
-            for v in 0..4 {
-                assert_eq!(thawed.distance(u, v), live.distance(u, v), "({u},{v})");
-            }
-        }
-        assert!(FrozenCover::from_cover(&path_cover())
-            .thaw_distance()
-            .is_none());
     }
 
     /// `frozen` through [`FrozenCover::write_label_csr`] and back.
@@ -1114,12 +1269,10 @@ mod tests {
             g.add_edge(u, (u * 7 + 1) % n);
         }
         let dc = DistanceClosure::from_graph(&g);
-        let annotated =
-            FrozenCover::from_distance_cover(&crate::DistanceCoverBuilder::new(&dc).build());
+        let annotated = crate::DistanceCoverBuilder::new(&dc).build();
         assert_eq!(from_written_csr(&annotated), annotated);
-        let thawed = annotated.thaw_distance().expect("annotations stored");
         for (u, v) in [(0, 1), (0, n - 1), (5, 300), (700, 2)] {
-            assert_eq!(annotated.distance(u, v), thawed.distance(u, v), "({u},{v})");
+            assert_eq!(annotated.distance(u, v), dc.dist(u, v), "({u},{v})");
         }
     }
 

@@ -17,16 +17,19 @@
 //! * [`builder::CoverBuilder`] — Cohen's greedy cover construction with
 //!   HOPI's lazy-priority-queue optimization and the link-target center
 //!   preselection of paper §4.2.
-//! * [`distance::DistanceCover`] / [`distance::DistanceCoverBuilder`] — the
-//!   distance-aware cover of paper §5: labels carry distances to centers, a
-//!   center may only cover a connection it lies on a *shortest* path of, and
-//!   initial center-graph densities are estimated from ≤ 13,600 sampled
-//!   candidate edges with a 98% confidence interval.
+//! * [`distance::DistanceCoverBuilder`] — the distance-aware cover of paper
+//!   §5: labels carry distances to centers, a center may only cover a
+//!   connection it lies on a *shortest* path of, and initial center-graph
+//!   densities are estimated from ≤ 13,600 sampled candidate edges with a
+//!   98% confidence interval. It builds a distance-annotated
+//!   [`frozen::FrozenCover`], the one form of these labels.
 //! * [`index::HopiIndex`] — the built-index handle the query, maintenance,
 //!   and storage layers exchange.
 //! * [`frozen::FrozenCover`] — an immutable CSR snapshot of a cover for the
 //!   read-dominated serving path: contiguous label/holder rows,
-//!   allocation-free probes, batched `connected_many`.
+//!   allocation-free probes, batched `connected_many`. With one distance per
+//!   label entry it answers §5.1's `MIN(LOUT.DIST + LIN.DIST)`, and
+//!   [`frozen::FrozenCover::successor`] adds entries to it block by block.
 //! * [`source::LabelSource`] — the query interface shared by the mutable
 //!   and frozen representations (path evaluation is written against it),
 //!   with the one descendant/ancestor enumeration kernel both use
@@ -52,7 +55,7 @@ pub mod source;
 pub use builder::{BuildStats, CoverBuilder};
 pub use cover::{DirtyRows, TwoHopCover};
 pub use densest::{densest_subgraph, BipartiteCenterGraph, DensestResult};
-pub use distance::{DistanceCover, DistanceCoverBuilder};
-pub use frozen::FrozenCover;
+pub use distance::DistanceCoverBuilder;
+pub use frozen::{DistEntry, FrozenCover};
 pub use index::HopiIndex;
 pub use source::{CoverStats, LabelSource};

@@ -3,9 +3,14 @@
 //! the cover `FrozenCover::from_cover(cover)` builds — on the patch path
 //! and on every fall-back to a full freeze — and on the patch path it
 //! shares with `prev` exactly the row blocks that hold no journalled row.
+//! The distance-annotated successor keeps the same contract: after any
+//! additions, `FrozenCover::successor` equals a from-scratch freeze of the
+//! union, with the minimum distance kept per (node, center), and shares
+//! exactly the blocks holding no edited row.
 
-use hopi_core::{FrozenCover, TwoHopCover};
+use hopi_core::{DistEntry, FrozenCover, TwoHopCover};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// One step of a program: an operation selector and two operands.
 type Op = (u32, u32, u32);
@@ -342,4 +347,139 @@ fn multi_block_covers_patch_block_by_block() {
         .iter()
         .flatten()
         .all(|&s| !s));
+}
+
+/// Annotated labels as a model: `(node, center) → dist`, no self entries.
+type Model = BTreeMap<(u32, u32), u32>;
+
+/// `model` with `entries` added, keeping the minimum per pair.
+fn union(model: &Model, entries: &[DistEntry]) -> Model {
+    let mut out = model.clone();
+    for &(node, center, dist) in entries.iter().filter(|e| e.0 != e.1) {
+        out.entry((node, center))
+            .and_modify(|d| *d = (*d).min(dist))
+            .or_insert(dist);
+    }
+    out
+}
+
+/// The from-scratch freeze of two label models over `n` nodes, through the
+/// persisted CSR form.
+fn freeze_models(n: usize, lin: &Model, lout: &Model) -> FrozenCover {
+    let (mut lin_off, mut lout_off) = (vec![0u32], Vec::new());
+    let (mut labels, mut dist) = (Vec::new(), Vec::new());
+    for (model, off) in [(lin, &mut lin_off), (lout, &mut lout_off)] {
+        if off.is_empty() {
+            off.push(labels.len() as u32);
+        }
+        for v in 0..n as u32 {
+            for (&(_, c), &d) in model.range((v, 0)..(v + 1, 0)) {
+                labels.push(c);
+                dist.push(d);
+            }
+            off.push(labels.len() as u32);
+        }
+    }
+    FrozenCover::from_label_csr(lin_off, lout_off, labels, Some(dist)).expect("valid CSR")
+}
+
+/// Nodes past the last slot a model names.
+fn extent(models: [&Model; 2]) -> usize {
+    models
+        .iter()
+        .flat_map(|m| m.keys())
+        .map(|&(node, center)| node.max(center) as usize + 1)
+        .max()
+        .unwrap_or(0)
+}
+
+/// Nodes whose row differs between `before` and `after`, and centers
+/// whose holder set grew.
+fn edited(before: &Model, after: &Model) -> (Vec<u32>, Vec<u32>) {
+    let rows = after
+        .iter()
+        .filter(|&(key, d)| before.get(key) != Some(d))
+        .map(|(&(node, _), _)| node);
+    let holders = after
+        .keys()
+        .filter(|key| !before.contains_key(key))
+        .map(|&(_, center)| center);
+    (rows.collect(), holders.collect())
+}
+
+/// Random annotated entries over nodes `0..n + 2`, spread by `stride`.
+fn arb_entries(n: u32, stride: u32, max: usize) -> impl Strategy<Value = Vec<DistEntry>> {
+    proptest::collection::vec((0..n + 2, 0..n + 2, 1u32..9), 0..=max).prop_map(move |e| {
+        e.into_iter()
+            .map(|(v, c, d)| (v * stride, c * stride, d))
+            .collect()
+    })
+}
+
+fn arb_successor() -> impl Strategy<Value = (usize, [Vec<DistEntry>; 4])> {
+    (4u32..40, 0u32..2).prop_flat_map(|(n, spread)| {
+        let stride = [1, 61][spread as usize];
+        let entries = (
+            arb_entries(n, stride, 40),
+            arb_entries(n, stride, 40),
+            arb_entries(n, stride, 6),
+            arb_entries(n, stride, 6),
+        );
+        (Just((n * stride) as usize), entries).prop_map(|(n, (a, b, c, d))| (n, [a, b, c, d]))
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A random annotated cover and random additions: the successor is the
+    /// from-scratch freeze of the union (minimum per pair), and shares
+    /// every block of the base that holds no edited row.
+    #[test]
+    fn successor_equals_freeze_of_union((n, [lin, lout, add_in, add_out]) in arb_successor()) {
+        let (base_lin, base_lout) = (union(&Model::new(), &lin), union(&Model::new(), &lout));
+        let base = FrozenCover::default().successor(n, lin, lout);
+        let base_n = n.max(extent([&base_lin, &base_lout]));
+        prop_assert_eq!(&base, &freeze_models(base_n, &base_lin, &base_lout));
+
+        let (next_lin, next_lout) = (union(&base_lin, &add_in), union(&base_lout, &add_out));
+        let next = base.successor(n, add_in, add_out);
+        let next_n = base_n.max(extent([&next_lin, &next_lout]));
+        prop_assert_eq!(&next, &freeze_models(next_n, &next_lin, &next_lout));
+
+        let (lin_rows, inv_in) = edited(&base_lin, &next_lin);
+        let (lout_rows, inv_out) = edited(&base_lout, &next_lout);
+        let sharing = next.sharing(&base);
+        for (section, (flags, rows)) in sharing.shared.iter().zip([lin_rows, lout_rows, inv_in, inv_out]).enumerate() {
+            prop_assert_eq!(flags.len(), next_n.div_ceil(B));
+            for (k, &shared) in flags.iter().enumerate() {
+                let dirtied = rows.iter().any(|&d| d as usize / B == k);
+                prop_assert_eq!(
+                    shared,
+                    k < base_n.div_ceil(B) && !dirtied,
+                    "section {} block {}", section, k
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn leaf_link_successor_shares_what_it_does_not_edit() {
+    // A chain over three blocks and a bit, then a link from a leaf in block
+    // 0 to a node in block 3: only the rows the new entries edit are
+    // rebuilt.
+    let n = 3 * B as u32 + 10;
+    let chain: Vec<DistEntry> = (1..n).map(|v| (v, 0, v)).collect();
+    let base = FrozenCover::default().successor(n as usize, chain, vec![]);
+    let (leaf, target) = (5, 3 * B as u32 + 4);
+    let next = base.successor(n as usize, vec![(target, leaf, 1)], vec![(leaf, target, 1)]);
+    assert_eq!(next.distance(leaf, target), Some(1));
+    assert_eq!(next.distance(0, target), Some(target));
+    assert_eq!(next.size(), base.size() + 2);
+    let rebuilt = next.sharing(&base).shared.map(|flags| {
+        let fresh = flags.iter().enumerate().filter(|(_, &shared)| !shared);
+        fresh.map(|(k, _)| k).collect::<Vec<_>>()
+    });
+    assert_eq!(rebuilt, [vec![3], vec![0], vec![0], vec![3]]);
 }

@@ -308,11 +308,6 @@ pub struct DistanceClosure {
 }
 
 impl DistanceClosure {
-    /// Creates an empty distance closure.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// BFS from every live node. `O(n · m)` — acceptable because the
     /// partitioner bounds partition sizes, and the paper's distance-aware
     /// experiments run on reduced collections for the same reason.
@@ -385,68 +380,6 @@ impl DistanceClosure {
     /// Whether `u` is a live node.
     pub fn is_alive(&self, u: NodeId) -> bool {
         self.alive.get(u as usize).copied().unwrap_or(false)
-    }
-
-    /// Inserts edge `(u, v)` and relaxes all distances that the new edge
-    /// shortens. Every new shortest path using the edge decomposes as
-    /// `a →* u → v →* d` with *old* shortest segments, so one pass over
-    /// `anc(u) × desc(v)` suffices.
-    pub fn insert_edge(&mut self, u: NodeId, v: NodeId) {
-        self.ensure_node(u);
-        self.ensure_node(v);
-        let mut anc_u: Vec<(NodeId, u32)> = self.in_rows[u as usize]
-            .iter()
-            .map(|(&a, &d)| (a, d))
-            .collect();
-        anc_u.push((u, 0));
-        let mut desc_v: Vec<(NodeId, u32)> = self.out_rows[v as usize]
-            .iter()
-            .map(|(&x, &d)| (x, d))
-            .collect();
-        desc_v.push((v, 0));
-        // Dedup (u,0)/(v,0) may already be present as reflexive entries.
-        anc_u.sort_unstable();
-        anc_u.dedup_by_key(|e| e.0);
-        desc_v.sort_unstable();
-        desc_v.dedup_by_key(|e| e.0);
-        for &(a, dau) in &anc_u {
-            for &(x, dvx) in &desc_v {
-                let cand = dau + 1 + dvx;
-                let row = &mut self.out_rows[a as usize];
-                match row.get_mut(&x) {
-                    Some(existing) => {
-                        if cand < *existing {
-                            *existing = cand;
-                            self.in_rows[x as usize].insert(a, cand);
-                        }
-                    }
-                    None => {
-                        row.insert(x, cand);
-                        self.in_rows[x as usize].insert(a, cand);
-                        self.connections += 1;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Ensures ids `0..=id` exist and are live with their reflexive entries,
-    /// mirroring [`DiGraph::ensure_node`].
-    pub fn ensure_node(&mut self, id: NodeId) {
-        let need = id as usize + 1;
-        if self.out_rows.len() < need {
-            self.out_rows.resize_with(need, FxHashMap::default);
-            self.in_rows.resize_with(need, FxHashMap::default);
-            self.alive.resize(need, false);
-        }
-        for i in 0..need {
-            if !self.alive[i] {
-                self.alive[i] = true;
-                self.out_rows[i].insert(i as NodeId, 0);
-                self.in_rows[i].insert(i as NodeId, 0);
-                self.connections += 1;
-            }
-        }
     }
 }
 
@@ -615,32 +548,6 @@ mod tests {
         let dc = DistanceClosure::from_graph(&g);
         assert_eq!(dc.dist(0, 3), Some(1));
         assert_eq!(dc.in_row(3)[&0], 1);
-    }
-
-    #[test]
-    fn distance_incremental_insert_matches_batch() {
-        let mut rng = StdRng::seed_from_u64(3);
-        for _ in 0..20 {
-            let n = 25u32;
-            let mut g = DiGraph::new();
-            g.ensure_node(n - 1);
-            let mut dc = DistanceClosure::new();
-            for id in 0..n {
-                dc.ensure_node(id);
-            }
-            for _ in 0..50 {
-                let u = rng.gen_range(0..n);
-                let v = rng.gen_range(0..n);
-                g.add_edge(u, v);
-                dc.insert_edge(u, v);
-            }
-            let batch = DistanceClosure::from_graph(&g);
-            for u in 0..n {
-                for v in 0..n {
-                    assert_eq!(dc.dist(u, v), batch.dist(u, v), "dist({u},{v})");
-                }
-            }
-        }
     }
 
     #[test]

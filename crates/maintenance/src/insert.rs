@@ -15,8 +15,8 @@
 
 use hopi_core::old_join::center_on;
 use hopi_core::HopiIndex;
-use hopi_core::{CoverBuilder, DistanceCover, TwoHopCover};
-use hopi_graph::{DiGraph, TransitiveClosure};
+use hopi_core::{CoverBuilder, DistEntry, DistanceCoverBuilder, FrozenCover, TwoHopCover};
+use hopi_graph::{DiGraph, DistanceClosure, TransitiveClosure};
 use hopi_xml::{Collection, DocId, ElemId, LocalElemId, XmlDocument};
 
 /// How [`integrate_link`] covered the connections of one new link `u → v`.
@@ -307,66 +307,47 @@ pub fn insert_document(
 }
 
 /// Distance-aware edge insertion (paper §6: "the algorithms presented...
-/// can be applied also for distance-aware covers").
+/// can be applied also for distance-aware covers"): the successor of the
+/// distance-annotated `cover` that covers the new edge `u → v`.
 ///
 /// `v` becomes the center: every ancestor `a` of `u` receives
 /// `(v, dist(a,u) + 1)` in `Lout`, every descendant `d` of `v` receives
 /// `(v, dist(v,d))` in `Lin`. Any shortest path created or shortened by the
 /// new edge decomposes as `a →* u → v →* d` over *old* shortest segments,
 /// so these entries capture exactly the improved distances; stale longer
-/// entries are harmless because the distance query takes the minimum.
-pub fn insert_edge_distance(cover: &mut DistanceCover, u: u32, v: u32) {
-    cover.ensure_node(u.max(v));
-    let ancestors = cover.ancestors_with_distance(u); // includes (u, 0)
-    let descendants = cover.descendants_with_distance(v); // includes (v, 0)
-    for &(a, dau) in &ancestors {
-        cover.add_out(a, v, dau + 1);
-    }
-    for &(d, dvd) in &descendants {
-        cover.add_in(d, v, dvd);
-    }
+/// entries are harmless because the distance query takes the minimum. The
+/// successor shares every block these entries leave alone.
+pub fn insert_edge_distance(cover: &FrozenCover, u: u32, v: u32) -> FrozenCover {
+    // Both enumerations include the node itself at distance 0.
+    let lout = cover
+        .ancestors_with_distance(u)
+        .into_iter()
+        .map(|(a, dau)| (a, v, dau + 1))
+        .collect();
+    let lin = cover
+        .descendants_with_distance(v)
+        .into_iter()
+        .map(|(d, dvd)| (d, v, dvd))
+        .collect();
+    cover.successor(u.max(v) as usize + 1, lin, lout)
 }
 
 /// Distance-aware document insertion: the distance analogue of
-/// [`insert_document`]. The new document gets a private distance cover
-/// (computed over its local element graph), which is merged shifted into
-/// the global cover; links are then integrated with
-/// [`insert_edge_distance`].
-///
-/// The caller adds the document to the collection; this function only
-/// maintains the cover (mirroring how a distance-aware HOPI deployment
-/// would run both covers side by side).
-pub fn insert_document_distance(
-    collection: &mut Collection,
-    cover: &mut DistanceCover,
-    doc: XmlDocument,
-    links: &DocumentLinks,
-) -> DocId {
-    let d = collection.add_document(doc);
-    for &(local_src, target) in &links.outgoing {
-        collection.add_link(collection.global_id(d, local_src), target);
-    }
-    for &(source, local_tgt) in &links.incoming {
-        collection.add_link(source, collection.global_id(d, local_tgt));
-    }
-    integrate_document_distance(collection, cover, d, links);
-    d
-}
-
-/// The cover-side half of [`insert_document_distance`]: updates a distance
-/// cover for a document (and its links) that are **already present** in the
-/// collection — the path taken when the plain index was maintained first
-/// and the distance cover rides along.
+/// [`insert_document`], for a document (and its links) **already present**
+/// in the collection — the plain index is maintained first and the
+/// distance cover rides along. The document gets a private distance cover
+/// over its local element graph, merged shifted into `cover`; its links
+/// are then integrated with [`insert_edge_distance`]. Returns the
+/// successor of `cover`.
 pub fn integrate_document_distance(
     collection: &Collection,
-    cover: &mut DistanceCover,
+    cover: &FrozenCover,
     d: DocId,
     links: &DocumentLinks,
-) {
-    use hopi_core::DistanceCoverBuilder;
-    use hopi_graph::DistanceClosure;
-
-    let doc = collection.document(d).expect("live doc");
+) -> FrozenCover {
+    let Some(doc) = collection.document(d) else {
+        return cover.clone();
+    };
     let mut local = DiGraph::with_nodes(doc.len());
     for (p, c) in doc.tree_edges() {
         local.add_edge(p, c);
@@ -374,31 +355,36 @@ pub fn integrate_document_distance(
     for &(f, t) in doc.intra_links() {
         local.add_edge(f, t);
     }
-    let dc = DistanceClosure::from_graph(&local);
-    let doc_cover = DistanceCoverBuilder::new(&dc).build();
-
+    let doc_cover = DistanceCoverBuilder::new(&DistanceClosure::from_graph(&local)).build();
     let base = collection.global_id(d, 0);
-    if collection.elem_id_bound() > 0 {
-        cover.ensure_node(collection.elem_id_bound() as u32 - 1);
-    }
-    for (node, center, dist) in doc_cover.iter_out_entries() {
-        cover.add_out(base + node, base + center, dist);
-    }
-    for (node, center, dist) in doc_cover.iter_in_entries() {
-        cover.add_in(base + node, base + center, dist);
-    }
+    let shifted = |row: Row, dists: Row| -> Vec<DistEntry> {
+        (0..doc.len() as u32)
+            .flat_map(|v| {
+                let entries = row(&doc_cover, v).iter().zip(dists(&doc_cover, v));
+                entries.map(move |(&c, &dist)| (base + v, base + c, dist))
+            })
+            .collect()
+    };
+    let mut cover = cover.successor(
+        collection.elem_id_bound(),
+        shifted(FrozenCover::lin, FrozenCover::lin_dists),
+        shifted(FrozenCover::lout, FrozenCover::lout_dists),
+    );
     for &(local_src, target) in &links.outgoing {
-        insert_edge_distance(cover, collection.global_id(d, local_src), target);
+        cover = insert_edge_distance(&cover, collection.global_id(d, local_src), target);
     }
     for &(source, local_tgt) in &links.incoming {
-        insert_edge_distance(cover, source, collection.global_id(d, local_tgt));
+        cover = insert_edge_distance(&cover, source, collection.global_id(d, local_tgt));
     }
+    cover
 }
+
+/// A per-node row accessor of a frozen cover.
+type Row = fn(&FrozenCover, u32) -> &[u32];
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hopi_graph::DistanceClosure;
     use hopi_partition::{build_index, BuildConfig};
 
     fn two_docs() -> (Collection, HopiIndex) {
@@ -567,7 +553,7 @@ mod tests {
             c.add_document(d);
         }
         let dc = DistanceClosure::from_graph(&c.element_graph());
-        let mut cover = hopi_core::DistanceCoverBuilder::new(&dc).build();
+        let cover = DistanceCoverBuilder::new(&dc).build();
 
         let mut doc = XmlDocument::new("new", "r");
         let child = doc.add_element(0, "c");
@@ -575,7 +561,14 @@ mod tests {
             outgoing: vec![(child, 2)], // new/c -> b/root
             incoming: vec![(1, 0)],     // a/s -> new/root
         };
-        insert_document_distance(&mut c, &mut cover, doc, &links);
+        let d = c.add_document(doc);
+        for &(local_src, target) in &links.outgoing {
+            c.add_link(c.global_id(d, local_src), target);
+        }
+        for &(source, local_tgt) in &links.incoming {
+            c.add_link(source, c.global_id(d, local_tgt));
+        }
+        let cover = integrate_document_distance(&c, &cover, d, &links);
 
         let fresh = DistanceClosure::from_graph(&c.element_graph());
         let n = c.elem_id_bound() as u32;
@@ -604,7 +597,7 @@ mod tests {
                 g.add_edge(u, v);
             }
             let dc = DistanceClosure::from_graph(&g);
-            let mut cover = hopi_core::DistanceCoverBuilder::new(&dc).build();
+            let mut cover = DistanceCoverBuilder::new(&dc).build();
             // …then insert edges incrementally and compare against a fresh
             // closure.
             for _ in 0..8 {
@@ -613,7 +606,7 @@ mod tests {
                     continue;
                 }
                 g.add_edge(u, v);
-                insert_edge_distance(&mut cover, u, v);
+                cover = insert_edge_distance(&cover, u, v);
                 let fresh = DistanceClosure::from_graph(&g);
                 for a in 0..n {
                     for b in 0..n {

@@ -10,8 +10,8 @@
 //!   copy `v`'s `Lout` into the ancestors of `u`, or `u`'s `Lin` into the
 //!   descendants of `v`); a new document is treated as a fresh partition:
 //!   its own 2-hop cover is computed and merged, then its links are
-//!   integrated. Distance-aware variants update a
-//!   [`hopi_core::DistanceCover`].
+//!   integrated. Distance-aware variants return the successor of a
+//!   distance-annotated [`hopi_core::FrozenCover`].
 //! * [`delete`] — document deletion with two algorithms:
 //!   * **Theorem 2 fast path** when the document *separates* the
 //!     document-level graph (every ancestor–descendant path runs through
@@ -53,9 +53,8 @@ pub use delete::{
     delete_document, delete_link, separates, DeletionAlgorithm, DeletionCounts, DeletionOutcome,
 };
 pub use insert::{
-    insert_document, insert_document_distance, insert_edge_distance, insert_link,
-    integrate_document_distance, integrate_link, DocumentLinks, Integrated, Integration,
-    IntegrationCounts, LinkError,
+    insert_document, insert_edge_distance, insert_link, integrate_document_distance,
+    integrate_link, DocumentLinks, Integrated, Integration, IntegrationCounts, LinkError,
 };
 pub use modify::modify_document;
 pub use rebuild::{

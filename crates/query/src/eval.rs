@@ -62,8 +62,9 @@ impl Default for EvalOptions {
 
 /// What a path expression is evaluated against: a collection, a
 /// connection index over it — any [`LabelSource`] for [`Evaluator::run`],
-/// a [`DistanceSource`](crate::DistanceSource) for [`rank`](crate::rank)
-/// — its tag index, and the term index content predicates resolve against.
+/// the distance-annotated [`hopi_core::FrozenCover`] for
+/// [`rank`](crate::rank) — its tag index, and the term index content
+/// predicates resolve against.
 pub struct Corpus<'a, S> {
     /// The documents and their links.
     pub collection: &'a Collection,

@@ -23,9 +23,9 @@
 //!   the serving layer exposes.
 //! * [`witness`] — EXPLAIN-style witness-path reconstruction for index
 //!   answers (and an index-vs-BFS cross-check).
-//! * [`ranking`] — distance-ranked evaluation against any
-//!   [`DistanceSource`] (the mutable distance cover, or the frozen cover
-//!   with its per-entry distances), scoring results XXL-style by link
+//! * [`ranking`] — distance-ranked evaluation against the
+//!   distance-annotated [`hopi_core::FrozenCover`] (one distance per label
+//!   entry), scoring results XXL-style by link
 //!   distance (paper §5.1: "a path where an author element is found far
 //!   away from a book element should be ranked lower"), fused with BM25
 //!   text scores from the final step's content predicate.
@@ -51,6 +51,6 @@ pub use plan::{
     plan_content_predicate, ContentPlacement, PlanCounters, PlanCounts, QueryPlanReport, StepPlan,
     StepReport, Strategy,
 };
-pub use ranking::{rank, DistanceSource, RankedMatch};
+pub use ranking::{rank, RankedMatch};
 pub use tag_index::TagIndex;
 pub use witness::{verify_connection, witness_path, WitnessPath};

@@ -5,9 +5,9 @@
 //! elements. For example, a path where an author element is found far away
 //! from a book element should be ranked lower than an author that is a
 //! child or grandchild of a book." This module evaluates a path expression
-//! against any [`DistanceSource`], tracking for every result the minimal
-//! total link distance along the step chain, and scores matches
-//! XXL-style with a decaying `1 / (1 + distance)`.
+//! against a distance-annotated [`FrozenCover`], tracking for every result
+//! the minimal total link distance along the step chain, and scores
+//! matches XXL-style with a decaying `1 / (1 + distance)`.
 //!
 //! Content predicates fuse in: predicates on intermediate steps filter
 //! membership (an element without the terms cannot bind the step), while
@@ -17,7 +17,7 @@
 
 use crate::eval::{candidates, roots, tree_children, Corpus};
 use crate::expr::{Axis, ContentPredicate, PathExpr};
-use hopi_core::{DistanceCover, FrozenCover};
+use hopi_core::FrozenCover;
 use hopi_text::{Bm25Scorer, TextIndex};
 use hopi_xml::ElemId;
 use rustc_hash::FxHashMap;
@@ -45,35 +45,15 @@ impl RankedMatch {
     }
 }
 
-/// Anything that answers shortest link distances — paper §5.1's
-/// `MIN(LOUT.DIST + LIN.DIST)` over distance-annotated 2-hop labels: the
-/// mutable [`DistanceCover`] and a frozen cover carrying the annotations
-/// ([`FrozenCover::with_dist`]; without them a frozen cover reports
-/// `None` for every `u != v`).
-pub trait DistanceSource {
-    /// Shortest link distance `u →* v` (`Some(0)` for `u == v`), `None`
-    /// when `v` is unreachable from `u`.
-    fn distance(&self, u: ElemId, v: ElemId) -> Option<u32>;
-}
-
-impl DistanceSource for DistanceCover {
-    fn distance(&self, u: ElemId, v: ElemId) -> Option<u32> {
-        DistanceCover::distance(self, u, v)
-    }
-}
-
-impl DistanceSource for FrozenCover {
-    fn distance(&self, u: ElemId, v: ElemId) -> Option<u32> {
-        FrozenCover::distance(self, u, v)
-    }
-}
-
-/// Evaluates `expr` with distance tracking and content-score fusion.
-/// Intermediate-step predicates filter bindings; the final step's
+/// Evaluates `expr` with distance tracking and content-score fusion, over
+/// a cover carrying distance annotations — paper §5.1's
+/// `MIN(LOUT.DIST + LIN.DIST)` ([`FrozenCover::distance`]; a cover without
+/// them reports no distance for `u != v`). Intermediate-step predicates
+/// filter bindings; the final step's
 /// predicate both filters and supplies each match's BM25 `text_score`.
 /// Without a term index, steps carrying predicates match nothing.
 /// Results are sorted by descending fused score (ties by element id).
-pub fn rank<D: DistanceSource>(corpus: Corpus<'_, D>, expr: &PathExpr) -> Vec<RankedMatch> {
+pub fn rank(corpus: Corpus<'_, FrozenCover>, expr: &PathExpr) -> Vec<RankedMatch> {
     let Corpus {
         collection,
         index: cover,
@@ -198,9 +178,9 @@ mod tests {
     use hopi_xml::parser::parse_collection;
     use hopi_xml::Collection;
 
-    fn ranked<D: DistanceSource>(
+    fn ranked(
         c: &Collection,
-        cover: &D,
+        cover: &FrozenCover,
         tags: &TagIndex,
         expr: &PathExpr,
         text: Option<&TextIndex>,
@@ -214,7 +194,7 @@ mod tests {
         rank(corpus, expr)
     }
 
-    fn fixture() -> (Collection, DistanceCover, TagIndex) {
+    fn fixture() -> (Collection, FrozenCover, TagIndex) {
         let c = parse_collection([
             (
                 "near",
@@ -250,9 +230,6 @@ mod tests {
         // book → refs → link → page → sec → sub → author = 6 edges.
         assert_eq!(r[1].distance, 6);
         assert!(r[0].score() > r[1].score());
-        // The frozen form of the same cover ranks identically.
-        let frozen = FrozenCover::from_distance_cover(&cover);
-        assert_eq!(ranked(&c, &frozen, &tags, &expr, None), r);
     }
 
     #[test]

@@ -8,8 +8,8 @@ use hopi_core::{DistanceCoverBuilder, FrozenCover, LabelSource};
 use hopi_graph::{traversal, DistanceClosure};
 use hopi_partition::{build_index, BuildConfig};
 use hopi_query::{
-    evaluate_with, parse_path, rank, Axis, ContentOp, ContentPredicate, Corpus, DistanceSource,
-    EvalOptions, Evaluator, PathExpr, RankedMatch, Step, Strategy as PlanStrategy, TagIndex,
+    evaluate_with, parse_path, rank, Axis, ContentOp, ContentPredicate, Corpus, EvalOptions,
+    Evaluator, PathExpr, RankedMatch, Step, Strategy as PlanStrategy, TagIndex,
 };
 use hopi_text::TextIndex;
 use hopi_xml::{Collection, ElemId, XmlDocument};
@@ -216,10 +216,10 @@ fn eval_text<S: LabelSource>(
     Evaluator::new().run(corpus, expr, options, None)
 }
 
-/// Ranked evaluation over any distance source.
-fn ranked<D: DistanceSource>(
+/// Ranked evaluation over a distance-annotated cover.
+fn ranked(
     c: &Collection,
-    distances: &D,
+    distances: &FrozenCover,
     tags: &TagIndex,
     expr: &PathExpr,
     text: Option<&TextIndex>,
@@ -302,7 +302,6 @@ proptest! {
         let text = TextIndex::build(&c);
         let dc = DistanceClosure::from_graph(&c.element_graph());
         let distance_cover = DistanceCoverBuilder::new(&dc).build();
-        let frozen_distance = FrozenCover::from_distance_cover(&distance_cover);
         let options = EvalOptions::default();
         for expr in content_expressions() {
             let expect = oracle(&c, &expr);
@@ -314,8 +313,6 @@ proptest! {
             let mut members: Vec<ElemId> = live.iter().map(|m| m.element).collect();
             members.sort_unstable();
             prop_assert_eq!(&members, &expect, "expr {} ranked", expr);
-            let frozen_ranked = ranked(&c, &frozen_distance, &tags, &expr, Some(&text));
-            prop_assert_eq!(&frozen_ranked, &live, "expr {} ranked frozen", expr);
         }
     }
 

@@ -40,7 +40,7 @@
 //! [`PersistError::Format`], never a panic.
 
 use crate::vfs::Vfs;
-use hopi_core::{DistanceCover, FrozenCover, TwoHopCover};
+use hopi_core::{FrozenCover, TwoHopCover};
 use std::path::Path;
 
 /// Little-endian read cursor over a byte buffer. Reads past the end fail
@@ -351,8 +351,8 @@ fn decode_frozen_payload(
 
 /// Converts the legacy row layout — a `LIN` then a `LOUT` table of
 /// `(id, other [, dist])` rows — into the frozen form, one way: the rows
-/// go into a mutable cover (a distance cover when the file has a DIST
-/// column), which is then frozen.
+/// go into a mutable cover, which is then frozen, or, when the file has a
+/// DIST column, into the distance-annotated frozen cover directly.
 ///
 /// A row file stores no node count; the largest node a row names stands
 /// in for one. So that a corrupt id cannot make the conversion allocate
@@ -389,18 +389,14 @@ fn decode_rows(
         )));
     }
     Ok(if with_dist {
-        let mut cover = DistanceCover::default();
-        for row in lin {
-            if let [id, center, dist] = *row {
-                cover.add_in(id, center, dist);
-            }
-        }
-        for row in lout {
-            if let [id, center, dist] = *row {
-                cover.add_out(id, center, dist);
-            }
-        }
-        FrozenCover::from_distance_cover(&cover)
+        let entries = |rows: std::slice::ChunksExact<'_, u32>| {
+            rows.filter_map(|row| match *row {
+                [id, center, dist] => Some((id, center, dist)),
+                _ => None,
+            })
+            .collect()
+        };
+        FrozenCover::default().successor(0, entries(lin), entries(lout))
     } else {
         let mut cover = TwoHopCover::new();
         for row in lin {
@@ -530,8 +526,7 @@ mod tests {
     }
 
     fn annotated(g: &DiGraph) -> FrozenCover {
-        let dc = DistanceClosure::from_graph(g);
-        FrozenCover::from_distance_cover(&DistanceCoverBuilder::new(&dc).build())
+        DistanceCoverBuilder::new(&DistanceClosure::from_graph(g)).build()
     }
 
     fn temp(name: &str) -> std::path::PathBuf {

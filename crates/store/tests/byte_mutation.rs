@@ -3,7 +3,7 @@
 //! (frozen index file, legacy row file, checkpoint) must return `Ok` or a
 //! typed [`PersistError`], never panic.
 
-use hopi_core::{DistanceCoverBuilder, FrozenCover};
+use hopi_core::DistanceCoverBuilder;
 use hopi_graph::DistanceClosure;
 use hopi_store::persist::{
     load_checkpoint, load_index, save_checkpoint, save_frozen, CoverBaseline, PersistError,
@@ -31,7 +31,7 @@ fn write_files() -> Vec<File> {
     ])
     .unwrap();
     let closure = DistanceClosure::from_graph(&collection.element_graph());
-    let frozen = FrozenCover::from_distance_cover(&DistanceCoverBuilder::new(&closure).build());
+    let frozen = DistanceCoverBuilder::new(&closure).build();
     let baseline = Some(CoverBaseline {
         entries: 5,
         live_elements: 7,

@@ -85,7 +85,7 @@ fn loads_v4_distance_rows_with_their_baseline() {
     let graph = v4_fixture_collection().element_graph();
     let closure = DistanceClosure::from_graph(&graph);
     let live = DistanceCoverBuilder::new(&closure).build();
-    assert_eq!(rows, FrozenCover::from_distance_cover(&live));
+    assert_eq!(rows, live);
     assert_eq!(rows.size(), 11);
     for u in 0..9 {
         for v in 0..9 {
@@ -191,7 +191,7 @@ fn frozen_blobs_load_and_save_back_byte_for_byte() {
             assert_eq!(baseline, None);
             let closure = DistanceClosure::from_graph(&graph);
             let live = DistanceCoverBuilder::new(&closure).build();
-            assert_eq!(frozen, FrozenCover::from_distance_cover(&live));
+            assert_eq!(frozen, live);
             for u in (0..n).step_by(7) {
                 for v in (0..n).step_by(3) {
                     assert_eq!(frozen.distance(u, v), closure.dist(u, v), "dist({u},{v})");

@@ -3,9 +3,9 @@
 //! agree with the closure oracle.
 
 use hopi::build::Reads;
-use hopi::graph::TransitiveClosure;
+use hopi::graph::{DistanceClosure, TransitiveClosure};
 use hopi::prelude::*;
-use hopi::query::{DistanceSource, TagIndex};
+use hopi::query::TagIndex;
 use hopi_text::TextIndex;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -84,12 +84,14 @@ fn realize_with_text(plan: &CollectionPlan) -> Collection {
 }
 
 /// What one epoch answers: per live element the elements it is connected
-/// to and its descendants, and the rows of `//r//e`.
+/// to and its descendants, the rows of `//r//e`, and — distance-aware —
+/// its distance to every live element.
 #[derive(Debug, PartialEq)]
 struct Answers {
     connected: Vec<Vec<ElemId>>,
     descendants: Vec<Vec<ElemId>>,
     path: Vec<ElemId>,
+    distance: Option<Vec<Vec<Option<u32>>>>,
 }
 
 fn live_elements(c: &Collection) -> Vec<ElemId> {
@@ -98,9 +100,11 @@ fn live_elements(c: &Collection) -> Vec<ElemId> {
         .collect()
 }
 
-/// The answers of a BFS closure over the collection alone.
-fn oracle_answers(c: &Collection) -> Answers {
-    let tc = TransitiveClosure::from_graph(&c.element_graph());
+/// The answers of a BFS closure over the collection alone (with BFS
+/// distances when `distance_aware`).
+fn oracle_answers(c: &Collection, distance_aware: bool) -> Answers {
+    let graph = c.element_graph();
+    let tc = TransitiveClosure::from_graph(&graph);
     let live = live_elements(c);
     let tag = |e: ElemId| {
         let (d, local) = c.to_local(e).unwrap();
@@ -112,10 +116,17 @@ fn oracle_answers(c: &Collection) -> Answers {
         .copied()
         .filter(|&v| tag(v) == "e" && live.iter().any(|&u| tag(u) == "r" && tc.contains(u, v)))
         .collect();
+    let distance = distance_aware.then(|| {
+        let dc = DistanceClosure::from_graph(&graph);
+        live.iter()
+            .map(|&u| live.iter().map(|&v| dc.dist(u, v)).collect())
+            .collect()
+    });
     Answers {
         connected: descendants.clone(),
         descendants,
         path,
+        distance,
     }
 }
 
@@ -134,6 +145,11 @@ fn snapshot_answers(snap: &HopiSnapshot) -> Answers {
             .collect(),
         descendants: live.iter().map(|&u| snap.descendants(u)).collect(),
         path: snap.query("//r//e").unwrap(),
+        distance: snap.distance_cover().map(|_| {
+            live.iter()
+                .map(|&u| live.iter().map(|&v| snap.distance(u, v).unwrap()).collect())
+                .collect()
+        }),
     }
 }
 
@@ -147,8 +163,9 @@ struct Lineage {
 
 /// The online engine holds the model's collection, and its published
 /// snapshot is exactly what a from-scratch capture of it would be: frozen
-/// cover, tag index, term index. All of it is read under the engine lock,
-/// which every publish holds — a background rebuild cannot swap midway.
+/// cover, tag index, term index — and the engine's very distance cover,
+/// not a copy. All of it is read under the engine lock, which every
+/// publish holds — a background rebuild cannot swap midway.
 fn published_equals_model(lineage: &Lineage) -> Result<(), TestCaseError> {
     let Lineage { online, model } = lineage;
     online.read(|h| {
@@ -167,6 +184,17 @@ fn published_equals_model(lineage: &Lineage) -> Result<(), TestCaseError> {
         let text = TextIndex::build(c);
         prop_assert_eq!(h.text().as_ref(), &text);
         prop_assert_eq!(snap.text().as_ref(), &text);
+        prop_assert_eq!(
+            h.distance_cover().is_some(),
+            model.distance_cover().is_some()
+        );
+        match (snap.distance_cover(), h.distance_cover()) {
+            (Some(published), Some(engine)) => prop_assert!(
+                Arc::ptr_eq(published, engine),
+                "the snapshot holds a distance cover of its own"
+            ),
+            (published, engine) => prop_assert!(published.is_none() && engine.is_none()),
+        }
         Ok(())
     })
 }
@@ -187,7 +215,7 @@ struct EveryRead {
     ranked: Vec<(ElemId, u32, f64)>,
 }
 
-fn every_read<C: LabelSource, D: DistanceSource>(r: &Reads<C, D>) -> EveryRead {
+fn every_read<C: LabelSource>(r: &Reads<C>) -> EveryRead {
     let n = r.collection().elem_id_bound() as ElemId;
     let pairs: Vec<(ElemId, ElemId)> = (0..n).flat_map(|u| (0..n).map(move |v| (u, v))).collect();
     let mut connected_many = Vec::new();
@@ -277,7 +305,8 @@ fn lifecycle_step(
         6 => {
             // One batch online; the same mutations one by one on the model.
             // Two documents with text and a delete make the publish follow
-            // a chain of term-index successors.
+            // a chain of term-index successors (and, distance-aware, of
+            // distance-cover successors).
             let mut batch = Vec::new();
             if da != db {
                 for (from, to) in [(ea, eb), (eb, ea)] {
@@ -343,20 +372,26 @@ proptest! {
     /// its own collection — what consecutive epochs share must never leak
     /// a later mutation into an older one. Background rebuilds run across
     /// steps, so their catch-up replays whatever the program does
-    /// meanwhile, and the engine must keep its model's collection.
+    /// meanwhile, and the engine must keep its model's collection. A
+    /// distance-aware engine also answers every distance like BFS, in
+    /// every retained epoch.
     #[test]
     fn online_lifecycle_publishes_exact_successors(
         plan in arb_plan(),
         program in proptest::collection::vec((0u32..10, 0usize..100, 0usize..100, 0u32..8), 1..14),
+        distance_aware in (0u32..2).prop_map(|b| b == 1),
     ) {
-        let model = Hopi::build(realize_with_text(&plan)).unwrap();
+        let model = Hopi::builder()
+            .distance_aware(distance_aware)
+            .build(realize_with_text(&plan))
+            .unwrap();
         let mut engines = vec![Lineage { online: OnlineHopi::new(model.clone()), model }];
         published_equals_model(&engines[0])?;
         let mut retained: Vec<(Arc<HopiSnapshot>, Answers)> = Vec::new();
         let mut rebuilds: Vec<Rebuild> = Vec::new();
         for (step, op) in program.into_iter().enumerate() {
             let before = engines[0].online.snapshot();
-            retained.push((before.clone(), oracle_answers(before.collection())));
+            retained.push((before.clone(), oracle_answers(before.collection(), distance_aware)));
             let touched = lifecycle_step(&mut engines, &mut rebuilds, step, op);
             for (handle, left) in std::mem::take(&mut rebuilds) {
                 match left {
@@ -367,11 +402,11 @@ proptest! {
             published_equals_model(&engines[touched])?;
             retained.push({
                 let snap = engines[touched].online.snapshot();
-                let answers = oracle_answers(snap.collection());
+                let answers = oracle_answers(snap.collection(), distance_aware);
                 (snap, answers)
             });
             for (snap, at_capture) in &retained {
-                prop_assert_eq!(&oracle_answers(snap.collection()), at_capture,
+                prop_assert_eq!(&oracle_answers(snap.collection(), distance_aware), at_capture,
                     "epoch {}: the collection changed under the snapshot", snap.epoch());
                 prop_assert_eq!(&snapshot_answers(snap), at_capture,
                     "epoch {} after step {}", snap.epoch(), step);
