@@ -2,7 +2,8 @@
 //! reachability test (the paper's `LIN ⋈ LOUT` intersection),
 //! ancestor/descendant enumeration and the distance query, against a BFS
 //! baseline without the index; and per-expression timings of the INEX path
-//! script on a serving snapshot, with the child step's worst case.
+//! and text scripts on a serving snapshot, with the child step's worst
+//! case.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use hopi_bench::{add_cross_links, dblp_collection, inex_collection};
@@ -97,6 +98,18 @@ const INEX_PATHS: [&str; 10] = [
     "//p//ss1",
     "//article//au",
     "//ss2//ip1//fig",
+];
+
+/// The text script of the benchmark's INEX workloads (`INEX_TEXTS` in
+/// `benchmark/src/inputs.rs`; the fifth expression is empty by design).
+const INEX_TEXTS: [&str; 7] = [
+    "//article//p[contains(., \"term0\")]",
+    "//ss1//p[contains(., \"term7\")]",
+    "//article//ss2[contains(., \"term0 term1\")]",
+    "//ss1//p[about(., \"term2 term5 term9\")]",
+    "//article//p[contains(., \"zzz_out_of_vocab\")]",
+    "//article//p[about(., \"term0 term3\")]",
+    "//ss2//ip1[about(., \"term4 term8\")]",
 ];
 
 /// Repetitions behind each per-step EXPLAIN median.
@@ -208,8 +221,27 @@ fn bench_path_steps(c: &mut Criterion) {
     });
 
     // What a document write copies on write: the whole tag index, rows
-    // and parent column. Link writes share it.
+    // and both columns. Link writes share it.
     group.bench_function("tag_index_clone", |b| b.iter(|| tags.clone()));
+    group.finish();
+
+    // The text script per expression, and one pass over all of it (what
+    // `text_qps` counts).
+    let mut group = c.benchmark_group("text_steps");
+    group.sample_size(5_000);
+    for expr in INEX_TEXTS {
+        group.bench_function(expr, |b| {
+            b.iter(|| snap.query(expr).expect("script expression").len())
+        });
+    }
+    group.bench_function("text_pass", |b| {
+        b.iter(|| {
+            INEX_TEXTS
+                .iter()
+                .map(|expr| snap.query(expr).expect("script expression").len())
+                .sum::<usize>()
+        })
+    });
     group.finish();
 }
 

@@ -24,10 +24,10 @@
 //! cyclic path back to the node, and self-cycles are a degenerate case for
 //! document data).
 
-use crate::expr::{Axis, ContentOp, ContentPredicate, PathExpr};
+use crate::expr::{Axis, ContentOp, ContentPredicate, PathExpr, Step};
 use crate::plan::{
-    plan_connection_step, plan_content_predicate, ContentPlacement, PlanCounts, QueryPlanReport,
-    StepPlan, StepReport, Strategy,
+    plan_connection_step, plan_connection_step_bounded, plan_content_predicate, ContentPlacement,
+    PlanCounts, QueryPlanReport, StepPlan, StepReport, Strategy,
 };
 use crate::tag_index::TagIndex;
 use hopi_core::LabelSource;
@@ -73,8 +73,8 @@ pub struct Corpus<'a, S> {
     pub index: &'a S,
     /// The element-by-tag index.
     pub tags: &'a TagIndex,
-    /// The term index; with `None` a content predicate matches nothing
-    /// (there is no text to search).
+    /// The term index of the collection's live documents; with `None` a
+    /// content predicate matches nothing (there is no text to search).
     pub text: Option<&'a TextIndex>,
 }
 
@@ -155,6 +155,9 @@ impl StampSet {
 /// contribution ownership, and the enumeration buffer.
 #[derive(Default)]
 struct Scratch {
+    /// The stamp tables span ids below this bound; set per run to cover
+    /// every id either side of a step can produce.
+    bound: usize,
     /// Result-side marks (reached nodes / context membership).
     mark: StampSet,
     /// Center-set membership for the forward hop join.
@@ -171,10 +174,14 @@ struct Scratch {
 }
 
 impl Scratch {
-    fn begin_centers(&mut self, n: usize) {
-        self.center.begin(n);
-        if self.center_owner.len() < n {
-            self.center_owner.resize(n, 0);
+    fn begin_marks(&mut self) {
+        self.mark.begin(self.bound);
+    }
+
+    fn begin_centers(&mut self) {
+        self.center.begin(self.bound);
+        if self.center_owner.len() < self.bound {
+            self.center_owner.resize(self.bound, 0);
         }
         self.centers.clear();
     }
@@ -213,6 +220,8 @@ pub struct Evaluator {
     cand_buf: Vec<ElemId>,
     /// Elements matching the current step's content predicate (sorted).
     pred_matches: Vec<ElemId>,
+    /// The other half of an `about` predicate's union merges.
+    union_buf: Vec<ElemId>,
     /// Candidates surviving a pre-filtering content predicate.
     pred_buf: Vec<ElemId>,
     /// Double-buffer for the step pipeline.
@@ -252,35 +261,29 @@ impl Evaluator {
             text,
         } = corpus;
         self.counts = PlanCounts::default();
+        let Some(first) = expr.steps.first() else {
+            return Vec::new();
+        };
         // Stamp tables must span every id either side can produce.
-        let bound = collection.elem_id_bound().max(index.num_nodes());
+        self.scratch.bound = collection.elem_id_bound().max(index.num_nodes());
         let stats = index.cover_stats();
         // EXPLAIN ANALYZE: time each step only when a report is being
         // built, so the plain path stays measurement-free.
         let sw = report.as_ref().map(|_| Stopwatch::start());
-        let mut current = seed(collection, tags, expr);
-        let mut seed_content = None;
-        if let Some(pred) = &expr.steps[0].predicate {
-            // The seed set is already materialized, so the predicate can
-            // only run as a post-filter over it.
-            seed_content = Some(ContentPlacement::PostFilter);
-            match text {
-                Some(src) => {
-                    predicate_matches(src, pred, &mut self.pred_matches);
-                    intersect_in_place(&mut current, &self.pred_matches);
-                }
-                None => current.clear(),
-            }
-        }
+        let mut current = self.seed(collection, tags, text, first);
         if let Some(rep) = report.as_deref_mut() {
             rep.steps.push(StepReport {
                 step: 0,
-                axis: expr.steps[0].axis,
+                axis: first.axis,
                 input: 0,
                 candidates: 0,
                 output: current.len(),
                 plan: None,
-                content: seed_content,
+                // The seed applies its predicate to the set it seeds.
+                content: first
+                    .predicate
+                    .as_ref()
+                    .map(|_| ContentPlacement::PostFilter),
                 elapsed_us: sw.map(|w| w.elapsed_micros()).unwrap_or(0),
             });
         }
@@ -299,7 +302,7 @@ impl Evaluator {
                     match step.tag.as_deref() {
                         Some(t) => {
                             cand_len = tags.elements(t).len();
-                            child_step(tags, &mut self.scratch.mark, bound, &current, t, &mut next);
+                            child_step(tags, &mut self.scratch, &current, t, &mut next);
                         }
                         None => wildcard_child_step(collection, &current, &mut next),
                     }
@@ -307,57 +310,104 @@ impl Evaluator {
                         // Child steps materialize their output directly;
                         // the predicate filters it afterwards.
                         content = Some(ContentPlacement::PostFilter);
-                        if let Some(src) = text {
-                            predicate_matches(src, pred, &mut self.pred_matches);
-                        } else {
-                            self.pred_matches.clear();
+                        match text {
+                            Some(src) => predicate_matches(
+                                src,
+                                pred,
+                                &mut self.pred_matches,
+                                &mut self.union_buf,
+                            ),
+                            None => self.pred_matches.clear(),
                         }
                     }
                     None
                 }
                 Axis::Connection => {
-                    let mut cands =
-                        candidates(collection, tags, step.tag.as_deref(), &mut self.cand_buf);
+                    let tag = step.tag.as_deref();
+                    let mut filtered = None;
                     if let Some(pred) = &step.predicate {
-                        match text {
-                            Some(src) => {
-                                // Order content vs. structure by selectivity:
-                                // posting-length bound against the tag test's
-                                // candidate count.
-                                let placement = plan_content_predicate(
-                                    predicate_estimate(src, pred),
-                                    cands.len(),
-                                );
-                                content = Some(placement);
-                                predicate_matches(src, pred, &mut self.pred_matches);
-                                if placement == ContentPlacement::PreFilter {
-                                    intersect_into(cands, &self.pred_matches, &mut self.pred_buf);
-                                    cands = &self.pred_buf;
-                                }
-                            }
-                            None => {
-                                // No text index: the predicate matches nothing.
-                                content = Some(ContentPlacement::PostFilter);
-                                self.pred_matches.clear();
-                            }
+                        // Without a text index the predicate matches
+                        // nothing, after the join.
+                        let mut placement = ContentPlacement::PostFilter;
+                        self.pred_matches.clear();
+                        if let Some(src) = text {
+                            // Order content vs. structure by selectivity:
+                            // posting-length bound against the tag test's
+                            // candidate count.
+                            let row_len = tag.map_or_else(
+                                || collection.element_count(),
+                                |t| tags.elements(t).len(),
+                            );
+                            placement =
+                                plan_content_predicate(predicate_estimate(src, pred), row_len);
+                            predicate_matches(
+                                src,
+                                pred,
+                                &mut self.pred_matches,
+                                &mut self.union_buf,
+                            );
                         }
+                        if placement == ContentPlacement::PreFilter {
+                            // The postings drive the step: filtered through
+                            // the tag column, never merged with the row. A
+                            // wildcard keeps them all — the term index
+                            // holds live elements only.
+                            filtered = Some(match tag {
+                                Some(t) => {
+                                    tags.filter_by_tag(t, &self.pred_matches, &mut self.pred_buf);
+                                    self.pred_buf.as_slice()
+                                }
+                                None => self.pred_matches.as_slice(),
+                            });
+                        }
+                        content = Some(placement);
                     }
+                    let cands = filtered
+                        .unwrap_or_else(|| candidates(collection, tags, tag, &mut self.cand_buf));
                     cand_len = cands.len();
                     if cands.is_empty() {
                         None
                     } else {
-                        let lout_total: usize =
-                            current.iter().map(|&u| index.lout_row(u).len()).sum();
-                        let mut plan = plan_connection_step(
-                            &stats,
-                            current.len(),
-                            lout_total,
-                            cands.len(),
-                            options.probe_budget,
-                            options.force_strategy,
-                        );
+                        let price = |lout_total| {
+                            plan_connection_step(
+                                &stats,
+                                current.len(),
+                                lout_total,
+                                cands.len(),
+                                options.probe_budget,
+                                options.force_strategy,
+                            )
+                        };
+                        let lout_total = || current.iter().map(|&u| index.lout_row(u).len()).sum();
+                        // EXPLAIN prints the exact costs; a plain run sums
+                        // the context's `Lout` rows only when the sum's
+                        // bounds disagree on the strategy.
+                        let bounded = if report.is_some() {
+                            None
+                        } else {
+                            plan_connection_step_bounded(
+                                &stats,
+                                current.len(),
+                                cands.len(),
+                                options.probe_budget,
+                                options.force_strategy,
+                            )
+                        };
+                        let (mut plan, exact_budget) = match bounded {
+                            Some(plan) => (plan, None),
+                            None => {
+                                let plan = price(lout_total());
+                                (plan, Some(plan.backward_budget()))
+                            }
+                        };
+                        // A bounded plan's backward budget is a lower
+                        // bound; the join settles the exact one only if
+                        // its touches pass it.
+                        let settle = || {
+                            exact_budget.unwrap_or_else(|| price(lout_total()).backward_budget())
+                        };
                         let sc = &mut self.scratch;
-                        connection_step(index, sc, bound, &mut plan, &current, cands, &mut next);
+                        connection_step(index, sc, &mut plan, settle, &current, cands, &mut next);
                         self.counts.record(&plan);
                         Some(plan)
                     }
@@ -366,7 +416,7 @@ impl Evaluator {
             if content == Some(ContentPlacement::PostFilter) {
                 intersect_in_place(&mut next, &self.pred_matches);
             }
-            debug_assert!(next.windows(2).all(|w| w[0] < w[1]), "sorted+deduped");
+            debug_assert!(next.is_sorted_by(|a, b| a < b), "sorted+deduped");
             if let Some(rep) = report.as_deref_mut() {
                 rep.steps.push(StepReport {
                     step: step_idx,
@@ -384,21 +434,48 @@ impl Evaluator {
         }
         current
     }
-}
 
-/// Seeds the first step: document roots for `/`, anywhere for `//`.
-fn seed(collection: &Collection, tags: &TagIndex, expr: &PathExpr) -> Vec<ElemId> {
-    let first = &expr.steps[0];
-    match first.axis {
-        Axis::Child => roots(collection, tags, first.tag.as_deref()),
-        Axis::Connection => match first.tag.as_deref() {
-            Some(t) => tags.elements(t).to_vec(),
-            None => {
-                let mut out = Vec::new();
-                wildcard_candidates(collection, &mut out);
+    /// Seeds the first step: document roots for `/`, anywhere for `//`,
+    /// with the step's content predicate applied. A `//tag[pred]` seed is
+    /// the predicate's postings filtered through the tag column, never
+    /// the tag's whole row; a `//*[pred]` seed is the postings themselves.
+    fn seed(
+        &mut self,
+        collection: &Collection,
+        tags: &TagIndex,
+        text: Option<&TextIndex>,
+        first: &Step,
+    ) -> Vec<ElemId> {
+        let tag = first.tag.as_deref();
+        let Some(pred) = &first.predicate else {
+            return match (first.axis, tag) {
+                (Axis::Child, _) => roots(collection, tags, tag),
+                (Axis::Connection, Some(t)) => tags.elements(t).to_vec(),
+                (Axis::Connection, None) => {
+                    let mut out = Vec::new();
+                    wildcard_candidates(collection, &mut out);
+                    out
+                }
+            };
+        };
+        // Without a text index the predicate matches nothing.
+        let Some(src) = text else {
+            return Vec::new();
+        };
+        predicate_matches(src, pred, &mut self.pred_matches, &mut self.union_buf);
+        match (first.axis, tag) {
+            (Axis::Child, _) => {
+                let mut out = roots(collection, tags, tag);
+                intersect_in_place(&mut out, &self.pred_matches);
                 out
             }
-        },
+            (Axis::Connection, Some(t)) => {
+                let mut out = Vec::new();
+                tags.filter_by_tag(t, &self.pred_matches, &mut out);
+                out
+            }
+            (Axis::Connection, None) => self.pred_matches.clone(),
+        }
     }
 }
 
@@ -444,7 +521,7 @@ fn wildcard_candidates(collection: &Collection, out: &mut Vec<ElemId>) {
         let len = collection.document(d).map_or(0, |doc| doc.len() as u32);
         out.extend(base..base + len);
     }
-    debug_assert!(out.windows(2).all(|w| w[0] < w[1]));
+    debug_assert!(out.is_sorted_by(|a, b| a < b));
 }
 
 /// Upper bound on a predicate's matching-element count, from posting-list
@@ -457,10 +534,15 @@ pub(crate) fn predicate_estimate(src: &TextIndex, pred: &ContentPredicate) -> us
     }
 }
 
-/// Materializes the sorted element set matching a predicate:
+/// Materializes the sorted element set matching a predicate into `out`:
 /// intersection of the term posting lists for `contains`, union for
-/// `about`.
-pub(crate) fn predicate_matches(src: &TextIndex, pred: &ContentPredicate, out: &mut Vec<ElemId>) {
+/// `about` (merged through the caller's `scratch`).
+pub(crate) fn predicate_matches(
+    src: &TextIndex,
+    pred: &ContentPredicate,
+    out: &mut Vec<ElemId>,
+    scratch: &mut Vec<ElemId>,
+) {
     out.clear();
     match pred.op {
         ContentOp::Contains => {
@@ -474,8 +556,11 @@ pub(crate) fn predicate_matches(src: &TextIndex, pred: &ContentPredicate, out: &
             }
             // Smallest list first keeps every later pass cheap.
             lists.sort_by_key(|p| p.len());
-            out.extend_from_slice(lists[0].elems);
-            for p in &lists[1..] {
+            let Some((rarest, rest)) = lists.split_first() else {
+                return;
+            };
+            out.extend_from_slice(rarest.elems);
+            for p in rest {
                 intersect_in_place(out, p.elems);
                 if out.is_empty() {
                     return;
@@ -485,10 +570,9 @@ pub(crate) fn predicate_matches(src: &TextIndex, pred: &ContentPredicate, out: &
         ContentOp::About => {
             // Posting lists are sorted, so merging them in one by one
             // builds the union without a sort pass.
-            let mut merged = Vec::new();
             for p in pred.terms.iter().filter_map(|t| src.lookup(t)) {
-                union_into(out, p.elems, &mut merged);
-                std::mem::swap(out, &mut merged);
+                union_into(out, p.elems, scratch);
+                std::mem::swap(out, scratch);
             }
         }
     }
@@ -520,33 +604,54 @@ fn union_into(a: &[ElemId], b: &[ElemId], out: &mut Vec<ElemId>) {
     out.extend_from_slice(b.get(j..).unwrap_or_default());
 }
 
-/// Keeps only the elements of `v` present in the sorted slice `other`
-/// (one merge walk; both inputs sorted).
+/// Keeps only the elements of `v` present in the sorted slice `other`.
+/// The shorter list drives: each of its elements gallops through what is
+/// left of the longer one, so a short posting list costs
+/// `O(short · log(long / short))`, not a walk of the long one.
 pub(crate) fn intersect_in_place(v: &mut Vec<ElemId>, other: &[ElemId]) {
-    let mut i = 0usize;
-    v.retain(|&e| {
-        while i < other.len() && other[i] < e {
-            i += 1;
-        }
-        i < other.len() && other[i] == e
-    });
-}
-
-/// Writes `a ∩ b` (both sorted) into `out`.
-fn intersect_into(a: &[ElemId], b: &[ElemId], out: &mut Vec<ElemId>) {
-    out.clear();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
+    if v.len() <= other.len() {
+        let mut rest = other;
+        v.retain(|&e| {
+            rest = rest.get(gallop(rest, e)..).unwrap_or_default();
+            rest.first() == Some(&e)
+        });
+    } else {
+        // `other` drives; survivors are written over the front of `v`,
+        // behind the galloping read position.
+        let mut kept = 0;
+        let mut from = 0;
+        for &e in other {
+            let at = from + gallop(v.get(from..).unwrap_or_default(), e);
+            if v.get(at) == Some(&e) {
+                if let Some(slot) = v.get_mut(kept) {
+                    *slot = e;
+                }
+                kept += 1;
+                from = at + 1;
+            } else {
+                from = at;
             }
         }
+        v.truncate(kept);
     }
+}
+
+/// The number of elements of the sorted `list` below `x`: an exponential
+/// probe from the front, then a binary search of the bracketed run.
+#[inline]
+fn gallop(list: &[ElemId], x: ElemId) -> usize {
+    let mut lo = 0;
+    let mut step = 1;
+    while list.get(lo + step - 1).is_some_and(|&y| y < x) {
+        lo += step;
+        step *= 2;
+    }
+    // Everything below `lo` is `< x`; the first `>= x` lies in the next
+    // `step` entries.
+    let run = list
+        .get(lo..(lo + step).min(list.len()))
+        .unwrap_or_default();
+    lo + run.partition_point(|&y| y < x)
 }
 
 /// `/tag`: mark the context, then keep the elements of the tag's row whose
@@ -554,17 +659,16 @@ fn intersect_into(a: &[ElemId], b: &[ElemId], out: &mut Vec<ElemId>) {
 /// because the row is.
 fn child_step(
     tags: &TagIndex,
-    mark: &mut StampSet,
-    bound: usize,
+    sc: &mut Scratch,
     current: &[ElemId],
     tag: &str,
     out: &mut Vec<ElemId>,
 ) {
-    mark.begin(bound);
+    sc.begin_marks();
     for &u in current {
-        mark.mark(u);
+        sc.mark.mark(u);
     }
-    let mark = &*mark;
+    let mark = &sc.mark;
     out.extend(tags.children(tag, |p| mark.is_marked(p)));
 }
 
@@ -595,26 +699,28 @@ fn wildcard_child_step(collection: &Collection, current: &[ElemId], out: &mut Ve
 /// Runs one planned `//` step into `out`. A backward join that runs out
 /// of its touch budget drops its partial rows and the forward join
 /// answers the step; `plan` then records the forward join and the
-/// fallback.
+/// fallback. `plan`'s backward budget may be a lower bound (a plan priced
+/// from bounds, see [`plan_connection_step_bounded`]): `exact_budget`
+/// gives the budget itself, and is called only when the touches pass it.
 fn connection_step<S: LabelSource>(
     index: &S,
     sc: &mut Scratch,
-    bound: usize,
     plan: &mut StepPlan,
+    exact_budget: impl FnOnce() -> usize,
     current: &[ElemId],
     cands: &[ElemId],
     out: &mut Vec<ElemId>,
 ) {
     match plan.strategy {
         Strategy::PairwiseProbe => step_pairwise(index, current, cands, out),
-        Strategy::Enumerate => step_enumerate(index, sc, bound, current, cands, out),
-        Strategy::ForwardHopJoin => step_forward_hop_join(index, sc, bound, current, cands, out),
+        Strategy::Enumerate => step_enumerate(index, sc, current, cands, out),
+        Strategy::ForwardHopJoin => step_forward_hop_join(index, sc, current, cands, out),
         Strategy::BackwardHopJoin => {
             let start = out.len();
             let budget = plan.backward_budget();
-            if !step_backward_hop_join(index, sc, bound, current, cands, budget, out) {
+            if !step_backward_hop_join(index, sc, current, cands, budget, exact_budget, out) {
                 out.truncate(start);
-                step_forward_hop_join(index, sc, bound, current, cands, out);
+                step_forward_hop_join(index, sc, current, cands, out);
                 plan.strategy = Strategy::ForwardHopJoin;
                 plan.fell_back = true;
             }
@@ -645,12 +751,11 @@ fn step_pairwise<S: LabelSource>(
 fn step_enumerate<S: LabelSource>(
     index: &S,
     sc: &mut Scratch,
-    bound: usize,
     current: &[ElemId],
     cands: &[ElemId],
     out: &mut Vec<ElemId>,
 ) {
-    sc.mark.begin(bound);
+    sc.begin_marks();
     for &u in current {
         index.descendants_into(u, &mut sc.desc_buf);
         for &v in &sc.desc_buf {
@@ -674,19 +779,18 @@ fn step_enumerate<S: LabelSource>(
 fn step_forward_hop_join<S: LabelSource>(
     index: &S,
     sc: &mut Scratch,
-    bound: usize,
     current: &[ElemId],
     cands: &[ElemId],
     out: &mut Vec<ElemId>,
 ) {
-    sc.begin_centers(bound);
+    sc.begin_centers();
     for &u in current {
         sc.add_center(u, u);
         for &c in index.lout_row(u) {
             sc.add_center(c, u);
         }
     }
-    sc.mark.begin(bound);
+    sc.begin_marks();
     for &c in &sc.centers {
         sc.mark.mark(c);
         for &v in index.holders_in_row(c) {
@@ -718,18 +822,21 @@ fn step_forward_hop_join<S: LabelSource>(
 ///
 /// Every candidate costs one touch, plus one per holder or `Lin` entry
 /// scanned. Returns `false`, with partial rows in `out`, after the first
-/// candidate that takes the touches over `budget`; `true` once every
-/// candidate is decided.
+/// candidate that takes the touches over the budget; `true` once every
+/// candidate is decided. `budget` is the budget or a lower bound on it:
+/// the first time the touches pass it, `exact_budget` settles the budget
+/// itself, so the join stops at the same candidate either way.
 fn step_backward_hop_join<S: LabelSource>(
     index: &S,
     sc: &mut Scratch,
-    bound: usize,
     current: &[ElemId],
     cands: &[ElemId],
-    budget: usize,
+    mut budget: usize,
+    exact_budget: impl FnOnce() -> usize,
     out: &mut Vec<ElemId>,
 ) -> bool {
-    sc.mark.begin(bound);
+    let mut exact_budget = Some(exact_budget);
+    sc.begin_marks();
     for &u in current {
         sc.mark.mark(u);
     }
@@ -759,7 +866,12 @@ fn step_backward_hop_join<S: LabelSource>(
         // Checked per candidate: a check per scanned row costs the
         // unbudgeted (forced) join ~10% on the INEX script.
         if touches > budget {
-            return false;
+            if let Some(exact) = exact_budget.take() {
+                budget = exact();
+            }
+            if touches > budget {
+                return false;
+            }
         }
         if hit {
             out.push(t);
@@ -1029,7 +1141,9 @@ mod tests {
     /// The budgeted backward join, driven with every budget from 0 up to
     /// the first that completes: each run either finishes with the forward
     /// join's rows or reports an overrun, and the planned step answers
-    /// like BFS either way — on the mutable and the frozen cover.
+    /// like BFS either way — on the mutable and the frozen cover. Each
+    /// budget also runs from lower bounds on it (half of it, and 0), which
+    /// the join refines on demand: same rows, same overrun, same fallback.
     #[test]
     fn budgeted_backward_join_falls_back_to_exact_rows() {
         use hopi_graph::traversal::is_reachable;
@@ -1070,41 +1184,135 @@ mod tests {
         bfs: &[ElemId],
         what: &str,
     ) -> usize {
-        let bound = c.elem_id_bound().max(index.num_nodes());
-        let mut sc = Scratch::default();
+        let mut sc = Scratch {
+            bound: c.elem_id_bound().max(index.num_nodes()),
+            ..Scratch::default()
+        };
         let mut forward = Vec::new();
-        step_forward_hop_join(index, &mut sc, bound, current, cands, &mut forward);
+        step_forward_hop_join(index, &mut sc, current, cands, &mut forward);
         assert_eq!(forward, bfs, "{what}: forward join");
         for budget in 0.. {
             let mut rows = Vec::new();
-            let finished =
-                step_backward_hop_join(index, &mut sc, bound, current, cands, budget, &mut rows);
+            let finished = step_backward_hop_join(
+                index,
+                &mut sc,
+                current,
+                cands,
+                budget,
+                || budget,
+                &mut rows,
+            );
             if finished {
                 assert_eq!(rows, forward, "{what}: backward join at budget {budget}");
             }
-            // The planned step under the same budget.
-            let mut plan = StepPlan {
-                strategy: Strategy::BackwardHopJoin,
-                costs: crate::plan::StepCosts {
-                    forward: budget as f64,
-                    ..Default::default()
-                },
-                forced: false,
-                budget_shortcut: false,
-                fell_back: false,
-            };
-            assert_eq!(plan.backward_budget(), budget);
-            let mut step = Vec::new();
-            connection_step(index, &mut sc, bound, &mut plan, current, cands, &mut step);
-            assert_eq!(step, bfs, "{what}: step at budget {budget}");
-            assert_eq!(plan.fell_back, !finished, "{what}: budget {budget}");
+            for lower in [budget, budget / 2, 0] {
+                let what = format!("{what}: budget {budget} from {lower}");
+                // The join refines the lower bound once, on demand.
+                let settled = std::cell::Cell::new(0);
+                let exact = || {
+                    settled.set(settled.get() + 1);
+                    budget
+                };
+                let mut lazy = Vec::new();
+                let lazy_finished =
+                    step_backward_hop_join(index, &mut sc, current, cands, lower, exact, &mut lazy);
+                assert_eq!((lazy_finished, &lazy), (finished, &rows), "{what}");
+                assert!(settled.get() <= 1, "{what}");
+                // The planned step, its plan priced at the lower bound.
+                let mut plan = StepPlan {
+                    strategy: Strategy::BackwardHopJoin,
+                    costs: crate::plan::StepCosts {
+                        forward: lower as f64,
+                        ..Default::default()
+                    },
+                    forced: false,
+                    budget_shortcut: false,
+                    fell_back: false,
+                };
+                assert_eq!(plan.backward_budget(), lower);
+                let mut step = Vec::new();
+                connection_step(
+                    index,
+                    &mut sc,
+                    &mut plan,
+                    || budget,
+                    current,
+                    cands,
+                    &mut step,
+                );
+                assert_eq!(step, bfs, "{what}: step");
+                assert_eq!(plan.fell_back, !finished, "{what}");
+                let answered = match finished {
+                    true => Strategy::BackwardHopJoin,
+                    false => Strategy::ForwardHopJoin,
+                };
+                assert_eq!(plan.strategy, answered, "{what}");
+            }
             if finished {
-                assert_eq!(plan.strategy, Strategy::BackwardHopJoin);
                 return budget;
             }
-            assert_eq!(plan.strategy, Strategy::ForwardHopJoin);
         }
         unreachable!("the unbounded budget finishes")
+    }
+
+    /// A plain run plans from the bounds of `Σ|Lout(u)|` where they agree;
+    /// an EXPLAIN run always reads the sum. Both run the same strategies,
+    /// fall back on the same steps and return the same rows.
+    #[test]
+    fn bounded_plans_run_like_exact_plans() {
+        for seed in CYCLIC_SEEDS {
+            let c = cyclic_collection(seed);
+            let (index, _) = build_index(&c, &BuildConfig::default());
+            let frozen = FrozenCover::from_cover(index.cover());
+            let tags = TagIndex::build(&c);
+            for query in [
+                "//root//e2",
+                "//e1//e4//e0",
+                "//*//e1",
+                "//e3//e3",
+                "//e2//*",
+            ] {
+                let expr = parse_path(query).unwrap();
+                for probe_budget in [0, 16, 4_096] {
+                    let options = EvalOptions {
+                        probe_budget,
+                        ..EvalOptions::default()
+                    };
+                    let mut ev = Evaluator::new();
+                    let rows = ev.run(corpus(&c, &frozen, &tags, None), &expr, &options, None);
+                    let (explained, report) = explain(&c, &frozen, &tags, &expr, &options, None);
+                    let what = format!("seed {seed} {query} budget {probe_budget}");
+                    assert_eq!(rows, explained, "{what}");
+                    assert_eq!(ev.strategy_counts(), report.strategy_counts(), "{what}");
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The galloping intersection and the union merge against a
+        /// filter and a sort over random sorted lists of any lengths.
+        #[test]
+        fn set_operations_match_naive_ones(
+            a in proptest::collection::vec(0u32..400, 0..200),
+            b in proptest::collection::vec(0u32..400, 0..30),
+        ) {
+            let sorted = |mut v: Vec<ElemId>| {
+                v.sort_unstable();
+                v.dedup();
+                v
+            };
+            let (a, b) = (sorted(a), sorted(b));
+            for (x, y) in [(&a, &b), (&b, &a)] {
+                let mut meet = x.clone();
+                intersect_in_place(&mut meet, y);
+                let expect: Vec<ElemId> = x.iter().copied().filter(|e| y.contains(e)).collect();
+                proptest::prop_assert_eq!(&meet, &expect);
+                let mut join = Vec::new();
+                union_into(x, y, &mut join);
+                proptest::prop_assert_eq!(join, sorted([x.as_slice(), y].concat()));
+            }
+        }
     }
 
     #[test]

@@ -21,15 +21,18 @@
 //!   the candidate side is much smaller than the forward expansion.
 //!
 //! [`plan_connection_step`] prices pairwise probes and the two hop joins
-//! from [`CoverStats`] averages plus the exact `Σ |Lout(u)|` of the
-//! context set (O(1) per node via the CSR row lengths). Costs are
-//! abstract row-entry-touch counts. Averages cannot see hub rows, so the
-//! backward join's price is a guess in either direction; the planner
-//! bounds what a wrong guess costs instead of trusting it. Unless probes
-//! are cheapest, the backward join runs under a touch budget equal to the
-//! forward estimate `F` and hands the step to the forward join when it
-//! runs out. It is skipped outright only when its price exceeds `2F`,
-//! the most a budgeted attempt can cost.
+//! from [`CoverStats`] averages plus the `Σ |Lout(u)|` of the context
+//! set. That sum is a row lookup per context node; evaluation first
+//! prices the step at both ends of the sum's range
+//! ([`plan_connection_step_bounded`]) and reads the sum only when the two
+//! ends pick different strategies. Costs are abstract row-entry-touch
+//! counts. Averages cannot see hub rows, so the backward join's price is
+//! a guess in either direction; the planner bounds what a wrong guess
+//! costs instead of trusting it. Unless probes are cheapest, the backward
+//! join runs under a touch budget equal to the forward estimate `F` and
+//! hands the step to the forward join when it runs out. It is skipped
+//! outright only when its price exceeds `2F`, the most a budgeted attempt
+//! can cost.
 //!
 //! Execution is observable end to end: every evaluation tallies the
 //! strategies whose rows the steps returned and the budget overruns
@@ -106,6 +109,8 @@ pub struct StepCosts {
     /// Pairwise-probe estimate.
     pub pairwise: f64,
     /// Forward-hop-join estimate; also the backward join's touch budget.
+    /// A lower bound on both in a plan from
+    /// [`plan_connection_step_bounded`].
     pub forward: f64,
     /// Backward-hop-join bound (early exit ignored).
     pub backward: f64,
@@ -240,6 +245,43 @@ pub fn plan_connection_step(
         budget_shortcut,
         fell_back: false,
     }
+}
+
+/// Plans a `//` step without reading its context's `Σ |Lout(u)|`: prices
+/// the step at both ends of that sum's range, `0` and
+/// `stats.lout_entries` (a context is a set of distinct nodes, so its sum
+/// is at most every stored `Lout` entry). The forward estimate `F` is the
+/// only cost that reads the sum, and it does not fall as the sum grows.
+/// As `F` grows the pick only moves forward join → backward join →
+/// pairwise probes, each strategy over one interval of `F`, so when both
+/// ends pick the same strategy, so does every sum between them — the
+/// exact plan's strategy too.
+///
+/// Returns the plan priced at `0`, or `None` when the two ends disagree
+/// and only the exact sum decides. The returned costs are exact except
+/// `forward`, which is a lower bound, and so is its
+/// [`backward_budget`](StepPlan::backward_budget): a caller running the
+/// backward join settles the exact budget when its touches pass that
+/// bound, and falls back at the same candidate as the exact plan would.
+pub fn plan_connection_step_bounded(
+    stats: &CoverStats,
+    current_len: usize,
+    cand_len: usize,
+    probe_budget: usize,
+    force: Option<Strategy>,
+) -> Option<StepPlan> {
+    let at = |lout_total| {
+        plan_connection_step(
+            stats,
+            current_len,
+            lout_total,
+            cand_len,
+            probe_budget,
+            force,
+        )
+    };
+    let low = at(0);
+    (low.strategy == at(stats.lout_entries).strategy).then_some(low)
 }
 
 /// Point-in-time per-strategy execution totals (one cell per
@@ -550,6 +592,61 @@ mod tests {
             let plan = plan_connection_step(&stats, current, lout_total, cand, probe_budget, None);
             proptest::prop_assert_ne!(plan.strategy, Strategy::Enumerate);
             proptest::prop_assert!(!plan.forced && !plan.fell_back);
+        }
+    }
+
+    #[test]
+    fn bounds_decide_unless_they_disagree() {
+        // Ten context nodes, a hundred candidates: at `Σ|Lout| = 0` the
+        // backward bound is over twice `F`, at every stored `Lout` entry it
+        // is not, so only the exact sum decides.
+        assert!(plan_connection_step_bounded(&stats(), 10, 100, 0, None).is_none());
+        assert_eq!(
+            plan_connection_step(&stats(), 10, 0, 100, 0, None).strategy,
+            Strategy::ForwardHopJoin
+        );
+        assert_eq!(
+            plan_connection_step(&stats(), 10, 2_000, 100, 0, None).strategy,
+            Strategy::BackwardHopJoin
+        );
+        // Two hundred context nodes: both ends try the backward join, at
+        // the budget of the lower end.
+        let bounded = plan_connection_step_bounded(&stats(), 200, 110, 0, None).unwrap();
+        let exact = plan_connection_step(&stats(), 200, 100, 110, 0, None);
+        assert_eq!(bounded.strategy, Strategy::BackwardHopJoin);
+        assert_eq!(exact.strategy, Strategy::BackwardHopJoin);
+        assert!(bounded.backward_budget() < exact.backward_budget());
+    }
+
+    proptest::proptest! {
+        /// Whenever the plans priced at both ends of the `Σ|Lout(u)|`
+        /// range pick one strategy, the exact plan picks it too, with the
+        /// same flags and the same costs except a lower `forward`.
+        #[test]
+        fn agreeing_bounds_pick_the_exact_strategy(
+            (nodes, lin, lout) in (1usize..20_000, 0usize..80_000, 0usize..80_000),
+            (current, cand, probe_budget) in (1usize..20_000, 1usize..20_000, 0usize..10_000),
+            (per_mille, force) in (0usize..=1_000, 0usize..8),
+        ) {
+            let stats = CoverStats { nodes, lin_entries: lin, lout_entries: lout };
+            let lout_total = lout * per_mille / 1_000;
+            // Four forced strategies, and planning half of the time.
+            let force = Strategy::ALL.get(force).copied();
+            let exact = plan_connection_step(&stats, current, lout_total, cand, probe_budget, force);
+            let bounded = plan_connection_step_bounded(&stats, current, cand, probe_budget, force);
+            if let Some(plan) = bounded {
+                proptest::prop_assert_eq!(plan.strategy, exact.strategy);
+                proptest::prop_assert_eq!(
+                    (plan.forced, plan.budget_shortcut),
+                    (exact.forced, exact.budget_shortcut)
+                );
+                proptest::prop_assert_eq!(
+                    (plan.costs.pairwise, plan.costs.backward),
+                    (exact.costs.pairwise, exact.costs.backward)
+                );
+                proptest::prop_assert!(plan.costs.forward <= exact.costs.forward);
+                proptest::prop_assert!(plan.backward_budget() <= exact.backward_budget());
+            }
         }
     }
 

@@ -156,7 +156,7 @@ fn filter_by_predicate(
         None => dist.clear(),
         Some(src) => {
             let mut matches = Vec::new();
-            crate::eval::predicate_matches(src, pred, &mut matches);
+            crate::eval::predicate_matches(src, pred, &mut matches, &mut Vec::new());
             dist.retain(|e, _| matches.binary_search(e).is_ok());
         }
     }
