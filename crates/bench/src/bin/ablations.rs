@@ -7,9 +7,6 @@
 //!    combinations were not as good."
 //! 2. **Center preselection** (§4.2): on/off — the paper reports "some
 //!    decrease in cover size, but the effects were marginal."
-//! 3. **PSG recursion threshold** (§4.1): direct `H̄` computation vs
-//!    forced chunked recursion — both must produce identical covers, at
-//!    different memory/time trade-offs.
 //!
 //! ```sh
 //! cargo run -p hopi-bench --release --bin ablations [--scale 0.05]
@@ -119,44 +116,4 @@ fn main() {
             delta,
         ]);
     }
-
-    println!("\n3) PSG recursion threshold (§4.1)");
-    let t = TablePrinter::new(&[
-        ("threshold", 10),
-        ("chunks", 7),
-        ("join_ms", 8),
-        ("size", 10),
-    ]);
-    let mut sizes = Vec::new();
-    for threshold in [usize::MAX, 256, 64, 16] {
-        let (_, report) = build_index(
-            &collection,
-            &BuildConfig {
-                partitioner: PartitionerChoice::Tc(TcPartitionerConfig {
-                    max_connections_per_partition: budget,
-                    ..Default::default()
-                }),
-                join: JoinAlgorithm::Psg,
-                psg_direct_threshold: threshold,
-                ..Default::default()
-            },
-        );
-        let chunks = report.psg.as_ref().map_or(0, |p| p.chunks);
-        t.row(&[
-            if threshold == usize::MAX {
-                "direct".into()
-            } else {
-                threshold.to_string()
-            },
-            chunks.to_string(),
-            report.join_ms.to_string(),
-            report.cover_size.to_string(),
-        ]);
-        sizes.push(report.cover_size);
-    }
-    assert!(
-        sizes.windows(2).all(|w| w[0] == w[1]),
-        "chunked recursion must reproduce the direct cover exactly: {sizes:?}"
-    );
-    println!("  (all thresholds produce identical covers ✓)");
 }

@@ -1,8 +1,8 @@
-//! Validates a Prometheus text-exposition (0.0.4) scrape, as written by
-//! `server_throughput --metrics-out`. CI runs this over the smoke
-//! bench's `/metrics` scrape so a malformed exposition — a rendering
-//! regression no Rust unit test of an individual histogram would catch —
-//! fails the build.
+//! Validates a Prometheus text-exposition (0.0.4) scrape. CI runs this
+//! over the live `/metrics` scrape that `hopi-server`'s `server_e2e`
+//! test writes to `target/tmp/metrics.prom`, so a malformed exposition —
+//! a rendering regression no Rust unit test of an individual histogram
+//! would catch — fails the build.
 //!
 //! Checks, line by line and per series:
 //!
@@ -29,7 +29,8 @@
 //!   query planner's budget overruns: `hopi_query_backward_fallbacks_total`.
 //!
 //! ```sh
-//! cargo run -p hopi-bench --bin check_metrics -- metrics.prom
+//! cargo test -p hopi-server --test server_e2e
+//! cargo run -p hopi-bench --bin check_metrics -- target/tmp/metrics.prom
 //! ```
 
 use std::collections::BTreeMap;

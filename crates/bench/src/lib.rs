@@ -64,16 +64,6 @@ pub fn flag_arg(args: &[String], name: &str) -> Option<String> {
         .and_then(|i| args.get(i + 1).cloned())
 }
 
-/// The thread counts a throughput bench measures: single-threaded plus
-/// the requested count (deduplicated when they coincide).
-pub fn thread_ladder(n: usize) -> Vec<usize> {
-    if n <= 1 {
-        vec![1]
-    } else {
-        vec![1, n]
-    }
-}
-
 /// The DBLP-like evaluation collection at a given scale.
 pub fn dblp_collection(scale: f64) -> Collection {
     dblp(&DblpConfig::scaled(scale))
@@ -87,8 +77,8 @@ pub fn inex_collection(scale: f64) -> Collection {
 /// Sprinkles deterministic cross-document links over a collection (about
 /// two per document) so connection probes cross documents — the
 /// generator's pure INEX has none, and the 24×7 serving scenario is about
-/// *linked* collections. Used by the `server_throughput` serving bench
-/// and the benchmark's INEX workloads.
+/// *linked* collections. Used by the write and query benches and the
+/// benchmark's INEX workloads.
 pub fn add_cross_links(collection: &mut Collection) {
     use rand::prelude::*;
     let docs: Vec<u32> = collection.doc_ids().collect();

@@ -19,7 +19,7 @@ use hopi_maintenance::{
 };
 use hopi_obs::Stopwatch;
 use hopi_partition::{build_index, BuildConfig, BuildReport, JoinAlgorithm, PartitionerChoice};
-use hopi_query::{EvalOptions, PlanCounters, TagIndex};
+use hopi_query::{PlanCounters, TagIndex};
 use hopi_store::{load_index, save_frozen, CoverBaseline, StdVfs, WalRecord};
 use hopi_text::{TextIndex, TextStats};
 use hopi_xml::parser::{parse_collection, parse_document};
@@ -27,38 +27,6 @@ use hopi_xml::{Collection, DocId, ElemId, XmlDocument};
 use std::ops::Deref;
 use std::path::Path;
 use std::sync::Arc;
-
-/// Tunables of the facade's query methods.
-#[derive(Clone, Copy, Debug)]
-pub struct QueryOptions {
-    /// Planner shortcut for `//` steps: at or under this many candidate
-    /// probes (`|context| × |candidates|`) a step stays on pairwise
-    /// reachability probes; above it the step is planned cost-based
-    /// across probes and the two hop joins (see
-    /// [`hopi_query::EvalOptions`]).
-    pub probe_budget: usize,
-    /// Keep only the best `k` results of [`Reads::query_ranked`]
-    /// (`None` = all).
-    pub top_k: Option<usize>,
-}
-
-impl Default for QueryOptions {
-    fn default() -> Self {
-        QueryOptions {
-            probe_budget: EvalOptions::default().probe_budget,
-            top_k: None,
-        }
-    }
-}
-
-impl QueryOptions {
-    pub(crate) fn eval_options(&self) -> EvalOptions {
-        EvalOptions {
-            probe_budget: self.probe_budget,
-            ..EvalOptions::default()
-        }
-    }
-}
 
 /// A point-in-time summary of an engine (see [`Hopi::stats`]).
 #[derive(Clone, Debug)]
@@ -83,7 +51,6 @@ pub struct Stats {
 #[derive(Clone, Debug, Default)]
 pub struct HopiBuilder {
     config: BuildConfig,
-    options: QueryOptions,
     distance_aware: bool,
 }
 
@@ -107,13 +74,6 @@ impl HopiBuilder {
         self
     }
 
-    /// PSG-join recursion threshold (see
-    /// [`BuildConfig::psg_direct_threshold`]).
-    pub fn psg_direct_threshold(mut self, threshold: usize) -> Self {
-        self.config.psg_direct_threshold = threshold;
-        self
-    }
-
     /// Worker threads for per-partition cover construction (`0` = one per
     /// CPU). The built cover is identical for any value.
     pub fn threads(mut self, threads: usize) -> Self {
@@ -131,18 +91,6 @@ impl HopiBuilder {
     /// Sets the whole build configuration at once (expert escape hatch).
     pub fn config(mut self, config: BuildConfig) -> Self {
         self.config = config;
-        self
-    }
-
-    /// Sets the query tunables.
-    pub fn query_options(mut self, options: QueryOptions) -> Self {
-        self.options = options;
-        self
-    }
-
-    /// Probe-vs-enumerate budget of `//` steps (see [`QueryOptions`]).
-    pub fn probe_budget(mut self, probe_budget: usize) -> Self {
-        self.options.probe_budget = probe_budget;
         self
     }
 
@@ -168,10 +116,10 @@ impl HopiBuilder {
     /// Reconstructs an engine from an index persisted with
     /// [`Hopi::save_frozen`] (or a row-table file of an older build, which
     /// loads one way into the same form), skipping the build but keeping
-    /// this builder's configuration for future [`Hopi::rebuild`]s and
-    /// queries. A file with DIST data is served as the distance cover as
-    /// it is; without it, the distance cover is built fresh when the
-    /// builder asked for [`distance_aware`](Self::distance_aware). The
+    /// this builder's configuration for future [`Hopi::rebuild`]s. A file
+    /// with DIST data is served as the distance cover as it is; without
+    /// it, the distance cover is built fresh when the builder asked for
+    /// [`distance_aware`](Self::distance_aware). The
     /// plain cover thaws with no re-sorting — rows are stored sorted — so
     /// opening for serving is cheap.
     ///
@@ -241,7 +189,6 @@ impl HopiBuilder {
             collection,
             cover: index,
             distance,
-            options: self.options,
             plan_counters: Arc::new(PlanCounters::new()),
         };
         Hopi {
@@ -680,7 +627,6 @@ impl Hopi {
             distance: self.reads.distance.clone(),
             tags: self.reads.tags.clone(),
             text: self.reads.text.clone(),
-            options: self.reads.options,
             plan_counters: self.reads.plan_counters.clone(),
         };
         crate::HopiSnapshot {
@@ -739,11 +685,6 @@ impl Hopi {
     /// The build configuration this engine (re)builds with.
     pub fn config(&self) -> &BuildConfig {
         &self.config
-    }
-
-    /// Updates the query tunables.
-    pub fn set_query_options(&mut self, options: QueryOptions) {
-        self.reads.options = options;
     }
 
     // ------------------------------------------------------------------

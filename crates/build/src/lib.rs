@@ -73,7 +73,7 @@ pub use durable::{
     LOCK_FILE, WAL_FILE,
 };
 pub use error::HopiError;
-pub use facade::{Hopi, HopiBuilder, QueryOptions, Stats};
+pub use facade::{Hopi, HopiBuilder, Stats};
 pub use online::{OnlineHopi, PublishTotals};
 pub use reads::Reads;
 pub use snapshot::{

@@ -539,7 +539,6 @@ impl OnlineHopi {
         let hopi = &guard.hopi;
         let builder = Hopi::builder()
             .config(hopi.config().clone())
-            .query_options(*hopi.query_options())
             .distance_aware(hopi.stats().distance_entries.is_some());
         let collection = hopi.collection().clone();
         Capture {

@@ -2,8 +2,8 @@
 //! [`HopiSnapshot`](crate::HopiSnapshot).
 //!
 //! An engine and a snapshot hold the same read parts — collection,
-//! connection cover, optional distance cover, tag index, term index, query
-//! tunables and the engine-shared plan counters. The connection cover
+//! connection cover, optional distance cover, tag index, term index and
+//! the engine-shared plan counters. The connection cover
 //! comes in two representations: the engine's mutable cover and a
 //! snapshot's frozen form. The distance cover has one: the
 //! distance-annotated [`FrozenCover`], which answers paper §5.1's
@@ -15,11 +15,10 @@
 //! monomorphized per representation.
 
 use crate::error::HopiError;
-use crate::facade::QueryOptions;
 use hopi_core::{FrozenCover, LabelSource};
 use hopi_query::{
-    parse_path, rank, with_thread_evaluator, Corpus, PlanCounters, QueryPlanReport, RankedMatch,
-    TagIndex,
+    parse_path, rank, with_thread_evaluator, Corpus, EvalOptions, PlanCounters, QueryPlanReport,
+    RankedMatch, TagIndex,
 };
 use hopi_text::TextIndex;
 use hopi_xml::{Collection, ElemId};
@@ -41,7 +40,6 @@ pub struct Reads<C> {
     /// Shared by an engine, its clones and its snapshots until a document
     /// with text comes or goes; such a write swaps in the successor index.
     pub(crate) text: Arc<TextIndex>,
-    pub(crate) options: QueryOptions,
     /// Per-strategy `//`-step execution counters, shared by an engine, its
     /// clones and every snapshot captured from them: each query tallies
     /// its plans here, so the serving layer can expose which physical
@@ -100,17 +98,13 @@ impl<C: LabelSource> Reads<C> {
     }
 
     /// Evaluates a path expression with distance-ranked results (paper
-    /// §5.1; best-ranked first, truncated to [`QueryOptions::top_k`]).
+    /// §5.1; every match, best-ranked first).
     /// Content predicates filter membership, and the final step's
     /// predicate fuses a BM25 text score into each match's score. Needs
     /// [`HopiBuilder::distance_aware`](crate::HopiBuilder::distance_aware).
     pub fn query_ranked(&self, expr: &str) -> Result<Vec<RankedMatch>, HopiError> {
         let distances = self.distance_source()?;
-        let mut matches = rank(self.corpus(distances), &parse_path(expr)?);
-        if let Some(k) = self.options.top_k {
-            matches.truncate(k);
-        }
-        Ok(matches)
+        Ok(rank(self.corpus(distances), &parse_path(expr)?))
     }
 
     /// Resolves a `docname` / `docname#anchor` reference to an element id.
@@ -139,11 +133,6 @@ impl<C: LabelSource> Reads<C> {
     /// escape hatch — e.g. for inspecting posting lists).
     pub fn text(&self) -> &Arc<TextIndex> {
         &self.text
-    }
-
-    /// The query tunables.
-    pub fn query_options(&self) -> &QueryOptions {
-        &self.options
     }
 
     /// The distance-annotated cover, when distance-aware (expert escape
@@ -176,9 +165,13 @@ impl<C: LabelSource> Reads<C> {
         report: Option<&mut QueryPlanReport>,
     ) -> Result<Vec<ElemId>, HopiError> {
         let parsed = parse_path(expr)?;
-        let options = self.options.eval_options();
         Ok(with_thread_evaluator(|ev| {
-            let rows = ev.run(self.corpus(&self.cover), &parsed, &options, report);
+            let rows = ev.run(
+                self.corpus(&self.cover),
+                &parsed,
+                &EvalOptions::default(),
+                report,
+            );
             self.plan_counters.add(ev.strategy_counts());
             rows
         }))

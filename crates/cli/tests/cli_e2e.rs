@@ -274,6 +274,50 @@ fn query_parse_error_reported() {
     std::fs::remove_dir_all(&docs).ok();
 }
 
+/// `hopi query --ranked --k N` prints the best `N` matches: the library
+/// returns every ranked match, so the cut is the CLI's own.
+#[test]
+fn ranked_query_keeps_the_best_k() {
+    let docs = tempdir("ranked");
+    let files = [
+        ("a", r#"<r><cite xlink:href="b"/><x/></r>"#),
+        ("b", "<r><s><x/><x/></s></r>"),
+    ];
+    for (name, xml) in files {
+        std::fs::write(docs.join(format!("{name}.xml")), xml).unwrap();
+    }
+    let index = docs.join("dist.idx");
+    hopi_build::Hopi::builder()
+        .distance_aware(true)
+        .parse(files)
+        .unwrap()
+        .save_frozen(&index)
+        .unwrap();
+    let ranked = |k: Option<&str>| {
+        let mut cmd = hopi();
+        cmd.args(["query", "--ranked", "--dir"])
+            .arg(&docs)
+            .args(["--index"])
+            .arg(&index);
+        if let Some(k) = k {
+            cmd.args(["--k", k]);
+        }
+        let out = cmd.arg("//r//*").output().unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        stdout.lines().map(str::to_owned).collect::<Vec<_>>()
+    };
+    let all = ranked(None);
+    assert!(all.len() > 2, "ranked matches: {all:?}");
+    assert_eq!(ranked(Some("2")), all[..2]);
+    assert_eq!(ranked(Some("100")), all);
+    std::fs::remove_dir_all(&docs).ok();
+}
+
 /// `hopi serve --wal`: acked HTTP mutations survive a SIGKILL. Boots a
 /// durable server, mutates, kills the process without checkpointing,
 /// restarts on the same state directory, and verifies recovery.

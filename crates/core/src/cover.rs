@@ -495,22 +495,6 @@ impl TwoHopCover {
         }
     }
 
-    /// Iterates over all stored `(node, center)` `Lout` entries.
-    pub fn iter_out_entries(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
-        self.lout
-            .iter()
-            .enumerate()
-            .flat_map(|(n, row)| row.iter().map(move |&c| (n as NodeId, c)))
-    }
-
-    /// Iterates over all stored `(node, center)` `Lin` entries.
-    pub fn iter_in_entries(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
-        self.lin
-            .iter()
-            .enumerate()
-            .flat_map(|(n, row)| row.iter().map(move |&c| (n as NodeId, c)))
-    }
-
     /// Debug invariant check: inverted index matches labels, labels sorted,
     /// no self entries, entry count correct.
     pub fn check_invariants(&self) {
@@ -692,15 +676,6 @@ mod tests {
         assert!(c.holders_out(1).is_empty());
         assert_eq!(c.size(), 1);
         c.check_invariants();
-    }
-
-    #[test]
-    fn entries_iterators() {
-        let c = path_cover();
-        let outs: Vec<_> = c.iter_out_entries().collect();
-        let ins: Vec<_> = c.iter_in_entries().collect();
-        assert_eq!(outs, vec![(0, 1)]);
-        assert_eq!(ins, vec![(2, 1)]);
     }
 
     #[test]

@@ -76,11 +76,6 @@ impl HopiIndex {
     pub fn cover_mut(&mut self) -> &mut TwoHopCover {
         &mut self.cover
     }
-
-    /// Consumes the index, returning the cover.
-    pub fn into_cover(self) -> TwoHopCover {
-        self.cover
-    }
 }
 
 impl From<TwoHopCover> for HopiIndex {
@@ -106,6 +101,6 @@ mod tests {
         assert_eq!(index.size(), 2);
         index.cover_mut().add_out(1, 2);
         assert!(index.connected(1, 3));
-        assert_eq!(index.clone().into_cover().size(), 3);
+        assert_eq!(index.size(), 3);
     }
 }

@@ -157,12 +157,6 @@ impl FixedBitSet {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// `self |= other`. Returns the number of *newly set* bits, which lets the
-    /// incremental closure track its connection count without re-counting.
-    pub fn union_with_count(&mut self, other: &FixedBitSet) -> usize {
-        self.union_with_count_in(other, WordSpan::ALL)
-    }
-
     /// `self |= other` on the words inside `span`; returns the number of
     /// newly set bits.
     pub fn union_with_count_in(&mut self, other: &FixedBitSet, span: WordSpan) -> usize {
@@ -279,13 +273,9 @@ impl FixedBitSet {
         self.words.get(i).copied().unwrap_or(0)
     }
 
-    /// Iterates over `self ∩ other` in ascending order without
-    /// materializing it (words beyond the shorter set count as empty).
-    pub fn intersection_iter<'a>(&'a self, other: &'a FixedBitSet) -> Intersection<'a> {
-        self.intersection_iter_in(other, WordSpan::ALL)
-    }
-
-    /// Iterates over `self ∩ other` within the words of `span`, ascending.
+    /// Iterates over `self ∩ other` within the words of `span`, ascending,
+    /// without materializing it (words beyond the shorter set count as
+    /// empty).
     pub fn intersection_iter_in<'a>(
         &'a self,
         other: &'a FixedBitSet,
@@ -462,9 +452,9 @@ mod tests {
         a.insert(50);
         b.insert(50);
         b.insert(99);
-        assert_eq!(a.union_with_count(&b), 1);
+        assert_eq!(a.union_with_count_in(&b, WordSpan::ALL), 1);
         assert_eq!(a.count(), 3);
-        assert_eq!(a.union_with_count(&b), 0);
+        assert_eq!(a.union_with_count_in(&b, WordSpan::ALL), 0);
     }
 
     #[test]
@@ -487,19 +477,25 @@ mod tests {
         let b: FixedBitSet = [5u32, 64, 65, 199].into_iter().collect();
         // `b` is two words shorter than `a`: its missing words are empty.
         assert_eq!(
-            a.intersection_iter(&b).collect::<Vec<_>>(),
+            a.intersection_iter_in(&b, WordSpan::ALL)
+                .collect::<Vec<_>>(),
             vec![5, 64, 199]
         );
         assert_eq!(
-            b.intersection_iter(&a).collect::<Vec<_>>(),
+            b.intersection_iter_in(&a, WordSpan::ALL)
+                .collect::<Vec<_>>(),
             vec![5, 64, 199]
         );
         let mut c = a.clone();
         c.intersect_with(&b);
-        assert_eq!(a.intersection_iter(&b).collect::<Vec<_>>(), c.to_vec());
+        assert_eq!(
+            a.intersection_iter_in(&b, WordSpan::ALL)
+                .collect::<Vec<_>>(),
+            c.to_vec()
+        );
         let empty = FixedBitSet::new(0);
-        assert_eq!(a.intersection_iter(&empty).count(), 0);
-        assert_eq!(empty.intersection_iter(&a).count(), 0);
+        assert_eq!(a.intersection_iter_in(&empty, WordSpan::ALL).count(), 0);
+        assert_eq!(empty.intersection_iter_in(&a, WordSpan::ALL).count(), 0);
     }
 
     /// `x` with only the bits inside `span` kept.
@@ -580,7 +576,8 @@ mod tests {
                 _ => WordSpan::EMPTY,
             };
             prop_assert_eq!(a.difference_span(&b), want_span);
-            prop_assert_eq!(a.intersection_iter(&b).collect::<Vec<_>>(), both.to_vec());
+            let all: Vec<u32> = a.intersection_iter_in(&b, WordSpan::ALL).collect();
+            prop_assert_eq!(all, both.to_vec());
             prop_assert_eq!(a.intersection_count(&b), both.count());
         }
     }

@@ -6,8 +6,6 @@
 //! kept in both directions and deleted node slots are tombstoned rather than
 //! compacted (ids handed out to the index must stay stable).
 
-use rustc_hash::FxHashSet;
-
 /// Node identifier: a dense index into the graph's node table.
 pub type NodeId = u32;
 
@@ -206,32 +204,6 @@ impl DiGraph {
             .flat_map(|(u, vs)| vs.iter().map(move |&v| (u as NodeId, v)))
     }
 
-    /// Builds the subgraph induced by `keep` (node ids preserved; nodes not
-    /// in `keep` become dead slots).
-    pub fn induced_subgraph(&self, keep: &FxHashSet<NodeId>) -> DiGraph {
-        let mut g = DiGraph {
-            succ: vec![Vec::new(); self.succ.len()],
-            pred: vec![Vec::new(); self.pred.len()],
-            alive: vec![false; self.alive.len()],
-            node_count: 0,
-            edge_count: 0,
-        };
-        for &u in keep {
-            if self.is_alive(u) {
-                g.alive[u as usize] = true;
-                g.node_count += 1;
-            }
-        }
-        for (u, v) in self.edges() {
-            if g.alive[u as usize] && g.alive[v as usize] {
-                g.succ[u as usize].push(v);
-                g.pred[v as usize].push(u);
-                g.edge_count += 1;
-            }
-        }
-        g
-    }
-
     /// Returns the reverse graph (every edge flipped).
     pub fn reversed(&self) -> DiGraph {
         DiGraph {
@@ -311,17 +283,6 @@ mod tests {
         assert_eq!(g.node_count(), 6); // ensure_node filled 0..=5
         g.remove_node(5);
         assert_eq!(g.edge_count(), 0);
-    }
-
-    #[test]
-    fn induced_subgraph_keeps_ids() {
-        let g = diamond();
-        let keep: FxHashSet<NodeId> = [0u32, 1, 3].into_iter().collect();
-        let s = g.induced_subgraph(&keep);
-        assert_eq!(s.node_count(), 3);
-        assert!(s.has_edge(0, 1) && s.has_edge(1, 3));
-        assert!(!s.has_edge(0, 2));
-        assert_eq!(s.edge_count(), 2);
     }
 
     #[test]

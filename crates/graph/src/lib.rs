@@ -6,8 +6,6 @@
 //! * [`DiGraph`] — a mutable directed graph over dense `u32` node ids with
 //!   predecessor and successor adjacency, supporting node/edge insertion and
 //!   removal (needed for incremental index maintenance, paper §6).
-//! * [`Csr`] — an immutable compressed-sparse-row snapshot for cache-friendly
-//!   traversal during bulk index construction (paper §4).
 //! * [`FixedBitSet`] — the bit-set used to materialize transitive-closure
 //!   rows; the paper's new partitioner (§4.3) grows partitions while the
 //!   in-memory closure still fits a budget, which we track via
@@ -15,7 +13,7 @@
 //! * [`closure`] — reflexive/irreflexive transitive closures with incremental
 //!   edge insertion, and a distance closure (all-pairs unweighted shortest
 //!   paths) for the distance-aware cover of paper §5.
-//! * [`traversal`] — BFS/DFS reachability and single-source shortest
+//! * [`traversal`] — BFS reachability and single-source shortest
 //!   distances.
 //! * [`scc`] — Tarjan strongly-connected components and condensation; link
 //!   cycles between XML documents are legal, so the index machinery must not
@@ -32,7 +30,6 @@
 
 pub mod bitset;
 pub mod closure;
-pub mod csr;
 pub mod digraph;
 pub mod scc;
 pub mod topo;
@@ -40,7 +37,6 @@ pub mod traversal;
 
 pub use bitset::{FixedBitSet, WordSpan};
 pub use closure::{DistanceClosure, TransitiveClosure};
-pub use csr::Csr;
 pub use digraph::{DiGraph, EdgeInsert, NodeId};
 pub use scc::{condensation, tarjan_scc, Condensation};
 pub use topo::{topo_sort, TopoError};

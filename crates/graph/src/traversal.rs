@@ -1,4 +1,4 @@
-//! BFS/DFS reachability and single-source shortest distances.
+//! BFS reachability and single-source shortest distances.
 //!
 //! These primitives back (a) naive reference oracles in tests, (b) the
 //! partial closure recomputation of the general deletion algorithm
@@ -125,29 +125,6 @@ pub fn bounded_bfs(g: &DiGraph, start: NodeId, max_depth: u32, mut visit: impl F
     }
 }
 
-/// Iterative depth-first preorder from `start` (start included).
-pub fn dfs_preorder(g: &DiGraph, start: NodeId) -> Vec<NodeId> {
-    let mut order = Vec::new();
-    if !g.is_alive(start) {
-        return order;
-    }
-    let mut seen = FixedBitSet::new(g.id_bound());
-    let mut stack = vec![start];
-    seen.insert(start);
-    while let Some(u) = stack.pop() {
-        order.push(u);
-        // Push in reverse so lower-id successors are visited first.
-        let mut succ: Vec<NodeId> = g.successors(u).to_vec();
-        succ.sort_unstable_by(|a, b| b.cmp(a));
-        for v in succ {
-            if seen.insert(v) {
-                stack.push(v);
-            }
-        }
-    }
-    order
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,12 +196,6 @@ mod tests {
         let g = chain_with_branch();
         let r = reachable_from_many(&g, [4u32, 5]);
         assert_eq!(r.to_vec(), vec![4, 5]);
-    }
-
-    #[test]
-    fn dfs_preorder_visits_all() {
-        let g = chain_with_branch();
-        assert_eq!(dfs_preorder(&g, 0), vec![0, 1, 2, 3, 4]);
     }
 
     #[test]

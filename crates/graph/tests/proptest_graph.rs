@@ -5,8 +5,7 @@
 use hopi_graph::closure::region_closure;
 use hopi_graph::traversal::{bfs_distances, is_reachable, reachable_from, reaching_to};
 use hopi_graph::{
-    condensation, tarjan_scc, topo_sort, Csr, DiGraph, DistanceClosure, FixedBitSet,
-    TransitiveClosure,
+    condensation, tarjan_scc, topo_sort, DiGraph, DistanceClosure, FixedBitSet, TransitiveClosure,
 };
 use proptest::prelude::*;
 
@@ -150,19 +149,6 @@ proptest! {
                 .collect();
             prop_assert_eq!(rows[i].len(), region.len());
             prop_assert_eq!(rows[i].to_vec(), want, "row of {}", x);
-        }
-    }
-
-    #[test]
-    fn csr_preserves_edges((n, edges) in arb_graph(40, 120)) {
-        let g = build(n, &edges);
-        let csr = Csr::from_digraph(&g);
-        prop_assert_eq!(csr.num_edges(), g.edge_count());
-        for (u, v) in g.edges() {
-            prop_assert!(csr.has_edge(u, v));
-        }
-        for u in 0..n {
-            prop_assert_eq!(csr.neighbors(u).len(), g.out_degree(u));
         }
     }
 

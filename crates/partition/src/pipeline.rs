@@ -24,7 +24,7 @@ use crate::psg::PartitionSkeletonGraph;
 use crate::tc_partitioner;
 use crate::{OldPartitionerConfig, TcPartitionerConfig};
 use hopi_core::{old_join, BuildStats, CoverBuilder, HopiIndex, TwoHopCover};
-use hopi_graph::{traversal, FixedBitSet, TransitiveClosure};
+use hopi_graph::TransitiveClosure;
 use hopi_xml::{Collection, ElemId};
 use rustc_hash::FxHashMap;
 use std::time::Instant;
@@ -62,12 +62,6 @@ pub struct BuildConfig {
     /// Preselect cross-partition link targets as centers inside each
     /// partition cover (paper §4.2).
     pub preselect_link_targets: bool,
-    /// PSG-join recursion threshold: above this many PSG nodes, skeleton
-    /// reachability rows are computed by per-node BFS instead of the
-    /// SCC-condensation closure algorithm (slower, but without the
-    /// condensation's transient per-component state). The produced cover
-    /// is identical either way.
-    pub psg_direct_threshold: usize,
     /// Worker threads for per-partition cover construction (`0` = one per
     /// available CPU). The built cover is independent of this value.
     pub threads: usize,
@@ -81,7 +75,6 @@ impl Default for BuildConfig {
             partitioner: PartitionerChoice::Tc(TcPartitionerConfig::default()),
             join: JoinAlgorithm::Psg,
             preselect_link_targets: false,
-            psg_direct_threshold: usize::MAX,
             threads: 0,
         }
     }
@@ -94,8 +87,6 @@ pub struct PsgJoinReport {
     pub nodes: usize,
     /// PSG edges (cross links + intra-partition connection edges).
     pub edges: usize,
-    /// Reachability chunks processed (1 = direct, single closure).
-    pub chunks: usize,
 }
 
 /// Statistics of one index build.
@@ -177,12 +168,8 @@ pub fn build_index(collection: &Collection, config: &BuildConfig) -> (HopiIndex,
                 }
             }
             JoinAlgorithm::Psg => {
-                let (entries, report, skeleton_stats) = psg_join(
-                    collection,
-                    &partitioning,
-                    &mut cover,
-                    config.psg_direct_threshold,
-                );
+                let (entries, report, skeleton_stats) =
+                    psg_join(collection, &partitioning, &mut cover);
                 join_entries = entries;
                 psg_report = Some(report);
                 greedy += &skeleton_stats;
@@ -293,7 +280,6 @@ fn psg_join(
     collection: &Collection,
     partitioning: &Partitioning,
     cover: &mut TwoHopCover,
-    direct_threshold: usize,
 ) -> (usize, PsgJoinReport, BuildStats) {
     // All skeleton inputs are computed against the pre-join cover, which is
     // exact for intra-partition connections and empty across partitions.
@@ -306,24 +292,8 @@ fn psg_join(
     let anc_of: Vec<Vec<ElemId>> = psg.nodes.iter().map(|&e| cover.ancestors(e)).collect();
     let desc_of: Vec<Vec<ElemId>> = psg.nodes.iter().map(|&e| cover.descendants(e)).collect();
 
-    // Skeleton closure H̄. Below the threshold it is computed with the
-    // SCC-condensation closure algorithm (fastest, but its per-component
-    // row unioning holds extra transient state); above it, rows come from
-    // plain per-node BFS — slower, no transient duplication, identical
-    // rows either way (the `ablations` binary asserts the covers match).
-    // The final row table is needed in full by the skeleton cover builder,
-    // so `chunks` reports BFS batches, not peak row storage.
-    let (skeleton_tc, chunks) = if n <= direct_threshold {
-        (TransitiveClosure::from_graph(&psg.graph), 1)
-    } else {
-        let rows: Vec<FixedBitSet> = (0..n as u32)
-            .map(|x| traversal::reachable_from(&psg.graph, x))
-            .collect();
-        (
-            TransitiveClosure::from_desc_rows(rows, vec![true; n], None),
-            n.div_ceil(direct_threshold.max(1)),
-        )
-    };
+    // Skeleton closure H̄, by SCC condensation.
+    let skeleton_tc = TransitiveClosure::from_graph(&psg.graph);
 
     // The 2-hop cover of the skeleton, then the lift. Stored labels fan
     // out to the intra-partition ancestor/descendant sets; the skeleton
@@ -366,7 +336,6 @@ fn psg_join(
     let report = PsgJoinReport {
         nodes: n,
         edges: psg.graph.edge_count(),
-        chunks,
     };
     (entries, report, skeleton_stats)
 }
@@ -473,34 +442,6 @@ mod tests {
         assert!(greedy.densest_evals > 3 * one_document.densest_evals);
         assert!(greedy.peel_offered > 3 * one_document.peel_offered);
         assert!(greedy.peel_removed <= greedy.peel_offered);
-    }
-
-    #[test]
-    fn chunked_psg_join_matches_direct() {
-        let c = linked_collection();
-        let base = BuildConfig {
-            partitioner: PartitionerChoice::PerDocument,
-            join: JoinAlgorithm::Psg,
-            ..Default::default()
-        };
-        let (direct, dr) = build_index(&c, &base);
-        assert_eq!(dr.psg.as_ref().map(|p| p.chunks), Some(1));
-        for threshold in [4, 2, 1] {
-            let (chunked, cr) = build_index(
-                &c,
-                &BuildConfig {
-                    psg_direct_threshold: threshold,
-                    ..base.clone()
-                },
-            );
-            assert!(cr.psg.as_ref().is_some_and(|p| p.chunks >= 1));
-            assert_eq!(chunked.size(), direct.size(), "threshold {threshold}");
-            let n = c.elem_id_bound() as u32;
-            for u in 0..n {
-                assert_eq!(chunked.cover().lin(u), direct.cover().lin(u));
-                assert_eq!(chunked.cover().lout(u), direct.cover().lout(u));
-            }
-        }
     }
 
     #[test]

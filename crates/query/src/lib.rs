@@ -21,8 +21,6 @@
 //! * [`plan`] — the cost-based per-step planner behind those strategies,
 //!   plus EXPLAIN reports and the shared per-strategy execution counters
 //!   the serving layer exposes.
-//! * [`witness`] — EXPLAIN-style witness-path reconstruction for index
-//!   answers (and an index-vs-BFS cross-check).
 //! * [`ranking`] — distance-ranked evaluation against the
 //!   distance-annotated [`hopi_core::FrozenCover`] (one distance per label
 //!   entry), scoring results XXL-style by link
@@ -43,7 +41,6 @@ pub mod expr;
 pub mod plan;
 pub mod ranking;
 pub mod tag_index;
-pub mod witness;
 
 pub use eval::{evaluate_with, with_thread_evaluator, Corpus, EvalOptions, Evaluator};
 pub use expr::{parse_path, Axis, ContentOp, ContentPredicate, ParseError, PathExpr, Step};
@@ -53,4 +50,3 @@ pub use plan::{
 };
 pub use ranking::{rank, RankedMatch};
 pub use tag_index::TagIndex;
-pub use witness::{verify_connection, witness_path, WitnessPath};

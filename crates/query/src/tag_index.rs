@@ -197,16 +197,6 @@ impl TagIndex {
             .filter(move |&e| self.parent(e).is_some_and(&in_context))
     }
 
-    /// Does any element carry this tag?
-    pub fn contains_tag(&self, tag: &str) -> bool {
-        self.by_tag.contains_key(tag)
-    }
-
-    /// Number of distinct tags.
-    pub fn tag_count(&self) -> usize {
-        self.by_tag.len()
-    }
-
     /// Total number of indexed elements.
     pub fn element_count(&self) -> usize {
         self.total
@@ -268,7 +258,7 @@ mod tests {
         assert_eq!(idx.elements("author"), &[2, 4]);
         assert_eq!(idx.elements("title"), &[1]);
         assert!(idx.elements("nothing").is_empty());
-        assert_eq!(idx.tag_count(), 3);
+        assert_eq!(idx.by_tag.len(), 3);
         assert_eq!(idx.element_count(), 5);
     }
 
@@ -277,8 +267,8 @@ mod tests {
         let idx = TagIndex::build(&collection());
         assert!(idx.elements("book").contains(&0));
         assert!(!idx.elements("author").contains(&0));
-        assert!(idx.contains_tag("title"));
-        assert!(!idx.contains_tag("nothing"));
+        assert!(idx.by_tag.contains_key("title"));
+        assert!(!idx.by_tag.contains_key("nothing"));
     }
 
     #[test]
@@ -332,7 +322,7 @@ mod tests {
         idx.remove_document(c.global_id(0, 0), c.document(0).unwrap());
         c.remove_document(0);
         assert_eq!(idx, TagIndex::build(&c));
-        assert_eq!((idx.tag_count(), idx.element_count()), (0, 0));
+        assert_eq!((idx.by_tag.len(), idx.element_count()), (0, 0));
         assert!((0..5).all(|e| idx.parent(e).is_none()));
         assert_eq!(idx.tag, [NO_TAG; 5]);
         let mut out = vec![9];
@@ -355,7 +345,7 @@ mod tests {
         idx.remove_document(c.global_id(0, 0), c.document(0).unwrap());
         c.remove_document(0);
         assert_eq!(idx, TagIndex::build(&c));
-        assert!(!idx.contains_tag("title"));
+        assert!(!idx.by_tag.contains_key("title"));
         assert_eq!(idx.element_count(), 4);
         assert_column_matches_rows(&idx, &["book", "title", "author", "note"]);
         // A new tag takes the id `title` left behind, where a rebuild

@@ -6,6 +6,7 @@ use hopi_build::{Hopi, OnlineHopi, WalRecord};
 use hopi_server::json::{parse, Json};
 use hopi_server::{serve, Client, ServerConfig};
 use std::net::SocketAddr;
+use std::path::Path;
 
 fn loopback() -> SocketAddr {
     "127.0.0.1:0".parse().unwrap()
@@ -274,9 +275,14 @@ fn mutations_publish_fresh_epochs_visible_to_reads() {
     assert!(reopened.connected(0, 3));
     std::fs::remove_file(&save_path).ok();
 
-    // Metrics accounted every endpoint we hit.
+    // Metrics accounted every endpoint we hit. The request mix above
+    // reaches every family `hopi-bench`'s `check_metrics` requires, and CI
+    // runs it over this live exposition, written to
+    // `target/tmp/metrics.prom`.
     let resp = c.get("/metrics").unwrap();
     assert_eq!(resp.status, 200);
+    let scrape = Path::new(env!("CARGO_TARGET_TMPDIR")).join("metrics.prom");
+    std::fs::write(&scrape, &resp.body).expect("write the /metrics scrape");
     assert!(resp
         .body
         .contains("hopi_requests_total{endpoint=\"connected\"}"));

@@ -7,8 +7,8 @@
 //! [`StdVfs`] passes straight through to `std::fs`, while [`FaultVfs`]
 //! counts every durability-relevant operation (write, fsync, truncate,
 //! rename, directory sync) and injects one failure from a seeded
-//! schedule — fail the Nth op with ENOSPC or EIO, tear a write in half,
-//! or add latency to every op.
+//! schedule — fail the Nth op with ENOSPC or EIO, or tear a write in
+//! half.
 //!
 //! The op counter is the contract with the fault-sweep harness: a
 //! counting run enumerates every fault point of a workload, then one run
@@ -25,7 +25,6 @@ use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::time::Duration;
 
 /// Locks `m`, recovering from poisoning — the journal is append-only
 /// metadata, never left torn by a panicking writer.
@@ -247,16 +246,12 @@ struct FaultState {
     fail_at: u64,
     kind: FaultKind,
     fired: AtomicBool,
-    latency: Option<Duration>,
     journal: Mutex<Vec<FaultOp>>,
 }
 
 impl FaultState {
     /// Counts one op; `Some(kind)` means this is the op to fail.
     fn tick(&self, op: FaultOpKind, path: &Path) -> Option<FaultKind> {
-        if let Some(d) = self.latency {
-            std::thread::sleep(d);
-        }
         let index = self.counter.fetch_add(1, Ordering::SeqCst) + 1;
         lock_recover(&self.journal).push(FaultOp {
             index,
@@ -309,23 +304,7 @@ impl FaultVfs {
                 fail_at,
                 kind,
                 fired: AtomicBool::new(false),
-                latency: None,
                 journal: Mutex::new(Vec::new()),
-            }),
-        }
-    }
-
-    /// Adds a fixed delay before every counted op (a slow disk).
-    pub fn with_latency(self, latency: Duration) -> FaultVfs {
-        FaultVfs {
-            inner: self.inner,
-            state: Arc::new(FaultState {
-                counter: AtomicU64::new(self.state.counter.load(Ordering::SeqCst)),
-                fail_at: self.state.fail_at,
-                kind: self.state.kind,
-                fired: AtomicBool::new(self.state.fired.load(Ordering::SeqCst)),
-                latency: Some(latency),
-                journal: Mutex::new(lock_recover(&self.state.journal).clone()),
             }),
         }
     }

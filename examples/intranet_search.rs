@@ -15,49 +15,43 @@ use hopi::prelude::*;
 fn main() -> Result<(), HopiError> {
     // A mini intranet: a portal page linking to departments, which link to
     // project pages with authors at various depths.
-    let hopi = Hopi::builder()
-        .distance_aware(true)
-        .query_options(QueryOptions {
-            top_k: Some(10),
-            ..Default::default()
-        })
-        .parse([
-            (
-                "portal",
-                r#"<site>
+    let hopi = Hopi::builder().distance_aware(true).parse([
+        (
+            "portal",
+            r#"<site>
                      <nav>
                        <link xlink:href="db-group"/>
                        <link xlink:href="systems-group"/>
                      </nav>
                    </site>"#,
-            ),
-            (
-                "db-group",
-                r#"<group>
+        ),
+        (
+            "db-group",
+            r#"<group>
                      <book id="hopi-book">
                        <chapter><author id="schenkel"/></chapter>
                      </book>
                      <projects><link xlink:href="xxl-project"/></projects>
                    </group>"#,
-            ),
-            (
-                "systems-group",
-                r#"<group>
+        ),
+        (
+            "systems-group",
+            r#"<group>
                      <book id="sys-book">
                        <refs><link xlink:href="xxl-project"/></refs>
                      </book>
                    </group>"#,
-            ),
-            (
-                "xxl-project",
-                r#"<project>
+        ),
+        (
+            "xxl-project",
+            r#"<project>
                      <team>
                        <member><author id="theobald"/></member>
                        <lead><deputy><author id="weikum"/></deputy></lead>
                      </team>
                    </project>"#,
-            ),
-        ])?;
+        ),
+    ])?;
 
     let stats = hopi.stats();
     println!(
@@ -69,7 +63,9 @@ fn main() -> Result<(), HopiError> {
 
     // The structural query //book//author with link traversal, ranked by
     // link distance (XXL-style decaying score: closer matches rank higher).
-    let results = hopi.query_ranked("//book//author")?;
+    // `query_ranked` returns every match, best first; show the top ten.
+    let mut results = hopi.query_ranked("//book//author")?;
+    results.truncate(10);
     println!("\n//book//author matches, ranked by link distance:");
     for m in &results {
         println!(

@@ -72,8 +72,8 @@ pub use hopi_store as store;
 pub use hopi_xml as xml;
 
 pub use hopi_build::{
-    Hopi, HopiBuilder, HopiError, HopiSnapshot, OnlineHopi, PlanCounts, QueryOptions,
-    QueryPlanReport, SnapshotStats, Stats, Strategy,
+    Hopi, HopiBuilder, HopiError, HopiSnapshot, OnlineHopi, PlanCounts, QueryPlanReport,
+    SnapshotStats, Stats, Strategy,
 };
 
 /// Convenience re-exports for the common workflow: parse or generate a
@@ -81,8 +81,8 @@ pub use hopi_build::{
 pub mod prelude {
     pub use hopi_build::{BuildConfig, BuildReport, JoinAlgorithm, PartitionerChoice};
     pub use hopi_build::{
-        Hopi, HopiBuilder, HopiError, HopiIndex, HopiSnapshot, OnlineHopi, QueryOptions,
-        SnapshotStats, Stats, WalRecord,
+        Hopi, HopiBuilder, HopiError, HopiIndex, HopiSnapshot, OnlineHopi, SnapshotStats, Stats,
+        WalRecord,
     };
     pub use hopi_core::{CoverStats, FrozenCover, LabelSource};
     pub use hopi_maintenance::{DeletionAlgorithm, DeletionOutcome, DocumentLinks, RebuildPolicy};

@@ -6,6 +6,7 @@
 use hopi::graph::traversal::{reachable_from, reaching_to};
 use hopi::graph::TransitiveClosure;
 use hopi::prelude::*;
+use hopi::query::{parse_path, Corpus, Evaluator};
 use hopi::xml::generator::{dblp, inex, random_collection, DblpConfig, InexConfig, RandomConfig};
 use hopi::xml::parser::parse_collection;
 
@@ -185,9 +186,13 @@ fn planner_default_queries_match_bfs_and_fall_back_on_a_hub() {
         c.add_document(lonely);
 
         let tc = TransitiveClosure::from_graph(&c.element_graph());
+        let hopi = Hopi::builder().build(c).unwrap();
         // Probe budget 0: every step is planned, none shortcut to probes.
-        let hopi = Hopi::builder().probe_budget(0).build(c).unwrap();
-        let before = hopi.plan_counts().backward_fallbacks;
+        let options = EvalOptions {
+            probe_budget: 0,
+            ..EvalOptions::default()
+        };
+        let mut ev = Evaluator::new();
         for expr in [
             "//lonely//leaf",
             "//lonely//*",
@@ -199,9 +204,16 @@ fn planner_default_queries_match_bfs_and_fall_back_on_a_hub() {
             "//*//e1//*",
         ] {
             let want = bfs_path(hopi.collection(), &tc, expr);
-            assert_eq!(hopi.query(expr).unwrap(), want, "seed {seed} {expr}");
+            let corpus = Corpus {
+                collection: hopi.collection(),
+                index: hopi.index(),
+                tags: hopi.tags(),
+                text: None,
+            };
+            let rows = ev.run(corpus, &parse_path(expr).unwrap(), &options, None);
+            assert_eq!(rows, want, "seed {seed} {expr}");
+            fallbacks += ev.strategy_counts().backward_fallbacks;
         }
-        fallbacks += hopi.plan_counts().backward_fallbacks - before;
     }
     assert!(fallbacks > 0, "no backward join ran out of budget");
 }

@@ -198,36 +198,6 @@ fn error_paths_are_typed() {
 }
 
 #[test]
-fn query_options_tune_evaluation() {
-    let tuned = Hopi::builder()
-        .probe_budget(1)
-        .query_options(QueryOptions {
-            probe_budget: 1,
-            top_k: Some(1),
-        })
-        .distance_aware(true)
-        .parse([
-            ("a", r#"<r><cite xlink:href="b"/></r>"#),
-            ("b", r#"<r><s><x/></s></r>"#),
-        ])
-        .unwrap();
-    let wide = Hopi::builder()
-        .distance_aware(true)
-        .parse([
-            ("a", r#"<r><cite xlink:href="b"/></r>"#),
-            ("b", r#"<r><s><x/></s></r>"#),
-        ])
-        .unwrap();
-    // Budgets flip the probe/enumerate strategy but never the answer.
-    for q in ["//r//x", "//cite//*", "/r/cite"] {
-        assert_eq!(tuned.query(q).unwrap(), wide.query(q).unwrap(), "{q}");
-    }
-    // top_k truncates ranked retrieval.
-    assert_eq!(tuned.query_ranked("//r//*").unwrap().len(), 1);
-    assert!(wide.query_ranked("//r//*").unwrap().len() > 1);
-}
-
-#[test]
 fn online_engine_full_lifecycle() {
     let online = OnlineHopi::new(library());
     let (survey, thm) = online.read(|h| {
@@ -805,13 +775,11 @@ fn save_open_round_trips_distance_and_config() {
     // Builder-based open keeps the chosen build configuration.
     let tuned = Hopi::builder()
         .partitioner(PartitionerChoice::Flat)
-        .probe_budget(7)
         .open(hopi.collection().clone(), &path)
         .unwrap();
     assert!(matches!(
         tuned.config().partitioner,
         PartitionerChoice::Flat
     ));
-    assert_eq!(tuned.query_options().probe_budget, 7);
     std::fs::remove_file(&path).ok();
 }
