@@ -8,8 +8,8 @@
 //! copies.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use hopi_bench::{add_cross_links, dblp_collection, inex_collection};
-use hopi_build::{build_index, old_join, BuildConfig};
+use hopi_bench::{add_cross_links, dblp_collection, inex_collection, old_join};
+use hopi_build::{build_index, BuildConfig};
 use hopi_core::densest::{densest_subgraph, BipartiteCenterGraph};
 use hopi_core::CoverBuilder;
 use hopi_graph::closure::region_closure;

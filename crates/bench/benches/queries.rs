@@ -18,16 +18,26 @@ use rand::rngs::StdRng;
 use std::collections::HashMap;
 use std::sync::Arc;
 
+/// Random probe pairs per group; the probes cycle through them.
+const PAIRS: usize = 1024;
+
+/// Sample size of the probe groups: each of the ten timed batches walks
+/// every pair ten times, so batches differ by noise, not by which pairs
+/// (and how long their rows or searches) they drew, and each lasts long
+/// enough for the clock.
+const PROBE_SAMPLES: usize = 100 * PAIRS;
+
 fn bench_queries(c: &mut Criterion) {
     let collection = dblp_collection(0.02);
     let (index, _) = build_index(&collection, &BuildConfig::default());
     let n = collection.elem_id_bound() as u32;
     let mut rng = StdRng::seed_from_u64(7);
-    let pairs: Vec<(u32, u32)> = (0..1024)
+    let pairs: Vec<(u32, u32)> = (0..PAIRS)
         .map(|_| (rng.gen_range(0..n), rng.gen_range(0..n)))
         .collect();
 
     let mut group = c.benchmark_group("queries");
+    group.sample_size(PROBE_SAMPLES);
     let mut i = 0usize;
     group.bench_function("cover_connected", |b| {
         b.iter(|| {
@@ -56,10 +66,11 @@ fn bench_queries(c: &mut Criterion) {
     let dc = DistanceClosure::from_graph(&small.element_graph());
     let dist_cover = DistanceCoverBuilder::new(&dc).build();
     let m = small.elem_id_bound() as u32;
-    let dpairs: Vec<(u32, u32)> = (0..1024)
+    let dpairs: Vec<(u32, u32)> = (0..PAIRS)
         .map(|_| (rng.gen_range(0..m), rng.gen_range(0..m)))
         .collect();
     let mut group = c.benchmark_group("distance_queries");
+    group.sample_size(PROBE_SAMPLES);
     group.bench_function("cover_distance", |b| {
         b.iter(|| {
             i = (i + 1) % dpairs.len();
@@ -72,6 +83,7 @@ fn bench_queries(c: &mut Criterion) {
     // Baseline for context: BFS reachability without the index.
     let graph = collection.element_graph();
     let mut group = c.benchmark_group("no_index_baseline");
+    group.sample_size(PROBE_SAMPLES);
     group.bench_function("bfs_is_reachable", |b| {
         b.iter_batched(
             || {

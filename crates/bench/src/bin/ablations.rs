@@ -12,10 +12,12 @@
 //! cargo run -p hopi-bench --release --bin ablations [--scale 0.05]
 //! ```
 
+use hopi_bench::baseline::{self, Join};
+use hopi_bench::old_partitioner::{self, OldPartitionerConfig};
 use hopi_bench::{dblp_collection, scale_arg, scaled_nx_budget, TablePrinter};
-use hopi_build::{build_index, BuildConfig, JoinAlgorithm, PartitionerChoice};
+use hopi_build::{build_index, BuildConfig, PartitionerChoice};
 use hopi_graph::TransitiveClosure;
-use hopi_partition::{EdgeWeightStrategy, OldPartitionerConfig, TcPartitionerConfig};
+use hopi_partition::{EdgeWeightStrategy, TcPartitionerConfig};
 
 fn main() {
     let scale = scale_arg(0.05);
@@ -44,32 +46,26 @@ fn main() {
         EdgeWeightStrategy::AncTimesDesc,
         EdgeWeightStrategy::AncPlusDesc,
     ] {
-        for (pname, partitioner) in [
-            (
-                "old (nodes)",
-                PartitionerChoice::Old(OldPartitionerConfig {
-                    max_nodes_per_partition: node_cap,
-                    strategy,
-                    ..Default::default()
-                }),
-            ),
-            (
-                "new (closure)",
-                PartitionerChoice::Tc(TcPartitionerConfig {
-                    max_connections_per_partition: budget,
-                    strategy,
-                    ..Default::default()
-                }),
-            ),
-        ] {
-            let (_, report) = build_index(
-                &collection,
-                &BuildConfig {
-                    partitioner,
-                    join: JoinAlgorithm::Psg,
-                    ..Default::default()
-                },
-            );
+        let old = OldPartitionerConfig {
+            max_nodes_per_partition: node_cap,
+            strategy,
+            ..Default::default()
+        };
+        let partition = |c: &_| old_partitioner::partition(c, &old);
+        let (_, old) = baseline::build(&collection, partition, Join::Psg, &BuildConfig::default());
+        let new = TcPartitionerConfig {
+            max_connections_per_partition: budget,
+            strategy,
+            ..Default::default()
+        };
+        let (_, new) = build_index(
+            &collection,
+            &BuildConfig {
+                partitioner: PartitionerChoice::Tc(new),
+                ..Default::default()
+            },
+        );
+        for (pname, report) in [("old (nodes)", old), ("new (closure)", new)] {
             t.row(&[
                 pname.into(),
                 format!("{strategy:?}"),
@@ -98,7 +94,6 @@ fn main() {
                     max_connections_per_partition: budget,
                     ..Default::default()
                 }),
-                join: JoinAlgorithm::Psg,
                 preselect_link_targets: preselect,
                 ..Default::default()
             },

@@ -10,7 +10,7 @@
 //! ```
 
 use hopi_bench::{inex_collection, scale_arg};
-use hopi_build::{build_index, BuildConfig, JoinAlgorithm, PartitionerChoice};
+use hopi_build::{build_index, BuildConfig, PartitionerChoice};
 use hopi_partition::TcPartitionerConfig;
 use hopi_xml::CollectionStats;
 
@@ -27,7 +27,6 @@ fn main() {
                 max_connections_per_partition: 500_000,
                 ..Default::default()
             }),
-            join: JoinAlgorithm::Psg,
             ..Default::default()
         },
     );

@@ -17,12 +17,14 @@
 //! cargo run -p hopi-bench --release --bin table2 [--scale 0.05] [--flat]
 //! ```
 
+use hopi_bench::baseline::{self, Join};
+use hopi_bench::old_partitioner::{self, OldPartitionerConfig};
 use hopi_bench::{
     dblp_collection, paper, scale_arg, scaled_nx_budget, scaled_px_cap, TablePrinter,
 };
-use hopi_build::{build_index, BuildConfig, JoinAlgorithm, PartitionerChoice};
+use hopi_build::{build_index, BuildConfig, BuildReport, PartitionerChoice};
 use hopi_graph::TransitiveClosure;
-use hopi_partition::{OldPartitionerConfig, TcPartitionerConfig};
+use hopi_partition::TcPartitionerConfig;
 use hopi_xml::CollectionStats;
 
 fn main() {
@@ -41,19 +43,27 @@ fn main() {
     );
 
     let elements = stats.elements;
-    let mut rows: Vec<(String, BuildConfig)> = Vec::new();
-
-    rows.push((
-        "baseline".into(),
-        BuildConfig {
-            partitioner: PartitionerChoice::Old(OldPartitionerConfig {
-                max_nodes_per_partition: scaled_px_cap(5.0, elements),
-                ..Default::default()
-            }),
-            join: JoinAlgorithm::Incremental,
+    // Each row's report; its index is dropped as soon as it is built.
+    let node_capped = |cap: u64, join: Join| {
+        let config = OldPartitionerConfig {
+            max_nodes_per_partition: cap,
             ..Default::default()
-        },
-    ));
+        };
+        let partition = |c: &_| old_partitioner::partition(c, &config);
+        baseline::build(&collection, partition, join, &BuildConfig::default()).1
+    };
+    let engine = |config: BuildConfig| build_index(&collection, &config).1;
+    let nx = |x: f64| {
+        PartitionerChoice::Tc(TcPartitionerConfig {
+            max_connections_per_partition: scaled_nx_budget(x, connections),
+            ..Default::default()
+        })
+    };
+
+    let mut rows: Vec<(String, BuildReport)> = vec![(
+        "baseline".into(),
+        node_capped(scaled_px_cap(5.0, elements), Join::Incremental),
+    )];
     for x in [2.0, 5.0, 10.0, 20.0, 50.0] {
         let cap = scaled_px_cap(x, elements);
         if cap >= elements as u64 {
@@ -62,60 +72,40 @@ fn main() {
             );
             continue;
         }
-        rows.push((
-            format!("P{x:.0}"),
-            BuildConfig {
-                partitioner: PartitionerChoice::Old(OldPartitionerConfig {
-                    max_nodes_per_partition: cap,
-                    ..Default::default()
-                }),
-                join: JoinAlgorithm::Psg,
-                ..Default::default()
-            },
-        ));
+        rows.push((format!("P{x:.0}"), node_capped(cap, Join::Psg)));
     }
     rows.push((
         "single".into(),
-        BuildConfig {
+        engine(BuildConfig {
             partitioner: PartitionerChoice::PerDocument,
-            join: JoinAlgorithm::Psg,
             ..Default::default()
-        },
+        }),
     ));
     for x in [10.0, 25.0, 50.0, 100.0] {
         rows.push((
             format!("N{x:.0}"),
-            BuildConfig {
-                partitioner: PartitionerChoice::Tc(TcPartitionerConfig {
-                    max_connections_per_partition: scaled_nx_budget(x, connections),
-                    ..Default::default()
-                }),
-                join: JoinAlgorithm::Psg,
+            engine(BuildConfig {
+                partitioner: nx(x),
                 ..Default::default()
-            },
+            }),
         ));
     }
     rows.push((
         "presel(N10)".into(),
-        BuildConfig {
-            partitioner: PartitionerChoice::Tc(TcPartitionerConfig {
-                max_connections_per_partition: scaled_nx_budget(10.0, connections),
-                ..Default::default()
-            }),
-            join: JoinAlgorithm::Psg,
+        engine(BuildConfig {
+            partitioner: nx(10.0),
             preselect_link_targets: true,
             ..Default::default()
-        },
+        }),
     ));
     if include_flat {
         rows.push((
             "flat".into(),
-            BuildConfig {
+            engine(BuildConfig {
                 partitioner: PartitionerChoice::Flat,
-                join: JoinAlgorithm::Psg,
                 threads: 1,
                 ..Default::default()
-            },
+            }),
         ));
     }
 
@@ -134,8 +124,7 @@ fn main() {
         ("peeled/offered", 22),
         ("degree words", 14),
     ]);
-    for (name, cfg) in rows {
-        let (index, report) = build_index(&collection, &cfg);
+    for (name, report) in rows {
         t.row(&[
             name,
             report.partitions.to_string(),
@@ -154,7 +143,6 @@ fn main() {
             ),
             report.greedy.degree_words.to_string(),
         ]);
-        drop(index);
     }
 
     println!("\npaper (full scale, Table 2):");

@@ -1,17 +1,14 @@
-//! The §3.3 link-integration primitive of the incremental cover join (the
-//! paper's baseline, `hopi_partition::pipeline`'s `Incremental` join).
-//!
-//! Integrating one link `u → v` into an exact cover makes `v` the center of
-//! every connection the link creates: each ancestor `a` of `u` (under the
-//! current cover) receives `v` in `Lout(a)`, and each descendant `d` of `v`
-//! receives `v` in `Lin(d)`. Every new connection decomposes as
-//! `a →* u → v →* d` over *pre-existing* paths, so the updated cover is
-//! again exact — which is why the incremental join can integrate the
-//! cross-partition links one at a time. §6.1 maintenance rests on the same
-//! argument but picks the cheapest of this centering and two label copies
+//! The link-integration primitive of the §3.3 join (the `baseline` row of
+//! Table 2, see [`crate::baseline`]). Integrating `u → v` makes `v` the
+//! center of every connection the link creates: each ancestor `a` of `u`
+//! gets `v` in `Lout(a)`, each descendant `d` of `v` gets `v` in `Lin(d)`.
+//! Every new connection is `a →* u → v →* d` over *pre-existing* paths, so
+//! the cover stays exact and the join can integrate the cross-partition
+//! links one at a time. §6.1 maintenance rests on the same argument but
+//! picks the cheapest of this centering and two label copies
 //! (`hopi_maintenance::integrate_link`).
 
-use crate::cover::TwoHopCover;
+use hopi_core::TwoHopCover;
 
 /// Integrates the link `u → v` into an exact cover, choosing `v` as the
 /// center for all newly created connections. Returns the number of label
@@ -24,25 +21,12 @@ pub fn integrate_link(cover: &mut TwoHopCover, u: u32, v: u32) -> usize {
     // Snapshot before mutation: both enumerations must see the old cover.
     let ancestors = cover.ancestors(u); // includes u
     let descendants = cover.descendants(v); // includes v
-    center_on(cover, &ancestors, &descendants, v)
-}
-
-/// Makes `v` the center of every connection from `ancestors` (of the
-/// link's source) to `descendants` (of its target `v`): `v` joins
-/// `Lout(a)` for each ancestor and `Lin(d)` for each descendant. Returns
-/// the number of label entries added. Both lists must be enumerated on the
-/// cover *before* the link, as [`integrate_link`] does.
-pub fn center_on(cover: &mut TwoHopCover, ancestors: &[u32], descendants: &[u32], v: u32) -> usize {
     let mut added = 0usize;
-    for &a in ancestors {
-        if cover.add_out(a, v) {
-            added += 1;
-        }
+    for a in ancestors {
+        added += usize::from(cover.add_out(a, v));
     }
-    for &d in descendants {
-        if cover.add_in(d, v) {
-            added += 1;
-        }
+    for d in descendants {
+        added += usize::from(cover.add_in(d, v));
     }
     added
 }
@@ -50,7 +34,7 @@ pub fn center_on(cover: &mut TwoHopCover, ancestors: &[u32], descendants: &[u32]
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::CoverBuilder;
+    use hopi_core::CoverBuilder;
     use hopi_graph::{DiGraph, TransitiveClosure};
     use rand::prelude::*;
 

@@ -11,8 +11,7 @@
 //! original paper describes. The `Px` rows of Table 2 use caps of `x·10⁴`
 //! elements.
 
-use crate::edge_weights::{DocEdgeWeights, EdgeWeightStrategy};
-use crate::partitioning::Partitioning;
+use hopi_partition::{DocEdgeWeights, EdgeWeightStrategy, Partitioning};
 use hopi_xml::{Collection, DocId};
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -119,12 +118,7 @@ pub fn partition(collection: &Collection, config: &OldPartitionerConfig) -> Part
             absorb_neighbors(best, &part_of, &mut frontier);
         }
     }
-    let mut partitioning =
-        Partitioning::from_assignment(collection, next_partition as usize, part_of);
-    for p in &mut partitioning.partitions {
-        p.tc_size = None;
-    }
-    partitioning
+    Partitioning::from_assignment(collection, next_partition as usize, part_of)
 }
 
 #[cfg(test)]

@@ -18,7 +18,7 @@ use hopi_maintenance::{
     BuildBaseline, Degradation, DeletionAlgorithm, DeletionOutcome, DocumentLinks, RebuildPolicy,
 };
 use hopi_obs::Stopwatch;
-use hopi_partition::{build_index, BuildConfig, BuildReport, JoinAlgorithm, PartitionerChoice};
+use hopi_partition::{build_index, BuildConfig, BuildReport, PartitionerChoice};
 use hopi_query::{PlanCounters, TagIndex};
 use hopi_store::{load_index, save_frozen, CoverBaseline, StdVfs, WalRecord};
 use hopi_text::{TextIndex, TextStats};
@@ -59,12 +59,6 @@ impl HopiBuilder {
     /// partitioner of paper §4.3).
     pub fn partitioner(mut self, partitioner: PartitionerChoice) -> Self {
         self.config.partitioner = partitioner;
-        self
-    }
-
-    /// Chooses the cover-join algorithm (default: the PSG join of §4.1).
-    pub fn join(mut self, join: JoinAlgorithm) -> Self {
-        self.config.join = join;
         self
     }
 
@@ -278,7 +272,7 @@ impl Hopi {
     /// Starts configuring an engine.
     ///
     /// ```
-    /// use hopi_build::{Hopi, JoinAlgorithm, PartitionerChoice};
+    /// use hopi_build::{Hopi, PartitionerChoice};
     /// use hopi_xml::{Collection, XmlDocument};
     ///
     /// let mut collection = Collection::new();
@@ -286,7 +280,6 @@ impl Hopi {
     ///
     /// let hopi = Hopi::builder()
     ///     .partitioner(PartitionerChoice::PerDocument)
-    ///     .join(JoinAlgorithm::Psg)
     ///     .distance_aware(true)
     ///     .build(collection)?;
     /// assert_eq!(hopi.stats().documents, 1);

@@ -52,10 +52,9 @@
 //!
 //! The low-level machinery stays available for code that needs to hold the
 //! pieces separately: the build pipeline ([`build_index`], [`BuildConfig`],
-//! [`JoinAlgorithm`], [`PartitionerChoice`]) from `hopi_partition`, the
-//! index handle ([`HopiIndex`]) and the §3.3 link-integration primitive of
-//! the baseline join ([`old_join`]) from `hopi_core` — re-exported here
-//! under their historical `hopi_build` paths. The facade is a thin, always-consistent
+//! [`PartitionerChoice`]) from `hopi_partition` and the index handle
+//! ([`HopiIndex`]) from `hopi_core` — re-exported here under their
+//! historical `hopi_build` paths. The facade is a thin, always-consistent
 //! composition of exactly these functions.
 
 #![forbid(unsafe_code)]
@@ -101,10 +100,9 @@ pub use hopi_text::TextStats;
 // The expert layer, re-exported under its historical paths.
 // ---------------------------------------------------------------------
 
-pub use hopi_core::old_join;
 pub use hopi_core::HopiIndex;
 pub use hopi_partition::pipeline::{
-    build_index, BuildConfig, BuildReport, JoinAlgorithm, PartitionerChoice, PsgJoinReport,
+    build_index, BuildConfig, BuildReport, PartitionerChoice, PsgJoinReport,
 };
 
 #[cfg(test)]

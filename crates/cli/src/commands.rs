@@ -1,8 +1,7 @@
 //! CLI subcommand implementations, driving the [`Hopi`] engine facade.
 
 use crate::load::{flag_value, load_dir, positional};
-use hopi_build::{Hopi, HopiBuilder, JoinAlgorithm, PartitionerChoice};
-use hopi_partition::OldPartitionerConfig;
+use hopi_build::{Hopi, HopiBuilder, PartitionerChoice};
 use hopi_xml::generator::{dblp, inex, DblpConfig, InexConfig};
 use hopi_xml::CollectionStats;
 use std::path::Path;
@@ -253,14 +252,11 @@ fn builder_for_mode(mode: &str) -> Result<HopiBuilder, String> {
     match mode {
         "default" => Ok(Hopi::builder()),
         "flat" => Ok(Hopi::builder().partitioner(PartitionerChoice::Flat)),
-        "old" => Ok(Hopi::builder()
-            .partitioner(PartitionerChoice::Old(OldPartitionerConfig::default()))
-            .join(JoinAlgorithm::Incremental)),
-        other => Err(format!("unknown --mode '{other}' (default|flat|old)")),
+        other => Err(format!("unknown --mode '{other}' (default|flat)")),
     }
 }
 
-/// `hopi build --dir DIR --out FILE [--mode default|flat|old]`
+/// `hopi build --dir DIR --out FILE [--mode default|flat]`
 pub fn build(args: &[String]) -> Result<(), String> {
     let dir = flag_value(args, "--dir").ok_or("missing --dir DIR")?;
     let out = flag_value(args, "--out").ok_or("missing --out FILE")?;

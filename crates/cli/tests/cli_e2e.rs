@@ -274,6 +274,64 @@ fn query_parse_error_reported() {
     std::fs::remove_dir_all(&docs).ok();
 }
 
+/// `hopi build --mode flat` writes an index that answers a query as the
+/// default mode's index does; an unknown mode is refused with the list of
+/// known ones.
+#[test]
+fn build_modes() {
+    let docs = tempdir("modes");
+    let out = hopi()
+        .args(["gen", "--kind", "dblp", "--scale", "0.003", "--out"])
+        .arg(&docs)
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let build = |mode: &str| {
+        hopi()
+            .args(["build", "--dir"])
+            .arg(&docs)
+            .args(["--out"])
+            .arg(docs.join(format!("{mode}.idx")))
+            .args(["--mode", mode])
+            .output()
+            .unwrap()
+    };
+    let query = |mode: &str| {
+        let out = hopi()
+            .args(["query", "--dir"])
+            .arg(&docs)
+            .args(["--index"])
+            .arg(docs.join(format!("{mode}.idx")))
+            .arg("//article//author")
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout).unwrap()
+    };
+    for mode in ["default", "flat"] {
+        let out = build(mode);
+        assert!(
+            out.status.success(),
+            "{mode}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+    let matches = query("default");
+    assert!(!matches.is_empty(), "no match to compare");
+    assert_eq!(query("flat"), matches);
+
+    let out = build("old");
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("default|flat"), "stderr: {stderr}");
+    assert!(!docs.join("old.idx").exists());
+    std::fs::remove_dir_all(&docs).ok();
+}
+
 /// `hopi query --ranked --k N` prints the best `N` matches: the library
 /// returns every ranked match, so the cut is the CLI's own.
 #[test]

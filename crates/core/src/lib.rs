@@ -34,8 +34,6 @@
 //!   and frozen representations (path evaluation is written against it),
 //!   with the one descendant/ancestor enumeration kernel both use
 //!   ([`source::union_into`]).
-//! * [`old_join`] — the §3.3 single-link cover-integration primitive of the
-//!   incremental (baseline) cover join.
 //!
 //! Following the paper's storage convention (§3.4), a node is **never stored
 //! in its own label sets** — queries special-case the implicit self entries.
@@ -49,7 +47,6 @@ pub mod densest;
 pub mod distance;
 pub mod frozen;
 pub mod index;
-pub mod old_join;
 pub mod source;
 
 pub use builder::{BuildStats, CoverBuilder};

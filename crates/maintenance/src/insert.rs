@@ -5,15 +5,14 @@
 //!   add a link between partitions": every connection it creates is
 //!   `a →* u → v →* d` over *old* paths, so the old cover's labels of `u`
 //!   and `v` say how to cover it. [`integrate_link`] picks the cheapest of
-//!   three exact ways — make `v` the center (the §3.3 primitive's
-//!   [`hopi_core::old_join::center_on`]), copy `{v} ∪ Lout(v)` into
-//!   the ancestors' `Lout`, or copy `{u} ∪ Lin(u)` into the descendants'
-//!   `Lin` — and does nothing when `u` already reaches `v`.
+//!   three exact ways — make `v` the center (what the §3.3 join of [26]
+//!   does for every link), copy `{v} ∪ Lout(v)` into the ancestors'
+//!   `Lout`, or copy `{u} ∪ Lin(u)` into the descendants' `Lin` — and does
+//!   nothing when `u` already reaches `v`.
 //! * A new document is "considered as a new partition": its private 2-hop
 //!   cover is computed and merged, then its incoming/outgoing links are
 //!   integrated one by one.
 
-use hopi_core::old_join::center_on;
 use hopi_core::HopiIndex;
 use hopi_core::{CoverBuilder, DistEntry, DistanceCoverBuilder, FrozenCover, TwoHopCover};
 use hopi_graph::{DiGraph, DistanceClosure, TransitiveClosure};
@@ -184,6 +183,22 @@ fn integrate(cover: &mut TwoHopCover, u: u32, v: u32, forced: Option<Integration
         }
     }
     Integrated { choice, added }
+}
+
+/// Makes `v` the center of every connection from `ancestors` (of the
+/// link's source) to `descendants` (of its target `v`): `v` joins
+/// `Lout(a)` for each ancestor and `Lin(d)` for each descendant. Returns
+/// the number of label entries added. Both lists must be enumerated on the
+/// cover *before* the link.
+fn center_on(cover: &mut TwoHopCover, ancestors: &[u32], descendants: &[u32], v: u32) -> usize {
+    let mut added = 0usize;
+    for &a in ancestors {
+        added += usize::from(cover.add_out(a, v));
+    }
+    for &d in descendants {
+        added += usize::from(cover.add_in(d, v));
+    }
+    added
 }
 
 /// Links connecting a new document to the existing collection, expressed

@@ -6,9 +6,6 @@
 //!
 //! * [`partitioning::Partitioning`] — partitions, the partition map
 //!   `part : D → {P_1..P_m}`, and the cross-partition link set `L_P`.
-//! * [`old_partitioner`] — the original partitioner of [26]: greedy growth
-//!   over the weighted document-level graph under a conservative **node
-//!   (element) count cap** (the `Px` configurations of Table 2).
 //! * [`tc_partitioner`] — the new partitioner of paper §4.3: grows a
 //!   partition while *incrementally maintaining its transitive closure*, and
 //!   closes the partition when the closure reaches the memory budget (the
@@ -20,12 +17,18 @@
 //!   per-link-endpoint ancestor/descendant counts.
 //! * [`psg`] — the partition-level skeleton graph `S(P)` (Definition 1)
 //!   that the structurally recursive cover join of paper §4.1 operates on.
+//! * [`pipeline`] — the build itself: a partitioner, the merged
+//!   per-partition covers ([`build_partition_covers`]), then the PSG join
+//!   ([`psg_join`]).
+//!
+//! The baselines Table 2 compares against — the node-capped partitioner of
+//! [26] and the §3.3 join that integrates one link at a time — are not
+//! engine code: `hopi-bench` composes them with the two pipeline stages.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod edge_weights;
-pub mod old_partitioner;
 pub mod partitioning;
 pub mod pipeline;
 pub mod psg;
@@ -33,10 +36,10 @@ pub mod skeleton;
 pub mod tc_partitioner;
 
 pub use edge_weights::{DocEdgeWeights, EdgeWeightStrategy};
-pub use old_partitioner::OldPartitionerConfig;
 pub use partitioning::{Partition, Partitioning};
 pub use pipeline::{
-    build_index, BuildConfig, BuildReport, JoinAlgorithm, PartitionerChoice, PsgJoinReport,
+    build_index, build_partition_covers, psg_join, BuildConfig, BuildReport, PartitionerChoice,
+    PsgJoinReport,
 };
 pub use psg::PartitionSkeletonGraph;
 pub use skeleton::SkeletonGraph;

@@ -1,29 +1,25 @@
-//! The partitioned HOPI build pipeline (paper §3.3 and §4).
+//! The partitioned HOPI build pipeline (paper §4).
 //!
 //! Construction proceeds in three stages:
 //!
 //! 1. **Partition** the document-level graph with one of the
-//!    [`PartitionerChoice`] strategies (no partitioning, per-document, the
-//!    node-capped partitioner of [26], or the closure-budget partitioner of
-//!    §4.3).
-//! 2. **Cover each partition**: materialize the partition's element graph,
-//!    compute its transitive closure, and run the greedy 2-hop cover
-//!    builder — optionally preselecting cross-partition link targets as
-//!    centers (§4.2). Partitions are processed concurrently (the paper
-//!    computes partition covers independently); covers are merged into the
-//!    global cover in partition order, so the result is identical for any
-//!    worker count.
-//! 3. **Join the covers** across the cross-partition links `L_P`, either
-//!    incrementally one link at a time (§3.3, [`JoinAlgorithm::Incremental`])
-//!    or with the partition-skeleton-graph batch join of §4.1
-//!    ([`JoinAlgorithm::Psg`]).
+//!    [`PartitionerChoice`] strategies (no partitioning, per-document, or
+//!    the closure-budget partitioner of §4.3).
+//! 2. **Cover each partition** ([`build_partition_covers`]): materialize
+//!    the partition's element graph, compute its transitive closure, and
+//!    run the greedy 2-hop cover builder — optionally preselecting
+//!    cross-partition link targets as centers (§4.2). Partitions are
+//!    processed concurrently (the paper computes partition covers
+//!    independently); covers are merged into the global cover in partition
+//!    order, so the result is identical for any worker count.
+//! 3. **Join the covers** across the cross-partition links `L_P` with the
+//!    partition-skeleton-graph batch join of §4.1 ([`psg_join`]).
 
-use crate::old_partitioner;
 use crate::partitioning::Partitioning;
 use crate::psg::PartitionSkeletonGraph;
 use crate::tc_partitioner;
-use crate::{OldPartitionerConfig, TcPartitionerConfig};
-use hopi_core::{old_join, BuildStats, CoverBuilder, HopiIndex, TwoHopCover};
+use crate::TcPartitionerConfig;
+use hopi_core::{BuildStats, CoverBuilder, HopiIndex, TwoHopCover};
 use hopi_graph::TransitiveClosure;
 use hopi_xml::{Collection, ElemId};
 use rustc_hash::FxHashMap;
@@ -37,19 +33,8 @@ pub enum PartitionerChoice {
     Flat,
     /// One partition per document (the `single` configuration of Table 2).
     PerDocument,
-    /// The original node-count-capped partitioner of [26] (`Px` rows).
-    Old(OldPartitionerConfig),
     /// The closure-budget partitioner of §4.3 (`Nx` rows).
     Tc(TcPartitionerConfig),
-}
-
-/// How per-partition covers are joined across cross-partition links.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum JoinAlgorithm {
-    /// §3.3: integrate `L_P` one link at a time into the merged cover.
-    Incremental,
-    /// §4.1: batch join over the partition skeleton graph.
-    Psg,
 }
 
 /// Configuration of one index build.
@@ -57,8 +42,6 @@ pub enum JoinAlgorithm {
 pub struct BuildConfig {
     /// Document-graph partitioner.
     pub partitioner: PartitionerChoice,
-    /// Cover-join algorithm.
-    pub join: JoinAlgorithm,
     /// Preselect cross-partition link targets as centers inside each
     /// partition cover (paper §4.2).
     pub preselect_link_targets: bool,
@@ -73,7 +56,6 @@ impl Default for BuildConfig {
             // The paper's best configuration: closure-budget partitioner
             // (§4.3) + PSG join (§4.1).
             partitioner: PartitionerChoice::Tc(TcPartitionerConfig::default()),
-            join: JoinAlgorithm::Psg,
             preselect_link_targets: false,
             threads: 0,
         }
@@ -123,58 +105,28 @@ impl BuildReport {
     }
 }
 
-/// Builds the HOPI index for a collection (paper §3.3 / §4).
+/// Builds the HOPI index for a collection (paper §4).
 pub fn build_index(collection: &Collection, config: &BuildConfig) -> (HopiIndex, BuildReport) {
     let t_total = Instant::now();
     let partitioning = match &config.partitioner {
         PartitionerChoice::Flat => Partitioning::single_partition(collection),
         PartitionerChoice::PerDocument => Partitioning::per_document(collection),
-        PartitionerChoice::Old(cfg) => old_partitioner::partition(collection, cfg),
         PartitionerChoice::Tc(cfg) => tc_partitioner::partition(collection, cfg),
     };
     let partition_ms = t_total.elapsed().as_millis() as u64;
 
-    // Cross-link targets per partition, for §4.2 center preselection.
-    let mut preselect: FxHashMap<u32, Vec<ElemId>> = FxHashMap::default();
-    if config.preselect_link_targets {
-        for l in &partitioning.cross_links {
-            if let Some(p) = partitioning.partition_of_elem(collection, l.to) {
-                preselect.entry(p).or_default().push(l.to);
-            }
-        }
-    }
-
     let t_covers = Instant::now();
-    let partition_covers = build_partition_covers(collection, &partitioning, &preselect, config);
-    let mut cover = TwoHopCover::new();
-    if collection.elem_id_bound() > 0 {
-        cover.ensure_node(collection.elem_id_bound() as u32 - 1);
-    }
-    let mut greedy = BuildStats::default();
-    for (local_cover, map, stats) in &partition_covers {
-        cover.merge_remapped(local_cover, map);
-        greedy += stats;
-    }
+    let (mut cover, mut greedy) = build_partition_covers(collection, &partitioning, config);
     let covers_ms = t_covers.elapsed().as_millis() as u64;
 
     let t_join = Instant::now();
     let mut join_entries = 0usize;
     let mut psg_report = None;
     if !partitioning.cross_links.is_empty() {
-        match config.join {
-            JoinAlgorithm::Incremental => {
-                for l in &partitioning.cross_links {
-                    join_entries += old_join::integrate_link(&mut cover, l.from, l.to);
-                }
-            }
-            JoinAlgorithm::Psg => {
-                let (entries, report, skeleton_stats) =
-                    psg_join(collection, &partitioning, &mut cover);
-                join_entries = entries;
-                psg_report = Some(report);
-                greedy += &skeleton_stats;
-            }
-        }
+        let (entries, report, skeleton_stats) = psg_join(collection, &partitioning, &mut cover);
+        join_entries = entries;
+        psg_report = Some(report);
+        greedy += &skeleton_stats;
     }
     let join_ms = t_join.elapsed().as_millis() as u64;
 
@@ -197,14 +149,27 @@ pub fn build_index(collection: &Collection, config: &BuildConfig) -> (HopiIndex,
 /// kernel's counters.
 type PartitionCover = (TwoHopCover, Vec<ElemId>, BuildStats);
 
-/// Computes all per-partition covers (possibly concurrently) together with
-/// their local → global id maps, in partition order.
-fn build_partition_covers(
+/// Builds the cover of every partition (concurrently, with
+/// `config.threads` workers) and merges them in partition order, so the
+/// result is independent of scheduling: exact inside each partition, empty
+/// across partitions. `config.preselect_link_targets` preselects each
+/// partition's cross-link targets as centers (§4.2); `config.partitioner`
+/// is not read. Returns the cover and the summed greedy counters.
+pub fn build_partition_covers(
     collection: &Collection,
     partitioning: &Partitioning,
-    preselect: &FxHashMap<u32, Vec<ElemId>>,
     config: &BuildConfig,
-) -> Vec<PartitionCover> {
+) -> (TwoHopCover, BuildStats) {
+    // Cross-link targets per partition, for §4.2 center preselection.
+    let mut preselect: FxHashMap<u32, Vec<ElemId>> = FxHashMap::default();
+    if config.preselect_link_targets {
+        for l in &partitioning.cross_links {
+            if let Some(p) = partitioning.partition_of_elem(collection, l.to) {
+                preselect.entry(p).or_default().push(l.to);
+            }
+        }
+    }
+
     let m = partitioning.len();
     let workers = match config.threads {
         0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
@@ -230,35 +195,45 @@ fn build_partition_covers(
         (cover, local_to_global, stats)
     };
 
-    if workers <= 1 || m <= 1 {
-        return (0..m).map(build_one).collect();
-    }
+    let built: Vec<PartitionCover> = if workers <= 1 || m <= 1 {
+        (0..m).map(build_one).collect()
+    } else {
+        // Work-stealing over partition indices; results land in their slot.
+        let next = std::sync::atomic::AtomicUsize::new(0);
+        let slots: Vec<std::sync::Mutex<Option<PartitionCover>>> =
+            (0..m).map(|_| std::sync::Mutex::new(None)).collect();
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(|| loop {
+                    let p = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    if p >= m {
+                        break;
+                    }
+                    let built = build_one(p);
+                    *slots[p].lock().expect("result slot") = Some(built);
+                });
+            }
+        });
+        slots
+            .into_iter()
+            .map(|s| {
+                s.into_inner()
+                    .expect("result slot")
+                    .expect("partition built")
+            })
+            .collect()
+    };
 
-    // Work-stealing over partition indices; results land in their slot, so
-    // the merged cover is independent of scheduling.
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let slots: Vec<std::sync::Mutex<Option<PartitionCover>>> =
-        (0..m).map(|_| std::sync::Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let p = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if p >= m {
-                    break;
-                }
-                let built = build_one(p);
-                *slots[p].lock().expect("result slot") = Some(built);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| {
-            s.into_inner()
-                .expect("result slot")
-                .expect("partition built")
-        })
-        .collect()
+    let mut cover = TwoHopCover::new();
+    if collection.elem_id_bound() > 0 {
+        cover.ensure_node(collection.elem_id_bound() as u32 - 1);
+    }
+    let mut greedy = BuildStats::default();
+    for (local_cover, map, stats) in &built {
+        cover.merge_remapped(local_cover, map);
+        greedy += stats;
+    }
+    (cover, greedy)
 }
 
 /// The §4.1 batch join: computes the transitive closure `H̄` of the
@@ -276,7 +251,11 @@ fn build_partition_covers(
 /// some center `w` — stored, or one of the implicit self labels, which the
 /// lift materializes by augmenting `L̄out(x)`/`L̄in(x)` with `x` itself — so
 /// `w` lands in `Lout(u)` and `Lin(v)`.
-fn psg_join(
+///
+/// `cover` must be the output of [`build_partition_covers`] for the same
+/// `partitioning`. Returns the label entries the join added, the skeleton's
+/// shape and the skeleton cover's greedy counters.
+pub fn psg_join(
     collection: &Collection,
     partitioning: &Partitioning,
     cover: &mut TwoHopCover,
@@ -376,25 +355,21 @@ mod tests {
         for partitioner in [
             PartitionerChoice::Flat,
             PartitionerChoice::PerDocument,
-            PartitionerChoice::Old(OldPartitionerConfig::default()),
             PartitionerChoice::Tc(TcPartitionerConfig {
                 max_connections_per_partition: 16,
                 ..Default::default()
             }),
         ] {
-            for join in [JoinAlgorithm::Incremental, JoinAlgorithm::Psg] {
-                let (index, report) = build_index(
-                    &c,
-                    &BuildConfig {
-                        partitioner: partitioner.clone(),
-                        join,
-                        ..Default::default()
-                    },
-                );
-                assert_exact(&c, &index);
-                assert_eq!(report.cover_size, index.size());
-                index.cover().check_invariants();
-            }
+            let (index, report) = build_index(
+                &c,
+                &BuildConfig {
+                    partitioner,
+                    ..Default::default()
+                },
+            );
+            assert_exact(&c, &index);
+            assert_eq!(report.cover_size, index.size());
+            index.cover().check_invariants();
         }
     }
 
@@ -429,7 +404,6 @@ mod tests {
         // Three one-document covers plus the skeleton cover of the join.
         let per_document = BuildConfig {
             partitioner: PartitionerChoice::PerDocument,
-            join: JoinAlgorithm::Psg,
             ..Default::default()
         };
         let greedy = build_index(&c, &per_document).1.greedy;

@@ -3,7 +3,9 @@
 //! Generates a DBLP-like collection (publications as XML documents,
 //! citations as XLinks — the paper's §7.1 setup), builds the engine with
 //! several configurations from Table 2, and compares sizes, build times and
-//! compression ratios.
+//! compression ratios. The rows of the §3.3 baselines (the node-capped
+//! partitioner of [26] and the one-link-at-a-time join) are `hopi-bench`'s
+//! `table2`.
 //!
 //! ```sh
 //! cargo run --release --example citation_network [scale]
@@ -31,42 +33,25 @@ fn main() -> Result<(), HopiError> {
     let connections = closure.connection_count() as u64;
     println!("transitive closure: {connections} connections");
 
+    let closure_budget = || {
+        PartitionerChoice::Tc(TcPartitionerConfig {
+            max_connections_per_partition: 50_000,
+            ..Default::default()
+        })
+    };
     let configs: Vec<(&str, HopiBuilder)> = vec![
         (
-            "old partitioner + old join",
-            Hopi::builder()
-                .partitioner(PartitionerChoice::Old(OldPartitionerConfig {
-                    max_nodes_per_partition: 2_000,
-                    ..Default::default()
-                }))
-                .join(JoinAlgorithm::Incremental),
+            "per-document partitions + PSG join",
+            Hopi::builder().partitioner(PartitionerChoice::PerDocument),
         ),
         (
-            "old partitioner + new join",
-            Hopi::builder()
-                .partitioner(PartitionerChoice::Old(OldPartitionerConfig {
-                    max_nodes_per_partition: 2_000,
-                    ..Default::default()
-                }))
-                .join(JoinAlgorithm::Psg),
+            "closure-budget partitions + PSG join",
+            Hopi::builder().partitioner(closure_budget()),
         ),
         (
-            "new partitioner + new join",
+            "closure-budget partitions + center preselection",
             Hopi::builder()
-                .partitioner(PartitionerChoice::Tc(TcPartitionerConfig {
-                    max_connections_per_partition: 50_000,
-                    ..Default::default()
-                }))
-                .join(JoinAlgorithm::Psg),
-        ),
-        (
-            "new partitioner + new join + center preselection",
-            Hopi::builder()
-                .partitioner(PartitionerChoice::Tc(TcPartitionerConfig {
-                    max_connections_per_partition: 50_000,
-                    ..Default::default()
-                }))
-                .join(JoinAlgorithm::Psg)
+                .partitioner(closure_budget())
                 .preselect_link_targets(true),
         ),
     ];

@@ -79,16 +79,14 @@ pub use hopi_build::{
 /// Convenience re-exports for the common workflow: parse or generate a
 /// collection, build a [`Hopi`] engine, query it, maintain it.
 pub mod prelude {
-    pub use hopi_build::{BuildConfig, BuildReport, JoinAlgorithm, PartitionerChoice};
+    pub use hopi_build::{BuildConfig, BuildReport, PartitionerChoice};
     pub use hopi_build::{
         Hopi, HopiBuilder, HopiError, HopiIndex, HopiSnapshot, OnlineHopi, SnapshotStats, Stats,
         WalRecord,
     };
     pub use hopi_core::{CoverStats, FrozenCover, LabelSource};
     pub use hopi_maintenance::{DeletionAlgorithm, DeletionOutcome, DocumentLinks, RebuildPolicy};
-    pub use hopi_partition::{
-        EdgeWeightStrategy, OldPartitionerConfig, Partitioning, TcPartitionerConfig,
-    };
+    pub use hopi_partition::{EdgeWeightStrategy, Partitioning, TcPartitionerConfig};
     // `Strategy` stays out of the prelude on purpose: glob-importing it
     // alongside `proptest::prelude::*` (which exports a `Strategy` trait)
     // would make the name ambiguous. Reach it as `hopi::Strategy`.

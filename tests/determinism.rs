@@ -30,24 +30,15 @@ fn thread_count_does_not_change_the_cover() {
     }
 }
 
+/// The engine's default build, twice over. `hopi-bench`'s
+/// `tests/baseline.rs` repeats the §3.3 baseline build the same way.
 #[test]
 fn repeated_builds_are_identical() {
     let c = dblp(&DblpConfig::scaled(0.008));
     let n = c.elem_id_bound() as u32;
-    let builders = || {
-        [
-            Hopi::builder(),
-            Hopi::builder()
-                .partitioner(PartitionerChoice::Old(OldPartitionerConfig::default()))
-                .join(JoinAlgorithm::Incremental),
-        ]
-    };
-    for (first, second) in builders().into_iter().zip(builders()) {
-        let config = format!("{:?}", first.clone());
-        let a = first.build(c.clone()).unwrap();
-        let b = second.build(c.clone()).unwrap();
-        assert!(covers_equal(&a, &b, n), "non-deterministic build: {config}");
-    }
+    let a = Hopi::build(c.clone()).unwrap();
+    let b = Hopi::build(c).unwrap();
+    assert!(covers_equal(&a, &b, n), "non-deterministic build");
 }
 
 #[test]
@@ -83,8 +74,8 @@ fn cover_checksum(h: &Hopi) -> u64 {
 /// insertions (leaf-to-root citations and root-to-root links) and one
 /// document with links both ways, on the default build of DBLP 0.01. The
 /// size must stay below 23,478 entries, what integrating every link with
-/// `v` as its center (`hopi_core::old_join::integrate_link`) leaves after
-/// the same script.
+/// `v` as its center (the §3.3 join's `integrate_link`, which lives in
+/// `hopi-bench`) leaves after the same script.
 #[test]
 fn maintained_cover_is_pinned() {
     let mut h = Hopi::build(dblp(&DblpConfig::scaled(0.01))).unwrap();
@@ -144,7 +135,6 @@ fn covers_are_pinned() {
             max_connections_per_partition: 20_000,
             ..Default::default()
         }))
-        .join(JoinAlgorithm::Psg)
         .threads(1)
         .build(c)
         .unwrap();
@@ -182,7 +172,6 @@ fn greedy_counters_are_pinned() {
             max_connections_per_partition: 20_000,
             ..Default::default()
         }))
-        .join(JoinAlgorithm::Psg)
         .threads(1)
         .build(dblp(&DblpConfig::scaled(0.01)))
         .unwrap();

@@ -424,37 +424,9 @@ proptest! {
     fn arbitrary_collection_psg_join(plan in arb_plan()) {
         let hopi = Hopi::builder()
             .partitioner(PartitionerChoice::PerDocument)
-            .join(JoinAlgorithm::Psg)
             .build(realize(&plan))
             .unwrap();
         oracle_check(&hopi)?;
-    }
-
-    #[test]
-    fn arbitrary_collection_incremental_join(plan in arb_plan()) {
-        let hopi = Hopi::builder()
-            .partitioner(PartitionerChoice::PerDocument)
-            .join(JoinAlgorithm::Incremental)
-            .build(realize(&plan))
-            .unwrap();
-        oracle_check(&hopi)?;
-    }
-
-    #[test]
-    fn psg_and_incremental_answer_identically(plan in arb_plan()) {
-        let c = realize(&plan);
-        let base = || Hopi::builder().partitioner(PartitionerChoice::Tc(TcPartitionerConfig {
-            max_connections_per_partition: 60,
-            ..Default::default()
-        }));
-        let a = base().join(JoinAlgorithm::Psg).build(c.clone()).unwrap();
-        let b = base().join(JoinAlgorithm::Incremental).build(c).unwrap();
-        let n = a.collection().elem_id_bound() as u32;
-        for u in 0..n {
-            for v in 0..n {
-                prop_assert_eq!(a.connected(u, v), b.connected(u, v));
-            }
-        }
     }
 
     #[test]

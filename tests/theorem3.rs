@@ -36,12 +36,10 @@ fn cyclic(seed: u64) -> Collection {
 fn builders() -> [HopiBuilder; 2] {
     [
         Hopi::builder(),
-        Hopi::builder()
-            .partitioner(PartitionerChoice::Tc(TcPartitionerConfig {
-                max_connections_per_partition: 150,
-                ..Default::default()
-            }))
-            .join(JoinAlgorithm::Psg),
+        Hopi::builder().partitioner(PartitionerChoice::Tc(TcPartitionerConfig {
+            max_connections_per_partition: 150,
+            ..Default::default()
+        })),
     ]
 }
 
