@@ -13,6 +13,9 @@
 //!   at reduced scale becomes merely *much* slower);
 //! * `presel` — N10 + link-target center preselection (§4.2).
 //!
+//! Beside each row's size, `pruned` is what the redundancy ruler
+//! ([`hopi_bench::redundancy`]) leaves of its cover.
+//!
 //! ```sh
 //! cargo run -p hopi-bench --release --bin table2 [--scale 0.05] [--flat]
 //! ```
@@ -20,9 +23,9 @@
 use hopi_bench::baseline::{self, Join};
 use hopi_bench::old_partitioner::{self, OldPartitionerConfig};
 use hopi_bench::{
-    dblp_collection, paper, scale_arg, scaled_nx_budget, scaled_px_cap, TablePrinter,
+    dblp_collection, paper, redundancy, scale_arg, scaled_nx_budget, scaled_px_cap, TablePrinter,
 };
-use hopi_build::{build_index, BuildConfig, BuildReport, PartitionerChoice};
+use hopi_build::{build_index, BuildConfig, BuildReport, HopiIndex, PartitionerChoice};
 use hopi_graph::TransitiveClosure;
 use hopi_partition::TcPartitionerConfig;
 use hopi_xml::CollectionStats;
@@ -43,16 +46,26 @@ fn main() {
     );
 
     let elements = stats.elements;
-    // Each row's report; its index is dropped as soon as it is built.
+    // Each row's report and pruned size; its index is dropped as soon as
+    // it is measured.
+    let measured = |(index, report): (HopiIndex, BuildReport)| {
+        let pruned = redundancy::prune(index.cover()).size();
+        (report, pruned)
+    };
     let node_capped = |cap: u64, join: Join| {
         let config = OldPartitionerConfig {
             max_nodes_per_partition: cap,
             ..Default::default()
         };
         let partition = |c: &_| old_partitioner::partition(c, &config);
-        baseline::build(&collection, partition, join, &BuildConfig::default()).1
+        measured(baseline::build(
+            &collection,
+            partition,
+            join,
+            &BuildConfig::default(),
+        ))
     };
-    let engine = |config: BuildConfig| build_index(&collection, &config).1;
+    let engine = |config: BuildConfig| measured(build_index(&collection, &config));
     let nx = |x: f64| {
         PartitionerChoice::Tc(TcPartitionerConfig {
             max_connections_per_partition: scaled_nx_budget(x, connections),
@@ -60,7 +73,7 @@ fn main() {
         })
     };
 
-    let mut rows: Vec<(String, BuildReport)> = vec![(
+    let mut rows: Vec<(String, (BuildReport, usize))> = vec![(
         "baseline".into(),
         node_capped(scaled_px_cap(5.0, elements), Join::Incremental),
     )];
@@ -117,6 +130,7 @@ fn main() {
         ("covers_ms", 10),
         ("join_ms", 8),
         ("size", 10),
+        ("pruned", 10),
         ("compression", 12),
         ("centers", 9),
         ("evals", 9),
@@ -124,7 +138,7 @@ fn main() {
         ("peeled/offered", 22),
         ("degree words", 14),
     ]);
-    for (name, report) in rows {
+    for (name, (report, pruned)) in rows {
         t.row(&[
             name,
             report.partitions.to_string(),
@@ -133,6 +147,7 @@ fn main() {
             report.covers_ms.to_string(),
             report.join_ms.to_string(),
             report.cover_size.to_string(),
+            pruned.to_string(),
             format!("{:.1}", report.compression_vs(connections)),
             report.greedy.centers.to_string(),
             report.greedy.densest_evals.to_string(),

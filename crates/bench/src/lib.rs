@@ -17,13 +17,15 @@
 //! Criterion microbenches live in `benches/`: query latency and algorithmic
 //! kernels.
 //! The §3.3 baselines, which the engine does not build, live here too
-//! ([`baseline`], [`old_partitioner`], [`old_join`]).
+//! ([`baseline`], [`old_partitioner`], [`old_join`]), and so does the
+//! redundancy ruler `table2` measures every cover with ([`redundancy`]).
 
 #![forbid(unsafe_code)]
 
 pub mod baseline;
 pub mod old_join;
 pub mod old_partitioner;
+pub mod redundancy;
 
 use hopi_xml::generator::{dblp, inex, DblpConfig, InexConfig};
 use hopi_xml::Collection;

@@ -8,7 +8,8 @@
 //!   three exact ways — make `v` the center (what the §3.3 join of [26]
 //!   does for every link), copy `{v} ∪ Lout(v)` into the ancestors'
 //!   `Lout`, or copy `{u} ∪ Lin(u)` into the descendants' `Lin` — and does
-//!   nothing when `u` already reaches `v`.
+//!   nothing when `u` already reaches `v`. Rows the link gives no new
+//!   connection are left alone.
 //! * A new document is "considered as a new partition": its private 2-hop
 //!   cover is computed and merged, then its incoming/outgoing links are
 //!   integrated one by one.
@@ -115,10 +116,14 @@ impl IntegrationCounts {
 /// | [`Integration::LoutCopy`] | `Lout(a) ∪= {v} ∪ Lout(v)` | `A·(1 + \|Lout(v)\|)` |
 /// | [`Integration::LinCopy`] | `Lin(d) ∪= {u} ∪ Lin(u)` | `D·(1 + \|Lin(u)\|)` |
 ///
-/// with `A = |anc(u)|` and `D = |desc(v)|`. The cheapest bound wins (the
-/// center on a tie, then the `Lout` copy). Only `anc(u)` and `desc(v)`
-/// are enumerated: on the leaf links most writes add, those two are tiny
-/// while `anc(v)` and `desc(u)` can span the collection.
+/// with `A = |anc(u)|` and `D = |desc(v)|`. An ancestor that already
+/// reaches `v` reaches every `d` already, and a descendant that `u`
+/// already reaches is reached by every `a` already: neither row gains a
+/// connection, so both are dropped before `A` and `D` are counted and no
+/// choice touches them. The cheapest bound wins (the center on a tie, then
+/// the `Lout` copy). Only `anc(u)` and `desc(v)` are enumerated, with one
+/// probe per element: on the leaf links most writes add, those two are
+/// tiny while `anc(v)` and `desc(u)` can span the collection.
 pub fn integrate_link(cover: &mut TwoHopCover, u: u32, v: u32) -> Integrated {
     integrate(cover, u, v, None)
 }
@@ -143,9 +148,13 @@ fn integrate(cover: &mut TwoHopCover, u: u32, v: u32, forced: Option<Integration
             added: 0,
         };
     }
-    // Both enumerations and both copied rows come from the old cover.
-    let ancestors = cover.ancestors(u); // includes u
-    let descendants = cover.descendants(v); // includes v
+    // Both enumerations, both filters and both copied rows come from the
+    // old cover. `u` and `v` survive the filters unprobed: `u` does not
+    // reach `v`.
+    let mut ancestors = cover.ancestors(u);
+    ancestors.retain(|&a| a == u || !cover.connected(a, v));
+    let mut descendants = cover.descendants(v);
+    descendants.retain(|&d| d == v || !cover.connected(u, d));
     let choice = forced.unwrap_or_else(|| {
         let (a, d) = (ancestors.len(), descendants.len());
         let center = a + d;
@@ -488,6 +497,47 @@ mod tests {
         assert_eq!(c.links().len(), 1);
         assert_exact(&c, &index);
         index.cover().check_invariants();
+    }
+
+    #[test]
+    fn ancestors_that_already_reach_the_target_keep_their_rows() {
+        // 0 → 1 and 0 → 2 → 3, covered through 1, 2 ∈ Lout(0) and
+        // 2 ∈ Lin(3). The link 1 → 3 gives 0 nothing new: 0 reaches 3
+        // already, so no choice may add a label to `Lout(0)`.
+        let exact = || {
+            let mut cover = TwoHopCover::with_nodes(4);
+            cover.add_out(0, 1);
+            cover.add_out(0, 2);
+            cover.add_in(3, 2);
+            cover
+        };
+        let mut g = DiGraph::with_nodes(4);
+        for (u, v) in [(0, 1), (0, 2), (2, 3), (1, 3)] {
+            g.add_edge(u, v);
+        }
+        let tc = TransitiveClosure::from_graph(&g);
+        for choice in [
+            Integration::Center,
+            Integration::LoutCopy,
+            Integration::LinCopy,
+        ] {
+            let mut cover = exact();
+            let done = integrate_link_as(&mut cover, 1, 3, choice);
+            assert_eq!((done.choice, done.added), (choice, 1), "{choice:?}");
+            assert_eq!(cover.lout(0), &[1, 2], "{choice:?}");
+            for (u, v) in (0..4).flat_map(|u| (0..4).map(move |v| (u, v))) {
+                assert_eq!(
+                    cover.connected(u, v),
+                    tc.contains(u, v),
+                    "{choice:?} ({u},{v})"
+                );
+            }
+        }
+        // Priced on the filtered rows, one ancestor: the `Lout` copy of
+        // `{3}` into `Lout(1)` is the single entry the link needs.
+        let mut cover = exact();
+        let done = integrate_link(&mut cover, 1, 3);
+        assert_eq!((done.choice, done.added), (Integration::LoutCopy, 1));
     }
 
     #[test]

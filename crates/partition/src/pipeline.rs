@@ -238,19 +238,27 @@ pub fn build_partition_covers(
 
 /// The §4.1 batch join: computes the transitive closure `H̄` of the
 /// partition skeleton graph `S(P)` (whose nodes are just the cross-link
-/// endpoints), builds a 2-hop cover *of the skeleton*, and lifts its labels
-/// into the global cover — every skeleton label `w ∈ L̄out(x)` fans out to
-/// the intra-partition ancestors of `x`, every `w ∈ L̄in(y)` to the
-/// intra-partition descendants of `y`. Compressing the skeleton first is
-/// what keeps the join's output near the size of a fresh flat cover
-/// instead of materializing per-link reachability sets.
+/// endpoints, with an edge for every intra-partition reach between two of
+/// them), builds a 2-hop cover *of the skeleton*, and lifts its labels into
+/// the global cover. Each skeleton label is lifted only from a nearest
+/// skeleton node: `w ∈ L̄out(x)` goes to `Lout(a)` for an intra-partition
+/// ancestor `a` of `x` only when no other skeleton node `x'` of the
+/// partition has `a →* x' →* x`, and `w ∈ L̄in(y)` to `Lin(d)` only when no
+/// other `y'` has `y →* y' →* d` (inside a strongly connected group of
+/// skeleton nodes the smallest index is the nearest). Compressing the
+/// skeleton first, and lifting each label once per element, is what keeps
+/// the join's output near the size of a fresh flat cover.
 ///
-/// Correctness: a cross-partition connection `u →* v` decomposes as
-/// `u →* s` (intra-partition, `s` a link source), `s →̄* t` (skeleton), and
-/// `t →* v` (intra-partition). The skeleton cover witnesses `s →̄* t` with
-/// some center `w` — stored, or one of the implicit self labels, which the
-/// lift materializes by augmenting `L̄out(x)`/`L̄in(x)` with `x` itself — so
-/// `w` lands in `Lout(u)` and `Lin(v)`.
+/// Correctness: a cross-partition connection `a →* d` decomposes as
+/// `a →* s` (intra-partition, `s` a link source), `s →̄* t` (skeleton) and
+/// `t →* d` (intra-partition). Following nearer skeleton nodes from `s`
+/// up and from `t` down ends at a nearest `x` with `a →* x →* s` and a
+/// nearest `y` with `t →* y →* d`, both inside their partitions, so the
+/// skeleton holds `x →̄* y`. If `x = y`, `a →* d` runs inside one
+/// partition and that partition's cover holds it. Otherwise the skeleton
+/// cover witnesses `x →̄* y` with some center `w` — stored, or one of the
+/// implicit self labels, which the lift materializes for the nodes that
+/// serve as centers — and `w` lands in `Lout(a)` and `Lin(d)`.
 ///
 /// `cover` must be the output of [`build_partition_covers`] for the same
 /// `partitioning`. Returns the label entries the join added, the skeleton's
@@ -260,63 +268,139 @@ pub fn psg_join(
     partitioning: &Partitioning,
     cover: &mut TwoHopCover,
 ) -> (usize, PsgJoinReport, BuildStats) {
-    // All skeleton inputs are computed against the pre-join cover, which is
-    // exact for intra-partition connections and empty across partitions.
-    let psg = PartitionSkeletonGraph::build(collection, partitioning, |_, from, to| {
-        cover.connected(from, to)
-    });
-    let n = psg.len();
-
-    // Intra-partition ancestor/descendant sets of every skeleton node.
-    let anc_of: Vec<Vec<ElemId>> = psg.nodes.iter().map(|&e| cover.ancestors(e)).collect();
-    let desc_of: Vec<Vec<ElemId>> = psg.nodes.iter().map(|&e| cover.descendants(e)).collect();
-
-    // Skeleton closure H̄, by SCC condensation.
+    // The skeleton and its intra-partition rows come from the pre-join
+    // cover, which is exact inside partitions and empty across them.
+    let psg = PartitionSkeletonGraph::build(collection, partitioning, cover);
     let skeleton_tc = TransitiveClosure::from_graph(&psg.graph);
-
-    // The 2-hop cover of the skeleton, then the lift. Stored labels fan
-    // out to the intra-partition ancestor/descendant sets; the skeleton
-    // cover's *implicit self labels* are materialized only for nodes that
-    // actually serve as centers (a connection witnessed as `y ∈ L̄out(x)`
-    // needs `y` present on the Lin side too, and vice versa). Connections
-    // whose source and target skeleton node coincide are already covered
-    // by that partition's own cover and need no join entries at all.
     let (skeleton_cover, skeleton_stats) = CoverBuilder::new(&skeleton_tc).build_with_stats();
+
+    // The implicit self label `x ∈ L̄out(x)` is materialized only when `x`
+    // witnesses connections as an `Lin` center, and `x ∈ L̄in(x)` only when
+    // it does as an `Lout` center.
+    let mut nearest = Nearest::new(psg.len(), collection.elem_id_bound());
+    let (mut fan, mut rows) = (Vec::new(), Vec::new());
     let mut entries = 0usize;
-    for x in 0..n as u32 {
-        for &w in skeleton_cover.lout(x) {
-            let w_global = psg.nodes[w as usize];
-            for &a in &anc_of[x as usize] {
-                entries += usize::from(cover.add_out(a, w_global));
+    for x in 0..psg.len() as u32 {
+        let self_label = |holders: &[u32]| (!holders.is_empty()).then_some(psg.nodes[x as usize]);
+        fan.clear();
+        fan.extend(
+            skeleton_cover
+                .lout(x)
+                .iter()
+                .map(|&w| psg.nodes[w as usize]),
+        );
+        fan.extend(self_label(skeleton_cover.holders_in(x)));
+        if !fan.is_empty() {
+            nearest.rows(
+                &psg.nodes,
+                &psg.anc,
+                x,
+                psg.above(x),
+                psg.below(x),
+                &mut rows,
+            );
+            for &a in &rows {
+                for &w in &fan {
+                    entries += usize::from(cover.add_out(a, w));
+                }
             }
         }
-        for &w in skeleton_cover.lin(x) {
-            let w_global = psg.nodes[w as usize];
-            for &d in &desc_of[x as usize] {
-                entries += usize::from(cover.add_in(d, w_global));
-            }
-        }
-        let x_global = psg.nodes[x as usize];
-        if !skeleton_cover.holders_in(x).is_empty() {
-            // `x` witnesses connections as an Lin center: complete its
-            // implicit `x ∈ L̄out(x)` side.
-            for &a in &anc_of[x as usize] {
-                entries += usize::from(cover.add_out(a, x_global));
-            }
-        }
-        if !skeleton_cover.holders_out(x).is_empty() {
-            // Symmetric completion of the implicit `x ∈ L̄in(x)`.
-            for &d in &desc_of[x as usize] {
-                entries += usize::from(cover.add_in(d, x_global));
+        fan.clear();
+        fan.extend(skeleton_cover.lin(x).iter().map(|&w| psg.nodes[w as usize]));
+        fan.extend(self_label(skeleton_cover.holders_out(x)));
+        if !fan.is_empty() {
+            nearest.rows(
+                &psg.nodes,
+                &psg.desc,
+                x,
+                psg.below(x),
+                psg.above(x),
+                &mut rows,
+            );
+            for &d in &rows {
+                for &w in &fan {
+                    entries += usize::from(cover.add_in(d, w));
+                }
             }
         }
     }
 
     let report = PsgJoinReport {
-        nodes: n,
+        nodes: psg.len(),
         edges: psg.graph.edge_count(),
     };
     (entries, report, skeleton_stats)
+}
+
+/// Reusable stamps for the nearest-node test of the PSG lift.
+struct Nearest {
+    /// Per element: the last pass that covered it from a nearer node.
+    elem: Vec<u32>,
+    /// Per skeleton node: the last pass that found it on the far side.
+    node: Vec<u32>,
+    pass: u32,
+    nearer: Vec<u32>,
+}
+
+impl Nearest {
+    fn new(nodes: usize, elements: usize) -> Self {
+        Nearest {
+            elem: vec![0; elements],
+            node: vec![0; nodes],
+            pass: 0,
+            nearer: Vec::new(),
+        }
+    }
+
+    /// Collects into `out` the elements of `rows[x]` for which `x` is a
+    /// nearest skeleton node. `nodes` are the skeleton nodes' element ids
+    /// and `rows` their intra-partition rows on one side (ancestors for the
+    /// `Lout` lift, descendants for the `Lin` lift); `toward` are the
+    /// skeleton nodes on that side of `x` and `away` those on the other. A
+    /// node `x'` on `x`'s side is nearer for every element of `rows[x']`,
+    /// unless it lies on both sides of `x` (one strongly connected group)
+    /// with a larger index.
+    fn rows(
+        &mut self,
+        nodes: &[ElemId],
+        rows: &[Vec<ElemId>],
+        x: u32,
+        toward: impl Iterator<Item = u32>,
+        away: impl Iterator<Item = u32>,
+        out: &mut Vec<ElemId>,
+    ) {
+        out.clear();
+        self.nearer.clear();
+        self.nearer.extend(toward);
+        if self.nearer.is_empty() {
+            out.extend_from_slice(&rows[x as usize]);
+            return;
+        }
+        self.pass += 1;
+        let pass = self.pass;
+        for y in away {
+            self.node[y as usize] = pass;
+        }
+        let node = &self.node;
+        self.nearer.retain(|&y| y < x || node[y as usize] != pass);
+        // Widest rows first: a node inside an already stamped row has its
+        // whole row inside it, so its row is skipped.
+        self.nearer
+            .sort_unstable_by_key(|&y| std::cmp::Reverse(rows[y as usize].len()));
+        for &y in &self.nearer {
+            if self.elem[nodes[y as usize] as usize] != pass {
+                for &e in &rows[y as usize] {
+                    self.elem[e as usize] = pass;
+                }
+            }
+        }
+        let elem = &self.elem;
+        out.extend(
+            rows[x as usize]
+                .iter()
+                .filter(|&&e| elem[e as usize] != pass),
+        );
+    }
 }
 
 #[cfg(test)]
@@ -347,6 +431,66 @@ mod tests {
                 assert_eq!(index.connected(u, v), tc.contains(u, v), "({u},{v})");
             }
         }
+    }
+
+    #[test]
+    fn labels_are_lifted_from_the_nearest_skeleton_node_only() {
+        // P0 = {A, B} with the link A/s → B; P1 = {C}, whose two children
+        // link to both roots. A's root reaches all of B inside P0, but B's
+        // root is nearer to every element of B.
+        let mut c = Collection::new();
+        for name in ["A", "B", "C"] {
+            let mut d = XmlDocument::new(name, "r");
+            d.add_element(0, "s");
+            d.add_element(0, "t");
+            c.add_document(d);
+        }
+        let (a_root, a_s, b_root, b_leaf) = (0, 1, 3, 5);
+        c.add_link(a_s, b_root);
+        c.add_link(7, a_root);
+        c.add_link(8, b_root);
+        let p = Partitioning::from_assignment(&c, 2, vec![0, 0, 1]);
+        let (mut cover, _) = build_partition_covers(&c, &p, &BuildConfig::default());
+        let before = cover.clone();
+        psg_join(&c, &p, &mut cover);
+
+        // What each root fans out to `Lin` on the lift: its skeleton `Lin`
+        // row and, when it serves as an `Lout` center, itself.
+        let psg = PartitionSkeletonGraph::build(&c, &p, &before);
+        let skeleton = CoverBuilder::new(&TransitiveClosure::from_graph(&psg.graph)).build();
+        let fan = |e: ElemId| -> Vec<ElemId> {
+            let x = psg.index[&e];
+            let mut fan: Vec<ElemId> = skeleton
+                .lin(x)
+                .iter()
+                .map(|&w| psg.nodes[w as usize])
+                .collect();
+            if !skeleton.holders_out(x).is_empty() {
+                fan.push(e);
+            }
+            fan.sort_unstable();
+            fan
+        };
+        // The row a label set leaves after the join: the partition cover's
+        // row plus the fan.
+        let joined = |e: ElemId, fan: &[ElemId]| -> Vec<ElemId> {
+            let mut row: Vec<ElemId> = before.lin(e).iter().chain(fan).copied().collect();
+            row.retain(|&w| w != e);
+            row.sort_unstable();
+            row.dedup();
+            row
+        };
+        let (a_fan, b_fan) = (fan(a_root), fan(b_root));
+        assert!(a_fan.iter().any(|w| !b_fan.contains(w)), "the fans differ");
+        assert_eq!(
+            cover.lin(b_leaf),
+            joined(b_leaf, &b_fan),
+            "B's root fan only"
+        );
+        assert_eq!(cover.lin(a_s), joined(a_s, &a_fan), "A's root fan");
+
+        let index = HopiIndex::from_cover(cover);
+        assert_exact(&c, &index);
     }
 
     #[test]

@@ -1,13 +1,19 @@
 //! The partition-level skeleton graph `S(P)` (paper §4.1, Definition 1).
 //!
 //! Nodes: sources and targets of cross-partition links. Edges: the
-//! cross-partition links `L_P`, plus edges that "represent connections of
-//! link targets and sources within the same partition" — i.e. `t → s`
-//! whenever target `t` reaches source `s` inside their shared partition.
-//! The intra-partition reachability test is delegated to an oracle (in the
-//! build pipeline: the already-computed partition cover).
+//! cross-partition links `L_P`, plus an edge `x → x'` for every pair of
+//! skeleton nodes of one partition where `x` reaches `x'` inside that
+//! partition. Definition 1 asks only for the `target → source` edges; the
+//! others (source → source, target → target, source → target) change no
+//! skeleton reachability, but they let the PSG join see which skeleton
+//! node is nearest to an element, so each label is lifted only from there.
+//!
+//! Every node carries its intra-partition ancestor and descendant rows,
+//! enumerated on the merged partition covers; the intra-partition edges are
+//! read off the descendant rows.
 
 use crate::partitioning::Partitioning;
+use hopi_core::TwoHopCover;
 use hopi_graph::DiGraph;
 use hopi_xml::{Collection, ElemId};
 use rustc_hash::FxHashMap;
@@ -26,23 +32,30 @@ pub struct PartitionSkeletonGraph {
     pub is_target: Vec<bool>,
     /// Partition of each node.
     pub partition: Vec<u32>,
+    /// Intra-partition ancestors of each node (global ids, sorted, the
+    /// node included).
+    pub anc: Vec<Vec<ElemId>>,
+    /// Intra-partition descendants of each node (global ids, sorted, the
+    /// node included).
+    pub desc: Vec<Vec<ElemId>>,
 }
 
 impl PartitionSkeletonGraph {
-    /// Builds the PSG. `connected_in_partition(partition, from, to)` must
-    /// answer whether `from →* to` holds within the partition's element
-    /// graph (global element ids).
+    /// Builds the PSG. `cover` must be exact inside every partition of
+    /// `partitioning` and empty across partitions — the merged partition
+    /// covers before any join.
     pub fn build(
         collection: &Collection,
         partitioning: &Partitioning,
-        mut connected_in_partition: impl FnMut(u32, ElemId, ElemId) -> bool,
+        cover: &TwoHopCover,
     ) -> Self {
         let mut nodes: Vec<ElemId> = Vec::new();
         let mut index: FxHashMap<ElemId, u32> = FxHashMap::default();
         let mut is_source: Vec<bool> = Vec::new();
         let mut is_target: Vec<bool> = Vec::new();
         let mut partition: Vec<u32> = Vec::new();
-        {
+        let mut graph = DiGraph::new();
+        for l in &partitioning.cross_links {
             let mut intern = |e: ElemId| -> u32 {
                 *index.entry(e).or_insert_with(|| {
                     nodes.push(e);
@@ -56,43 +69,25 @@ impl PartitionSkeletonGraph {
                     nodes.len() as u32 - 1
                 })
             };
-            for l in &partitioning.cross_links {
-                let f = intern(l.from);
-                let t = intern(l.to);
-                // Recorded below once the borrow ends.
-                let _ = (f, t);
-            }
-        }
-        let mut graph = DiGraph::new();
-        if !nodes.is_empty() {
-            graph.ensure_node(nodes.len() as u32 - 1);
-        }
-        for l in &partitioning.cross_links {
-            let f = index[&l.from];
-            let t = index[&l.to];
+            let (f, t) = (intern(l.from), intern(l.to));
             is_source[f as usize] = true;
             is_target[t as usize] = true;
             graph.add_edge(f, t);
         }
 
-        // Intra-partition connection edges: target t → source s, same
-        // partition, t reaches s in the partition.
-        let mut per_partition: FxHashMap<u32, Vec<u32>> = FxHashMap::default();
-        for (i, &p) in partition.iter().enumerate() {
-            per_partition.entry(p).or_default().push(i as u32);
+        let anc: Vec<Vec<ElemId>> = nodes.iter().map(|&e| cover.ancestors(e)).collect();
+        let desc: Vec<Vec<ElemId>> = nodes.iter().map(|&e| cover.descendants(e)).collect();
+        // Intra-partition edges: every skeleton node in a descendant row.
+        // A dense element → node map keeps this to one load per entry.
+        let mut node_of = vec![u32::MAX; collection.elem_id_bound()];
+        for (i, &e) in nodes.iter().enumerate() {
+            node_of[e as usize] = i as u32;
         }
-        for (&p, members) in &per_partition {
-            for &ti in members {
-                if !is_target[ti as usize] {
-                    continue;
-                }
-                for &si in members {
-                    if si == ti || !is_source[si as usize] {
-                        continue;
-                    }
-                    if connected_in_partition(p, nodes[ti as usize], nodes[si as usize]) {
-                        graph.add_edge(ti, si);
-                    }
+        for (x, row) in desc.iter().enumerate() {
+            for &e in row {
+                let y = node_of[e as usize];
+                if y != u32::MAX && y != x as u32 {
+                    graph.add_edge(x as u32, y);
                 }
             }
         }
@@ -103,6 +98,8 @@ impl PartitionSkeletonGraph {
             is_source,
             is_target,
             partition,
+            anc,
+            desc,
         }
     }
 
@@ -116,21 +113,26 @@ impl PartitionSkeletonGraph {
         self.nodes.is_empty()
     }
 
-    /// Compact indices of all link sources.
-    pub fn sources(&self) -> impl Iterator<Item = u32> + '_ {
-        (0..self.len() as u32).filter(|&i| self.is_source[i as usize])
+    /// Skeleton nodes that `x` reaches inside its partition, `x` excluded.
+    pub fn below(&self, x: u32) -> impl Iterator<Item = u32> + '_ {
+        let p = self.partition[x as usize];
+        let succ = self.graph.successors(x).iter().copied();
+        succ.filter(move |&y| self.partition[y as usize] == p)
     }
 
-    /// Compact indices of all link targets.
-    pub fn targets(&self) -> impl Iterator<Item = u32> + '_ {
-        (0..self.len() as u32).filter(|&i| self.is_target[i as usize])
+    /// Skeleton nodes that reach `x` inside its partition, `x` excluded.
+    pub fn above(&self, x: u32) -> impl Iterator<Item = u32> + '_ {
+        let p = self.partition[x as usize];
+        let pred = self.graph.predecessors(x).iter().copied();
+        pred.filter(move |&y| self.partition[y as usize] == p)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hopi_graph::{traversal, TransitiveClosure};
+    use crate::pipeline::{build_partition_covers, BuildConfig};
+    use hopi_graph::traversal;
     use hopi_xml::XmlDocument;
 
     /// Reproduces the paper's Figure 3 situation: two partitions, the link
@@ -159,27 +161,15 @@ mod tests {
         (c, part)
     }
 
-    fn oracle(c: &Collection, p: &Partitioning) -> impl FnMut(u32, ElemId, ElemId) -> bool {
-        let mut closures: FxHashMap<u32, (TransitiveClosure, FxHashMap<ElemId, u32>)> =
-            FxHashMap::default();
-        for pi in 0..p.len() as u32 {
-            let (g, _, g2l) = p.partition_element_graph(c, pi);
-            closures.insert(pi, (TransitiveClosure::from_graph(&g), g2l));
-        }
-        move |part, from, to| {
-            let (tc, g2l) = &closures[&part];
-            match (g2l.get(&from), g2l.get(&to)) {
-                (Some(&f), Some(&t)) => tc.contains(f, t),
-                _ => false,
-            }
-        }
+    fn build(c: &Collection, p: &Partitioning) -> PartitionSkeletonGraph {
+        let (cover, _) = build_partition_covers(c, p, &BuildConfig::default());
+        PartitionSkeletonGraph::build(c, p, &cover)
     }
 
     #[test]
     fn psg_nodes_and_edges() {
         let (c, p) = fixture();
-        let mut orc = oracle(&c, &p);
-        let psg = PartitionSkeletonGraph::build(&c, &p, &mut orc);
+        let psg = build(&c, &p);
         // Cross-link endpoints: 3, 4, 6, 0.
         let mut ns = psg.nodes.clone();
         ns.sort_unstable();
@@ -192,6 +182,10 @@ mod tests {
         // 1→2 inside P0)→2→3: yes, via the intra-partition link.
         assert!(psg.graph.has_edge(psg.index[&4], psg.index[&6]));
         assert!(psg.graph.has_edge(psg.index[&0], psg.index[&3]));
+        // No intra-partition edge runs against reachability.
+        assert!(!psg.graph.has_edge(psg.index[&6], psg.index[&4]));
+        assert!(!psg.graph.has_edge(psg.index[&3], psg.index[&0]));
+        assert_eq!(psg.graph.edge_count(), 4);
         // The PSG is strongly connected in this fixture.
         assert!(traversal::is_reachable(
             &psg.graph,
@@ -201,31 +195,55 @@ mod tests {
     }
 
     #[test]
+    fn intra_edges_join_every_reaching_pair() {
+        // Both link targets of P1 lie on one root-to-leaf path, and so do
+        // both link sources of P0: the target → target and source → source
+        // pairs get edges too.
+        let mut c = Collection::new();
+        for name in ["a", "b"] {
+            let mut d = XmlDocument::new(name, "r");
+            let s = d.add_element(0, "s");
+            d.add_element(s, "t");
+            c.add_document(d);
+        }
+        c.add_link(1, 4); // a/s → b/s
+        c.add_link(2, 5); // a/t → b/t
+        let p = Partitioning::per_document(&c);
+        let psg = build(&c, &p);
+        let node = |e: ElemId| psg.index[&e];
+        assert!(psg.graph.has_edge(node(1), node(2)));
+        assert!(psg.graph.has_edge(node(4), node(5)));
+        assert_eq!(psg.below(node(1)).collect::<Vec<_>>(), vec![node(2)]);
+        assert_eq!(psg.above(node(5)).collect::<Vec<_>>(), vec![node(4)]);
+        // Cross links are not intra-partition reach.
+        assert_eq!(psg.below(node(2)).count(), 0);
+        assert_eq!(psg.desc[node(1) as usize], vec![1, 2]);
+        assert_eq!(psg.anc[node(5) as usize], vec![3, 4, 5]);
+    }
+
+    #[test]
     fn source_target_flags() {
         let (c, p) = fixture();
-        let mut orc = oracle(&c, &p);
-        let psg = PartitionSkeletonGraph::build(&c, &p, &mut orc);
+        let psg = build(&c, &p);
         assert!(psg.is_source[psg.index[&3] as usize]);
         assert!(psg.is_target[psg.index[&4] as usize]);
         assert!(psg.is_source[psg.index[&6] as usize]);
         assert!(psg.is_target[psg.index[&0] as usize]);
-        assert_eq!(psg.sources().count(), 2);
-        assert_eq!(psg.targets().count(), 2);
+        assert_eq!(psg.is_source.iter().filter(|&&s| s).count(), 2);
+        assert_eq!(psg.is_target.iter().filter(|&&t| t).count(), 2);
     }
 
     #[test]
     fn empty_when_no_cross_links() {
         let (c, _) = fixture();
         let p = Partitioning::single_partition(&c);
-        let psg = PartitionSkeletonGraph::build(&c, &p, |_, _, _| true);
-        assert!(psg.is_empty());
+        assert!(build(&c, &p).is_empty());
     }
 
     #[test]
     fn partition_annotation() {
         let (c, p) = fixture();
-        let mut orc = oracle(&c, &p);
-        let psg = PartitionSkeletonGraph::build(&c, &p, &mut orc);
+        let psg = build(&c, &p);
         assert_eq!(psg.partition[psg.index[&3] as usize], 0);
         assert_eq!(psg.partition[psg.index[&4] as usize], 1);
     }

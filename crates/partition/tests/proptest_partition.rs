@@ -6,11 +6,11 @@
 
 use hopi_graph::{traversal, TransitiveClosure};
 use hopi_partition::{
-    tc_partitioner, EdgeWeightStrategy, PartitionSkeletonGraph, Partitioning, TcPartitionerConfig,
+    build_partition_covers, tc_partitioner, BuildConfig, EdgeWeightStrategy,
+    PartitionSkeletonGraph, Partitioning, TcPartitionerConfig,
 };
 use hopi_xml::{Collection, XmlDocument};
 use proptest::prelude::*;
-use rustc_hash::FxHashMap;
 
 type Blueprint = (Vec<usize>, Vec<(usize, usize)>);
 
@@ -66,34 +66,39 @@ proptest! {
     }
 
     #[test]
-    fn psg_reachability_matches_element_graph(bp in arb_collection()) {
+    fn psg_reachability_matches_element_graph(bp in arb_collection(), budget in 8u64..120) {
         let c = realize(&bp);
-        let p = Partitioning::per_document(&c);
-        // Oracle connectivity within partitions via per-partition closures.
-        let mut closures = FxHashMap::default();
-        for pi in 0..p.len() as u32 {
-            let (g, _, g2l) = p.partition_element_graph(&c, pi);
-            closures.insert(pi, (TransitiveClosure::from_graph(&g), g2l));
-        }
-        let psg = PartitionSkeletonGraph::build(&c, &p, |pi, from, to| {
-            let (tc, g2l) = &closures[&pi];
-            match (g2l.get(&from), g2l.get(&to)) {
-                (Some(&f), Some(&t)) => tc.contains(f, t),
-                _ => false,
+        for p in [
+            Partitioning::per_document(&c),
+            tc_partitioner::partition(&c, &TcPartitionerConfig {
+                max_connections_per_partition: budget,
+                ..Default::default()
+            }),
+        ] {
+            let (cover, _) = build_partition_covers(&c, &p, &BuildConfig::default());
+            let psg = PartitionSkeletonGraph::build(&c, &p, &cover);
+            // For every (source, target) PSG pair: PSG reachability must
+            // equal element-graph reachability.
+            let ge = c.element_graph();
+            let n = psg.len() as u32;
+            for s in (0..n).filter(|&s| psg.is_source[s as usize]) {
+                for t in (0..n).filter(|&t| psg.is_target[t as usize]) {
+                    let psg_reach = traversal::is_reachable(&psg.graph, s, t);
+                    let elem_reach =
+                        traversal::is_reachable(&ge, psg.nodes[s as usize], psg.nodes[t as usize]);
+                    prop_assert_eq!(
+                        psg_reach, elem_reach,
+                        "source {} target {}", psg.nodes[s as usize], psg.nodes[t as usize]
+                    );
+                }
             }
-        });
-        // For every (source, target) PSG pair: PSG reachability must equal
-        // element-graph reachability.
-        let ge = c.element_graph();
-        for s in psg.sources() {
-            for t in psg.targets() {
-                let psg_reach = traversal::is_reachable(&psg.graph, s, t);
-                let elem_reach =
-                    traversal::is_reachable(&ge, psg.nodes[s as usize], psg.nodes[t as usize]);
-                prop_assert_eq!(
-                    psg_reach, elem_reach,
-                    "source {} target {}", psg.nodes[s as usize], psg.nodes[t as usize]
-                );
+            // An intra-partition edge is intra-partition reach, and every
+            // such reach between two skeleton nodes is an edge.
+            for x in 0..n {
+                for y in (0..n).filter(|&y| y != x && psg.partition[y as usize] == psg.partition[x as usize]) {
+                    let reach = psg.desc[x as usize].binary_search(&psg.nodes[y as usize]).is_ok();
+                    prop_assert_eq!(psg.graph.has_edge(x, y), reach, "{} -> {}", x, y);
+                }
             }
         }
     }

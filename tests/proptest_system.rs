@@ -27,12 +27,32 @@ fn arb_plan() -> impl Strategy<Value = CollectionPlan> {
 }
 
 fn realize(plan: &CollectionPlan) -> Collection {
+    realize_with_intra_links(plan, &[])
+}
+
+/// A blueprint with intra-document links `(doc, raw_from, raw_to)` on top;
+/// a link that points up the tree closes a cycle inside its document.
+fn arb_cyclic_plan() -> impl Strategy<Value = (CollectionPlan, Vec<(usize, u32, u32)>)> {
+    arb_plan().prop_flat_map(|plan| {
+        let n = plan.docs.len();
+        let intra = proptest::collection::vec((0..n, 0u32..8, 0u32..8), 0..8);
+        (Just(plan), intra)
+    })
+}
+
+fn realize_with_intra_links(plan: &CollectionPlan, intra: &[(usize, u32, u32)]) -> Collection {
     let mut c = Collection::new();
     for (i, &n) in plan.docs.iter().enumerate() {
         let mut d = XmlDocument::new(format!("d{i}"), "r");
         for k in 1..n {
             // Chain/stars mix: attach to element k/2.
             d.add_element((k / 2) as u32, "e");
+        }
+        for &(_, from, to) in intra.iter().filter(|l| l.0 == i) {
+            let (from, to) = (from % n as u32, to % n as u32);
+            if from != to {
+                d.add_intra_link(from, to);
+            }
         }
         c.add_document(d);
     }
@@ -421,12 +441,18 @@ proptest! {
     }
 
     #[test]
-    fn arbitrary_collection_psg_join(plan in arb_plan()) {
-        let hopi = Hopi::builder()
-            .partitioner(PartitionerChoice::PerDocument)
-            .build(realize(&plan))
-            .unwrap();
-        oracle_check(&hopi)?;
+    fn arbitrary_collection_psg_join((plan, intra) in arb_cyclic_plan(), budget in 4u64..48) {
+        let c = realize_with_intra_links(&plan, &intra);
+        let tc = |max_connections_per_partition| {
+            PartitionerChoice::Tc(TcPartitionerConfig {
+                max_connections_per_partition,
+                ..Default::default()
+            })
+        };
+        for partitioner in [PartitionerChoice::PerDocument, tc(budget), tc(4 * budget)] {
+            let hopi = Hopi::builder().partitioner(partitioner).build(c.clone()).unwrap();
+            oracle_check(&hopi)?;
+        }
     }
 
     #[test]
