@@ -11,35 +11,75 @@
 //! answers, so every drop keeps the cover exact, and the result answers
 //! every pair like the input.
 //!
-//! The pass is a ruler, not a builder: it costs a probe per witnessed pair
-//! of every entry, far more than the greedy of §3.2 that builds a cover in
-//! the first place. `table2` prints its result beside each row's size, so
-//! the distance between a cover and one without redundant labels shows.
+//! The pass counts instead of probing. Everything that reaches `v`
+//! through the cover is `v`, the holders of `v` in `Lout`, and each center
+//! `c ∈ Lin(v)` with its holders; the pass counts, per node, how many of
+//! those sources name it, and drops `c` exactly when no node of `c`'s
+//! source is named by it alone. That is the same test as probing every
+//! witnessed pair, at the cost of one enumeration of `v`'s ancestors with
+//! multiplicity (symmetrically for `Lout`). It is still a ruler, not a
+//! builder: `table2` prints its result beside each row's size, so the
+//! distance between a cover and one without redundant labels shows.
 
 use hopi_core::TwoHopCover;
 
 /// Returns `cover` without the entries the greedy pass finds redundant.
 pub fn prune(cover: &TwoHopCover) -> TwoHopCover {
     let mut cover = cover.clone();
+    let mut count = vec![0u32; cover.num_nodes()];
     for v in 0..cover.num_nodes() as u32 {
-        for c in cover.lin(v).to_vec() {
-            cover.remove_in(v, c);
-            let mut ancestors = std::iter::once(c).chain(cover.holders_out(c).iter().copied());
-            if ancestors.any(|a| !cover.connected(a, v)) {
-                cover.add_in(v, c);
-            }
-        }
+        let row = Row {
+            centers: cover.lin(v).to_vec(),
+            holders: TwoHopCover::holders_out,
+            remove: TwoHopCover::remove_in,
+        };
+        row.drop_unneeded(&mut cover, &mut count, v);
     }
     for u in 0..cover.num_nodes() as u32 {
-        for c in cover.lout(u).to_vec() {
-            cover.remove_out(u, c);
-            let mut descendants = std::iter::once(c).chain(cover.holders_in(c).iter().copied());
-            if descendants.any(|d| !cover.connected(u, d)) {
-                cover.add_out(u, c);
-            }
-        }
+        let row = Row {
+            centers: cover.lout(u).to_vec(),
+            holders: TwoHopCover::holders_in,
+            remove: TwoHopCover::remove_out,
+        };
+        row.drop_unneeded(&mut cover, &mut count, u);
     }
     cover
+}
+
+/// One label row of the pass, with the holder lists on its side.
+struct Row {
+    centers: Vec<u32>,
+    /// `holders_out` for a `Lin` row, `holders_in` for a `Lout` row.
+    holders: fn(&TwoHopCover, u32) -> &[u32],
+    remove: fn(&mut TwoHopCover, u32, u32) -> bool,
+}
+
+impl Row {
+    /// `c` and its holders: what `c` connects the row's node with.
+    fn source<'a>(&self, cover: &'a TwoHopCover, c: u32) -> impl Iterator<Item = u32> + 'a {
+        let holders = (self.holders)(cover, c).iter().copied();
+        std::iter::once(c).chain(holders)
+    }
+
+    /// Drops the centers of `node`'s row that no pair needs. `count` is all
+    /// zero on entry and on return.
+    fn drop_unneeded(&self, cover: &mut TwoHopCover, count: &mut [u32], node: u32) {
+        let sources = std::iter::once(node).chain(self.centers.iter().copied());
+        for c in sources.clone() {
+            self.source(cover, c).for_each(|a| count[a as usize] += 1);
+        }
+        for &c in &self.centers {
+            self.source(cover, c).for_each(|a| count[a as usize] -= 1);
+            if self.source(cover, c).any(|a| count[a as usize] == 0) {
+                self.source(cover, c).for_each(|a| count[a as usize] += 1);
+            } else {
+                (self.remove)(cover, node, c);
+            }
+        }
+        for c in sources {
+            self.source(cover, c).for_each(|a| count[a as usize] = 0);
+        }
+    }
 }
 
 #[cfg(test)]
