@@ -97,26 +97,6 @@ impl<const HEAD: usize> Section<HEAD> {
         Self::row_in(block, slot)
     }
 
-    /// `Σ` row length over `nodes`, sorted ascending: the block of a run
-    /// of nodes is looked up once, then each row length is two of its
-    /// offsets.
-    fn summed_len(&self, nodes: &[NodeId]) -> usize {
-        let block_of = |v: &NodeId| *v as usize >> SHIFT;
-        let mut total = 0;
-        for run in nodes.chunk_by(|a, b| block_of(a) == block_of(b)) {
-            let Some(block) = run.first().and_then(|v| self.blocks.get(block_of(v))) else {
-                break;
-            };
-            for &v in run {
-                let slot = v as usize & (B - 1);
-                if let Some(&[lo, hi]) = block.get(slot..slot + 2) {
-                    total += (hi - lo) as usize;
-                }
-            }
-        }
-        total
-    }
-
     /// Entries stored in `block` (its last local offset).
     fn entries_in(block: &[u32]) -> usize {
         block.get(B).map_or(0, |&end| end as usize)
@@ -947,10 +927,6 @@ impl LabelSource for FrozenCover {
         self.holders_out(c)
     }
 
-    fn lin_entries_of(&self, nodes: &[NodeId]) -> usize {
-        self.lin.summed_len(nodes)
-    }
-
     fn cover_stats(&self) -> CoverStats {
         CoverStats {
             nodes: self.n,
@@ -1286,12 +1262,6 @@ mod tests {
         }
         assert!(frozen.lin(n).is_empty() && frozen.lin(n + 5_000).is_empty());
         assert_eq!(from_written_csr(&frozen), frozen);
-        // Summed `Lin` rows block by block, ids past the end included.
-        for step in [1, 3, 255, 256, 257] {
-            let nodes: Vec<u32> = (0..n + 600).step_by(step).collect();
-            let rows: usize = nodes.iter().map(|&v| live.lin(v).len()).sum();
-            assert_eq!(frozen.lin_entries_of(&nodes), rows, "step {step}");
-        }
 
         let mut g = DiGraph::new();
         g.ensure_node(n - 1);

@@ -86,12 +86,6 @@ pub trait LabelSource {
     /// track entry counts eagerly).
     fn cover_stats(&self) -> CoverStats;
 
-    /// `Σ |Lin(v)|` over `nodes`, sorted ascending: the candidate side the
-    /// query planner reads near a cut.
-    fn lin_entries_of(&self, nodes: &[NodeId]) -> usize {
-        nodes.iter().map(|&v| self.lin_row(v).len()).sum()
-    }
-
     /// All descendants of `u` (including `u`), sorted.
     fn descendants(&self, u: NodeId) -> Vec<NodeId> {
         let mut out = Vec::new();
@@ -315,10 +309,6 @@ impl<S: LabelSource + ?Sized> LabelSource for &S {
 
     fn cover_stats(&self) -> CoverStats {
         (**self).cover_stats()
-    }
-
-    fn lin_entries_of(&self, nodes: &[NodeId]) -> usize {
-        (**self).lin_entries_of(nodes)
     }
 
     fn descendants(&self, u: NodeId) -> Vec<NodeId> {

@@ -4,7 +4,7 @@
 //! source→target connectivity of the underlying element graph. The
 //! node-capped partitioner of [26] is checked in `hopi-bench`.
 
-use hopi_graph::{traversal, TransitiveClosure};
+use hopi_graph::{traversal, FixedBitSet, TransitiveClosure};
 use hopi_partition::{
     build_partition_covers, tc_partitioner, BuildConfig, EdgeWeightStrategy,
     PartitionSkeletonGraph, Partitioning, TcPartitionerConfig,
@@ -92,12 +92,27 @@ proptest! {
                     );
                 }
             }
-            // An intra-partition edge is intra-partition reach, and every
-            // such reach between two skeleton nodes is an edge.
-            for x in 0..n {
-                for y in (0..n).filter(|&y| y != x && psg.partition[y as usize] == psg.partition[x as usize]) {
-                    let reach = psg.desc[x as usize].binary_search(&psg.nodes[y as usize]).is_ok();
-                    prop_assert_eq!(psg.graph.has_edge(x, y), reach, "{} -> {}", x, y);
+            // Each partition's own closure: the rows of a skeleton node
+            // are its intra-partition reach, and two skeleton nodes of one
+            // partition share an edge exactly when the first reaches the
+            // second there.
+            for pi in 0..p.len() as u32 {
+                let (g, l2g, g2l) = p.partition_element_graph(&c, pi);
+                let tc = TransitiveClosure::from_graph(&g);
+                let global = |row: &FixedBitSet| {
+                    let mut out: Vec<_> = row.iter().map(|l| l2g[l as usize]).collect();
+                    out.sort_unstable();
+                    out
+                };
+                let members: Vec<u32> = (0..n).filter(|&x| psg.partition[x as usize] == pi).collect();
+                for &x in &members {
+                    let lx = g2l[&psg.nodes[x as usize]];
+                    prop_assert_eq!(&psg.desc[x as usize], &global(tc.descendants(lx)));
+                    prop_assert_eq!(&psg.anc[x as usize], &global(tc.ancestors(lx)));
+                    for &y in members.iter().filter(|&&y| y != x) {
+                        let reach = tc.contains(lx, g2l[&psg.nodes[y as usize]]);
+                        prop_assert_eq!(psg.graph.has_edge(x, y), reach, "{} -> {}", x, y);
+                    }
                 }
             }
         }

@@ -368,14 +368,12 @@ impl Evaluator {
                     if cands.is_empty() {
                         None
                     } else {
-                        let lin_total = || index.lin_entries_of(cands);
                         let price = |lout_total| {
                             plan_connection_step(
                                 &stats,
                                 current.len(),
                                 lout_total,
                                 cands.len(),
-                                lin_total,
                                 options.probe_budget,
                                 options.force_strategy,
                             )
@@ -383,9 +381,7 @@ impl Evaluator {
                         let lout_total = || current.iter().map(|&u| index.lout_row(u).len()).sum();
                         // EXPLAIN prints the exact costs; a plain run sums
                         // the context's `Lout` rows only when the sum's
-                        // bounds disagree on the strategy. Either sums the
-                        // candidates' `Lin` rows only after that, near a
-                        // cut.
+                        // bounds disagree on the strategy.
                         let bounded = if report.is_some() {
                             None
                         } else {

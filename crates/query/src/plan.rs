@@ -26,16 +26,13 @@
 //! prices the step at both ends of the sum's range
 //! ([`plan_connection_step_bounded`]) and reads the sum only when the two
 //! ends pick different strategies. Costs are abstract row-entry-touch
-//! counts. The backward join is priced from candidate rows of the cover's
-//! average length. On a step whose context sum had to be read, if moving
-//! the candidates' `Σ |Lin(t)|` by a factor of [`LIN_SPREAD`] either way
-//! would change the pick, the exact sum is read too (a row lookup per
-//! candidate) and prices it. Its price ignores early exit, so it is a
-//! guess in either direction; the planner bounds what a wrong guess costs
-//! instead of trusting it. Unless probes are cheapest, the backward join
-//! runs under a touch budget equal to the forward estimate `F` and hands
-//! the step to the forward join when it runs out. It is skipped outright
-//! only when its price exceeds `2F`, the most a budgeted attempt can cost.
+//! counts. Averages cannot see hub rows, so the backward join's price is
+//! a guess in either direction; the planner bounds what a wrong guess
+//! costs instead of trusting it. Unless probes are cheapest, the backward
+//! join runs under a touch budget equal to the forward estimate `F` and
+//! hands the step to the forward join when it runs out. It is skipped
+//! outright only when its price exceeds `2F`, the most a budgeted attempt
+//! can cost.
 //!
 //! Execution is observable end to end: every evaluation tallies the
 //! strategies whose rows the steps returned and the budget overruns
@@ -104,15 +101,6 @@ impl std::fmt::Display for Strategy {
 /// that worst case even when it scans everything it was priced for, and
 /// is worth trying; one priced above it runs the forward join directly.
 const BACKWARD_FACTOR: f64 = 2.0;
-
-/// How far the candidates' `Σ |Lin(t)|` may stray from the cover's
-/// average row, either way, before the planner reads it. A step whose
-/// context sum had to be read, and whose pick still changes across that
-/// band, is near a cut, where the exact sum decides. Reading costs a row
-/// lookup per candidate, a fifth or so of what the backward join spends
-/// on one, so the band is narrow: only a backward price within roughly
-/// 10–15% of a cut pays for it.
-pub const LIN_SPREAD: f64 = 1.25;
 
 /// Estimated cost of the planned strategies for one step (abstract
 /// row-entry touches; comparable within a step only).
@@ -205,9 +193,6 @@ impl StepPlan {
 /// * `current_len` / `cand_len` — the materialized set sizes.
 /// * `lout_total` — exact `Σ_{u ∈ context} |Lout(u)|` (the caller reads
 ///   row lengths while it has the context set in hand).
-/// * `lin_total` — reads the exact `Σ_{t ∈ candidates} |Lin(t)|`. Called
-///   only on a step [`plan_connection_step_bounded`] cannot plan, and only
-///   when the pick changes within [`LIN_SPREAD`] of the average.
 /// * `probe_budget` — compatibility shortcut: at or under this many
 ///   candidate probes the step stays on pairwise probes unpriced.
 /// * `force` — test/CLI hook pinning one strategy.
@@ -216,37 +201,64 @@ pub fn plan_connection_step(
     current_len: usize,
     lout_total: usize,
     cand_len: usize,
-    lin_total: impl FnOnce() -> usize,
     probe_budget: usize,
     force: Option<Strategy>,
 ) -> StepPlan {
-    let step = StepPricing::new(stats, current_len, cand_len, probe_budget, force);
-    let lout = lout_total as f64;
-    let plan = step.price(lout, step.avg_lin);
-    if step.bounds_agree() {
-        return plan;
-    }
-    let (low, high) = step.lin_band();
-    if step.price(lout, low).strategy == step.price(lout, high).strategy {
-        plan
+    let cur = current_len as f64;
+    let cand = cand_len as f64;
+    let avg_inv_in = stats.avg_inv_in();
+    let avg_inv_out = stats.avg_inv_out();
+    let avg_lin = stats.avg_lin();
+    let avg_lout = stats.avg_lout();
+
+    // One probe costs a signature check plus (on hits or filter misses) a
+    // bounded merge of two label rows.
+    let pairwise = cur * cand * (2.0 + (avg_lin + avg_lout) / 2.0);
+    // The forward join expands each distinct center once; the center set
+    // is at most the summed Lout rows and at most every node.
+    let centers = ((current_len + lout_total) as f64).min(stats.nodes as f64);
+    let forward = cur + centers * (1.0 + avg_inv_in) + cand;
+    // The backward join stamps the context set, then walks each
+    // candidate's ancestor rows (early exit ignored).
+    let backward = cur + cand * (2.0 + avg_lin * (1.0 + avg_inv_out) + avg_inv_out);
+
+    let costs = StepCosts {
+        pairwise,
+        forward,
+        backward,
+    };
+    let (strategy, forced, budget_shortcut) = if let Some(strategy) = force {
+        (strategy, true, false)
+    } else if current_len.saturating_mul(cand_len) <= probe_budget {
+        (Strategy::PairwiseProbe, false, true)
+    } else if pairwise <= forward.min(backward) {
+        (Strategy::PairwiseProbe, false, false)
+    } else if backward > BACKWARD_FACTOR * forward {
+        (Strategy::ForwardHopJoin, false, false)
     } else {
-        step.price(lout, lin_total() as f64)
+        (Strategy::BackwardHopJoin, false, false)
+    };
+    StepPlan {
+        strategy,
+        costs,
+        forced,
+        budget_shortcut,
+        fell_back: false,
     }
 }
 
 /// Plans a `//` step without reading its context's `Σ |Lout(u)|`: prices
-/// the step, with candidate rows of the cover's average length, at both
-/// ends of that sum's range, `0` and `stats.lout_entries` (a context is a
-/// set of distinct nodes, so its sum is at most every stored `Lout`
-/// entry). The forward estimate `F` is the only cost that reads the sum,
-/// and it does not fall as the sum grows. As `F` grows the pick only moves
-/// forward join → backward join → pairwise probes, each strategy over one
-/// interval of `F`, so when both ends pick the same strategy, so does
-/// every sum between them — the exact plan's strategy too, which reads
-/// the candidates' rows only on a step this function cannot plan.
+/// the step at both ends of that sum's range, `0` and
+/// `stats.lout_entries` (a context is a set of distinct nodes, so its sum
+/// is at most every stored `Lout` entry). The forward estimate `F` is the
+/// only cost that reads the sum, and it does not fall as the sum grows.
+/// As `F` grows the pick only moves forward join → backward join →
+/// pairwise probes, each strategy over one interval of `F`, so when both
+/// ends pick the same strategy, so does every sum between them — the
+/// exact plan's strategy too.
 ///
 /// Returns the plan priced at `0`, or `None` when the two ends disagree
-/// and only the exact sums decide. The returned costs are exact except
+/// and only the exact sum decides. The returned costs are exact except
 /// `forward`, which is a lower bound, and so is its
 /// [`backward_budget`](StepPlan::backward_budget): a caller running the
 /// backward join settles the exact budget when its touches pass that
@@ -258,95 +270,18 @@ pub fn plan_connection_step_bounded(
     probe_budget: usize,
     force: Option<Strategy>,
 ) -> Option<StepPlan> {
-    let step = StepPricing::new(stats, current_len, cand_len, probe_budget, force);
-    step.bounds_agree().then(|| step.price(0.0, step.avg_lin))
-}
-
-/// The inputs of one step's plan that do not depend on the two row sums.
-struct StepPricing<'a> {
-    stats: &'a CoverStats,
-    current_len: usize,
-    cand_len: usize,
-    probe_budget: usize,
-    force: Option<Strategy>,
-    /// `Σ |Lin(t)|` of a candidate set of average rows.
-    avg_lin: f64,
-}
-
-impl<'a> StepPricing<'a> {
-    fn new(
-        stats: &'a CoverStats,
-        current_len: usize,
-        cand_len: usize,
-        probe_budget: usize,
-        force: Option<Strategy>,
-    ) -> Self {
-        StepPricing {
+    let at = |lout_total| {
+        plan_connection_step(
             stats,
             current_len,
+            lout_total,
             cand_len,
             probe_budget,
             force,
-            avg_lin: cand_len as f64 * stats.avg_lin(),
-        }
-    }
-
-    /// Do both ends of the `Σ |Lout(u)|` range pick one strategy, with
-    /// candidate rows of average length?
-    fn bounds_agree(&self) -> bool {
-        let at = |lout_total: usize| self.price(lout_total as f64, self.avg_lin).strategy;
-        at(0) == at(self.stats.lout_entries)
-    }
-
-    /// The ends of the [`LIN_SPREAD`] band around the average.
-    fn lin_band(&self) -> (f64, f64) {
-        (self.avg_lin / LIN_SPREAD, self.avg_lin * LIN_SPREAD)
-    }
-
-    /// The plan at context sum `lout_total` and candidate sum `lin_total`.
-    fn price(&self, lout_total: f64, lin_total: f64) -> StepPlan {
-        let stats = self.stats;
-        let cur = self.current_len as f64;
-        let cand = self.cand_len as f64;
-        let avg_inv_in = stats.avg_inv_in();
-        let avg_inv_out = stats.avg_inv_out();
-
-        // One probe costs a signature check plus (on hits or filter misses)
-        // a bounded merge of two label rows.
-        let pairwise = cur * cand * (2.0 + (stats.avg_lin() + stats.avg_lout()) / 2.0);
-        // The forward join expands each distinct center once; the center
-        // set is at most the summed Lout rows and at most every node.
-        let centers = (cur + lout_total).min(stats.nodes as f64);
-        let forward = cur + centers * (1.0 + avg_inv_in) + cand;
-        // The backward join stamps the context set, then walks each
-        // candidate's holders and its `Lin` row with each entry's holders
-        // (early exit ignored).
-        let backward = cur + cand * (2.0 + avg_inv_out) + lin_total * (1.0 + avg_inv_out);
-
-        let costs = StepCosts {
-            pairwise,
-            forward,
-            backward,
-        };
-        let (strategy, forced, budget_shortcut) = if let Some(strategy) = self.force {
-            (strategy, true, false)
-        } else if self.current_len.saturating_mul(self.cand_len) <= self.probe_budget {
-            (Strategy::PairwiseProbe, false, true)
-        } else if pairwise <= forward.min(backward) {
-            (Strategy::PairwiseProbe, false, false)
-        } else if backward > BACKWARD_FACTOR * forward {
-            (Strategy::ForwardHopJoin, false, false)
-        } else {
-            (Strategy::BackwardHopJoin, false, false)
-        };
-        StepPlan {
-            strategy,
-            costs,
-            forced,
-            budget_shortcut,
-            fell_back: false,
-        }
-    }
+        )
+    };
+    let low = at(0);
+    (low.strategy == at(stats.lout_entries).strategy).then_some(low)
 }
 
 /// Point-in-time per-strategy execution totals (one cell per
@@ -580,28 +515,6 @@ impl QueryPlanReport {
 mod tests {
     use super::*;
 
-    /// Plans a step whose candidates' `Lin` rows have the cover's average
-    /// length.
-    fn priced(
-        stats: &CoverStats,
-        current: usize,
-        lout_total: usize,
-        cand: usize,
-        probe_budget: usize,
-        force: Option<Strategy>,
-    ) -> StepPlan {
-        let lin_total = (cand as f64 * stats.avg_lin()) as usize;
-        plan_connection_step(
-            stats,
-            current,
-            lout_total,
-            cand,
-            || lin_total,
-            probe_budget,
-            force,
-        )
-    }
-
     fn stats() -> CoverStats {
         CoverStats {
             nodes: 1_000,
@@ -612,7 +525,7 @@ mod tests {
 
     #[test]
     fn budget_shortcut_keeps_tiny_steps_on_probes() {
-        let plan = priced(&stats(), 4, 12, 100, 4_096, None);
+        let plan = plan_connection_step(&stats(), 4, 12, 100, 4_096, None);
         assert_eq!(plan.strategy, Strategy::PairwiseProbe);
         assert!(plan.budget_shortcut);
     }
@@ -620,7 +533,7 @@ mod tests {
     #[test]
     fn large_steps_leave_pairwise() {
         // 1k × 1k probes is priced far above a linear hop join.
-        let plan = priced(&stats(), 1_000, 3_000, 1_000, 4_096, None);
+        let plan = plan_connection_step(&stats(), 1_000, 3_000, 1_000, 4_096, None);
         assert!(!plan.budget_shortcut);
         assert_ne!(plan.strategy, Strategy::PairwiseProbe);
         assert!(plan.costs.forward.min(plan.costs.backward) <= plan.costs.pairwise);
@@ -630,7 +543,7 @@ mod tests {
     fn tiny_candidate_side_prefers_the_backward_join() {
         // Huge context, two candidates: the ancestor-side join touches a
         // couple of rows; the forward expansion touches the world.
-        let plan = priced(&stats(), 900, 5_000, 2, 0, None);
+        let plan = plan_connection_step(&stats(), 900, 5_000, 2, 0, None);
         assert_eq!(plan.strategy, Strategy::BackwardHopJoin);
         assert_eq!(plan.backward_budget(), plan.costs.forward.ceil() as usize);
     }
@@ -639,40 +552,14 @@ mod tests {
     fn backward_is_skipped_only_above_twice_the_forward_estimate() {
         // Small context, many candidates: the backward bound is far above
         // 2F, so the forward join runs without a budgeted attempt.
-        let plan = priced(&stats(), 500, 1_000, 5_000, 0, None);
+        let plan = plan_connection_step(&stats(), 500, 1_000, 5_000, 0, None);
         assert!(plan.costs.backward > BACKWARD_FACTOR * plan.costs.forward);
         assert_eq!(plan.strategy, Strategy::ForwardHopJoin);
         // A backward bound above F but within 2F still gets its try.
-        let plan = priced(&stats(), 200, 100, 110, 0, None);
+        let plan = plan_connection_step(&stats(), 200, 100, 110, 0, None);
         assert!(plan.costs.backward > plan.costs.forward);
         assert!(plan.costs.backward <= BACKWARD_FACTOR * plan.costs.forward);
         assert_eq!(plan.strategy, Strategy::BackwardHopJoin);
-    }
-
-    #[test]
-    fn short_candidate_rows_keep_the_backward_join_near_the_cut() {
-        // `/article/bdy//ss2` on the benchmark's INEX snapshot: 387 context
-        // nodes, 2,515 candidates. Priced from rows of the cover's average
-        // length, the backward join lands just over `2F` and the forward
-        // join runs, ×1.3 slower. The candidates' own rows hold 6,531
-        // entries, not the average's 6,793, which puts it under the cut.
-        let inex = CoverStats {
-            nodes: 12_218,
-            lin_entries: 33_003,
-            lout_entries: 11_054,
-        };
-        let (current, lout_total, cand) = (387, 1_588, 2_515);
-        let average = priced(&inex, current, lout_total, cand, 4_096, None);
-        assert_eq!(average.strategy, Strategy::ForwardHopJoin);
-        let exact = plan_connection_step(&inex, current, lout_total, cand, || 6_531, 4_096, None);
-        assert_eq!(exact.strategy, Strategy::BackwardHopJoin);
-        assert!(exact.costs.backward <= BACKWARD_FACTOR * exact.costs.forward);
-        assert_eq!(exact.costs.forward, average.costs.forward);
-        // A plain run cannot plan this step from bounds.
-        assert!(plan_connection_step_bounded(&inex, current, cand, 4_096, None).is_none());
-        // Far from every cut the candidates' rows are not read.
-        let far = plan_connection_step(&stats(), 900, 5_000, 2, || unreachable!(), 0, None);
-        assert_eq!(far.strategy, Strategy::BackwardHopJoin);
     }
 
     #[test]
@@ -684,7 +571,7 @@ mod tests {
             lin_entries: 39_294,
             lout_entries: 15_305,
         };
-        let plan = priced(&inex, 249, 100, 387, 4_096, None);
+        let plan = plan_connection_step(&inex, 249, 100, 387, 4_096, None);
         assert!(
             matches!(
                 plan.strategy,
@@ -700,12 +587,9 @@ mod tests {
             (nodes, lin, lout) in (1usize..20_000, 0usize..80_000, 0usize..80_000),
             (current, lout_total, cand, probe_budget) in
                 (1usize..20_000, 0usize..80_000, 1usize..20_000, 0usize..10_000),
-            lin_total in 0usize..80_000,
         ) {
             let stats = CoverStats { nodes, lin_entries: lin, lout_entries: lout };
-            let plan = plan_connection_step(
-                &stats, current, lout_total, cand, || lin_total, probe_budget, None,
-            );
+            let plan = plan_connection_step(&stats, current, lout_total, cand, probe_budget, None);
             proptest::prop_assert_ne!(plan.strategy, Strategy::Enumerate);
             proptest::prop_assert!(!plan.forced && !plan.fell_back);
         }
@@ -718,17 +602,17 @@ mod tests {
         // is not, so only the exact sum decides.
         assert!(plan_connection_step_bounded(&stats(), 10, 100, 0, None).is_none());
         assert_eq!(
-            priced(&stats(), 10, 0, 100, 0, None).strategy,
+            plan_connection_step(&stats(), 10, 0, 100, 0, None).strategy,
             Strategy::ForwardHopJoin
         );
         assert_eq!(
-            priced(&stats(), 10, 2_000, 100, 0, None).strategy,
+            plan_connection_step(&stats(), 10, 2_000, 100, 0, None).strategy,
             Strategy::BackwardHopJoin
         );
         // Two hundred context nodes: both ends try the backward join, at
         // the budget of the lower end.
         let bounded = plan_connection_step_bounded(&stats(), 200, 110, 0, None).unwrap();
-        let exact = priced(&stats(), 200, 100, 110, 0, None);
+        let exact = plan_connection_step(&stats(), 200, 100, 110, 0, None);
         assert_eq!(bounded.strategy, Strategy::BackwardHopJoin);
         assert_eq!(exact.strategy, Strategy::BackwardHopJoin);
         assert!(bounded.backward_budget() < exact.backward_budget());
@@ -736,23 +620,19 @@ mod tests {
 
     proptest::proptest! {
         /// Whenever the plans priced at both ends of the `Σ|Lout(u)|`
-        /// range pick one strategy, the exact plan picks it too, whatever
-        /// the candidates' `Σ|Lin(t)|`, with the same flags and the same
-        /// costs except a lower `forward`.
+        /// range pick one strategy, the exact plan picks it too, with the
+        /// same flags and the same costs except a lower `forward`.
         #[test]
         fn agreeing_bounds_pick_the_exact_strategy(
             (nodes, lin, lout) in (1usize..20_000, 0usize..80_000, 0usize..80_000),
             (current, cand, probe_budget) in (1usize..20_000, 1usize..20_000, 0usize..10_000),
             (per_mille, force) in (0usize..=1_000, 0usize..8),
-            lin_total in 0usize..80_000,
         ) {
             let stats = CoverStats { nodes, lin_entries: lin, lout_entries: lout };
             let lout_total = lout * per_mille / 1_000;
             // Four forced strategies, and planning half of the time.
             let force = Strategy::ALL.get(force).copied();
-            let exact = plan_connection_step(
-                &stats, current, lout_total, cand, || lin_total, probe_budget, force,
-            );
+            let exact = plan_connection_step(&stats, current, lout_total, cand, probe_budget, force);
             let bounded = plan_connection_step_bounded(&stats, current, cand, probe_budget, force);
             if let Some(plan) = bounded {
                 proptest::prop_assert_eq!(plan.strategy, exact.strategy);
@@ -772,7 +652,7 @@ mod tests {
 
     #[test]
     fn force_overrides_everything() {
-        let plan = priced(&stats(), 1, 0, 1, 4_096, Some(Strategy::Enumerate));
+        let plan = plan_connection_step(&stats(), 1, 0, 1, 4_096, Some(Strategy::Enumerate));
         assert_eq!(plan.strategy, Strategy::Enumerate);
         assert!(plan.forced);
     }
@@ -821,7 +701,7 @@ mod tests {
                     plan: Some(StepPlan {
                         strategy: Strategy::ForwardHopJoin,
                         fell_back: true,
-                        ..priced(&stats(), 3, 4, 9, 0, None)
+                        ..plan_connection_step(&stats(), 3, 4, 9, 0, None)
                     }),
                     content: Some(ContentPlacement::PreFilter),
                     elapsed_us: 30,
