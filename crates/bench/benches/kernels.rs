@@ -12,9 +12,9 @@ use hopi_bench::{add_cross_links, dblp_collection, inex_collection, old_join};
 use hopi_build::{build_index, BuildConfig};
 use hopi_core::densest::{densest_subgraph, BipartiteCenterGraph};
 use hopi_core::CoverBuilder;
-use hopi_graph::closure::region_closure;
 use hopi_graph::traversal::reachable_from_many;
 use hopi_graph::{FixedBitSet, TransitiveClosure};
+use hopi_maintenance::region::region_rows;
 use hopi_maintenance::{integrate_link, separates};
 use hopi_partition::{tc_partitioner, TcPartitionerConfig};
 use hopi_xml::Collection;
@@ -52,10 +52,10 @@ fn partition_closure(collection: &Collection, budget: u64) -> TransitiveClosure 
 }
 
 /// The partial closure a Theorem-3 deletion of the document with the most
-/// ancestors re-covers (`hopi_maintenance::delete`): the document's
-/// elements removed, the region of its ancestors `A` and descendants `D`
-/// in local ids, a row into `D` for every live region element, and the
-/// live ancestors as the seeds.
+/// ancestors re-covers (`hopi_maintenance::delete`): the document removed,
+/// the region of its ancestors `A` and descendants `D` in local ids, a row
+/// into `D` for every live region element, and the live ancestors as the
+/// seeds.
 fn theorem3_closure(collection: &Collection) -> (TransitiveClosure, FixedBitSet) {
     let g = collection.element_graph();
     let reversed = g.reversed();
@@ -66,20 +66,21 @@ fn theorem3_closure(collection: &Collection) -> (TransitiveClosure, FixedBitSet)
         .expect("a document");
     let a = reachable_from_many(&reversed, elements(hub));
     let d = reachable_from_many(&g, elements(hub));
-    let mut after = g.clone();
-    for e in elements(hub) {
-        after.remove_node(e);
-    }
+    let mut after = collection.clone();
+    after.remove_document(hub);
     let mut region = a.clone();
     region.union_with(&d);
-    let live: Vec<u32> = region.iter().filter(|&e| after.is_alive(e)).collect();
+    let live: Vec<u32> = region
+        .iter()
+        .filter(|&e| after.doc_of(e).is_some())
+        .collect();
     let mut seeds = FixedBitSet::new(live.len());
     for (i, &e) in live.iter().enumerate() {
         if a.contains(e) {
             seeds.insert(i as u32);
         }
     }
-    let rows = region_closure(&after, &live, &d);
+    let rows = region_rows(&after, &live, &d);
     let alive = vec![true; live.len()];
     (
         TransitiveClosure::from_desc_rows(rows, alive, Some(&seeds)),

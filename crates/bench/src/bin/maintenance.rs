@@ -7,14 +7,18 @@
 //! * general (Theorem 3) deletion time for non-separating documents
 //!   (paper: can approach cover-rebuild cost for hub documents);
 //! * §6.1 insertion timings (documents and links), supporting the
-//!   abstract's "efficient updates" claim.
+//!   abstract's "efficient updates" claim;
+//! * the maintained cover's size beside what the redundancy ruler
+//!   ([`hopi_bench::redundancy`]) leaves of it, after the deletions and
+//!   again after the insertions.
 //!
 //! ```sh
 //! cargo run -p hopi-bench --release --bin maintenance [--scale 0.03]
 //! ```
 
-use hopi_bench::{dblp_collection, inex_collection, scale_arg, TablePrinter};
+use hopi_bench::{dblp_collection, inex_collection, redundancy, scale_arg, TablePrinter};
 use hopi_build::{build_index, BuildConfig};
+use hopi_core::HopiIndex;
 use hopi_maintenance::{
     delete_document, insert_document, insert_link, separates, DeletionAlgorithm, DocumentLinks,
 };
@@ -103,6 +107,7 @@ fn main() {
             seeds_used.iter().max().unwrap()
         );
     }
+    report_ruler("the deletions", &index);
 
     // --- Insertions (§6.1).
     let mut doc_insert_times = Vec::new();
@@ -143,6 +148,7 @@ fn main() {
         link_insert_times.push(t0.elapsed().as_secs_f64() * 1000.0);
     }
     report_times(&t, "insert link", &link_insert_times);
+    report_ruler("the insertions", &index);
 
     // --- INEX: no links ⇒ every document separates (paper §7.3).
     let inex = inex_collection(scale * 0.02);
@@ -154,6 +160,15 @@ fn main() {
         all_separate
     );
     assert!(all_separate);
+}
+
+/// The cover's size beside what the redundancy ruler leaves of it.
+fn report_ruler(phase: &str, index: &HopiIndex) {
+    let pruned = redundancy::prune(index.cover()).size();
+    println!(
+        "  cover after {phase}: {} entries, {pruned} after the redundancy ruler",
+        index.size()
+    );
 }
 
 fn report_times(t: &TablePrinter, name: &str, times_ms: &[f64]) {

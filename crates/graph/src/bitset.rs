@@ -92,6 +92,18 @@ impl FixedBitSet {
         }
     }
 
+    /// The set over `0..len` whose packed words are `words`, laid out as
+    /// [`FixedBitSet::new`] lays them out; bits at `len` and past it must
+    /// be clear.
+    pub fn from_words(len: usize, words: &[u64]) -> Self {
+        assert_eq!(words.len(), len.div_ceil(64), "word count of {len} bits");
+        debug_assert!(len.is_multiple_of(64) || words.last().is_none_or(|&w| w >> (len % 64) == 0));
+        FixedBitSet {
+            words: words.to_vec(),
+            len,
+        }
+    }
+
     /// Number of addressable bits (the universe size, not the cardinality).
     pub fn len(&self) -> usize {
         self.len
@@ -312,6 +324,15 @@ impl FixedBitSet {
             lo: span.lo + first as u32,
             hi: span.lo + last as u32 + 1,
         }
+    }
+
+    /// The packed words: bit `i` is bit `i % 64` of word `i / 64`.
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.words
+    }
+
+    pub(crate) fn words_mut(&mut self) -> &mut [u64] {
+        &mut self.words
     }
 
     /// The words inside `span`, clamped to the set's length.

@@ -13,9 +13,9 @@
 //! transitive closure of the partition and continues with the next partition
 //! when the transitive closure is as large as the available memory".
 
-use crate::bitset::FixedBitSet;
+use crate::bitset::{FixedBitSet, WordSpan};
 use crate::digraph::{DiGraph, NodeId};
-use crate::scc::{condensation, tarjan_scc};
+use crate::scc::condensation;
 use rustc_hash::FxHashMap;
 use std::collections::VecDeque;
 
@@ -91,7 +91,7 @@ impl TransitiveClosure {
     /// Builds a closure-like relation from raw descendant rows.
     ///
     /// Used by the general deletion algorithm (paper §6.2, Theorem 3): the
-    /// partially recomputed closure `Ĉ` of [`region_closure`] has a row
+    /// partially recomputed closure `Ĉ` (`hopi_maintenance::region`) has a row
     /// for every live element of the deleted region's ancestors `A_di` and
     /// descendants `D_di`, each cut down to its reachable nodes inside
     /// `D_di`. The 2-hop cover builder consumes the result like any
@@ -111,19 +111,14 @@ impl TransitiveClosure {
         let n = rows.len();
         assert_eq!(alive.len(), n, "alive flags must match row count");
         let mut connections = 0usize;
-        let mut anc: Vec<FixedBitSet> = vec![FixedBitSet::new(n); n];
         for (u, row) in rows.iter_mut().enumerate() {
             row.grow(n);
             if alive[u] {
                 row.insert(u as NodeId);
             }
             connections += row.count();
-            if sources.is_none_or(|s| s.contains(u as NodeId)) {
-                for v in row.iter() {
-                    anc[v as usize].insert(u as NodeId);
-                }
-            }
         }
+        let anc = transpose(&rows, sources);
         TransitiveClosure {
             desc: rows,
             anc,
@@ -243,58 +238,67 @@ impl TransitiveClosure {
     }
 }
 
-/// Reachability from a region into a target set, in the region's own id
-/// space.
+/// The transpose of the `n × n` bit matrix `rows`, restricted to the rows
+/// of `sources` (all rows without): row `v` of the result holds the `u`
+/// with `v ∈ rows[u]`.
 ///
-/// `region` lists nodes in ascending order; `region[i]` gets local id `i`.
-/// Row `i` holds the local ids `j` with `region[j] ∈ targets` and
-/// `region[i] →* region[j]` (reflexively); a dead node's row is empty, and
-/// targets outside the region have no local id and are left out. Rows are
-/// `region.len()` bits wide.
-///
-/// The general deletion algorithm (paper §6.2, Theorem 3) recomputes
-/// reachability only from the ancestors and descendants of the deleted
-/// region — "as the set of seed nodes is typically much smaller than the
-/// set of all nodes, the partial recomputation is typically much faster".
-/// One pass over the strongly connected components of `g`, in the reverse
-/// topological order Tarjan emits them, computes every row: a component's
-/// row is its own targets plus the rows of the components its members have
-/// edges into, which are final by then; a component that reaches no target
-/// gets none.
-pub fn region_closure(g: &DiGraph, region: &[NodeId], targets: &FixedBitSet) -> Vec<FixedBitSet> {
-    let m = region.len();
-    let mut local = vec![u32::MAX; g.id_bound()];
-    for (i, &v) in region.iter().enumerate() {
-        debug_assert!(i == 0 || region[i - 1] < v, "region must ascend");
-        local[v as usize] = i as u32;
-    }
-    let mut component_of = vec![u32::MAX; g.id_bound()];
-    let mut comp_rows: Vec<Option<FixedBitSet>> = Vec::new();
-    for (ci, comp) in tarjan_scc(g).iter().enumerate() {
-        let mut row: Option<FixedBitSet> = None;
-        for &v in comp {
-            component_of[v as usize] = ci as u32;
-            let l = local[v as usize];
-            if l != u32::MAX && targets.contains(v) {
-                row.get_or_insert_with(|| FixedBitSet::new(m)).insert(l);
+/// Works on 64 × 64 blocks: for each group of 64 rows, every word column
+/// their rows have a bit in is gathered, transposed in registers and ORed
+/// into the 64 result rows it covers, one word each. That is a few
+/// hundred word operations per block that holds a bit, where setting the
+/// bits one at a time writes a scattered row per bit.
+fn transpose(rows: &[FixedBitSet], sources: Option<&FixedBitSet>) -> Vec<FixedBitSet> {
+    let n = rows.len();
+    let mut out = vec![FixedBitSet::new(n); n];
+    let mut block = [0u64; 64];
+    for (group, chunk) in rows.chunks(64).enumerate() {
+        let kept = sources.map_or(!0, |s| s.words().get(group).copied().unwrap_or(0));
+        let mut hull = WordSpan::EMPTY;
+        for (r, row) in chunk.iter().enumerate() {
+            if kept >> r & 1 != 0 {
+                hull = hull.hull(row.word_span());
             }
         }
-        for &v in comp {
-            for &w in g.successors(v) {
-                let cw = component_of[w as usize] as usize;
-                if let Some(Some(succ_row)) = comp_rows.get(cw) {
-                    row.get_or_insert_with(|| FixedBitSet::new(m))
-                        .union_with(succ_row);
+        for w in hull.lo..hull.hi {
+            let mut any = 0;
+            for (r, slot) in block.iter_mut().enumerate() {
+                *slot = match chunk.get(r) {
+                    Some(row) if kept >> r & 1 != 0 => row.words()[w as usize],
+                    _ => 0,
+                };
+                any |= *slot;
+            }
+            if any == 0 {
+                continue;
+            }
+            transpose64(&mut block);
+            for (r, &bits) in block.iter().enumerate() {
+                if bits != 0 {
+                    out[w as usize * 64 + r].words_mut()[group] |= bits;
                 }
             }
         }
-        comp_rows.push(row);
     }
-    let row_of = |v: NodeId| match comp_rows.get(component_of[v as usize] as usize) {
-        Some(Some(row)) => row.clone(),
-        _ => FixedBitSet::new(m),
-    };
-    region.iter().map(|&v| row_of(v)).collect()
+    out
+}
+
+/// Transposes a 64 × 64 bit block in place: bit `c` of word `r` trades
+/// places with bit `r` of word `c`. Swaps the off-diagonal halves of
+/// ever smaller sub-blocks (Hacker's Delight, §7-3).
+fn transpose64(a: &mut [u64; 64]) {
+    let mut j = 32;
+    let mut mask: u64 = 0x0000_0000_FFFF_FFFF;
+    while j != 0 {
+        let mut k = 0;
+        while k < 64 {
+            let t = ((a[k] >> j) ^ a[k + j]) & mask;
+            a[k] ^= t << j;
+            a[k + j] ^= t;
+            k = (k + j + 1) & !j;
+        }
+        j >>= 1;
+        mask ^= mask << j;
+    }
 }
 
 /// All-pairs unweighted shortest distances (the distance closure of
@@ -506,15 +510,33 @@ mod tests {
     }
 
     #[test]
-    fn region_closure_rows_are_local_and_cut_to_targets() {
-        // Diamond 0 → {1, 2} → 3 plus 4 → 0; region {1, 2, 3, 4} is local
-        // 0..4, targets {3, 4}: 4 reaches 3 through 0, which is outside.
-        let mut g = diamond();
-        g.add_edge(4, 0);
-        let targets: FixedBitSet = [3u32, 4].into_iter().collect();
-        let rows = region_closure(&g, &[1, 2, 3, 4], &targets);
-        let rows: Vec<Vec<u32>> = rows.iter().map(FixedBitSet::to_vec).collect();
-        assert_eq!(rows, vec![vec![2], vec![2], vec![2], vec![2, 3]]);
+    fn blocked_transpose_matches_bit_by_bit() {
+        let mut rng = StdRng::seed_from_u64(5);
+        for n in [1usize, 63, 64, 65, 130, 200] {
+            let rows: Vec<FixedBitSet> = (0..n)
+                .map(|_| {
+                    let mut row = FixedBitSet::new(n);
+                    for v in 0..n as u32 {
+                        if rng.gen_bool(0.1) {
+                            row.insert(v);
+                        }
+                    }
+                    row
+                })
+                .collect();
+            let sources: FixedBitSet = (0..n as u32).filter(|_| rng.gen_bool(0.5)).collect();
+            for sources in [None, Some(&sources)] {
+                let mut want = vec![FixedBitSet::new(n); n];
+                for (u, row) in rows.iter().enumerate() {
+                    if sources.is_none_or(|s| s.contains(u as u32)) {
+                        for v in row.iter() {
+                            want[v as usize].insert(u as u32);
+                        }
+                    }
+                }
+                assert_eq!(transpose(&rows, sources), want, "n = {n}");
+            }
+        }
     }
 
     #[test]

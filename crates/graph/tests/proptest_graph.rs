@@ -2,10 +2,9 @@
 //! SCC decomposition, and traversal primitives must agree with naive oracles
 //! on arbitrary random digraphs (including cyclic ones).
 
-use hopi_graph::closure::region_closure;
 use hopi_graph::traversal::{bfs_distances, is_reachable, reachable_from, reaching_to};
 use hopi_graph::{
-    condensation, tarjan_scc, topo_sort, DiGraph, DistanceClosure, FixedBitSet, TransitiveClosure,
+    condensation, tarjan_scc, topo_sort, DiGraph, DistanceClosure, TransitiveClosure,
 };
 use proptest::prelude::*;
 
@@ -120,35 +119,6 @@ proptest! {
                 reaching_to(&g, v).to_vec(),
                 reachable_from(&rev, v).to_vec()
             );
-        }
-    }
-
-    #[test]
-    fn region_closure_rows_match_bfs(
-        (n, edges) in arb_graph(150, 400),
-        dead in proptest::collection::vec(0u32..150, 0..20),
-        picks in proptest::collection::vec(0u8..4, 150),
-    ) {
-        let mut g = build(n, &edges);
-        for d in dead {
-            g.remove_node(d % n);
-        }
-        // Any ascending region, dead slots included, and any target set,
-        // which may reach outside the region.
-        let region: Vec<u32> = (0..n).filter(|&v| picks[v as usize] & 1 != 0).collect();
-        let targets: FixedBitSet = (0..n).filter(|&v| picks[v as usize] & 2 != 0).collect();
-        let rows = region_closure(&g, &region, &targets);
-        prop_assert_eq!(rows.len(), region.len());
-        for (i, &x) in region.iter().enumerate() {
-            let reach = if g.is_alive(x) { reachable_from(&g, x) } else { FixedBitSet::new(0) };
-            let want: Vec<u32> = (0..region.len() as u32)
-                .filter(|&j| {
-                    let y = region[j as usize];
-                    targets.contains(y) && reach.contains(y)
-                })
-                .collect();
-            prop_assert_eq!(rows[i].len(), region.len());
-            prop_assert_eq!(rows[i].to_vec(), want, "row of {}", x);
         }
     }
 

@@ -20,17 +20,20 @@
 //!   `a ∈ A_di`, `L'in(d) := (Lin(d) \ A_di) ∪ L̂in(d)` for `d ∈ D_di`.
 //!   `Ĉ` and `L̂` live in the region's own id space, the live
 //!   `A_di ∪ D_di` numbered in ascending order, so every table is as wide
-//!   as the region rather than the collection. DESIGN.md ("Theorem 3
-//!   (§6.2) as implemented") has the exactness proof.
+//!   as the region rather than the collection. `Ĉ` comes from one walk of
+//!   the surviving graph from the region's elements
+//!   ([`crate::region::region_rows`]), which reads successors straight off
+//!   the collection and visits only what the region reaches. DESIGN.md
+//!   ("Theorem 3 (§6.2) as implemented") has the exactness proof.
 //!
 //! Single-link deletion reuses the Theorem 3 scheme with `A = anc(from)`
 //! and `D = desc(to)`: every connection that can die runs through the
-//! link.
+//! link. Neither theorem builds the element graph or the document graph.
 
+use crate::region::{region_rows, DocLinks};
 use hopi_core::HopiIndex;
 use hopi_core::{CoverBuilder, LabelSource, TwoHopCover};
-use hopi_graph::closure::region_closure;
-use hopi_graph::{traversal, FixedBitSet, TransitiveClosure};
+use hopi_graph::{FixedBitSet, TransitiveClosure};
 use hopi_xml::{Collection, DocId, ElemId};
 
 /// Which deletion algorithm ran.
@@ -107,16 +110,16 @@ struct Separation {
 /// Runs the separator test once and hands its document sets on to the
 /// fast path: `None` when `d_i` does not separate.
 fn separation(collection: &Collection, di: DocId) -> Option<Separation> {
-    let (mut gd, _) = collection.document_graph();
-    if !gd.is_alive(di) {
+    if collection.document(di).is_none() {
         return Some(Separation {
             anc_docs: FixedBitSet::default(),
             desc_docs: FixedBitSet::default(),
         });
     }
-    let mut anc_docs = traversal::reaching_to(&gd, di);
+    let links = DocLinks::new(collection);
+    let mut anc_docs = links.ancestors(di);
     anc_docs.remove(di);
-    let mut desc_docs = traversal::reachable_from(&gd, di);
+    let mut desc_docs = links.descendants([di], None);
     desc_docs.remove(di);
     let separated = if anc_docs.is_empty() || desc_docs.is_empty() {
         true
@@ -125,8 +128,7 @@ fn separation(collection: &Collection, di: DocId) -> Option<Separation> {
         // d_i) trivially keeps an ancestor→descendant connection (itself).
         false
     } else {
-        gd.remove_node(di);
-        let reached = traversal::reachable_from_many(&gd, anc_docs.iter());
+        let reached = links.descendants(anc_docs.iter(), Some(di));
         !reached.intersects(&desc_docs)
     };
     separated.then_some(Separation {
@@ -140,8 +142,9 @@ fn separation(collection: &Collection, di: DocId) -> Option<Separation> {
 /// True iff after removing `d_i` no (proper) ancestor document can reach any
 /// (proper) descendant document. "The separation criterion serves as an
 /// efficient test for whether we can simply drop the deleted document or
-/// need to take additional measures" — cost is two BFS passes over `G_D`,
-/// plus a third from the ancestors once `d_i` is gone.
+/// need to take additional measures" — cost is two BFS passes over the
+/// links of `G_D`, plus a third from the ancestors that does not enter
+/// `d_i`; no graph is built.
 pub fn separates(collection: &Collection, di: DocId) -> bool {
     separation(collection, di).is_some()
 }
@@ -202,10 +205,7 @@ pub fn delete_document_general(
     index: &mut HopiIndex,
     di: DocId,
 ) -> DeletionOutcome {
-    let vdi = elements_of_doc(collection, di);
-    delete_general_impl(collection, index, &vdi, &vdi, |collection| {
-        collection.remove_document(di);
-    })
+    delete_general_impl(collection, index, Removal::Document(di))
 }
 
 /// Deletes a single inter-document link, updating the index with the same
@@ -217,31 +217,50 @@ pub fn delete_link(
     from: ElemId,
     to: ElemId,
 ) -> DeletionOutcome {
-    // Every connection that can die runs through `from → to`: it starts at
-    // an ancestor of `from` and ends at a descendant of `to`.
-    delete_general_impl(collection, index, &[from], &[to], |collection| {
-        collection.remove_link(from, to);
-    })
+    delete_general_impl(collection, index, Removal::Link(from, to))
 }
 
-/// Shared Theorem 3 machinery.
-///
-/// Every connection that can die starts in `A_di`, the ancestors of
-/// `from_region`, and ends in `D_di`, the descendants of `into_region`
-/// (both under the old cover; for a document both regions are its
-/// elements). `apply_removal` performs the structural change on the
-/// collection; elements it kills are purged from the cover.
-fn delete_general_impl(
-    collection: &mut Collection,
-    index: &mut HopiIndex,
+/// What a Theorem 3 deletion removes from the collection.
+#[derive(Clone, Copy, Debug)]
+enum Removal {
+    Document(DocId),
+    Link(ElemId, ElemId),
+}
+
+impl Removal {
+    /// The elements every connection that can die starts above and ends
+    /// below, and the elements the removal kills. For a document all three
+    /// are its elements; every connection that can die through a link
+    /// `from → to` starts at an ancestor of `from` and ends at a descendant
+    /// of `to`.
+    fn regions(self, collection: &Collection) -> (Vec<ElemId>, Vec<ElemId>, Vec<ElemId>) {
+        match self {
+            Removal::Document(di) => {
+                let vdi = elements_of_doc(collection, di);
+                (vdi.clone(), vdi.clone(), vdi)
+            }
+            Removal::Link(from, to) => (vec![from], vec![to], Vec::new()),
+        }
+    }
+
+    fn apply(self, collection: &mut Collection) {
+        match self {
+            Removal::Document(di) => collection.remove_document(di),
+            Removal::Link(from, to) => collection.remove_link(from, to),
+        };
+    }
+}
+
+/// `A_di` and `D_di`: the ancestors of `from_region` and the descendants
+/// of `into_region` under `cover`, as global-id sets `n` wide.
+fn region_of(
+    cover: &TwoHopCover,
     from_region: &[ElemId],
     into_region: &[ElemId],
-    apply_removal: impl FnOnce(&mut Collection),
-) -> DeletionOutcome {
-    let before = index.size();
-    let cover = index.cover_mut();
-    let mut a_di = FixedBitSet::new(cover.num_nodes());
-    let mut d_di = FixedBitSet::new(cover.num_nodes());
+    n: usize,
+) -> (FixedBitSet, FixedBitSet) {
+    let mut a_di = FixedBitSet::new(n.max(cover.num_nodes()));
+    let mut d_di = FixedBitSet::new(n.max(cover.num_nodes()));
     for &e in from_region {
         cover.mark_ancestors(e, |a| {
             a_di.insert(a);
@@ -252,19 +271,40 @@ fn delete_general_impl(
             d_di.insert(d);
         });
     }
+    (a_di, d_di)
+}
 
-    // Structural removal, then the surviving graph G'.
-    apply_removal(collection);
-    let g = collection.element_graph();
-    let n = g.id_bound();
-    a_di.grow(n);
-    d_di.grow(n);
+/// Shared Theorem 3 machinery.
+///
+/// Every connection that can die starts in `A_di`, the ancestors of the
+/// removal's from-region, and ends in `D_di`, the descendants of its
+/// into-region (both under the old cover). The removal is applied to the
+/// collection; the elements it kills are purged from the cover.
+fn delete_general_impl(
+    collection: &mut Collection,
+    index: &mut HopiIndex,
+    removal: Removal,
+) -> DeletionOutcome {
+    let before = index.size();
+    let cover = index.cover_mut();
+    let (from_region, into_region, killed) = removal.regions(collection);
+    let (a_di, d_di) = region_of(
+        cover,
+        &from_region,
+        &into_region,
+        collection.elem_id_bound(),
+    );
+
+    // Structural removal: Ĉ is read off the surviving collection, G'.
+    removal.apply(collection);
     let mut region = a_di.clone();
     region.union_with(&d_di);
-    let (live, dead): (Vec<ElemId>, Vec<ElemId>) = region.iter().partition(|&e| g.is_alive(e));
-    for &e in &dead {
-        cover.purge_node(e);
+    for &e in &killed {
+        if region.remove(e) {
+            cover.purge_node(e);
+        }
     }
+    let live: Vec<ElemId> = region.iter().collect();
 
     // Ĉ lives in the region's own id space: `live[i]` is local id `i`. The
     // relabel keeps order, so every tie the greedy breaks on ids breaks the
@@ -278,7 +318,7 @@ fn delete_general_impl(
     // Partial closure Ĉ of G' into D_di: a row for every live seed of
     // A_di, and one for every live element of D_di so that descendants can
     // serve as hubs; ancestor rows only hold seeds, all `only_from` reads.
-    let rows = region_closure(&g, &live, &d_di);
+    let rows = region_rows(collection, &live, &d_di);
     let partial = TransitiveClosure::from_desc_rows(rows, vec![true; live.len()], Some(&seeds));
     let builder = CoverBuilder::only_from(&partial, &seeds);
     let recomputed_connections = builder.remaining();
@@ -335,7 +375,7 @@ fn elements_of_docs(collection: &Collection, docs: impl IntoIterator<Item = DocI
 mod tests {
     use super::*;
     use crate::insert::insert_link;
-    use hopi_graph::DiGraph;
+    use hopi_graph::{traversal, DiGraph};
     use hopi_partition::{build_index, BuildConfig};
     use hopi_xml::generator::{random_collection, RandomConfig};
     use hopi_xml::XmlDocument;
@@ -393,6 +433,52 @@ mod tests {
         let to = c.global_id(1, 0);
         c.add_link(from, to);
         assert!(!separates(&c, 2));
+    }
+
+    /// The separator test as it ran over `document_graph()`: two BFS
+    /// passes from `d_i`, and a third from its ancestors with `d_i` gone.
+    fn separates_by_document_graph(c: &Collection, di: DocId) -> bool {
+        let (mut gd, _) = c.document_graph();
+        if !gd.is_alive(di) {
+            return true;
+        }
+        let mut anc = traversal::reaching_to(&gd, di);
+        anc.remove(di);
+        let mut desc = traversal::reachable_from(&gd, di);
+        desc.remove(di);
+        if anc.is_empty() || desc.is_empty() {
+            return true;
+        }
+        gd.remove_node(di);
+        !traversal::reachable_from_many(&gd, anc.iter()).intersects(&desc)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn separator_test_matches_the_document_graph(seed in 0u64..u64::MAX) {
+            use rand::prelude::*;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut c = random_collection(&RandomConfig {
+                num_docs: rng.gen_range(1..30),
+                elements_range: (1, 5),
+                num_links: rng.gen_range(0..45),
+                num_intra_links: rng.gen_range(0..6),
+                allow_cycles: rng.gen_range(0..2) == 0,
+                seed,
+                text: Default::default(),
+            });
+            let docs = c.doc_id_bound() as DocId;
+            c.remove_document(rng.gen_range(0..docs));
+            for d in 0..docs {
+                proptest::prop_assert_eq!(
+                    separates(&c, d),
+                    separates_by_document_graph(&c, d),
+                    "document {}", d
+                );
+            }
+        }
     }
 
     #[test]
@@ -643,6 +729,155 @@ mod tests {
             }
             assert_exact(&c, &index);
         }
+    }
+
+    /// What a Theorem 3 deletion's walk reads for `removal` on the current
+    /// cover, checked against the full closure of the surviving element
+    /// graph cut to region × `D_di`. Returns the surviving graph and the
+    /// live region, for the checks that need them.
+    fn check_region_rows(
+        c: &Collection,
+        index: &HopiIndex,
+        removal: Removal,
+    ) -> (DiGraph, FixedBitSet) {
+        let (from, into, killed) = removal.regions(c);
+        let (a_di, d_di) = region_of(index.cover(), &from, &into, c.elem_id_bound());
+        let mut after = c.clone();
+        removal.apply(&mut after);
+        let mut region = a_di;
+        region.union_with(&d_di);
+        for e in killed {
+            region.remove(e);
+        }
+        let live = region.to_vec();
+        let rows = region_rows(&after, &live, &d_di);
+        let g = after.element_graph();
+        let tc = TransitiveClosure::from_graph(&g);
+        for (i, &x) in live.iter().enumerate() {
+            let want: Vec<u32> = (0..live.len() as u32)
+                .filter(|&j| d_di.contains(live[j as usize]) && tc.contains(x, live[j as usize]))
+                .collect();
+            assert_eq!(rows[i].to_vec(), want, "row of {x} after {removal:?}");
+        }
+        // A_di is closed under ancestors and D_di under descendants in G,
+        // and so in G' ⊆ G: no strongly connected component of G' has
+        // members on both sides of the region's edge.
+        for comp in hopi_graph::tarjan_scc(&g) {
+            let inside = comp.iter().filter(|&&e| region.contains(e)).count();
+            assert!(inside == 0 || inside == comp.len(), "{comp:?} straddles");
+        }
+        (g, region)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(40))]
+
+        /// The walk's rows equal the full closure's, after every link and
+        /// document deletion on random cyclic collections with
+        /// intra-document links, on built covers and on covers grown by
+        /// §6.1 label copies.
+        #[test]
+        fn region_rows_match_the_full_closure(seed in 0u64..u64::MAX) {
+            use rand::prelude::*;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut c = random_collection(&RandomConfig {
+                num_docs: rng.gen_range(4..28),
+                elements_range: (1, 10),
+                num_links: rng.gen_range(4..60),
+                num_intra_links: rng.gen_range(0..16),
+                allow_cycles: true,
+                seed,
+                text: Default::default(),
+            });
+            let (mut index, _) = build_index(&c, &BuildConfig::default());
+            let n = c.elem_id_bound() as u32;
+            for _ in 0..rng.gen_range(0..12) {
+                let (from, to) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                let _ = insert_link(&mut c, &mut index, from, to);
+            }
+            for _ in 0..6 {
+                let live: Vec<DocId> = c.doc_ids().collect();
+                let removal = if !c.links().is_empty() && rng.gen_range(0..2) == 0 {
+                    let link = c.links()[rng.gen_range(0..c.links().len())];
+                    Removal::Link(link.from, link.to)
+                } else if live.len() > 1 {
+                    Removal::Document(live[rng.gen_range(0..live.len())])
+                } else {
+                    break;
+                };
+                check_region_rows(&c, &index, removal);
+                delete_general_impl(&mut c, &mut index, removal);
+            }
+            assert_exact(&c, &index);
+        }
+    }
+
+    /// Three documents `P`, `Q`, `X`: `P/s1 → Q` is deleted, and `P`
+    /// still reaches `Q` through `P/s2 → X → X/x1 → Q`, where `X` lies in
+    /// neither `A_di = anc(P/s1)` nor `D_di = desc(Q)`. `extra` adds more
+    /// documents and links.
+    fn detour(extra: impl FnOnce(&mut Collection)) -> (Collection, HopiIndex, Removal) {
+        let mut c = Collection::new();
+        for (name, kids) in [("p", 2), ("q", 1), ("x", 1)] {
+            let mut d = XmlDocument::new(name, "r");
+            for _ in 0..kids {
+                d.add_element(0, "s");
+            }
+            c.add_document(d);
+        }
+        let (p_s1, p_s2, q, x, x1) = (1, 2, 3, 5, 6);
+        c.add_link(p_s1, q);
+        c.add_link(p_s2, x);
+        c.add_link(x1, q);
+        extra(&mut c);
+        let (index, _) = build_index(&c, &BuildConfig::default());
+        (c, index, Removal::Link(p_s1, q))
+    }
+
+    #[test]
+    fn walk_leaves_the_region_for_a_detour() {
+        let (mut c, mut index, removal) = detour(|_| {});
+        let (_, region) = check_region_rows(&c, &index, removal);
+        assert_eq!(region.to_vec(), vec![0, 1, 3, 4], "P, P/s1, Q and Q/q1");
+        delete_general_impl(&mut c, &mut index, removal);
+        assert!(index.connected(0, 3), "P reaches Q through X");
+        assert!(!index.connected(1, 3), "P/s1 does not");
+        assert_exact(&c, &index);
+    }
+
+    #[test]
+    fn walk_condenses_cycles_on_both_sides_of_the_region_edge() {
+        // Outside the region, `X` and a fourth document `Y` cite each other
+        // on the detour. Inside it, `Q` and `Z` cite each other below the
+        // deleted link, and `P/s1` and `W` above it.
+        let (mut c, mut index, removal) = detour(|c| {
+            for (name, kids) in [("y", 0), ("z", 1), ("w", 1)] {
+                let mut d = XmlDocument::new(name, "r");
+                for _ in 0..kids {
+                    d.add_element(0, "s");
+                }
+                c.add_document(d);
+            }
+            let (x, x1, y, q, q1, z, z1, p, p_s1, w, w1) = (5, 6, 7, 3, 4, 8, 9, 0, 1, 10, 11);
+            for (from, to) in [(x1, y), (y, x), (q1, z), (z1, q), (p_s1, w), (w1, p)] {
+                c.add_link(from, to);
+            }
+        });
+        let (g, region) = check_region_rows(&c, &index, removal);
+        assert_eq!(region.to_vec(), vec![0, 1, 3, 4, 8, 9, 10, 11]);
+        let mut cycles: Vec<Vec<ElemId>> = hopi_graph::tarjan_scc(&g)
+            .into_iter()
+            .filter(|comp| comp.len() > 1)
+            .collect();
+        for comp in &mut cycles {
+            comp.sort_unstable();
+        }
+        cycles.sort();
+        let want = vec![vec![0, 1, 10, 11], vec![3, 4, 8, 9], vec![5, 6, 7]];
+        assert_eq!(cycles, want, "one cycle in A_di, one in D_di, one outside");
+        delete_general_impl(&mut c, &mut index, removal);
+        assert!(index.connected(0, 9), "P reaches Z through X and Y");
+        assert_exact(&c, &index);
     }
 
     #[test]

@@ -48,6 +48,7 @@ mod exactness;
 pub mod insert;
 pub mod modify;
 pub mod rebuild;
+pub mod region;
 
 pub use delete::{
     delete_document, delete_link, separates, DeletionAlgorithm, DeletionCounts, DeletionOutcome,

@@ -202,7 +202,12 @@ impl Collection {
         true
     }
 
-    /// The inter-document link set `L`.
+    /// The inter-document link set `L`, in a stable order: insertion order,
+    /// except that [`Collection::remove_link`] moves the last link into the
+    /// removed one's slot and [`Collection::remove_document`] closes the
+    /// gaps its links leave. Callers may index into it: the benchmark's
+    /// maintenance script draws the links it deletes as `links()[i]`, so
+    /// a change to this order changes that script and the covers it leaves.
     pub fn links(&self) -> &[Link] {
         &self.links
     }
