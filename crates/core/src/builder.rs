@@ -164,7 +164,8 @@ impl<'a> CoverBuilder<'a> {
         // The closure keeps both directions, so both uncovered-row tables
         // are word copies of its rows minus the reflexive pair (and, with
         // sources, minus every non-source). What sources leave out starts
-        // each row's hull.
+        // each row's hull. A non-source's row is empty, so its span rules
+        // out every read and it gets no words at all.
         let without_self = |row: &FixedBitSet, u: u32| {
             let mut row = row.clone();
             row.grow(n);
@@ -173,13 +174,12 @@ impl<'a> CoverBuilder<'a> {
         };
         let (mut unc_out, mut out_hull) = (Vec::with_capacity(n), Vec::with_capacity(n));
         for u in 0..n as u32 {
-            let row = without_self(tc.descendants(u), u);
             if sources.as_ref().is_none_or(|s| s.contains(u)) {
-                unc_out.push(row);
+                unc_out.push(without_self(tc.descendants(u), u));
                 out_hull.push(WordSpan::EMPTY);
             } else {
-                out_hull.push(row.word_span());
-                unc_out.push(FixedBitSet::new(n));
+                out_hull.push(span_without(tc.descendants(u), u));
+                unc_out.push(FixedBitSet::new(0));
             }
         }
         let (mut unc_in, mut in_hull) = (Vec::with_capacity(n), Vec::with_capacity(n));
@@ -344,6 +344,21 @@ impl<'a> CoverBuilder<'a> {
         self.remaining -= covered;
         self.stats.centers += 1;
         covered
+    }
+}
+
+/// The word span of `row − u`, read off `row` without copying it.
+fn span_without(row: &FixedBitSet, u: u32) -> WordSpan {
+    let span = row.word_span();
+    let w = u / 64;
+    if !row.contains(u) || row.iter_in(WordSpan { lo: w, hi: w + 1 }).nth(1).is_some() {
+        span // `u`'s word keeps a bit
+    } else if span.lo == w {
+        row.word_span_in(WordSpan { lo: w + 1, ..span })
+    } else if span.hi == w + 1 {
+        row.word_span_in(WordSpan { hi: w, ..span })
+    } else {
+        span
     }
 }
 
@@ -518,6 +533,25 @@ mod tests {
                 assert!(cover.lout(u).iter().all(|&c| tc.contains(u, c)));
                 assert!(cover.lin(u).iter().all(|&c| tc.contains(c, u)));
             }
+        }
+    }
+
+    #[test]
+    fn span_without_matches_a_copy() {
+        let mut rng = StdRng::seed_from_u64(3);
+        for _ in 0..500 {
+            let n = rng.gen_range(1..300u32);
+            let mut row = FixedBitSet::new(n as usize);
+            for _ in 0..rng.gen_range(0..4) {
+                row.insert(rng.gen_range(0..n));
+            }
+            let u = rng.gen_range(0..n);
+            if rng.gen_bool(0.5) {
+                row.insert(u);
+            }
+            let mut copy = row.clone();
+            copy.remove(u);
+            assert_eq!(span_without(&row, u), copy.word_span(), "{row:?} − {u}");
         }
     }
 

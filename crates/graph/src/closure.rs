@@ -15,7 +15,7 @@
 
 use crate::bitset::{FixedBitSet, WordSpan};
 use crate::digraph::{DiGraph, NodeId};
-use crate::scc::condensation;
+use crate::walk::reach_rows;
 use rustc_hash::FxHashMap;
 use std::collections::VecDeque;
 
@@ -40,38 +40,21 @@ impl TransitiveClosure {
         Self::default()
     }
 
-    /// Computes the closure of `g`. Runs on the SCC condensation so cyclic
-    /// graphs cost no more than their condensed DAG.
+    /// Computes the closure of `g`: the walk of [`reach_rows`] from every
+    /// node slot, every live node its own target. A dead slot has no
+    /// successors and no target, so its row stays empty.
     pub fn from_graph(g: &DiGraph) -> Self {
         let n = g.id_bound();
-        let cond = condensation(g);
-        // Components arrive in reverse topological order (successors first),
-        // so a single pass unions successor-component rows.
-        let mut comp_rows: Vec<FixedBitSet> = Vec::with_capacity(cond.components.len());
-        for (ci, comp) in cond.components.iter().enumerate() {
-            let mut row = FixedBitSet::new(n);
-            for &v in comp {
-                row.insert(v);
-            }
-            for &succ_comp in cond.dag.successors(ci as u32) {
-                // Reverse topological emission guarantees the successor row
-                // is already final.
-                debug_assert!((succ_comp as usize) < ci);
-                row.union_with(&comp_rows[succ_comp as usize]);
-            }
-            comp_rows.push(row);
-        }
-
-        let mut desc: Vec<FixedBitSet> = vec![FixedBitSet::new(n); n];
-        let mut alive = vec![false; n];
-        let mut connections = 0usize;
-        for (ci, comp) in cond.components.iter().enumerate() {
-            for &v in comp {
-                alive[v as usize] = true;
-                connections += comp_rows[ci].count();
-                desc[v as usize] = comp_rows[ci].clone();
-            }
-        }
+        let slots: Vec<NodeId> = (0..n as NodeId).collect();
+        let desc = reach_rows(
+            n,
+            &slots,
+            n,
+            |v| g.is_alive(v).then_some(v),
+            |v, out| out.extend_from_slice(g.successors(v)),
+        );
+        let alive: Vec<bool> = slots.iter().map(|&v| g.is_alive(v)).collect();
+        let connections = desc.iter().map(FixedBitSet::count).sum();
         // Transpose for ancestor rows.
         let mut anc: Vec<FixedBitSet> = vec![FixedBitSet::new(n); n];
         for (u, row) in desc.iter().enumerate() {

@@ -15,10 +15,11 @@
 //!   paths) for the distance-aware cover of paper §5.
 //! * [`traversal`] — BFS reachability and single-source shortest
 //!   distances.
-//! * [`scc`] — Tarjan strongly-connected components and condensation; link
-//!   cycles between XML documents are legal, so the index machinery must not
-//!   assume a DAG.
-//! * [`topo`] — topological sorting of DAGs (used by tests and generators).
+//! * [`walk`] — [`reach_rows`], the one depth-first walk every closure
+//!   runs through: reach rows from a set of start nodes into target slots,
+//!   over a successor function the caller passes in. Link cycles between
+//!   XML documents are legal, so it condenses strongly connected
+//!   components as it goes, and it does not enter dead ends.
 //!
 //! All structures are deliberately index-based (`u32` node ids) rather than
 //! pointer-based: the HOPI cover-construction inner loops iterate over
@@ -31,12 +32,10 @@
 pub mod bitset;
 pub mod closure;
 pub mod digraph;
-pub mod scc;
-pub mod topo;
 pub mod traversal;
+pub mod walk;
 
 pub use bitset::{FixedBitSet, WordSpan};
 pub use closure::{DistanceClosure, TransitiveClosure};
 pub use digraph::{DiGraph, EdgeInsert, NodeId};
-pub use scc::{condensation, tarjan_scc, Condensation};
-pub use topo::{topo_sort, TopoError};
+pub use walk::reach_rows;

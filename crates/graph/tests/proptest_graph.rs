@@ -1,11 +1,9 @@
 //! Property-based tests for the graph substrate: the transitive closure,
-//! SCC decomposition, and traversal primitives must agree with naive oracles
-//! on arbitrary random digraphs (including cyclic ones).
+//! the condensing walk, and traversal primitives must agree with naive
+//! oracles on arbitrary random digraphs (including cyclic ones).
 
 use hopi_graph::traversal::{bfs_distances, is_reachable, reachable_from, reaching_to};
-use hopi_graph::{
-    condensation, tarjan_scc, topo_sort, DiGraph, DistanceClosure, TransitiveClosure,
-};
+use hopi_graph::{reach_rows, DiGraph, DistanceClosure, NodeId, TransitiveClosure};
 use proptest::prelude::*;
 
 /// An arbitrary digraph as (node count, edge list).
@@ -23,6 +21,15 @@ fn build(n: u32, edges: &[(u32, u32)]) -> DiGraph {
         g.add_edge(u, v);
     }
     g
+}
+
+/// The walk's row of every node of `g`, every node its own target slot.
+fn all_rows(g: &DiGraph) -> Vec<Vec<u32>> {
+    let n = g.id_bound();
+    let starts: Vec<NodeId> = (0..n as u32).collect();
+    let succ = |v, out: &mut Vec<NodeId>| out.extend_from_slice(g.successors(v));
+    let rows = reach_rows(n, &starts, n, Some, succ);
+    rows.iter().map(|r| r.to_vec()).collect()
 }
 
 proptest! {
@@ -80,34 +87,79 @@ proptest! {
         }
     }
 
+    /// From any start set, on cyclic graphs with self-loops and dead
+    /// slots, the walk's rows are BFS reachability cut to target slots
+    /// numbered in a random order.
+    #[test]
+    fn walk_rows_match_bfs(
+        (n, edges) in arb_graph(40, 120),
+        picks in proptest::collection::vec(0u8..16, 40),
+        seed in 0u64..u64::MAX,
+    ) {
+        use rand::prelude::*;
+        let mut g = build(n, &edges);
+        let pick = |v: u32| picks[v as usize];
+        for v in 0..n {
+            if pick(v) & 4 != 0 {
+                g.add_edge(v, v);
+            }
+            if pick(v) & 12 == 12 {
+                g.remove_node(v);
+            }
+        }
+        let mut targets: Vec<u32> = (0..n).filter(|&v| g.is_alive(v) && pick(v) & 2 != 0).collect();
+        targets.shuffle(&mut StdRng::seed_from_u64(seed));
+        let mut slot_of = vec![None; n as usize];
+        for (j, &t) in targets.iter().enumerate() {
+            slot_of[t as usize] = Some(j as u32);
+        }
+        let starts: Vec<u32> = (0..n).filter(|&v| pick(v) & 1 != 0).collect();
+        let rows = reach_rows(
+            n as usize,
+            &starts,
+            targets.len(),
+            |v| slot_of[v as usize],
+            |v, out: &mut Vec<NodeId>| out.extend_from_slice(g.successors(v)),
+        );
+        prop_assert_eq!(rows.len(), starts.len());
+        for (row, &s) in rows.iter().zip(&starts) {
+            let mut want: Vec<u32> = reachable_from(&g, s)
+                .iter()
+                .filter_map(|v| slot_of[v as usize])
+                .collect();
+            want.sort_unstable();
+            prop_assert_eq!(row.len(), targets.len());
+            prop_assert_eq!(row.to_vec(), want, "row of {}", s);
+        }
+    }
+
+    /// The walk condenses exactly the strongly connected components: two
+    /// nodes get the same row iff they are mutually reachable.
     #[test]
     fn scc_partition_is_exact((n, edges) in arb_graph(30, 90)) {
         let g = build(n, &edges);
-        let comps = tarjan_scc(&g);
-        // Every live node appears exactly once.
-        let mut seen = vec![0u32; n as usize];
-        for c in &comps {
-            for &v in c {
-                seen[v as usize] += 1;
-            }
-        }
-        prop_assert!(seen.iter().all(|&c| c == 1));
-        // Two nodes share a component iff mutually reachable.
-        let cond = condensation(&g);
+        let rows = all_rows(&g);
         for u in 0..n {
             for v in 0..n {
-                let same = cond.component_of[u as usize] == cond.component_of[v as usize];
+                let same = rows[u as usize] == rows[v as usize];
                 let mutual = is_reachable(&g, u, v) && is_reachable(&g, v, u);
                 prop_assert_eq!(same, mutual, "nodes {} {}", u, v);
             }
         }
     }
 
+    /// Along every edge `u → v` the row of `v` lies within the row of `u`,
+    /// and strictly so unless `v` reaches back: the condensed components
+    /// form a DAG.
     #[test]
     fn condensation_dag_is_acyclic((n, edges) in arb_graph(30, 90)) {
         let g = build(n, &edges);
-        let cond = condensation(&g);
-        prop_assert!(topo_sort(&cond.dag).is_ok());
+        let rows = all_rows(&g);
+        for &(u, v) in &edges {
+            let (ru, rv) = (&rows[u as usize], &rows[v as usize]);
+            prop_assert!(rv.iter().all(|x| ru.contains(x)), "edge {}->{}", u, v);
+            prop_assert_eq!(ru == rv, is_reachable(&g, v, u), "edge {}->{}", u, v);
+        }
     }
 
     #[test]

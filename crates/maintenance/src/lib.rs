@@ -21,9 +21,9 @@
 //!     cover that block afresh as `L̂`, and splice it into the old cover.
 //!
 //!   Single-edge deletion uses the same partial-recomputation scheme.
-//! * [`modify`] — document modification = drop + reinsert (paper §6.3);
-//!   `hopi_build::Hopi::modify_document` runs the two halves itself to
-//!   book each to its own operation kind.
+//! * Document modification is drop + reinsert (paper §6.3):
+//!   `hopi_build::Hopi::modify_document` runs [`delete_document`] and
+//!   [`insert_document`] itself, to book each to its own operation kind.
 //! * [`rebuild`] — drift against the last build, its attribution per
 //!   operation kind, and the policy deciding when an occasional full
 //!   rebuild with the efficient §4 pipeline pays off ("over time, the
@@ -46,7 +46,6 @@ pub mod delete;
 #[cfg(test)]
 mod exactness;
 pub mod insert;
-pub mod modify;
 pub mod rebuild;
 pub mod region;
 
@@ -57,7 +56,6 @@ pub use insert::{
     insert_document, insert_edge_distance, insert_link, integrate_document_distance,
     integrate_link, DocumentLinks, Integrated, Integration, IntegrationCounts, LinkError,
 };
-pub use modify::modify_document;
 pub use rebuild::{
     degradation, should_rebuild, BuildBaseline, Degradation, EntriesAdded, RebuildPolicy,
 };

@@ -1,15 +1,15 @@
 //! What the deletions of paper §6.2 read of a collection, read straight
 //! off it: no element graph and no document graph is built.
 //!
-//! * [`region_rows`] is Theorem 3's partial closure `Ĉ`. It walks the
-//!   element graph from the region's elements, taking tree children from
-//!   the documents and links from a by-source adjacency of the collection's
-//!   links, and condenses strongly connected components only among the
-//!   elements it reaches.
+//! * [`region_rows`] is Theorem 3's partial closure `Ĉ`: the condensing
+//!   walk of [`hopi_graph::reach_rows`] from the region's elements, over
+//!   successors read off the collection — tree children from the
+//!   documents, links from a by-source adjacency of the collection's
+//!   links.
 //! * `DocLinks` holds the document-level links in both directions, for
 //!   the three passes of Theorem 2's separator test.
 
-use hopi_graph::FixedBitSet;
+use hopi_graph::{reach_rows, FixedBitSet};
 use hopi_xml::{Collection, DocId, ElemId, XmlDocument};
 
 /// Edges grouped by source: the targets of `v` are
@@ -120,12 +120,6 @@ fn out_links(collection: &Collection) -> Csr {
     Csr::from_pairs(collection.elem_id_bound(), inter.chain(intra))
 }
 
-/// The document holding a live element, with its first global id.
-fn home_of(collection: &Collection, e: ElemId) -> (&XmlDocument, ElemId) {
-    let (d, local) = collection.to_local(e).expect("walk reached a dead element");
-    (collection.document(d).expect("live document"), e - local)
-}
-
 const NONE: u32 = u32::MAX;
 
 /// Reachability from a region into a target set over the collection's
@@ -137,218 +131,48 @@ const NONE: u32 = u32::MAX;
 /// `region[i] →* region[j]` (reflexively); targets outside the region have
 /// no local id and are left out. Rows are `region.len()` bits wide.
 ///
-/// One depth-first walk from the region's elements reads each element's
-/// successors off the collection as it first reaches it: its tree
-/// children, then its intra- and inter-document links. An iterative
-/// Tarjan over the walk emits the strongly connected components of the
-/// elements reached, successors first. A component's row is its own
-/// targets plus the rows of the components its members have edges into,
-/// which are final by then; a component that reaches no target gets no
-/// row, and the rows that exist share one arena. "As the set of seed nodes
-/// is typically much smaller than the set of all nodes, the partial
-/// recomputation is typically much faster": nothing the region does not
-/// reach is read.
+/// An element's successors are its tree children, then its intra- and
+/// inter-document links. "As the set of seed nodes is typically much
+/// smaller than the set of all nodes, the partial recomputation is
+/// typically much faster": the walk reads nothing the region does not
+/// reach.
 pub fn region_rows(
     collection: &Collection,
     region: &[ElemId],
     targets: &FixedBitSet,
 ) -> Vec<FixedBitSet> {
     debug_assert!(region.windows(2).all(|w| w[0] < w[1]), "region must ascend");
-    let m = region.len();
-    let mut walk = Walk {
-        collection,
-        links: out_links(collection),
-        region,
-        targets,
-        width: m.div_ceil(64),
-        walk_id: vec![NONE; collection.elem_id_bound()],
-        element: Vec::new(),
-        home: Vec::new(),
-        successors: Vec::new(),
-        succ_range: Vec::new(),
-        lowlink: Vec::new(),
-        component: Vec::new(),
-        stack: Vec::new(),
-        calls: Vec::new(),
-        row_of: Vec::new(),
-        merged_into: Vec::new(),
-        arena: Vec::new(),
+    let links = out_links(collection);
+    // Every live document with its first global id, and the document of
+    // each element its parent listed: only elements first reached over a
+    // link pay a `doc_of` search.
+    let docs: Vec<Option<(&XmlDocument, ElemId)>> = (0..collection.doc_id_bound() as DocId)
+        .map(|d| Some((collection.document(d)?, collection.global_id(d, 0))))
+        .collect();
+    let mut home = vec![NONE; collection.elem_id_bound()];
+    let successors = |e: ElemId, out: &mut Vec<ElemId>| {
+        let d = match home[e as usize] {
+            NONE => collection.doc_of(e).expect("walk reached a dead element"),
+            d => d,
+        };
+        let (doc, base) = docs[d as usize].expect("live document");
+        out.extend(doc.element(e - base).children.iter().map(|&c| {
+            home[(base + c) as usize] = d;
+            base + c
+        }));
+        out.extend_from_slice(links.row(e));
     };
-    for &s in region {
-        if walk.walk_id[s as usize] == NONE {
-            walk.visit(s, home_of(collection, s));
-            walk.run();
-        }
-    }
-    region
-        .iter()
-        .map(|&e| {
-            let c = walk.component[walk.walk_id[e as usize] as usize];
-            match walk.row_of[c as usize] {
-                NONE => FixedBitSet::new(m),
-                row => FixedBitSet::from_words(m, walk.row(row)),
-            }
-        })
-        .collect()
-}
-
-/// The state of [`region_rows`]'s walk. Walk ids number the elements in
-/// the order the walk reaches them, so they double as Tarjan's indices.
-struct Walk<'c> {
-    collection: &'c Collection,
-    links: Csr,
-    region: &'c [ElemId],
-    targets: &'c FixedBitSet,
-    /// Words per row.
-    width: usize,
-    /// Global id → walk id, [`NONE`] until reached.
-    walk_id: Vec<u32>,
-    /// Per walk id: the element, its document with first global id, and
-    /// the range of `successors` holding its successors.
-    element: Vec<ElemId>,
-    home: Vec<(&'c XmlDocument, ElemId)>,
-    successors: Vec<ElemId>,
-    succ_range: Vec<(u32, u32)>,
-    lowlink: Vec<u32>,
-    /// Per walk id: its component, [`NONE`] while on Tarjan's stack.
-    component: Vec<u32>,
-    stack: Vec<u32>,
-    /// The depth-first call stack: a walk id and its next successor.
-    calls: Vec<(u32, u32)>,
-    /// Per component: its row in `arena`, or [`NONE`] when it reaches no
-    /// target; and the last component that merged its row.
-    row_of: Vec<u32>,
-    merged_into: Vec<u32>,
-    arena: Vec<u64>,
-}
-
-impl<'c> Walk<'c> {
-    fn row(&self, row: u32) -> &[u64] {
-        &self.arena[row as usize * self.width..][..self.width]
-    }
-
-    /// Reaches `e`: numbers it, pushes it on both stacks and records its
-    /// successors.
-    fn visit(&mut self, e: ElemId, home: (&'c XmlDocument, ElemId)) {
-        let v = self.element.len() as u32;
-        self.walk_id[e as usize] = v;
-        self.element.push(e);
-        self.home.push(home);
-        self.lowlink.push(v);
-        self.component.push(NONE);
-        self.stack.push(v);
-        let (doc, base) = home;
-        let lo = self.successors.len() as u32;
-        let children = &doc.element(e - base).children;
-        self.successors.extend(children.iter().map(|&c| base + c));
-        self.successors.extend_from_slice(self.links.row(e));
-        self.succ_range.push((lo, self.successors.len() as u32));
-        self.calls.push((v, lo));
-    }
-
-    /// Whether `e` is a leaf without links that is no target: its row
-    /// would be empty, and no path runs through it, so the walk skips it
-    /// (most elements of a document tree are such leaves).
-    fn dead_end(&self, e: ElemId, (doc, base): (&XmlDocument, ElemId)) -> bool {
-        doc.element(e - base).children.is_empty()
-            && self.links.row(e).is_empty()
-            && !self.targets.contains(e)
-    }
-
-    /// Runs the depth-first walk until the call stack empties.
-    fn run(&mut self) {
-        while let Some(&(v, pos)) = self.calls.last() {
-            let vi = v as usize;
-            if pos < self.succ_range[vi].1 {
-                self.calls.last_mut().expect("a call").1 += 1;
-                let w = self.successors[pos as usize];
-                match self.walk_id[w as usize] {
-                    NONE => {
-                        let (doc, base) = self.home[vi];
-                        let home = if (base..base + doc.len() as ElemId).contains(&w) {
-                            (doc, base)
-                        } else {
-                            home_of(self.collection, w)
-                        };
-                        if !self.dead_end(w, home) {
-                            self.visit(w, home);
-                        }
-                    }
-                    wv if self.component[wv as usize] == NONE => {
-                        self.lowlink[vi] = self.lowlink[vi].min(wv);
-                    }
-                    _ => {}
-                }
-            } else {
-                self.calls.pop();
-                if let Some(&(p, _)) = self.calls.last() {
-                    let p = p as usize;
-                    self.lowlink[p] = self.lowlink[p].min(self.lowlink[vi]);
-                }
-                if self.lowlink[vi] == v {
-                    self.close_component(v);
-                }
-            }
-        }
-    }
-
-    /// Pops the component rooted at `root` off Tarjan's stack and builds
-    /// its row from its own targets and its successor components' rows.
-    fn close_component(&mut self, root: u32) {
-        let c = self.row_of.len() as u32;
-        // Walk ids enter the stack in ascending order.
-        let at = self.stack.partition_point(|&x| x < root);
-        for &x in &self.stack[at..] {
-            self.component[x as usize] = c;
-        }
-        let mut row = NONE;
-        for &x in &self.stack[at..] {
-            let e = self.element[x as usize];
-            if self.targets.contains(e) {
-                if let Ok(j) = self.region.binary_search(&e) {
-                    row = alloc_row(&mut self.arena, self.width, row);
-                    self.arena[row as usize * self.width + j / 64] |= 1 << (j % 64);
-                }
-            }
-            let (lo, hi) = self.succ_range[x as usize];
-            for &w in &self.successors[lo as usize..hi as usize] {
-                let wv = self.walk_id[w as usize];
-                if wv == NONE {
-                    continue; // a dead end
-                }
-                let cw = self.component[wv as usize];
-                if cw == c || self.merged_into[cw as usize] == c {
-                    continue;
-                }
-                self.merged_into[cw as usize] = c;
-                let from = self.row_of[cw as usize];
-                if from == NONE {
-                    continue;
-                }
-                row = alloc_row(&mut self.arena, self.width, row);
-                // A successor component closed earlier, so its row lies
-                // below this one.
-                let (below, this) = self.arena.split_at_mut(row as usize * self.width);
-                let from = &below[from as usize * self.width..][..self.width];
-                for (a, &b) in this[..self.width].iter_mut().zip(from) {
-                    *a |= b;
-                }
-            }
-        }
-        self.stack.truncate(at);
-        self.row_of.push(row);
-        self.merged_into.push(NONE);
-    }
-}
-
-/// `row`, or a fresh zeroed row at the end of `arena` when it is [`NONE`].
-fn alloc_row(arena: &mut Vec<u64>, width: usize, row: u32) -> u32 {
-    if row != NONE {
-        return row;
-    }
-    let fresh = (arena.len() / width) as u32;
-    arena.resize(arena.len() + width, 0);
-    fresh
+    let slot = |e: ElemId| match targets.contains(e) {
+        true => region.binary_search(&e).ok().map(|j| j as u32),
+        false => None,
+    };
+    reach_rows(
+        collection.elem_id_bound(),
+        region,
+        region.len(),
+        slot,
+        successors,
+    )
 }
 
 #[cfg(test)]

@@ -46,7 +46,7 @@
 //! | module | contents |
 //! |---|---|
 //! | [`build`] | the [`Hopi`] / [`OnlineHopi`] engine facade, [`HopiError`] |
-//! | [`graph`] | digraphs, bit sets, transitive/distance closures, SCC |
+//! | [`graph`] | digraphs, bit sets, transitive/distance closures, the condensing reachability walk |
 //! | [`xml`] | document model, parser, generators, `G_E(X)` / `G_D(X)` |
 //! | [`core`] | 2-hop covers, densest-subgraph machinery, the index handle |
 //! | [`partition`] | partitioners, skeleton graphs, the §3.3/§4 build pipeline |

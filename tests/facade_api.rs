@@ -197,6 +197,53 @@ fn error_paths_are_typed() {
     oracle_check(&hopi);
 }
 
+/// Modification is drop + reinsert (§6.3). A restructured version that
+/// links back closes a cycle; it is checked against the closure.
+#[test]
+fn modify_document_restructures_and_closes_a_cycle() {
+    let mut c = Collection::new();
+    for name in ["d0", "d1"] {
+        let mut d = XmlDocument::new(name, "r");
+        d.add_element(0, "s");
+        c.add_document(d);
+    }
+    c.add_link(c.global_id(0, 1), c.global_id(1, 0));
+    let mut hopi = Hopi::build(c).unwrap();
+
+    // Restructure d1: a deeper tree, now linking back to d0's root.
+    let mut new_d1 = XmlDocument::new("d1v2", "r");
+    let a = new_d1.add_element(0, "a");
+    let b = new_d1.add_element(a, "b");
+    let links = DocumentLinks {
+        outgoing: vec![(b, 0)],
+        incoming: vec![(hopi.collection().global_id(0, 1), 0)],
+    };
+    let new_id = hopi.modify_document(1, new_d1, &links).unwrap();
+    assert_eq!(new_id, 2);
+    assert_eq!(hopi.collection().doc_count(), 2);
+    oracle_check(&hopi);
+    // The back link closed a cycle: d0's root reaches itself via d1v2.
+    assert!(hopi.connected(hopi.collection().global_id(new_id, 0), 0));
+    hopi.index().cover().check_invariants();
+}
+
+/// A document without links is modified in place of the only one.
+#[test]
+fn modify_isolated_document() {
+    let mut c = Collection::new();
+    c.add_document(XmlDocument::new("solo", "r"));
+    let mut hopi = Hopi::build(c).unwrap();
+    let mut v2 = XmlDocument::new("solo-v2", "r");
+    v2.add_element(0, "extra");
+    let solo = hopi
+        .modify_document(0, v2, &DocumentLinks::default())
+        .unwrap();
+    assert_eq!(hopi.collection().doc_count(), 1);
+    let root = hopi.collection().global_id(solo, 0);
+    assert!(hopi.connected(root, hopi.collection().global_id(solo, 1)));
+    oracle_check(&hopi);
+}
+
 #[test]
 fn online_engine_full_lifecycle() {
     let online = OnlineHopi::new(library());
