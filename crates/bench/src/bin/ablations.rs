@@ -14,16 +14,14 @@
 
 use hopi_bench::baseline::{self, Join};
 use hopi_bench::old_partitioner::{self, OldPartitionerConfig};
-use hopi_bench::{dblp_collection, scale_arg, scaled_nx_budget, TablePrinter};
+use hopi_bench::{closure_connections, dblp_collection, scale_arg, scaled_nx_budget, TablePrinter};
 use hopi_build::{build_index, BuildConfig, PartitionerChoice};
-use hopi_graph::TransitiveClosure;
 use hopi_partition::{EdgeWeightStrategy, TcPartitionerConfig};
 
 fn main() {
     let scale = scale_arg(0.05);
     let collection = dblp_collection(scale);
-    let connections =
-        TransitiveClosure::from_graph(&collection.element_graph()).connection_count() as u64;
+    let connections = closure_connections(&collection);
     println!(
         "ablations — DBLP-like @ scale {scale}: {} docs, closure {connections} connections\n",
         collection.doc_count()

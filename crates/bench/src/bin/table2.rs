@@ -23,10 +23,10 @@
 use hopi_bench::baseline::{self, Join};
 use hopi_bench::old_partitioner::{self, OldPartitionerConfig};
 use hopi_bench::{
-    dblp_collection, paper, redundancy, scale_arg, scaled_nx_budget, scaled_px_cap, TablePrinter,
+    closure_connections, dblp_collection, paper, redundancy, scale_arg, scaled_nx_budget,
+    scaled_px_cap, TablePrinter,
 };
 use hopi_build::{build_index, BuildConfig, BuildReport, HopiIndex, PartitionerChoice};
-use hopi_graph::TransitiveClosure;
 use hopi_partition::TcPartitionerConfig;
 use hopi_xml::CollectionStats;
 
@@ -37,9 +37,7 @@ fn main() {
     let stats = CollectionStats::of(&collection);
     println!("Table 2 — DBLP-like collection @ scale {scale}: {stats}");
 
-    let closure = TransitiveClosure::from_graph(&collection.element_graph());
-    let connections = closure.connection_count() as u64;
-    drop(closure);
+    let connections = closure_connections(&collection);
     println!(
         "transitive closure: {connections} connections (paper: {:.0})\n",
         paper::DBLP_CLOSURE

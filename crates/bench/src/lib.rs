@@ -165,6 +165,14 @@ pub fn scaled_px_cap(x: f64, elements: usize) -> u64 {
     ((x * 1e4) * (elements as f64 / paper::DBLP_ELEMENTS)).max(8.0) as u64
 }
 
+/// Connections in the transitive closure of `collection`'s element graph,
+/// reflexive pairs included: what the `Nx` budgets scale against. Counted
+/// off the closure's descendant rows alone; no ancestor row is built.
+pub fn closure_connections(collection: &Collection) -> u64 {
+    let rows = hopi_graph::descendant_rows(&collection.element_graph());
+    rows.iter().map(|row| row.count() as u64).sum()
+}
+
 /// Scales a paper `Nx` closure budget (`x·10⁵` of ~345M connections) to a
 /// collection whose closure has `closure_connections` connections.
 pub fn scaled_nx_budget(x: f64, closure_connections: u64) -> u64 {

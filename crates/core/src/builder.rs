@@ -163,11 +163,12 @@ impl<'a> CoverBuilder<'a> {
         let n = tc.num_nodes();
         // The closure keeps both directions, so both uncovered-row tables
         // are word copies of its rows minus the reflexive pair (and, with
-        // sources, minus every non-source). What sources leave out starts
-        // each row's hull. A non-source's row is empty, so its span rules
-        // out every read and it gets no words at all.
+        // sources, minus every non-source), each stored over its span
+        // only. What sources leave out starts each row's hull. A
+        // non-source's row is empty, so its span rules out every read and
+        // it gets no words at all.
         let without_self = |row: &FixedBitSet, u: u32| {
-            let mut row = row.clone();
+            let mut row = row.clone_in(span_without(row, u));
             row.grow(n);
             row.remove(u);
             row
@@ -220,6 +221,12 @@ impl<'a> CoverBuilder<'a> {
     /// Number of connections still uncovered.
     pub fn remaining(&self) -> usize {
         self.remaining
+    }
+
+    /// The uncovered connections leaving `u` and those entering it, as
+    /// rows of target and source ids; `None` past the closure's nodes.
+    pub fn uncovered(&self, u: u32) -> Option<(&FixedBitSet, &FixedBitSet)> {
+        Some((self.unc_out.get(u as usize)?, self.unc_in.get(u as usize)?))
     }
 
     /// Runs the full construction and returns the cover.

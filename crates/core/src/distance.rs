@@ -20,7 +20,7 @@
 
 use crate::densest::{densest_subgraph, BipartiteCenterGraph};
 use crate::frozen::{DistEntry, FrozenCover};
-use hopi_graph::{DistanceClosure, FixedBitSet};
+use hopi_graph::{DistanceClosure, FixedBitSet, WordSpan};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use std::cmp::Ordering;
@@ -71,7 +71,8 @@ impl Ord for HeapEntry {
 /// Builder for distance-aware covers over a [`DistanceClosure`].
 pub struct DistanceCoverBuilder<'a> {
     dc: &'a DistanceClosure,
-    /// Uncovered (non-reflexive) connections, forward rows.
+    /// Uncovered (non-reflexive) connections, forward rows, each stored
+    /// over the span of its targets.
     unc_out: Vec<FixedBitSet>,
     remaining: usize,
     /// The committed `Lin` and `Lout` entries.
@@ -87,8 +88,10 @@ impl<'a> DistanceCoverBuilder<'a> {
         let n = dc.num_nodes();
         let unc_out: Vec<FixedBitSet> = (0..n as u32)
             .map(|u| {
-                let mut row = FixedBitSet::new(n);
-                for &v in dc.out_row(u).keys().filter(|&&v| v != u) {
+                let targets = || dc.out_row(u).keys().copied().filter(|&v| v != u);
+                let span = targets().fold(WordSpan::EMPTY, |s, v| s.hull(WordSpan::of_bit(v)));
+                let mut row = FixedBitSet::with_span(n, span);
+                for v in targets() {
                     row.insert(v);
                 }
                 row

@@ -1,15 +1,25 @@
-//! A fixed-capacity bit set over `u32` indices.
+//! A bit set over `u32` indices that stores only a range of its words.
 //!
 //! Transitive-closure rows, reachability frontiers, and uncovered-connection
-//! sets in the 2-hop cover builder are all dense subsets of a known node
-//! universe, which makes a word-packed bit set the natural representation.
-//! The closure of a partition is bounded by the partitioner (paper §4.3)
-//! precisely so that these rows fit in memory.
+//! sets in the 2-hop cover builder are all subsets of a known node universe,
+//! packed 64 to a word. A closure row is not dense in that universe: an
+//! element reaches its own document's subtree and what its links lead to,
+//! and the walk numbers those close together, so a row's bits lie in a
+//! narrow band of words. On the benchmark's collections the non-zero word
+//! spans of the descendant rows cover 4–18% of a full-width row's words,
+//! those of the ancestor rows 18–95%. A [`FixedBitSet`] therefore stores an
+//! offset and the words from its first to its last possible non-zero word;
+//! every word outside that range reads as zero. [`FixedBitSet::new`] stores
+//! every word (the scratch sets of a traversal or a peel), and
+//! [`FixedBitSet::with_span`] stores a given range: each closure row is
+//! allocated once, at the span its bits will have. The closure of a
+//! partition is bounded by the partitioner (paper §4.3) precisely so that
+//! these rows fit in memory.
 
 /// A half-open range `lo..hi` of word indices into a [`FixedBitSet`] (bit
 /// `i` lives in word `i / 64`). The span operations read only the words a
-/// span selects, clamped to the words a set has: a span that is empty,
-/// inverted (`lo >= hi`) or past the end selects nothing.
+/// span selects, clamped to the words a set stores: a span that is empty,
+/// inverted (`lo >= hi`) or outside them selects nothing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WordSpan {
     /// First word selected.
@@ -26,6 +36,15 @@ impl WordSpan {
         lo: 0,
         hi: u32::MAX,
     };
+
+    /// The one word holding bit `i`.
+    #[inline]
+    pub fn of_bit(i: u32) -> WordSpan {
+        WordSpan {
+            lo: i / 64,
+            hi: i / 64 + 1,
+        }
+    }
 
     /// Returns `true` if the span selects no word.
     #[inline]
@@ -56,7 +75,7 @@ impl WordSpan {
         }
     }
 
-    /// Number of words selected (before clamping to a set's length).
+    /// Number of words selected (before clamping to a set's words).
     #[inline]
     pub fn len(self) -> u32 {
         self.hi.saturating_sub(self.lo)
@@ -67,14 +86,24 @@ impl WordSpan {
     pub fn contains(self, word: u32) -> bool {
         self.lo <= word && word < self.hi
     }
+
+    /// Returns `true` if every word `other` selects is selected here too.
+    #[inline]
+    fn covers(self, other: WordSpan) -> bool {
+        other.is_empty() || (self.lo <= other.lo && other.hi <= self.hi)
+    }
 }
 
-/// A fixed-capacity set of `u32` values in `0..len`, packed into 64-bit words.
-#[derive(Clone, PartialEq, Eq, Default)]
+/// A set of `u32` values in `0..len`, packed into 64-bit words, of which
+/// only a range is stored (see the module docs). Two sets are equal when
+/// they have the same universe and the same bits, however they store them.
+#[derive(Clone, Default)]
 pub struct FixedBitSet {
-    words: Vec<u64>,
+    /// Word `offset + i` of the set; every other word is zero.
+    words: Box<[u64]>,
+    offset: u32,
     /// Number of addressable bits.
-    len: usize,
+    len: u32,
 }
 
 impl std::fmt::Debug for FixedBitSet {
@@ -83,30 +112,68 @@ impl std::fmt::Debug for FixedBitSet {
     }
 }
 
+impl PartialEq for FixedBitSet {
+    fn eq(&self, other: &Self) -> bool {
+        let words = self.stored_span().hull(other.stored_span());
+        self.len == other.len && (words.lo..words.hi).all(|i| self.word(i) == other.word(i))
+    }
+}
+
+impl Eq for FixedBitSet {}
+
+/// The universe of `len` bits as the set stores it.
+fn universe(len: usize) -> u32 {
+    u32::try_from(len).expect("a bit set's universe fits u32 indices")
+}
+
+fn popcount(words: &[u64]) -> usize {
+    words.iter().map(|w| w.count_ones() as usize).sum()
+}
+
 impl FixedBitSet {
-    /// Creates an empty set with capacity for values in `0..len`.
+    /// Creates an empty set over `0..len` that stores every word.
     pub fn new(len: usize) -> Self {
+        Self::with_span(len, WordSpan::ALL)
+    }
+
+    /// Creates an empty set over `0..len` that stores the words of `span`
+    /// (clamped to the universe): the words a set's bits will lie in,
+    /// when they are known before the bits are.
+    pub fn with_span(len: usize, span: WordSpan) -> Self {
+        let len = universe(len);
+        let span = span.overlap(WordSpan {
+            lo: 0,
+            hi: len.div_ceil(64),
+        });
         FixedBitSet {
-            words: vec![0; len.div_ceil(64)],
+            words: vec![0; span.len() as usize].into_boxed_slice(),
+            offset: if span.is_empty() { 0 } else { span.lo },
             len,
         }
     }
 
-    /// The set over `0..len` whose packed words are `words`, laid out as
-    /// [`FixedBitSet::new`] lays them out; bits at `len` and past it must
-    /// be clear.
-    pub fn from_words(len: usize, words: &[u64]) -> Self {
-        assert_eq!(words.len(), len.div_ceil(64), "word count of {len} bits");
-        debug_assert!(len.is_multiple_of(64) || words.last().is_none_or(|&w| w >> (len % 64) == 0));
+    /// A copy of the bits inside `span`, stored over `span` clamped to
+    /// the words this set stores.
+    pub fn clone_in(&self, span: WordSpan) -> FixedBitSet {
+        let (words, lo) = self.words_in(span);
         FixedBitSet {
-            words: words.to_vec(),
-            len,
+            words: words.into(),
+            offset: if words.is_empty() { 0 } else { lo },
+            len: self.len,
         }
     }
 
     /// Number of addressable bits (the universe size, not the cardinality).
     pub fn len(&self) -> usize {
-        self.len
+        self.len as usize
+    }
+
+    /// The words this set stores; every word outside reads as zero.
+    pub fn stored_span(&self) -> WordSpan {
+        WordSpan {
+            lo: self.offset,
+            hi: self.offset + self.words.len() as u32,
+        }
     }
 
     /// Returns `true` if no bit is set.
@@ -114,44 +181,92 @@ impl FixedBitSet {
         self.words.iter().all(|&w| w == 0)
     }
 
-    /// Grows the universe to `new_len` bits, preserving existing content.
-    /// Shrinking is a no-op.
+    /// Grows the universe to `new_len` bits, preserving existing content;
+    /// the stored words stay as they are. Shrinking is a no-op.
     pub fn grow(&mut self, new_len: usize) {
-        if new_len > self.len {
-            self.len = new_len;
-            self.words.resize(new_len.div_ceil(64), 0);
-        }
+        self.len = self.len.max(universe(new_len));
     }
 
-    /// Sets bit `i`. Returns `true` if the bit was previously clear.
+    /// Stores the words of `span` too: one allocation at the hull of what
+    /// is stored and `span`. A set that grows upward gets room for half its
+    /// stored words again past that hull: the rows of a closure grown edge
+    /// by edge gain words mostly upward, one at a time, as nodes are
+    /// appended in ascending id order, and the room keeps the copies
+    /// linear in a row's final length. Sets allocated at their final span
+    /// never come here.
+    #[cold]
+    fn store(&mut self, span: WordSpan) {
+        let have = self.stored_span();
+        let mut want = have.hull(span);
+        if want == have {
+            return;
+        }
+        if want.hi > have.hi && !have.is_empty() {
+            want.hi = want.hi.max(have.hi + have.len() / 2);
+        }
+        let mut words = vec![0; want.len() as usize].into_boxed_slice();
+        if !self.words.is_empty() {
+            let at = (have.lo - want.lo) as usize;
+            words[at..at + self.words.len()].copy_from_slice(&self.words);
+        }
+        (self.words, self.offset) = (words, want.lo);
+    }
+
+    /// The index into `words` of word `i`, if it is stored.
+    #[inline]
+    fn slot(&self, i: u32) -> Option<usize> {
+        let at = i.wrapping_sub(self.offset) as usize;
+        (at < self.words.len()).then_some(at)
+    }
+
+    /// Sets bit `i`, storing its word first if need be. Returns `true` if
+    /// the bit was previously clear.
     #[inline]
     pub fn insert(&mut self, i: u32) -> bool {
-        let (w, b) = (i as usize / 64, i as usize % 64);
-        debug_assert!((i as usize) < self.len, "bit {i} out of range {}", self.len);
-        let mask = 1u64 << b;
-        let was = self.words[w] & mask;
-        self.words[w] |= mask;
+        debug_assert!(i < self.len, "bit {i} out of range {}", self.len);
+        let at = match self.slot(i / 64) {
+            Some(at) => at,
+            None => {
+                self.store(WordSpan::of_bit(i));
+                (i / 64 - self.offset) as usize
+            }
+        };
+        let mask = 1u64 << (i % 64);
+        let was = self.words[at] & mask;
+        self.words[at] |= mask;
         was == 0
     }
 
     /// Clears bit `i`. Returns `true` if the bit was previously set.
     #[inline]
     pub fn remove(&mut self, i: u32) -> bool {
-        let (w, b) = (i as usize / 64, i as usize % 64);
-        let mask = 1u64 << b;
-        let was = self.words[w] & mask;
-        self.words[w] &= !mask;
+        let Some(at) = self.slot(i / 64) else {
+            return false;
+        };
+        let mask = 1u64 << (i % 64);
+        let was = self.words[at] & mask;
+        self.words[at] &= !mask;
         was != 0
     }
 
     /// Tests bit `i`.
     #[inline]
     pub fn contains(&self, i: u32) -> bool {
-        let (w, b) = (i as usize / 64, i as usize % 64);
-        match self.words.get(w) {
-            Some(word) => word & (1u64 << b) != 0,
-            None => false,
-        }
+        self.word(i / 64) >> (i % 64) & 1 != 0
+    }
+
+    /// Word `i`: bit `i * 64 + b` is its bit `b`. Zero outside the stored
+    /// words.
+    #[inline]
+    pub(crate) fn word(&self, i: u32) -> u64 {
+        self.slot(i).map_or(0, |at| self.words[at])
+    }
+
+    /// ORs `bits` into word `i`, which must be stored.
+    #[inline]
+    pub(crate) fn or_word(&mut self, i: u32, bits: u64) {
+        let at = self.slot(i).expect("word outside the stored span");
+        self.words[at] |= bits;
     }
 
     /// Clears all bits.
@@ -161,20 +276,35 @@ impl FixedBitSet {
 
     /// Clears the bits inside `span`.
     pub fn clear_in(&mut self, span: WordSpan) {
-        self.words_in_mut(span).fill(0);
+        let inside = span.overlap(self.stored_span());
+        self.stored_mut(inside).fill(0);
     }
 
     /// Number of set bits.
     pub fn count(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+        popcount(&self.words)
+    }
+
+    /// Makes this set store the words where `other` has bits inside
+    /// `span`, and widens its universe to `other`'s; returns the words
+    /// both store inside `span`, which then hold every such bit.
+    fn reserve_for(&mut self, other: &FixedBitSet, span: WordSpan) -> WordSpan {
+        self.len = self.len.max(other.len);
+        let theirs = span.overlap(other.stored_span());
+        if !self.stored_span().covers(theirs) {
+            self.store(other.word_span_in(theirs));
+        }
+        theirs.overlap(self.stored_span())
     }
 
     /// `self |= other` on the words inside `span`; returns the number of
-    /// newly set bits.
+    /// newly set bits. Stores the words this needs, widening upward by at
+    /// least half the stored words again, and widens the universe to
+    /// `other`'s.
     pub fn union_with_count_in(&mut self, other: &FixedBitSet, span: WordSpan) -> usize {
-        debug_assert!(other.words.len() <= self.words.len());
+        let both = self.reserve_for(other, span);
         let mut added = 0;
-        for (a, &b) in self.words_in_mut(span).iter_mut().zip(other.words_in(span)) {
+        for (a, &b) in self.stored_mut(both).iter_mut().zip(other.stored(both)) {
             let new = *a | b;
             added += (new ^ *a).count_ones() as usize;
             *a = new;
@@ -187,20 +317,17 @@ impl FixedBitSet {
         self.union_with_in(other, WordSpan::ALL);
     }
 
-    /// `self |= other` on the words inside `span`.
+    /// `self |= other` on the words inside `span`, like
+    /// [`FixedBitSet::union_with_count_in`] without the count.
     pub fn union_with_in(&mut self, other: &FixedBitSet, span: WordSpan) {
-        for (a, &b) in self.words_in_mut(span).iter_mut().zip(other.words_in(span)) {
-            *a |= b;
-        }
+        self.union_with_count_in(other, span);
     }
 
     /// `self &= other`.
     pub fn intersect_with(&mut self, other: &FixedBitSet) {
-        for (a, &b) in self.words.iter_mut().zip(other.words.iter()) {
-            *a &= b;
-        }
-        for a in self.words.iter_mut().skip(other.words.len()) {
-            *a = 0;
+        let offset = self.offset;
+        for (i, a) in (offset..).zip(self.words.iter_mut()) {
+            *a &= other.word(i);
         }
     }
 
@@ -212,9 +339,10 @@ impl FixedBitSet {
     /// `self &= !other`, on the words inside `span` only. Returns the
     /// number of bits cleared and the span of the words that lost any.
     pub fn difference_with_in(&mut self, other: &FixedBitSet, span: WordSpan) -> (usize, WordSpan) {
-        let theirs = other.words_in(span);
+        let both = self.overlap_with(other, span);
         let (mut cleared, mut first, mut last) = (0, None, 0);
-        for ((i, a), &b) in (span.lo..).zip(self.words_in_mut(span)).zip(theirs) {
+        let theirs = other.stored(both);
+        for ((i, a), &b) in (both.lo..).zip(self.stored_mut(both)).zip(theirs) {
             let lost = *a & b;
             if lost != 0 {
                 cleared += lost.count_ones() as usize;
@@ -229,9 +357,10 @@ impl FixedBitSet {
 
     /// Returns `true` if `self ∩ other ≠ ∅` without materializing it.
     pub fn intersects(&self, other: &FixedBitSet) -> bool {
-        self.words
+        let both = self.overlap_with(other, WordSpan::ALL);
+        self.stored(both)
             .iter()
-            .zip(other.words.iter())
+            .zip(other.stored(both))
             .any(|(&a, &b)| a & b != 0)
     }
 
@@ -242,62 +371,67 @@ impl FixedBitSet {
 
     /// Cardinality of `self ∩ other` within the words of `span`.
     pub fn intersection_count_in(&self, other: &FixedBitSet, span: WordSpan) -> usize {
-        self.words_in(span)
+        let both = self.overlap_with(other, span);
+        self.stored(both)
             .iter()
-            .zip(other.words_in(span))
+            .zip(other.stored(both))
             .map(|(&a, &b)| (a & b).count_ones() as usize)
             .sum()
     }
 
-    /// Cardinality of `self ∖ other` within the words of `span` (words
-    /// beyond the end of `other` count as empty).
+    /// Cardinality of `self ∖ other` within the words of `span`.
     pub fn difference_count_in(&self, other: &FixedBitSet, span: WordSpan) -> usize {
-        let theirs = other.words_in(span);
-        let mine = self.words_in(span);
-        let (paired, rest) = mine.split_at(theirs.len().min(mine.len()));
-        let paired: usize = paired
+        let mine = span.overlap(self.stored_span());
+        let both = mine.overlap(other.stored_span());
+        if both.is_empty() {
+            return popcount(self.stored(mine));
+        }
+        let paired: usize = self
+            .stored(both)
             .iter()
-            .zip(theirs)
+            .zip(other.stored(both))
             .map(|(&a, &b)| (a & !b).count_ones() as usize)
             .sum();
-        paired + rest.iter().map(|w| w.count_ones() as usize).sum::<usize>()
+        let before = WordSpan {
+            hi: both.lo,
+            ..mine
+        };
+        let after = WordSpan {
+            lo: both.hi,
+            ..mine
+        };
+        popcount(self.stored(before)) + paired + popcount(self.stored(after))
     }
 
     /// The span of the words holding bits of `self ∖ other`, found by
-    /// scanning inward from both ends (words beyond the end of `other`
-    /// count as empty); [`WordSpan::EMPTY`] if `self ⊆ other`.
+    /// scanning inward from both ends; [`WordSpan::EMPTY`] if
+    /// `self ⊆ other`.
     pub fn difference_span(&self, other: &FixedBitSet) -> WordSpan {
-        let left = |i: usize| self.word(i) & !other.word(i);
-        let Some(first) = (0..self.words.len()).find(|&i| left(i) != 0) else {
+        let stored = self.stored_span();
+        let left = |i: u32| self.word(i) & !other.word(i) != 0;
+        let Some(first) = (stored.lo..stored.hi).find(|&i| left(i)) else {
             return WordSpan::EMPTY;
         };
-        let last = (first..self.words.len())
-            .rfind(|&i| left(i) != 0)
-            .unwrap_or(first);
+        let last = (first..stored.hi).rfind(|&i| left(i)).unwrap_or(first);
         WordSpan {
-            lo: first as u32,
-            hi: last as u32 + 1,
+            lo: first,
+            hi: last + 1,
         }
     }
 
-    /// Word `i`, zero past the end.
-    fn word(&self, i: usize) -> u64 {
-        self.words.get(i).copied().unwrap_or(0)
-    }
-
     /// Iterates over `self ∩ other` within the words of `span`, ascending,
-    /// without materializing it (words beyond the shorter set count as
-    /// empty).
+    /// without materializing it.
     pub fn intersection_iter_in<'a>(
         &'a self,
         other: &'a FixedBitSet,
         span: WordSpan,
     ) -> Intersection<'a> {
-        let (a, b) = (self.words_in(span), other.words_in(span));
+        let both = self.overlap_with(other, span);
+        let (a, b) = (self.stored(both), other.stored(both));
         Intersection {
             a,
             b,
-            first_bit: span.lo as usize * 64,
+            first_bit: both.lo as usize * 64,
             word_idx: 0,
             current: match (a.first(), b.first()) {
                 (Some(&a), Some(&b)) => a & b,
@@ -315,35 +449,47 @@ impl FixedBitSet {
     /// [`FixedBitSet::word_span`] of the bits inside `span`, found by
     /// scanning inward from its two ends.
     pub fn word_span_in(&self, span: WordSpan) -> WordSpan {
-        let words = self.words_in(span);
+        let (words, lo) = self.words_in(span);
         let Some(first) = words.iter().position(|&w| w != 0) else {
             return WordSpan::EMPTY;
         };
         let last = words.iter().rposition(|&w| w != 0).unwrap_or(first);
         WordSpan {
-            lo: span.lo + first as u32,
-            hi: span.lo + last as u32 + 1,
+            lo: lo + first as u32,
+            hi: lo + last as u32 + 1,
         }
     }
 
-    /// The packed words: bit `i` is bit `i % 64` of word `i / 64`.
-    pub(crate) fn words(&self) -> &[u64] {
-        &self.words
+    /// The words both sets store inside `span`.
+    #[inline]
+    fn overlap_with(&self, other: &FixedBitSet, span: WordSpan) -> WordSpan {
+        span.overlap(self.stored_span())
+            .overlap(other.stored_span())
     }
 
-    pub(crate) fn words_mut(&mut self) -> &mut [u64] {
-        &mut self.words
+    /// The stored words inside `span` and the index of the first of them.
+    #[inline]
+    fn words_in(&self, span: WordSpan) -> (&[u64], u32) {
+        let inside = span.overlap(self.stored_span());
+        (self.stored(inside), inside.lo)
     }
 
-    /// The words inside `span`, clamped to the set's length.
-    fn words_in(&self, span: WordSpan) -> &[u64] {
-        let hi = (span.hi as usize).min(self.words.len());
-        self.words.get(span.lo as usize..hi).unwrap_or_default()
+    /// The words of `span`, which lies inside the stored words or is
+    /// empty.
+    #[inline]
+    fn stored(&self, span: WordSpan) -> &[u64] {
+        if span.is_empty() {
+            return &[];
+        }
+        &self.words[(span.lo - self.offset) as usize..(span.hi - self.offset) as usize]
     }
 
-    fn words_in_mut(&mut self, span: WordSpan) -> &mut [u64] {
-        let hi = (span.hi as usize).min(self.words.len());
-        self.words.get_mut(span.lo as usize..hi).unwrap_or_default()
+    #[inline]
+    fn stored_mut(&mut self, span: WordSpan) -> &mut [u64] {
+        if span.is_empty() {
+            return &mut [];
+        }
+        &mut self.words[(span.lo - self.offset) as usize..(span.hi - self.offset) as usize]
     }
 
     /// Iterates over set bits in ascending order.
@@ -353,10 +499,10 @@ impl FixedBitSet {
 
     /// Iterates over the set bits inside the words of `span`, ascending.
     pub fn iter_in(&self, span: WordSpan) -> Iter<'_> {
-        let words = self.words_in(span);
+        let (words, lo) = self.words_in(span);
         Iter {
             words,
-            first_bit: span.lo as usize * 64,
+            first_bit: lo as usize * 64,
             word_idx: 0,
             current: words.first().copied().unwrap_or(0),
         }
@@ -600,6 +746,99 @@ mod tests {
             let all: Vec<u32> = a.intersection_iter_in(&b, WordSpan::ALL).collect();
             prop_assert_eq!(all, both.to_vec());
             prop_assert_eq!(a.intersection_count(&b), both.count());
+        }
+    }
+
+    /// `bits` inside the words of `stored`, as a set that stores only
+    /// those words and as one that stores every word.
+    fn twins(len: usize, stored: WordSpan, bits: &[u32]) -> (FixedBitSet, FixedBitSet) {
+        let mut compact = FixedBitSet::with_span(len, stored);
+        let mut dense = FixedBitSet::new(len);
+        for &i in bits
+            .iter()
+            .filter(|&&i| (i as usize) < len && stored.contains(i / 64))
+        {
+            compact.insert(i);
+            dense.insert(i);
+        }
+        (compact, dense)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A set that stores only a range of its words answers every
+        /// operation as the same set stored over all of them, against
+        /// either representation of the other operand and for any span:
+        /// empty, inverted, outside the stored words or partly inside.
+        #[test]
+        fn compact_rows_match_dense(
+            len in 0usize..400,
+            (alo, ahi, blo, bhi) in (0u32..8, 0u32..8, 0u32..8, 0u32..8),
+            abits in proptest::collection::vec(0u32..400, 0..80),
+            bbits in proptest::collection::vec(0u32..400, 0..80),
+            (lo, hi) in (0u32..9, 0u32..9),
+            extra in 0u32..400,
+        ) {
+            let (ac, ad) = twins(len, WordSpan { lo: alo, hi: ahi }, &abits);
+            let (bc, bd) = twins(len, WordSpan { lo: blo, hi: bhi }, &bbits);
+            prop_assert!(ac.stored_span().len() <= WordSpan { lo: alo, hi: ahi }.len());
+            prop_assert_eq!(&ac, &ad);
+            prop_assert_eq!(ac.count(), ad.count());
+            prop_assert_eq!(ac.is_empty(), ad.is_empty());
+            for i in 0..len as u32 + 130 {
+                prop_assert_eq!(ac.contains(i), ad.contains(i));
+            }
+            let spans = [
+                WordSpan { lo, hi },
+                WordSpan::ALL,
+                WordSpan::EMPTY,
+                ac.stored_span(),
+                bc.stored_span(),
+            ];
+            for span in spans {
+                prop_assert_eq!(ac.iter_in(span).collect::<Vec<_>>(), ad.iter_in(span).collect::<Vec<_>>());
+                prop_assert_eq!(ac.word_span_in(span), ad.word_span_in(span));
+                for (a, b) in [(&ac, &bc), (&ac, &bd), (&ad, &bc)] {
+                    prop_assert_eq!(a.intersection_count_in(b, span), ad.intersection_count_in(&bd, span));
+                    prop_assert_eq!(a.difference_count_in(b, span), ad.difference_count_in(&bd, span));
+                    prop_assert_eq!(
+                        a.intersection_iter_in(b, span).collect::<Vec<_>>(),
+                        ad.intersection_iter_in(&bd, span).collect::<Vec<_>>()
+                    );
+                    let (mut got, mut want) = (a.clone(), ad.clone());
+                    prop_assert_eq!(got.union_with_count_in(b, span), want.union_with_count_in(&bd, span));
+                    prop_assert_eq!(&got, &want);
+                    let (mut got, mut want) = (a.clone(), ad.clone());
+                    prop_assert_eq!(got.difference_with_in(b, span), want.difference_with_in(&bd, span));
+                    prop_assert_eq!(&got, &want);
+                }
+            }
+            let same = ad.to_vec() == bd.to_vec();
+            for (a, b) in [(&ac, &bc), (&ac, &bd), (&ad, &bc), (&bc, &ac), (&bd, &ac), (&bc, &ad)] {
+                prop_assert_eq!(a == b, same);
+            }
+            for (a, b) in [(&ac, &bc), (&ac, &bd), (&ad, &bc)] {
+                prop_assert_eq!(a.intersects(b), ad.intersects(&bd));
+                prop_assert_eq!(a.difference_span(b), ad.difference_span(&bd));
+                let (mut got, mut want) = (a.clone(), ad.clone());
+                got.intersect_with(b);
+                want.intersect_with(&bd);
+                prop_assert_eq!(&got, &want);
+            }
+            // A bit outside the stored words is stored on insert.
+            if (extra as usize) < len {
+                let (mut got, mut want) = (ac.clone(), ad.clone());
+                prop_assert_eq!(got.insert(extra), want.insert(extra));
+                prop_assert_eq!(&got, &want);
+                prop_assert!(got.stored_span().contains(extra / 64));
+                prop_assert_eq!(got.remove(extra), want.remove(extra));
+                prop_assert_eq!(&got, &want);
+            }
+            // Equality is of contents: a copy over the set's own span, or
+            // over no words when it is empty, equals the original.
+            prop_assert_eq!(&ac.clone_in(ac.word_span()), &ad);
+            prop_assert_eq!(ac.clone_in(ac.word_span()).stored_span().len(), ad.word_span().len());
         }
     }
 

@@ -31,7 +31,6 @@ pub struct TransitiveClosure {
     /// Live flags (a dead slot has empty rows and contributes nothing).
     alive: Vec<bool>,
     connections: usize,
-    capacity: usize,
 }
 
 impl TransitiveClosure {
@@ -40,34 +39,18 @@ impl TransitiveClosure {
         Self::default()
     }
 
-    /// Computes the closure of `g`: the walk of [`reach_rows`] from every
-    /// node slot, every live node its own target. A dead slot has no
-    /// successors and no target, so its row stays empty.
+    /// Computes the closure of `g`: its [`descendant_rows`] and their
+    /// transpose.
     pub fn from_graph(g: &DiGraph) -> Self {
-        let n = g.id_bound();
-        let slots: Vec<NodeId> = (0..n as NodeId).collect();
-        let desc = reach_rows(
-            n,
-            &slots,
-            n,
-            |v| g.is_alive(v).then_some(v),
-            |v, out| out.extend_from_slice(g.successors(v)),
-        );
-        let alive: Vec<bool> = slots.iter().map(|&v| g.is_alive(v)).collect();
+        let desc = descendant_rows(g);
+        let alive: Vec<bool> = (0..desc.len() as NodeId).map(|v| g.is_alive(v)).collect();
         let connections = desc.iter().map(FixedBitSet::count).sum();
-        // Transpose for ancestor rows.
-        let mut anc: Vec<FixedBitSet> = vec![FixedBitSet::new(n); n];
-        for (u, row) in desc.iter().enumerate() {
-            for v in row.iter() {
-                anc[v as usize].insert(u as NodeId);
-            }
-        }
+        let anc = transpose(&desc, None);
         TransitiveClosure {
             desc,
             anc,
             alive,
             connections,
-            capacity: n,
         }
     }
 
@@ -107,7 +90,6 @@ impl TransitiveClosure {
             anc,
             alive,
             connections,
-            capacity: n,
         }
     }
 
@@ -145,7 +127,7 @@ impl TransitiveClosure {
     /// connection.
     pub fn add_node(&mut self) -> NodeId {
         let id = self.desc.len() as NodeId;
-        self.push_slot(true);
+        self.push_slot();
         id
     }
 
@@ -153,7 +135,7 @@ impl TransitiveClosure {
     /// newly live nodes), mirroring [`DiGraph::ensure_node`].
     pub fn ensure_node(&mut self, id: NodeId) {
         while (self.desc.len() as NodeId) <= id {
-            self.push_slot(true);
+            self.push_slot();
         }
         if !self.alive[id as usize] {
             self.alive[id as usize] = true;
@@ -163,24 +145,19 @@ impl TransitiveClosure {
         }
     }
 
-    fn push_slot(&mut self, live: bool) {
+    /// Appends a live slot whose rows store the one word of its own bit;
+    /// a row stores more words as edges bring it bits there.
+    fn push_slot(&mut self) {
         let id = self.desc.len() as NodeId;
-        if self.desc.len() == self.capacity {
-            self.capacity = (self.capacity * 2).max(64);
-            for row in self.desc.iter_mut().chain(self.anc.iter_mut()) {
-                row.grow(self.capacity);
-            }
-        }
-        let mut d = FixedBitSet::new(self.capacity);
-        let mut a = FixedBitSet::new(self.capacity);
-        if live {
-            d.insert(id);
-            a.insert(id);
-            self.connections += 1;
-        }
-        self.desc.push(d);
-        self.anc.push(a);
-        self.alive.push(live);
+        let row = || {
+            let mut row = FixedBitSet::with_span(id as usize + 1, WordSpan::of_bit(id));
+            row.insert(id);
+            row
+        };
+        self.connections += 1;
+        self.desc.push(row());
+        self.anc.push(row());
+        self.alive.push(true);
     }
 
     /// Inserts edge `(u, v)` into the closure, transitively. Returns the
@@ -189,7 +166,9 @@ impl TransitiveClosure {
     ///
     /// Cost is `O(|anc(u)| + |desc(v)|)` row unions — the standard
     /// incremental-closure update. Each union touches only the words
-    /// `desc(v)` (or `anc(u)`) has bits in, not the capacity-wide row.
+    /// `desc(v)` (or `anc(u)`) has bits in, and a row that gets bits
+    /// outside its stored words is reallocated over the hull of both (with
+    /// room to grow upward, see [`FixedBitSet::union_with_count_in`]).
     pub fn insert_edge(&mut self, u: NodeId, v: NodeId) -> usize {
         assert!(
             self.is_alive(u) && self.is_alive(v),
@@ -221,6 +200,22 @@ impl TransitiveClosure {
     }
 }
 
+/// The descendant row of every node slot of `g`, reflexive for live
+/// nodes: the walk of [`reach_rows`] from every slot, every live node its
+/// own target. A dead slot has no successors and no target, so its row
+/// stays empty.
+pub fn descendant_rows(g: &DiGraph) -> Vec<FixedBitSet> {
+    let n = g.id_bound();
+    let slots: Vec<NodeId> = (0..n as NodeId).collect();
+    reach_rows(
+        n,
+        &slots,
+        n,
+        |v| g.is_alive(v).then_some(v),
+        |v, out| out.extend_from_slice(g.successors(v)),
+    )
+}
+
 /// The transpose of the `n × n` bit matrix `rows`, restricted to the rows
 /// of `sources` (all rows without): row `v` of the result holds the `u`
 /// with `v ∈ rows[u]`.
@@ -229,40 +224,70 @@ impl TransitiveClosure {
 /// their rows have a bit in is gathered, transposed in registers and ORed
 /// into the 64 result rows it covers, one word each. That is a few
 /// hundred word operations per block that holds a bit, where setting the
-/// bits one at a time writes a scattered row per bit.
+/// bits one at a time writes a scattered row per bit. A first pass ORs
+/// each gathered column instead of transposing it: bit `r` of that OR is
+/// set iff result row `64·w + r` gets a word from the group, so every
+/// result row is allocated once, over the span of its words.
 fn transpose(rows: &[FixedBitSet], sources: Option<&FixedBitSet>) -> Vec<FixedBitSet> {
     let n = rows.len();
-    let mut out = vec![FixedBitSet::new(n); n];
+    // Each group of 64 rows: its index, rows, kept rows as a mask, and the
+    // hull of the kept rows' words.
+    let groups = || {
+        rows.chunks(64).zip(0u32..).map(|(chunk, group)| {
+            let kept = sources.map_or(!0, |s| s.word(group));
+            let hull = (0..chunk.len())
+                .filter(|r| kept >> r & 1 != 0)
+                .fold(WordSpan::EMPTY, |hull, r| hull.hull(chunk[r].word_span()));
+            (group, chunk, kept, hull)
+        })
+    };
     let mut block = [0u64; 64];
-    for (group, chunk) in rows.chunks(64).enumerate() {
-        let kept = sources.map_or(!0, |s| s.words().get(group).copied().unwrap_or(0));
-        let mut hull = WordSpan::EMPTY;
-        for (r, row) in chunk.iter().enumerate() {
-            if kept >> r & 1 != 0 {
-                hull = hull.hull(row.word_span());
+    let mut spans = vec![WordSpan::EMPTY; n];
+    for (group, chunk, kept, hull) in groups() {
+        for w in hull.lo..hull.hi {
+            let mut column = gather(&mut block, chunk, kept, w);
+            while column != 0 {
+                let v = w as usize * 64 + column.trailing_zeros() as usize;
+                spans[v] = spans[v].hull(WordSpan {
+                    lo: group,
+                    hi: group + 1,
+                });
+                column &= column - 1;
             }
         }
+    }
+    let mut out: Vec<FixedBitSet> = spans
+        .iter()
+        .map(|&span| FixedBitSet::with_span(n, span))
+        .collect();
+    for (group, chunk, kept, hull) in groups() {
         for w in hull.lo..hull.hi {
-            let mut any = 0;
-            for (r, slot) in block.iter_mut().enumerate() {
-                *slot = match chunk.get(r) {
-                    Some(row) if kept >> r & 1 != 0 => row.words()[w as usize],
-                    _ => 0,
-                };
-                any |= *slot;
-            }
-            if any == 0 {
+            if gather(&mut block, chunk, kept, w) == 0 {
                 continue;
             }
             transpose64(&mut block);
             for (r, &bits) in block.iter().enumerate() {
                 if bits != 0 {
-                    out[w as usize * 64 + r].words_mut()[group] |= bits;
+                    out[w as usize * 64 + r].or_word(group, bits);
                 }
             }
         }
     }
     out
+}
+
+/// Fills `block` with word `w` of each kept row of `chunk` (zero for the
+/// others and past its end) and returns their OR.
+fn gather(block: &mut [u64; 64], chunk: &[FixedBitSet], kept: u64, w: u32) -> u64 {
+    let mut any = 0;
+    for (r, slot) in block.iter_mut().enumerate() {
+        *slot = match chunk.get(r) {
+            Some(row) if kept >> r & 1 != 0 => row.word(w),
+            _ => 0,
+        };
+        any |= *slot;
+    }
+    any
 }
 
 /// Transposes a 64 × 64 bit block in place: bit `c` of word `r` trades
@@ -430,6 +455,9 @@ mod tests {
             let batch = TransitiveClosure::from_graph(&g);
             assert_eq!(tc.connection_count(), batch.connection_count());
             for u in 0..n {
+                for row in [batch.descendants(u), batch.ancestors(u)] {
+                    assert_eq!(row.stored_span(), row.word_span(), "batch row {u}");
+                }
                 assert_eq!(
                     tc.descendants(u).to_vec(),
                     batch.descendants(u).to_vec(),

@@ -7,8 +7,9 @@
 //!   predecessor and successor adjacency, supporting node/edge insertion and
 //!   removal (needed for incremental index maintenance, paper §6).
 //! * [`FixedBitSet`] — the bit-set used to materialize transitive-closure
-//!   rows; the paper's new partitioner (§4.3) grows partitions while the
-//!   in-memory closure still fits a budget, which we track via
+//!   rows, each stored over the span of its non-zero words only; the
+//!   paper's new partitioner (§4.3) grows partitions while the in-memory
+//!   closure still fits a budget, which we track via
 //!   [`closure::TransitiveClosure::connection_count`].
 //! * [`closure`] — reflexive/irreflexive transitive closures with incremental
 //!   edge insertion, and a distance closure (all-pairs unweighted shortest
@@ -36,6 +37,6 @@ pub mod traversal;
 pub mod walk;
 
 pub use bitset::{FixedBitSet, WordSpan};
-pub use closure::{DistanceClosure, TransitiveClosure};
+pub use closure::{descendant_rows, DistanceClosure, TransitiveClosure};
 pub use digraph::{DiGraph, EdgeInsert, NodeId};
 pub use walk::reach_rows;

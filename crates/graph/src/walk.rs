@@ -8,7 +8,7 @@
 //! strongly connected components as it goes and the members of one share
 //! their row.
 
-use crate::bitset::FixedBitSet;
+use crate::bitset::{FixedBitSet, WordSpan};
 use crate::digraph::NodeId;
 
 const NONE: u32 = u32::MAX;
@@ -25,11 +25,13 @@ const DEAD: u32 = u32::MAX - 1;
 /// it first reaches it. An iterative Tarjan over the walk emits the
 /// strongly connected components of the nodes reached, successors first.
 /// A component's row is its own slots plus the rows of the components its
-/// members have edges into, which are final by then; a component that
-/// reaches no target gets no row. A node with no successors and no slot
-/// is a dead end: its row would be empty and no path runs through it, so
-/// the walk does not enter it (most elements of a document tree are such
-/// leaves). Nothing the starts do not reach is read.
+/// members have edges into, which are final by then; it stores only the
+/// hull of those words, and a component that reaches no target gets no
+/// row. The last start in a component takes its row, the others get
+/// copies. A node with no successors and no slot is a dead end: its row
+/// would be empty and no path runs through it, so the walk does not enter
+/// it (most elements of a document tree are such leaves). Nothing the
+/// starts do not reach is read.
 pub fn reach_rows(
     id_bound: usize,
     starts: &[NodeId],
@@ -52,6 +54,8 @@ pub fn reach_rows(
         row_of: Vec::new(),
         merged_into: Vec::new(),
         rows: Vec::new(),
+        own: Vec::new(),
+        merge: Vec::new(),
     };
     for &s in starts {
         if walk.walk_id[s as usize] == NONE {
@@ -59,14 +63,27 @@ pub fn reach_rows(
             walk.run();
         }
     }
-    starts
+    let row_of: Vec<u32> = starts
         .iter()
         .map(|&s| match walk.walk_id[s as usize] {
-            DEAD => FixedBitSet::new(width),
-            v => match walk.row_of[walk.component[v as usize] as usize] {
-                NONE => FixedBitSet::new(width),
-                row => walk.rows[row as usize].clone(),
-            },
+            DEAD => NONE,
+            v => walk.row_of[walk.component[v as usize] as usize],
+        })
+        .collect();
+    // A row moves to the last start that has it; the starts before it in
+    // its component get copies.
+    let mut last = vec![NONE; walk.rows.len()];
+    for (i, &row) in (0..).zip(&row_of) {
+        if row != NONE {
+            last[row as usize] = i;
+        }
+    }
+    (0..)
+        .zip(&row_of)
+        .map(|(i, &row)| match row {
+            NONE => FixedBitSet::with_span(width, WordSpan::EMPTY),
+            row if last[row as usize] == i => std::mem::take(&mut walk.rows[row as usize]),
+            row => walk.rows[row as usize].clone(),
         })
         .collect()
 }
@@ -96,6 +113,10 @@ struct Walk<T, S> {
     row_of: Vec<u32>,
     merged_into: Vec<u32>,
     rows: Vec<FixedBitSet>,
+    /// Scratch of one [`Walk::close_component`]: the component's own
+    /// slots and the rows it merges.
+    own: Vec<u32>,
+    merge: Vec<u32>,
 }
 
 impl<T, S> Walk<T, S>
@@ -152,7 +173,9 @@ where
     }
 
     /// Pops the component rooted at `root` off Tarjan's stack and builds
-    /// its row from its own slots and its successor components' rows.
+    /// its row from its own slots and its successor components' rows. The
+    /// row is allocated once, over the hull of its slots' words and those
+    /// rows' spans, which are final by then.
     fn close_component(&mut self, root: u32) {
         let c = self.row_of.len() as u32;
         // Walk ids enter the stack in ascending order.
@@ -160,11 +183,13 @@ where
         for &x in &self.stack[at..] {
             self.component[x as usize] = c;
         }
-        let mut row = NONE;
+        self.own.clear();
+        self.merge.clear();
+        let mut span = WordSpan::EMPTY;
         for &x in &self.stack[at..] {
             if let Some(j) = (self.slot)(self.node[x as usize]) {
-                row = alloc_row(&mut self.rows, self.width, row);
-                self.rows[row as usize].insert(j);
+                self.own.push(j);
+                span = span.hull(WordSpan::of_bit(j));
             }
             let (lo, hi) = self.succ_range[x as usize];
             for &w in &self.succ[lo as usize..hi as usize] {
@@ -178,29 +203,28 @@ where
                 }
                 self.merged_into[cw as usize] = c;
                 let from = self.row_of[cw as usize];
-                if from == NONE {
-                    continue;
+                if from != NONE {
+                    self.merge.push(from);
+                    span = span.hull(self.rows[from as usize].stored_span());
                 }
-                row = alloc_row(&mut self.rows, self.width, row);
-                // A successor component closed earlier, so its row lies
-                // below this one.
-                let (below, this) = self.rows.split_at_mut(row as usize);
-                this[0].union_with(&below[from as usize]);
             }
         }
         self.stack.truncate(at);
-        self.row_of.push(row);
         self.merged_into.push(NONE);
+        if span.is_empty() {
+            self.row_of.push(NONE);
+            return;
+        }
+        let mut row = FixedBitSet::with_span(self.width, span);
+        for &j in &self.own {
+            row.insert(j);
+        }
+        for &from in &self.merge {
+            row.union_with(&self.rows[from as usize]);
+        }
+        self.row_of.push(self.rows.len() as u32);
+        self.rows.push(row);
     }
-}
-
-/// `row`, or a fresh empty row at the end of `rows` when it is [`NONE`].
-fn alloc_row(rows: &mut Vec<FixedBitSet>, width: usize, row: u32) -> u32 {
-    if row != NONE {
-        return row;
-    }
-    rows.push(FixedBitSet::new(width));
-    rows.len() as u32 - 1
 }
 
 #[cfg(test)]

@@ -187,3 +187,39 @@ fn greedy_counters_are_pinned() {
     // Row words the degree passes read: the kernel's own cost.
     assert_eq!(g.degree_words, 53_037);
 }
+
+/// Guards the closure's memory: every row of the closure a `flat` build
+/// of DBLP 0.01 covers, in both directions, and both uncovered-row tables
+/// of a cover builder over it store exactly the words from their first to
+/// their last non-zero word. The word counts are pinned; full-width rows
+/// would store `n · ⌈n/64⌉` words per table.
+#[test]
+fn closure_rows_store_only_their_span() {
+    use hopi::core::CoverBuilder;
+    use hopi::graph::{FixedBitSet, TransitiveClosure};
+
+    let c = dblp(&DblpConfig::scaled(0.01));
+    let tc = TransitiveClosure::from_graph(&c.element_graph());
+    let n = tc.num_nodes() as u32;
+    let stored = |row: &FixedBitSet| {
+        assert_eq!(
+            row.stored_span(),
+            row.word_span(),
+            "a row stores words past its bits"
+        );
+        row.stored_span().len() as usize
+    };
+    let desc: usize = (0..n).map(|u| stored(tc.descendants(u))).sum();
+    let anc: usize = (0..n).map(|u| stored(tc.ancestors(u))).sum();
+    let builder = CoverBuilder::new(&tc);
+    let (mut out, mut inn) = (0, 0);
+    for u in 0..n {
+        let (row_out, row_in) = builder.uncovered(u).expect("a node of the closure");
+        out += stored(row_out);
+        inn += stored(row_in);
+    }
+    let full_width = n as usize * n.div_ceil(64) as usize;
+    assert_eq!((n, full_width), (1607, 41_782));
+    assert_eq!((desc, anc), (9_090, 23_435), "closure rows");
+    assert_eq!((out, inn), (8_140, 23_266), "uncovered rows");
+}
