@@ -14,10 +14,9 @@ use hopi_core::densest::{densest_subgraph, BipartiteCenterGraph};
 use hopi_core::CoverBuilder;
 use hopi_graph::traversal::reachable_from_many;
 use hopi_graph::{FixedBitSet, TransitiveClosure};
-use hopi_maintenance::region::region_rows;
 use hopi_maintenance::{integrate_link, separates};
 use hopi_partition::{tc_partitioner, TcPartitionerConfig};
-use hopi_xml::Collection;
+use hopi_xml::{Collection, DocSet, LinkIndex};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
@@ -47,8 +46,8 @@ fn partition_closure(collection: &Collection, budget: u64) -> TransitiveClosure 
         ..TcPartitionerConfig::default()
     };
     let partitioning = tc_partitioner::partition(collection, &config);
-    let (graph, _, _) = partitioning.partition_element_graph(collection, 0);
-    TransitiveClosure::from_graph(&graph)
+    let docs = DocSet::new(collection, partitioning.partitions[0].docs.iter().copied());
+    docs.closure(&LinkIndex::new(collection))
 }
 
 /// The partial closure a Theorem-3 deletion of the document with the most
@@ -80,7 +79,7 @@ fn theorem3_closure(collection: &Collection) -> (TransitiveClosure, FixedBitSet)
             seeds.insert(i as u32);
         }
     }
-    let rows = region_rows(&after, &live, &d);
+    let rows = DocSet::new(&after, after.doc_ids()).region_rows(&LinkIndex::new(&after), &live, &d);
     let alive = vec![true; live.len()];
     (
         TransitiveClosure::from_desc_rows(rows, alive, Some(&seeds)),

@@ -28,7 +28,7 @@ pub mod old_partitioner;
 pub mod redundancy;
 
 use hopi_xml::generator::{dblp, inex, DblpConfig, InexConfig};
-use hopi_xml::Collection;
+use hopi_xml::{Collection, DocSet, LinkIndex};
 
 /// Paper-scale constants for translating Table 2 parameter names.
 pub mod paper {
@@ -167,9 +167,11 @@ pub fn scaled_px_cap(x: f64, elements: usize) -> u64 {
 
 /// Connections in the transitive closure of `collection`'s element graph,
 /// reflexive pairs included: what the `Nx` budgets scale against. Counted
-/// off the closure's descendant rows alone; no ancestor row is built.
+/// off the descendant rows of a walk of every live document; neither the
+/// element graph nor an ancestor row is built.
 pub fn closure_connections(collection: &Collection) -> u64 {
-    let rows = hopi_graph::descendant_rows(&collection.element_graph());
+    let docs = DocSet::new(collection, collection.doc_ids());
+    let rows = docs.descendant_rows(&LinkIndex::new(collection));
     rows.iter().map(|row| row.count() as u64).sum()
 }
 

@@ -39,10 +39,18 @@ impl TransitiveClosure {
         Self::default()
     }
 
-    /// Computes the closure of `g`: its [`descendant_rows`] and their
-    /// transpose.
+    /// Computes the closure of `g`: the descendant row of every node slot,
+    /// reflexive for live nodes, and their transpose. The rows come from
+    /// the walk of [`reach_rows`] from every slot, every live node its own
+    /// target; a dead slot has no successors and no target, so its row
+    /// stays empty.
     pub fn from_graph(g: &DiGraph) -> Self {
-        let desc = descendant_rows(g);
+        let n = g.id_bound();
+        let slots: Vec<NodeId> = (0..n as NodeId).collect();
+        let live = |v| g.is_alive(v).then_some(v);
+        let desc = reach_rows(n, &slots, n, live, |v, out| {
+            out.extend_from_slice(g.successors(v))
+        });
         let alive: Vec<bool> = (0..desc.len() as NodeId).map(|v| g.is_alive(v)).collect();
         let connections = desc.iter().map(FixedBitSet::count).sum();
         let anc = transpose(&desc, None);
@@ -198,22 +206,6 @@ impl TransitiveClosure {
             .enumerate()
             .flat_map(|(u, row)| row.iter().map(move |v| (u as NodeId, v)))
     }
-}
-
-/// The descendant row of every node slot of `g`, reflexive for live
-/// nodes: the walk of [`reach_rows`] from every slot, every live node its
-/// own target. A dead slot has no successors and no target, so its row
-/// stays empty.
-pub fn descendant_rows(g: &DiGraph) -> Vec<FixedBitSet> {
-    let n = g.id_bound();
-    let slots: Vec<NodeId> = (0..n as NodeId).collect();
-    reach_rows(
-        n,
-        &slots,
-        n,
-        |v| g.is_alive(v).then_some(v),
-        |v, out| out.extend_from_slice(g.successors(v)),
-    )
 }
 
 /// The transpose of the `n × n` bit matrix `rows`, restricted to the rows

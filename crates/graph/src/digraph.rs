@@ -120,16 +120,6 @@ impl DiGraph {
         self.pred.get(u as usize).map_or(&[], Vec::as_slice)
     }
 
-    /// Out-degree of `u`.
-    pub fn out_degree(&self, u: NodeId) -> usize {
-        self.successors(u).len()
-    }
-
-    /// In-degree of `u`.
-    pub fn in_degree(&self, u: NodeId) -> usize {
-        self.predecessors(u).len()
-    }
-
     /// Tests whether edge `(u, v)` exists.
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
         self.successors(u).contains(&v)
@@ -246,8 +236,8 @@ mod tests {
         let mut p3 = g.predecessors(3).to_vec();
         p3.sort_unstable();
         assert_eq!(p3, vec![1, 2]);
-        assert_eq!(g.in_degree(0), 0);
-        assert_eq!(g.out_degree(3), 0);
+        assert!(g.predecessors(0).is_empty());
+        assert!(g.successors(3).is_empty());
     }
 
     #[test]

@@ -37,6 +37,6 @@ pub mod traversal;
 pub mod walk;
 
 pub use bitset::{FixedBitSet, WordSpan};
-pub use closure::{descendant_rows, DistanceClosure, TransitiveClosure};
+pub use closure::{DistanceClosure, TransitiveClosure};
 pub use digraph::{DiGraph, EdgeInsert, NodeId};
 pub use walk::reach_rows;

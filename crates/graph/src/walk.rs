@@ -1,12 +1,15 @@
 //! Reachability rows by one condensing depth-first walk.
 //!
-//! Every transitive closure the index computes runs through
-//! [`reach_rows`]: the closure of a partition or of the PSG skeleton
-//! ([`crate::TransitiveClosure::from_graph`]) and Theorem 3's partial
-//! closure `Ĉ` (paper §6.2), which starts only from the deleted region.
-//! Link cycles between XML documents are legal, so the walk condenses
-//! strongly connected components as it goes and the members of one share
-//! their row.
+//! Every batch closure the index computes runs through [`reach_rows`]:
+//! [`crate::TransitiveClosure::from_graph`] (the PSG skeleton, the
+//! oracles) and the walks `hopi_xml::walk` reads off a collection — a
+//! partition's closure (§4), a new document's (§6.1), Theorem 3's
+//! partial closure `Ĉ` (§6.2), which starts only from the deleted region,
+//! and the flat closure `hopi-bench` counts. The closure-budget
+//! partitioner's closure is the exception: it grows one edge at a time
+//! ([`crate::TransitiveClosure::insert_edge`]). Link cycles between XML
+//! documents are legal, so the walk condenses strongly connected
+//! components as it goes and the members of one share their row.
 
 use crate::bitset::{FixedBitSet, WordSpan};
 use crate::digraph::NodeId;

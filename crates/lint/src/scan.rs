@@ -98,6 +98,17 @@ pub fn load_workspace(root: &Path) -> Result<Vec<SourceFile>, String> {
     Ok(out)
 }
 
+/// The lines of `file` that hold a token outside test items
+/// ([`rules::test_mask`]): its non-test line count. Comment and blank
+/// lines hold no token, so deleting comments does not lower it.
+pub fn code_lines(file: &SourceFile) -> usize {
+    let mut lines: Vec<u32> = (file.tokens.iter().zip(&file.mask))
+        .filter_map(|(t, &test)| (!test).then_some(t.line))
+        .collect();
+    lines.dedup();
+    lines.len()
+}
+
 /// Indices of the serve-path files in a loaded workspace — the scope of
 /// the interprocedural analysis.
 pub fn serve_indices(files: &[SourceFile]) -> Vec<usize> {

@@ -22,9 +22,9 @@
 //!   `A_di ∪ D_di` numbered in ascending order, so every table is as wide
 //!   as the region rather than the collection. `Ĉ` comes from one walk of
 //!   the surviving graph from the region's elements
-//!   ([`crate::region::region_rows`]): the condensing walk every closure
-//!   runs through ([`hopi_graph::reach_rows`]), over successors read
-//!   straight off the collection, visiting only what the region reaches.
+//!   ([`DocSet::region_rows`] over every live document): the walk every
+//!   region the index covers runs through, over successors read straight
+//!   off the collection, visiting only what the region reaches.
 //!   DESIGN.md ("Theorem 3 (§6.2) as implemented") has the exactness
 //!   proof.
 //!
@@ -32,11 +32,10 @@
 //! and `D = desc(to)`: every connection that can die runs through the
 //! link. Neither theorem builds the element graph or the document graph.
 
-use crate::region::{region_rows, DocLinks};
 use hopi_core::HopiIndex;
 use hopi_core::{CoverBuilder, LabelSource, TwoHopCover};
 use hopi_graph::{FixedBitSet, TransitiveClosure};
-use hopi_xml::{Collection, DocId, ElemId};
+use hopi_xml::{Collection, DocId, DocLinks, DocSet, ElemId, LinkIndex};
 
 /// Which deletion algorithm ran.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -320,7 +319,8 @@ fn delete_general_impl(
     // Partial closure Ĉ of G' into D_di: a row for every live seed of
     // A_di, and one for every live element of D_di so that descendants can
     // serve as hubs; ancestor rows only hold seeds, all `only_from` reads.
-    let rows = region_rows(collection, &live, &d_di);
+    let docs = DocSet::new(collection, collection.doc_ids());
+    let rows = docs.region_rows(&LinkIndex::new(collection), &live, &d_di);
     let partial = TransitiveClosure::from_desc_rows(rows, vec![true; live.len()], Some(&seeds));
     let builder = CoverBuilder::only_from(&partial, &seeds);
     let recomputed_connections = builder.remaining();
@@ -773,7 +773,8 @@ mod tests {
             region.remove(e);
         }
         let live = region.to_vec();
-        let rows = region_rows(&after, &live, &d_di);
+        let docs = DocSet::new(&after, after.doc_ids());
+        let rows = docs.region_rows(&LinkIndex::new(&after), &live, &d_di);
         let tc = TransitiveClosure::from_graph(&after.element_graph());
         for (i, &x) in live.iter().enumerate() {
             let want: Vec<u32> = (0..live.len() as u32)

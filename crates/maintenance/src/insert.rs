@@ -10,14 +10,16 @@
 //!   `Lout`, or copy `{u} ∪ Lin(u)` into the descendants' `Lin` — and does
 //!   nothing when `u` already reaches `v`. Rows the link gives no new
 //!   connection are left alone.
-//! * A new document is "considered as a new partition": its private 2-hop
-//!   cover is computed and merged, then its incoming/outgoing links are
-//!   integrated one by one.
+//! * A new document is "considered as a new partition": it joins the
+//!   collection, its 2-hop cover is computed from the walk every partition
+//!   cover reads ([`hopi_xml::DocSet`], confined to the document and its
+//!   intra-document links) and merged, then its incoming/outgoing links
+//!   are integrated one by one.
 
 use hopi_core::HopiIndex;
 use hopi_core::{CoverBuilder, DistEntry, DistanceCoverBuilder, FrozenCover, TwoHopCover};
-use hopi_graph::{DiGraph, DistanceClosure, TransitiveClosure};
-use hopi_xml::{Collection, DocId, ElemId, LocalElemId, XmlDocument};
+use hopi_graph::{DiGraph, DistanceClosure};
+use hopi_xml::{Collection, DocId, DocSet, ElemId, LinkIndex, LocalElemId, XmlDocument};
 
 /// How [`integrate_link`] covered the connections of one new link `u → v`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -294,26 +296,16 @@ pub fn insert_document(
     doc: XmlDocument,
     links: &DocumentLinks,
 ) -> (DocId, IntegrationCounts) {
-    // Build the document's private cover over local ids.
-    let mut local = DiGraph::with_nodes(doc.len());
-    for (p, c) in doc.tree_edges() {
-        local.add_edge(p, c);
-    }
-    for &(f, t) in doc.intra_links() {
-        local.add_edge(f, t);
-    }
-    let tc = TransitiveClosure::from_graph(&local);
-    let doc_cover = CoverBuilder::new(&tc).build();
-
+    // The document joins the collection, and its cover is built as a
+    // partition's is: from a walk that stays inside it, over its
+    // intra-document links alone.
     let d = collection.add_document(doc);
-    let base = collection.global_id(d, 0);
+    let docs = DocSet::new(collection, [d]);
+    let tc = docs.closure(&LinkIndex::of_document(collection, d));
+    let doc_cover = CoverBuilder::new(&tc).build();
     let cover = index.cover_mut();
-    if collection.elem_id_bound() > 0 {
-        cover.ensure_node(collection.elem_id_bound() as u32 - 1);
-    }
-    // Merge the document cover shifted into the global id space.
-    let map: Vec<ElemId> = (0..tc.num_nodes() as u32).map(|l| base + l).collect();
-    cover.merge_remapped(&doc_cover, &map);
+    cover.ensure_node(collection.elem_id_bound() as u32 - 1);
+    cover.merge_remapped(&doc_cover, &docs.globals());
 
     // Integrate the links one by one, as standalone insertions are.
     let mut counts = IntegrationCounts::default();
@@ -409,6 +401,7 @@ type Row = fn(&FrozenCover, u32) -> &[u32];
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hopi_graph::TransitiveClosure;
     use hopi_partition::{build_index, BuildConfig};
 
     fn two_docs() -> (Collection, HopiIndex) {

@@ -9,8 +9,9 @@
 //!   `u` and `v` (make `v` the center — the §3.3 link-join primitive — or
 //!   copy `v`'s `Lout` into the ancestors of `u`, or `u`'s `Lin` into the
 //!   descendants of `v`); a new document is treated as a fresh partition:
-//!   its own 2-hop cover is computed and merged, then its links are
-//!   integrated. Distance-aware variants return the successor of a
+//!   it joins the collection, its own 2-hop cover is computed from the
+//!   walk every partition cover reads ([`hopi_xml::DocSet`], confined to
+//!   the document) and merged, then its links are integrated. Distance-aware variants return the successor of a
 //!   distance-annotated [`hopi_core::FrozenCover`].
 //! * [`delete`] — document deletion with two algorithms:
 //!   * **Theorem 2 fast path** when the document *separates* the
@@ -47,7 +48,6 @@ pub mod delete;
 mod exactness;
 pub mod insert;
 pub mod rebuild;
-pub mod region;
 
 pub use delete::{
     delete_document, delete_link, separates, DeletionAlgorithm, DeletionCounts, DeletionOutcome,

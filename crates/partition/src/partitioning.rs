@@ -4,13 +4,13 @@
 //! links; a *partitioning* `P(X) = ({P_1..P_m}, L_P)` splits the documents
 //! disjointly and collects the leftover cross-partition links in `L_P`.
 
-use hopi_graph::DiGraph;
 use hopi_xml::{Collection, DocId, ElemId, Link};
-use rustc_hash::FxHashMap;
 
 /// One partition: a set of documents. Links internal to the partition stay
-/// implicit (they are recovered from the collection when materializing the
-/// partition's element graph).
+/// implicit: the walk that covers the partition ([`hopi_xml::DocSet`])
+/// stays inside its documents and reads their links off the collection's
+/// [`hopi_xml::LinkIndex`], numbering the elements in ascending global-id
+/// order.
 #[derive(Clone, Debug, Default)]
 pub struct Partition {
     /// Documents of this partition.
@@ -109,48 +109,6 @@ impl Partitioning {
         self.partition_of_doc(collection.doc_of(e)?)
     }
 
-    /// Materializes the element-level graph of partition `p` with **local**
-    /// dense node ids. Returns the graph, the local → global id map, and the
-    /// global → local map. The graph contains the partition's tree edges,
-    /// intra-document links, and intra-partition inter-document links `L_i`.
-    pub fn partition_element_graph(
-        &self,
-        collection: &Collection,
-        p: u32,
-    ) -> (DiGraph, Vec<ElemId>, FxHashMap<ElemId, u32>) {
-        let part = &self.partitions[p as usize];
-        let mut local_to_global: Vec<ElemId> = Vec::new();
-        let mut global_to_local: FxHashMap<ElemId, u32> = FxHashMap::default();
-        for &d in &part.docs {
-            let doc = collection.document(d).expect("live doc in partition");
-            for (local, _) in doc.elements() {
-                let g = collection.global_id(d, local);
-                global_to_local.insert(g, local_to_global.len() as u32);
-                local_to_global.push(g);
-            }
-        }
-        let mut graph = DiGraph::with_nodes(local_to_global.len());
-        for &d in &part.docs {
-            let doc = collection.document(d).expect("live doc");
-            let base = collection.global_id(d, 0);
-            for (pa, ch) in doc.tree_edges() {
-                graph.add_edge(global_to_local[&(base + pa)], global_to_local[&(base + ch)]);
-            }
-            for &(f, t) in doc.intra_links() {
-                graph.add_edge(global_to_local[&(base + f)], global_to_local[&(base + t)]);
-            }
-        }
-        // Intra-partition inter-document links L_i.
-        for &l in collection.links() {
-            if let (Some(&lf), Some(&lt)) =
-                (global_to_local.get(&l.from), global_to_local.get(&l.to))
-            {
-                graph.add_edge(lf, lt);
-            }
-        }
-        (graph, local_to_global, global_to_local)
-    }
-
     /// Checks partitioning invariants: disjoint cover of live documents,
     /// `L_P` exactly the links crossing partitions.
     pub fn check_invariants(&self, collection: &Collection) {
@@ -180,10 +138,34 @@ impl Partitioning {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use hopi_graph::{DiGraph, TransitiveClosure};
     use hopi_xml::generator::{random_collection, RandomConfig};
-    use hopi_xml::XmlDocument;
+    use hopi_xml::{DocSet, LinkIndex, XmlDocument};
+
+    /// The reference a partition's walk is checked against, independent of
+    /// it: the element graph of a clone of `c` that keeps only `docs`, in
+    /// global ids.
+    pub(crate) fn reference_graph(c: &Collection, docs: &[DocId]) -> DiGraph {
+        let mut only = c.clone();
+        for d in c.doc_ids().filter(|d| !docs.contains(d)) {
+            only.remove_document(d);
+        }
+        only.element_graph()
+    }
+
+    /// Asserts that `tc`, a closure over local ids `l` standing for the
+    /// elements `globals[l]`, is the closure of `reference`.
+    fn assert_same_closure(tc: &TransitiveClosure, globals: &[ElemId], reference: &DiGraph) {
+        let want = TransitiveClosure::from_graph(reference);
+        assert_eq!(tc.connection_count(), want.connection_count());
+        for (u, &gu) in (0..).zip(globals) {
+            for (v, &gv) in (0..).zip(globals) {
+                assert_eq!(tc.contains(u, v), want.contains(gu, gv), "{gu} -> {gv}");
+            }
+        }
+    }
 
     fn three_doc_collection() -> Collection {
         let mut c = Collection::new();
@@ -230,26 +212,31 @@ mod tests {
     }
 
     #[test]
-    fn partition_element_graph_local_ids() {
+    fn partition_walk_numbers_elements_in_ascending_order() {
         let c = three_doc_collection();
         let p = Partitioning::from_assignment(&c, 2, vec![0, 0, 1]);
-        let (g, l2g, g2l) = p.partition_element_graph(&c, 0);
+        let links = LinkIndex::new(&c);
+        let docs = DocSet::new(&c, p.partitions[0].docs.iter().copied());
+        let g = reference_graph(&c, &p.partitions[0].docs);
         assert_eq!(g.node_count(), 4); // docs a,b with 2 elements each
-        assert_eq!(l2g.len(), 4);
-        // Tree edges locally: a: 0->1, b: 2->3; plus intra-partition link
+        assert_eq!(docs.globals().len(), 4);
+        // Tree edges: a: 0->1, b: 2->3; plus intra-partition link
         // a/x(1) -> b/root(2).
         assert!(g.has_edge(0, 1));
         assert!(g.has_edge(2, 3));
         assert!(g.has_edge(1, 2));
         assert_eq!(g.edge_count(), 3);
-        for (local, &global) in l2g.iter().enumerate() {
-            assert_eq!(g2l[&global], local as u32);
+        for (local, global) in (0..).zip(docs.globals()) {
+            assert_eq!(docs.local(global), Some(local));
         }
+        assert_same_closure(&docs.closure(&links), &docs.globals(), &g);
         // Partition 1 sees only doc c's tree.
-        let (g1, l2g1, _) = p.partition_element_graph(&c, 1);
+        let docs1 = DocSet::new(&c, p.partitions[1].docs.iter().copied());
+        let g1 = reference_graph(&c, &p.partitions[1].docs);
         assert_eq!(g1.node_count(), 2);
         assert_eq!(g1.edge_count(), 1);
-        assert_eq!(l2g1, vec![c.global_id(2, 0), c.global_id(2, 1)]);
+        assert_eq!(docs1.globals(), vec![c.global_id(2, 0), c.global_id(2, 1)]);
+        assert_same_closure(&docs1.closure(&links), &docs1.globals(), &g1);
     }
 
     #[test]
@@ -266,8 +253,10 @@ mod tests {
         let p = Partitioning::per_document(&c);
         p.check_invariants(&c);
         // Element graphs of all partitions together hold all tree edges.
-        let total_edges: usize = (0..p.len() as u32)
-            .map(|i| p.partition_element_graph(&c, i).0.edge_count())
+        let total_edges: usize = p
+            .partitions
+            .iter()
+            .map(|part| reference_graph(&c, &part.docs).edge_count())
             .sum();
         let cross = p.cross_links.len();
         assert_eq!(total_edges + cross, c.element_graph().edge_count());

@@ -5,9 +5,11 @@
 //! 1. **Partition** the document-level graph with one of the
 //!    [`PartitionerChoice`] strategies (no partitioning, per-document, or
 //!    the closure-budget partitioner of §4.3).
-//! 2. **Cover each partition** ([`build_partition_covers`]): materialize
-//!    the partition's element graph, compute its transitive closure, and
-//!    run the greedy 2-hop cover builder — optionally preselecting
+//! 2. **Cover each partition** ([`build_partition_covers`]): compute the
+//!    partition's transitive closure by a walk that stays inside its
+//!    documents ([`hopi_xml::DocSet`], over one [`hopi_xml::LinkIndex`]
+//!    the partitions share; no element graph is built), and run the
+//!    greedy 2-hop cover builder — optionally preselecting
 //!    cross-partition link targets as centers (§4.2). Partitions are
 //!    processed concurrently (the paper computes partition covers
 //!    independently); covers are merged into the global cover in partition
@@ -21,7 +23,7 @@ use crate::tc_partitioner;
 use crate::TcPartitionerConfig;
 use hopi_core::{BuildStats, CoverBuilder, HopiIndex, TwoHopCover};
 use hopi_graph::TransitiveClosure;
-use hopi_xml::{Collection, ElemId};
+use hopi_xml::{Collection, DocSet, ElemId, LinkIndex};
 use rustc_hash::FxHashMap;
 use std::time::Instant;
 
@@ -177,22 +179,20 @@ pub fn build_partition_covers(
     }
     .min(m.max(1));
 
+    // One link index for every partition's walk, read-only.
+    let links = LinkIndex::new(collection);
     let build_one = |p: usize| -> PartitionCover {
-        let (graph, local_to_global, global_to_local) =
-            partitioning.partition_element_graph(collection, p as u32);
-        let tc = TransitiveClosure::from_graph(&graph);
+        let docs = DocSet::new(collection, partitioning.partitions[p].docs.iter().copied());
+        let tc = docs.closure(&links);
         let builder = CoverBuilder::new(&tc);
         let (cover, stats) = match preselect.get(&(p as u32)) {
             Some(targets) => {
-                let locals: Vec<u32> = targets
-                    .iter()
-                    .filter_map(|t| global_to_local.get(t).copied())
-                    .collect();
+                let locals: Vec<u32> = targets.iter().filter_map(|&t| docs.local(t)).collect();
                 builder.build_with_preselected(&locals)
             }
             None => builder.build_with_stats(),
         };
-        (cover, local_to_global, stats)
+        (cover, docs.globals(), stats)
     };
 
     let built: Vec<PartitionCover> = if workers <= 1 || m <= 1 {
@@ -406,6 +406,7 @@ impl Nearest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::partitioning::tests::reference_graph;
     use hopi_xml::XmlDocument;
 
     fn linked_collection() -> Collection {
@@ -552,7 +553,8 @@ mod tests {
         };
         let greedy = build_index(&c, &per_document).1.greedy;
         let one_document = {
-            let (graph, ..) = Partitioning::per_document(&c).partition_element_graph(&c, 0);
+            let partitioning = Partitioning::per_document(&c);
+            let graph = reference_graph(&c, &partitioning.partitions[0].docs);
             let tc = TransitiveClosure::from_graph(&graph);
             CoverBuilder::new(&tc).build_with_stats().1
         };

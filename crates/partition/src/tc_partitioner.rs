@@ -12,8 +12,8 @@
 
 use crate::edge_weights::{DocEdgeWeights, EdgeWeightStrategy};
 use crate::partitioning::Partitioning;
-use hopi_graph::TransitiveClosure;
-use hopi_xml::{Collection, DocId, ElemId};
+use hopi_graph::{DiGraph, TransitiveClosure};
+use hopi_xml::{Collection, DocId, ElemId, LinkIndex};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use rustc_hash::FxHashMap;
@@ -43,62 +43,53 @@ impl Default for TcPartitionerConfig {
     }
 }
 
-/// Incrementally grown partition state: a local-id closure over the
-/// partition's elements.
-struct GrowingPartition {
-    closure: TransitiveClosure,
-    global_to_local: FxHashMap<ElemId, u32>,
-    docs: Vec<DocId>,
-}
-
-impl GrowingPartition {
-    fn new() -> Self {
-        GrowingPartition {
-            closure: TransitiveClosure::new(),
-            global_to_local: FxHashMap::default(),
-            docs: Vec::new(),
+/// Adds document `d` to `closure`, the incremental closure of a growing
+/// partition: its tree, its intra-document links, and its links to and
+/// from the documents already in the partition, which `member` admits.
+/// Each document's elements are numbered from its offset, the element
+/// count of the documents that joined before it, and `offset` records it.
+/// Links come from `links` by source: `d`'s own, and those of the members
+/// that `doc_graph` lists as linking into `d`. Returns the new connection
+/// count.
+fn add_doc(
+    closure: &mut TransitiveClosure,
+    collection: &Collection,
+    links: &LinkIndex,
+    doc_graph: &DiGraph,
+    d: DocId,
+    offset: &mut [u32],
+    member: impl Fn(DocId) -> bool,
+) -> u64 {
+    let doc = collection.document(d).expect("live doc");
+    let (base, len) = (collection.global_id(d, 0), doc.len() as u32);
+    let first = closure.num_nodes() as u32;
+    offset[d as usize] = first;
+    for _ in 0..len {
+        closure.add_node();
+    }
+    for (p, c) in doc.tree_edges() {
+        closure.insert_edge(first + p, first + c);
+    }
+    let local = |e: ElemId| match collection.to_local(e) {
+        Some((q, l)) if q == d || member(q) => Some(offset[q as usize] + l),
+        _ => None,
+    };
+    for l in 0..len {
+        for lt in links.links(base + l).iter().filter_map(|&t| local(t)) {
+            closure.insert_edge(first + l, lt);
         }
     }
-
-    /// Adds a document (tree + intra links + links to/from already-present
-    /// docs) to the incremental closure. Returns the new connection count.
-    fn add_doc(
-        &mut self,
-        collection: &Collection,
-        d: DocId,
-        links_by_doc: &FxHashMap<DocId, Vec<(ElemId, ElemId)>>,
-    ) -> u64 {
-        let doc = collection.document(d).expect("live doc");
-        let base = collection.global_id(d, 0);
-        for (local, _) in doc.elements() {
-            let id = self.closure.add_node();
-            self.global_to_local.insert(base + local, id);
-        }
-        for (p, c) in doc.tree_edges() {
-            self.closure.insert_edge(
-                self.global_to_local[&(base + p)],
-                self.global_to_local[&(base + c)],
-            );
-        }
-        for &(f, t) in doc.intra_links() {
-            self.closure.insert_edge(
-                self.global_to_local[&(base + f)],
-                self.global_to_local[&(base + t)],
-            );
-        }
-        // Inter-document links between d and docs already in the partition
-        // (both directions are in links_by_doc under both endpoints).
-        if let Some(ls) = links_by_doc.get(&d) {
-            for &(f, t) in ls {
-                if let (Some(&lf), Some(&lt)) =
-                    (self.global_to_local.get(&f), self.global_to_local.get(&t))
-                {
-                    self.closure.insert_edge(lf, lt);
+    for &q in doc_graph.predecessors(d).iter().filter(|&&q| member(q)) {
+        let q_base = collection.global_id(q, 0);
+        for l in 0..collection.doc_weight(q) {
+            for &t in links.links(q_base + l) {
+                if t.wrapping_sub(base) < len {
+                    closure.insert_edge(offset[q as usize] + l, first + t - base);
                 }
             }
         }
-        self.closure.connection_count() as u64
     }
+    closure.connection_count() as u64
 }
 
 /// Runs the closure-size-aware partitioner.
@@ -109,17 +100,9 @@ pub fn partition(collection: &Collection, config: &TcPartitionerConfig) -> Parti
     let mut order: Vec<DocId> = collection.doc_ids().collect();
     order.shuffle(&mut rng);
 
-    // Links grouped under both endpoint documents, so adding a document can
-    // wire it to everything already present.
-    let mut links_by_doc: FxHashMap<DocId, Vec<(ElemId, ElemId)>> = FxHashMap::default();
-    for l in collection.links() {
-        let fd = collection.doc_of(l.from).expect("live source");
-        let td = collection.doc_of(l.to).expect("live target");
-        links_by_doc.entry(fd).or_default().push((l.from, l.to));
-        links_by_doc.entry(td).or_default().push((l.from, l.to));
-    }
-
+    let links = LinkIndex::new(collection);
     let mut part_of = vec![u32::MAX; collection.doc_id_bound()];
+    let mut offset = vec![0u32; collection.doc_id_bound()];
     let mut tc_sizes: Vec<u64> = Vec::new();
     let mut next_partition = 0u32;
 
@@ -151,7 +134,7 @@ pub fn partition(collection: &Collection, config: &TcPartitionerConfig) -> Parti
         }
         let p = next_partition;
         next_partition += 1;
-        let mut grow = GrowingPartition::new();
+        let mut closure = TransitiveClosure::new();
         let mut size = 0u64;
         let mut frontier: FxHashMap<DocId, u64> = FxHashMap::default();
         let mut seed_cursor = cursor;
@@ -179,17 +162,25 @@ pub fn partition(collection: &Collection, config: &TcPartitionerConfig) -> Parti
                     }
                 }
             };
-            let snapshot = size;
-            let grown = grow.add_doc(collection, candidate, &links_by_doc);
-            if grown > config.max_connections_per_partition && !grow.docs.is_empty() {
+            let member = |q: DocId| part_of[q as usize] == p;
+            let grown = add_doc(
+                &mut closure,
+                collection,
+                &links,
+                &doc_graph,
+                candidate,
+                &mut offset,
+                member,
+            );
+            // `size` is 0 until a first document joins, which stays even
+            // when it alone is over budget.
+            if grown > config.max_connections_per_partition && size > 0 {
                 // Over budget: close with the previous size; `candidate`
                 // stays unassigned (the closure is discarded anyway).
-                size = snapshot;
                 break 'fill;
             }
             size = grown;
             part_of[candidate as usize] = p;
-            grow.docs.push(candidate);
             absorb(candidate, &part_of, &mut frontier);
         }
         tc_sizes.push(size);
@@ -206,7 +197,7 @@ pub fn partition(collection: &Collection, config: &TcPartitionerConfig) -> Parti
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hopi_graph::TransitiveClosure;
+    use crate::partitioning::tests::reference_graph;
     use hopi_xml::generator::{dblp, random_collection, DblpConfig, RandomConfig};
 
     #[test]
@@ -219,7 +210,7 @@ mod tests {
         let p = partition(&c, &cfg);
         p.check_invariants(&c);
         for (pi, part) in p.partitions.iter().enumerate() {
-            let (g, _, _) = p.partition_element_graph(&c, pi as u32);
+            let g = reference_graph(&c, &part.docs);
             let actual = TransitiveClosure::from_graph(&g).connection_count() as u64;
             assert_eq!(part.tc_size, Some(actual), "partition {pi}");
         }

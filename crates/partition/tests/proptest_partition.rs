@@ -4,12 +4,12 @@
 //! source→target connectivity of the underlying element graph. The
 //! node-capped partitioner of [26] is checked in `hopi-bench`.
 
-use hopi_graph::{traversal, FixedBitSet, TransitiveClosure};
+use hopi_graph::{traversal, DiGraph, FixedBitSet, TransitiveClosure};
 use hopi_partition::{
     build_partition_covers, tc_partitioner, BuildConfig, EdgeWeightStrategy,
     PartitionSkeletonGraph, Partitioning, TcPartitionerConfig,
 };
-use hopi_xml::{Collection, XmlDocument};
+use hopi_xml::{Collection, DocId, DocSet, LinkIndex, XmlDocument};
 use proptest::prelude::*;
 
 type Blueprint = (Vec<usize>, Vec<(usize, usize)>);
@@ -41,6 +41,17 @@ fn realize((docs, links): &Blueprint) -> Collection {
     c
 }
 
+/// The reference a partition's walk is checked against, independent of
+/// it: the element graph of a clone of `c` that keeps only `docs`, in
+/// global ids.
+fn reference_graph(c: &Collection, docs: &[DocId]) -> DiGraph {
+    let mut only = c.clone();
+    for d in c.doc_ids().filter(|d| !docs.contains(d)) {
+        only.remove_document(d);
+    }
+    only.element_graph()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -53,9 +64,9 @@ proptest! {
             seed: 5,
         });
         p.check_invariants(&c);
-        for (pi, part) in p.partitions.iter().enumerate() {
+        for part in &p.partitions {
             // Tracked closure size matches a fresh computation.
-            let (g, _, _) = p.partition_element_graph(&c, pi as u32);
+            let g = reference_graph(&c, &part.docs);
             let actual = TransitiveClosure::from_graph(&g).connection_count() as u64;
             prop_assert_eq!(part.tc_size, Some(actual));
             prop_assert!(
@@ -96,21 +107,15 @@ proptest! {
             // are its intra-partition reach, and two skeleton nodes of one
             // partition share an edge exactly when the first reaches the
             // second there.
-            for pi in 0..p.len() as u32 {
-                let (g, l2g, g2l) = p.partition_element_graph(&c, pi);
-                let tc = TransitiveClosure::from_graph(&g);
-                let global = |row: &FixedBitSet| {
-                    let mut out: Vec<_> = row.iter().map(|l| l2g[l as usize]).collect();
-                    out.sort_unstable();
-                    out
-                };
+            for (pi, part) in (0..).zip(&p.partitions) {
+                let tc = TransitiveClosure::from_graph(&reference_graph(&c, &part.docs));
                 let members: Vec<u32> = (0..n).filter(|&x| psg.partition[x as usize] == pi).collect();
                 for &x in &members {
-                    let lx = g2l[&psg.nodes[x as usize]];
-                    prop_assert_eq!(&psg.desc[x as usize], &global(tc.descendants(lx)));
-                    prop_assert_eq!(&psg.anc[x as usize], &global(tc.ancestors(lx)));
+                    let gx = psg.nodes[x as usize];
+                    prop_assert_eq!(&psg.desc[x as usize], &tc.descendants(gx).to_vec());
+                    prop_assert_eq!(&psg.anc[x as usize], &tc.ancestors(gx).to_vec());
                     for &y in members.iter().filter(|&&y| y != x) {
-                        let reach = tc.contains(lx, g2l[&psg.nodes[y as usize]]);
+                        let reach = tc.contains(gx, psg.nodes[y as usize]);
                         prop_assert_eq!(psg.graph.has_edge(x, y), reach, "{} -> {}", x, y);
                     }
                 }
@@ -125,12 +130,99 @@ proptest! {
             max_connections_per_partition: budget,
             ..Default::default()
         });
-        let total_edges: usize = (0..p.len() as u32)
-            .map(|i| p.partition_element_graph(&c, i).0.edge_count())
+        let total_edges: usize = p
+            .partitions
+            .iter()
+            .map(|part| reference_graph(&c, &part.docs).edge_count())
             .sum();
         prop_assert_eq!(
             total_edges + p.cross_links.len(),
             c.element_graph().edge_count()
         );
+    }
+}
+
+/// Asserts that the closure a walk confined to `docs` computes over
+/// `links` equals the closure of [`reference_graph`], row by row, in both
+/// directions.
+fn assert_walk_matches_reference(
+    c: &Collection,
+    docs: &[DocId],
+    links: &LinkIndex,
+) -> Result<(), TestCaseError> {
+    let set = DocSet::new(c, docs.iter().copied());
+    let tc = set.closure(links);
+    let want = TransitiveClosure::from_graph(&reference_graph(c, docs));
+    let globals = set.globals();
+    let global =
+        |row: &FixedBitSet| -> Vec<u32> { row.iter().map(|l| globals[l as usize]).collect() };
+    prop_assert_eq!(
+        tc.connection_count(),
+        want.connection_count(),
+        "docs {:?}",
+        docs
+    );
+    for (u, &gu) in (0..).zip(&globals) {
+        prop_assert_eq!(
+            global(tc.descendants(u)),
+            want.descendants(gu).to_vec(),
+            "desc {}",
+            gu
+        );
+        prop_assert_eq!(
+            global(tc.ancestors(u)),
+            want.ancestors(gu).to_vec(),
+            "anc {}",
+            gu
+        );
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A walk restricted to a set of documents equals the closure of the
+    /// collection with every other document removed, on random cyclic
+    /// collections with intra-document links and removed documents: for
+    /// every partition of the flat, per-document and closure-budget
+    /// partitionings over the shared link index, and for one document
+    /// over its own intra-document links (the §6.1 shape).
+    #[test]
+    fn partition_walks_match_the_reference(seed in 0u64..u64::MAX, budget in 8u64..200) {
+        use hopi_xml::generator::{random_collection, RandomConfig};
+        use rand::prelude::*;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut c = random_collection(&RandomConfig {
+            num_docs: rng.gen_range(2..16),
+            elements_range: (1, 8),
+            num_links: rng.gen_range(0..40),
+            num_intra_links: rng.gen_range(0..10),
+            allow_cycles: true,
+            seed,
+            text: Default::default(),
+        });
+        for _ in 0..rng.gen_range(0..3) {
+            let live: Vec<DocId> = c.doc_ids().collect();
+            if live.len() > 1 {
+                c.remove_document(live[rng.gen_range(0..live.len())]);
+            }
+        }
+        let links = LinkIndex::new(&c);
+        for p in [
+            Partitioning::single_partition(&c),
+            Partitioning::per_document(&c),
+            tc_partitioner::partition(&c, &TcPartitionerConfig {
+                max_connections_per_partition: budget,
+                ..Default::default()
+            }),
+        ] {
+            for part in &p.partitions {
+                assert_walk_matches_reference(&c, &part.docs, &links)?;
+            }
+        }
+        let live: Vec<DocId> = c.doc_ids().collect();
+        let d = live[rng.gen_range(0..live.len())];
+        assert_walk_matches_reference(&c, &[d], &LinkIndex::of_document(&c, d))?;
     }
 }

@@ -219,14 +219,6 @@ impl Metrics {
         &self.cells[endpoint.index()]
     }
 
-    /// Total requests across all endpoints.
-    pub fn total_requests(&self) -> u64 {
-        self.cells
-            .iter()
-            .map(|c| c.requests.load(Ordering::Relaxed))
-            .sum()
-    }
-
     /// Renders the Prometheus-style text exposition served at `/metrics`.
     pub fn render(&self, ctx: &RenderContext<'_>) -> String {
         let mut out = String::with_capacity(16 * 1024);
@@ -447,7 +439,12 @@ mod tests {
             m.endpoint(Endpoint::Query).errors.load(Ordering::Relaxed),
             1
         );
-        assert_eq!(m.total_requests(), 3);
+        let total: u64 = m
+            .cells
+            .iter()
+            .map(|c| c.requests.load(Ordering::Relaxed))
+            .sum();
+        assert_eq!(total, 3);
 
         let summaries = m.latency_summaries();
         assert_eq!(summaries.len(), 2, "only endpoints with traffic appear");

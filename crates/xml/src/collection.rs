@@ -47,6 +47,15 @@ struct DocTable {
     ranges: Vec<(ElemId, ElemId, DocId)>, // (base, end_exclusive, doc)
 }
 
+impl DocTable {
+    /// The live document whose id range holds `e`.
+    fn doc_of(&self, e: ElemId) -> Option<DocId> {
+        let i = self.ranges.partition_point(|&(b, _, _)| b <= e);
+        let (b, end, doc) = self.ranges[i.checked_sub(1)?];
+        (e >= b && e < end && self.docs[doc as usize].is_some()).then_some(doc)
+    }
+}
+
 /// A collection `X = (D, L)` of XML documents.
 ///
 /// Cloning shares the document table (one reference count) and copies the
@@ -91,14 +100,9 @@ impl Collection {
         if let Some(slot) = table.docs.get_mut(d as usize) {
             *slot = None;
         }
-        let (ranges, docs) = (&table.ranges, &table.docs);
-        let doc_of = |e: ElemId| -> Option<DocId> {
-            let i = ranges.partition_point(|&(b, _, _)| b <= e).checked_sub(1)?;
-            let (b, end, doc) = ranges[i];
-            (e >= b && e < end && docs[doc as usize].is_some()).then_some(doc)
-        };
+        let table = &*table;
         self.links
-            .retain(|l| doc_of(l.from).is_some() && doc_of(l.to).is_some());
+            .retain(|l| table.doc_of(l.from).is_some() && table.doc_of(l.to).is_some());
         self.link_set = self.links.iter().map(|l| (l.from, l.to)).collect();
         true
     }
@@ -153,15 +157,7 @@ impl Collection {
     /// The `doc(·)` mapping of the paper: which live document owns a global
     /// element id.
     pub fn doc_of(&self, e: ElemId) -> Option<DocId> {
-        if self.table.ranges.is_empty() {
-            return None;
-        }
-        let i = self.table.ranges.partition_point(|&(b, _, _)| b <= e);
-        if i == 0 {
-            return None;
-        }
-        let (b, end, doc) = self.table.ranges[i - 1];
-        (e >= b && e < end && self.table.docs[doc as usize].is_some()).then_some(doc)
+        self.table.doc_of(e)
     }
 
     /// Converts a global element id back to `(doc, local)`.
@@ -255,9 +251,8 @@ impl Collection {
             g.ensure_node(self.next_elem - 1);
         }
         // Tombstone ranges of removed docs.
-        for (i, slot) in self.table.docs.iter().enumerate() {
+        for (slot, &(b, end, _)) in self.table.docs.iter().zip(&self.table.ranges) {
             if slot.is_none() {
-                let (b, end) = self.range_of(i as DocId);
                 for e in b..end {
                     g.remove_node(e);
                 }
@@ -275,16 +270,6 @@ impl Collection {
             g.add_edge(l.from, l.to);
         }
         g
-    }
-
-    fn range_of(&self, d: DocId) -> (ElemId, ElemId) {
-        let (b, end, _) = self.table.ranges[self
-            .table
-            .ranges
-            .iter()
-            .position(|&(_, _, doc)| doc == d)
-            .expect("range_of: unknown doc")];
-        (b, end)
     }
 
     /// Builds the document-level graph `G_D(X)`: documents as nodes, an edge

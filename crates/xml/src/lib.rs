@@ -14,6 +14,9 @@
 //!   INEX-like (deep link-free trees) collection generators standing in for
 //!   the paper's proprietary datasets (see DESIGN.md, substitutions).
 //! * [`stats`] — the collection features reported in the paper's Table 1.
+//! * [`walk`] — walks of `G_E(X)` read off the collection: a link index,
+//!   a set of documents a walk may enter, and the document-level links;
+//!   every region the HOPI index covers is walked through it.
 //! * [`codec`] — exact binary serialization of documents and collections
 //!   (tombstones and the global id assignment included), the form durable
 //!   persistence (checkpoints, WAL records) stores.
@@ -31,7 +34,9 @@ pub mod generator;
 pub mod model;
 pub mod parser;
 pub mod stats;
+pub mod walk;
 
 pub use collection::{Collection, DocId, ElemId, Link};
 pub use model::{LocalElemId, XmlDocument};
 pub use stats::CollectionStats;
+pub use walk::{DocLinks, DocSet, LinkIndex};
